@@ -14,6 +14,11 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# benchmark/ is a Go module of its own (BENCHMARK.json's contract), so
+# ./... above never enters it — but it compiles against internal/ APIs.
+echo "== benchmark module: go vet + go build"
+(cd benchmark && go vet . && go build -o /dev/null .)
+
 # Optional perf gate: compare benchmarks against the archived baseline.
 # Off by default (benchmark noise depends on the machine); enable with
 #   BENCH_COMPARE=1 ./check.sh

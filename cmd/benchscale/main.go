@@ -96,9 +96,10 @@ type report struct {
 	// IdenticalOutput is true when every sharded cell reproduced its
 	// serial sibling's metrics exactly (only populations that ran both).
 	IdenticalOutput bool `json:"identical_output"`
-	// Shard overhead at S=1: wall(S=1) / wall(serial) at the smallest
-	// population that ran both engines. This is the pure cost of the
-	// epoch machinery with zero parallelism to pay for it.
+	// Shard overhead at S=1: wall(S=1) / wall(serial) at the largest
+	// population that ran both engines (in small cells fixed costs hide
+	// it). This is the pure cost of the epoch machinery with zero
+	// parallelism to pay for it.
 	S1OverheadRatio float64 `json:"s1_overhead_ratio,omitempty"`
 	// ProcessPeakRSSMB is the process high-water mark (VmHWM) — an
 	// upper bound across all cells, unlike the per-cell heap peaks.
@@ -216,6 +217,7 @@ func main() {
 	}
 	serialRef := map[int]ref{}
 	rep.IdenticalOutput = true
+	s1Peers := 0 // population S1OverheadRatio was taken at
 
 	for _, n := range peers {
 		for _, s := range shards {
@@ -261,7 +263,8 @@ func main() {
 					rep.IdenticalOutput = false
 					fmt.Fprintf(os.Stderr, "DETERMINISM VIOLATION: peers=%d shards=%d diverged from serial\n", n, s)
 				}
-				if s == 1 && rep.S1OverheadRatio == 0 {
+				if s == 1 && n > s1Peers {
+					s1Peers = n
 					rep.S1OverheadRatio = wall / base.wall
 				}
 			}

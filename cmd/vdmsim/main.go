@@ -44,7 +44,7 @@ func main() {
 		mstRatio = flag.Bool("mst", false, "compute tree/MST cost ratio")
 		shards   = flag.Int("shards", -1, "shard count for the parallel engine (-1 = one per core, 0 = serial)")
 		progress = flag.Float64("progress", 0, "print progress to stderr every N simulated seconds (0 = off)")
-		cpPath   = flag.String("checkpoint", "", "checkpoint file for the sharded engine (resumes if present)")
+		cpPath   = flag.String("checkpoint", "", "checkpoint file, written at measurement barriers and resumed if present; sharded engine only (an error with -shards 0 or -metric loss-est)")
 		cpEvery  = flag.Float64("checkpoint-every", 0, "simulated seconds between checkpoints (0 = every measurement)")
 		profOut  = flag.String("profileout", "", "write the flight-recorder JSONL stream here (enables profiling)")
 		profS    = flag.Float64("profile", 0, "flight-recorder flush interval in simulated seconds (0 = default 10; needs -profileout)")

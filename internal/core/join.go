@@ -75,8 +75,8 @@ type joinState struct {
 	case2buf []overlay.NodeID
 }
 
-// joinTimer carries one join timeout (info or conn stage) through an
-// ArgBus timer. Records are free-listed on the node, so the thousands of
+// joinTimer carries one join timeout (info or conn stage) through
+// Bus.AfterArg. Records are free-listed on the node, so the thousands of
 // timeouts a join storm schedules reuse a handful of structs instead of
 // allocating a closure each.
 type joinTimer struct {
@@ -88,9 +88,9 @@ type joinTimer struct {
 }
 
 // joinTimerFire is the shared timeout callback (arg: *joinTimer). The
-// token fences off stale timers exactly as the captured token did in the
-// closure form: tokens are node-monotonic and never reused, so a recycled
-// joinState pointer cannot satisfy a stale record's check.
+// token fences off stale timers: tokens are node-monotonic and never
+// reused, so a recycled joinState pointer cannot satisfy a stale record's
+// check.
 func joinTimerFire(a any) {
 	t := a.(*joinTimer)
 	n, js, tok, st := t.n, t.js, t.tok, t.stage
@@ -108,18 +108,8 @@ func joinTimerFire(a any) {
 	joinTimeoutExpired(n, js, st)
 }
 
-// armTimeout schedules the stage timeout for the current attempt,
-// preferring the bus's arg-carrying timer when available.
+// armTimeout schedules the stage timeout for the current attempt.
 func (n *Node) armTimeout(js *joinState, d float64) {
-	if n.argBus == nil {
-		tok, st := js.token, js.stage
-		n.Net().After(d, func() {
-			if n.join == js && js.stage == st && js.token == tok {
-				joinTimeoutExpired(n, js, st)
-			}
-		})
-		return
-	}
 	t := n.timerFree
 	if t == nil {
 		t = &joinTimer{n: n}
@@ -130,11 +120,11 @@ func (n *Node) armTimeout(js *joinState, d float64) {
 	t.js = js
 	t.tok = js.token
 	t.stage = js.stage
-	n.argBus.AfterArg(d, joinTimerFire, t)
+	n.Net().AfterArg(d, joinTimerFire, t)
 }
 
-// joinTimeoutExpired is the closure-path body of a fired stage timeout
-// (the guard already passed).
+// joinTimeoutExpired is the body of a fired stage timeout (the guard
+// already passed).
 func joinTimeoutExpired(n *Node, js *joinState, st stage) {
 	switch st {
 	case stageInfo:

@@ -57,17 +57,12 @@ type Node struct {
 	token  int
 	tracer *obs.Tracer
 
-	// argBus is the bus's arg-carrying timer capability, when present
-	// (simulator buses). Join timeouts and the refine ticker schedule
-	// through it as recycled records instead of fresh closures, so a
-	// join storm's timer traffic stops churning the heap.
-	argBus overlay.ArgBus
-
 	// joinFree recycles the previous attempt's joinState (maps and
 	// scratch slices included); see newJoinState.
 	joinFree *joinState
 
-	// timerFree recycles join timeout records for argBus scheduling.
+	// timerFree recycles join timeout records, so a join storm's timer
+	// traffic does not churn the heap.
 	timerFree *joinTimer
 
 	// joinSeq counts join procedures started by this node; curJoin is the
@@ -171,7 +166,6 @@ func New(net overlay.Bus, pc overlay.PeerConfig, cfg Config, rnd *rng.Stream) *N
 		cfg:  cfg.withDefaults(),
 		rnd:  rnd,
 	}
-	n.argBus, _ = net.(overlay.ArgBus)
 	n.Peer.SetHooks(n)
 	return n
 }
@@ -245,11 +239,7 @@ func (n *Node) scheduleRefine() {
 	if n.rnd != nil {
 		period *= n.rnd.Uniform(0.9, 1.1)
 	}
-	if n.argBus != nil {
-		n.argBus.AfterArg(period, refineTick, n)
-		return
-	}
-	n.Net().After(period, func() { refineTick(n) })
+	n.Net().AfterArg(period, refineTick, n)
 }
 
 // refineTick is the shared refinement-timer callback (arg: *Node).

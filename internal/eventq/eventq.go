@@ -11,19 +11,17 @@ import (
 	"fmt"
 )
 
-// Event is a callback scheduled to run at a virtual time. An event holds
-// either a plain callback fn or an arg-carrying callback fnArg+arg
-// (scheduled via AtArg); the latter lets hot callers schedule a static
-// function with a recycled argument record instead of allocating a
-// closure per event.
+// Event is a callback scheduled to run at a virtual time. There is one
+// form: a function plus the argument it is called with, so hot callers
+// schedule a static function with a recycled argument record instead of
+// allocating a closure per event. A plain func() is scheduled as the
+// argument of callFunc (see At).
 type event struct {
-	at    float64
-	seq   uint64
-	fn    func()
-	fnArg func(any)
-	arg   any
-	timer bool   // arg-form event that is a timer, not a delivery
-	next  *event // free-list link while recycled
+	at   float64
+	seq  uint64
+	fn   func(any)
+	arg  any
+	next *event // free-list link while recycled
 }
 
 type eventHeap []*event
@@ -53,12 +51,11 @@ func (h *eventHeap) Pop() any {
 // Sim is a single-threaded discrete-event simulator.
 // The zero value is not usable; call New.
 type Sim struct {
-	now          float64
-	seq          uint64
-	events       eventHeap
-	processed    uint64
-	processedArg uint64
-	stopped      bool
+	now       float64
+	seq       uint64
+	events    eventHeap
+	processed uint64
+	stopped   bool
 
 	// free holds fired events for reuse, so a steady-state simulation
 	// (every fired event schedules a successor) allocates no event
@@ -110,7 +107,7 @@ func (s *Sim) trimFree() {
 func (s *Sim) FreeLen() int { return s.freeLen }
 
 // alloc takes an event off the free list, or makes one.
-func (s *Sim) alloc(at float64, fn func()) *event {
+func (s *Sim) alloc(at float64, fn func(any), arg any) *event {
 	e := s.free
 	if e == nil {
 		e = &event{}
@@ -120,14 +117,14 @@ func (s *Sim) alloc(at float64, fn func()) *event {
 		s.freeLen--
 	}
 	s.seq++
-	e.at, e.seq, e.fn = at, s.seq, fn
+	e.at, e.seq, e.fn, e.arg = at, s.seq, fn, arg
 	return e
 }
 
 // recycle puts a fired event on the free list. The callback and argument
 // are dropped immediately so recycled events never pin their captures.
 func (s *Sim) recycle(e *event) {
-	e.fn, e.fnArg, e.arg, e.timer = nil, nil, nil, false
+	e.fn, e.arg = nil, nil
 	e.next = s.free
 	s.free = e
 	s.freeLen++
@@ -144,43 +141,30 @@ func (s *Sim) Now() float64 { return s.now }
 // Processed reports how many events have fired so far.
 func (s *Sim) Processed() uint64 { return s.processed }
 
-// ProcessedArg reports how many of the fired events were scheduled in the
-// arg-carrying form (AtArg/AfterArg). Message deliveries use that form and
-// timers/closures use the plain one, so the split is a cheap
-// delivery-vs-timer classification for the engine profiler.
-func (s *Sim) ProcessedArg() uint64 { return s.processedArg }
-
 // Pending reports how many events are scheduled but not yet fired.
 func (s *Sim) Pending() int { return len(s.events) }
 
+// callFunc is the event function behind At and After: the argument is the
+// caller's func(). A func value is pointer-shaped, so carrying it in the
+// event's any allocates nothing.
+func callFunc(a any) { a.(func())() }
+
 // At schedules fn to run at absolute virtual time t.
 // Scheduling in the past panics: that is always a protocol bug.
-func (s *Sim) At(t float64, fn func()) {
-	if t < s.now {
-		panic(fmt.Sprintf("eventq: scheduling at %v before now %v", t, s.now))
-	}
-	heap.Push(&s.events, s.alloc(t, fn))
-}
+func (s *Sim) At(t float64, fn func()) { s.AtArg(t, callFunc, fn) }
 
 // After schedules fn to run d seconds from now.
-func (s *Sim) After(d float64, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	s.At(s.now+d, fn)
-}
+func (s *Sim) After(d float64, fn func()) { s.AfterArg(d, callFunc, fn) }
 
 // AtArg schedules fn(arg) at absolute virtual time t. Passing a static
 // function plus a reusable argument record avoids the per-event closure
-// allocation that At's fn would cost on hot paths (message delivery
-// schedules millions of events per simulated session).
+// allocation a captured func() costs on hot paths (message delivery and
+// protocol timeouts schedule millions of events per simulated session).
 func (s *Sim) AtArg(t float64, fn func(any), arg any) {
 	if t < s.now {
 		panic(fmt.Sprintf("eventq: scheduling at %v before now %v", t, s.now))
 	}
-	e := s.alloc(t, nil)
-	e.fnArg, e.arg = fn, arg
-	heap.Push(&s.events, e)
+	heap.Push(&s.events, s.alloc(t, fn, arg))
 }
 
 // AfterArg schedules fn(arg) d seconds from now.
@@ -189,28 +173,6 @@ func (s *Sim) AfterArg(d float64, fn func(any), arg any) {
 		d = 0
 	}
 	s.AtArg(s.now+d, fn, arg)
-}
-
-// AtTimer schedules fn(arg) at absolute time t like AtArg, but keeps the
-// event out of the ProcessedArg (delivery) count: it is a timer that
-// merely uses the allocation-free arg-carrying form. Protocol timeouts
-// and periodic ticks use this so the engine profiler's delivery-vs-timer
-// split stays truthful.
-func (s *Sim) AtTimer(t float64, fn func(any), arg any) {
-	if t < s.now {
-		panic(fmt.Sprintf("eventq: scheduling at %v before now %v", t, s.now))
-	}
-	e := s.alloc(t, nil)
-	e.fnArg, e.arg, e.timer = fn, arg, true
-	heap.Push(&s.events, e)
-}
-
-// AfterTimer schedules fn(arg) d seconds from now (see AtTimer).
-func (s *Sim) AfterTimer(d float64, fn func(any), arg any) {
-	if d < 0 {
-		d = 0
-	}
-	s.AtTimer(s.now+d, fn, arg)
 }
 
 // Stop aborts a Run in progress after the current event returns.
@@ -245,16 +207,9 @@ func (s *Sim) fire() {
 	if s.processed&trimInterval == 0 {
 		s.trimFree()
 	}
-	fn, fnArg, arg, timer := next.fn, next.fnArg, next.arg, next.timer
+	fn, arg := next.fn, next.arg
 	s.recycle(next)
-	if fnArg != nil {
-		if !timer {
-			s.processedArg++
-		}
-		fnArg(arg)
-	} else {
-		fn()
-	}
+	fn(arg)
 }
 
 // Run fires events in timestamp order until the queue is empty or the next

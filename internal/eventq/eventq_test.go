@@ -187,16 +187,71 @@ func TestEventFreeListReuse(t *testing.T) {
 	}
 }
 
-// TestFreeListDropsClosure checks a recycled event does not pin the
-// fired callback.
+// TestFreeListDropsClosure checks a recycled event pins neither the fired
+// callback nor its argument — which, for At, is the caller's closure.
 func TestFreeListDropsClosure(t *testing.T) {
 	s := New()
 	s.At(1, func() {})
+	s.AtArg(1, func(any) {}, new(int))
 	s.Run(2)
-	if s.free == nil {
-		t.Fatal("fired event not recycled")
+	if s.freeLen != 2 {
+		t.Fatalf("free list holds %d events, want both fired events", s.freeLen)
 	}
-	if s.free.fn != nil {
-		t.Fatal("recycled event retains its closure")
+	for e := s.free; e != nil; e = e.next {
+		if e.fn != nil || e.arg != nil {
+			t.Fatal("recycled event retains its callback or argument")
+		}
+	}
+}
+
+// TestAtAllocatesNothingBeyondClosure pins the fold of At/After onto the
+// arg-carrying form: carrying the caller's func() as the event argument
+// boxes a pointer-shaped value, so with a warm free list scheduling an
+// already-built closure allocates nothing.
+func TestAtAllocatesNothingBeyondClosure(t *testing.T) {
+	s := New()
+	fired := 0
+	fn := func() { fired++ }
+	s.At(0, fn)
+	s.After(0, fn)
+	s.Run(1) // two events on the free list
+	allocs := testing.AllocsPerRun(100, func() {
+		s.At(s.Now(), fn)
+		s.After(0.5, fn)
+		s.Run(s.Now() + 1)
+	})
+	if allocs != 0 {
+		t.Fatalf("At+After allocated %v objects per cycle, want 0", allocs)
+	}
+	if fired != 2+2*101 {
+		t.Fatalf("fired %d callbacks, want %d", fired, 2+2*101)
+	}
+}
+
+// TestMixedFormsFireInScheduleOrder: At and AtArg are one event form, so
+// calls for one instant interleave strictly in schedule order.
+func TestMixedFormsFireInScheduleOrder(t *testing.T) {
+	s := New()
+	var got []int
+	note := func(a any) { got = append(got, a.(int)) }
+	for i := 0; i < 12; i++ {
+		i := i
+		switch i % 3 {
+		case 0:
+			s.At(5, func() { got = append(got, i) })
+		case 1:
+			s.AtArg(5, note, i)
+		default:
+			s.After(5, func() { got = append(got, i) })
+		}
+	}
+	s.Run(5)
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("fired order %v, want schedule order", got)
+		}
+	}
+	if len(got) != 12 {
+		t.Fatalf("fired %d of 12", len(got))
 	}
 }

@@ -319,4 +319,10 @@ func (b *peerBus) After(d float64, fn func()) {
 	p.mu.Unlock()
 }
 
+// AfterArg is After with the callback and its argument passed apart; on
+// the wall clock the closure is the cheap part of a timer.
+func (b *peerBus) AfterArg(d float64, fn func(any), arg any) {
+	b.After(d, func() { fn(arg) })
+}
+
 func (b *peerBus) Unregister(id overlay.NodeID) { b.peer.tr.Unregister(id) }

@@ -64,10 +64,10 @@ type RunInfo struct {
 // ShardState is one event queue's cumulative state, read by the engine at
 // a flush barrier. The serial engine passes a single entry.
 type ShardState struct {
-	Processed    uint64 // events fired so far
-	ProcessedArg uint64 // arg-form (delivery) events fired so far
-	Queue        int    // pending events
-	Free         int    // recycled events on the free list
+	Processed  uint64 // events fired so far
+	Deliveries uint64 // of those, message deliveries the bus fired (the rest are timers)
+	Queue      int    // pending events
+	Free       int    // recycled events on the free list
 }
 
 // EngineMetrics are the registry-exported engine counters. All methods on
@@ -111,7 +111,7 @@ type Recorder struct {
 
 	// Cumulative per-queue readings at the previous flush.
 	prevEvents []uint64
-	prevArg    []uint64
+	prevDeliv  []uint64
 
 	// Interval accumulators (reset at each flush). busyNS/waitNS cover
 	// only the timing-sampled epochs (timedEpochs of epochs); Flush scales
@@ -145,7 +145,7 @@ func NewRecorder(opts Options, info RunInfo, queues int) *Recorder {
 		info:       info,
 		w:          NewWriter(opts.W),
 		prevEvents: make([]uint64, queues),
-		prevArg:    make([]uint64, queues),
+		prevDeliv:  make([]uint64, queues),
 		busyNS:     make([]int64, queues),
 		waitNS:     make([]int64, queues),
 		peers:      make([]uint64, info.Pool),
@@ -232,7 +232,7 @@ func (r *Recorder) Flush(t float64, states []ShardState, protoFn func() Proto) {
 	for i, st := range states {
 		ev := st.Processed - r.prevEvents[i]
 		rec.Events += ev
-		rec.Deliveries += st.ProcessedArg - r.prevArg[i]
+		rec.Deliveries += st.Deliveries - r.prevDeliv[i]
 		rec.Queue += st.Queue
 		rec.Free += st.Free
 		rows = append(rows, ShardRow{
@@ -243,7 +243,7 @@ func (r *Recorder) Flush(t float64, states []ShardState, protoFn func() Proto) {
 			WaitMS: float64(r.waitNS[i]) * scale / 1e6,
 		})
 		r.prevEvents[i] = st.Processed
-		r.prevArg[i] = st.ProcessedArg
+		r.prevDeliv[i] = st.Deliveries
 		r.busyNS[i], r.waitNS[i] = 0, 0
 	}
 	rec.Timers = rec.Events - rec.Deliveries

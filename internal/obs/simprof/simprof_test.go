@@ -129,8 +129,8 @@ func TestRecorderFlushAndMetrics(t *testing.T) {
 		t.Fatal("flush not due at the interval boundary")
 	}
 	rec.Flush(10, []ShardState{
-		{Processed: 60, ProcessedArg: 40, Queue: 3, Free: 1},
-		{Processed: 40, ProcessedArg: 30, Queue: 2, Free: 4},
+		{Processed: 60, Deliveries: 40, Queue: 3, Free: 1},
+		{Processed: 40, Deliveries: 30, Queue: 2, Free: 4},
 	}, func() Proto { return Proto{Alive: 8, Reachable: 8} })
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
@@ -197,8 +197,8 @@ func TestRecorderFlushAndMetrics(t *testing.T) {
 	var buf2 bytes.Buffer
 	rec.w = NewWriter(&buf2)
 	rec.Flush(20, []ShardState{
-		{Processed: 70, ProcessedArg: 45, Queue: 1, Free: 2},
-		{Processed: 45, ProcessedArg: 32, Queue: 1, Free: 1},
+		{Processed: 70, Deliveries: 45, Queue: 1, Free: 2},
+		{Processed: 45, Deliveries: 32, Queue: 1, Free: 1},
 	}, nil)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 
 	"vdm/internal/eventq"
 	"vdm/internal/flow"
-	"vdm/internal/rng"
 	"vdm/internal/underlay"
 )
 
@@ -23,7 +22,7 @@ func fanoutFixture(k int) (*eventq.Sim, *Network, *Peer, []*Peer) {
 		}
 	}
 	sim := eventq.New()
-	net := NewNetwork(sim, underlay.NewStatic(rtt), rng.New(1))
+	net := NewNetwork(sim, underlay.NewStatic(rtt), 1)
 	src := NewPeer(net, PeerConfig{ID: 0, Source: 0, MaxDegree: k, IsSource: true})
 	src.SetHooks(nopHooks{})
 	net.Register(0, src)

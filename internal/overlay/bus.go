@@ -8,8 +8,8 @@ package overlay
 // against this interface and runs unchanged in both worlds.
 //
 // Concurrency contract: every Bus callback — message delivery through a
-// Handler and timer callbacks passed to After — fires serialized with
-// respect to the owning peer. The simulator guarantees this globally
+// Handler and timer callbacks passed to After or AfterArg — fires
+// serialized with respect to the owning peer. The simulator guarantees this globally
 // (single-threaded event loop); the live runtime guarantees it per peer
 // (one mailbox goroutine each). Protocol state therefore needs no locks.
 type Bus interface {
@@ -20,6 +20,14 @@ type Bus interface {
 	// After schedules fn to run d seconds from now, serialized with the
 	// owning peer's message handling.
 	After(d float64, fn func())
+	// AfterArg is After(d, func() { fn(arg) }) without the closure: a
+	// shared callback plus an argument record the caller may recycle. The
+	// simulator's event queue recycles its events too, so timers armed
+	// this way allocate nothing in steady state — which matters during
+	// join storms, when hundreds of thousands of timeouts are scheduled
+	// per virtual second. A recycled record must fence stale firings
+	// itself (see core's joinTimer token).
+	AfterArg(d float64, fn func(any), arg any)
 	// Now returns the bus clock in seconds. Virtual seconds in the
 	// simulator, seconds since session start in the live runtime; only
 	// differences are meaningful to protocol code.
@@ -52,17 +60,4 @@ type FanoutBus interface {
 // don't implement it and report an effective depth of zero.
 type DepthBus interface {
 	DataQueueDepth(to NodeID) int
-}
-
-// ArgBus is an optional Bus capability: schedule a timer as a shared
-// callback plus argument instead of a fresh closure. The simulator's
-// event queues recycle arg-carrying events through a free list, so
-// protocol timers scheduled this way allocate nothing in steady state —
-// which matters during join storms, when hundreds of thousands of
-// timeout timers are scheduled per virtual second. Buses without the
-// capability (the live runtime) take the closure path; callers must
-// treat AfterArg(d, fn, arg) as semantically identical to
-// After(d, func() { fn(arg) }).
-type ArgBus interface {
-	AfterArg(d float64, fn func(any), arg any)
 }

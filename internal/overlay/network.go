@@ -18,6 +18,13 @@ type Handler interface {
 // PlanetLab implementation). The network also keeps the control/data
 // counters behind the paper's overhead metric, in the Counters struct it
 // shares with the live transports.
+//
+// Every draw (chunk loss, control loss, delivery jitter) is keyed: a pure
+// function of (seed, edge, per-edge send index), never a value consumed
+// from a shared stream in send order. That makes a session's history
+// independent of how events interleave, which is what lets the same
+// Network be the single queue of a serial session or one queue of a
+// ShardRouter fabric (see xshard) with byte-identical results.
 type Network struct {
 	Sim *eventq.Sim
 	U   underlay.Underlay
@@ -25,15 +32,17 @@ type Network struct {
 	// handlers is indexed by NodeID (simulated ids are dense slot
 	// numbers); nil means not registered. A slice costs 8 bytes per slot
 	// against ~50 per map entry and makes the delivery-path lookup a
-	// bounds check instead of a hash probe.
+	// bounds check instead of a hash probe. In a fabric only the slots
+	// this queue owns are ever non-nil.
 	handlers []Handler
-	rnd      *rng.Stream
 
 	// adj backs the children/fosters sets of every peer on this bus (see
 	// AdjPool): one shared chunk slab instead of two maps per peer.
 	adj AdjPool
 
-	ctrs Counters
+	// ctrs is the network's own counters, or the fabric-wide ones when a
+	// ShardRouter built the network.
+	ctrs *Counters
 
 	// LossEnable applies Bernoulli loss to data chunks.
 	LossEnable bool
@@ -45,7 +54,8 @@ type Network struct {
 	CtrlLossProb float64
 
 	// TraceFn, when set, observes every send (including drops) — a
-	// debugging tap, not part of the protocol.
+	// debugging tap, not part of the protocol. In a fabric the queues run
+	// on separate goroutines, so a shared tap must lock.
 	TraceFn func(at float64, from, to NodeID, m Message)
 
 	// probe, when set, observes every send for the engine profiler
@@ -54,19 +64,20 @@ type Network struct {
 	// cheap: a few counter bumps, no locks, no allocation.
 	probe SendProbe
 
-	// Keyed-draw mode (SetKeyedDraws): loss outcomes and delivery jitter
-	// become pure functions of (seed, edge, per-edge send index) instead
-	// of consuming the shared stream in send order. The sharded engine
-	// requires this — values must not depend on global event interleaving
-	// — and the serial engine uses it too so both produce identical runs.
-	keyed     bool
 	drawSeed  int64
-	kj        underlay.KeyedJitter
+	kj        underlay.KeyedJitter // nil: the underlay has no jitter to key
 	edgeDraws rng.CounterTable
 
 	// freeDel recycles delivery records: every Send schedules one, so
 	// without reuse delivery closures dominate a session's allocations.
 	freeDel *delivery
+	// delivered counts fired deliveries; the flight recorder splits the
+	// queue's processed events into deliveries and timers with it.
+	delivered uint64
+
+	// x is the cross-shard hook a ShardRouter installs; nil on a
+	// single-queue network, where Send pays one nil check for it.
+	x *xshard
 }
 
 // Keyed-draw stream ids (distinct per edge under the network's seed).
@@ -83,23 +94,15 @@ func edgeKey(from, to NodeID) uint64 {
 // SendProbe observes every Send on a simulated bus, including sends the
 // network subsequently drops — the profiling tap behind the simulation
 // flight recorder. It runs on the hot path of every message, so
-// implementations must be cheap and, on a sharded bus, are per-shard
-// (never shared across goroutines).
+// implementations must be cheap and, in a fabric, are per-queue (never
+// shared across goroutines).
 type SendProbe interface {
 	ObserveSend(from, to NodeID, m Message)
 }
 
-// SetSendProbe attaches (or, with nil, detaches) the profiling tap.
+// SetSendProbe attaches (or, with nil, detaches) the profiling tap. In a
+// fabric, call before the shard workers start or at a barrier.
 func (n *Network) SetSendProbe(p SendProbe) { n.probe = p }
-
-// SetKeyedDraws switches loss and jitter decisions to keyed draws under
-// seed. The underlay must implement KeyedJitter for delivery jitter to be
-// keyed as well (both built-in underlays do).
-func (n *Network) SetKeyedDraws(seed int64) {
-	n.keyed = true
-	n.drawSeed = seed
-	n.kj, _ = n.U.(underlay.KeyedJitter)
-}
 
 // delivery is one in-flight message, scheduled via the event queue's
 // arg-carrying form so the hot send path allocates nothing in steady
@@ -120,21 +123,40 @@ func deliver(a any) {
 	d.m = nil
 	d.next = n.freeDel
 	n.freeDel = d
+	n.delivered++
 	if h := n.handler(to); h != nil {
 		h.HandleMessage(from, m)
 	}
 }
 
+// scheduleDelivery enqueues a delivery at absolute time at.
+func (n *Network) scheduleDelivery(at float64, from, to NodeID, m Message) {
+	del := n.freeDel
+	if del == nil {
+		del = &delivery{net: n}
+	} else {
+		n.freeDel = del.next
+		del.next = nil
+	}
+	del.from, del.to, del.m = from, to, m
+	n.Sim.AtArg(at, deliver, del)
+}
+
 var _ Bus = (*Network)(nil)
 
-// NewNetwork builds a network over u driven by sim; rnd draws chunk-loss
-// outcomes.
-func NewNetwork(sim *eventq.Sim, u underlay.Underlay, rnd *rng.Stream) *Network {
+// NewNetwork builds a network over u driven by sim; drawSeed keys the
+// loss and jitter draws. Delivery jitter is keyed when the underlay
+// implements KeyedJitter (both generated underlays do); otherwise
+// deliveries take the underlay's plain one-way delay.
+func NewNetwork(sim *eventq.Sim, u underlay.Underlay, drawSeed int64) *Network {
+	kj, _ := u.(underlay.KeyedJitter)
 	return &Network{
 		Sim:        sim,
 		U:          u,
-		rnd:        rnd,
+		ctrs:       new(Counters),
 		LossEnable: true,
+		drawSeed:   drawSeed,
+		kj:         kj,
 	}
 }
 
@@ -150,7 +172,8 @@ func (n *Network) handler(id NodeID) Handler {
 	return n.handlers[id]
 }
 
-// Register attaches a handler for node id.
+// Register attaches a handler for node id (in a fabric: a node this
+// queue owns).
 func (n *Network) Register(id NodeID, h Handler) {
 	if int(id) >= len(n.handlers) {
 		want := int(id) + 1
@@ -172,22 +195,21 @@ func (n *Network) Unregister(id NodeID) {
 	}
 }
 
-// IsAlive reports whether id currently has a handler.
-func (n *Network) IsAlive(id NodeID) bool { return n.handler(id) != nil }
-
 // Now returns the current virtual time in seconds.
 func (n *Network) Now() float64 { return n.Sim.Now() }
 
 // After schedules fn to run d virtual seconds from now.
 func (n *Network) After(d float64, fn func()) { n.Sim.After(d, fn) }
 
-// AfterArg schedules fn(arg) through the event queue's recycled
-// arg-carrying events (see ArgBus). It uses the timer-classified form so
-// the engine profiler's delivery-vs-timer split stays truthful.
-func (n *Network) AfterArg(d float64, fn func(any), arg any) { n.Sim.AfterTimer(d, fn, arg) }
+// AfterArg schedules fn(arg) through the event queue's recycled events.
+func (n *Network) AfterArg(d float64, fn func(any), arg any) { n.Sim.AfterArg(d, fn, arg) }
 
-// Counters returns the network's shared traffic counters.
-func (n *Network) Counters() *Counters { return &n.ctrs }
+// Counters returns the network's (or its fabric's) traffic counters.
+func (n *Network) Counters() *Counters { return n.ctrs }
+
+// Deliveries reports how many message deliveries this network's queue has
+// fired; the rest of the queue's processed events are timers.
+func (n *Network) Deliveries() uint64 { return n.delivered }
 
 // Send schedules delivery of m from→to after the underlay one-way delay.
 // It reports whether the destination was registered at send time (a
@@ -199,57 +221,41 @@ func (n *Network) Send(from, to NodeID, m Message) bool {
 	if n.probe != nil {
 		n.probe.ObserveSend(from, to, m)
 	}
-	var draw uint64
-	if n.keyed {
-		draw = n.edgeDraws.Next(edgeKey(from, to))
-	}
+	draw := n.edgeDraws.Next(edgeKey(from, to))
 	if _, data := m.(DataChunk); data {
 		n.ctrs.Data.Add(1)
-		if n.LossEnable && n.dropData(from, to, draw) {
+		if n.LossEnable && n.drop(from, to, drawStreamData, draw, n.U.LossRate(int(from), int(to))) {
 			n.ctrs.DataDrops.Add(1)
 			return true
 		}
 	} else {
 		n.ctrs.Ctrl.Add(1)
-		if n.CtrlLossProb > 0 && n.dropCtrl(from, to, draw) {
+		if n.CtrlLossProb > 0 && n.drop(from, to, drawStreamCtrl, draw, n.CtrlLossProb) {
 			n.ctrs.CtrlDrops.Add(1)
 			return true
 		}
 	}
-	if !n.IsAlive(to) {
+	if n.x != nil {
+		if dst := n.x.r.shardOf(to); dst != n.x.idx {
+			return n.x.send(n, dst, from, to, m, draw)
+		}
+	}
+	if n.handler(to) == nil {
 		n.ctrs.Undeliver.Add(1)
 		return false
 	}
-	del := n.freeDel
-	if del == nil {
-		del = &delivery{net: n}
-	} else {
-		n.freeDel = del.next
-		del.next = nil
-	}
-	del.from, del.to, del.m = from, to, m
-	n.Sim.AfterArg(n.delayS(from, to, draw), deliver, del)
+	n.scheduleDelivery(n.Sim.Now()+n.delayS(from, to, draw), from, to, m)
 	return true
 }
 
-func (n *Network) dropData(from, to NodeID, draw uint64) bool {
-	p := n.U.LossRate(int(from), int(to))
-	if n.keyed {
-		return rng.KeyedBool(n.drawSeed, uint64(uint32(from)), uint64(uint32(to)), drawStreamData, draw, p)
-	}
-	return n.rnd.Bool(p)
-}
-
-func (n *Network) dropCtrl(from, to NodeID, draw uint64) bool {
-	if n.keyed {
-		return rng.KeyedBool(n.drawSeed, uint64(uint32(from)), uint64(uint32(to)), drawStreamCtrl, draw, n.CtrlLossProb)
-	}
-	return n.rnd.Bool(n.CtrlLossProb)
+// drop decides one keyed Bernoulli loss.
+func (n *Network) drop(from, to NodeID, stream uint32, draw uint64, p float64) bool {
+	return rng.KeyedBool(n.drawSeed, uint64(uint32(from)), uint64(uint32(to)), stream, draw, p)
 }
 
 // delayS returns the delivery delay in seconds for this send.
 func (n *Network) delayS(from, to NodeID, draw uint64) float64 {
-	if n.keyed && n.kj != nil {
+	if n.kj != nil {
 		return n.kj.OneWayDelayMSKeyed(int(from), int(to), draw) / 1000
 	}
 	return n.U.OneWayDelayMS(int(from), int(to)) / 1000

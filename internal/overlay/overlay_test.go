@@ -5,7 +5,6 @@ import (
 
 	"vdm/internal/eventq"
 	"vdm/internal/flow"
-	"vdm/internal/rng"
 	"vdm/internal/underlay"
 )
 
@@ -39,7 +38,7 @@ func newRig(t *testing.T, rtt [][]float64) *rig {
 	sim := eventq.New()
 	r := &rig{
 		sim:   sim,
-		net:   NewNetwork(sim, underlay.NewStatic(rtt), rng.New(1)),
+		net:   NewNetwork(sim, underlay.NewStatic(rtt), 1),
 		peers: make(map[NodeID]*testPeer),
 	}
 	return r

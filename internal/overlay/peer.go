@@ -108,10 +108,6 @@ type Peer struct {
 	id        NodeID
 	source    NodeID
 	net       Bus
-	// argBus is net's ArgBus capability, nil when unsupported (live
-	// buses). Timers prefer it: arg-carrying events recycle through the
-	// event queue's free list instead of allocating a closure each.
-	argBus    ArgBus
 	maxDegree int
 	isSource  bool
 	metric    vdist.Metric
@@ -238,7 +234,6 @@ func NewPeer(net Bus, cfg PeerConfig) *Peer {
 		// (tiny, initially empty) pools rather than a shared slab.
 		p.pool = new(AdjPool)
 	}
-	p.argBus, _ = net.(ArgBus)
 	if p.InfoTimeoutS <= 0 {
 		p.InfoTimeoutS = DefaultInfoTimeoutS
 	}
@@ -611,16 +606,12 @@ func (p *Peer) parentAcquired() {
 }
 
 func (p *Peer) scheduleStarveCheck() {
-	if p.argBus != nil {
-		p.argBus.AfterArg(starveCheckPeriodS, starveTick, p)
-		return
-	}
-	p.net.After(starveCheckPeriodS, func() { starveTick(p) })
+	p.net.AfterArg(starveCheckPeriodS, starveTick, p)
 }
 
 // starveTick is the shared watchdog callback (arg: *Peer); boxing a
 // pointer into any allocates nothing, so the recurring per-peer check
-// costs no heap churn on an ArgBus.
+// costs no heap churn.
 func starveTick(a any) {
 	p := a.(*Peer)
 	if !p.alive {

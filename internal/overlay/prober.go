@@ -21,7 +21,7 @@ type Prober struct {
 	// nothing.
 	free *probeSession
 
-	// freeTO recycles round-timeout records for ArgBus scheduling.
+	// freeTO recycles round-timeout records.
 	freeTO *probeTimeout
 
 	// drop, set by Trim, stops finished sessions and timeout records
@@ -32,7 +32,9 @@ type Prober struct {
 	drop bool
 }
 
-// probeTimeout carries one round's timeout through an ArgBus timer.
+// probeTimeout carries one round's timeout through Bus.AfterArg. The
+// round token fences a recycled record: tokens are never reused, and a
+// finished round is gone from the session table.
 type probeTimeout struct {
 	pr    *Prober
 	token int
@@ -116,23 +118,15 @@ func (pr *Prober) Launch(targets []NodeID, timeoutS float64, done func(ProbeResu
 		pr.finish(token, sess)
 		return
 	}
-	if ab := pr.peer.argBus; ab != nil {
-		to := pr.freeTO
-		if to == nil {
-			to = &probeTimeout{pr: pr}
-		} else {
-			pr.freeTO = to.next
-			to.next = nil
-		}
-		to.token = token
-		ab.AfterArg(timeoutS, probeTimeoutFire, to)
-		return
+	to := pr.freeTO
+	if to == nil {
+		to = &probeTimeout{pr: pr}
+	} else {
+		pr.freeTO = to.next
+		to.next = nil
 	}
-	pr.peer.net.After(timeoutS, func() {
-		if s, ok := pr.sessions[token]; ok && !s.finished {
-			pr.finish(token, s)
-		}
-	})
+	to.token = token
+	pr.peer.net.AfterArg(timeoutS, probeTimeoutFire, to)
 }
 
 // handlePong consumes a Pong if it belongs to an active session, returning

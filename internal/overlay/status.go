@@ -97,11 +97,7 @@ func (p *Peer) EnableStatusReports(periodS float64) {
 }
 
 func (p *Peer) scheduleStatus() {
-	if p.argBus != nil {
-		p.argBus.AfterArg(p.statusPeriodS, statusTick, p)
-		return
-	}
-	p.net.After(p.statusPeriodS, func() { statusTick(p) })
+	p.net.AfterArg(p.statusPeriodS, statusTick, p)
 }
 
 // statusTick is the shared ticker callback (arg: *Peer).

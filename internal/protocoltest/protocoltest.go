@@ -10,7 +10,6 @@ import (
 
 	"vdm/internal/eventq"
 	"vdm/internal/overlay"
-	"vdm/internal/rng"
 	"vdm/internal/underlay"
 )
 
@@ -48,7 +47,7 @@ func New(points []Point) *Rig {
 	return &Rig{
 		Sim: sim,
 		U:   u,
-		Net: overlay.NewNetwork(sim, u, rng.New(1)),
+		Net: overlay.NewNetwork(sim, u, 1),
 	}
 }
 

@@ -328,5 +328,6 @@ func Read(r io.Reader) (*Scenario, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	s.sort() // a hand-written file need not list its events in time order
 	return s, nil
 }

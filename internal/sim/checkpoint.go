@@ -41,7 +41,7 @@ type checkpointer struct {
 // when checkpointing is off) and, when a compatible checkpoint already
 // exists at the path, the resume state. An absent, unreadable or
 // incompatible file just means a fresh run — it will be overwritten.
-func (ss *shardedSession) loadCheckpoint() (*checkpointer, *checkpointFile, error) {
+func (ss *session) loadCheckpoint() (*checkpointer, *checkpointFile, error) {
 	if ss.cfg.CheckpointPath == "" {
 		return nil, nil, nil
 	}
@@ -68,7 +68,7 @@ func (ss *shardedSession) loadCheckpoint() (*checkpointer, *checkpointFile, erro
 // the seed and workload knobs plus the resolved scenario script. The
 // shard count is deliberately excluded — runs are byte-identical at every
 // S, so a checkpoint written at one shard count resumes at another.
-func (ss *shardedSession) identity() uint64 {
+func (ss *session) identity() uint64 {
 	h := fnv.New64a()
 	cfg := ss.cfg
 	fmt.Fprintf(h, "v%d|seed=%d|proto=%s|metric=%s|underlay=%s|nodes=%d|",
@@ -93,18 +93,18 @@ func (ss *shardedSession) identity() uint64 {
 // events, the traffic counters, and each live peer's tree position and
 // receive count. Per-shard clocks and queue splits are excluded so a
 // checkpoint resumes across different shard counts.
-func (ss *shardedSession) stateHash() uint64 {
+func (ss *session) stateHash() uint64 {
 	h := fnv.New64a()
 	var processed uint64
 	var pending int
-	for _, w := range ss.workers {
-		processed += w.sim.Processed()
-		pending += w.sim.Pending()
+	for _, q := range ss.sims {
+		processed += q.Processed()
+		pending += q.Pending()
 	}
 	fmt.Fprintf(h, "ev=%d|pend=%d|ctrl=%d|", processed, pending, ss.ctrlEvents)
-	c := ss.router.Counters().Snapshot()
+	c := ss.nets[0].Counters().Snapshot()
 	fmt.Fprintf(h, "c=%d,%d,%d,%d,%d|", c.Ctrl, c.Data, c.DataDrops, c.CtrlDrops, c.Undeliver)
-	for slot, p := range ss.bySlot {
+	for slot, p := range ss.insts {
 		if p == nil {
 			continue
 		}
@@ -116,7 +116,7 @@ func (ss *shardedSession) stateHash() uint64 {
 
 // verifyResume checks, at the checkpointed barrier, that the replay
 // reproduced the recorded history exactly.
-func (ss *shardedSession) verifyResume(f *checkpointFile, t float64, mIdx int) error {
+func (ss *session) verifyResume(f *checkpointFile, t float64, mIdx int) error {
 	if t != f.T {
 		return fmt.Errorf("sim: checkpoint resume expected a barrier at t=%v but reached t=%v (scenario drift?)", f.T, t)
 	}
@@ -132,7 +132,7 @@ func (ss *shardedSession) verifyResume(f *checkpointFile, t float64, mIdx int) e
 }
 
 // write atomically replaces the checkpoint file.
-func (cp *checkpointer) write(ss *shardedSession, t float64, mIdx int) error {
+func (cp *checkpointer) write(ss *session, t float64, mIdx int) error {
 	f := checkpointFile{
 		Version:    checkpointVersion,
 		Identity:   cp.identity,

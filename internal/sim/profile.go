@@ -4,11 +4,8 @@ import (
 	"math"
 	"time"
 
-	"vdm/internal/eventq"
 	"vdm/internal/obs/simprof"
 	"vdm/internal/overlay"
-	"vdm/internal/scenario"
-	"vdm/internal/underlay"
 )
 
 // ProgressInfo is one progress callback's payload.
@@ -54,67 +51,52 @@ func (p *progressReporter) report(t float64, events, epochs uint64) {
 	p.lastT, p.lastWall, p.lastEvents = t, now, events
 }
 
-// newSessionRecorder builds the flight recorder for a session, or nil when
-// profiling is off (no Profile options or no destination writer).
-func newSessionRecorder(cfg Config, scn *scenario.Scenario, engine string, shards int, lookaheadS float64, queues int) *simprof.Recorder {
+// newRecorder builds the session's flight recorder with one send probe
+// attached per queue, or returns nil when profiling is off (no Profile
+// options or no destination writer).
+func (s *session) newRecorder(engine string, shards int, lookaheadS float64) *simprof.Recorder {
+	cfg := s.cfg
 	if cfg.Profile == nil || cfg.Profile.W == nil {
 		return nil
 	}
-	return simprof.NewRecorder(*cfg.Profile, simprof.RunInfo{
+	rec := simprof.NewRecorder(*cfg.Profile, simprof.RunInfo{
 		Engine:     engine,
 		Shards:     shards,
-		Pool:       scn.PoolSize,
+		Pool:       s.scn.PoolSize,
 		LookaheadS: lookaheadS,
 		Protocol:   string(cfg.Protocol),
 		Nodes:      cfg.Nodes,
 		Seed:       cfg.Seed,
 		DurationS:  cfg.DurationS,
-	}, queues)
+	}, len(s.sims))
+	for i, n := range s.nets {
+		n.SetSendProbe(rec.Probe(i))
+	}
+	return rec
 }
 
-// queueState snapshots one event queue for a profiler flush.
-func queueState(q *eventq.Sim) simprof.ShardState {
-	return simprof.ShardState{
-		Processed:    q.Processed(),
-		ProcessedArg: q.ProcessedArg(),
-		Queue:        q.Pending(),
-		Free:         q.FreeLen(),
+// flush cuts a flight-recorder record at virtual time t from the state of
+// every queue (states is the caller's scratch, one entry per queue).
+func (s *session) flush(rec *simprof.Recorder, t float64, states []simprof.ShardState) {
+	for i, q := range s.sims {
+		states[i] = simprof.ShardState{
+			Processed:  q.Processed(),
+			Deliveries: s.nets[i].Deliveries(),
+			Queue:      q.Pending(),
+			Free:       q.FreeLen(),
+		}
 	}
+	rec.Flush(t, states, s.protoSample)
 }
 
 // protoSample takes the flight recorder's protocol-level sample: live
 // population and attachment, session-cumulative orphan/reconnect counts,
-// and a tree cost/depth pass over the reachable peers (the same memoized
-// depth walk finalTree uses). all may contain nil entries (the sharded
-// engine's preallocated membership roster).
-func protoSample(views []overlay.TreeView, all []*overlay.Peer, u underlay.Underlay) simprof.Proto {
+// and a tree cost/depth pass over the reachable peers.
+func (s *session) protoSample() simprof.Proto {
 	var p simprof.Proto
+	views := s.views()
 	p.Alive = len(views)
-
-	byID := make(map[overlay.NodeID]overlay.TreeView, len(views))
-	for _, v := range views {
-		byID[v.ID()] = v
-	}
-	depth := map[overlay.NodeID]int{0: 0}
-	var depthOf func(id overlay.NodeID) int
-	depthOf = func(id overlay.NodeID) int {
-		if d, ok := depth[id]; ok {
-			return d
-		}
-		v, ok := byID[id]
-		if !ok || v.ParentID() == overlay.None {
-			depth[id] = -1
-			return -1
-		}
-		depth[id] = len(views) + 1 // cycle guard while recursing
-		pd := depthOf(v.ParentID())
-		if pd < 0 {
-			depth[id] = -1
-		} else {
-			depth[id] = pd + 1
-		}
-		return depth[id]
-	}
+	depthOf := treeDepths(views)
 
 	var depthSum, reachNonSrc int
 	for _, v := range views {
@@ -136,13 +118,13 @@ func protoSample(views []overlay.TreeView, all []*overlay.Peer, u underlay.Under
 		if d > p.DepthMax {
 			p.DepthMax = d
 		}
-		p.TreeCostMS += u.BaseRTT(int(v.ID()), int(v.ParentID()))
+		p.TreeCostMS += s.u.BaseRTT(int(v.ID()), int(v.ParentID()))
 	}
 	if reachNonSrc > 0 {
 		p.DepthMean = float64(depthSum) / float64(reachNonSrc)
 	}
 
-	for _, peer := range all {
+	for _, peer := range s.all {
 		if peer == nil {
 			continue
 		}
@@ -153,22 +135,29 @@ func protoSample(views []overlay.TreeView, all []*overlay.Peer, u underlay.Under
 	return p
 }
 
-// drive runs the serial event loop to the session end. Without profiling
-// or progress reporting it is the single inclusive Run it always was; with
-// either, it steps the queue through interval boundaries — an identical
-// total event order (Run(t1); Run(t2) fires exactly the events one
-// Run(t2) would, in the same sequence), cutting a flight-recorder record
-// and/or a progress callback at each boundary.
-func (s *session) drive(cfg Config, scn *scenario.Scenario) error {
-	rec := newSessionRecorder(cfg, scn, "serial", 0, math.Inf(1), 1)
+// drive is the single-queue driver: it schedules the measurements on the
+// queue and runs it to the session end. Without profiling or progress
+// reporting that is one inclusive Run; with either, it steps the queue
+// through interval boundaries — an identical total event order (Run(t1);
+// Run(t2) fires exactly the events one Run(t2) would, in the same
+// sequence), cutting a flight-recorder record and/or a progress callback
+// at each boundary.
+func (s *session) drive() error {
+	cfg, q := s.cfg, s.sims[0]
+	for _, mt := range s.scn.MeasureTimes {
+		t := mt
+		q.At(t, func() {
+			if first := s.measure(t); first != nil {
+				q.After(5, func() { s.recheck(t, first) })
+			}
+		})
+	}
+
+	rec := s.newRecorder("serial", 0, math.Inf(1))
 	prog := newProgressReporter(cfg)
 	if rec == nil && prog == nil {
-		s.sim.Run(cfg.DurationS)
+		q.Run(cfg.DurationS)
 		return nil
-	}
-	if rec != nil {
-		s.net.SetSendProbe(rec.Probe(0))
-		defer s.net.SetSendProbe(nil)
 	}
 
 	step := cfg.DurationS
@@ -185,17 +174,16 @@ func (s *session) drive(cfg Config, scn *scenario.Scenario) error {
 		}
 	}
 
+	states := make([]simprof.ShardState, 1)
 	for t := step; ; t += step {
 		if t > cfg.DurationS {
 			t = cfg.DurationS
 		}
-		s.sim.Run(t)
+		q.Run(t)
 		if rec != nil && (rec.Due(t) || t == cfg.DurationS) {
-			rec.Flush(t, []simprof.ShardState{queueState(s.sim)}, func() simprof.Proto {
-				return protoSample(s.views(), s.all, s.u)
-			})
+			s.flush(rec, t, states)
 		}
-		prog.report(t, s.sim.Processed(), 0)
+		prog.report(t, q.Processed(), 0)
 		if t == cfg.DurationS {
 			break
 		}
@@ -242,7 +230,7 @@ func newShardProf(rec *simprof.Recorder, shards int) *shardProf {
 // beginEpoch decides whether the coming barrier round is timing-sampled
 // and publishes the decision to the workers (via ss.timeEpoch, ordered by
 // the command-channel sends). Nil-safe: off means never sampled.
-func (sp *shardProf) beginEpoch(ss *shardedSession) bool {
+func (sp *shardProf) beginEpoch(ss *controller) bool {
 	if sp == nil {
 		return false
 	}
@@ -264,7 +252,7 @@ func epochWall(timed bool, t0 time.Time) int64 {
 // noteEpoch folds one barrier round ending at virtual time t. Worker
 // busy-time fields are read after the done-channel handshake, which orders
 // the reads after the workers' writes.
-func (sp *shardProf) noteEpoch(ss *shardedSession, t float64, moved int, wallNS int64) {
+func (sp *shardProf) noteEpoch(ss *controller, t float64, moved int, wallNS int64) {
 	if sp == nil {
 		return
 	}
@@ -286,16 +274,11 @@ func (sp *shardProf) noteEpoch(ss *shardedSession, t float64, moved int, wallNS 
 
 // maybeFlush cuts a record at virtual time t when one is due (or forced,
 // at the session end).
-func (sp *shardProf) maybeFlush(ss *shardedSession, t float64, force bool) {
+func (sp *shardProf) maybeFlush(ss *controller, t float64, force bool) {
 	if sp == nil || (!force && !sp.rec.Due(t)) {
 		return
 	}
-	for i, w := range ss.workers {
-		sp.states[i] = queueState(w.sim)
-	}
-	sp.rec.Flush(t, sp.states, func() simprof.Proto {
-		return protoSample(ss.views(), ss.allByMem, ss.u)
-	})
+	ss.flush(sp.rec, t, sp.states)
 }
 
 func (sp *shardProf) close() error {

@@ -1,6 +1,8 @@
-// The sharded engine: a conservative bounded-lookahead parallel
-// discrete-event core that produces byte-identical results to the serial
-// engine at every shard count.
+// The epoch controller: the driver of the sharded engine, a conservative
+// bounded-lookahead parallel discrete-event core that produces
+// byte-identical results to the single-queue driver at every shard count.
+// The session state it advances is the same one (sim.go); only the
+// stepping of the queues and the place measurements fire differ.
 //
 // Peers are partitioned across S shards (slot mod S), each shard owning a
 // private event queue and running on its own goroutine. Execution
@@ -36,17 +38,10 @@ import (
 	"math"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"vdm/internal/eventq"
-	"vdm/internal/metrics"
-	"vdm/internal/obs"
-	"vdm/internal/overlay"
-	"vdm/internal/rng"
-	"vdm/internal/scenario"
 	"vdm/internal/underlay"
-	"vdm/internal/vdist"
 )
 
 // runtimeSeqBase separates setup-scheduled events (tick starter, scenario
@@ -56,96 +51,6 @@ import (
 // the same instant fire afterwards — the same equal-time order the serial
 // engine gets from its monotone sequence numbers.
 const runtimeSeqBase = uint64(1) << 40
-
-// Membership-plan actions. The serial engine ignores a join for an
-// already-alive slot and a leave for a dead slot (or the source); the
-// plan precomputes those decisions so every shard sees the same
-// membership ordinals without coordination.
-const (
-	actNone = iota
-	actSpawn
-	actLeave
-)
-
-type plannedEvent struct {
-	ev     scenario.Event
-	act    int
-	memIdx int // membership ordinal for actSpawn (source = 0)
-}
-
-// aliveSpan is one membership of a slot: [join, leave).
-type aliveSpan struct{ join, leave float64 }
-
-// membershipPlan is the precomputed membership timeline. It exists so a
-// sender can answer "is the destination registered at virtual time t?"
-// without touching the destination shard: leaves unregister synchronously
-// in the serial engine, so registration is a pure function of the
-// scenario script.
-type membershipPlan struct {
-	events    []plannedEvent
-	spans     [][]aliveSpan // by slot
-	totalMems int
-}
-
-func planMemberships(scn *scenario.Scenario) *membershipPlan {
-	p := &membershipPlan{
-		events: make([]plannedEvent, len(scn.Events)),
-		spans:  make([][]aliveSpan, scn.PoolSize),
-	}
-	alive := make([]bool, scn.PoolSize)
-	alive[0] = true // the source is spawned at build time
-	p.spans[0] = []aliveSpan{{0, math.Inf(1)}}
-	next := 1
-	for i, ev := range scn.Events {
-		pe := plannedEvent{ev: ev, act: actNone, memIdx: -1}
-		if ev.Join {
-			if !alive[ev.Slot] {
-				alive[ev.Slot] = true
-				pe.act = actSpawn
-				pe.memIdx = next
-				next++
-				p.spans[ev.Slot] = append(p.spans[ev.Slot], aliveSpan{ev.T, math.Inf(1)})
-			}
-		} else if ev.Slot != 0 && alive[ev.Slot] {
-			alive[ev.Slot] = false
-			pe.act = actLeave
-			spans := p.spans[ev.Slot]
-			spans[len(spans)-1].leave = ev.T
-		}
-		p.events[i] = pe
-	}
-	p.totalMems = next
-	return p
-}
-
-// aliveAt reports whether slot id is registered at time t. A membership
-// spans [join, leave): the join event registers at its own timestamp, the
-// leave unregisters at its.
-func (p *membershipPlan) aliveAt(id overlay.NodeID, t float64) bool {
-	spans := p.spans[int(id)]
-	lo, hi := 0, len(spans)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if spans[mid].join <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo > 0 && t < spans[lo-1].leave
-}
-
-// lockedSink serializes trace emission across shard goroutines.
-type lockedSink struct {
-	mu sync.Mutex
-	s  obs.Sink
-}
-
-func (l *lockedSink) Emit(e obs.Event) {
-	l.mu.Lock()
-	l.s.Emit(e)
-	l.mu.Unlock()
-}
 
 // Epoch commands sent to shard workers.
 const (
@@ -180,39 +85,11 @@ type followupCheck struct {
 	first map[string]bool
 }
 
-type shardedSession struct {
-	cfg    Config
-	scn    *scenario.Scenario
-	u      underlay.Underlay
-	metric vdist.Metric
-
-	degrees   []int
-	protoSeed int64
-	dataDT    float64
-
-	plan    *membershipPlan
-	router  *overlay.ShardRouter
+// controller drives a session's shard queues epoch by epoch.
+type controller struct {
+	*session
 	workers []*shardWorker
 	done    chan error
-
-	// bySlot and allByMem are written by shard goroutines at disjoint
-	// indices (a slot belongs to exactly one shard; membership ordinals
-	// are precomputed) and read by the controller only at barriers, where
-	// the done-channel handshake provides the happens-before edge.
-	bySlot   []overlay.Protocol
-	allByMem []*overlay.Peer
-
-	samples    []Sample
-	invErrs    []string
-	ctrlEvents uint64 // controller-fired measures + follow-ups, for Processed parity
-
-	// sink is the (possibly lock-wrapped) trace sink shard spawns use.
-	sink obs.Sink
-	// scnFires and tick are the arg-carrying event slabs, mirroring the
-	// serial engine's join-storm flattening: one record per scenario
-	// event, one mutated ticker record, zero closures.
-	scnFires []shardFire
-	tick     shardTick
 
 	// timeEpoch marks the current epoch as timing-sampled. The controller
 	// writes it before dispatching the epoch's commands and workers read
@@ -220,92 +97,29 @@ type shardedSession struct {
 	timeEpoch bool
 }
 
-func runSharded(cfg Config) (*Result, error) {
-	S := cfg.Shards
-	if S < 1 {
-		return nil, fmt.Errorf("sim: Shards must be ≥ 0, got %d", S)
-	}
-	if cfg.Metric == "loss-est" {
-		return nil, fmt.Errorf("sim: metric %q draws from a shared estimator stream in query order and only runs on the serial engine (Shards=0)", cfg.Metric)
-	}
-	if cfg.CheckpointPath != "" && cfg.Validate {
-		return nil, fmt.Errorf("sim: CheckpointPath is incompatible with Validate (follow-up re-checks are runtime state a checkpoint does not capture)")
-	}
-
-	scn, cfg := buildScenario(cfg)
-	u, err := buildUnderlay(cfg, scn.PoolSize)
-	if err != nil {
-		return nil, err
-	}
-	kj, ok := u.(underlay.KeyedJitter)
-	if !ok {
-		return nil, fmt.Errorf("sim: underlay %T lacks keyed jitter; the sharded engine requires it", u)
-	}
-
-	plan := planMemberships(scn)
-	ss := &shardedSession{
-		cfg:       cfg,
-		scn:       scn,
-		u:         u,
-		metric:    buildMetric(cfg.Metric, u, rng.Derive(cfg.Seed, "estimator")),
-		degrees:   drawDegrees(cfg, scn.PoolSize, rng.Derive(cfg.Seed, "degrees")),
-		protoSeed: rng.DeriveSeed(cfg.Seed, "proto"),
-		dataDT:    1 / cfg.DataRate,
-		plan:      plan,
-		done:      make(chan error, S),
-		bySlot:    make([]overlay.Protocol, scn.PoolSize),
-		allByMem:  make([]*overlay.Peer, plan.totalMems),
-	}
-
-	sims := make([]*eventq.Sim, S)
-	for i := range sims {
-		sims[i] = eventq.New()
-		ss.workers = append(ss.workers, &shardWorker{sim: sims[i], cmds: make(chan epochCmd)})
-	}
-	shardOf := func(id overlay.NodeID) int { return int(id) % S }
-	ss.router = overlay.NewShardRouter(u, rng.DeriveSeed(cfg.Seed, "net"), sims, shardOf, plan.aliveAt)
-	ss.router.CtrlLossProb = cfg.CtrlLossProb
-	if cfg.Trace != nil {
-		trace := cfg.Trace
-		ss.router.SetTraceFn(func(at float64, from, to overlay.NodeID, m overlay.Message) {
-			trace(at, int(from), int(to), fmt.Sprintf("%T", m))
-		})
-	}
-	sink := cfg.EventSink
-	if sink != nil {
-		sink = &lockedSink{s: sink}
-	}
-
-	// Setup band: the source, the data stream, the scenario script — same
-	// schedule order as the serial engine, so equal-time events on one
-	// shard keep their relative order.
-	ss.sink = sink
-	ss.spawn(ss.router.Net(0), 0, 0, sink)
-	ss.tick = shardTick{ss: ss, sim: sims[0]}
-	sims[0].AtTimer(0, shardTickRun, &ss.tick)
-	ss.scnFires = make([]shardFire, len(plan.events))
-	for i := range plan.events {
-		pe := &plan.events[i]
-		sh := shardOf(overlay.NodeID(pe.ev.Slot))
-		ss.scnFires[i] = shardFire{ss: ss, net: ss.router.Net(sh), pe: pe}
-		sims[sh].AtTimer(pe.ev.T, shardFireRun, &ss.scnFires[i])
-	}
-	for _, s := range sims {
-		s.SetSeqBase(runtimeSeqBase)
+// driveEpochs runs the session to its end under the epoch controller.
+func (s *session) driveEpochs() error {
+	S := len(s.sims)
+	ss := &controller{session: s, done: make(chan error, S)}
+	for _, q := range s.sims {
+		// Everything scheduled so far is the setup band.
+		q.SetSeqBase(runtimeSeqBase)
+		ss.workers = append(ss.workers, &shardWorker{sim: q, cmds: make(chan epochCmd)})
 	}
 
 	lookahead := math.Inf(1)
 	if S > 1 {
+		kj, ok := s.u.(underlay.KeyedJitter)
+		if !ok {
+			return fmt.Errorf("sim: underlay %T lacks keyed jitter; the sharded engine requires it", s.u)
+		}
 		lookahead = kj.MinOneWayDelayMS() / 1000
 	}
 
 	// Flight recorder: per-shard send probes (lock-free; merged at
 	// barriers) and busy-time accounting on the workers.
-	prof := newShardProf(newSessionRecorder(cfg, scn, "sharded", S, lookahead, S), S)
+	prof := newShardProf(s.newRecorder("sharded", S, lookahead), S)
 	if prof != nil {
-		for i := 0; i < S; i++ {
-			ss.router.Net(i).SetSendProbe(prof.rec.Probe(i))
-		}
 		for _, w := range ss.workers {
 			w.timed = true
 		}
@@ -314,75 +128,12 @@ func runSharded(cfg Config) (*Result, error) {
 	ss.startWorkers()
 	defer ss.stopWorkers()
 	if err := ss.controllerLoop(lookahead, prof); err != nil {
-		return nil, err
+		return err
 	}
-	if err := prof.close(); err != nil {
-		return nil, err
-	}
-	return ss.finish()
+	return prof.close()
 }
 
-// shardTick is the sharded engine's chunk ticker record (see dataTick).
-type shardTick struct {
-	ss  *shardedSession
-	sim *eventq.Sim
-	seq int64
-}
-
-// shardTickRun emits the next chunk and reschedules (arg: *shardTick).
-func shardTickRun(a any) {
-	t := a.(*shardTick)
-	if src := t.ss.bySlot[0]; src != nil {
-		src.Base().EmitChunk(t.seq)
-	}
-	t.seq++
-	t.sim.AfterTimer(t.ss.dataDT, shardTickRun, t)
-}
-
-// shardFire carries one planned scenario event to its owning shard.
-type shardFire struct {
-	ss  *shardedSession
-	net *overlay.ShardNet
-	pe  *plannedEvent
-}
-
-// shardFireRun applies one scheduled membership event (arg: *shardFire).
-func shardFireRun(a any) {
-	f := a.(*shardFire)
-	f.ss.applyEvent(f.net, f.pe, f.ss.sink)
-}
-
-// spawn mirrors session.spawn for one shard-owned slot.
-func (ss *shardedSession) spawn(net *overlay.ShardNet, slot, memIdx int, sink obs.Sink) {
-	p := buildProtocol(ss.cfg, net, ss.metric, ss.degrees, slot, memIdx, ss.protoSeed, sink)
-	if ss.cfg.StatusPeriodS > 0 {
-		if slot == 0 && ss.cfg.StatusHandler != nil {
-			p.Base().SetStatusHandler(ss.cfg.StatusHandler)
-		}
-		p.Base().EnableStatusReports(ss.cfg.StatusPeriodS)
-	}
-	net.Register(overlay.NodeID(slot), p)
-	ss.bySlot[slot] = p
-	ss.allByMem[memIdx] = p.Base()
-	if slot != 0 {
-		p.StartJoin()
-	}
-}
-
-// applyEvent executes one scenario event on its owning shard. No-op
-// events still fire (and count), exactly as in the serial engine.
-func (ss *shardedSession) applyEvent(net *overlay.ShardNet, pe *plannedEvent, sink obs.Sink) {
-	switch pe.act {
-	case actSpawn:
-		ss.spawn(net, pe.ev.Slot, pe.memIdx, sink)
-	case actLeave:
-		p := ss.bySlot[pe.ev.Slot]
-		ss.bySlot[pe.ev.Slot] = nil
-		p.Leave()
-	}
-}
-
-func (ss *shardedSession) startWorkers() {
+func (ss *controller) startWorkers() {
 	for _, w := range ss.workers {
 		go func(w *shardWorker) {
 			for cmd := range w.cmds {
@@ -400,7 +151,7 @@ func (ss *shardedSession) startWorkers() {
 	}
 }
 
-func (ss *shardedSession) stopWorkers() {
+func (ss *controller) stopWorkers() {
 	for _, w := range ss.workers {
 		close(w.cmds)
 	}
@@ -427,7 +178,7 @@ func runEpochCmd(sim *eventq.Sim, cmd epochCmd) (err error) {
 // the horizon and waits for all of them. Shards with nothing to do are
 // skipped (their clock lags, which is harmless: every event they will
 // ever receive is timestamped at or after the horizon).
-func (ss *shardedSession) phase(mode int, t float64) error {
+func (ss *controller) phase(mode int, t float64) error {
 	n := 0
 	for _, w := range ss.workers {
 		at, ok := w.sim.NextAt()
@@ -446,19 +197,11 @@ func (ss *shardedSession) phase(mode int, t float64) error {
 	return firstErr
 }
 
-func (ss *shardedSession) eventsProcessed() uint64 {
-	total := ss.ctrlEvents
-	for _, w := range ss.workers {
-		total += w.sim.Processed()
-	}
-	return total
-}
-
 // controllerLoop advances the shard fleet epoch by epoch, stopping at
 // measurement instants, follow-up re-checks and the session end. prof,
 // when non-nil, records engine telemetry at barriers (it never schedules
 // events, so profiled and unprofiled runs fire the identical sequence).
-func (ss *shardedSession) controllerLoop(lookahead float64, prof *shardProf) error {
+func (ss *controller) controllerLoop(lookahead float64, prof *shardProf) error {
 	cfg := ss.cfg
 	duration := cfg.DurationS
 
@@ -545,13 +288,17 @@ func (ss *shardedSession) controllerLoop(lookahead float64, prof *shardProf) err
 		for mIdx < len(measures) && measures[mIdx] == t {
 			ss.ctrlEvents++
 			if resume == nil || t > resume.T {
-				followups = ss.measure(t, followups, duration)
+				// Same grace the single-queue driver gives (re-check 5 s
+				// later); re-checks past the session end never fire.
+				if first := ss.measure(t); first != nil && t+5 <= duration {
+					followups = append(followups, followupCheck{fireT: t + 5, measT: t, first: first})
+				}
 			}
 			mIdx++
 		}
 		for len(followups) > 0 && followups[0].fireT == t {
 			ss.ctrlEvents++
-			ss.recheck(followups[0])
+			ss.recheck(followups[0].measT, followups[0].first)
 			followups = followups[1:]
 		}
 
@@ -563,7 +310,7 @@ func (ss *shardedSession) controllerLoop(lookahead float64, prof *shardProf) err
 			lastCp = t // the on-disk checkpoint is already this barrier
 		} else if cp != nil && resume == nil && mIdx > 0 && measures[mIdx-1] == t {
 			if t-lastCp >= cfg.CheckpointEveryS {
-				if err := cp.write(ss, t, mIdx); err != nil {
+				if err := cp.write(ss.session, t, mIdx); err != nil {
 					return err
 				}
 				lastCp = t
@@ -595,89 +342,4 @@ func (ss *shardedSession) controllerLoop(lookahead float64, prof *shardProf) err
 			return nil
 		}
 	}
-}
-
-// measure mirrors session.measure at a controller barrier, returning the
-// (possibly extended) follow-up queue.
-func (ss *shardedSession) measure(t float64, followups []followupCheck, duration float64) []followupCheck {
-	views := ss.views()
-	snap := metrics.Collect(views, 0, ss.u)
-	ss.samples = append(ss.samples, Sample{
-		T:        t,
-		Tree:     snap,
-		Loss:     lossOverPeers(ss.allByMem, ss.dataDT, t),
-		Overhead: ss.router.Overhead(),
-	})
-	if !ss.cfg.Validate {
-		return followups
-	}
-	errs := ss.validate()
-	if len(errs) == 0 {
-		return followups
-	}
-	// Same grace the serial engine gives: only violations still present
-	// 5 s later are real. Re-checks past the session end never fire.
-	if t+5 > duration {
-		return followups
-	}
-	first := make(map[string]bool, len(errs))
-	for _, e := range errs {
-		first[e] = true
-	}
-	return append(followups, followupCheck{fireT: t + 5, measT: t, first: first})
-}
-
-func (ss *shardedSession) recheck(f followupCheck) {
-	for _, e := range ss.validate() {
-		if f.first[e] {
-			ss.invErrs = append(ss.invErrs, fmt.Sprintf("t=%.0f: %s", f.measT, e))
-		}
-	}
-}
-
-func (ss *shardedSession) validate() []string {
-	return metrics.Validate(ss.views(), 0, func(id overlay.NodeID) int { return ss.degrees[int(id)] })
-}
-
-// views lists the live protocol instances in ascending slot order — the
-// same order session.views produces from its sorted instance map.
-func (ss *shardedSession) views() []overlay.TreeView {
-	out := make([]overlay.TreeView, 0, len(ss.bySlot))
-	for _, p := range ss.bySlot {
-		if p != nil {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// finish reuses the serial aggregation verbatim by assembling a session
-// view of the finished run; only the processed-event count differs (the
-// sum over shard queues plus the controller's barrier work).
-func (ss *shardedSession) finish() (*Result, error) {
-	fin := &session{
-		cfg:     ss.cfg,
-		sim:     eventq.New(),
-		net:     &overlay.Network{}, // counters live on the router; overridden below
-		u:       ss.u,
-		metric:  ss.metric,
-		degrees: ss.degrees,
-		insts:   ss.bySlot,
-		all:     ss.allByMem,
-		dataDT:  ss.dataDT,
-		samples: ss.samples,
-		invErrs: ss.invErrs,
-	}
-	for _, p := range ss.bySlot {
-		if p != nil {
-			fin.alive++
-		}
-	}
-	res, err := fin.finish(ss.cfg, ss.scn)
-	if err != nil {
-		return nil, err
-	}
-	res.Overhead = ss.router.Overhead()
-	res.EventsProcessed = ss.eventsProcessed()
-	return res, nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -183,12 +184,23 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestCheckpointIncompatibleWithValidate pins the documented restriction.
-func TestCheckpointIncompatibleWithValidate(t *testing.T) {
-	cfg := parityConfigs()["ch3-churn"]
-	cfg.Shards = 2
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "cp.json")
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("expected an error for CheckpointPath with Validate")
+// TestCheckpointRejectedConfigs pins the two configurations checkpointing
+// refuses: with Validate (documented), and on the serial engine, which
+// has no measurement barriers to checkpoint at and used to ignore the
+// path silently.
+func TestCheckpointRejectedConfigs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cp.json")
+	withValidate := parityConfigs()["ch3-churn"]
+	withValidate.Shards = 2
+	serial := parityConfigs()["ch4-batch"]
+	serial.Shards = 0
+	for name, cfg := range map[string]Config{"validate": withValidate, "serial engine": serial} {
+		cfg.CheckpointPath = path
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "CheckpointPath") {
+			t.Errorf("%s: Run with CheckpointPath returned %v, want a CheckpointPath error", name, err)
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Errorf("%s: rejected run still wrote %s", name, path)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"vdm/internal/btp"
 	"vdm/internal/core"
@@ -152,11 +153,13 @@ type Config struct {
 	// Scenario overrides the generated workload when non-nil.
 	Scenario *scenario.Scenario
 
-	// Shards selects the execution engine: 0 (the default) runs the
-	// serial single-queue engine; S ≥ 1 runs the sharded conservative-
-	// lookahead engine with S shards (S = 1 included — it exercises the
-	// same epoch machinery with one worker). The engines produce
-	// byte-identical results at every S; see internal/sim/sharded.go.
+	// Shards selects the driver of the session: 0 (the default) runs one
+	// event queue to the end — the serial engine, and the reference the
+	// parity suite compares against; S ≥ 1 runs S queues under the
+	// conservative-lookahead epoch controller (S = 1 included — it
+	// exercises the same epoch machinery with one worker). Both advance
+	// the same session state and produce byte-identical results at every
+	// S; see internal/sim/sharded.go.
 	Shards int
 
 	// Progress, when set, receives a ProgressInfo roughly every
@@ -180,7 +183,8 @@ type Config struct {
 	// (every CheckpointEveryS simulated seconds; 0 = every measurement),
 	// and a run finding a compatible checkpoint resumes from it by
 	// deterministic replay, verifying the state hash at the checkpointed
-	// barrier. Incompatible with Validate.
+	// barrier. Incompatible with Validate, and an error on the serial
+	// engine (Shards 0), which has no barriers to checkpoint at.
 	CheckpointPath   string
 	CheckpointEveryS float64
 }
@@ -279,47 +283,145 @@ type TreeEdge struct {
 	ParentLabel   string
 }
 
+// session is the state of one run, whichever driver advances it: the
+// single-queue driver (Shards 0, drive) or the epoch controller (Shards
+// ≥ 1, sharded.go). Everything the two share lives here — the roster,
+// spawn and leave, the data ticker, measurement, validation and the final
+// aggregation — so the drivers differ only in how they step the queues
+// and where measurements fire.
 type session struct {
-	cfg    Config
-	sim    *eventq.Sim
-	net    *overlay.Network
-	u      underlay.Underlay
-	metric vdist.Metric
+	cfg     Config
+	scn     *scenario.Scenario
+	u       underlay.Underlay
+	metric  vdist.Metric
 	degrees []int
+
+	// sims are the event queues and nets the bus on each: one pair under
+	// the single-queue driver, one per shard under the epoch controller
+	// (where router connects them). Slot i lives on queue i mod len(sims).
+	sims   []*eventq.Sim
+	nets   []*overlay.Network
+	router *overlay.ShardRouter
+	// sink is the (lock-wrapped) trace sink spawned nodes emit to.
+	sink obs.Sink
+
 	// insts is the live roster, indexed by host slot (nil = slot not
-	// alive). A dense slice instead of a map: lookups are hot (every data
-	// tick and scenario event), iteration is sorted for free, and the
-	// roster costs 8 bytes per slot instead of a map entry.
+	// alive), and all every membership's peer base, indexed by membership
+	// ordinal (nil = not spawned yet). Dense slices instead of maps:
+	// lookups are hot (every data tick and scenario event) and iteration
+	// is sorted for free. Under the epoch controller shard goroutines
+	// write both at disjoint indices (a slot belongs to one shard,
+	// ordinals are precomputed) and the controller reads them only at
+	// barriers, where the done-channel handshake orders the accesses.
 	insts     []overlay.Protocol
-	alive     int
-	all       []*overlay.Peer // every membership's peer base, in spawn order
+	all       []*overlay.Peer
 	protoSeed int64
 	dataDT    float64
 	samples   []Sample
 	invErrs   []string
+	// ctrlEvents counts the measures and follow-ups the epoch controller
+	// runs itself instead of through a queue, for EventsProcessed parity.
+	ctrlEvents uint64
 
-	// scnFires and the tick record are the arg-carrying event slabs of
-	// the join-storm flattening: one contiguous allocation for the whole
-	// scenario instead of a closure per membership event, and a single
-	// mutated record for the data ticker.
+	// scnFires and the tick record are the arg-carrying event slabs: one
+	// contiguous allocation for the whole scenario instead of a closure
+	// per membership event, and a single mutated record for the data
+	// ticker.
 	scnFires []scnFire
 	tick     dataTick
 }
 
-// scnFire carries one scenario event through an arg-carrying timer.
+// scnFire carries one scenario event through the event queue, already
+// resolved against the membership timeline (planMemberships).
 type scnFire struct {
-	s  *session
-	ev scenario.Event
+	s      *session
+	slot   int
+	memIdx int // ≥ 0: spawn the slot as this membership ordinal; else leaveMember or noMember
 }
+
+const (
+	// leaveMember: the slot's current membership leaves.
+	leaveMember = -1
+	// noMember: nothing to do — a join for a live slot, a leave for a
+	// dead one or for the source. The event still fires (and counts).
+	noMember = -2
+)
 
 // scnFireRun applies one scheduled membership event (arg: *scnFire).
 func scnFireRun(a any) {
 	f := a.(*scnFire)
-	if f.ev.Join {
-		f.s.spawn(f.ev.Slot)
-	} else {
-		f.s.leave(f.ev.Slot)
+	switch {
+	case f.memIdx >= 0:
+		f.s.spawn(f.slot, f.memIdx)
+	case f.memIdx == leaveMember:
+		f.s.leave(f.slot)
 	}
+}
+
+// aliveSpan is one membership of a slot: [join, leave).
+type aliveSpan struct{ join, leave float64 }
+
+// aliveSpans is the membership timeline by slot. It exists so a sender
+// can answer "is the destination registered at virtual time t?" without
+// touching the destination's shard: a leave unregisters synchronously, so
+// registration is a pure function of the scenario script.
+type aliveSpans [][]aliveSpan
+
+// planMemberships resolves the script into s.scnFires and returns the
+// number of memberships (the source's included). Deciding up front which
+// joins and leaves take effect gives every membership its ordinal without
+// coordination between queues. With withSpans it also returns the
+// timeline of alive spans, which only a multi-queue fabric consults.
+func (s *session) planMemberships(withSpans bool) (int, aliveSpans) {
+	scn := s.scn
+	s.scnFires = make([]scnFire, len(scn.Events))
+	var spans aliveSpans
+	if withSpans {
+		spans = make(aliveSpans, scn.PoolSize)
+		spans[0] = []aliveSpan{{0, math.Inf(1)}}
+	}
+	alive := make([]bool, scn.PoolSize)
+	alive[0] = true // the source is spawned at build time
+	next := 1
+	for i, ev := range scn.Events {
+		f := scnFire{s: s, slot: ev.Slot, memIdx: noMember}
+		if ev.Join {
+			if !alive[ev.Slot] {
+				alive[ev.Slot] = true
+				f.memIdx = next
+				next++
+				if withSpans {
+					spans[ev.Slot] = append(spans[ev.Slot], aliveSpan{ev.T, math.Inf(1)})
+				}
+			}
+		} else if ev.Slot != 0 && alive[ev.Slot] {
+			alive[ev.Slot] = false
+			f.memIdx = leaveMember
+			if withSpans {
+				sp := spans[ev.Slot]
+				sp[len(sp)-1].leave = ev.T
+			}
+		}
+		s.scnFires[i] = f
+	}
+	return next, spans
+}
+
+// aliveAt reports whether slot id is registered at time t. A membership
+// spans [join, leave): the join event registers at its own timestamp, the
+// leave unregisters at its.
+func (p aliveSpans) aliveAt(id overlay.NodeID, t float64) bool {
+	spans := p[int(id)]
+	lo, hi := 0, len(spans)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if spans[mid].join <= t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo > 0 && t < spans[lo-1].leave
 }
 
 // dataTick is the source's chunk ticker: one record, mutated in place and
@@ -337,7 +439,7 @@ func dataTickRun(a any) {
 		src.Base().EmitChunk(dt.seq)
 	}
 	dt.seq++
-	s.sim.AfterTimer(s.dataDT, dataTickRun, dt)
+	s.sims[0].AfterArg(s.dataDT, dataTickRun, dt)
 }
 
 // buildScenario resolves the session script: the override if given, else
@@ -383,60 +485,107 @@ func buildScenario(cfg Config) (*scenario.Scenario, Config) {
 // Run executes one session and returns its aggregated result.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Shards != 0 {
-		return runSharded(cfg)
+	switch {
+	case cfg.Shards < 0:
+		return nil, fmt.Errorf("sim: Shards must be ≥ 0, got %d", cfg.Shards)
+	case cfg.Shards != 0 && cfg.Metric == "loss-est":
+		return nil, fmt.Errorf("sim: metric %q draws from a shared estimator stream in query order and only runs on the serial engine (Shards=0)", cfg.Metric)
+	case cfg.CheckpointPath != "" && cfg.Shards == 0:
+		return nil, fmt.Errorf("sim: CheckpointPath needs the sharded engine (Shards ≥ 1): checkpoints are written and resumed at its measurement barriers")
+	case cfg.CheckpointPath != "" && cfg.Validate:
+		return nil, fmt.Errorf("sim: CheckpointPath is incompatible with Validate (follow-up re-checks are runtime state a checkpoint does not capture)")
 	}
+	s, err := newSession(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Shards == 0 {
+		err = s.drive()
+	} else {
+		err = s.driveEpochs()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s.finish(), nil
+}
 
+// newSession builds the session state and schedules its setup band — the
+// source, the data stream, the scenario script, in that order — on one
+// queue (Shards 0) or on cfg.Shards of them. The schedule order is the
+// same either way, so equal-time setup events on one queue keep their
+// relative order.
+func newSession(cfg Config) (*session, error) {
 	scn, cfg := buildScenario(cfg)
-
 	u, err := buildUnderlay(cfg, scn.PoolSize)
 	if err != nil {
 		return nil, err
 	}
-
 	s := &session{
 		cfg:       cfg,
-		sim:       eventq.New(),
+		scn:       scn,
 		u:         u,
+		metric:    buildMetric(cfg.Metric, u, rng.Derive(cfg.Seed, "estimator")),
+		degrees:   drawDegrees(cfg, scn.PoolSize, rng.Derive(cfg.Seed, "degrees")),
 		insts:     make([]overlay.Protocol, scn.PoolSize),
 		protoSeed: rng.DeriveSeed(cfg.Seed, "proto"),
 		dataDT:    1 / cfg.DataRate,
 	}
-	s.net = overlay.NewNetwork(s.sim, u, rng.Derive(cfg.Seed, "net"))
-	s.net.SetKeyedDraws(rng.DeriveSeed(cfg.Seed, "net"))
-	s.net.CtrlLossProb = cfg.CtrlLossProb
-	if cfg.Trace != nil {
-		trace := cfg.Trace
-		s.net.TraceFn = func(at float64, from, to overlay.NodeID, m overlay.Message) {
-			trace(at, int(from), int(to), fmt.Sprintf("%T", m))
+	queues := max(cfg.Shards, 1)
+	for i := 0; i < queues; i++ {
+		s.sims = append(s.sims, eventq.New())
+	}
+	memberships, spans := s.planMemberships(queues > 1)
+	s.all = make([]*overlay.Peer, memberships)
+
+	netSeed := rng.DeriveSeed(cfg.Seed, "net")
+	if cfg.Shards == 0 {
+		s.nets = []*overlay.Network{overlay.NewNetwork(s.sims[0], u, netSeed)}
+	} else {
+		shardOf := func(id overlay.NodeID) int { return int(id) % queues }
+		s.router = overlay.NewShardRouter(u, netSeed, s.sims, shardOf, spans.aliveAt)
+		for i := range s.sims {
+			s.nets = append(s.nets, s.router.Net(i))
 		}
 	}
-	s.metric = buildMetric(cfg.Metric, u, rng.Derive(cfg.Seed, "estimator"))
-	s.degrees = drawDegrees(cfg, scn.PoolSize, rng.Derive(cfg.Seed, "degrees"))
+	// The taps below may be called from every shard goroutine; the locks
+	// are uncontended on a single queue.
+	var traceFn func(at float64, from, to overlay.NodeID, m overlay.Message)
+	if trace := cfg.Trace; trace != nil {
+		var mu sync.Mutex
+		traceFn = func(at float64, from, to overlay.NodeID, m overlay.Message) {
+			mu.Lock()
+			trace(at, int(from), int(to), fmt.Sprintf("%T", m))
+			mu.Unlock()
+		}
+	}
+	for _, n := range s.nets {
+		n.CtrlLossProb = cfg.CtrlLossProb
+		n.TraceFn = traceFn
+	}
+	if cfg.EventSink != nil {
+		s.sink = &lockedSink{s: cfg.EventSink}
+	}
 
-	// The source is alive for the whole session.
-	s.spawn(0)
-
-	// Data stream.
+	s.spawn(0, 0) // the source is alive for the whole session
 	s.tick = dataTick{s: s}
-	s.sim.AtTimer(0, dataTickRun, &s.tick)
+	s.sims[0].AtArg(0, dataTickRun, &s.tick)
+	for i, ev := range scn.Events {
+		s.sims[ev.Slot%queues].AtArg(ev.T, scnFireRun, &s.scnFires[i])
+	}
+	return s, nil
+}
 
-	// Scenario playback: one slab of arg records for the whole script,
-	// scheduled through the event queue's arg-carrying timer form.
-	s.scnFires = make([]scnFire, len(scn.Events))
-	for i, e := range scn.Events {
-		s.scnFires[i] = scnFire{s: s, ev: e}
-		s.sim.AtTimer(e.T, scnFireRun, &s.scnFires[i])
-	}
-	for _, mt := range scn.MeasureTimes {
-		t := mt
-		s.sim.At(t, func() { s.measure(t) })
-	}
+// lockedSink serializes trace emission across shard goroutines.
+type lockedSink struct {
+	mu sync.Mutex
+	s  obs.Sink
+}
 
-	if err := s.drive(cfg, scn); err != nil {
-		return nil, err
-	}
-	return s.finish(cfg, scn)
+func (l *lockedSink) Emit(e obs.Event) {
+	l.mu.Lock()
+	l.s.Emit(e)
+	l.mu.Unlock()
 }
 
 // routerCacheBudgets bounds the lazy SPT and path-loss caches relative to
@@ -631,38 +780,32 @@ func buildProtocol(cfg Config, bus overlay.Bus, metric vdist.Metric, degrees []i
 	return p
 }
 
-func (s *session) spawn(slot int) {
-	if s.insts[slot] != nil {
-		return
-	}
-	p := buildProtocol(s.cfg, s.net, s.metric, s.degrees, slot, len(s.all), s.protoSeed, s.cfg.EventSink)
+// spawn starts membership memIdx of slot on the slot's queue.
+func (s *session) spawn(slot, memIdx int) {
+	net := s.nets[slot%len(s.nets)]
+	p := buildProtocol(s.cfg, net, s.metric, s.degrees, slot, memIdx, s.protoSeed, s.sink)
 	if s.cfg.StatusPeriodS > 0 {
 		if slot == 0 && s.cfg.StatusHandler != nil {
 			p.Base().SetStatusHandler(s.cfg.StatusHandler)
 		}
 		p.Base().EnableStatusReports(s.cfg.StatusPeriodS)
 	}
-	s.net.Register(overlay.NodeID(slot), p)
+	net.Register(overlay.NodeID(slot), p)
 	s.insts[slot] = p
-	s.alive++
-	s.all = append(s.all, p.Base())
+	s.all[memIdx] = p.Base()
 	if slot != 0 {
 		p.StartJoin()
 	}
 }
 
 func (s *session) leave(slot int) {
-	p := s.insts[slot]
-	if p == nil || slot == 0 {
-		return
-	}
-	p.Leave()
+	s.insts[slot].Leave()
 	s.insts[slot] = nil
-	s.alive--
 }
 
+// views lists the live protocol instances in ascending slot order.
 func (s *session) views() []overlay.TreeView {
-	out := make([]overlay.TreeView, 0, s.alive)
+	out := make([]overlay.TreeView, 0, len(s.insts))
 	for _, p := range s.insts {
 		if p != nil {
 			out = append(out, p)
@@ -671,38 +814,55 @@ func (s *session) views() []overlay.TreeView {
 	return out
 }
 
-func (s *session) measure(t float64) {
-	views := s.views()
-	snap := metrics.Collect(views, 0, s.u)
+// measure takes the sample for instant t. With Validate it also returns
+// the invariant violations it saw, nil when there are none. Parent/child
+// symmetry is eventually consistent (a Detach or ParentChange may be in
+// flight at the snapshot instant), so only violations that persist are
+// real: the driver hands them to recheck 5 s later.
+func (s *session) measure(t float64) (first map[string]bool) {
+	snap := metrics.Collect(s.views(), 0, s.u)
 	s.samples = append(s.samples, Sample{
 		T:        t,
 		Tree:     snap,
 		Loss:     s.lossSoFar(t),
-		Overhead: s.net.Overhead(),
+		Overhead: s.nets[0].Overhead(),
 	})
-	if s.cfg.Validate {
-		if errs := s.validate(); len(errs) > 0 {
-			// Parent/child symmetry is eventually consistent (a Detach
-			// or ParentChange may be in flight at the snapshot instant),
-			// so only violations that persist a few seconds later are
-			// real.
-			first := make(map[string]bool, len(errs))
-			for _, e := range errs {
-				first[e] = true
-			}
-			s.sim.After(5, func() {
-				for _, e := range s.validate() {
-					if first[e] {
-						s.invErrs = append(s.invErrs, fmt.Sprintf("t=%.0f: %s", t, e))
-					}
-				}
-			})
+	if !s.cfg.Validate {
+		return nil
+	}
+	errs := s.validate()
+	if len(errs) == 0 {
+		return nil
+	}
+	first = make(map[string]bool, len(errs))
+	for _, e := range errs {
+		first[e] = true
+	}
+	return first
+}
+
+// recheck records the violations of the measurement at measT that still
+// hold now.
+func (s *session) recheck(measT float64, first map[string]bool) {
+	for _, e := range s.validate() {
+		if first[e] {
+			s.invErrs = append(s.invErrs, fmt.Sprintf("t=%.0f: %s", measT, e))
 		}
 	}
 }
 
 func (s *session) validate() []string {
 	return metrics.Validate(s.views(), 0, func(id overlay.NodeID) int { return s.degrees[int(id)] })
+}
+
+// eventsProcessed sums the fired events of every queue plus the
+// controller's own.
+func (s *session) eventsProcessed() uint64 {
+	total := s.ctrlEvents
+	for _, q := range s.sims {
+		total += q.Processed()
+	}
+	return total
 }
 
 // expectedChunksIn counts the chunks the source emitted during [a, b)
@@ -721,8 +881,8 @@ func expectedChunksIn(dataDT, a, b float64) int64 {
 
 // lossOverPeers averages, over every membership that ever connected, the
 // fraction of the chunks emitted during its membership that it missed —
-// the paper's loss metric. Nil entries (memberships not yet spawned, in
-// the sharded engine's preallocated roster) are skipped.
+// the paper's loss metric. Nil entries (memberships not yet spawned) are
+// skipped.
 func lossOverPeers(all []*overlay.Peer, dataDT, now float64) float64 {
 	var rates []float64
 	for _, p := range all {
@@ -754,14 +914,15 @@ func (s *session) lossSoFar(now float64) float64 {
 	return lossOverPeers(s.all, s.dataDT, now)
 }
 
-func (s *session) finish(cfg Config, scn *scenario.Scenario) (*Result, error) {
+func (s *session) finish() *Result {
+	cfg := s.cfg
 	res := &Result{
 		Config:          cfg,
 		Samples:         s.samples,
 		Loss:            s.lossSoFar(cfg.DurationS),
-		Overhead:        s.net.Overhead(),
+		Overhead:        s.nets[0].Overhead(),
 		InvariantErrors: s.invErrs,
-		EventsProcessed: s.sim.Processed(),
+		EventsProcessed: s.eventsProcessed(),
 	}
 
 	var stress, maxStress, stretch, minStr, maxStr, leafStr []float64
@@ -796,7 +957,7 @@ func (s *session) finish(cfg Config, scn *scenario.Scenario) (*Result, error) {
 
 	var startups, reconns []float64
 	for _, p := range s.all {
-		if p == nil { // sharded roster: slot never joined
+		if p == nil { // membership never spawned
 			continue
 		}
 		st := p.Stats()
@@ -823,7 +984,7 @@ func (s *session) finish(cfg Config, scn *scenario.Scenario) (*Result, error) {
 	if cfg.ComputeMST {
 		res.MSTRatio, res.DCMSTRatio = s.mstRatios(views)
 	}
-	return res, nil
+	return res
 }
 
 // label names a host for tree dumps: the site name on the synthetic
@@ -838,7 +999,10 @@ func (s *session) label(id int) string {
 	return fmt.Sprintf("host%d", id)
 }
 
-func (s *session) finalTree(views []overlay.TreeView) []TreeEdge {
+// treeDepths returns the memoized hop depth below the source of each
+// view's id; -1 means the node has no path to the source (unattached, a
+// departed ancestor, or a cycle).
+func treeDepths(views []overlay.TreeView) func(id overlay.NodeID) int {
 	depth := map[overlay.NodeID]int{0: 0}
 	byID := make(map[overlay.NodeID]overlay.TreeView, len(views))
 	for _, v := range views {
@@ -863,6 +1027,11 @@ func (s *session) finalTree(views []overlay.TreeView) []TreeEdge {
 		}
 		return depth[id]
 	}
+	return depthOf
+}
+
+func (s *session) finalTree(views []overlay.TreeView) []TreeEdge {
+	depthOf := treeDepths(views)
 	var edges []TreeEdge
 	for _, v := range views {
 		if v.IsSource() || v.ParentID() == overlay.None {

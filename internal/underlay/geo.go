@@ -14,17 +14,12 @@ import (
 // message deliveries carry lognormal jitter; there is no router model,
 // so PathLinks returns nil and the stress metric is unavailable (the
 // chapter-5 experiments use resource usage instead, exactly as the paper
-// does on PlanetLab).
-//
-// NewGeo draws jitter from a sequential stream (single event loop only);
-// NewGeoKeyed draws it as a pure function of (edge, draw index), which
-// both simulation engines use — see KeyedJitter.
+// does on PlanetLab). Jitter is drawn as a pure function of (edge, draw
+// index) — see KeyedJitter.
 type GeoUnderlay struct {
 	m     *geo.Model
 	sites []int // host -> site id
-	rnd   *rng.Stream
 
-	keyed     bool
 	keyedSeed int64
 	rttMu     sync.Mutex
 	rttDraws  map[uint64]uint64
@@ -36,16 +31,10 @@ type GeoUnderlay struct {
 var _ Underlay = (*GeoUnderlay)(nil)
 var _ KeyedJitter = (*GeoUnderlay)(nil)
 
-// NewGeo builds an underlay over the given sites of model m. The stream
-// drives measurement jitter.
-func NewGeo(m *geo.Model, sites []int, rnd *rng.Stream) *GeoUnderlay {
-	return &GeoUnderlay{m: m, sites: sites, rnd: rnd}
-}
-
-// NewGeoKeyed builds an underlay whose jitter is keyed under seed instead
-// of drawn from a stream (see KeyedJitter).
+// NewGeoKeyed builds an underlay over the given sites of model m, with
+// jitter keyed under seed (see KeyedJitter).
 func NewGeoKeyed(m *geo.Model, sites []int, seed int64) *GeoUnderlay {
-	return &GeoUnderlay{m: m, sites: sites, keyed: true, keyedSeed: seed, rttDraws: make(map[uint64]uint64)}
+	return &GeoUnderlay{m: m, sites: sites, keyedSeed: seed, rttDraws: make(map[uint64]uint64)}
 }
 
 // NumHosts reports the number of hosts.
@@ -64,34 +53,21 @@ func (u *GeoUnderlay) BaseRTT(a, b int) float64 {
 
 // RTT returns one noisy RTT measurement in ms.
 func (u *GeoUnderlay) RTT(a, b int) float64 {
-	if u.keyed {
-		base := u.BaseRTT(a, b)
-		if u.m.JitterSigma <= 0 {
-			return base
-		}
-		u.rttMu.Lock()
-		k := pairKey(a, b)
-		n := u.rttDraws[k]
-		u.rttDraws[k] = n + 1
-		u.rttMu.Unlock()
-		return base * rng.KeyedLogNormal(u.keyedSeed, uint64(uint32(a)), uint64(uint32(b)), keyedStreamRTT, n, 0, u.m.JitterSigma)
+	base := u.BaseRTT(a, b)
+	if u.m.JitterSigma <= 0 {
+		return base
 	}
-	return u.m.SampleRTT(u.sites[a], u.sites[b], u.rnd)
+	u.rttMu.Lock()
+	k := pairKey(a, b)
+	n := u.rttDraws[k]
+	u.rttDraws[k] = n + 1
+	u.rttMu.Unlock()
+	return base * rng.KeyedLogNormal(u.keyedSeed, uint64(uint32(a)), uint64(uint32(b)), keyedStreamRTT, n, 0, u.m.JitterSigma)
 }
 
-// OneWayDelayMS returns a noisy one-way delivery delay in ms; lazy
-// destination sites add their think time. In keyed mode this returns the
-// jitter-free delay; keyed callers use OneWayDelayMSKeyed.
-func (u *GeoUnderlay) OneWayDelayMS(a, b int) float64 {
-	if u.keyed {
-		return u.BaseRTT(a, b) / 2
-	}
-	d := u.m.SampleRTT(u.sites[a], u.sites[b], u.rnd) / 2
-	if u.m.Sites[u.sites[b]].Lazy {
-		d += u.rnd.Exp(u.m.LazyExtraMS)
-	}
-	return d
-}
+// OneWayDelayMS returns the jitter-free one-way delivery delay in ms; the
+// simulated network passes its draw index to OneWayDelayMSKeyed instead.
+func (u *GeoUnderlay) OneWayDelayMS(a, b int) float64 { return u.BaseRTT(a, b) / 2 }
 
 // OneWayDelayMSKeyed returns the delivery delay for draw number `draw` on
 // edge a→b, keyed under the underlay's seed. Lazy destination sites add
@@ -99,7 +75,7 @@ func (u *GeoUnderlay) OneWayDelayMS(a, b int) float64 {
 // MinOneWayDelayMS bound still holds).
 func (u *GeoUnderlay) OneWayDelayMSKeyed(a, b int, draw uint64) float64 {
 	d := u.BaseRTT(a, b) / 2
-	if u.keyed && u.m.JitterSigma > 0 {
+	if u.m.JitterSigma > 0 {
 		d *= rng.KeyedLogNormal(u.keyedSeed, uint64(uint32(a)), uint64(uint32(b)), keyedStreamDelay, draw, 0, u.m.JitterSigma)
 	}
 	if u.m.Sites[u.sites[b]].Lazy {
@@ -128,7 +104,7 @@ func (u *GeoUnderlay) MinOneWayDelayMS() float64 {
 				}
 			}
 		}
-		if u.keyed && u.m.JitterSigma > 0 {
+		if u.m.JitterSigma > 0 {
 			min *= math.Exp(-rng.NormalClamp * u.m.JitterSigma)
 		}
 		if !(min > MinDelayFloorMS) {

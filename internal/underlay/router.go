@@ -101,10 +101,8 @@ func (t *lossTable) reset() {
 // The deterministic query methods (BaseRTT, LossRate, PathLinks, and the
 // accessors) are safe for concurrent use: the lazy SPT and path-loss
 // caches are guarded so one underlay can back many concurrent sessions
-// without duplicating Dijkstra work. The stream-jitter measurement
-// methods (WithJitter) draw from a single random stream and must stay
-// within one session's event loop; the keyed-jitter mode (WithKeyedJitter)
-// is safe for concurrent use and is what the sharded engine requires.
+// without duplicating Dijkstra work. So are the jittered ones: jitter
+// is keyed (WithKeyedJitter), which is what the sharded engine requires.
 type RouterUnderlay struct {
 	g      *topology.Graph
 	attach []topology.RouterID // host -> router
@@ -125,41 +123,27 @@ type RouterUnderlay struct {
 	pathLossBudget int
 	sptClock       atomic.Uint64
 
-	// Measurement jitter: application-level pings observe queueing and
-	// processing variation on top of propagation delay.
-	jitterRnd   *rng.Stream
+	// Jitter (see KeyedJitter): application-level pings and deliveries
+	// observe queueing and processing variation on top of propagation
+	// delay, drawn as pure functions of (seed, edge, draw index). RTT
+	// measurements key on a per-pair counter — each pair is only ever
+	// probed from one peer's event loop at a time, but the table itself
+	// needs a lock under concurrent shards.
 	jitterSigma float64
-
-	// Keyed jitter (see KeyedJitter): pure-function draws replace the
-	// shared stream. RTT measurements key on a per-pair counter — each
-	// pair is only ever probed from one peer's event loop at a time, but
-	// the map itself needs a lock under concurrent shards.
-	keyed     bool
-	keyedSeed int64
-	rttMu     sync.Mutex
-	rttDraws  rng.CounterTable
+	keyedSeed   int64
+	rttMu       sync.Mutex
+	rttDraws    rng.CounterTable
 }
 
-// WithJitter makes RTT *measurements* (not deliveries or base values)
-// vary lognormally around the propagation RTT, modeling the queueing and
-// cross-traffic variation real probes see.
-func (u *RouterUnderlay) WithJitter(rnd *rng.Stream, sigma float64) *RouterUnderlay {
-	u.jitterRnd = rnd
-	u.jitterSigma = sigma
-	u.keyed = false
-	return u
-}
-
-// WithKeyedJitter switches measurement and delivery jitter to keyed
-// draws under the given seed (sigma ≤ 0 means jitter-free but still
-// keyed-deterministic). This is the mode both simulation engines use:
-// draw values depend only on each sender's own send count per edge, so
-// serial and sharded executions observe identical delays.
+// WithKeyedJitter makes RTT measurements and deliveries (not base
+// values) vary lognormally around the propagation delay, modeling the
+// queueing and cross-traffic variation real probes see; sigma ≤ 0 leaves
+// the underlay jitter-free. Draw values depend only on each sender's own
+// send count per edge, so serial and sharded executions observe
+// identical delays.
 func (u *RouterUnderlay) WithKeyedJitter(seed int64, sigma float64) *RouterUnderlay {
-	u.keyed = true
 	u.keyedSeed = seed
 	u.jitterSigma = sigma
-	u.jitterRnd = nil
 	return u
 }
 
@@ -278,37 +262,24 @@ func (u *RouterUnderlay) RTT(a, b int) float64 {
 	if u.jitterSigma <= 0 {
 		return base
 	}
-	if u.keyed {
-		u.rttMu.Lock()
-		n := u.rttDraws.Next(pairKey(a, b))
-		u.rttMu.Unlock()
-		return base * rng.KeyedLogNormal(u.keyedSeed, uint64(uint32(a)), uint64(uint32(b)), keyedStreamRTT, n, 0, u.jitterSigma)
-	}
-	if u.jitterRnd == nil {
-		return base
-	}
-	return base * u.jitterRnd.LogNormal(0, u.jitterSigma)
+	u.rttMu.Lock()
+	n := u.rttDraws.Next(pairKey(a, b))
+	u.rttMu.Unlock()
+	return base * rng.KeyedLogNormal(u.keyedSeed, uint64(uint32(a)), uint64(uint32(b)), keyedStreamRTT, n, 0, u.jitterSigma)
 }
 
-// OneWayDelayMS returns the message delivery delay in ms, with queueing
-// jitter when configured (this is what makes probe measurements noisy:
-// probes time actual message exchanges). In keyed mode this returns the
-// jitter-free delay; keyed callers pass their draw index to
-// OneWayDelayMSKeyed instead.
-func (u *RouterUnderlay) OneWayDelayMS(a, b int) float64 {
-	d := u.oneWay(a, b)
-	if u.jitterRnd == nil || u.jitterSigma <= 0 {
-		return d
-	}
-	return d * u.jitterRnd.LogNormal(0, u.jitterSigma)
-}
+// OneWayDelayMS returns the jitter-free message delivery delay in ms;
+// the simulated network passes its draw index to OneWayDelayMSKeyed
+// instead (this is what makes probe measurements noisy: probes time
+// actual message exchanges).
+func (u *RouterUnderlay) OneWayDelayMS(a, b int) float64 { return u.oneWay(a, b) }
 
 // OneWayDelayMSKeyed returns the delivery delay for draw number `draw` on
 // edge a→b: jitter is a pure function of (seed, edge, draw), never below
 // MinOneWayDelayMS for distinct hosts.
 func (u *RouterUnderlay) OneWayDelayMSKeyed(a, b int, draw uint64) float64 {
 	d := u.oneWay(a, b)
-	if u.keyed && u.jitterSigma > 0 {
+	if u.jitterSigma > 0 {
 		d *= rng.KeyedLogNormal(u.keyedSeed, uint64(uint32(a)), uint64(uint32(b)), keyedStreamDelay, draw, 0, u.jitterSigma)
 	}
 	if d < MinDelayFloorMS {
@@ -322,7 +293,7 @@ func (u *RouterUnderlay) OneWayDelayMSKeyed(a, b int, draw uint64) float64 {
 // one router: both access links) scaled by the clamped jitter minimum.
 func (u *RouterUnderlay) MinOneWayDelayMS() float64 {
 	min := 2 * hostAccessMS
-	if u.keyed && u.jitterSigma > 0 {
+	if u.jitterSigma > 0 {
 		min *= math.Exp(-rng.NormalClamp * u.jitterSigma)
 	}
 	if min < MinDelayFloorMS {

@@ -44,9 +44,9 @@ func TestRouterRTTIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestRouterWithJitter(t *testing.T) {
+func TestRouterKeyedJitter(t *testing.T) {
 	u, _ := routerFixture(t, 10)
-	u.WithJitter(rng.New(9), 0.1)
+	u.WithKeyedJitter(9, 0.1)
 	base := u.BaseRTT(1, 2)
 	sum, n := 0.0, 400
 	varied := false
@@ -73,8 +73,8 @@ func TestRouterWithJitter(t *testing.T) {
 	// Deliveries are jittered too (probes time real messages).
 	ow := u.oneWay(1, 2)
 	variedOW := false
-	for i := 0; i < 100; i++ {
-		if u.OneWayDelayMS(1, 2) != ow {
+	for draw := uint64(0); draw < 100; draw++ {
+		if u.OneWayDelayMSKeyed(1, 2, draw) != ow {
 			variedOW = true
 			break
 		}
@@ -169,7 +169,7 @@ func geoFixture(t *testing.T) *GeoUnderlay {
 	t.Helper()
 	m := geo.Generate(geo.DefaultConfig(), rng.New(4))
 	sites := m.USSites()[:40]
-	return NewGeo(m, sites, rng.New(5))
+	return NewGeoKeyed(m, sites, 5)
 }
 
 func TestGeoRTTJittersAroundBase(t *testing.T) {
