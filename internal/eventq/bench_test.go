@@ -30,8 +30,9 @@ func BenchmarkSelfRescheduling(b *testing.B) {
 }
 
 // BenchmarkEventQ is the steady-state cycle the simulations spend their
-// time in: every fired event schedules a successor. With the free list
-// this runs allocation-free after warm-up.
+// time in: every fired event schedules a successor, so the heap reuses
+// the slot the pop vacated and the cycle runs allocation-free. With one
+// pending event it measures the fixed cost of a push and a pop.
 func BenchmarkEventQ(b *testing.B) {
 	s := New()
 	var tick func()
@@ -40,4 +41,33 @@ func BenchmarkEventQ(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.Run(float64(b.N))
+}
+
+// The same cycle with the heap held at the depth the benchmark workloads
+// reach, where sifting costs cache misses: about 1 600 pending events in
+// the steady stream, about 27 000 in the scale cell's join storm.
+func BenchmarkEventQDepth1600(b *testing.B)  { benchEventQAtDepth(b, 1600) }
+func BenchmarkEventQDepth27000(b *testing.B) { benchEventQAtDepth(b, 27000) }
+
+func benchEventQAtDepth(b *testing.B, depth int) {
+	s := New()
+	x := uint64(1)
+	delay := func() float64 { // xorshift uniform in [0.5, 1.5)
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return 0.5 + float64(x>>11)/(1<<53)
+	}
+	var tick func(any)
+	tick = func(a any) { s.AfterArg(delay(), tick, a) }
+	for i := 0; i < depth; i++ {
+		s.AtArg(delay(), tick, nil)
+	}
+	s.Run(2)
+	target := s.Processed() + uint64(b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for t := s.Now() + 1; s.Processed() < target; t++ {
+		s.Run(t)
+	}
 }

@@ -78,34 +78,3 @@ func TestSetSeqBaseOnlyRaises(t *testing.T) {
 		t.Fatal("event never fired")
 	}
 }
-
-// TestFreeListShrinksAfterSpike pins the fix for unbounded free-list
-// retention: a burst that grows the heap must not pin its high-water mark
-// of recycled events for the rest of the run.
-func TestFreeListShrinksAfterSpike(t *testing.T) {
-	s := New()
-	const spike = 50000
-	for i := 0; i < spike; i++ {
-		s.At(float64(i), func() {})
-	}
-	s.Drain()
-	if got := s.FreeLen(); got > DefaultFreeSlack {
-		t.Fatalf("free list holds %d events after the spike drained, want ≤ %d", got, DefaultFreeSlack)
-	}
-
-	// Steady state afterwards still reuses events rather than allocating:
-	// a self-rescheduling chain keeps the list near its small cushion.
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < 10000 {
-			s.After(1, tick)
-		}
-	}
-	s.After(1, tick)
-	s.Drain()
-	if got := s.FreeLen(); got > DefaultFreeSlack {
-		t.Fatalf("free list grew to %d in steady state, want ≤ %d", got, DefaultFreeSlack)
-	}
-}

@@ -6,128 +6,120 @@
 // random streams — makes every run fully deterministic.
 package eventq
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
-// Event is a callback scheduled to run at a virtual time. There is one
-// form: a function plus the argument it is called with, so hot callers
-// schedule a static function with a recycled argument record instead of
-// allocating a closure per event. A plain func() is scheduled as the
-// argument of callFunc (see At).
-type event struct {
-	at   float64
-	seq  uint64
-	fn   func(any)
-	arg  any
-	next *event // free-list link while recycled
+// entry is one scheduled callback. There is one form: a function plus the
+// argument it is called with, so hot callers schedule a static function
+// with a recycled argument record instead of allocating a closure per
+// event. A plain func() is scheduled as the argument of callFunc (see
+// At). The ordering key (at, seq) sits in the entry itself, so sifting
+// compares heap slots directly and never chases a pointer.
+type entry struct {
+	at  float64
+	seq uint64
+	fn  func(any)
+	arg any
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before reports whether e fires before o: earlier timestamp, then
+// scheduling order.
+func (e *entry) before(o *entry) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
+// minCap is the capacity below which the heap array is never shrunk.
+const minCap = 256
 
 // Sim is a single-threaded discrete-event simulator.
 // The zero value is not usable; call New.
 type Sim struct {
 	now       float64
 	seq       uint64
-	events    eventHeap
 	processed uint64
 	stopped   bool
 
-	// free holds fired events for reuse, so a steady-state simulation
-	// (every fired event schedules a successor) allocates no event
-	// structs after warm-up. Periodic trimming (see trimFree) keeps the
-	// list from pinning the high-water mark of a load spike for the rest
-	// of the run.
-	free    *event
-	freeLen int
-
-	// freeSlack overrides DefaultFreeSlack when positive (SetFreeSlack).
-	freeSlack int
+	// events is a 4-ary min-heap of entries by value, ordered by
+	// (at, seq): the children of slot i are 4i+1 … 4i+4. Four children
+	// halve the depth of a binary heap, and a sift-down step reads its
+	// four candidates from adjacent memory. A steady-state simulation
+	// (every fired event schedules a successor) reuses the slot the pop
+	// vacated, so it allocates nothing; pop halves the array once it is
+	// under a quarter full, so a load spike does not pin its high-water
+	// mark for the rest of the run.
+	events []entry
 }
 
-// DefaultFreeSlack is how many recycled events the free list may hold
-// beyond the current pending count before trimming releases the excess to
-// the GC. A small cushion avoids alloc/free churn when load oscillates;
-// anything beyond it is spike residue — which matters after a join storm,
-// when the pending count collapses from its burst peak.
-const DefaultFreeSlack = 256
+// FreeLen reports the heap array's spare capacity: slots a push can take
+// without allocating.
+func (s *Sim) FreeLen() int { return cap(s.events) - len(s.events) }
 
-// SetFreeSlack tunes the free-list decay cap (n <= 0 restores the
-// default). Large-population sessions set a tighter cap than the default
-// once their join phase drains, so burst residue is returned to the GC
-// instead of being pinned for the steady-state remainder of the run.
-func (s *Sim) SetFreeSlack(n int) { s.freeSlack = n }
-
-// trimInterval is how often (in processed events) the run loops check the
-// free list, as a power-of-two mask.
-const trimInterval = 4096 - 1
-
-// trimFree releases free-list entries beyond the pending count plus a
-// slack cushion. Without this, a burst that grows the heap to N pins ~N
-// recycled event structs for the rest of the run.
-func (s *Sim) trimFree() {
-	slack := s.freeSlack
-	if slack <= 0 {
-		slack = DefaultFreeSlack
+// push inserts e, sifting it up from the new last slot.
+func (s *Sim) push(e entry) {
+	s.events = append(s.events, e)
+	h := s.events
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	limit := len(s.events) + slack
-	for s.freeLen > limit {
-		e := s.free
-		s.free = e.next
-		e.next = nil
-		s.freeLen--
-	}
+	h[i] = e
 }
 
-// FreeLen reports how many recycled events the free list currently holds.
-func (s *Sim) FreeLen() int { return s.freeLen }
-
-// alloc takes an event off the free list, or makes one.
-func (s *Sim) alloc(at float64, fn func(any), arg any) *event {
-	e := s.free
-	if e == nil {
-		e = &event{}
-	} else {
-		s.free = e.next
-		e.next = nil
-		s.freeLen--
+// pop removes the head entry and returns its fields. The vacated last
+// slot is zeroed, so the queue keeps no reference to a fired callback or
+// its argument.
+func (s *Sim) pop() (at float64, fn func(any), arg any) {
+	h := s.events
+	at, fn, arg = h[0].at, h[0].fn, h[0].arg
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	h = h[:n]
+	if c := cap(h); c > minCap && n < c/4 {
+		h = append(make([]entry, 0, c/2), h...)
 	}
-	s.seq++
-	e.at, e.seq, e.fn, e.arg = at, s.seq, fn, arg
-	return e
-}
-
-// recycle puts a fired event on the free list. The callback and argument
-// are dropped immediately so recycled events never pin their captures.
-func (s *Sim) recycle(e *event) {
-	e.fn, e.arg = nil, nil
-	e.next = s.free
-	s.free = e
-	s.freeLen++
+	s.events = h
+	if n == 0 {
+		return at, fn, arg
+	}
+	// Sift last down from the root: move the smallest child up into the
+	// hole until last fits.
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		if c+4 <= n {
+			if h[c+1].before(&h[m]) {
+				m = c + 1
+			}
+			if h[c+2].before(&h[m]) {
+				m = c + 2
+			}
+			if h[c+3].before(&h[m]) {
+				m = c + 3
+			}
+		} else {
+			for j := c + 1; j < n; j++ {
+				if h[j].before(&h[m]) {
+					m = j
+				}
+			}
+		}
+		if !h[m].before(&last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = last
+	return at, fn, arg
 }
 
 // New returns an empty simulator with the clock at zero.
@@ -164,7 +156,8 @@ func (s *Sim) AtArg(t float64, fn func(any), arg any) {
 	if t < s.now {
 		panic(fmt.Sprintf("eventq: scheduling at %v before now %v", t, s.now))
 	}
-	heap.Push(&s.events, s.alloc(t, fn, arg))
+	s.seq++
+	s.push(entry{at: t, seq: s.seq, fn: fn, arg: arg})
 }
 
 // AfterArg schedules fn(arg) d seconds from now.
@@ -201,14 +194,9 @@ func (s *Sim) NextAt() (float64, bool) {
 
 // fire pops and executes the head event.
 func (s *Sim) fire() {
-	next := heap.Pop(&s.events).(*event)
-	s.now = next.at
+	at, fn, arg := s.pop()
+	s.now = at
 	s.processed++
-	if s.processed&trimInterval == 0 {
-		s.trimFree()
-	}
-	fn, arg := next.fn, next.arg
-	s.recycle(next)
 	fn(arg)
 }
 
@@ -226,7 +214,6 @@ func (s *Sim) Run(until float64) {
 	if s.now < until {
 		s.now = until
 	}
-	s.trimFree()
 }
 
 // RunBefore fires every event strictly earlier than t and leaves the
@@ -244,7 +231,6 @@ func (s *Sim) RunBefore(t float64) {
 	if s.now < t {
 		s.now = t
 	}
-	s.trimFree()
 }
 
 // RunBand fires every event strictly earlier than t, plus the events at
@@ -256,7 +242,7 @@ func (s *Sim) RunBefore(t float64) {
 func (s *Sim) RunBand(t float64, seqBelow uint64) {
 	s.stopped = false
 	for len(s.events) > 0 && !s.stopped {
-		head := s.events[0]
+		head := &s.events[0]
 		if head.at > t || (head.at == t && head.seq >= seqBelow) {
 			break
 		}
@@ -265,7 +251,6 @@ func (s *Sim) RunBand(t float64, seqBelow uint64) {
 	if s.now < t {
 		s.now = t
 	}
-	s.trimFree()
 }
 
 // Drain runs every remaining event regardless of timestamp.
@@ -274,5 +259,4 @@ func (s *Sim) Drain() {
 	for len(s.events) > 0 && !s.stopped {
 		s.fire()
 	}
-	s.trimFree()
 }

@@ -170,51 +170,259 @@ func TestPropertyRandomScheduleSorted(t *testing.T) {
 	}
 }
 
-// TestEventFreeListReuse pins the free-list behavior: once the heap's
-// high-water mark is reached, a schedule/fire cycle recycles event
-// structs instead of allocating.
-func TestEventFreeListReuse(t *testing.T) {
+// TestSteadyStateAllocatesNothing pins slot reuse: once the array has
+// reached the heap's high-water mark, an AtArg + fire cycle takes the
+// slot the previous pop vacated instead of allocating.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
 	s := New()
-	var tick func()
-	tick = func() { s.After(1, tick) }
-	s.At(0, tick)
-	s.Run(16) // warm up the free list
+	arg := new(int)
+	var tick func(any)
+	tick = func(a any) { s.AfterArg(1, tick, a) }
+	for i := 0; i < 8; i++ {
+		s.AtArg(float64(i)/8, tick, arg)
+	}
+	s.Run(16) // warm up
 	allocs := testing.AllocsPerRun(100, func() {
+		s.AtArg(s.Now(), func(any) {}, arg)
 		s.Run(s.Now() + 8)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state run allocated %v objects per cycle, want 0", allocs)
+		t.Fatalf("steady-state AtArg + fire allocated %v objects per cycle, want 0", allocs)
 	}
 }
 
-// TestFreeListDropsClosure checks a recycled event pins neither the fired
-// callback nor its argument — which, for At, is the caller's closure.
-func TestFreeListDropsClosure(t *testing.T) {
+// TestFiredEntryIsUnreachable checks a fired entry's callback and
+// argument are not reachable from the queue: pop zeroes the slot it
+// vacates, so nothing in the array's spare capacity pins them.
+func TestFiredEntryIsUnreachable(t *testing.T) {
 	s := New()
-	s.At(1, func() {})
-	s.AtArg(1, func(any) {}, new(int))
-	s.Run(2)
-	if s.freeLen != 2 {
-		t.Fatalf("free list holds %d events, want both fired events", s.freeLen)
+	for i := 0; i < 40; i++ {
+		s.At(float64(i%7), func() {})
+		s.AtArg(float64(i%5), func(any) {}, new(int))
 	}
-	for e := s.free; e != nil; e = e.next {
+	s.Run(3)
+	if s.Pending() == 0 || s.FreeLen() == 0 {
+		t.Fatalf("pending %d, spare %d: want a partly drained queue", s.Pending(), s.FreeLen())
+	}
+	spare := s.events[len(s.events):cap(s.events)]
+	for i, e := range spare {
 		if e.fn != nil || e.arg != nil {
-			t.Fatal("recycled event retains its callback or argument")
+			t.Fatalf("spare slot %d retains a fired callback or argument", i)
+		}
+	}
+	s.Drain()
+	for i, e := range s.events[:cap(s.events)] {
+		if e.fn != nil || e.arg != nil {
+			t.Fatalf("slot %d of the drained queue retains a callback or argument", i)
+		}
+	}
+}
+
+// TestArrayShrinksAfterBurst pins the shrink rule: a burst that grows the
+// array must not pin its high-water mark for the rest of the run, and
+// FreeLen — the array's spare capacity — follows the array down.
+func TestArrayShrinksAfterBurst(t *testing.T) {
+	s := New()
+	const burst = 50000
+	for i := 0; i < burst; i++ {
+		s.At(float64(i), func() {})
+	}
+	if got := s.Pending() + s.FreeLen(); got < burst {
+		t.Fatalf("array holds %d slots with %d pending", got, burst)
+	}
+	s.Run(burst - 1000.5)
+	if p, f := s.Pending(), s.FreeLen(); p != 1000 || p+f > 4*p {
+		t.Fatalf("pending %d, spare %d: want 1000 pending in an array at most 4x that", p, f)
+	}
+	s.Drain()
+	if got := s.FreeLen(); got > minCap {
+		t.Fatalf("%d spare slots after the burst drained, want ≤ %d", got, minCap)
+	}
+
+	// Steady state afterwards reuses slots: a self-rescheduling chain
+	// never grows the array again.
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		if n < 10000 {
+			s.After(1, tick)
+		}
+	}
+	s.After(1, tick)
+	s.Drain()
+	if got := s.FreeLen(); got > minCap {
+		t.Fatalf("%d spare slots in steady state, want ≤ %d", got, minCap)
+	}
+}
+
+// scripted is an event of the differential test. What it schedules when
+// it fires is a pure function of its id, so the queue under test and the
+// reference expand the same script independently.
+type scripted struct {
+	id  uint64
+	gen int
+}
+
+type scriptedChild struct {
+	delay float64
+	ev    scripted
+}
+
+func mix(x uint64) uint64 { // splitmix64 finalizer
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// children returns up to two successors at delays 0 (the current
+// instant), 0.5, 1 or 1.5; chains end at the fifth generation.
+func (e scripted) children() []scriptedChild {
+	if e.gen >= 5 {
+		return nil
+	}
+	var out []scriptedChild
+	for k := uint64(0); k < mix(e.id)%3; k++ {
+		c := mix(e.id ^ (k+1)<<56)
+		out = append(out, scriptedChild{float64(c%4) / 2, scripted{c, e.gen + 1}})
+	}
+	return out
+}
+
+// refQueue is the reference: an unordered slice, popped by scanning for
+// the smallest (at, seq).
+type refQueue struct {
+	now     float64
+	seq     uint64
+	pending []refEvent
+	fired   []uint64
+}
+
+type refEvent struct {
+	at  float64
+	seq uint64
+	ev  scripted
+}
+
+func (r *refQueue) at(t float64, ev scripted) {
+	r.seq++
+	r.pending = append(r.pending, refEvent{t, r.seq, ev})
+}
+
+// run fires events in (at, seq) order while due accepts the earliest.
+func (r *refQueue) run(due func(refEvent) bool) {
+	for len(r.pending) > 0 {
+		m := 0
+		for i, e := range r.pending {
+			if h := r.pending[m]; e.at < h.at || (e.at == h.at && e.seq < h.seq) {
+				m = i
+			}
+		}
+		e := r.pending[m]
+		if !due(e) {
+			return
+		}
+		r.pending = append(r.pending[:m], r.pending[m+1:]...)
+		r.now = e.at
+		r.fired = append(r.fired, e.ev.id)
+		for _, c := range e.ev.children() {
+			r.at(r.now+c.delay, c.ev)
+		}
+	}
+}
+
+// TestDifferentialAgainstSortedReference drives the queue and the
+// reference with one random script — coarse timestamps so many are equal,
+// events that schedule further events (also at the current instant) while
+// firing, and interleaved Run/RunBefore/RunBand/Drain with SetSeqBase —
+// and requires the same firing order, clock, sequence counter and pending
+// count after every step.
+func TestDifferentialAgainstSortedReference(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		s := New()
+		ref := &refQueue{}
+		var fired []uint64
+		var fire func(any)
+		fire = func(a any) {
+			ev := a.(scripted)
+			fired = append(fired, ev.id)
+			for _, c := range ev.children() {
+				s.AfterArg(c.delay, fire, c.ev)
+			}
+		}
+		for step := 0; step < 80; step++ {
+			n, spread := rnd.Intn(12), 8
+			if step%20 == 0 { // a burst, so the heap is several levels deep
+				n, spread = 300, 60
+			}
+			for ; n > 0; n-- {
+				at := s.Now() + float64(rnd.Intn(spread))/2
+				ev := scripted{id: rnd.Uint64()}
+				s.AtArg(at, fire, ev)
+				ref.at(at, ev)
+			}
+			until := s.Now() + float64(rnd.Intn(6))/2
+			advance := true
+			switch op := rnd.Intn(10); {
+			case op < 4:
+				s.Run(until)
+				ref.run(func(e refEvent) bool { return e.at <= until })
+			case op < 6:
+				s.RunBefore(until)
+				ref.run(func(e refEvent) bool { return e.at < until })
+			case op < 8:
+				below := ref.seq - uint64(rnd.Intn(4))
+				s.RunBand(until, below)
+				ref.run(func(e refEvent) bool {
+					return e.at < until || (e.at == until && e.seq < below)
+				})
+			case op < 9:
+				base := ref.seq + uint64(rnd.Intn(50))
+				s.SetSeqBase(base)
+				if ref.seq < base {
+					ref.seq = base
+				}
+				advance = false
+			default:
+				s.Drain()
+				ref.run(func(refEvent) bool { return true })
+				advance = false
+			}
+			if advance && ref.now < until {
+				ref.now = until
+			}
+			if s.Now() != ref.now || s.Pending() != len(ref.pending) || s.seq != ref.seq {
+				t.Fatalf("seed %d step %d: now %v pending %d seq %d, reference %v %d %d",
+					seed, step, s.Now(), s.Pending(), s.seq, ref.now, len(ref.pending), ref.seq)
+			}
+			if len(fired) != len(ref.fired) {
+				t.Fatalf("seed %d step %d: fired %d events, reference %d", seed, step, len(fired), len(ref.fired))
+			}
+			for i := range fired {
+				if fired[i] != ref.fired[i] {
+					t.Fatalf("seed %d step %d: firing %d is event %x, reference %x", seed, step, i, fired[i], ref.fired[i])
+				}
+			}
+		}
+		if len(fired) < 1500 {
+			t.Fatalf("seed %d fired only %d events; the script is too thin", seed, len(fired))
 		}
 	}
 }
 
 // TestAtAllocatesNothingBeyondClosure pins the fold of At/After onto the
 // arg-carrying form: carrying the caller's func() as the event argument
-// boxes a pointer-shaped value, so with a warm free list scheduling an
-// already-built closure allocates nothing.
+// boxes a pointer-shaped value, so with spare slots in the array
+// scheduling an already-built closure allocates nothing.
 func TestAtAllocatesNothingBeyondClosure(t *testing.T) {
 	s := New()
 	fired := 0
 	fn := func() { fired++ }
 	s.At(0, fn)
 	s.After(0, fn)
-	s.Run(1) // two events on the free list
+	s.Run(1) // the array now holds two spare slots
 	allocs := testing.AllocsPerRun(100, func() {
 		s.At(s.Now(), fn)
 		s.After(0.5, fn)

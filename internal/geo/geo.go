@@ -189,15 +189,6 @@ func (m *Model) BaseRTT(a, b int) float64 {
 	return m.baseRTT[a][b]
 }
 
-// SampleRTT returns one noisy RTT measurement between a and b.
-func (m *Model) SampleRTT(a, b int, rnd *rng.Stream) float64 {
-	base := m.BaseRTT(a, b)
-	if m.JitterSigma <= 0 {
-		return base
-	}
-	return base * rnd.LogNormal(0, m.JitterSigma)
-}
-
 // Loss returns the per-chunk loss probability between a and b.
 func (m *Model) Loss(a, b int) float64 {
 	if a == b {

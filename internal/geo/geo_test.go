@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"math"
 	"testing"
 
 	"vdm/internal/rng"
@@ -88,34 +87,6 @@ func TestGeographicClustering(t *testing.T) {
 	inter /= float64(nx)
 	if inter < 3*intra {
 		t.Fatalf("no clustering: intra %.1f ms vs trans-pacific %.1f ms", intra, inter)
-	}
-}
-
-func TestSampleRTTJitterStatistics(t *testing.T) {
-	m := testModel(t, 4)
-	rnd := rng.New(7)
-	base := m.BaseRTT(0, 40)
-	sum := 0.0
-	const n = 2000
-	for i := 0; i < n; i++ {
-		v := m.SampleRTT(0, 40, rnd)
-		if v <= 0 {
-			t.Fatalf("sampled RTT %v", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-base)/base > 0.05 {
-		t.Fatalf("jitter not centred: mean %.1f vs base %.1f", mean, base)
-	}
-}
-
-func TestSampleRTTNoJitterConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.JitterSigma = 0
-	m := Generate(cfg, rng.New(5))
-	if m.SampleRTT(0, 1, rng.New(1)) != m.BaseRTT(0, 1) {
-		t.Fatal("zero jitter should return the base RTT")
 	}
 }
 

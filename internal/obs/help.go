@@ -80,7 +80,7 @@ var simprofHelp = map[string]string{
 	"vdm_sim_xshard_msgs_total":     "Messages exchanged across shard boundaries at epoch barriers.",
 	"vdm_sim_events_total":          "Discrete events fired by the engine, summed over shards.",
 	"vdm_sim_eventq_depth":          "Pending events across all event queues at the last profiler flush.",
-	"vdm_sim_eventq_free":           "Recycled events on the queues' free lists at the last profiler flush.",
+	"vdm_sim_eventq_free":           "Spare slots in the event queues' arrays at the last profiler flush.",
 }
 
 func registerHelp(r *Registry, m map[string]string) {

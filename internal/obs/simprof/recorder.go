@@ -67,7 +67,7 @@ type ShardState struct {
 	Processed  uint64 // events fired so far
 	Deliveries uint64 // of those, message deliveries the bus fired (the rest are timers)
 	Queue      int    // pending events
-	Free       int    // recycled events on the free list
+	Free       int    // spare slots in the queue's array (eventq.FreeLen)
 }
 
 // EngineMetrics are the registry-exported engine counters. All methods on

@@ -88,8 +88,8 @@ func (d *Dist) finalize() {
 type ShardRow struct {
 	// Events fired on this shard's queue during the interval.
 	Events uint64 `json:"events"`
-	// Queue and Free are the shard queue depth and free-list length at
-	// the flush instant.
+	// Queue and Free are the shard queue's depth and its array's spare
+	// capacity at the flush instant.
 	Queue int `json:"queue"`
 	Free  int `json:"free"`
 	// BusyMS is wall-clock time the shard worker spent executing epoch

@@ -1,7 +1,7 @@
 package overlay
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"vdm/internal/flow"
@@ -424,7 +424,7 @@ func (f *flowState) fillStatus(r *StatusReport) {
 		for id := range f.children {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		r.ChildFlows = make([]ChildFlowStatus, 0, n)
 		for _, id := range ids {
 			cf := f.children[id]

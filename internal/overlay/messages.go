@@ -341,6 +341,56 @@ func IsStreamData(m Message) bool {
 	return false
 }
 
+// TypeName returns what fmt.Sprintf("%T", m) prints, from a static table:
+// a trace tap calls it once per message, where formatting the name costs
+// more than the send it observes. A type the table does not list falls
+// back to %T.
+func TypeName(m Message) string {
+	switch m.(type) {
+	case DataChunk:
+		return "overlay.DataChunk"
+	case Ping:
+		return "overlay.Ping"
+	case Pong:
+		return "overlay.Pong"
+	case InfoRequest:
+		return "overlay.InfoRequest"
+	case InfoResponse:
+		return "overlay.InfoResponse"
+	case ConnRequest:
+		return "overlay.ConnRequest"
+	case ConnResponse:
+		return "overlay.ConnResponse"
+	case ParentChange:
+		return "overlay.ParentChange"
+	case ParentChangeAck:
+		return "overlay.ParentChangeAck"
+	case PathUpdate:
+		return "overlay.PathUpdate"
+	case Detach:
+		return "overlay.Detach"
+	case ParentCheck:
+		return "overlay.ParentCheck"
+	case ParentCheckAck:
+		return "overlay.ParentCheckAck"
+	case Reassign:
+		return "overlay.Reassign"
+	case LeaveNotify:
+		return "overlay.LeaveNotify"
+	case StatusReport:
+		return "overlay.StatusReport"
+	case DataAck:
+		return "overlay.DataAck"
+	case DataNack:
+		return "overlay.DataNack"
+	case Parity:
+		return "overlay.Parity"
+	case Pushback:
+		return "overlay.Pushback"
+	}
+	return fmt.Sprintf("%T", m)
+}
+
 func (Ping) msg()            {}
 func (Pong) msg()            {}
 func (InfoRequest) msg()     {}

@@ -44,9 +44,6 @@ type Network struct {
 	// ShardRouter built the network.
 	ctrs *Counters
 
-	// LossEnable applies Bernoulli loss to data chunks.
-	LossEnable bool
-
 	// CtrlLossProb, when positive, drops each control message with this
 	// probability — fault injection for protocol-robustness tests. The
 	// default 0 models control over retransmitting transport (TCP), as
@@ -151,12 +148,11 @@ var _ Bus = (*Network)(nil)
 func NewNetwork(sim *eventq.Sim, u underlay.Underlay, drawSeed int64) *Network {
 	kj, _ := u.(underlay.KeyedJitter)
 	return &Network{
-		Sim:        sim,
-		U:          u,
-		ctrs:       new(Counters),
-		LossEnable: true,
-		drawSeed:   drawSeed,
-		kj:         kj,
+		Sim:      sim,
+		U:        u,
+		ctrs:     new(Counters),
+		drawSeed: drawSeed,
+		kj:       kj,
 	}
 }
 
@@ -201,7 +197,8 @@ func (n *Network) Now() float64 { return n.Sim.Now() }
 // After schedules fn to run d virtual seconds from now.
 func (n *Network) After(d float64, fn func()) { n.Sim.After(d, fn) }
 
-// AfterArg schedules fn(arg) through the event queue's recycled events.
+// AfterArg schedules fn(arg) d virtual seconds from now without a
+// closure.
 func (n *Network) AfterArg(d float64, fn func(any), arg any) { n.Sim.AfterArg(d, fn, arg) }
 
 // Counters returns the network's (or its fabric's) traffic counters.
@@ -224,7 +221,7 @@ func (n *Network) Send(from, to NodeID, m Message) bool {
 	draw := n.edgeDraws.Next(edgeKey(from, to))
 	if _, data := m.(DataChunk); data {
 		n.ctrs.Data.Add(1)
-		if n.LossEnable && n.drop(from, to, drawStreamData, draw, n.U.LossRate(int(from), int(to))) {
+		if p := n.U.LossRate(int(from), int(to)); p > 0 && n.drop(from, to, drawStreamData, draw, p) {
 			n.ctrs.DataDrops.Add(1)
 			return true
 		}
@@ -248,7 +245,9 @@ func (n *Network) Send(from, to NodeID, m Message) bool {
 	return true
 }
 
-// drop decides one keyed Bernoulli loss.
+// drop decides one keyed Bernoulli loss. Send calls it only for p > 0: a
+// keyed uniform is never below zero, so skipping the draw at probability
+// zero decides the same and saves the hash.
 func (n *Network) drop(from, to NodeID, stream uint32, draw uint64, p float64) bool {
 	return rng.KeyedBool(n.drawSeed, uint64(uint32(from)), uint64(uint32(to)), stream, draw, p)
 }

@@ -1,7 +1,8 @@
 package overlay
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"vdm/internal/flow"
 	"vdm/internal/vdist"
@@ -291,14 +292,14 @@ func (p *Peer) NumChildren() int { return p.pool.Len(&p.children) }
 // appear in information responses.
 func (p *Peer) ChildIDs() []NodeID {
 	out := p.pool.AppendIDs(&p.children, make([]NodeID, 0, p.pool.Len(&p.children)))
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // FosterIDs returns the current foster children sorted by id.
 func (p *Peer) FosterIDs() []NodeID {
 	out := p.pool.AppendIDs(&p.fosters, make([]NodeID, 0, p.pool.Len(&p.fosters)))
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -490,7 +491,7 @@ func (p *Peer) childSnapshot() []ChildInfo {
 	p.pool.Each(&p.children, func(id NodeID, d float64) {
 		out = append(out, ChildInfo{ID: id, Dist: d})
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b ChildInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -723,8 +724,14 @@ func (p *Peer) forwardChunk(m DataChunk) {
 	nc := len(ids)
 	ids = p.appendSortedFosters(ids)
 	p.fanoutIDs = ids
+	if len(ids) == 0 {
+		return
+	}
+	// Box the chunk once: every child's Send shares the one interface
+	// value instead of allocating a copy per child.
+	var msg Message = m
 	for i, c := range ids {
-		if p.net.Send(p.id, c, m) {
+		if p.net.Send(p.id, c, msg) {
 			p.stats.Forwarded++
 		} else if i < nc {
 			// Transport failure: the child silently vanished. Drop it
@@ -741,7 +748,7 @@ func (p *Peer) appendSortedChildren(dst []NodeID) []NodeID {
 	n := len(dst)
 	dst = p.pool.AppendIDs(&p.children, dst)
 	tail := dst[n:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
+	slices.Sort(tail)
 	return dst
 }
 
@@ -750,7 +757,7 @@ func (p *Peer) appendSortedFosters(dst []NodeID) []NodeID {
 	n := len(dst)
 	dst = p.pool.AppendIDs(&p.fosters, dst)
 	tail := dst[n:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
+	slices.Sort(tail)
 	return dst
 }
 

@@ -555,7 +555,7 @@ func newSession(cfg Config) (*session, error) {
 		var mu sync.Mutex
 		traceFn = func(at float64, from, to overlay.NodeID, m overlay.Message) {
 			mu.Lock()
-			trace(at, int(from), int(to), fmt.Sprintf("%T", m))
+			trace(at, int(from), int(to), overlay.TypeName(m))
 			mu.Unlock()
 		}
 	}
@@ -588,18 +588,12 @@ func (l *lockedSink) Emit(e obs.Event) {
 	l.mu.Unlock()
 }
 
-// routerCacheBudgets bounds the lazy SPT and path-loss caches relative to
-// the graph: generous enough that paper-scale topologies never evict, but
-// a hard ceiling so very large graphs cannot hold every tree and path at
-// once.
-func routerCacheBudgets(numRouters int) (spts, pathLoss int) {
-	spts = 4 * numRouters
-	if spts < 4096 {
-		spts = 4096
-	}
-	pathLoss = 1 << 21
-	return spts, pathLoss
-}
+// routerPathLossBudget caps the router underlay's path-loss cache, which
+// is keyed by router pair: generous enough that paper-scale topologies
+// never wipe it, small enough that a very large lossy graph cannot hold
+// every pair at once. Shortest-path trees need no budget; the underlay
+// keeps at most one per router.
+const routerPathLossBudget = 1 << 21
 
 func buildUnderlay(cfg Config, pool int) (underlay.Underlay, error) {
 	switch cfg.Underlay {
@@ -616,7 +610,7 @@ func buildUnderlay(cfg Config, pool int) (underlay.Underlay, error) {
 		}
 		attach := ts.AttachHosts(pool, rng.Derive(cfg.Seed, "attach"))
 		u := underlay.NewRouter(ts.Graph, attach)
-		u.WithCacheBudget(routerCacheBudgets(ts.Graph.NumRouters()))
+		u.WithCacheBudget(routerPathLossBudget)
 		sigma := cfg.RouterJitterSigma
 		if sigma == 0 {
 			sigma = 0.1

@@ -2,62 +2,96 @@ package underlay
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vdm/internal/rng"
 	"vdm/internal/topology"
 )
 
-// TestRouterUnderlayConcurrent exercises the deterministic query paths of
-// one RouterUnderlay from many goroutines; the lazy SPT and path-loss
-// caches used to be unsynchronized, so this test documents (under -race)
-// that a single underlay can back concurrent sessions.
+// TestRouterUnderlayConcurrent hammers one RouterUnderlay from many
+// goroutines: readers query delay and loss between hosts whose
+// shortest-path rows are warm — the lock-free hit path — while other
+// goroutines keep forcing cold rows through the miss path. Every value
+// must equal what a single-threaded twin computes; -race checks the
+// atomic row slots and the path-loss lock.
 func TestRouterUnderlayConcurrent(t *testing.T) {
 	ts, err := topology.GenerateTransitStub(topology.DefaultTransitStub(), rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts.AssignLinkLoss(0.02, rng.New(8))
-	const hosts = 64
+	const hosts, warm = 128, 32
 	attach := ts.AttachHosts(hosts, rng.New(9))
-	u := NewRouter(ts.Graph, attach)
+	u := NewRouter(ts.Graph, attach).WithKeyedJitter(11, 0.1)
 
 	// Reference answers, computed single-threaded on a fresh twin.
-	ref := NewRouter(ts.Graph, attach)
-	wantRTT := make([]float64, hosts)
+	ref := NewRouter(ts.Graph, attach).WithKeyedJitter(11, 0.1)
+	wantDelay := make([]float64, hosts)
 	wantLoss := make([]float64, hosts)
 	for h := 0; h < hosts; h++ {
-		wantRTT[h] = ref.BaseRTT(h, (h+1)%hosts)
+		wantDelay[h] = ref.OneWayDelayMSKeyed(h, (h+1)%hosts, uint64(h))
 		wantLoss[h] = ref.LossRate(h, (h+1)%hosts)
 	}
+	check := func(who string, h int) bool {
+		a, b := h, (h+1)%hosts
+		if got := u.OneWayDelayMSKeyed(a, b, uint64(h)); got != wantDelay[h] {
+			t.Errorf("%s: OneWayDelayMSKeyed(%d,%d) = %v, want %v", who, a, b, got, wantDelay[h])
+			return false
+		}
+		if got := u.LossRate(a, b); got != wantLoss[h] {
+			t.Errorf("%s: LossRate(%d,%d) = %v, want %v", who, a, b, got, wantLoss[h])
+			return false
+		}
+		return true
+	}
+	for h := 0; h < warm; h++ {
+		check("warm-up", h)
+	}
 
-	const workers = 8
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	const readers, colders = 4, 2
+	var cold sync.WaitGroup
+	var coldDone atomic.Bool
+	cold.Add(colders)
+	for w := 0; w < colders; w++ {
 		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				for h := 0; h < hosts; h++ {
-					a, b := h, (h+1)%hosts
-					if got := u.BaseRTT(a, b); got != wantRTT[h] {
-						t.Errorf("worker %d: BaseRTT(%d,%d) = %v, want %v", w, a, b, got, wantRTT[h])
-						return
-					}
-					if got := u.LossRate(a, b); got != wantLoss[h] {
-						t.Errorf("worker %d: LossRate(%d,%d) = %v, want %v", w, a, b, got, wantLoss[h])
-						return
-					}
-					_ = u.PathLinks(a, b)
+			defer cold.Done()
+			// Each takes its own stride of cold source hosts, and all of
+			// them race on the last few.
+			for h := warm + w; h < hosts; h += colders {
+				if !check("cold", h) {
+					return
+				}
+			}
+			for h := hosts - 8; h < hosts; h++ {
+				_ = u.PathLinks(h, 0)
+				if !check("cold", h) {
+					return
 				}
 			}
 		}(w)
 	}
-	wg.Wait()
+	var read sync.WaitGroup
+	read.Add(readers)
+	for w := 0; w < readers; w++ {
+		go func() {
+			defer read.Done()
+			for pass := 0; pass < 4 || !coldDone.Load(); pass++ {
+				for h := 0; h < warm; h++ {
+					if !check("reader", h) {
+						return
+					}
+				}
+			}
+		}()
+	}
+	cold.Wait()
+	coldDone.Store(true)
+	read.Wait()
 }
 
 // TestRouterUnderlayPrecompute verifies the eager fill covers every
-// attachment router so later queries are read-only.
+// attachment router, so later delay queries never take the lock.
 func TestRouterUnderlayPrecompute(t *testing.T) {
 	ts, err := topology.GenerateTransitStub(topology.DefaultTransitStub(), rng.New(3))
 	if err != nil {
@@ -69,12 +103,35 @@ func TestRouterUnderlayPrecompute(t *testing.T) {
 	routers := make(map[topology.RouterID]bool)
 	for _, r := range attach {
 		routers[r] = true
-	}
-	u.mu.RLock()
-	defer u.mu.RUnlock()
-	for r := range routers {
-		if u.sptSlot[r] == 0 {
+		if u.spts[r].Load() == nil {
 			t.Fatalf("router %d SPT not precomputed", r)
 		}
+	}
+	if spts, _ := u.CacheStats(); spts != len(routers) {
+		t.Fatalf("%d trees resident, want one per attachment router (%d)", spts, len(routers))
+	}
+}
+
+// TestWarmDelayLookupAllocatesNothing pins the hit path: with the source
+// router's row resident, a keyed delay lookup is an atomic load, an index
+// and the jitter arithmetic.
+func TestWarmDelayLookupAllocatesNothing(t *testing.T) {
+	ts, err := topology.GenerateTransitStub(topology.DefaultTransitStub(), rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := NewRouter(ts.Graph, ts.AttachHosts(16, rng.New(4))).WithKeyedJitter(5, 0.1)
+	u.Precompute()
+	var draw uint64
+	var sink float64
+	allocs := testing.AllocsPerRun(1000, func() {
+		draw++
+		sink += u.OneWayDelayMSKeyed(int(draw%16), int((draw+5)%16), draw)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm OneWayDelayMSKeyed allocated %v objects per call, want 0", allocs)
+	}
+	if sink <= 0 {
+		t.Fatal("delays summed to nothing")
 	}
 }

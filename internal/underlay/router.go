@@ -13,18 +13,6 @@ import (
 // Hosts on the same router still measure a small positive RTT.
 const hostAccessMS = 0.5
 
-// sptRow is one cached shortest-path tree plus its last-use stamp for
-// budget eviction. The stamp is accessed through the atomic functions
-// (not atomic.Uint64, which vet would flag when rows are appended) so
-// read hits can refresh it under the read lock. Rows live in a dense
-// slice indexed through sptSlot, so the cache adds two small arrays to
-// the SPTs themselves instead of a map of boxed entries.
-type sptRow struct {
-	router topology.RouterID
-	t      *topology.SPT
-	last   uint64
-}
-
 // lossTable is an open-addressed (router pair → end-to-end loss) cache.
 // Keys pack the ordered pair as lo<<32|hi with lo < hi, so key 0 cannot
 // occur (equal routers never enter the cache) and doubles as the empty
@@ -95,8 +83,9 @@ func (t *lossTable) reset() {
 
 // RouterUnderlay routes host-to-host traffic over a router graph along
 // shortest-delay paths. Shortest-path trees are computed lazily per
-// attachment router and cached; WithCacheBudget bounds both caches so a
-// very large topology cannot hold every tree and path-loss entry at once.
+// attachment router and kept: there is one slot per router, so the graph
+// bounds them. WithCacheBudget bounds the path-loss cache, which is keyed
+// by router pair and could otherwise grow quadratically.
 //
 // The deterministic query methods (BaseRTT, LossRate, PathLinks, and the
 // accessors) are safe for concurrent use: the lazy SPT and path-loss
@@ -107,21 +96,22 @@ type RouterUnderlay struct {
 	g      *topology.Graph
 	attach []topology.RouterID // host -> router
 
-	// mu guards the two lazy caches below. Writes (cache misses) take the
-	// full lock and re-check, so each SPT is computed exactly once.
-	mu sync.RWMutex
-	// sptSlot maps router → resident row index + 1 (0 = not cached);
-	// sptRows holds the resident trees densely.
-	sptSlot []int32
-	sptRows []sptRow
-	// pathLoss caches end-to-end loss per ordered (router,router) pair.
-	pathLoss lossTable
+	// spts holds the shortest-path tree rooted at each router, nil until
+	// first use. A hit is one atomic load; a miss takes mu, re-checks,
+	// computes and stores, so each tree is computed exactly once.
+	spts []atomic.Pointer[topology.SPT]
 
-	// Cache budgets: 0 means unlimited. Eviction only changes what is
-	// cached, never a value — evicted entries recompute deterministically.
-	sptBudget      int
+	// lossless records that no link of g has loss, decided once in
+	// NewRouter: LossRate then answers 0 without touching pathLoss.
+	lossless bool
+
+	// mu serializes SPT misses and guards pathLoss.
+	mu sync.RWMutex
+	// pathLoss caches end-to-end loss per ordered (router,router) pair.
+	// pathLossBudget caps its entries, 0 meaning unlimited; hitting the
+	// cap only changes what is cached, never a value.
+	pathLoss       lossTable
 	pathLossBudget int
-	sptClock       atomic.Uint64
 
 	// Jitter (see KeyedJitter): application-level pings and deliveries
 	// observe queueing and processing variation on top of propagation
@@ -147,11 +137,9 @@ func (u *RouterUnderlay) WithKeyedJitter(seed int64, sigma float64) *RouterUnder
 	return u
 }
 
-// WithCacheBudget bounds the lazy caches: at most spts shortest-path
-// trees and pathLoss loss entries stay resident, with least-recently-used
-// trees evicted first. Zero leaves a cache unlimited.
-func (u *RouterUnderlay) WithCacheBudget(spts, pathLoss int) *RouterUnderlay {
-	u.sptBudget = spts
+// WithCacheBudget bounds the path-loss cache to pathLoss resident
+// entries; zero leaves it unlimited.
+func (u *RouterUnderlay) WithCacheBudget(pathLoss int) *RouterUnderlay {
 	u.pathLossBudget = pathLoss
 	return u
 }
@@ -159,20 +147,34 @@ func (u *RouterUnderlay) WithCacheBudget(spts, pathLoss int) *RouterUnderlay {
 // CacheStats reports the resident entry counts of the SPT and path-loss
 // caches.
 func (u *RouterUnderlay) CacheStats() (spts, pathLoss int) {
+	for i := range u.spts {
+		if u.spts[i].Load() != nil {
+			spts++
+		}
+	}
 	u.mu.RLock()
 	defer u.mu.RUnlock()
-	return len(u.sptRows), u.pathLoss.n
+	return spts, u.pathLoss.n
 }
 
 var _ Underlay = (*RouterUnderlay)(nil)
 var _ KeyedJitter = (*RouterUnderlay)(nil)
 
-// NewRouter attaches hosts to the given routers of graph g.
+// NewRouter attaches hosts to the given routers of graph g. Link loss
+// rates must be assigned before the call.
 func NewRouter(g *topology.Graph, attach []topology.RouterID) *RouterUnderlay {
+	lossless := true
+	for _, l := range g.Links() {
+		if l.LossRate > 0 {
+			lossless = false
+			break
+		}
+	}
 	return &RouterUnderlay{
-		g:       g,
-		attach:  attach,
-		sptSlot: make([]int32, g.NumRouters()),
+		g:        g,
+		attach:   attach,
+		spts:     make([]atomic.Pointer[topology.SPT], g.NumRouters()),
+		lossless: lossless,
 	}
 }
 
@@ -186,50 +188,21 @@ func (u *RouterUnderlay) NumLinks() int { return u.g.NumLinks() }
 func (u *RouterUnderlay) AttachmentRouter(h int) topology.RouterID { return u.attach[h] }
 
 func (u *RouterUnderlay) spt(r topology.RouterID) *topology.SPT {
-	u.mu.RLock()
-	if s := u.sptSlot[r]; s > 0 {
-		row := &u.sptRows[s-1]
-		atomic.StoreUint64(&row.last, u.sptClock.Add(1))
-		t := row.t
-		u.mu.RUnlock()
+	if t := u.spts[r].Load(); t != nil {
 		return t
 	}
-	u.mu.RUnlock()
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if s := u.sptSlot[r]; s > 0 {
-		row := &u.sptRows[s-1]
-		atomic.StoreUint64(&row.last, u.sptClock.Add(1))
-		return row.t // another goroutine computed it while we waited
+	if t := u.spts[r].Load(); t != nil {
+		return t // another goroutine computed it while we waited
 	}
-	if u.sptBudget > 0 {
-		for len(u.sptRows) >= u.sptBudget {
-			victim := 0
-			oldest := uint64(math.MaxUint64)
-			for i := range u.sptRows {
-				if last := atomic.LoadUint64(&u.sptRows[i].last); last < oldest {
-					oldest, victim = last, i
-				}
-			}
-			// Swap-remove: the tail row moves into the victim's slot.
-			tail := len(u.sptRows) - 1
-			u.sptSlot[u.sptRows[victim].router] = 0
-			if victim != tail {
-				u.sptRows[victim] = u.sptRows[tail]
-				u.sptSlot[u.sptRows[victim].router] = int32(victim + 1)
-			}
-			u.sptRows[tail].t = nil
-			u.sptRows = u.sptRows[:tail]
-		}
-	}
-	u.sptRows = append(u.sptRows, sptRow{router: r, t: u.g.ShortestPaths(r), last: u.sptClock.Add(1)})
-	u.sptSlot[r] = int32(len(u.sptRows))
-	return u.sptRows[len(u.sptRows)-1].t
+	t := u.g.ShortestPaths(r)
+	u.spts[r].Store(t)
+	return t
 }
 
-// Precompute eagerly fills the SPT cache for every attachment router (up
-// to the configured budget), so subsequent concurrent queries rarely take
-// the write lock.
+// Precompute eagerly fills the SPT cache for every attachment router, so
+// subsequent delay queries never take the lock.
 func (u *RouterUnderlay) Precompute() {
 	seen := make(map[topology.RouterID]bool, len(u.attach))
 	for _, r := range u.attach {
@@ -305,7 +278,7 @@ func (u *RouterUnderlay) MinOneWayDelayMS() float64 {
 // LossRate returns the end-to-end loss probability along the routed path:
 // 1 − Π(1 − loss(link)).
 func (u *RouterUnderlay) LossRate(a, b int) float64 {
-	if a == b {
+	if a == b || u.lossless {
 		return 0
 	}
 	ra, rb := u.attach[a], u.attach[b]
