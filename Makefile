@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet fuzz bench bench-compare bench-experiments bench-scale bench-scale-smoke bench-scale-profile profile-smoke
+.PHONY: check test build vet fuzz bench bench-wire bench-compare profile-cell bench-experiments bench-scale bench-scale-smoke bench-scale-profile profile-smoke
 
 # check is the pre-merge gate: vet + build + race-enabled tests.
 check:
@@ -19,21 +19,28 @@ test:
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/wire/
 
-# bench runs the wire codec, event queue and core join benchmarks plus
-# the data-plane goodput harness, and archives JSON summaries
-# (BENCH_wire.json, BENCH_dataplane.json) so the perf trajectory is
-# tracked PR to PR; every run also appends one line per summary to
-# BENCH_history.jsonl. The data-plane passes are paced (-rate) so both
+# BENCH_PKGS are the packages whose Go benchmarks BENCH_wire.json archives.
+BENCH_PKGS = ./internal/wire/ ./internal/eventq/ ./internal/rng/ ./internal/core/
+
+# bench-wire runs the wire codec, event queue, draw-counter and core join
+# benchmarks and archives their JSON summary (BENCH_wire.json); it is the
+# half of `make bench` that needs no sockets.
+bench-wire:
+	$(GO) test -run='^$$' -bench=. -benchmem $(BENCH_PKGS) | tee bench.out
+	$(GO) run ./cmd/benchjson -history BENCH_history.jsonl < bench.out > BENCH_wire.json
+	@rm -f bench.out
+
+# bench is bench-wire plus the data-plane goodput harness; the JSON
+# summaries (BENCH_wire.json, BENCH_dataplane.json) track the perf
+# trajectory PR to PR, and every run also appends one line per summary
+# to BENCH_history.jsonl. The data-plane passes are paced (-rate) so both
 # modes face the same offered load and their delivery ratios compare
 # (plus two unpaced passes for the capacity ceiling), -payload 256 puts
 # the run in the packet-rate-bound regime batching targets, and
 # -linkkill appends the repair-path recovery metric to the history;
 # benchgate then fails the target if batched delivery regressed below
 # baseline.
-bench:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/wire/ ./internal/eventq/ ./internal/core/ | tee bench.out
-	$(GO) run ./cmd/benchjson -history BENCH_history.jsonl < bench.out > BENCH_wire.json
-	@rm -f bench.out
+bench: bench-wire
 	$(GO) run ./cmd/benchpump -peers 16 -chunks 6000 -payload 256 -rate 8000 -linkkill \
 		-out BENCH_dataplane.json -history BENCH_history.jsonl
 	$(GO) run ./cmd/benchgate -in BENCH_dataplane.json
@@ -43,7 +50,7 @@ bench:
 # than 10% in ns/op — or at all in allocs/op — against the archived
 # BENCH_wire.json baseline.
 bench-compare:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/wire/ ./internal/eventq/ ./internal/core/ | $(GO) run ./cmd/benchjson > bench_new.json
+	$(GO) test -run='^$$' -bench=. -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchjson > bench_new.json
 	$(GO) run ./cmd/benchdiff -old BENCH_wire.json -new bench_new.json
 	@rm -f bench_new.json
 
@@ -78,6 +85,18 @@ bench-scale-profile:
 		-profileout BENCH_simprof.jsonl -out /dev/null
 	$(GO) run ./cmd/vdmprof BENCH_simprof.jsonl
 	@echo "wrote BENCH_simprof.jsonl"
+
+# profile-cell prints where the benchmark's 20 000-peer serial cell spends
+# its CPU: the `pprof -top` ROADMAP asks for before an engine layer is
+# touched. The cell runs three times under one profile, because a single
+# 4 s run is ~400 samples and its shares wander by a point or two.
+# BENCH_pprof_scale_cell.txt holds this target's output for the commit
+# that last changed the engine and for its parent.
+profile-cell:
+	$(GO) run ./cmd/benchscale -peers 20000,20000,20000 -shards 0 -duration 300 -join 150 -seed 7 \
+		-cpuprofile scale_cell.pprof -out /dev/null
+	$(GO) tool pprof -top -nodecount=40 scale_cell.pprof
+	@rm -f scale_cell.pprof
 
 # bench-scale-smoke is the CI variant: small populations swept over
 # serial / S=1 / S=4 in seconds, written to their own file so the

@@ -19,10 +19,11 @@ go test -race ./...
 echo "== benchmark module: go vet + go build"
 (cd benchmark && go vet . && go build -o /dev/null .)
 
-# Build and run the queue's benchmarks once, so benchmark code cannot rot
-# unbuilt (or unable to finish) between `make bench` runs.
-echo "== eventq benchmarks, one iteration"
-go test -run='^$' -bench=EventQ -benchtime=1x ./internal/eventq/
+# Build and run the queue's and the draw-counter table's benchmarks once,
+# so benchmark code cannot rot unbuilt (or unable to finish) between
+# `make bench` runs.
+echo "== eventq and rng benchmarks, one iteration"
+go test -run='^$' -bench='EventQ|EdgeCounters' -benchtime=1x ./internal/eventq/ ./internal/rng/
 
 # Optional perf gate: compare benchmarks against the archived baseline.
 # Off by default (benchmark noise depends on the machine); enable with

@@ -97,8 +97,12 @@ func (n *Node) nextJoinID() overlay.JoinID {
 
 // emit stamps the current join id onto e and forwards it to the tracer.
 // All join-machinery events go through here so every record of one
-// procedure — across restarts — carries the same join_id.
+// procedure — across restarts — carries the same join_id. An untraced node
+// returns before formatting the id: nobody would read it.
 func (n *Node) emit(typ string, e obs.Event) {
+	if n.tracer == nil {
+		return
+	}
 	e.JoinID = n.curJoin.String()
 	n.tracer.Emit(typ, e)
 }

@@ -49,21 +49,53 @@ func BenchmarkEventQ(b *testing.B) {
 func BenchmarkEventQDepth1600(b *testing.B)  { benchEventQAtDepth(b, 1600) }
 func BenchmarkEventQDepth27000(b *testing.B) { benchEventQAtDepth(b, 27000) }
 
-func benchEventQAtDepth(b *testing.B, depth int) {
-	s := New()
+// uniformDelay returns an xorshift source of delays uniform in [0.5, 1.5).
+func uniformDelay() func() float64 {
 	x := uint64(1)
-	delay := func() float64 { // xorshift uniform in [0.5, 1.5)
+	return func() float64 {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
 		return 0.5 + float64(x>>11)/(1<<53)
 	}
+}
+
+func benchEventQAtDepth(b *testing.B, depth int) {
+	s := New()
+	delay := uniformDelay()
 	var tick func(any)
 	tick = func(a any) { s.AfterArg(delay(), tick, a) }
 	for i := 0; i < depth; i++ {
 		s.AtArg(delay(), tick, nil)
 	}
 	s.Run(2)
+	target := s.Processed() + uint64(b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for t := s.Now() + 1; s.Processed() < target; t++ {
+		s.Run(t)
+	}
+}
+
+// BenchmarkEventQTimers20000 is the scale cell's mix: 20 000 watchdogs
+// re-arming every 5 s — a third of that cell's events are such fixed-delay
+// timers — over message deliveries, scheduled at an absolute time as
+// Network.Send does, that keep the heap about 10 000 deep. The timers ride
+// a lane, so their share of the cycle costs no sift; the depth benchmarks
+// above are all random-delay and measure the heap path alone.
+func BenchmarkEventQTimers20000(b *testing.B) {
+	s := New()
+	delay := uniformDelay()
+	var deliver, watchdog func(any)
+	deliver = func(a any) { s.AtArg(s.Now()+delay(), deliver, a) }
+	watchdog = func(a any) { s.AfterArg(5, watchdog, a) }
+	for i := 0; i < 10000; i++ {
+		s.AtArg(delay(), deliver, nil)
+	}
+	for i := 0; i < 20000; i++ {
+		s.AtArg(5*delay(), watchdog, nil)
+	}
+	s.Run(8) // every watchdog has re-armed: the lane holds all of them
 	target := s.Processed() + uint64(b.N)
 	b.ReportAllocs()
 	b.ResetTimer()

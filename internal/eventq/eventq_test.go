@@ -220,7 +220,8 @@ func TestFiredEntryIsUnreachable(t *testing.T) {
 
 // TestArrayShrinksAfterBurst pins the shrink rule: a burst that grows the
 // array must not pin its high-water mark for the rest of the run, and
-// FreeLen — the array's spare capacity — follows the array down.
+// FreeLen — the spare capacity of the array and the lane rings — follows
+// the array down.
 func TestArrayShrinksAfterBurst(t *testing.T) {
 	s := New()
 	const burst = 50000
@@ -251,17 +252,20 @@ func TestArrayShrinksAfterBurst(t *testing.T) {
 	}
 	s.After(1, tick)
 	s.Drain()
-	if got := s.FreeLen(); got > minCap {
-		t.Fatalf("%d spare slots in steady state, want ≤ %d", got, minCap)
+	if got := s.FreeLen(); got > 2*minCap { // the heap array and the chain's lane
+		t.Fatalf("%d spare slots in steady state, want ≤ %d", got, 2*minCap)
 	}
 }
 
 // scripted is an event of the differential test. What it schedules when
-// it fires is a pure function of its id, so the queue under test and the
-// reference expand the same script independently.
+// it fires is a pure function of its fields, so the queue under test and
+// the reference expand the same script independently.
 type scripted struct {
 	id  uint64
 	gen int
+	// period > 0 marks a self-re-arming timer: it schedules itself again
+	// period later, timerGens times, as a watchdog or a data tick does.
+	period float64
 }
 
 type scriptedChild struct {
@@ -276,16 +280,35 @@ func mix(x uint64) uint64 { // splitmix64 finalizer
 	return x ^ x>>31
 }
 
-// children returns up to two successors at delays 0 (the current
-// instant), 0.5, 1 or 1.5; chains end at the fifth generation.
+// scriptedDelays are the fixed delays of the script — more of them than
+// the queue has lanes, delay 0 (the current instant) among them.
+var scriptedDelays = [...]float64{0, 0.5, 1, 1.5, 0.25, 2.5, 5}
+
+const timerGens = 12
+
+// children returns what an event schedules as it fires. A timer re-arms
+// itself with its own period and, one firing in four, also sends a
+// one-shot at a delay no other event shares (a message delivery). Any
+// other event has up to two successors at fixed delays; chains end at the
+// fifth generation.
 func (e scripted) children() []scriptedChild {
+	if e.period > 0 {
+		var out []scriptedChild
+		if e.gen < timerGens {
+			out = append(out, scriptedChild{e.period, scripted{mix(e.id), e.gen + 1, e.period}})
+		}
+		if c := mix(e.id ^ 1<<60); c%4 == 0 {
+			out = append(out, scriptedChild{float64(c>>11) / (1 << 53) * 3, scripted{c, 5, 0}})
+		}
+		return out
+	}
 	if e.gen >= 5 {
 		return nil
 	}
 	var out []scriptedChild
 	for k := uint64(0); k < mix(e.id)%3; k++ {
 		c := mix(e.id ^ (k+1)<<56)
-		out = append(out, scriptedChild{float64(c%4) / 2, scripted{c, e.gen + 1}})
+		out = append(out, scriptedChild{scriptedDelays[c%uint64(len(scriptedDelays))], scripted{c, e.gen + 1, 0}})
 	}
 	return out
 }
@@ -335,9 +358,12 @@ func (r *refQueue) run(due func(refEvent) bool) {
 // TestDifferentialAgainstSortedReference drives the queue and the
 // reference with one random script — coarse timestamps so many are equal,
 // events that schedule further events (also at the current instant) while
-// firing, and interleaved Run/RunBefore/RunBand/Drain with SetSeqBase —
+// firing, a population of self-re-arming timers at more distinct fixed
+// delays than there are lanes mixed with one-shots at delays nothing else
+// shares, and interleaved Run/RunBefore/RunBand/Drain with SetSeqBase —
 // and requires the same firing order, clock, sequence counter and pending
-// count after every step.
+// count after every step. The lanes are an optimisation the reference
+// does not have, so this is their proof of order.
 func TestDifferentialAgainstSortedReference(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -352,6 +378,7 @@ func TestDifferentialAgainstSortedReference(t *testing.T) {
 				s.AfterArg(c.delay, fire, c.ev)
 			}
 		}
+		inLanes, inHeap := false, false
 		for step := 0; step < 80; step++ {
 			n, spread := rnd.Intn(12), 8
 			if step%20 == 0 { // a burst, so the heap is several levels deep
@@ -360,9 +387,16 @@ func TestDifferentialAgainstSortedReference(t *testing.T) {
 			for ; n > 0; n-- {
 				at := s.Now() + float64(rnd.Intn(spread))/2
 				ev := scripted{id: rnd.Uint64()}
+				if rnd.Intn(6) == 0 {
+					ev.period = scriptedDelays[1+rnd.Intn(len(scriptedDelays)-1)]
+				}
 				s.AtArg(at, fire, ev)
 				ref.at(at, ev)
 			}
+			for i := range s.lanes {
+				inLanes = inLanes || s.lanes[i].n > 1
+			}
+			inHeap = inHeap || len(s.events) > 0
 			until := s.Now() + float64(rnd.Intn(6))/2
 			advance := true
 			switch op := rnd.Intn(10); {
@@ -408,6 +442,9 @@ func TestDifferentialAgainstSortedReference(t *testing.T) {
 		}
 		if len(fired) < 1500 {
 			t.Fatalf("seed %d fired only %d events; the script is too thin", seed, len(fired))
+		}
+		if !inLanes || !inHeap {
+			t.Fatalf("seed %d: lanes used %v, heap used %v; the script must exercise both", seed, inLanes, inHeap)
 		}
 	}
 }

@@ -63,7 +63,7 @@ type Network struct {
 
 	drawSeed  int64
 	kj        underlay.KeyedJitter // nil: the underlay has no jitter to key
-	edgeDraws rng.CounterTable
+	edgeDraws rng.EdgeCounters
 
 	// freeDel recycles delivery records: every Send schedules one, so
 	// without reuse delivery closures dominate a session's allocations.
@@ -82,11 +82,6 @@ const (
 	drawStreamData uint32 = 1
 	drawStreamCtrl uint32 = 2
 )
-
-// edgeKey packs a directed edge for the per-edge draw counters.
-func edgeKey(from, to NodeID) uint64 {
-	return uint64(uint32(from))<<32 | uint64(uint32(to))
-}
 
 // SendProbe observes every Send on a simulated bus, including sends the
 // network subsequently drops — the profiling tap behind the simulation
@@ -218,7 +213,7 @@ func (n *Network) Send(from, to NodeID, m Message) bool {
 	if n.probe != nil {
 		n.probe.ObserveSend(from, to, m)
 	}
-	draw := n.edgeDraws.Next(edgeKey(from, to))
+	draw := n.edgeDraws.Next(uint32(from), uint32(to))
 	if _, data := m.(DataChunk); data {
 		n.ctrs.Data.Add(1)
 		if p := n.U.LossRate(int(from), int(to)); p > 0 && n.drop(from, to, drawStreamData, draw, p) {

@@ -14,7 +14,8 @@ import (
 // function of (seed, edge a→b, stream id, draw index): as long as each
 // party advances its own draw indices deterministically, the values it
 // sees are independent of global execution order — which is what makes a
-// sharded run byte-identical to a serial one.
+// sharded run byte-identical to a serial one. EdgeCounters keeps the draw
+// indices: one slot per pair of endpoints, one count per direction.
 
 // DeriveSeed returns the seed Derive(seed, name) would build its stream
 // from, without constructing the stream. It lets stateless keyed draws

@@ -112,12 +112,16 @@ func (g *Graph) Connected() bool {
 }
 
 // SPT is a shortest-path tree rooted at one router: distances (one-way, ms)
-// and, for path reconstruction, the predecessor link of every router.
+// and, for path reconstruction, the predecessor link of every router. A
+// row is 12 bytes per router — the float64 distance and an int32 link id
+// (-1: the root, or unreachable) — because a session keeps one tree per
+// attachment router in use. The predecessor router is not stored: it is
+// the other end of the predecessor link.
 type SPT struct {
 	Root     RouterID
 	DistMS   []float64
-	prevLink []LinkID
-	prevHop  []RouterID
+	prevLink []int32
+	links    []Link // the graph's links, for the far end of a prevLink
 }
 
 // ShortestPaths runs Dijkstra from root over link delays.
@@ -126,13 +130,12 @@ func (g *Graph) ShortestPaths(root RouterID) *SPT {
 	t := &SPT{
 		Root:     root,
 		DistMS:   make([]float64, n),
-		prevLink: make([]LinkID, n),
-		prevHop:  make([]RouterID, n),
+		prevLink: make([]int32, n),
+		links:    g.links,
 	}
 	for i := range t.DistMS {
 		t.DistMS[i] = math.Inf(1)
 		t.prevLink[i] = -1
-		t.prevHop[i] = -1
 	}
 	t.DistMS[root] = 0
 
@@ -149,13 +152,22 @@ func (g *Graph) ShortestPaths(root RouterID) *SPT {
 			nd := it.d + g.links[he.link].DelayMS
 			if nd < t.DistMS[he.to] {
 				t.DistMS[he.to] = nd
-				t.prevLink[he.to] = he.link
-				t.prevHop[he.to] = it.r
+				t.prevLink[he.to] = int32(he.link)
 				pq.push(distItem{r: he.to, d: nd})
 			}
 		}
 	}
 	return t
+}
+
+// hop returns the router one link closer to the root than r: the other
+// end of r's predecessor link.
+func (t *SPT) hop(r RouterID) RouterID {
+	l := &t.links[t.prevLink[r]]
+	if l.A == r {
+		return l.B
+	}
+	return l.A
 }
 
 // PathLinks returns the link ids along the shortest path from the tree root
@@ -166,8 +178,8 @@ func (t *SPT) PathLinks(dst RouterID) []LinkID {
 		return nil
 	}
 	var out []LinkID
-	for r := dst; r != t.Root; r = t.prevHop[r] {
-		out = append(out, t.prevLink[r])
+	for r := dst; r != t.Root; r = t.hop(r) {
+		out = append(out, LinkID(t.prevLink[r]))
 	}
 	return out
 }
@@ -179,7 +191,7 @@ func (t *SPT) HopCount(dst RouterID) int {
 		return -1
 	}
 	n := 0
-	for r := dst; r != t.Root; r = t.prevHop[r] {
+	for r := dst; r != t.Root; r = t.hop(r) {
 		n++
 	}
 	return n

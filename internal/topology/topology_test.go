@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -290,5 +291,83 @@ func TestInvalidTransitStubConfig(t *testing.T) {
 	_, err := GenerateTransitStub(TransitStubConfig{}, rng.New(1))
 	if err == nil {
 		t.Fatal("zero config accepted")
+	}
+}
+
+// refSPT is the row layout ShortestPaths had before it was halved: the
+// predecessor link and the predecessor router side by side. The search is
+// ShortestPaths' own (same heap, same strict relaxation), so among
+// equal-cost paths both pick the same one.
+type refSPT struct {
+	dist       []float64
+	prevLink   []LinkID
+	prevRouter []RouterID
+}
+
+func refShortestPaths(g *Graph, root RouterID) *refSPT {
+	n := g.NumRouters()
+	t := &refSPT{make([]float64, n), make([]LinkID, n), make([]RouterID, n)}
+	for i := range t.dist {
+		t.dist[i], t.prevLink[i], t.prevRouter[i] = math.Inf(1), -1, -1
+	}
+	t.dist[root] = 0
+	pq := &distHeap{}
+	pq.push(distItem{r: root, d: 0})
+	done := make([]bool, n)
+	for pq.len() > 0 {
+		it := pq.pop()
+		if done[it.r] {
+			continue
+		}
+		done[it.r] = true
+		for _, he := range g.adj[it.r] {
+			if nd := it.d + g.links[he.link].DelayMS; nd < t.dist[he.to] {
+				t.dist[he.to], t.prevLink[he.to], t.prevRouter[he.to] = nd, he.link, it.r
+				pq.push(distItem{r: he.to, d: nd})
+			}
+		}
+	}
+	return t
+}
+
+// TestSPTRowsMatchTwoArrayReference: dropping the predecessor router from
+// the row (it is the other end of the predecessor link) must not change a
+// path. Checked on generated transit-stub graphs extended by an island the
+// root cannot reach, for every destination including the root itself.
+func TestSPTRowsMatchTwoArrayReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		ts, err := GenerateTransitStub(DefaultTransitStub(), rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := ts.Graph.NumRouters()
+		g := NewGraph(n + 3) // routers n, n+1 (linked) and n+2 are an island
+		for _, l := range ts.Graph.Links() {
+			mustLink(t, g, l.A, l.B, l.DelayMS)
+		}
+		mustLink(t, g, RouterID(n), RouterID(n+1), 1)
+		for _, root := range []RouterID{0, RouterID(n / 2), RouterID(n - 1), RouterID(n)} {
+			got, want := g.ShortestPaths(root), refShortestPaths(g, root)
+			for dst := RouterID(0); int(dst) < g.NumRouters(); dst++ {
+				var links []LinkID
+				hops := -1
+				if !math.IsInf(want.dist[dst], 1) {
+					hops = 0
+					for r := dst; r != root; r = want.prevRouter[r] {
+						links = append(links, want.prevLink[r])
+						hops++
+					}
+				}
+				if h := got.HopCount(dst); h != hops {
+					t.Fatalf("seed %d root %d dst %d: HopCount %d, reference %d", seed, root, dst, h, hops)
+				}
+				if p := got.PathLinks(dst); !slices.Equal(p, links) {
+					t.Fatalf("seed %d root %d dst %d: PathLinks %v, reference %v", seed, root, dst, p, links)
+				}
+				if (dst == root || hops < 0) && got.PathLinks(dst) != nil {
+					t.Fatalf("seed %d root %d dst %d: want a nil path", seed, root, dst)
+				}
+			}
+		}
 	}
 }

@@ -22,7 +22,7 @@ type GeoUnderlay struct {
 
 	keyedSeed int64
 	rttMu     sync.Mutex
-	rttDraws  map[uint64]uint64
+	rttDraws  rng.EdgeCounters
 
 	minOnce   sync.Once
 	minOneWay float64
@@ -34,7 +34,7 @@ var _ KeyedJitter = (*GeoUnderlay)(nil)
 // NewGeoKeyed builds an underlay over the given sites of model m, with
 // jitter keyed under seed (see KeyedJitter).
 func NewGeoKeyed(m *geo.Model, sites []int, seed int64) *GeoUnderlay {
-	return &GeoUnderlay{m: m, sites: sites, keyedSeed: seed, rttDraws: make(map[uint64]uint64)}
+	return &GeoUnderlay{m: m, sites: sites, keyedSeed: seed}
 }
 
 // NumHosts reports the number of hosts.
@@ -58,9 +58,7 @@ func (u *GeoUnderlay) RTT(a, b int) float64 {
 		return base
 	}
 	u.rttMu.Lock()
-	k := pairKey(a, b)
-	n := u.rttDraws[k]
-	u.rttDraws[k] = n + 1
+	n := u.rttDraws.Next(uint32(a), uint32(b))
 	u.rttMu.Unlock()
 	return base * rng.KeyedLogNormal(u.keyedSeed, uint64(uint32(a)), uint64(uint32(b)), keyedStreamRTT, n, 0, u.m.JitterSigma)
 }

@@ -116,13 +116,13 @@ type RouterUnderlay struct {
 	// Jitter (see KeyedJitter): application-level pings and deliveries
 	// observe queueing and processing variation on top of propagation
 	// delay, drawn as pure functions of (seed, edge, draw index). RTT
-	// measurements key on a per-pair counter — each pair is only ever
-	// probed from one peer's event loop at a time, but the table itself
-	// needs a lock under concurrent shards.
+	// measurements key on a per-direction counter of the pair's slot — each
+	// pair is only ever probed from one peer's event loop at a time, but the
+	// table itself needs a lock under concurrent shards.
 	jitterSigma float64
 	keyedSeed   int64
 	rttMu       sync.Mutex
-	rttDraws    rng.CounterTable
+	rttDraws    rng.EdgeCounters
 }
 
 // WithKeyedJitter makes RTT measurements and deliveries (not base
@@ -225,9 +225,6 @@ func (u *RouterUnderlay) oneWay(a, b int) float64 {
 // BaseRTT returns the deterministic round-trip time in ms.
 func (u *RouterUnderlay) BaseRTT(a, b int) float64 { return 2 * u.oneWay(a, b) }
 
-// pairKey packs an ordered host pair for the RTT draw counters.
-func pairKey(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
-
 // RTT returns one round-trip-time measurement, with lognormal jitter when
 // configured.
 func (u *RouterUnderlay) RTT(a, b int) float64 {
@@ -236,7 +233,7 @@ func (u *RouterUnderlay) RTT(a, b int) float64 {
 		return base
 	}
 	u.rttMu.Lock()
-	n := u.rttDraws.Next(pairKey(a, b))
+	n := u.rttDraws.Next(uint32(a), uint32(b))
 	u.rttMu.Unlock()
 	return base * rng.KeyedLogNormal(u.keyedSeed, uint64(uint32(a)), uint64(uint32(b)), keyedStreamRTT, n, 0, u.jitterSigma)
 }
