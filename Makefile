@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet fuzz bench bench-wire bench-compare profile-cell bench-experiments bench-scale bench-scale-smoke bench-scale-profile profile-smoke
+.PHONY: check test build vet fuzz bench bench-compare profile-cell bench-experiments bench-scale bench-scale-smoke bench-scale-profile profile-smoke
 
 # check is the pre-merge gate: vet + build + race-enabled tests.
 check:
@@ -22,37 +22,23 @@ fuzz:
 # BENCH_PKGS are the packages whose Go benchmarks BENCH_wire.json archives.
 BENCH_PKGS = ./internal/wire/ ./internal/eventq/ ./internal/rng/ ./internal/core/
 
-# bench-wire runs the wire codec, event queue, draw-counter and core join
-# benchmarks and archives their JSON summary (BENCH_wire.json); it is the
-# half of `make bench` that needs no sockets.
-bench-wire:
+# bench runs the wire codec, event queue, draw-counter and core join
+# benchmarks and archives their JSON summary (BENCH_wire.json), which
+# tracks the perf trajectory PR to PR; every run also appends one line to
+# BENCH_history.jsonl. The live data plane is measured by
+# `bash benchmark/run.sh` (the live-clean-stream and live-lossy-stream
+# workloads), not here.
+bench:
 	$(GO) test -run='^$$' -bench=. -benchmem $(BENCH_PKGS) | tee bench.out
 	$(GO) run ./cmd/benchjson -history BENCH_history.jsonl < bench.out > BENCH_wire.json
 	@rm -f bench.out
 
-# bench is bench-wire plus the data-plane goodput harness; the JSON
-# summaries (BENCH_wire.json, BENCH_dataplane.json) track the perf
-# trajectory PR to PR, and every run also appends one line per summary
-# to BENCH_history.jsonl. The data-plane passes are paced (-rate) so both
-# modes face the same offered load and their delivery ratios compare
-# (plus two unpaced passes for the capacity ceiling), -payload 256 puts
-# the run in the packet-rate-bound regime batching targets, and
-# -linkkill appends the repair-path recovery metric to the history;
-# benchgate then fails the target if batched delivery regressed below
-# baseline.
-bench: bench-wire
-	$(GO) run ./cmd/benchpump -peers 16 -chunks 6000 -payload 256 -rate 8000 -linkkill \
-		-out BENCH_dataplane.json -history BENCH_history.jsonl
-	$(GO) run ./cmd/benchgate -in BENCH_dataplane.json
-	@echo "wrote BENCH_wire.json BENCH_dataplane.json"
-
 # bench-compare re-runs the benchmarks and fails if any regressed more
 # than 10% in ns/op — or at all in allocs/op — against the archived
-# BENCH_wire.json baseline.
+# BENCH_wire.json baseline (matched by name without the GOMAXPROCS suffix,
+# so the baseline's core count need not be this machine's).
 bench-compare:
-	$(GO) test -run='^$$' -bench=. -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchjson > bench_new.json
-	$(GO) run ./cmd/benchdiff -old BENCH_wire.json -new bench_new.json
-	@rm -f bench_new.json
+	$(GO) test -run='^$$' -bench=. -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -compare BENCH_wire.json
 
 # bench-experiments times a fixed experiment selection serial vs parallel
 # and archives the wall-clock numbers (BENCH_experiments.json).
@@ -64,16 +50,13 @@ bench-experiments:
 # bench-scale sweeps the sharded engine's peers × shards grid up to the
 # 100k-peer scenario, plus a single 500k-peer cell at the largest shard
 # count, and archives the scaling curve (BENCH_scale.json: wall clock
-# split join/steady, peak heap, bytes/peer, events/s per cell). The
-# memory gate then holds the 100k+ cells to the 6 KB/peer budget and
-# compares against the committed artifact from the previous quiet-machine
-# run. Long — an hour or more; the committed artifact comes from this
-# target on a quiet machine.
+# split join/steady, peak heap, bytes/peer, events/s per cell), holding
+# the 100k+ cells to the 6 KB/peer budget (-maxbpp). Long — an hour or
+# more; the committed artifact comes from this target on a quiet machine.
 bench-scale:
 	$(GO) run ./cmd/benchscale -peers 1000,10000,100000 -shards 0,1,2,4 \
-		-xpeers 500000 -duration 300 -join 150 -v \
+		-xpeers 500000 -duration 300 -join 150 -v -maxbpp 6000 \
 		-out BENCH_scale.json -history BENCH_history.jsonl
-	$(GO) run ./cmd/benchgate -scale BENCH_scale.json -maxbpp 6000
 	@echo "wrote BENCH_scale.json"
 
 # bench-scale-profile records the committed flight-recorder artifact: the
@@ -110,9 +93,8 @@ profile-cell:
 # regressed committed report fails CI even without a long re-run.
 bench-scale-smoke:
 	$(GO) run ./cmd/benchscale -peers 500,1000 -shards 0,1,4 -duration 120 -join 60 \
-		-gate 1.5 -out BENCH_scale_smoke.json
-	$(GO) run ./cmd/benchgate -scale BENCH_scale_smoke.json -maxbpp 120000
-	$(GO) run ./cmd/benchgate -scale BENCH_scale.json -maxbpp 6000
+		-gate 1.5 -maxbpp 120000 -out BENCH_scale_smoke.json
+	$(GO) run ./cmd/benchscale -check BENCH_scale.json -maxbpp 6000
 	@echo "wrote BENCH_scale_smoke.json"
 
 # profile-smoke exercises the whole flight-recorder path in seconds: a

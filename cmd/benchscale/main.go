@@ -11,11 +11,13 @@
 // the largest shard count only; and -chapter appends a chapter-3
 // experiment re-run at 100× the paper's population (200 → 20,000
 // peers). The sweep pins GOGC (-gogc, default 50) so peak-heap numbers
-// are reproducible; cmd/benchgate consumes bytes_per_peer as a memory
-// regression gate.
+// are reproducible, and -maxbpp holds bytes_per_peer to a memory budget:
+// on the report just produced, or with -check FILE on a committed one
+// without running a sweep.
 //
 //	benchscale -peers 1000,10000,100000 -shards 0,1,4 -xpeers 500000 -out BENCH_scale.json
 //	benchscale -peers 500,1000 -shards 0,1,4 -duration 120 -gate 1.5  # CI smoke
+//	benchscale -check BENCH_scale.json -maxbpp 6000
 package main
 
 import (
@@ -131,8 +133,25 @@ func main() {
 		profS      = flag.Float64("profile", 0, "flight-recorder flush interval in simulated seconds (0 = default 10; needs -profileout)")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep here")
 		gogc       = flag.Int("gogc", 50, "GC target percent for the sweep (0 = leave the runtime default); the memory-lean setting the scale roadmap budgets against")
+		maxBPP     = flag.Float64("maxbpp", 0, "fail if a cell at or above 100k peers (or the sweep's largest population, if smaller) exceeds this many bytes per peer (0 = no cap)")
+		check      = flag.String("check", "", "run no sweep: re-assert identical_output and -maxbpp on this existing report")
 	)
 	flag.Parse()
+
+	if *check != "" {
+		data, err := os.ReadFile(*check)
+		if err != nil {
+			fatal(err)
+		}
+		var rep report
+		if err := json.Unmarshal(data, &rep); err != nil {
+			fatal(fmt.Errorf("%s: %w", *check, err))
+		}
+		if err := gateReport(&rep, *maxBPP); err != nil {
+			fatal(fmt.Errorf("%s: %w", *check, err))
+		}
+		return
+	}
 
 	// Peak heap scales with GOGC (a GOGC=100 peak is roughly 2× the live
 	// set); the sweep pins it so bytes_per_peer is a property of the
@@ -373,12 +392,52 @@ func main() {
 		}
 	}
 
-	if !rep.IdenticalOutput {
-		fatal(fmt.Errorf("sharded output diverged from serial (see cells above)"))
+	if err := gateReport(&rep, *maxBPP); err != nil {
+		fatal(err)
 	}
 	if *gate > 0 && rep.S1OverheadRatio > *gate {
 		fatal(fmt.Errorf("S=1 overhead ratio %.3f exceeds gate %.3f", rep.S1OverheadRatio, *gate))
 	}
+}
+
+// bppFloor is the population at and above which bytes-per-peer is held to
+// -maxbpp. Smaller cells are dominated by fixed costs (topology, routing
+// caches) and would read as absurd per-peer numbers.
+const bppFloor = 100_000
+
+// gateReport is the pass/fail half of the harness: the engines'
+// determinism contract, and the bytes-per-peer cap on every cell at or
+// above bppFloor. A sweep that never reaches the floor (CI smoke) has its
+// largest population gated instead, so -maxbpp asserts something
+// everywhere.
+func gateReport(r *report, maxBPP float64) error {
+	if len(r.Cells) == 0 {
+		return fmt.Errorf("report has no cells")
+	}
+	if !r.IdenticalOutput {
+		return fmt.Errorf("sharded output diverged from serial")
+	}
+	if maxBPP <= 0 {
+		return nil
+	}
+	gateAt := min(maxPeers(r.Cells), bppFloor)
+	over := 0
+	for _, c := range r.Cells {
+		if c.Peers < gateAt {
+			continue
+		}
+		verdict := "ok"
+		if c.BytesPerPeer > maxBPP {
+			verdict = "OVER"
+			over++
+		}
+		fmt.Printf("%-4s peers=%d shards=%d  %.1f MB peak  %.0f B/peer (budget %.0f)\n",
+			verdict, c.Peers, c.Shards, c.PeakHeapMB, c.BytesPerPeer, maxBPP)
+	}
+	if over > 0 {
+		return fmt.Errorf("%d cell(s) over the %.0f B/peer budget", over, maxBPP)
+	}
+	return nil
 }
 
 // runCell executes one configuration and measures wall time, the

@@ -9,8 +9,7 @@
 // integration (who to ack, when to NACK, which neighbor repairs a dead
 // uplink) lives in internal/overlay, which composes these pieces into the
 // per-peer flow state machine. Keeping the mechanisms here lets them be
-// tested exhaustively without a network and reused by tooling
-// (benchpump drives the same code paths the daemon runs).
+// tested exhaustively without a network.
 package flow
 
 // Config tunes the reliable data plane. The zero value of every field

@@ -6,6 +6,8 @@ import (
 
 	"vdm/internal/flow"
 	"vdm/internal/overlay"
+	"vdm/internal/transport"
+	"vdm/internal/wire"
 )
 
 // pollUntil spins until cond holds or the deadline passes.
@@ -120,6 +122,92 @@ func TestClusterLinkKillRepair(t *testing.T) {
 	}
 	served := int64(0)
 	for _, p := range c.Peers {
+		served += p.FlowStats().RetransmitsServed
+	}
+	if served == 0 {
+		t.Error("no peer served a retransmit; recovery path unexercised")
+	}
+}
+
+// TestUDPLinkKillRepair is TestClusterLinkKillRepair on real sockets: a
+// degree-2 tree of UDP peers streams with flow control on, then the send
+// filter on the victim's parent silently drops stream data toward the
+// victim only. The victim must still end up with ≥95% of the stream,
+// through retransmits served over its repair path, under the same parent.
+func TestUDPLinkKillRepair(t *testing.T) {
+	c := bootUDP(t, 6, 2, &flow.Config{
+		RateChunksPerS: 20000,
+		TickS:          0.01,
+		StallS:         0.05,
+		NackDelayS:     0.01,
+		AckEvery:       4,
+		FECGroup:       8,
+		PullWidth:      64,
+	})
+
+	// Victim: the first joiner parked under another joiner; the filter
+	// goes on that parent's socket.
+	var victim *Peer
+	var parentTr *transport.UDP
+	var vParent overlay.NodeID
+	for _, p := range c.peers {
+		if pa := p.View().ParentID(); pa != 0 && pa != overlay.None {
+			victim, vParent = p, pa
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("no depth-2 peer in a degree-2 tree of 6 joiners")
+	}
+	for i, p := range c.peers {
+		if p.ID() == vParent {
+			parentTr = c.trs[i+1]
+		}
+	}
+
+	// The longest stretch, from the kill onward, in which the victim's
+	// count stood still is the outage the repair path had to bridge.
+	var lastRecv int64
+	var outage time.Duration
+	lastAdvance := time.Now()
+	observe := func() {
+		if r := victim.Stats().Received; r != lastRecv {
+			outage = max(outage, time.Since(lastAdvance))
+			lastRecv, lastAdvance = r, time.Now()
+		}
+	}
+	emit := func(from, to int) {
+		for seq := from; seq < to; seq++ {
+			c.src.EmitChunk(int64(seq))
+			time.Sleep(time.Millisecond)
+			observe()
+		}
+	}
+
+	const warm, total = 40, 200
+	emit(0, warm)
+	if !pollUntil(5*time.Second, func() bool { observe(); return lastRecv == warm }) {
+		t.Fatalf("victim %d received %d of %d before link kill", victim.ID(), lastRecv, warm)
+	}
+
+	victimID := victim.ID()
+	parentTr.SetSendFilter(func(to overlay.NodeID, f wire.Frame, attempt int) bool {
+		return to == victimID && f.Kind == wire.KindMsg && overlay.IsStreamData(f.Msg)
+	})
+	lastAdvance, outage = time.Now(), 0
+
+	emit(warm, total)
+	pollUntil(10*time.Second, func() bool { observe(); return lastRecv == total })
+	t.Logf("victim %d under %d: %d of %d chunks, longest outage %v", victimID, vParent, lastRecv, total, outage)
+
+	if lastRecv < total*95/100 {
+		t.Errorf("victim recovered %d of %d chunks after link kill (flow stats %+v)", lastRecv, total, victim.FlowStats())
+	}
+	if got := victim.View().ParentID(); got != vParent {
+		t.Errorf("victim re-parented %d → %d; repair should not touch the tree", vParent, got)
+	}
+	served := c.src.FlowStats().RetransmitsServed
+	for _, p := range c.peers {
 		served += p.FlowStats().RetransmitsServed
 	}
 	if served == 0 {

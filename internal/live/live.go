@@ -270,12 +270,9 @@ var (
 
 // DataQueueDepth reports the transport's unsent data backlog toward to —
 // the congestion signal overlay flow control folds into its ECN-style
-// pushback. Zero when the transport cannot measure it.
+// pushback.
 func (b *peerBus) DataQueueDepth(to overlay.NodeID) int {
-	if qd, ok := b.peer.tr.(transport.QueueDepther); ok {
-		return qd.DataQueueDepth(to)
-	}
-	return 0
+	return b.peer.tr.DataQueueDepth(to)
 }
 
 func (b *peerBus) Now() float64 { return time.Since(b.epoch).Seconds() }
@@ -284,19 +281,11 @@ func (b *peerBus) Send(from, to overlay.NodeID, m overlay.Message) bool {
 	return b.peer.tr.Send(from, to, m)
 }
 
-// SendFanout delivers one message to many destinations, delegating to the
+// SendFanout delivers one message to many destinations through the
 // transport's batch path (single encode on UDP, single lock acquisition
-// on Mem) when it has one.
+// on Mem).
 func (b *peerBus) SendFanout(from overlay.NodeID, tos []overlay.NodeID, m overlay.Message, failed []overlay.NodeID) []overlay.NodeID {
-	if bs, ok := b.peer.tr.(transport.BatchSender); ok {
-		return bs.SendBatch(from, tos, m, failed)
-	}
-	for _, to := range tos {
-		if !b.peer.tr.Send(from, to, m) {
-			failed = append(failed, to)
-		}
-	}
-	return failed
+	return b.peer.tr.SendBatch(from, tos, m, failed)
 }
 
 // After schedules fn on the peer's mailbox loop d seconds from now. The

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vdm/internal/core"
+	"vdm/internal/flow"
 	"vdm/internal/overlay"
 	"vdm/internal/transport"
 )
@@ -142,86 +143,92 @@ func validateSubset(views []overlay.TreeView, maxDegree int) []string {
 	return errs
 }
 
-// TestUDPSessionEndToEnd runs a miniature deployment the way cmd/vdmd
-// does: one UDP transport per peer, Hello/Welcome bootstrap, VDM join,
-// and a short stream.
-func TestUDPSessionEndToEnd(t *testing.T) {
-	const nJoiners = 5
+// udpCluster is a miniature deployment the way cmd/vdmd runs one: every
+// peer on its own UDP socket.
+type udpCluster struct {
+	src   *Peer
+	peers []*Peer          // joiners, in join order
+	trs   []*transport.UDP // trs[0] is the source's, trs[i+1] is peers[i]'s
+}
+
+// bootUDP boots a source and joiners over loopback UDP (Hello/Welcome
+// bootstrap, then the VDM join) and returns once every joiner is
+// connected. Teardown is registered on t.
+func bootUDP(t *testing.T, joiners, maxDegree int, flowCfg *flow.Config) *udpCluster {
+	t.Helper()
 	epoch := time.Now()
-
-	newNode := func(bus overlay.Bus, id overlay.NodeID) overlay.Protocol {
-		return core.New(bus, overlay.PeerConfig{
-			ID: id, Source: 0, MaxDegree: 3, IsSource: id == 0,
-		}, core.Config{}, nil)
-	}
-
-	srcTr, err := transport.NewUDP("127.0.0.1:0", transport.UDPConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srcTr.Close()
-	NewSourceSession(srcTr, epoch)
-	srcPeer := NewPeer(srcTr, epoch, func(bus overlay.Bus) overlay.Protocol {
-		return newNode(bus, 0)
-	})
-	defer srcPeer.Stop()
-
-	var peers []*Peer
-	for i := 0; i < nJoiners; i++ {
+	c := &udpCluster{}
+	boot := func(join func(tr *transport.UDP) (overlay.NodeID, time.Time)) *Peer {
 		tr, err := transport.NewUDP("127.0.0.1:0", transport.UDPConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer tr.Close()
-		sess, err := JoinSession(tr, srcTr.LocalAddr(), 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id := sess.ID()
-		if id == overlay.None {
-			t.Fatal("joined session without an id")
-		}
-		// The Welcome hands the joiner the session epoch; on loopback the
-		// adopted clock must land within the Hello→Welcome transit of the
-		// source's own.
-		if skew := sess.Epoch().Sub(epoch); skew < -time.Millisecond || skew > 250*time.Millisecond {
-			t.Fatalf("joiner %d adopted epoch %v off the source's", id, skew)
-		}
-		p := NewPeer(tr, sess.Epoch(), func(bus overlay.Bus) overlay.Protocol {
-			return newNode(bus, id)
+		t.Cleanup(func() { tr.Close() })
+		c.trs = append(c.trs, tr)
+		id, ep := join(tr)
+		p := NewPeer(tr, ep, func(bus overlay.Bus) overlay.Protocol {
+			return core.New(bus, overlay.PeerConfig{
+				ID: id, Source: 0, MaxDegree: maxDegree, IsSource: id == 0, Flow: flowCfg,
+			}, core.Config{}, nil)
 		})
-		defer p.Stop()
-		p.StartJoin()
-		peers = append(peers, p)
+		t.Cleanup(p.Stop)
+		return p
 	}
 
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		all := true
-		for _, p := range peers {
+	c.src = boot(func(tr *transport.UDP) (overlay.NodeID, time.Time) {
+		NewSourceSession(tr, epoch)
+		return 0, epoch
+	})
+	for i := 0; i < joiners; i++ {
+		p := boot(func(tr *transport.UDP) (overlay.NodeID, time.Time) {
+			sess, err := JoinSession(tr, c.trs[0].LocalAddr(), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sess.ID() == overlay.None {
+				t.Fatal("joined session without an id")
+			}
+			// The Welcome hands the joiner the session epoch; on loopback
+			// the adopted clock must land within the Hello→Welcome transit
+			// of the source's own.
+			if skew := sess.Epoch().Sub(epoch); skew < -time.Millisecond || skew > 250*time.Millisecond {
+				t.Fatalf("joiner %d adopted epoch %v off the source's", sess.ID(), skew)
+			}
+			return sess.ID(), sess.Epoch()
+		})
+		p.StartJoin()
+		c.peers = append(c.peers, p)
+	}
+
+	connected := func() bool {
+		for _, p := range c.peers {
 			if !p.Connected() {
-				all = false
-				break
+				return false
 			}
 		}
-		if all {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("UDP peers did not all connect")
-		}
-		time.Sleep(20 * time.Millisecond)
+		return true
 	}
+	if !pollUntil(20*time.Second, connected) {
+		t.Fatal("UDP peers did not all connect")
+	}
+	return c
+}
+
+// TestUDPSessionEndToEnd runs a miniature deployment the way cmd/vdmd
+// does: one UDP transport per peer, Hello/Welcome bootstrap, VDM join,
+// and a short stream.
+func TestUDPSessionEndToEnd(t *testing.T) {
+	c := bootUDP(t, 5, 3, nil)
 
 	const nChunks = 30
 	for seq := 0; seq < nChunks; seq++ {
-		srcPeer.EmitChunk(int64(seq))
+		c.src.EmitChunk(int64(seq))
 		time.Sleep(2 * time.Millisecond)
 	}
 	time.Sleep(200 * time.Millisecond)
 
 	minRecv := int64(nChunks * 95 / 100)
-	for _, p := range peers {
+	for _, p := range c.peers {
 		if got := p.Stats().Received; got < minRecv {
 			t.Errorf("peer %d received %d of %d chunks", p.ID(), got, nChunks)
 		}

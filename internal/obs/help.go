@@ -3,7 +3,7 @@ package obs
 import "sort"
 
 // This file centralises the HELP text for the standard metric families so
-// every binary exposing them (vdmd, benchpump, tests) registers identical
+// every binary exposing them (vdmd, the benchmark, tests) registers identical
 // descriptions, and so the help-lint test can assert the whole standard
 // surface is documented — a family scraping out with the "(no description
 // registered)" fallback is a bug, not a cosmetic gap.

@@ -12,12 +12,10 @@ import (
 // DataplaneStats counters on Mem and UDP, so flow control tuned against
 // the loopback behaves identically over the wire.
 
-// depthTransport is the full capability set both built-in transports
-// expose.
+// depthTransport is a Transport whose data-plane counters can be read,
+// which both built-in transports are.
 type depthTransport interface {
 	Transport
-	BatchSender
-	QueueDepther
 	Dataplane() DataplaneStats
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -359,31 +360,61 @@ func TestDedupeWindowEviction(t *testing.T) {
 	}
 }
 
-// TestUDPBatchDisableFallback checks the Batch.Disable escape hatch: the
-// unbatched path still delivers, with one syscall per sent frame.
-func TestUDPBatchDisableFallback(t *testing.T) {
-	cfg := UDPConfig{Batch: BatchConfig{Disable: true}}
-	a, b := newUDPPair(t, cfg)
-	if a.BatchIO() {
-		t.Fatal("BatchIO active despite Disable")
+// TestUDPPortableFallback forces the path Linux CI cannot otherwise
+// reach: with no mmsg engine the transport reads and writes one datagram
+// per syscall, and batch_generic.go promises the coalescer's queueing
+// semantics hold regardless. A burst, a 3-way SendBatch and a drop-oldest
+// overflow all go through the per-datagram loops.
+func TestUDPPortableFallback(t *testing.T) {
+	newMmsg = func(*net.UDPConn, int) *mmsgIO { return nil }
+	t.Cleanup(func() { newMmsg = newMmsgIO })
+
+	a, b := newUDPPair(t, UDPConfig{Batch: BatchConfig{MaxBatch: 16}})
+	if a.BatchIO() || b.BatchIO() {
+		t.Fatal("BatchIO active with the mmsg engine stubbed out")
 	}
 	var c collector
-	b.Register(2, c.handler())
-	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
-		t.Fatal(err)
+	for id := overlay.NodeID(2); id <= 5; id++ {
+		b.Register(id, c.handler())
+		if err := a.SetRoute(id, b.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
 	}
+
 	const n = 50
 	for i := 0; i < n; i++ {
 		if !a.Send(1, 2, overlay.DataChunk{Seq: int64(i)}) {
 			t.Fatalf("send %d failed", i)
 		}
 	}
-	if !waitFor(t, 2*time.Second, func() bool { return c.count() == n }) {
-		t.Fatalf("delivered %d of %d", c.count(), n)
+	if failed := a.SendBatch(1, []overlay.NodeID{3, 4, 5}, overlay.DataChunk{Seq: n}, nil); len(failed) != 0 {
+		t.Fatalf("SendBatch failed = %v", failed)
+	}
+	if !waitFor(t, 2*time.Second, func() bool { return c.count() == n+3 }) {
+		t.Fatalf("delivered %d of %d", c.count(), n+3)
 	}
 	dp := a.Dataplane()
-	if dp.SendSyscalls != dp.SentFrames {
-		t.Fatalf("disabled batching: SendSyscalls = %d, SentFrames = %d", dp.SendSyscalls, dp.SentFrames)
+	if dp.SentFrames != n+3 || dp.SendSyscalls != dp.SentFrames {
+		t.Fatalf("portable path: SendSyscalls = %d, SentFrames = %d, want %d each", dp.SendSyscalls, dp.SentFrames, n+3)
+	}
+	if rdp := b.Dataplane(); rdp.RecvSyscalls != rdp.RecvFrames {
+		t.Fatalf("portable path: RecvSyscalls = %d, RecvFrames = %d", rdp.RecvSyscalls, rdp.RecvFrames)
+	}
+
+	// Drop-oldest backpressure, as in TestUDPCoalescerDropOldest: overfill
+	// one destination's queue before any flush can run.
+	d, _ := newUDPPair(t, UDPConfig{Batch: BatchConfig{MaxBatch: 64, FlushInterval: 80 * time.Millisecond, DestQueueCap: 4}})
+	if err := d.SetRoute(2, b.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		d.Send(1, 2, overlay.DataChunk{Seq: int64(100 + i)})
+	}
+	if !waitFor(t, 2*time.Second, func() bool { return c.count() == n+3+4 }) {
+		t.Fatalf("delivered %d after the overflow burst, want %d", c.count(), n+3+4)
+	}
+	if got := d.Dataplane().QueueDrops; got != 6 {
+		t.Fatalf("QueueDrops = %d, want 6", got)
 	}
 }
 

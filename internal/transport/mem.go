@@ -118,8 +118,6 @@ func (t *Mem) DataQueueDepth(to overlay.NodeID) int {
 	return t.queuedData[to]
 }
 
-var _ QueueDepther = (*Mem)(nil)
-
 // Send enqueues m for FIFO delivery. It mirrors overlay.Network.Send
 // semantics: a dropped message still reports true; only an unknown
 // destination reports false.
@@ -152,8 +150,6 @@ func (t *Mem) SendBatch(from overlay.NodeID, tos []overlay.NodeID, m overlay.Mes
 	}
 	return failed
 }
-
-var _ BatchSender = (*Mem)(nil)
 
 // sendLocked is the single-destination enqueue; caller holds t.mu.
 func (t *Mem) sendLocked(from, to overlay.NodeID, m overlay.Message) bool {

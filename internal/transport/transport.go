@@ -1,6 +1,7 @@
 // Package transport moves overlay messages between live peers — the real
 // counterpart of the simulated overlay.Network. Two implementations share
-// one interface and one accounting scheme (overlay.Counters): an
+// one interface (fan-out send and send-queue depth included, so callers
+// never probe for them) and one accounting scheme (overlay.Counters): an
 // in-process loopback (Mem) for fast deterministic tests and clusters, and
 // a UDP transport (UDP) for real deployments, with acknowledged,
 // retried control messages and best-effort data chunks.
@@ -28,31 +29,23 @@ type Transport interface {
 	// known at send time; an in-flight loss is still a successful send,
 	// mirroring overlay.Network.Send.
 	Send(from, to overlay.NodeID, m overlay.Message) bool
+	// SendBatch delivers one message to many destinations in one call:
+	// the message is encoded once and the bytes retargeted per destination
+	// (UDP), or the whole fan-out enqueued under one lock acquisition
+	// (Mem). Destinations that would make Send return false are appended to
+	// failed, which callers may pass as a reused scratch slice.
+	// internal/live bridges this to overlay.FanoutBus.
+	SendBatch(from overlay.NodeID, tos []overlay.NodeID, m overlay.Message, failed []overlay.NodeID) []overlay.NodeID
+	// DataQueueDepth reports how many best-effort data frames are queued
+	// (unsent) toward to: the send coalescer's per-destination queue on
+	// UDP, the in-flight dispatcher queue on Mem. The flow controller reads
+	// it as its earliest congestion signal — a deep transport queue means
+	// the pacer is outrunning the wire — and internal/live bridges it to
+	// overlay.DepthBus for ECN-style pushback.
+	DataQueueDepth(to overlay.NodeID) int
 	// Counters returns the shared control/data/drop counters, the same
 	// struct the simulated network maintains.
 	Counters() *overlay.Counters
 	// Close shuts the transport down and releases its resources.
 	Close() error
-}
-
-// BatchSender is an optional Transport capability: deliver one message to
-// many destinations in one call. Implementations encode the message once
-// and retarget the bytes per destination (UDP) or enqueue the whole
-// fan-out under one lock acquisition (Mem). Destinations that would make
-// Send return false are appended to failed, which callers may pass as a
-// reused scratch slice. internal/live bridges this to overlay.FanoutBus.
-type BatchSender interface {
-	SendBatch(from overlay.NodeID, tos []overlay.NodeID, m overlay.Message, failed []overlay.NodeID) []overlay.NodeID
-}
-
-// QueueDepther is an optional Transport capability: report how many
-// best-effort data frames are currently queued (unsent) toward one
-// destination. The flow controller reads this as its earliest congestion
-// signal — a deep transport queue means the pacer is outrunning the wire
-// — and internal/live bridges it to overlay.DepthBus for ECN-style
-// pushback. Both built-in transports implement it: UDP from the send
-// coalescer's per-destination queue, Mem from its in-flight dispatcher
-// queue.
-type QueueDepther interface {
-	DataQueueDepth(to overlay.NodeID) int
 }

@@ -53,13 +53,9 @@ const (
 	DefaultSocketBuffer = 4 << 20
 )
 
-// BatchConfig tunes the batched data plane. The zero value enables
-// batching with the defaults above; set Disable to fall back to the
-// one-syscall-per-packet path (the pre-batching behavior, kept for
-// benchmarking baselines and debugging).
+// BatchConfig tunes the batched data plane; the zero value selects the
+// defaults above.
 type BatchConfig struct {
-	// Disable turns the send coalescer and the recvmmsg receive ring off.
-	Disable bool
 	// MaxBatch is the per-syscall datagram budget; zero selects
 	// DefaultMaxBatch.
 	MaxBatch int
@@ -92,8 +88,7 @@ type UDPConfig struct {
 	// RetryAttempts is the total transmissions of one control message
 	// before giving up; zero selects DefaultRetryAttempts.
 	RetryAttempts int
-	// Batch tunes the batched data plane (zero value = enabled with
-	// defaults).
+	// Batch tunes the batched data plane (zero value = defaults).
 	Batch BatchConfig
 	// SocketBuffer is the SO_RCVBUF/SO_SNDBUF size requested from the
 	// kernel (best effort — clamped to net.core.{r,w}mem_max). Zero
@@ -153,10 +148,9 @@ type UDP struct {
 	acksRecv    atomic.Int64
 	wg          sync.WaitGroup
 
-	// Batched data plane: the send-side coalescer (nil when disabled) and
-	// the platform mmsg engine (nil when disabled or unsupported — the
-	// transport then falls back to one syscall per datagram but keeps the
-	// coalescer's queueing semantics).
+	// Batched data plane: the send-side coalescer and the platform mmsg
+	// engine (nil where unsupported — the transport then falls back to one
+	// syscall per datagram but keeps the coalescer's queueing semantics).
 	co   *coalescer
 	mmsg *mmsgIO
 	dp   dataplane
@@ -221,16 +215,8 @@ func (t *UDP) Dataplane() DataplaneStats {
 }
 
 // DataQueueDepth reports how many coalesced data frames are queued
-// (encoded but unsent) toward to. Zero when batching is disabled — the
-// unbatched path writes synchronously and never queues.
-func (t *UDP) DataQueueDepth(to overlay.NodeID) int {
-	if t.co == nil {
-		return 0
-	}
-	return t.co.depth(to)
-}
-
-var _ QueueDepther = (*UDP)(nil)
+// (encoded but unsent) toward to.
+func (t *UDP) DataQueueDepth(to overlay.NodeID) int { return t.co.depth(to) }
 
 // noteBatch records a syscall that moved n datagrams in dir (send or
 // recv), keeping the high-water batch size.
@@ -365,6 +351,10 @@ func (d *dedupe) seen(seq uint32) bool {
 
 var _ Transport = (*UDP)(nil)
 
+// newMmsg builds the platform mmsg engine; a package variable so a test
+// can force the portable fallback Linux CI otherwise never runs.
+var newMmsg = newMmsgIO
+
 // NewUDP opens a UDP socket on listenAddr (e.g. "127.0.0.1:9000" or
 // ":9000") and starts the receive loop.
 func NewUDP(listenAddr string, cfg UDPConfig) (*UDP, error) {
@@ -394,10 +384,8 @@ func NewUDP(listenAddr string, cfg UDPConfig) (*UDP, error) {
 		parked:   make(map[overlay.NodeID]*parkedQueue),
 		recent:   make(map[overlay.NodeID]*dedupe),
 	}
-	if !t.cfg.Batch.Disable {
-		t.mmsg = newMmsgIO(conn, t.cfg.Batch.MaxBatch) // nil on unsupported platforms
-		t.co = newCoalescer(t, t.cfg.Batch)
-	}
+	t.mmsg = newMmsg(conn, t.cfg.Batch.MaxBatch) // nil on unsupported platforms
+	t.co = newCoalescer(t, t.cfg.Batch)
 	t.wg.Add(1)
 	go t.readLoop()
 	return t, nil
@@ -405,8 +393,7 @@ func NewUDP(listenAddr string, cfg UDPConfig) (*UDP, error) {
 
 // BatchIO reports whether the platform mmsg engine is active (recvmmsg/
 // sendmmsg). False means the portable one-syscall-per-packet fallback is
-// in use; the coalescer's queueing semantics apply either way unless
-// batching is disabled outright.
+// in use; the coalescer's queueing semantics apply either way.
 func (t *UDP) BatchIO() bool { return t.mmsg != nil }
 
 // LocalAddr returns the bound socket address.
@@ -436,16 +423,7 @@ func (t *UDP) SetRoute(id overlay.NodeID, addr string) error {
 	if err != nil {
 		return fmt.Errorf("transport: route %d → %q: %w", id, addr, err)
 	}
-	t.mu.Lock()
-	t.routes[id] = ua
-	pq := t.parked[id]
-	delete(t.parked, id)
-	t.mu.Unlock()
-	if pq != nil {
-		for _, it := range pq.items {
-			t.deliver(it.from, id, it.m)
-		}
-	}
+	t.learnRoute(id, ua)
 	return nil
 }
 
@@ -460,10 +438,11 @@ func (t *UDP) Route(id overlay.NodeID) (string, bool) {
 	return ua.String(), true
 }
 
-// learnRoute records the observed sender address for id (cheap NAT-free
-// implicit routing: every frame teaches the receiver where its peer
-// lives). Explicit SetRoute entries are refreshed too — the latest
-// observation wins.
+// learnRoute records addr as the route to id and re-delivers, outside the
+// lock, whatever was parked for it. Besides SetRoute it runs on the source
+// address of every received frame (cheap NAT-free implicit routing: every
+// frame teaches the receiver where its peer lives), so explicit entries
+// are refreshed too — the latest observation wins.
 func (t *UDP) learnRoute(id overlay.NodeID, addr *net.UDPAddr) {
 	if id == overlay.None {
 		return
@@ -514,14 +493,13 @@ func (t *UDP) deliver(from, to overlay.NodeID, m overlay.Message) bool {
 	}
 	f := wire.Frame{Kind: wire.KindMsg, From: from, To: to, Msg: m}
 	if !ctrl {
-		co := t.co
 		t.mu.Unlock()
 		// Acks and nacks are best-effort like chunks but clock the flow
 		// window, so they skip the coalescing delay (and its drop-oldest
 		// eviction) and go straight to the socket — the same immediacy
 		// Mem gives them.
-		if co != nil && overlay.IsStreamData(m) {
-			co.enqueueFrame(to, addr, f)
+		if overlay.IsStreamData(m) {
+			t.co.enqueueFrame(to, addr, f)
 		} else {
 			t.write(to, addr, f, 0)
 		}
@@ -764,9 +742,7 @@ func (t *UDP) Close() error {
 		delete(t.pending, seq)
 	}
 	t.mu.Unlock()
-	if t.co != nil {
-		t.co.shutdown()
-	}
+	t.co.shutdown()
 	err := t.conn.Close()
 	t.wg.Wait()
 	return err
@@ -779,7 +755,7 @@ func (t *UDP) Close() error {
 // retransmit token), so they fall back to sequential Sends. Destinations
 // that fail the way Send would return false are appended to failed.
 func (t *UDP) SendBatch(from overlay.NodeID, tos []overlay.NodeID, m overlay.Message, failed []overlay.NodeID) []overlay.NodeID {
-	if wire.IsControl(m) || t.co == nil {
+	if wire.IsControl(m) {
 		for _, to := range tos {
 			if !t.Send(from, to, m) {
 				failed = append(failed, to)
