@@ -1,6 +1,7 @@
 package live
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"vdm/internal/overlay"
 	"vdm/internal/transport"
 	"vdm/internal/underlay"
+	"vdm/internal/wire"
 )
 
 // busRig is one overlay.Bus implementer set up with node 0 sending to
@@ -83,11 +85,15 @@ func fabricRig(t *testing.T, log *[]string) busRig {
 	}
 }
 
+// liveRig puts node 1 on a live peer and sends to it from a bare socket
+// standing in for node 0.
 func liveRig(t *testing.T, log *[]string) busRig {
-	tr := transport.NewMem()
-	tr.Register(0, func(overlay.NodeID, overlay.Message) {})
+	tr0, tr1 := newUDP(t), newUDP(t)
+	if err := tr0.SetRoute(1, tr1.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
 	var bus overlay.Bus
-	p := NewPeer(tr, time.Now(), func(b overlay.Bus) overlay.Protocol {
+	p := NewPeer(tr1, time.Now(), func(b overlay.Bus) overlay.Protocol {
 		bus = b
 		node := core.New(b, overlay.PeerConfig{ID: 1, Source: 0, MaxDegree: 2}, core.Config{}, nil)
 		return recProto{node, recHandler{log}}
@@ -99,19 +105,19 @@ func liveRig(t *testing.T, log *[]string) busRig {
 				t.Fatal("Call on a running peer failed")
 			}
 		},
-		send:   func(m overlay.Message) { tr.Send(0, 1, m) },
+		send:   func(m overlay.Message) { tr0.Send(0, 1, m) },
 		settle: func() { time.Sleep(250 * time.Millisecond) },
-		stop:   func() { p.Stop(); tr.Close() },
+		stop:   p.Stop,
 	}
 }
 
 // TestBusAfterArgContract holds the three overlay.Bus implementers — the
 // single-queue Network, a two-queue ShardRouter fabric, the live peerBus
-// over transport.Mem — to the AfterArg contract: fn(arg) fires exactly
+// over UDP — to the AfterArg contract: fn(arg) fires exactly
 // once, d seconds on, serialized with the owning peer's message handling.
 func TestBusAfterArgContract(t *testing.T) {
 	rigs := map[string]func(*testing.T, *[]string) busRig{
-		"network": networkRig, "shard-fabric": fabricRig, "live-mem": liveRig,
+		"network": networkRig, "shard-fabric": fabricRig, "live": liveRig,
 	}
 	for name, mk := range rigs {
 		t.Run(name, func(t *testing.T) {
@@ -170,25 +176,29 @@ func TestBusAfterArgContract(t *testing.T) {
 // unfenced stale timer would report it sooner, and restart the attempt.
 func TestLiveStaleJoinTimerFenced(t *testing.T) {
 	const infoTimeoutS = 0.3
-	tr := transport.NewMem()
-	defer tr.Close()
+	trSrc, trJoin, trHint := newUDP(t), newUDP(t), newUDP(t)
+	for id, tr := range map[overlay.NodeID]*transport.UDP{0: trSrc, 2: trHint} {
+		if err := trJoin.SetRoute(id, tr.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	epoch := time.Now()
 	sink := &obs.MemSink{}
 
-	src := NewPeer(tr, epoch, func(b overlay.Bus) overlay.Protocol {
+	src := NewPeer(trSrc, epoch, func(b overlay.Bus) overlay.Protocol {
 		return core.New(b, overlay.PeerConfig{ID: 0, Source: 0, MaxDegree: 4, IsSource: true}, core.Config{}, nil)
 	})
 	defer src.Stop()
 	// Peer 2, the hint: answers every query "not connected", 50 ms late —
 	// the head start the stale timer has on the one armed after it.
-	tr.Register(2, func(from overlay.NodeID, m overlay.Message) {
+	trHint.Register(2, func(from overlay.NodeID, m overlay.Message) {
 		if q, ok := m.(overlay.InfoRequest); ok {
 			time.AfterFunc(50*time.Millisecond, func() {
-				tr.Send(2, from, overlay.InfoResponse{Token: q.Token})
+				trHint.Send(2, from, overlay.InfoResponse{Token: q.Token})
 			})
 		}
 	})
-	joiner := NewPeer(tr, epoch, func(b overlay.Bus) overlay.Protocol {
+	joiner := NewPeer(trJoin, epoch, func(b overlay.Bus) overlay.Protocol {
 		n := core.New(b, overlay.PeerConfig{ID: 1, Source: 0, MaxDegree: 2, InfoTimeoutS: infoTimeoutS}, core.Config{}, nil)
 		n.SetTracer(obs.NewTracer(sink, "vdm", 1, b.Now))
 		return n
@@ -206,16 +216,16 @@ func TestLiveStaleJoinTimerFenced(t *testing.T) {
 	joiner.StartJoin()
 	waitFor("the first join", joiner.Connected)
 
-	// Lose the joiner's next query to the source: the reconnect's second.
-	dropped := false
-	tr.SetDropFn(func(from, to overlay.NodeID, m overlay.Message) bool {
-		if _, ok := m.(overlay.InfoRequest); ok && from == 1 && to == 0 && !dropped {
-			dropped = true
-			return true
+	// Lose the joiner's next query to the source, the reconnect's second:
+	// its first transmission and every retry of it, matched by Seq.
+	var lostSeq atomic.Uint32
+	trJoin.SetSendFilter(func(to overlay.NodeID, f wire.Frame, attempt int) bool {
+		if _, ok := f.Msg.(overlay.InfoRequest); ok && to == 0 {
+			lostSeq.CompareAndSwap(0, f.Seq)
 		}
-		return false
+		return f.Kind == wire.KindMsg && f.Seq != 0 && f.Seq == lostSeq.Load()
 	})
-	tr.Send(0, 1, overlay.LeaveNotify{GrandparentHint: 2})
+	trSrc.Send(0, 1, overlay.LeaveNotify{GrandparentHint: 2})
 	waitFor("the reconnect", func() bool {
 		return joiner.Stats().OrphanCount == 1 && joiner.Connected()
 	})

@@ -9,9 +9,19 @@ import (
 	"vdm/internal/metrics"
 	"vdm/internal/obs"
 	"vdm/internal/overlay"
-	"vdm/internal/rng"
 	"vdm/internal/transport"
 	"vdm/internal/underlay"
+)
+
+const (
+	// clusterJoinStagger spaces the joiners' StartJoin calls.
+	clusterJoinStagger = time.Millisecond
+	// clusterSessionTimeout bounds each joiner's Hello/Welcome handshake.
+	clusterSessionTimeout = 5 * time.Second
+	// clusterRTTMS is the RTT Underlay assigns every peer pair. Loopback
+	// sockets have no geometry, so it is nominal: depth and degree are
+	// what the metrics measure, and stretch is 1 by construction.
+	clusterRTTMS = 0.4
 )
 
 // ClusterConfig sizes and tunes a loopback cluster.
@@ -20,27 +30,15 @@ type ClusterConfig struct {
 	N int
 	// MaxDegree bounds every peer's child count; zero selects 4.
 	MaxDegree int
-	// Delay is the loopback one-way latency. Zero selects 200µs — small
-	// enough for fast tests, large enough that probe RTTs dominate
-	// scheduling jitter.
-	Delay time.Duration
-	// Stagger spaces the joiners' StartJoin calls; zero selects 1ms.
-	Stagger time.Duration
-	// Core tunes the VDM protocol on every peer.
-	Core core.Config
 	// Flow, when non-nil, enables paced flow control and FEC/NACK repair
 	// on every peer (the same config everywhere, as vdmd deploys it).
 	// Nil keeps the historical fire-and-forget data plane.
 	Flow *flow.Config
-	// Seed drives refinement jitter; zero selects 1.
-	Seed int64
-	// EventSink, when set, receives every peer's protocol trace events —
-	// the same schema a simulator session emits through its EventSink.
-	EventSink obs.Sink
-	// PerPeerSink, when set, supplies each peer its own trace sink (the
-	// deployment shape: one JSONL file per host). It composes with
-	// EventSink; both receive every event.
-	PerPeerSink func(id overlay.NodeID) obs.Sink
+	// Sink, when set, supplies each peer's protocol trace sink — the same
+	// schema a simulator session emits through its EventSink. Return one
+	// shared sink for a merged trace, or one per peer for the deployment
+	// shape (one JSONL file per host).
+	Sink func(id overlay.NodeID) obs.Sink
 	// StatusPeriod enables the tree-health telemetry: every peer reports
 	// its StatusReport to the source this often. Zero disables reporting.
 	StatusPeriod time.Duration
@@ -49,47 +47,59 @@ type ClusterConfig struct {
 	StatusHandler overlay.StatusHandler
 	// TraceSample, when positive, makes the source attach an in-band
 	// trace tag to every nth emitted chunk; tagged arrivals surface as
-	// chunk_path events in the sinks above. Zero (the default) keeps the
+	// chunk_path events in the sink above. Zero (the default) keeps the
 	// wire stream tag-free.
 	TraceSample int
 }
 
-// Cluster boots N VDM peers on one in-memory transport — the live
-// counterpart of a simulator session, used by tests and the lab to
-// exercise the real-clock runtime end to end.
+// Cluster boots N VDM peers in one process the way N vdmd daemons run:
+// each on its own loopback UDP socket, bootstrapped through the source's
+// Hello/Welcome session. It is the live counterpart of a simulator
+// session, used by tests to exercise the real-clock runtime end to end.
 type Cluster struct {
-	Tr    *transport.Mem
-	Peers []*Peer // indexed by NodeID
-	cfg   ClusterConfig
+	Trs      []*transport.UDP // indexed by NodeID
+	Peers    []*Peer          // indexed by NodeID
+	sessions []*Session       // indexed by NodeID
+	cfg      ClusterConfig
 }
 
-// NewCluster builds the transport and all peers and starts the joiners
-// (staggered). It returns immediately; use WaitConnected to block until
-// the tree has formed.
-func NewCluster(cfg ClusterConfig) *Cluster {
+// NewCluster opens the sockets, runs every joiner's session handshake in
+// order (so the source assigns ids 1…N−1), builds the peers and starts the
+// joins (staggered). It returns once the joins are started; use
+// WaitConnected to block until the tree has formed.
+func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.MaxDegree <= 0 {
 		cfg.MaxDegree = 4
 	}
-	if cfg.Delay <= 0 {
-		cfg.Delay = 200 * time.Microsecond
-	}
-	if cfg.Stagger <= 0 {
-		cfg.Stagger = time.Millisecond
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	tr := transport.NewMem()
-	tr.Delay = cfg.Delay
-	c := &Cluster{Tr: tr, cfg: cfg}
+	c := &Cluster{cfg: cfg}
+	// Peers share the one in-process epoch rather than each joiner's
+	// adopted copy, so trace timestamps compare exactly.
 	epoch := time.Now()
-	rnd := rng.New(cfg.Seed)
 	for i := 0; i < cfg.N; i++ {
 		id := overlay.NodeID(i)
-		peerRnd := rnd.Derive(fmt.Sprintf("peer-%d", i))
-		sink := cfg.EventSink
-		if cfg.PerPeerSink != nil {
-			sink = obs.TeeSink(sink, cfg.PerPeerSink(id))
+		tr, err := transport.NewUDP("127.0.0.1:0", transport.UDPConfig{})
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.Trs = append(c.Trs, tr)
+		var sess *Session
+		if id == 0 {
+			sess = NewSourceSession(tr, epoch)
+		} else {
+			sess, err = JoinSession(tr, c.Trs[0].LocalAddr(), clusterSessionTimeout)
+			if err == nil && sess.ID() != id {
+				err = fmt.Errorf("source assigned id %d", sess.ID())
+			}
+			if err != nil {
+				c.Close()
+				return nil, fmt.Errorf("live: joiner %d: %w", id, err)
+			}
+		}
+		c.sessions = append(c.sessions, sess)
+		var sink obs.Sink
+		if cfg.Sink != nil {
+			sink = cfg.Sink(id)
 		}
 		p := NewPeer(tr, epoch, func(bus overlay.Bus) overlay.Protocol {
 			n := core.New(bus, overlay.PeerConfig{
@@ -98,7 +108,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 				MaxDegree: cfg.MaxDegree,
 				IsSource:  id == 0,
 				Flow:      cfg.Flow,
-			}, cfg.Core, peerRnd)
+			}, core.Config{}, nil)
 			if sink != nil {
 				n.SetTracer(obs.NewTracer(sink, "vdm", id, bus.Now))
 			}
@@ -122,9 +132,9 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	}
 	for _, p := range c.Peers[1:] {
 		p.StartJoin()
-		time.Sleep(cfg.Stagger)
+		time.Sleep(clusterJoinStagger)
 	}
-	return c
+	return c, nil
 }
 
 // Source returns the source peer (node 0).
@@ -151,14 +161,14 @@ func (c *Cluster) WaitConnected(timeout time.Duration) error {
 	}
 }
 
-// Stream emits n chunks from the source, one per interval, then waits a
-// few delays for the last copies to drain.
+// Stream emits n chunks from the source, one per interval, then waits
+// briefly for the last copies to drain.
 func (c *Cluster) Stream(n int, interval time.Duration) {
 	for seq := 0; seq < n; seq++ {
 		c.Source().EmitChunk(int64(seq))
 		time.Sleep(interval)
 	}
-	time.Sleep(10*c.cfg.Delay + 20*time.Millisecond)
+	time.Sleep(25 * time.Millisecond)
 }
 
 // Views snapshots every peer's tree position.
@@ -170,27 +180,26 @@ func (c *Cluster) Views() []overlay.TreeView {
 	return views
 }
 
-// Underlay builds the uniform RTT-matrix underlay that models the
-// loopback transport: every pair sits 2×Delay apart (in ms). Offline
-// metric collection and the tree aggregator's exact mode share it.
+// Underlay builds the uniform RTT-matrix underlay the offline metrics and
+// the tree aggregator's exact mode share: every pair sits clusterRTTMS
+// apart.
 func (c *Cluster) Underlay() underlay.Underlay {
 	n := len(c.Peers)
-	rttMS := 2 * float64(c.cfg.Delay) / float64(time.Millisecond)
 	rtt := make([][]float64, n)
 	for i := range rtt {
 		rtt[i] = make([]float64, n)
 		for j := range rtt[i] {
 			if i != j {
-				rtt[i][j] = rttMS
+				rtt[i][j] = clusterRTTMS
 			}
 		}
 	}
 	return underlay.NewStatic(rtt)
 }
 
-// Snapshot collects the paper's tree metrics over a uniform underlay whose
-// RTT matches the loopback delay (in ms) — depth and degree structure are
-// meaningful; stretch is 1 by construction on a uniform matrix.
+// Snapshot collects the paper's tree metrics over Underlay — depth and
+// degree structure are meaningful; stretch is 1 by construction on a
+// uniform matrix.
 func (c *Cluster) Snapshot() metrics.TreeSnapshot {
 	return metrics.Collect(c.Views(), 0, c.Underlay())
 }
@@ -201,10 +210,12 @@ func (c *Cluster) Validate() []string {
 	return metrics.Validate(c.Views(), 0, func(overlay.NodeID) int { return c.cfg.MaxDegree })
 }
 
-// Close stops every peer and the transport.
+// Close stops every peer, then closes every socket. It is idempotent.
 func (c *Cluster) Close() {
 	for _, p := range c.Peers {
 		p.Stop()
 	}
-	c.Tr.Close()
+	for _, tr := range c.Trs {
+		tr.Close()
+	}
 }

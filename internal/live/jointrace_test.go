@@ -2,9 +2,7 @@ package live
 
 import (
 	"bytes"
-	"sync"
 	"testing"
-	"time"
 
 	"vdm/internal/obs"
 	"vdm/internal/overlay"
@@ -21,27 +19,28 @@ func TestJoinTraceCorrelation(t *testing.T) {
 		maxDegree = 4
 	)
 	// One JSONL buffer per peer, exactly as -trace gives one file per
-	// vdmd process.
-	var mu sync.Mutex
-	bufs := make(map[overlay.NodeID]*bytes.Buffer)
-	c := NewCluster(ClusterConfig{
+	// vdmd process. NewCluster calls Sink on this goroutine before the
+	// peer it serves starts, so bufs needs no lock.
+	bufs := make([]*bytes.Buffer, nPeers)
+	c := bootCluster(t, ClusterConfig{
 		N:         nPeers,
 		MaxDegree: maxDegree,
-		PerPeerSink: func(id overlay.NodeID) obs.Sink {
-			mu.Lock()
-			defer mu.Unlock()
-			b := &bytes.Buffer{}
-			bufs[id] = b
-			return obs.NewJSONLSink(b)
+		Sink: func(id overlay.NodeID) obs.Sink {
+			bufs[id] = &bytes.Buffer{}
+			return obs.NewJSONLSink(bufs[id])
 		},
 	})
-	defer c.Close()
-	if err := c.WaitConnected(20 * time.Second); err != nil {
-		t.Fatal(err)
+
+	// Snapshot the tree, then stop every peer so no sink is still being
+	// written when the traces are read back.
+	actualParent := make(map[int64]int64)
+	for _, p := range c.Peers[1:] {
+		v := p.View()
+		actualParent[int64(v.ID())] = int64(v.ParentID())
 	}
+	c.Close()
 
 	// Read every per-peer trace back the way vdmtop does.
-	mu.Lock()
 	var traces [][]obs.Event
 	for id, b := range bufs {
 		evs, err := obs.ReadJSONL(bytes.NewReader(b.Bytes()))
@@ -50,7 +49,6 @@ func TestJoinTraceCorrelation(t *testing.T) {
 		}
 		traces = append(traces, evs)
 	}
-	mu.Unlock()
 	merged := obs.MergeTraces(traces...)
 	joins := obs.ReconstructJoins(merged)
 
@@ -68,12 +66,6 @@ func TestJoinTraceCorrelation(t *testing.T) {
 	// Every joiner ran exactly one join procedure.
 	if len(joins) != nPeers-1 {
 		t.Fatalf("reconstructed %d joins, want %d", len(joins), nPeers-1)
-	}
-
-	actualParent := make(map[int64]int64)
-	for _, p := range c.Peers[1:] {
-		v := p.View()
-		actualParent[int64(v.ID())] = int64(v.ParentID())
 	}
 
 	deepJoins := 0

@@ -3,9 +3,8 @@
 // peer gets its own mailbox goroutine that serializes message handling and
 // timer callbacks, preserving the single-threaded execution contract the
 // protocol state machines were written against, while different peers run
-// genuinely concurrently. Messages travel over an internal/transport
-// Transport (in-memory loopback or UDP) instead of the simulated
-// overlay.Network.
+// genuinely concurrently. Messages travel over a UDP transport
+// (internal/transport) instead of the simulated overlay.Network.
 package live
 
 import (
@@ -24,7 +23,7 @@ import (
 type Peer struct {
 	proto overlay.Protocol
 	bus   *peerBus
-	tr    transport.Transport
+	tr    *transport.UDP
 
 	mu      sync.Mutex
 	box     []func()
@@ -59,7 +58,7 @@ func (p *Peer) MailboxHighWater() int {
 // peer's bus (e.g. core.New(bus, pc, cfg, rnd)), and the peer registers it
 // with tr and starts the mailbox loop. epoch anchors the bus clock —
 // share one epoch across a session so Now() agrees between peers.
-func NewPeer(tr transport.Transport, epoch time.Time, build func(bus overlay.Bus) overlay.Protocol) *Peer {
+func NewPeer(tr *transport.UDP, epoch time.Time, build func(bus overlay.Bus) overlay.Protocol) *Peer {
 	p := &Peer{
 		tr:     tr,
 		wake:   make(chan struct{}, 1),
@@ -282,8 +281,7 @@ func (b *peerBus) Send(from, to overlay.NodeID, m overlay.Message) bool {
 }
 
 // SendFanout delivers one message to many destinations through the
-// transport's batch path (single encode on UDP, single lock acquisition
-// on Mem).
+// transport's encode-once batch path.
 func (b *peerBus) SendFanout(from overlay.NodeID, tos []overlay.NodeID, m overlay.Message, failed []overlay.NodeID) []overlay.NodeID {
 	return b.peer.tr.SendBatch(from, tos, m, failed)
 }

@@ -7,28 +7,23 @@ import (
 	"time"
 
 	"vdm/internal/core"
-	"vdm/internal/flow"
 	"vdm/internal/overlay"
 	"vdm/internal/transport"
 )
 
 // TestClusterLoopback is the live-runtime acceptance test: boot 24 peers
-// on the in-memory transport, join them through the real VDM iterative
-// join, stream chunks, and require ≥95% delivery at every peer plus a
-// structurally valid, degree-bounded tree. Run under -race this also
-// exercises the serialized-mailbox contract end to end.
+// on loopback UDP sockets the way cmd/vdmd runs them (Hello/Welcome
+// bootstrap, then the real VDM iterative join), stream chunks, and
+// require ≥95% delivery at every peer plus a structurally valid,
+// degree-bounded tree. Run under -race this also exercises the
+// serialized-mailbox contract end to end.
 func TestClusterLoopback(t *testing.T) {
 	const (
 		nPeers    = 24
 		maxDegree = 4
 		nChunks   = 60
 	)
-	c := NewCluster(ClusterConfig{N: nPeers, MaxDegree: maxDegree})
-	defer c.Close()
-
-	if err := c.WaitConnected(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	c := bootCluster(t, ClusterConfig{N: nPeers, MaxDegree: maxDegree})
 	if errs := c.Validate(); len(errs) != 0 {
 		t.Fatalf("invalid tree after join: %v", errs)
 	}
@@ -58,10 +53,41 @@ func TestClusterLoopback(t *testing.T) {
 		t.Fatalf("invalid tree after streaming: %v", errs)
 	}
 
-	// The transports and the sim network share one accounting scheme:
-	// every emitted chunk copy is visible in the Data counter.
-	if data := c.Tr.Counters().Data.Load(); data < int64(nChunks)*(nPeers-1) {
+	// The transport and the sim network share one accounting scheme:
+	// every emitted chunk copy is visible in the Data counters.
+	var data int64
+	for _, tr := range c.Trs {
+		data += tr.Counters().Data.Load()
+	}
+	if data < int64(nChunks)*(nPeers-1) {
 		t.Errorf("data counter = %d, want ≥ %d", data, nChunks*(nPeers-1))
+	}
+}
+
+// TestUDPSessionEndToEnd runs a miniature deployment the way cmd/vdmd
+// does — one UDP socket per peer, Hello/Welcome bootstrap, VDM join — and
+// checks the session layer: every joiner adopts the source's epoch, and a
+// short stream arrives.
+func TestUDPSessionEndToEnd(t *testing.T) {
+	c := bootCluster(t, ClusterConfig{N: 6, MaxDegree: 3})
+
+	// The Welcome hands each joiner the session epoch; on loopback the
+	// adopted clock must land within the Hello→Welcome transit of the
+	// source's own.
+	for _, sess := range c.sessions[1:] {
+		if skew := sess.Epoch().Sub(c.sessions[0].Epoch()); skew < -time.Millisecond || skew > 250*time.Millisecond {
+			t.Errorf("joiner %d adopted epoch %v off the source's", sess.ID(), skew)
+		}
+	}
+
+	const nChunks = 30
+	c.Stream(nChunks, 2*time.Millisecond)
+	minRecv := int64(nChunks * 95 / 100)
+	for _, p := range c.Peers[1:] {
+		pp := p
+		if !pollUntil(200*time.Millisecond, func() bool { return pp.Stats().Received >= minRecv }) {
+			t.Errorf("peer %d received %d of %d chunks", pp.ID(), pp.Stats().Received, nChunks)
+		}
 	}
 }
 
@@ -69,11 +95,7 @@ func TestClusterLoopback(t *testing.T) {
 // orphans reconnect on the live runtime (grandparent-first recovery on
 // real timers).
 func TestClusterLeaveRecovers(t *testing.T) {
-	c := NewCluster(ClusterConfig{N: 12, MaxDegree: 3})
-	defer c.Close()
-	if err := c.WaitConnected(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	c := bootCluster(t, ClusterConfig{N: 12, MaxDegree: 3})
 
 	// Find an interior (non-source) node with children.
 	var victim *Peer
@@ -143,196 +165,59 @@ func validateSubset(views []overlay.TreeView, maxDegree int) []string {
 	return errs
 }
 
-// udpCluster is a miniature deployment the way cmd/vdmd runs one: every
-// peer on its own UDP socket.
-type udpCluster struct {
-	src   *Peer
-	peers []*Peer          // joiners, in join order
-	trs   []*transport.UDP // trs[0] is the source's, trs[i+1] is peers[i]'s
-}
-
-// bootUDP boots a source and joiners over loopback UDP (Hello/Welcome
-// bootstrap, then the VDM join) and returns once every joiner is
-// connected. Teardown is registered on t.
-func bootUDP(t *testing.T, joiners, maxDegree int, flowCfg *flow.Config) *udpCluster {
-	t.Helper()
-	epoch := time.Now()
-	c := &udpCluster{}
-	boot := func(join func(tr *transport.UDP) (overlay.NodeID, time.Time)) *Peer {
-		tr, err := transport.NewUDP("127.0.0.1:0", transport.UDPConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { tr.Close() })
-		c.trs = append(c.trs, tr)
-		id, ep := join(tr)
-		p := NewPeer(tr, ep, func(bus overlay.Bus) overlay.Protocol {
-			return core.New(bus, overlay.PeerConfig{
-				ID: id, Source: 0, MaxDegree: maxDegree, IsSource: id == 0, Flow: flowCfg,
-			}, core.Config{}, nil)
-		})
-		t.Cleanup(p.Stop)
-		return p
-	}
-
-	c.src = boot(func(tr *transport.UDP) (overlay.NodeID, time.Time) {
-		NewSourceSession(tr, epoch)
-		return 0, epoch
-	})
-	for i := 0; i < joiners; i++ {
-		p := boot(func(tr *transport.UDP) (overlay.NodeID, time.Time) {
-			sess, err := JoinSession(tr, c.trs[0].LocalAddr(), 5*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sess.ID() == overlay.None {
-				t.Fatal("joined session without an id")
-			}
-			// The Welcome hands the joiner the session epoch; on loopback
-			// the adopted clock must land within the Hello→Welcome transit
-			// of the source's own.
-			if skew := sess.Epoch().Sub(epoch); skew < -time.Millisecond || skew > 250*time.Millisecond {
-				t.Fatalf("joiner %d adopted epoch %v off the source's", sess.ID(), skew)
-			}
-			return sess.ID(), sess.Epoch()
-		})
-		p.StartJoin()
-		c.peers = append(c.peers, p)
-	}
-
-	connected := func() bool {
-		for _, p := range c.peers {
-			if !p.Connected() {
-				return false
-			}
-		}
-		return true
-	}
-	if !pollUntil(20*time.Second, connected) {
-		t.Fatal("UDP peers did not all connect")
-	}
-	return c
-}
-
-// TestUDPSessionEndToEnd runs a miniature deployment the way cmd/vdmd
-// does: one UDP transport per peer, Hello/Welcome bootstrap, VDM join,
-// and a short stream.
-func TestUDPSessionEndToEnd(t *testing.T) {
-	c := bootUDP(t, 5, 3, nil)
-
-	const nChunks = 30
-	for seq := 0; seq < nChunks; seq++ {
-		c.src.EmitChunk(int64(seq))
-		time.Sleep(2 * time.Millisecond)
-	}
-	time.Sleep(200 * time.Millisecond)
-
-	minRecv := int64(nChunks * 95 / 100)
-	for _, p := range c.peers {
-		if got := p.Stats().Received; got < minRecv {
-			t.Errorf("peer %d received %d of %d chunks", p.ID(), got, nChunks)
-		}
-	}
-}
-
 // TestClusterPayloadFanout streams chunks with real payloads through a
-// small loopback cluster and checks the fan-out fast path end to end:
-// every joiner observes every payload byte-for-byte (in seq order), and
-// the transport confirms the deliveries went through the batch path
-// (peerBus.SendFanout → Mem.SendBatch).
+// small cluster and checks the fan-out fast path end to end: every joiner
+// observes every payload byte-for-byte (in seq order), and the source's
+// transport confirms the deliveries went through the batch path
+// (peerBus.SendFanout → UDP.SendBatch).
 func TestClusterPayloadFanout(t *testing.T) {
 	const (
-		nJoiners = 4
-		nChunks  = 20
+		nPeers  = 5
+		nChunks = 20
 	)
-	tr := transport.NewMem()
-	defer tr.Close()
-	epoch := time.Now()
+	c := bootCluster(t, ClusterConfig{N: nPeers, MaxDegree: nPeers - 1})
 
 	type recv struct {
 		mu     sync.Mutex
 		chunks []overlay.DataChunk
 	}
-	newNode := func(bus overlay.Bus, id overlay.NodeID, rc *recv) overlay.Protocol {
-		n := core.New(bus, overlay.PeerConfig{
-			ID: id, Source: 0, MaxDegree: nJoiners, IsSource: id == 0,
-		}, core.Config{}, nil)
-		if rc != nil {
-			n.Base().SetChunkObserver(func(c overlay.DataChunk) {
+	recvs := make([]*recv, nPeers)
+	for _, p := range c.Peers[1:] {
+		rc := &recv{}
+		recvs[p.ID()] = rc
+		p.Call(func() {
+			p.proto.Base().SetChunkObserver(func(ch overlay.DataChunk) {
 				rc.mu.Lock()
-				rc.chunks = append(rc.chunks, c)
+				rc.chunks = append(rc.chunks, ch)
 				rc.mu.Unlock()
 			})
-		}
-		return n
-	}
-
-	srcPeer := NewPeer(tr, epoch, func(bus overlay.Bus) overlay.Protocol {
-		return newNode(bus, 0, nil)
-	})
-	defer srcPeer.Stop()
-
-	recvs := make([]*recv, nJoiners)
-	joiners := make([]*Peer, nJoiners)
-	for i := 0; i < nJoiners; i++ {
-		rc := &recv{}
-		recvs[i] = rc
-		id := overlay.NodeID(i + 1)
-		p := NewPeer(tr, epoch, func(bus overlay.Bus) overlay.Protocol {
-			return newNode(bus, id, rc)
 		})
-		defer p.Stop()
-		p.StartJoin()
-		joiners[i] = p
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		all := true
-		for _, p := range joiners {
-			if !p.Connected() {
-				all = false
-				break
-			}
-		}
-		if all {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("joiners did not all connect")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 
 	for seq := 0; seq < nChunks; seq++ {
 		payload := []byte(fmt.Sprintf("chunk-%03d-payload", seq))
-		srcPeer.EmitData(overlay.DataChunk{Seq: int64(seq), Payload: payload})
+		c.Source().EmitData(overlay.DataChunk{Seq: int64(seq), Payload: payload})
 	}
 
-	for i, rc := range recvs {
-		ok := false
-		for d := time.Now().Add(5 * time.Second); time.Now().Before(d); time.Sleep(5 * time.Millisecond) {
+	for id, rc := range recvs[1:] {
+		n := func() int {
 			rc.mu.Lock()
-			n := len(rc.chunks)
-			rc.mu.Unlock()
-			if n == nChunks {
-				ok = true
-				break
-			}
+			defer rc.mu.Unlock()
+			return len(rc.chunks)
 		}
-		if !ok {
-			t.Fatalf("joiner %d delivered %d of %d chunks", i+1, len(rc.chunks), nChunks)
+		if !pollUntil(5*time.Second, func() bool { return n() == nChunks }) {
+			t.Fatalf("joiner %d delivered %d of %d chunks", id+1, n(), nChunks)
 		}
 		rc.mu.Lock()
-		for j, c := range rc.chunks {
+		for j, ch := range rc.chunks {
 			want := fmt.Sprintf("chunk-%03d-payload", j)
-			if c.Seq != int64(j) || string(c.Payload) != want {
-				t.Fatalf("joiner %d chunk %d = seq %d payload %q", i+1, j, c.Seq, c.Payload)
+			if ch.Seq != int64(j) || string(ch.Payload) != want {
+				t.Fatalf("joiner %d chunk %d = seq %d payload %q", id+1, j, ch.Seq, ch.Payload)
 			}
 		}
 		rc.mu.Unlock()
 	}
-	if dp := tr.Dataplane(); dp.FanoutEncodes == 0 {
+	if dp := c.Trs[0].Dataplane(); dp.FanoutEncodes == 0 {
 		t.Fatal("no SendBatch fan-outs recorded; fast path not engaged")
 	}
 }
@@ -340,10 +225,8 @@ func TestClusterPayloadFanout(t *testing.T) {
 // TestPeerStopCancelsTimers checks a stopped peer fires no late callbacks
 // (After timers are cancelled, posts are discarded).
 func TestPeerStopCancelsTimers(t *testing.T) {
-	tr := transport.NewMem()
-	defer tr.Close()
 	var node overlay.Protocol
-	p := NewPeer(tr, time.Now(), func(bus overlay.Bus) overlay.Protocol {
+	p := NewPeer(newUDP(t), time.Now(), func(bus overlay.Bus) overlay.Protocol {
 		node = core.New(bus, overlay.PeerConfig{ID: 1, Source: 0, MaxDegree: 2}, core.Config{}, nil)
 		return node
 	})
@@ -364,4 +247,30 @@ func TestPeerStopCancelsTimers(t *testing.T) {
 	if p.Call(func() {}) {
 		t.Fatal("Call succeeded on a stopped peer")
 	}
+}
+
+// bootCluster boots a cluster, closed when the test ends, and waits until
+// every peer is connected.
+func bootCluster(t *testing.T, cfg ClusterConfig) *Cluster {
+	t.Helper()
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.WaitConnected(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// newUDP opens a loopback socket, closed when the test ends.
+func newUDP(t *testing.T) *transport.UDP {
+	t.Helper()
+	tr, err := transport.NewUDP("127.0.0.1:0", transport.UDPConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return tr
 }

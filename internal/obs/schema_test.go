@@ -9,6 +9,7 @@ import (
 
 	"vdm/internal/live"
 	"vdm/internal/obs"
+	"vdm/internal/overlay"
 	"vdm/internal/sim"
 )
 
@@ -74,7 +75,10 @@ func TestSimAndLiveEmitIdenticalEventSchema(t *testing.T) {
 
 	// Live loopback cluster.
 	var liveSink obs.MemSink
-	c := live.NewCluster(live.ClusterConfig{N: 6, EventSink: &liveSink})
+	c, err := live.NewCluster(live.ClusterConfig{N: 6, Sink: func(overlay.NodeID) obs.Sink { return &liveSink }})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := c.WaitConnected(15 * time.Second); err != nil {
 		c.Close()
 		t.Fatal(err)

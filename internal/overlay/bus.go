@@ -53,11 +53,11 @@ type FanoutBus interface {
 
 // DepthBus is an optional Bus capability: report how many stream frames
 // the underlying transport has queued toward one destination (the UDP
-// coalescer's per-destination queue, the Mem transport's in-flight data
-// count). The flow state machine folds this into its pushback decision
-// so congestion building below the pacing layer is still visible to the
-// parent. Buses without transport-level queues (the simulator) simply
-// don't implement it and report an effective depth of zero.
+// coalescer's per-destination queue). The flow state machine folds this
+// into its pushback decision so congestion building below the pacing
+// layer is still visible to the parent. Buses without transport-level
+// queues (the simulator) simply don't implement it and report an
+// effective depth of zero.
 type DepthBus interface {
 	DataQueueDepth(to NodeID) int
 }

@@ -168,8 +168,8 @@ type Peer struct {
 	serveObs func(ServeEvent)
 
 	// chunkObs observes every first-time chunk delivery (after dedupe),
-	// before forwarding — the measurement tap cmd/benchpump hangs its
-	// latency probes on. Nil for normal peers.
+	// before forwarding — the measurement tap the benchmark's live
+	// workloads hang their latency probes on. Nil for normal peers.
 	chunkObs func(DataChunk)
 
 	// traceSampleN attaches an in-band trace tag to every Nth chunk the

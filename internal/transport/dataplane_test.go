@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -41,6 +40,9 @@ func TestUDPBatchedDataDelivery(t *testing.T) {
 		}
 	}
 
+	if got := a.Counters().Data.Load(); got != n {
+		t.Fatalf("data counter = %d, want %d", got, n)
+	}
 	dp := a.Dataplane()
 	if dp.SentFrames != n {
 		t.Fatalf("SentFrames = %d, want %d", dp.SentFrames, n)
@@ -182,7 +184,7 @@ func TestUDPCoalescerDropOldest(t *testing.T) {
 	if !waitFor(t, 2*time.Second, func() bool { return c.count() == 4 }) {
 		t.Fatalf("delivered %d, want 4", c.count())
 	}
-	// Same surviving window the Mem mirror guarantees: the last cap seqs.
+	// The survivors are the last cap seqs.
 	for i, m := range c.snapshot() {
 		if want := int64(n - 4 + i); m.(overlay.DataChunk).Seq != want {
 			t.Fatalf("survivor %d = %v, want seq %d", i, m, want)
@@ -194,6 +196,148 @@ func TestUDPCoalescerDropOldest(t *testing.T) {
 	}
 	if got := a.Counters().DataDrops.Load(); got != n-4 {
 		t.Fatalf("DataDrops = %d, want %d", got, n-4)
+	}
+}
+
+// TestTransportDropAndFanoutParity runs one overload scenario — overfill a
+// destination's data queue past cap, then fan one chunk out to two known
+// and one unknown destination — and pins the exact counters it must land
+// in: drop-oldest evictions, fan-out accounting and undeliverable
+// reporting, read through DataplaneStats and Counters. DataQueueDepth, the
+// flow controller's congestion signal, must read the cap mid-burst and
+// drain to zero.
+func TestTransportDropAndFanoutParity(t *testing.T) {
+	const (
+		queueCap = 4
+		burst    = 10
+	)
+	type parityCounters struct {
+		QueueDrops, FanoutEncodes, FanoutFrames int64
+		DataDrops, Undeliver                    int64
+	}
+	want := parityCounters{
+		QueueDrops:    burst - queueCap,
+		FanoutEncodes: 1,
+		FanoutFrames:  2, // the unknown destination never enqueues
+		DataDrops:     burst - queueCap,
+		Undeliver:     1,
+	}
+
+	t.Run("udp", func(t *testing.T) {
+		cfg := UDPConfig{Batch: BatchConfig{
+			MaxBatch:      64, // > burst: no threshold flush mid-burst
+			FlushInterval: 80 * time.Millisecond,
+			DestQueueCap:  queueCap,
+		}}
+		a, b := newUDPPair(t, cfg)
+		var c2, c3 collector
+		b.Register(2, c2.handler())
+		b.Register(3, c3.handler())
+		for _, id := range []overlay.NodeID{2, 3} {
+			if err := a.SetRoute(id, b.LocalAddr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		for i := 0; i < burst; i++ {
+			if !a.Send(1, 2, overlay.DataChunk{Seq: int64(i)}) {
+				t.Fatalf("send %d failed", i)
+			}
+		}
+		// The burst sits in the coalescer until the 80ms timer: queue
+		// depth must read exactly the surviving cap.
+		if d := a.DataQueueDepth(2); d != queueCap {
+			t.Fatalf("DataQueueDepth mid-burst = %d, want %d", d, queueCap)
+		}
+		if !waitFor(t, 2*time.Second, func() bool { return c2.count() == queueCap }) {
+			t.Fatalf("delivered %d, want %d", c2.count(), queueCap)
+		}
+
+		failed := a.SendBatch(1, []overlay.NodeID{2, 3, 99}, overlay.DataChunk{Seq: 100}, nil)
+		if len(failed) != 1 || failed[0] != 99 {
+			t.Fatalf("failed = %v, want [99]", failed)
+		}
+		if !waitFor(t, 2*time.Second, func() bool { return c2.count() == queueCap+1 && c3.count() == 1 }) {
+			t.Fatalf("fanout delivered %d/%d", c2.count(), c3.count())
+		}
+		if !waitFor(t, 2*time.Second, func() bool { return a.DataQueueDepth(2) == 0 }) {
+			t.Fatalf("DataQueueDepth did not drain: %d", a.DataQueueDepth(2))
+		}
+		dp := a.Dataplane()
+		got := parityCounters{
+			QueueDrops:    dp.QueueDrops,
+			FanoutEncodes: dp.FanoutEncodes,
+			FanoutFrames:  dp.FanoutFrames,
+			DataDrops:     a.Counters().DataDrops.Load(),
+			Undeliver:     a.Counters().Undeliver.Load(),
+		}
+		if got != want {
+			t.Fatalf("udp counters = %+v, want %+v", got, want)
+		}
+	})
+}
+
+// TestTransportAckNackNeverEvicted pins that queue-cap backpressure only
+// sheds stream data: a full coalescer queue must not evict DataAck/DataNack
+// frames, which carry the repair signal itself and skip the queue.
+func TestTransportAckNackNeverEvicted(t *testing.T) {
+	cfg := UDPConfig{Batch: BatchConfig{MaxBatch: 64, FlushInterval: 80 * time.Millisecond, DestQueueCap: 2}}
+	a, b := newUDPPair(t, cfg)
+	var c collector
+	b.Register(2, c.handler())
+	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+
+	a.Send(1, 2, overlay.DataAck{Seq: 7})
+	a.Send(1, 2, overlay.DataNack{Ranges: []overlay.SeqRange{{Lo: 1, Hi: 3}}})
+	for i := 0; i < 6; i++ {
+		a.Send(1, 2, overlay.DataChunk{Seq: int64(i)})
+	}
+
+	// 2 control-of-the-data-plane frames + 2 surviving chunks.
+	if !waitFor(t, 2*time.Second, func() bool { return c.count() == 4 }) {
+		t.Fatalf("delivered %d, want 4", c.count())
+	}
+	msgs := c.snapshot()
+	if _, ok := msgs[0].(overlay.DataAck); !ok {
+		t.Fatalf("first delivery = %T, want DataAck", msgs[0])
+	}
+	if _, ok := msgs[1].(overlay.DataNack); !ok {
+		t.Fatalf("second delivery = %T, want DataNack", msgs[1])
+	}
+	for i, m := range msgs[2:] {
+		if want := int64(4 + i); m.(overlay.DataChunk).Seq != want {
+			t.Fatalf("survivor %d = %v, want seq %d", i, m, want)
+		}
+	}
+	if got := a.Dataplane().QueueDrops; got != 4 {
+		t.Fatalf("QueueDrops = %d, want 4", got)
+	}
+}
+
+// TestUDPSendBatchOrdering interleaves SendBatch with plain Sends to one
+// destination and checks it receives exactly the order of the equivalent
+// sequential sends.
+func TestUDPSendBatchOrdering(t *testing.T) {
+	a, b := newUDPPair(t, UDPConfig{})
+	var c collector
+	b.Register(2, c.handler())
+	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+
+	a.Send(1, 2, overlay.DataChunk{Seq: 0})
+	a.SendBatch(1, []overlay.NodeID{2, 2, 2}, overlay.DataChunk{Seq: 1}, nil)
+	a.Send(1, 2, overlay.DataChunk{Seq: 2})
+	if !waitFor(t, 2*time.Second, func() bool { return c.count() == 5 }) {
+		t.Fatalf("delivered %d of 5", c.count())
+	}
+	want := []int64{0, 1, 1, 1, 2}
+	for i, m := range c.snapshot() {
+		if m.(overlay.DataChunk).Seq != want[i] {
+			t.Fatalf("order at %d: got seq %d, want %d", i, m.(overlay.DataChunk).Seq, want[i])
+		}
 	}
 }
 
@@ -228,94 +372,6 @@ func TestUDPControlBypassesCoalescer(t *testing.T) {
 	}
 	if !waitFor(t, 2*time.Second, func() bool { return c.count() == 2 }) {
 		t.Fatalf("queued data chunk not flushed on close; delivered %d", c.count())
-	}
-}
-
-// TestMemSendBatchParity checks the loopback mirror of the fan-out path:
-// one SendBatch equals N sequential Sends — same delivery order, same
-// failure reporting — with the batch counters ticking.
-func TestMemSendBatchParity(t *testing.T) {
-	tr := NewMem()
-	defer tr.Close()
-	var c1, c2 collector
-	tr.Register(1, c1.handler())
-	tr.Register(2, c2.handler())
-
-	failed := tr.SendBatch(0, []overlay.NodeID{1, 2, 99}, overlay.DataChunk{Seq: 5}, nil)
-	if len(failed) != 1 || failed[0] != 99 {
-		t.Fatalf("failed = %v, want [99]", failed)
-	}
-	if !waitFor(t, 2*time.Second, func() bool { return c1.count() == 1 && c2.count() == 1 }) {
-		t.Fatalf("batch delivered %d/%d of 1/1", c1.count(), c2.count())
-	}
-	dp := tr.Dataplane()
-	if dp.FanoutEncodes != 1 || dp.FanoutFrames != 2 {
-		t.Fatalf("fanout counters = %+v, want 1 encode / 2 enqueued frames", dp)
-	}
-	if got := tr.Counters().Undeliver.Load(); got != 1 {
-		t.Fatalf("Undeliver = %d, want 1", got)
-	}
-}
-
-// TestMemSendBatchOrdering interleaves SendBatch with plain Sends and
-// checks global FIFO order is exactly that of the equivalent sequential
-// sends.
-func TestMemSendBatchOrdering(t *testing.T) {
-	tr := NewMem()
-	defer tr.Close()
-	var c collector
-	tr.Register(1, c.handler())
-
-	tr.Send(0, 1, overlay.DataChunk{Seq: 0})
-	tr.SendBatch(0, []overlay.NodeID{1, 1, 1}, overlay.DataChunk{Seq: 1}, nil)
-	tr.Send(0, 1, overlay.DataChunk{Seq: 2})
-	if !waitFor(t, 2*time.Second, func() bool { return c.count() == 5 }) {
-		t.Fatalf("delivered %d of 5", c.count())
-	}
-	want := []int64{0, 1, 1, 1, 2}
-	for i, m := range c.snapshot() {
-		if m.(overlay.DataChunk).Seq != want[i] {
-			t.Fatalf("order at %d: got seq %d, want %d", i, m.(overlay.DataChunk).Seq, want[i])
-		}
-	}
-}
-
-// TestMemDataQueueCapDropOldest drives the loopback drop-oldest
-// backpressure deterministically: holding the transport lock keeps the
-// dispatcher out while a burst overfills one destination's data queue, so
-// the surviving window is exactly the newest DataQueueCap chunks — the
-// same survivors the UDP coalescer test observes.
-func TestMemDataQueueCapDropOldest(t *testing.T) {
-	tr := NewMem()
-	defer tr.Close()
-	tr.DataQueueCap = 4
-	var c collector
-	tr.Register(1, c.handler())
-
-	const n = 10
-	tr.mu.Lock()
-	for i := 0; i < n; i++ {
-		if !tr.sendLocked(0, 1, overlay.DataChunk{Seq: int64(i)}) {
-			tr.mu.Unlock()
-			t.Fatalf("send %d failed", i)
-		}
-	}
-	tr.mu.Unlock()
-
-	if !waitFor(t, 2*time.Second, func() bool { return c.count() == 4 }) {
-		t.Fatalf("delivered %d, want 4", c.count())
-	}
-	for i, m := range c.snapshot() {
-		if want := int64(n - 4 + i); m.(overlay.DataChunk).Seq != want {
-			t.Fatalf("survivor %d = %v, want seq %d", i, m, want)
-		}
-	}
-	dp := tr.Dataplane()
-	if dp.QueueDrops != n-4 {
-		t.Fatalf("QueueDrops = %d, want %d", dp.QueueDrops, n-4)
-	}
-	if got := tr.Counters().DataDrops.Load(); got != n-4 {
-		t.Fatalf("DataDrops = %d, want %d", got, n-4)
 	}
 }
 
@@ -415,27 +471,5 @@ func TestUDPPortableFallback(t *testing.T) {
 	}
 	if got := d.Dataplane().QueueDrops; got != 6 {
 		t.Fatalf("QueueDrops = %d, want 6", got)
-	}
-}
-
-// benchFanout measures SendBatch vs sequential Sends on the loopback
-// transport, the allocation-sensitive half of the fan-out fast path.
-func BenchmarkMemSendBatchFanout(b *testing.B) {
-	tr := NewMem()
-	defer tr.Close()
-	tos := make([]overlay.NodeID, 16)
-	for i := range tos {
-		tos[i] = overlay.NodeID(i + 1)
-		tr.Register(tos[i], func(overlay.NodeID, overlay.Message) {})
-	}
-	m := overlay.DataChunk{Seq: 1, Payload: []byte("0123456789abcdef")}
-	failed := make([]overlay.NodeID, 0, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		failed = tr.SendBatch(0, tos, m, failed[:0])
-		if len(failed) != 0 {
-			b.Fatal(fmt.Sprintf("failed = %v", failed))
-		}
 	}
 }

@@ -52,60 +52,6 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 	return cond()
 }
 
-func TestMemDeliversInOrder(t *testing.T) {
-	tr := NewMem()
-	defer tr.Close()
-	var c collector
-	tr.Register(1, c.handler())
-
-	const n = 200
-	for i := 0; i < n; i++ {
-		if !tr.Send(0, 1, overlay.DataChunk{Seq: int64(i)}) {
-			t.Fatalf("send %d failed", i)
-		}
-	}
-	if !waitFor(t, 2*time.Second, func() bool { return c.count() == n }) {
-		t.Fatalf("delivered %d of %d", c.count(), n)
-	}
-	for i, m := range c.snapshot() {
-		if m.(overlay.DataChunk).Seq != int64(i) {
-			t.Fatalf("out of order at %d: %v", i, m)
-		}
-	}
-	if got := tr.Counters().Data.Load(); got != n {
-		t.Fatalf("data counter = %d, want %d", got, n)
-	}
-}
-
-func TestMemUnknownDestinationAndDrops(t *testing.T) {
-	tr := NewMem()
-	defer tr.Close()
-	var c collector
-	tr.Register(1, c.handler())
-
-	if tr.Send(0, 9, overlay.Ping{Token: 1}) {
-		t.Fatal("send to unknown destination reported success")
-	}
-	if got := tr.Counters().Undeliver.Load(); got != 1 {
-		t.Fatalf("undeliver = %d", got)
-	}
-
-	tr.DropFn = func(from, to overlay.NodeID, m overlay.Message) bool { return true }
-	if !tr.Send(0, 1, overlay.DataChunk{Seq: 1}) {
-		t.Fatal("dropped send should still report true")
-	}
-	if !tr.Send(0, 1, overlay.Ping{Token: 2}) {
-		t.Fatal("dropped ctrl send should still report true")
-	}
-	s := tr.Counters().Snapshot()
-	if s.DataDrops != 1 || s.CtrlDrops != 1 {
-		t.Fatalf("drops = %+v", s)
-	}
-	if c.count() != 0 {
-		t.Fatal("dropped message delivered")
-	}
-}
-
 func newUDPPair(t *testing.T, cfg UDPConfig) (*UDP, *UDP) {
 	t.Helper()
 	a, err := NewUDP("127.0.0.1:0", cfg)
@@ -203,6 +149,9 @@ func TestUDPControlRetry(t *testing.T) {
 
 // TestUDPControlRetryExhaustion loses every transmission and checks the
 // sender gives up after its attempt budget, counting one control drop.
+// The rest of the send-side accounting rides along: a lost data chunk is
+// one DataDrop, and a send to an unroutable destination fails and counts
+// Undeliver. Lost sends still report true, as overlay.Network.Send does.
 func TestUDPControlRetryExhaustion(t *testing.T) {
 	cfg := UDPConfig{RetryBase: 5 * time.Millisecond, RetryAttempts: 4}
 	a, b := newUDPPair(t, cfg)
@@ -211,13 +160,27 @@ func TestUDPControlRetryExhaustion(t *testing.T) {
 	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
+	if a.Send(1, 9, overlay.Ping{Token: 1}) {
+		t.Fatal("send to unknown destination reported success")
+	}
+	if got := a.Counters().Undeliver.Load(); got != 1 {
+		t.Fatalf("undeliver = %d, want 1", got)
+	}
 	a.SetSendFilter(func(to overlay.NodeID, f wire.Frame, attempt int) bool {
 		return f.Kind == wire.KindMsg
 	})
 
-	a.Send(1, 2, overlay.Ping{Token: 1})
+	if !a.Send(1, 2, overlay.DataChunk{Seq: 1}) {
+		t.Fatal("dropped data send should still report true")
+	}
+	if !a.Send(1, 2, overlay.Ping{Token: 2}) {
+		t.Fatal("dropped ctrl send should still report true")
+	}
 	if !waitFor(t, 2*time.Second, func() bool { return a.Counters().CtrlDrops.Load() == 1 }) {
 		t.Fatalf("ctrl drops = %d, want 1", a.Counters().CtrlDrops.Load())
+	}
+	if got := a.Counters().DataDrops.Load(); got != 1 {
+		t.Fatalf("data drops = %d, want 1", got)
 	}
 	if c.count() != 0 {
 		t.Fatal("fully-lost message was delivered")

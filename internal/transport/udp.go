@@ -349,8 +349,6 @@ func (d *dedupe) seen(seq uint32) bool {
 	return false
 }
 
-var _ Transport = (*UDP)(nil)
-
 // newMmsg builds the platform mmsg engine; a package variable so a test
 // can force the portable fallback Linux CI otherwise never runs.
 var newMmsg = newMmsgIO
@@ -496,8 +494,7 @@ func (t *UDP) deliver(from, to overlay.NodeID, m overlay.Message) bool {
 		t.mu.Unlock()
 		// Acks and nacks are best-effort like chunks but clock the flow
 		// window, so they skip the coalescing delay (and its drop-oldest
-		// eviction) and go straight to the socket — the same immediacy
-		// Mem gives them.
+		// eviction) and go straight to the socket.
 		if overlay.IsStreamData(m) {
 			t.co.enqueueFrame(to, addr, f)
 		} else {
