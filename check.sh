@@ -14,6 +14,11 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# The figure golden is skipped under -race (over a minute there, ~7 s
+# without), so run it once without the race detector.
+echo "== figure golden"
+go test -run TestFiguresGolden ./internal/experiments/
+
 # benchmark/ is a Go module of its own (BENCHMARK.json's contract), so
 # ./... above never enters it — but it compiles against internal/ APIs.
 echo "== benchmark module: go vet + go build"

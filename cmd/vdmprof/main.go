@@ -1,5 +1,6 @@
 // Command vdmprof renders a simulation flight recording (the JSONL stream
-// internal/obs/simprof writes when a session runs with profiling on):
+// internal/obs/simprof writes when a session runs with profiling on:
+// vdmsim -profileout on either underlay, or benchscale -profileout):
 // run totals, the per-epoch horizon-advance distribution, the per-shard
 // busy/barrier-wait imbalance table, event-storm attribution (hottest
 // peers and overlay edges), the wire-message mix, and the final protocol

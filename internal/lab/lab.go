@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"vdm/internal/geo"
-	"vdm/internal/obs/simprof"
 	"vdm/internal/rng"
 	"vdm/internal/scenario"
 	"vdm/internal/sim"
@@ -85,68 +84,53 @@ func (s *Selection) Sample(n int, rnd *rng.Stream) ([]int, error) {
 	return pool[:n+1], nil
 }
 
-// Config describes a chapter-5 emulation run.
+// Config describes a chapter-5 emulation run. Sizes and times have no
+// defaults; the paper's setup is 100 nodes of degree 4, a 2000 s join
+// phase in a 5000 s session, and 10 chunks/s.
 type Config struct {
 	Seed      int64
 	Protocol  sim.ProtocolKind
-	Nodes     int     // peers sampled from the usable pool (default 100)
-	Degree    int     // fixed node degree (default 4)
+	Nodes     int     // peers sampled from the usable pool
+	Degree    int     // fixed node degree
 	ChurnPct  float64 // churn per 400 s interval during the churn phase
 	Refine    float64 // VDM refinement period, 0 = off
 	Foster    bool    // VDM quick-start
 	ReconnSrc bool    // ablation: reconnect at the source, not grandparent
-	USOnly    bool    // restrict to US sites (default true in New)
-	GeoCfg    *geo.Config
-	Duration  float64 // default 5000 s (2000 s join + 3000 s churn)
-	JoinPhase float64
-	DataRate  float64 // default 10 chunks/s
+	USOnly    bool    // restrict to US sites (the paper's pool)
+	Duration  float64 // session length (s)
+	JoinPhase float64 // join phase length (s); churn runs after it
+	DataRate  float64 // chunks/s
 	MST       bool
 	Validate  bool
-
-	// Shards selects the sim engine (see sim.Config.Shards): 0 runs the
-	// serial engine, S >= 1 the sharded engine with S shards. Results are
-	// byte-identical either way.
-	Shards int
-	// Progress/ProgressEveryS forward to sim.Config for periodic
-	// progress reporting (both engines).
-	Progress       func(sim.ProgressInfo)
-	ProgressEveryS float64
-	// Profile forwards to sim.Config.Profile: the simulation flight
-	// recorder's options (nil = off).
-	Profile *simprof.Options
 }
 
 // Result couples the session result with the selection pipeline summary.
+// The sampled host sites are Config.GeoSites.
 type Result struct {
 	*sim.Result
 	Selection *Selection
-	Sites     []int
 }
 
-// Run performs one full chapter-5 experiment: generate the synthetic
-// PlanetLab, filter usable nodes, sample the experiment pool, and run the
+// Run performs one full chapter-5 experiment: Configure, then run the
 // session.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 100
+	sc, sel, err := Configure(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Degree <= 0 {
-		cfg.Degree = 4
+	res, err := sim.Run(sc)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 5000
-	}
-	if cfg.JoinPhase <= 0 {
-		cfg.JoinPhase = 2000
-	}
-	if cfg.DataRate <= 0 {
-		cfg.DataRate = 10
-	}
-	gcfg := geo.DefaultConfig()
-	if cfg.GeoCfg != nil {
-		gcfg = *cfg.GeoCfg
-	}
-	model := geo.Generate(gcfg, rng.Derive(cfg.Seed, "geo"))
+	return &Result{Result: res, Selection: sel}, nil
+}
+
+// Configure prepares a chapter-5 experiment without running it: generate
+// the synthetic PlanetLab, filter usable nodes, build the churn scenario
+// and sample the experiment pool. It returns the session Run would execute
+// and the selection behind it.
+func Configure(cfg Config) (sim.Config, *Selection, error) {
+	model := geo.Generate(geo.DefaultConfig(), rng.Derive(cfg.Seed, "geo"))
 	sel := SelectNodes(model, cfg.USOnly)
 
 	// Build the churn scenario up front so the site sample matches its
@@ -163,10 +147,9 @@ func Run(cfg Config) (*Result, error) {
 	}, rng.Derive(cfg.Seed, "scenario"))
 	sites, err := sel.Sample(scn.PoolSize-1, rng.Derive(cfg.Seed, "sites"))
 	if err != nil {
-		return nil, err
+		return sim.Config{}, nil, err
 	}
-
-	res, err := sim.Run(sim.Config{
+	return sim.Config{
 		Scenario:          scn,
 		Seed:              cfg.Seed,
 		Protocol:          cfg.Protocol,
@@ -186,15 +169,7 @@ func Run(cfg Config) (*Result, error) {
 		GeoSites:          sites,
 		ComputeMST:        cfg.MST,
 		Validate:          cfg.Validate,
-		Shards:            cfg.Shards,
-		Progress:          cfg.Progress,
-		ProgressEveryS:    cfg.ProgressEveryS,
-		Profile:           cfg.Profile,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Result: res, Selection: sel, Sites: sites}, nil
+	}, sel, nil
 }
 
 // RenderTree draws the final overlay tree the way figures 5.5/5.6 present

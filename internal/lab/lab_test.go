@@ -78,6 +78,7 @@ func TestRunChapter5Session(t *testing.T) {
 		Seed:      7,
 		Protocol:  sim.VDM,
 		Nodes:     40,
+		Degree:    4,
 		ChurnPct:  10,
 		USOnly:    true,
 		JoinPhase: 300,
@@ -91,7 +92,7 @@ func TestRunChapter5Session(t *testing.T) {
 	if len(res.InvariantErrors) > 0 {
 		t.Fatalf("invariants: %v", res.InvariantErrors)
 	}
-	if res.Selection == nil || len(res.Sites) == 0 {
+	if res.Selection == nil || len(res.Config.GeoSites) == 0 {
 		t.Fatal("selection metadata missing")
 	}
 	if res.StartupAvg <= 0 || res.FinalReachable < 30 {
@@ -102,7 +103,7 @@ func TestRunChapter5Session(t *testing.T) {
 	for _, id := range res.Selection.Usable {
 		usable[id] = true
 	}
-	for _, s := range res.Sites {
+	for _, s := range res.Config.GeoSites {
 		if !usable[s] {
 			t.Fatalf("session used unusable site %d", s)
 		}
@@ -116,6 +117,7 @@ func TestRunDefaultPoolFitsPaperScale(t *testing.T) {
 		Seed:      8,
 		Protocol:  sim.VDM,
 		Nodes:     100,
+		Degree:    4,
 		ChurnPct:  10,
 		USOnly:    true,
 		JoinPhase: 200,
@@ -135,6 +137,7 @@ func TestDOTOutput(t *testing.T) {
 		Seed:      11,
 		Protocol:  sim.VDM,
 		Nodes:     15,
+		Degree:    4,
 		USOnly:    true,
 		JoinPhase: 200,
 		Duration:  400,
@@ -161,6 +164,7 @@ func TestRenderTreeAndClusterStats(t *testing.T) {
 		Seed:      9,
 		Protocol:  sim.VDM,
 		Nodes:     30,
+		Degree:    4,
 		USOnly:    true,
 		JoinPhase: 200,
 		Duration:  500,

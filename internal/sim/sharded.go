@@ -27,10 +27,10 @@
 // produce identical experiment output (guarded by
 // TestShardedRunsAreByteIdentical).
 //
-// Measurements, validation follow-ups and checkpoints run on the
-// controller at stop barriers, replicating the serial engine's
-// equal-time event ordering (setup-band events, then measures, then
-// follow-ups, then runtime events).
+// Measurements and validation follow-ups run on the controller at stop
+// barriers, replicating the serial engine's equal-time event ordering
+// (setup-band events, then measures, then follow-ups, then runtime
+// events).
 package sim
 
 import (
@@ -218,12 +218,6 @@ func (ss *controller) controllerLoop(lookahead float64, prof *shardProf) error {
 
 	var followups []followupCheck
 
-	cp, resume, err := ss.loadCheckpoint()
-	if err != nil {
-		return err
-	}
-
-	lastCp := math.Inf(-1)
 	prog := newProgressReporter(cfg)
 	var epochs uint64
 	progress := func(t float64) {
@@ -287,12 +281,10 @@ func (ss *controller) controllerLoop(lookahead float64, prof *shardProf) error {
 
 		for mIdx < len(measures) && measures[mIdx] == t {
 			ss.ctrlEvents++
-			if resume == nil || t > resume.T {
-				// Same grace the single-queue driver gives (re-check 5 s
-				// later); re-checks past the session end never fire.
-				if first := ss.measure(t); first != nil && t+5 <= duration {
-					followups = append(followups, followupCheck{fireT: t + 5, measT: t, first: first})
-				}
+			// Same grace the single-queue driver gives (re-check 5 s
+			// later); re-checks past the session end never fire.
+			if first := ss.measure(t); first != nil && t+5 <= duration {
+				followups = append(followups, followupCheck{fireT: t + 5, measT: t, first: first})
 			}
 			mIdx++
 		}
@@ -302,20 +294,6 @@ func (ss *controller) controllerLoop(lookahead float64, prof *shardProf) error {
 			followups = followups[1:]
 		}
 
-		if resume != nil && t >= resume.T {
-			if err := ss.verifyResume(resume, t, mIdx); err != nil {
-				return err
-			}
-			resume = nil
-			lastCp = t // the on-disk checkpoint is already this barrier
-		} else if cp != nil && resume == nil && mIdx > 0 && measures[mIdx-1] == t {
-			if t-lastCp >= cfg.CheckpointEveryS {
-				if err := cp.write(ss.session, t, mIdx); err != nil {
-					return err
-				}
-				lastCp = t
-			}
-		}
 		if prof != nil && t < duration {
 			prof.maybeFlush(ss, t, false)
 		}

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -146,61 +144,5 @@ func TestShardedDeliveryHammer(t *testing.T) {
 	}
 	if res.FinalReachable == 0 {
 		t.Fatal("no peers reachable after hammer run")
-	}
-}
-
-// TestCheckpointResume checks the replay-based resume: a second run
-// finding the checkpoint must reproduce the first run exactly, including
-// across a different shard count, and still match the serial engine.
-func TestCheckpointResume(t *testing.T) {
-	base := parityConfigs()["ch4-batch"]
-	serial, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderResult(serial)
-
-	path := filepath.Join(t.TempDir(), "cp.json")
-	cfg := base
-	cfg.Shards = 2
-	cfg.CheckpointPath = path
-	first, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderResult(first); got != want {
-		t.Fatalf("checkpointing run diverged from serial:\n%s", firstDiff(want, got))
-	}
-
-	// Resume at a different shard count: the checkpoint identity excludes
-	// the shard count because runs are byte-identical at every S.
-	cfg.Shards = 4
-	resumed, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderResult(resumed); got != want {
-		t.Fatalf("resumed run diverged from serial:\n%s", firstDiff(want, got))
-	}
-}
-
-// TestCheckpointRejectedConfigs pins the two configurations checkpointing
-// refuses: with Validate (documented), and on the serial engine, which
-// has no measurement barriers to checkpoint at and used to ignore the
-// path silently.
-func TestCheckpointRejectedConfigs(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.json")
-	withValidate := parityConfigs()["ch3-churn"]
-	withValidate.Shards = 2
-	serial := parityConfigs()["ch4-batch"]
-	serial.Shards = 0
-	for name, cfg := range map[string]Config{"validate": withValidate, "serial engine": serial} {
-		cfg.CheckpointPath = path
-		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "CheckpointPath") {
-			t.Errorf("%s: Run with CheckpointPath returned %v, want a CheckpointPath error", name, err)
-		}
-		if _, err := os.Stat(path); err == nil {
-			t.Errorf("%s: rejected run still wrote %s", name, path)
-		}
 	}
 }

@@ -177,16 +177,6 @@ type Config struct {
 	// profiled and unprofiled sessions produce byte-identical Results
 	// (pinned by TestProfiledRunsAreByteIdentical).
 	Profile *simprof.Options
-
-	// CheckpointPath enables checkpoint/resume on the sharded engine:
-	// the session writes a checkpoint there at measurement barriers
-	// (every CheckpointEveryS simulated seconds; 0 = every measurement),
-	// and a run finding a compatible checkpoint resumes from it by
-	// deterministic replay, verifying the state hash at the checkpointed
-	// barrier. Incompatible with Validate, and an error on the serial
-	// engine (Shards 0), which has no barriers to checkpoint at.
-	CheckpointPath   string
-	CheckpointEveryS float64
 }
 
 func (c Config) withDefaults() Config {
@@ -490,10 +480,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("sim: Shards must be ≥ 0, got %d", cfg.Shards)
 	case cfg.Shards != 0 && cfg.Metric == "loss-est":
 		return nil, fmt.Errorf("sim: metric %q draws from a shared estimator stream in query order and only runs on the serial engine (Shards=0)", cfg.Metric)
-	case cfg.CheckpointPath != "" && cfg.Shards == 0:
-		return nil, fmt.Errorf("sim: CheckpointPath needs the sharded engine (Shards ≥ 1): checkpoints are written and resumed at its measurement barriers")
-	case cfg.CheckpointPath != "" && cfg.Validate:
-		return nil, fmt.Errorf("sim: CheckpointPath is incompatible with Validate (follow-up re-checks are runtime state a checkpoint does not capture)")
 	}
 	s, err := newSession(cfg)
 	if err != nil {
