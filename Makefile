@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet fuzz bench bench-compare profile-cell bench-experiments bench-scale bench-scale-smoke bench-scale-profile profile-smoke
+.PHONY: check test build vet fuzz bench bench-compare profile-cell bench-experiments bench-scale bench-scale-profile profile-smoke
 
 # check is the pre-merge gate: vet + build + race-enabled tests.
 check:
@@ -47,60 +47,82 @@ bench-experiments:
 		-benchout BENCH_experiments.json > /dev/null
 	@echo "wrote BENCH_experiments.json"
 
-# bench-scale sweeps the sharded engine's peers × shards grid up to the
-# 100k-peer scenario, plus a single 500k-peer cell at the largest shard
-# count, and archives the scaling curve (BENCH_scale.json: wall clock
-# split join/steady, peak heap, bytes/peer, events/s per cell), holding
-# the 100k+ cells to the 6 KB/peer budget (-maxbpp). Long — an hour or
-# more; the committed artifact comes from this target on a quiet machine.
+# SCALE_CELL is the scale cell's session shape, the benchmark's
+# sim-scale-cell at any population: 300 s simulated, a 150 s join storm,
+# 0.2 chunks/s and no churn round before the end. -progress 150 prints the
+# wall clock at the join phase's end and at the session's end.
+SCALE_CELL = -duration 300 -join 150 -rate 0.2 -progress 150
+
+# SCALE_STATS reads the -progress lines of a population's runs and prints
+# its row of BENCH_scale.txt: join-storm wall, total wall and events/s,
+# each as median [min, max] over the runs.
+define SCALE_STATS
+function val(s) { sub(/^[^=]*=/, "", s); return s + 0 }
+function stat(a, k, f,   i, j, t) {
+	for (i = 2; i <= k; i++)
+		for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
+	return sprintf(f " [" f ", " f "]", a[int((k+1)/2)], a[1], a[k])
+}
+$$1 ~ /^t=150s/ { join[++k] = val($$NF) }
+$$1 ~ /^t=300s/ { wall[k] = val($$NF); evps[k] = val($$2) / wall[k] }
+END { printf "%-7d %4d  %-22s %-22s %-27s", n, k, stat(join, k, "%.2f"), stat(wall, k, "%.2f"), stat(evps, k, "%.0f") }
+endef
+export SCALE_STATS
+
+# bench-scale measures the scale cell on the serial engine at 10k and
+# 100k peers (three runs each) and 500k peers (one run), at GOGC=50, and
+# writes BENCH_scale.txt. Walls and events/s come from unprofiled runs,
+# because the flight recorder adds about 9 % to wall; peak heap and
+# bytes/peer come from one more run per population with -profileout,
+# read by vdmprof. Long: the 500k cell alone is minutes per run and
+# needs several GB of memory.
 bench-scale:
-	$(GO) run ./cmd/benchscale -peers 1000,10000,100000 -shards 0,1,2,4 \
-		-xpeers 500000 -duration 300 -join 150 -v -maxbpp 6000 \
-		-out BENCH_scale.json -history BENCH_history.jsonl
-	@echo "wrote BENCH_scale.json"
+	@{ echo "# BENCH_scale.txt: make bench-scale at $$(git describe --always --dirty), $$(nproc) cores, $$($(GO) env GOVERSION), $$(date -u +%Y-%m-%d)"; \
+	  echo "# cell: GOGC=50 vdmsim -nodes N $(SCALE_CELL) (serial engine)"; \
+	  echo "# join_wall_s (wall at t=150), wall_s, events_per_s: median [min, max] over unprofiled runs"; \
+	  echo "# heap: vdmprof's peak sampled heap of one more run with -profileout"; \
+	  printf '%-7s %4s  %-22s %-22s %-27s %s\n' peers runs join_wall_s wall_s events_per_s heap; \
+	  for cell in 10000:3 100000:3 500000:1; do \
+	    n=$${cell%:*}; \
+	    progress=$$(for i in $$(seq $${cell#*:}); do \
+	      GOGC=50 $(GO) run ./cmd/vdmsim -nodes $$n $(SCALE_CELL) 2>&1 >/dev/null || exit 1; \
+	    done) || exit 1; \
+	    stats=$$(echo "$$progress" | awk -v n=$$n "$$SCALE_STATS"); \
+	    GOGC=50 $(GO) run ./cmd/vdmsim -nodes $$n $(SCALE_CELL) -profileout sim_profile.jsonl >/dev/null 2>&1 || exit 1; \
+	    heap=$$($(GO) run ./cmd/vdmprof sim_profile.jsonl | sed -n 's/^  heap *//p') || exit 1; \
+	    echo "$$stats $$heap"; \
+	  done; } > BENCH_scale.txt.tmp
+	@rm -f sim_profile.jsonl
+	@mv BENCH_scale.txt.tmp BENCH_scale.txt
+	@cat BENCH_scale.txt
 
 # bench-scale-profile records the committed flight-recorder artifact: the
-# 10k-peer sharded cell with profiling on. BENCH_simprof.jsonl is the
-# recording vdmprof renders in the README quick-start (per-shard
+# 10k-peer scale cell on 4 shards with profiling on. BENCH_simprof.jsonl
+# is the recording vdmprof renders in the README quick-start (per-shard
 # barrier-wait share, horizon-advance distribution, event-storm peers).
 bench-scale-profile:
-	$(GO) run ./cmd/benchscale -peers 10000 -shards 4 -duration 300 -join 150 \
-		-profileout BENCH_simprof.jsonl -out /dev/null
+	GOGC=50 $(GO) run ./cmd/vdmsim -nodes 10000 -shards 4 $(SCALE_CELL) \
+		-profileout BENCH_simprof.jsonl > /dev/null
 	$(GO) run ./cmd/vdmprof BENCH_simprof.jsonl
 	@echo "wrote BENCH_simprof.jsonl"
 
 # profile-cell prints where the benchmark's 20 000-peer serial cell spends
 # its CPU: the `pprof -top` ROADMAP asks for before an engine layer is
-# touched. The cell runs three times under one profile, because a single
-# 4 s run is ~400 samples and its shares wander by a point or two.
-# BENCH_pprof_scale_cell.txt holds this target's output for the commit
-# that last changed the engine and for its parent.
+# touched. BenchmarkScaleCell runs the cell under one profile several
+# times (-benchtime 3x, after the testing package's first single run),
+# because a single 4 s run is ~400 samples and its shares wander by a
+# point or two. BENCH_pprof_scale_cell.txt holds this profile for the
+# commit that last changed the engine and for its parent.
 profile-cell:
-	$(GO) run ./cmd/benchscale -peers 20000,20000,20000 -shards 0 -duration 300 -join 150 -seed 7 \
-		-cpuprofile scale_cell.pprof -out /dev/null
-	$(GO) tool pprof -top -nodecount=40 scale_cell.pprof
-	@rm -f scale_cell.pprof
-
-# bench-scale-smoke is the CI variant: small populations swept over
-# serial / S=1 / S=4 in seconds, written to their own file so the
-# committed full-grid BENCH_scale.json is never overwritten by a smoke
-# run. It enforces the determinism cross-check (sharded output == serial
-# output), fails if the pure epoch-machinery overhead at S=1 exceeds
-# 1.5× serial wall clock, holds the smoke cells to a generous absolute
-# bytes-per-peer ceiling (small cells are fixed-cost-dominated, so the
-# ceiling only catches order-of-magnitude leaks), and re-asserts the
-# committed artifact's 100k/500k cells against the 6 KB/peer budget so a
-# regressed committed report fails CI even without a long re-run.
-bench-scale-smoke:
-	$(GO) run ./cmd/benchscale -peers 500,1000 -shards 0,1,4 -duration 120 -join 60 \
-		-gate 1.5 -maxbpp 120000 -out BENCH_scale_smoke.json
-	$(GO) run ./cmd/benchscale -check BENCH_scale.json -maxbpp 6000
-	@echo "wrote BENCH_scale_smoke.json"
+	GOGC=50 $(GO) test -run '^$$' -bench '^BenchmarkScaleCell$$' -benchtime 3x \
+		-cpuprofile scale_cell.pprof -o scale_cell.test .
+	$(GO) tool pprof -top -nodecount=40 scale_cell.test scale_cell.pprof
+	@rm -f scale_cell.pprof scale_cell.test
 
 # profile-smoke exercises the whole flight-recorder path in seconds: a
 # short profiled sharded session, then vdmprof rendering the summary
 # (which fails if the recording is missing records or unparseable). CI
-# runs this and uploads profile_smoke.jsonl next to BENCH_scale.json.
+# runs this and uploads profile_smoke.jsonl.
 profile-smoke:
 	$(GO) run ./cmd/vdmsim -nodes 300 -routers 300 -duration 600 -join 200 \
 		-shards 4 -profileout profile_smoke.jsonl > /dev/null

@@ -461,3 +461,26 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
+
+// BenchmarkScaleCell runs the 20 000-peer serial cell of the benchmark's
+// sim-scale-cell workload (300 s simulated, 150 s join phase, 0.2
+// chunks/s, no churn round before the end) with seed 7: the session
+// `make profile-cell` profiles.
+func BenchmarkScaleCell(b *testing.B) {
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		res := mustRun(b, sim.Config{
+			Seed:       7,
+			Protocol:   sim.VDM,
+			Nodes:      20_000,
+			ChurnPct:   5,
+			DurationS:  300,
+			JoinPhaseS: 150,
+			DataRate:   0.2,
+			RouterMin:  784,
+			Underlay:   sim.Router,
+		})
+		events += res.EventsProcessed
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}

@@ -1,0 +1,70 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestGoldenOutput pins the summary and the -timeline text for two
+// committed recordings of the same 60-peer session, one on the serial
+// engine and one on 2 shards. The recordings were written with
+//
+//	go run ./cmd/vdmsim -nodes 60 -routers 120 -duration 300 -join 150 \
+//	    -rate 0.2 -profile 50 [-shards 2] -profileout cmd/vdmprof/testdata/<name>.jsonl
+//
+// and are inputs, not outputs: their wall-clock fields never regenerate
+// the same. If the rendering changes ON PURPOSE, regenerate a golden with
+//
+//	go run ./cmd/vdmprof [-timeline] cmd/vdmprof/testdata/<name>.jsonl \
+//	    > cmd/vdmprof/testdata/<name>.<summary|timeline>.golden
+func TestGoldenOutput(t *testing.T) {
+	for _, rec := range []string{"serial", "shards2"} {
+		for _, view := range []string{"summary", "timeline"} {
+			t.Run(rec+"/"+view, func(t *testing.T) {
+				want, err := os.ReadFile(filepath.Join("testdata", rec+"."+view+".golden"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				args := []string{filepath.Join("testdata", rec+".jsonl")}
+				if view == "timeline" {
+					args = append([]string{"-timeline"}, args...)
+				}
+				var out bytes.Buffer
+				if err := run(args, &out); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out.Bytes(), want) {
+					t.Errorf("vdmprof %s:\n got:\n%s\nwant:\n%s", strings.Join(args, " "), out.Bytes(), want)
+				}
+			})
+		}
+	}
+}
+
+// TestRejectedRecordings pins the recordings that are errors: nothing to
+// render, or not a recording at all.
+func TestRejectedRecordings(t *testing.T) {
+	for name, body := range map[string]string{
+		"empty":       "",
+		"header-only": `{"v":1,"kind":"header","engine":"serial","pool":71,"interval_s":50}` + "\n",
+		"garbled":     "{\"v\":1,\"kind\":\"interval\",\"t\":\n",
+		"unknown":     `{"v":1,"kind":"epoch"}` + "\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "rec.jsonl")
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := run([]string{path}, &out); err == nil {
+				t.Error("no error")
+			}
+			if out.Len() != 0 {
+				t.Errorf("printed %q before failing", out.String())
+			}
+		})
+	}
+}

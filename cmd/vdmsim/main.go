@@ -109,6 +109,9 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("-%s does not apply to -underlay %s", name, *underlay)
 		}
 	}
+	if set["profile"] && *profOut == "" {
+		return fmt.Errorf("-profile sets the flight recorder's interval and needs -profileout")
+	}
 	for name, v := range defaults {
 		if !set[name] {
 			if err := fs.Set(name, v); err != nil {
@@ -145,7 +148,7 @@ func run(args []string, stdout io.Writer) error {
 	if *progress > 0 {
 		start := time.Now()
 		progressFn = func(p sim.ProgressInfo) {
-			fmt.Fprintf(os.Stderr, "t=%.0fs/%.0fs  events=%d  epochs=%d  ev/s=%.0f  wall=%.1fs\n",
+			fmt.Fprintf(os.Stderr, "t=%.0fs/%.0fs  events=%d  epochs=%d  ev/s=%.0f  wall=%.2fs\n",
 				p.T, *duration, p.Events, p.Epochs, p.EventsPerSec, time.Since(start).Seconds())
 		}
 	}

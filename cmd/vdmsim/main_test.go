@@ -53,6 +53,7 @@ func TestRejectedFlags(t *testing.T) {
 		"-underlay geo -degmin 2 -degmax 5",
 		"-reps 2 -progress 100",
 		"-reps 2 -profileout prof.jsonl",
+		"-profile 5",
 		"-underlay mesh",
 		"-dump graph",
 	} {
