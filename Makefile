@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet fuzz bench bench-compare profile-cell bench-experiments bench-scale bench-scale-profile profile-smoke
+.PHONY: check test build vet fuzz knobs bench bench-compare profile-cell bench-experiments bench-scale bench-scale-profile profile-smoke
 
 # check is the pre-merge gate: vet + build + race-enabled tests.
 check:
@@ -18,6 +18,24 @@ test:
 # Short fuzz pass over the wire codec.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/wire/
+
+# knobs counts the repo's settable values: the fields of every *Config and
+# Options struct under internal/ and in vdm.go (a line `A, B int` is two),
+# and the flags every command under cmd/ declares. One line per struct or
+# command, then the total.
+knobs:
+	@awk 'function flagline(   dir) { dir = cmd; sub(/\/main\.go$$/, "", dir); \
+		printf "%-44s %3d flags\n", dir, nflags; total += nflags; nflags = 0; cmd = "" } \
+	FNR == 1 && cmd != "" { flagline() } \
+	FILENAME ~ /^cmd\// { cmd = FILENAME; \
+		if ($$0 ~ /(fs|flag)\.(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var|BoolVar|DurationVar|Float64Var|IntVar|Int64Var|StringVar|UintVar|Uint64Var)\(/) nflags++; \
+		next } \
+	/^type [A-Za-z]*(Config|Options) struct \{/ { name = FILENAME ":" $$2; n = 0; inside = 1; next } \
+	inside && /^\}/ { printf "%-44s %3d fields\n", name, n; total += n; inside = 0; next } \
+	inside && match($$0, /^\t[A-Za-z_][A-Za-z0-9_]*(, [A-Za-z_][A-Za-z0-9_]*)*[ \t]/) { \
+		names = substr($$0, 1, RLENGTH); n += gsub(/,/, "", names) + 1 } \
+	END { if (cmd != "") flagline(); printf "%-44s %3d\n", "total", total }' \
+		$$(find internal -name '*.go' ! -name '*_test.go' | sort) vdm.go cmd/*/main.go
 
 # BENCH_PKGS are the packages whose Go benchmarks BENCH_wire.json archives.
 BENCH_PKGS = ./internal/wire/ ./internal/eventq/ ./internal/rng/ ./internal/core/
@@ -111,8 +129,8 @@ bench-scale-profile:
 # touched. BenchmarkScaleCell runs the cell under one profile several
 # times (-benchtime 3x, after the testing package's first single run),
 # because a single 4 s run is ~400 samples and its shares wander by a
-# point or two. BENCH_pprof_scale_cell.txt holds this profile for the
-# commit that last changed the engine and for its parent.
+# point or two. BENCH_pprof_scale_cell.txt holds a recent such profile; a
+# change to the engine records its parent's and its own.
 profile-cell:
 	GOGC=50 $(GO) test -run '^$$' -bench '^BenchmarkScaleCell$$' -benchtime 3x \
 		-cpuprofile scale_cell.pprof -o scale_cell.test .

@@ -55,6 +55,8 @@ func TestRejectedFlags(t *testing.T) {
 		"-reps 2 -profileout prof.jsonl",
 		"-profile 5",
 		"-underlay mesh",
+		"-protocol hmpt",
+		"-metric los",
 		"-dump graph",
 	} {
 		var out bytes.Buffer

@@ -13,36 +13,13 @@ import (
 	"vdm/internal/rng"
 )
 
-// Config tunes a BTP node.
-type Config struct {
-	// SwitchPeriodS is the sibling-switch probe period; zero selects
-	// 60 s.
-	SwitchPeriodS float64
-	// SwitchMargin is the minimum relative improvement before
-	// switching; zero selects 2%.
-	SwitchMargin float64
-	// MaxAttempts bounds join restarts; zero selects 5.
-	MaxAttempts int
-	// RetryBackoffS is the pause after MaxAttempts failures; zero
-	// selects 5 s.
-	RetryBackoffS float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.SwitchPeriodS <= 0 {
-		c.SwitchPeriodS = 60
-	}
-	if c.SwitchMargin <= 0 {
-		c.SwitchMargin = 0.02
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.RetryBackoffS <= 0 {
-		c.RetryBackoffS = 5
-	}
-	return c
-}
+// Sibling-switch tuning: the probe period, and the relative improvement
+// over the current parent distance a sibling must offer before the node
+// switches under it.
+const (
+	switchPeriodS = 60.0
+	switchMargin  = 0.02
+)
 
 type stage int
 
@@ -68,21 +45,23 @@ type joinState struct {
 // Node is one BTP peer.
 type Node struct {
 	*overlay.Peer
-	cfg         Config
-	rnd         *rng.Stream
-	join        *joinState
-	token       int
-	switchArmed bool
+	// switchPeriodS is the node's sibling-switch probe period (the
+	// package constant; tests shorten or stretch it).
+	switchPeriodS float64
+	rnd           *rng.Stream
+	join          *joinState
+	token         int
+	switchArmed   bool
 }
 
 var _ overlay.Protocol = (*Node)(nil)
 
 // New builds a BTP node.
-func New(net overlay.Bus, pc overlay.PeerConfig, cfg Config, rnd *rng.Stream) *Node {
+func New(net overlay.Bus, pc overlay.PeerConfig, rnd *rng.Stream) *Node {
 	n := &Node{
-		Peer: overlay.NewPeer(net, pc),
-		cfg:  cfg.withDefaults(),
-		rnd:  rnd,
+		Peer:          overlay.NewPeer(net, pc),
+		switchPeriodS: switchPeriodS,
+		rnd:           rnd,
 	}
 	n.Peer.SetHooks(n)
 	return n
@@ -97,13 +76,14 @@ func (n *Node) StartJoin() {
 		return
 	}
 	n.MarkJoinStart()
-	n.begin(false)
+	n.begin(false, 0)
 }
 
-func (n *Node) begin(reconnect bool) {
+func (n *Node) begin(reconnect bool, attempts int) {
 	js := &joinState{
 		dists:     make(overlay.ProbeResult),
 		visited:   make(map[overlay.NodeID]bool),
+		attempts:  attempts,
 		reconnect: reconnect,
 	}
 	n.join = js
@@ -126,7 +106,7 @@ func (n *Node) OnOrphaned(leaver, hint overlay.NodeID) {
 		n.EndSwitch()
 		n.join = nil
 	}
-	n.begin(true)
+	n.begin(true, 0)
 }
 
 func (n *Node) sendConn(js *joinState, to overlay.NodeID) {
@@ -143,7 +123,7 @@ func (n *Node) sendConn(js *joinState, to overlay.NodeID) {
 	n.Net().Send(n.ID(), to, overlay.ConnRequest{Token: js.token, Kind: overlay.ConnChild, Dist: dist})
 
 	tok := js.token
-	n.Net().After(n.ConnTimeoutS, func() {
+	n.Net().After(overlay.ConnTimeoutS, func() {
 		if n.join == js && js.stage == stageConn && js.token == tok {
 			n.restart(js)
 		}
@@ -184,7 +164,7 @@ func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
 		n.token++
 		js.token = n.token
 		tok := js.token
-		n.Prober().Launch(cands, n.ProbeTimeoutS, func(res overlay.ProbeResult) {
+		n.Prober().Launch(cands, overlay.ProbeTimeoutS, func(res overlay.ProbeResult) {
 			if n.join != js || js.stage != stageProbe || js.token != tok {
 				return
 			}
@@ -216,24 +196,10 @@ func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
 }
 
 func (n *Node) restart(js *joinState) {
-	attempts := js.attempts + 1
 	n.join = nil
-	if attempts >= n.cfg.MaxAttempts {
-		n.Net().After(n.cfg.RetryBackoffS, func() {
-			if n.Alive() && !n.Connected() && n.join == nil {
-				n.begin(js.reconnect)
-			}
-		})
-		return
-	}
-	next := &joinState{
-		dists:     make(overlay.ProbeResult),
-		visited:   make(map[overlay.NodeID]bool),
-		attempts:  attempts,
-		reconnect: js.reconnect,
-	}
-	n.join = next
-	n.sendConn(next, n.Source())
+	n.RestartJoin(js.attempts+1, func() bool { return n.join == nil }, func(a int) {
+		n.begin(js.reconnect, a)
+	})
 }
 
 // armSwitch starts the periodic sibling-switch optimization.
@@ -246,7 +212,7 @@ func (n *Node) armSwitch() {
 }
 
 func (n *Node) scheduleSwitch() {
-	period := n.cfg.SwitchPeriodS
+	period := n.switchPeriodS
 	if n.rnd != nil {
 		period *= n.rnd.Uniform(0.9, 1.1)
 	}
@@ -299,7 +265,7 @@ func (n *Node) onSwitchInfo(from overlay.NodeID, m overlay.InfoResponse) {
 	n.token++
 	js.token = n.token
 	tok := js.token
-	n.Prober().Launch(sibs, n.ProbeTimeoutS, func(res overlay.ProbeResult) {
+	n.Prober().Launch(sibs, overlay.ProbeTimeoutS, func(res overlay.ProbeResult) {
 		if n.join != js || js.stage != stageSwitchProbe || js.token != tok {
 			return
 		}
@@ -311,7 +277,7 @@ func (n *Node) onSwitchInfo(from overlay.NodeID, m overlay.InfoResponse) {
 				best, bd = id, d
 			}
 		}
-		if best == overlay.None || bd >= dParent*(1-n.cfg.SwitchMargin) || !n.Connected() {
+		if best == overlay.None || bd >= dParent*(1-switchMargin) || !n.Connected() {
 			n.join = nil
 			return
 		}
@@ -322,7 +288,7 @@ func (n *Node) onSwitchInfo(from overlay.NodeID, m overlay.InfoResponse) {
 		js.token = n.token
 		n.Net().Send(n.ID(), best, overlay.ConnRequest{Token: js.token, Kind: overlay.ConnChild, Dist: bd})
 		tok2 := js.token
-		n.Net().After(n.ConnTimeoutS, func() {
+		n.Net().After(overlay.ConnTimeoutS, func() {
 			if n.join == js && js.stage == stageSwitchConn && js.token == tok2 {
 				n.EndSwitch()
 				n.join = nil

@@ -21,7 +21,8 @@ func newRig(t *testing.T, points []protocoltest.Point, degrees []int) *btpRig {
 		if degrees != nil {
 			deg = degrees[i]
 		}
-		n := New(r.Net, r.PeerConfig(overlay.NodeID(i), deg), Config{SwitchPeriodS: 1e9}, rng.New(int64(i)+3))
+		n := New(r.Net, r.PeerConfig(overlay.NodeID(i), deg), rng.New(int64(i)+3))
+		n.switchPeriodS = 1e9
 		r.Net.Register(overlay.NodeID(i), n)
 		r.nodes[overlay.NodeID(i)] = n
 	}
@@ -74,7 +75,7 @@ func TestSiblingSwitch(t *testing.T) {
 		{X: 0, Y: 0}, {X: 30, Y: 0}, {X: 31, Y: 0},
 	}, nil)
 	b := r.nodes[2]
-	b.cfg.SwitchPeriodS = 20
+	b.switchPeriodS = 20
 	r.joinAll(1, 2) // both attach at the root; the switch timer is armed
 	r.Run(r.Sim.Now() + 60)
 	if got := r.parentOf(t, 2); got != 1 {
@@ -92,8 +93,8 @@ func TestNoMutualSwitchLoop(t *testing.T) {
 	r := newRig(t, []protocoltest.Point{
 		{X: 0, Y: 0}, {X: 30, Y: 0}, {X: 30.5, Y: 0},
 	}, nil)
-	r.nodes[1].cfg.SwitchPeriodS = 20
-	r.nodes[2].cfg.SwitchPeriodS = 20
+	r.nodes[1].switchPeriodS = 20
+	r.nodes[2].switchPeriodS = 20
 	r.joinAll(1, 2)
 	r.Run(r.Sim.Now() + 200)
 	p1, p2 := r.nodes[1].ParentID(), r.nodes[2].ParentID()

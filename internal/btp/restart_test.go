@@ -31,7 +31,7 @@ func TestOrphanDuringSwitchRecovers(t *testing.T) {
 	r := newRig(t, []protocoltest.Point{
 		{X: 0, Y: 0}, {X: 30, Y: 0}, {X: 31, Y: 0},
 	}, []int{1, 4, 4})
-	r.nodes[2].cfg.SwitchPeriodS = 15
+	r.nodes[2].switchPeriodS = 15
 	r.joinAll(1, 2) // chain 0 -> 1 -> 2, switch timer armed on 2
 	if r.parentOf(t, 2) != 1 {
 		t.Fatal("precondition")

@@ -268,7 +268,7 @@ func (n *Node) onInfoResponse(from overlay.NodeID, m overlay.InfoResponse) {
 	}
 	js.stage = stageProbe
 	tok := js.token
-	n.Prober().Launch(ids, n.ProbeTimeoutS, func(res overlay.ProbeResult) {
+	n.Prober().Launch(ids, overlay.ProbeTimeoutS, func(res overlay.ProbeResult) {
 		if n.join == js && js.stage == stageProbe && js.token == tok {
 			for id, d := range res {
 				js.dists[id] = d
@@ -357,7 +357,7 @@ func (n *Node) connect(js *joinState, to overlay.NodeID, kind overlay.ConnKind, 
 		JoinID: n.curJoin,
 	})
 
-	n.armTimeout(js, n.ConnTimeoutS)
+	n.armTimeout(js, overlay.ConnTimeoutS)
 }
 
 func (n *Node) distTo(js *joinState, to overlay.NodeID) float64 {
@@ -462,7 +462,7 @@ func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
 	n.token++
 	js.token = n.token
 	tok := js.token
-	n.Prober().Launch(cands, n.ProbeTimeoutS, func(res overlay.ProbeResult) {
+	n.Prober().Launch(cands, overlay.ProbeTimeoutS, func(res overlay.ProbeResult) {
 		if n.join != js || js.stage != stageProbe || js.token != tok {
 			return
 		}
@@ -478,8 +478,8 @@ func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
 	})
 }
 
-// restart begins the whole join over from the source, backing off after
-// too many consecutive failures (e.g. a churn storm).
+// restart begins the whole join over from the source under the shared
+// restart policy (overlay.Peer.RestartJoin).
 func (n *Node) restart(js *joinState) {
 	attempts := js.attempts + 1
 	p, target := js.purpose, js.target
@@ -489,15 +489,9 @@ func (n *Node) restart(js *joinState) {
 		n.fosterRetry()
 		return
 	}
-	if attempts >= n.cfg.MaxAttempts {
-		n.Net().After(n.cfg.RetryBackoffS, func() {
-			if n.Alive() && !n.Connected() && n.join == nil {
-				n.beginWith(p, n.Source(), 0)
-			}
-		})
-		return
-	}
-	n.beginWith(p, n.Source(), attempts)
+	n.RestartJoin(attempts, func() bool { return n.join == nil }, func(a int) {
+		n.beginWith(p, n.Source(), a)
+	})
 }
 
 // connKindName names a connection request for the trace stream.

@@ -16,12 +16,6 @@ type Config struct {
 	// parent emerged); zero disables it, matching the paper's regular
 	// experiments.
 	RefinePeriodS float64
-	// MaxAttempts bounds join restarts before backing off; zero selects
-	// 5.
-	MaxAttempts int
-	// RetryBackoffS is the pause before retrying after MaxAttempts
-	// failed join attempts; zero selects 5 s.
-	RetryBackoffS float64
 	// ReconnectAtSource disables the grandparent-first recovery and
 	// restarts every reconnection at the source — the ablation that
 	// quantifies what the paper's local-repair rule buys.
@@ -37,12 +31,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Gamma <= 0 {
 		c.Gamma = DefaultGamma
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.RetryBackoffS <= 0 {
-		c.RetryBackoffS = 5
 	}
 	return c
 }

@@ -217,13 +217,13 @@ func TestCacheRing(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.RateChunksPerS != 8000 || c.Window != 512 || c.AckEvery != 16 ||
-		c.FECGroup != 16 || c.QueueCap != 1024 || c.PullWidth != 64 {
+	if c.RateChunksPerS != 8000 || c.AckEvery != 16 || c.TickS != 0.02 ||
+		c.FECGroup != 16 || c.NackDelayS != 0.03 || c.StallS != 0.25 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	// Explicit values survive; FECGroup clamps at 64.
-	c = Config{FECGroup: 100, Window: 7}.WithDefaults()
-	if c.FECGroup != 64 || c.Window != 7 {
+	c = Config{FECGroup: 100, AckEvery: 7}.WithDefaults()
+	if c.FECGroup != 64 || c.AckEvery != 7 {
 		t.Fatalf("override defaults: %+v", c)
 	}
 }

@@ -15,17 +15,13 @@ package flow
 // Config tunes the reliable data plane. The zero value of every field
 // selects the default noted on it, so `&flow.Config{}` enables the
 // subsystem with stock behavior and a nil config disables it entirely.
+// The data plane's other sizes and thresholds are constants beside their
+// one user, internal/overlay/flow.go.
 type Config struct {
 	// RateChunksPerS is the per-child token-bucket pacing rate in chunks
 	// per second. 0 means 8000. Negative means unlimited (window and
 	// pushback still apply; only pacing is off).
 	RateChunksPerS float64
-	// Burst is the bucket depth in chunks — how far a quiet child may
-	// exceed the rate momentarily. 0 means 64.
-	Burst int
-	// Window is the ack-clocked sender window: at most this many chunks
-	// past the child's cumulative ack are in flight. 0 means 512.
-	Window int
 	// AckEvery is how many fresh chunks a receiver accepts before acking
 	// its parent (the flow tick also flushes pending acks). 0 means 16.
 	AckEvery int
@@ -40,48 +36,17 @@ type Config struct {
 	// NackDelayS is how long a gap must stay open before the first NACK,
 	// absorbing plain reordering. 0 means 0.03.
 	NackDelayS float64
-	// NackRetries is how many NACKs go to the parent before the repair
-	// neighbor is tried instead. 0 means 2.
-	NackRetries int
-	// NackGiveUp is the total NACK attempts per sequence before it is
-	// abandoned (marked seen so the stream advances). 0 means 8.
-	NackGiveUp int
-	// RetainChunks sizes the retransmit cache ring. 0 means 4096.
-	RetainChunks int
-	// QueueCap bounds the per-child pacing queue; beyond it the oldest
-	// queued chunk is dropped (counted, and recoverable via NACK/FEC
-	// unlike the old silent coalescer eviction). 0 means 1024.
-	QueueCap int
-	// PushbackHigh is the queued-frame depth (pacing queue plus transport
-	// coalescer queue) at which a peer sends Pushback to its parent,
-	// halving its inbound rate. 0 means 256.
-	PushbackHigh int
-	// MinRateFrac floors pushback throttling at this fraction of the base
-	// rate. 0 means 1/16.
-	MinRateFrac float64
-	// RecoverS is how many seconds a fully throttled rate takes to climb
-	// back to the base rate (additive recovery). 0 means 2.
-	RecoverS float64
 	// StallS is how long a connected, previously-flowing peer tolerates
 	// total silence from upstream before it starts pulling the stream
 	// from its repair neighbor — the dead-uplink escape hatch. 0 means
 	// 0.25.
 	StallS float64
-	// PullWidth is how many sequence numbers past the cumulative ack a
-	// stall pull requests per round. 0 means 64.
-	PullWidth int
 }
 
 // WithDefaults returns c with every zero field replaced by its default.
 func (c Config) WithDefaults() Config {
 	if c.RateChunksPerS == 0 {
 		c.RateChunksPerS = 8000
-	}
-	if c.Burst == 0 {
-		c.Burst = 64
-	}
-	if c.Window == 0 {
-		c.Window = 512
 	}
 	if c.AckEvery == 0 {
 		c.AckEvery = 16
@@ -98,32 +63,8 @@ func (c Config) WithDefaults() Config {
 	if c.NackDelayS == 0 {
 		c.NackDelayS = 0.03
 	}
-	if c.NackRetries == 0 {
-		c.NackRetries = 2
-	}
-	if c.NackGiveUp == 0 {
-		c.NackGiveUp = 8
-	}
-	if c.RetainChunks == 0 {
-		c.RetainChunks = 4096
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 1024
-	}
-	if c.PushbackHigh == 0 {
-		c.PushbackHigh = 256
-	}
-	if c.MinRateFrac == 0 {
-		c.MinRateFrac = 1.0 / 16
-	}
-	if c.RecoverS == 0 {
-		c.RecoverS = 2
-	}
 	if c.StallS == 0 {
 		c.StallS = 0.25
-	}
-	if c.PullWidth == 0 {
-		c.PullWidth = 64
 	}
 	return c
 }

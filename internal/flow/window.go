@@ -157,13 +157,6 @@ func (w *Window) Missing(dst []Range, max int) []Range {
 	return dst
 }
 
-// Top returns one past the highest sequence seen (0, false before any).
-func (w *Window) Top() (int64, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.top, w.begun
-}
-
 func (w *Window) idx(seq int64) (int, uint64) {
 	off := seq % w.size
 	if off < 0 {

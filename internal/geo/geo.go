@@ -57,43 +57,27 @@ type Site struct {
 	AgentErr bool // the VDM agent cannot be started remotely
 }
 
-// Config parameterizes the synthetic PlanetLab.
-type Config struct {
-	SitesPerRegion int        // sites scattered around each region center
-	Regions        []Region   // nil means DefaultRegions
-	DetourRange    [2]float64 // multiplicative path-detour factor per pair
-	AccessMSRange  [2]float64 // per-site access latency range
-	JitterSigma    float64    // lognormal sigma of per-measurement jitter
-	LossMax        float64    // per-pair loss uniform in [0, LossMax]
-	LossyPairFrac  float64    // fraction of pairs that get loss at all
-	LazyFrac       float64    // fraction of lazy sites
-	LazyExtraMS    float64    // mean extra response delay of a lazy site
+// DefaultSitesPerRegion mirrors the paper's environment: enough US sites
+// that after the selection pipeline drops the unusable ones a working pool
+// of roughly 140 remains.
+const DefaultSitesPerRegion = 34
+
+// The synthetic PlanetLab's fixed shape: realistic wide-area RTTs, mild
+// jitter, sparse low-grade loss, and a few unstable nodes.
+const (
+	detourMin, detourMax     = 1.3, 2.2 // multiplicative path-detour factor per pair
+	accessMSMin, accessMSMax = 1.0, 8.0 // per-site access latency range
+	jitterSigma              = 0.08     // lognormal sigma of per-measurement jitter
+	lossMax                  = 0.01     // per-pair loss uniform in [0, lossMax]
+	lossyPairFrac            = 0.25     // fraction of pairs that get loss at all
+	lazyFrac                 = 0.05     // fraction of lazy sites
+	lazyExtraMS              = 150.0    // mean extra response delay of a lazy site
 
 	// Unusable-site fractions, filtered by the lab selection pipeline.
-	DeadFrac     float64 // sites that never answer pings
-	NoPingFrac   float64 // sites that cannot ping out
-	AgentErrFrac float64 // sites where the agent cannot run
-}
-
-// DefaultConfig mirrors the paper's environment: enough US sites that
-// after the selection pipeline drops the unusable ones a working pool of
-// roughly 140 remains, realistic wide-area RTTs, mild jitter, sparse
-// low-grade loss, and a few unstable nodes.
-func DefaultConfig() Config {
-	return Config{
-		SitesPerRegion: 34,
-		DetourRange:    [2]float64{1.3, 2.2},
-		AccessMSRange:  [2]float64{1, 8},
-		JitterSigma:    0.08,
-		LossMax:        0.01,
-		LossyPairFrac:  0.25,
-		LazyFrac:       0.05,
-		LazyExtraMS:    150,
-		DeadFrac:       0.12,
-		NoPingFrac:     0.05,
-		AgentErrFrac:   0.04,
-	}
-}
+	deadFrac     = 0.12 // sites that never answer pings
+	noPingFrac   = 0.05 // sites that cannot ping out
+	agentErrFrac = 0.04 // sites where the agent cannot run
+)
 
 // Model is a generated synthetic PlanetLab: sites plus the deterministic
 // base RTT and loss matrices.
@@ -122,31 +106,25 @@ func GreatCircleKM(lat1, lon1, lat2, lon2 float64) float64 {
 	return 2 * earthRadiusKM * math.Asin(math.Min(1, math.Sqrt(a)))
 }
 
-// Generate builds a synthetic PlanetLab from cfg.
-func Generate(cfg Config, rnd *rng.Stream) *Model {
-	regions := cfg.Regions
-	if regions == nil {
-		regions = DefaultRegions()
-	}
-	if cfg.SitesPerRegion <= 0 {
-		cfg.SitesPerRegion = DefaultConfig().SitesPerRegion
-	}
-	m := &Model{JitterSigma: cfg.JitterSigma, LazyExtraMS: cfg.LazyExtraMS}
+// Generate builds a synthetic PlanetLab with sitesPerRegion sites around
+// each of the DefaultRegions.
+func Generate(sitesPerRegion int, rnd *rng.Stream) *Model {
+	m := &Model{JitterSigma: jitterSigma, LazyExtraMS: lazyExtraMS}
 	id := 0
-	for _, reg := range regions {
-		for i := 0; i < cfg.SitesPerRegion; i++ {
+	for _, reg := range DefaultRegions() {
+		for i := 0; i < sitesPerRegion; i++ {
 			m.Sites = append(m.Sites, Site{
 				ID:       id,
 				Name:     fmt.Sprintf("%s-%02d", reg.Name, i),
 				Region:   reg.Name,
 				Lat:      rnd.Normal(reg.Lat, reg.Spread),
 				Lon:      rnd.Normal(reg.Lon, reg.Spread*1.3),
-				AccessMS: rnd.Uniform(cfg.AccessMSRange[0], cfg.AccessMSRange[1]),
-				Lazy:     rnd.Bool(cfg.LazyFrac),
+				AccessMS: rnd.Uniform(accessMSMin, accessMSMax),
+				Lazy:     rnd.Bool(lazyFrac),
 				US:       reg.USBased,
-				Dead:     rnd.Bool(cfg.DeadFrac),
-				NoPing:   rnd.Bool(cfg.NoPingFrac),
-				AgentErr: rnd.Bool(cfg.AgentErrFrac),
+				Dead:     rnd.Bool(deadFrac),
+				NoPing:   rnd.Bool(noPingFrac),
+				AgentErr: rnd.Bool(agentErrFrac),
 			})
 			id++
 		}
@@ -161,15 +139,15 @@ func Generate(cfg Config, rnd *rng.Stream) *Model {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			km := GreatCircleKM(m.Sites[i].Lat, m.Sites[i].Lon, m.Sites[j].Lat, m.Sites[j].Lon)
-			detour := rnd.Uniform(cfg.DetourRange[0], cfg.DetourRange[1])
+			detour := rnd.Uniform(detourMin, detourMax)
 			rtt := km*rttMSPerKM*detour + m.Sites[i].AccessMS + m.Sites[j].AccessMS
 			if rtt < 0.5 {
 				rtt = 0.5
 			}
 			m.baseRTT[i][j] = rtt
 			m.baseRTT[j][i] = rtt
-			if rnd.Bool(cfg.LossyPairFrac) {
-				p := rnd.Uniform(0, cfg.LossMax)
+			if rnd.Bool(lossyPairFrac) {
+				p := rnd.Uniform(0, lossMax)
 				m.loss[i][j] = p
 				m.loss[j][i] = p
 			}

@@ -8,17 +8,17 @@ import (
 
 func testModel(t *testing.T, seed int64) *Model {
 	t.Helper()
-	return Generate(DefaultConfig(), rng.New(seed))
+	return Generate(DefaultSitesPerRegion, rng.New(seed))
 }
 
 func TestGenerateSiteCounts(t *testing.T) {
 	m := testModel(t, 1)
-	want := DefaultConfig().SitesPerRegion * len(DefaultRegions())
+	want := DefaultSitesPerRegion * len(DefaultRegions())
 	if m.NumSites() != want {
 		t.Fatalf("sites = %d, want %d", m.NumSites(), want)
 	}
 	us := m.USSites()
-	wantUS := DefaultConfig().SitesPerRegion * 5 // five US regions
+	wantUS := DefaultSitesPerRegion * 5 // five US regions
 	if len(us) != wantUS {
 		t.Fatalf("US sites = %d, want %d", len(us), wantUS)
 	}
@@ -91,8 +91,7 @@ func TestGeographicClustering(t *testing.T) {
 }
 
 func TestLossMatrixProperties(t *testing.T) {
-	cfg := DefaultConfig()
-	m := Generate(cfg, rng.New(6))
+	m := Generate(DefaultSitesPerRegion, rng.New(6))
 	lossy, total := 0, 0
 	n := m.NumSites()
 	for i := 0; i < n; i++ {
@@ -101,8 +100,8 @@ func TestLossMatrixProperties(t *testing.T) {
 			if p != m.Loss(j, i) {
 				t.Fatal("loss asymmetric")
 			}
-			if p < 0 || p > cfg.LossMax {
-				t.Fatalf("loss %v outside [0, %v]", p, cfg.LossMax)
+			if p < 0 || p > lossMax {
+				t.Fatalf("loss %v outside [0, %v]", p, lossMax)
 			}
 			total++
 			if p > 0 {
@@ -111,8 +110,8 @@ func TestLossMatrixProperties(t *testing.T) {
 		}
 	}
 	frac := float64(lossy) / float64(total)
-	if frac < cfg.LossyPairFrac/2 || frac > cfg.LossyPairFrac*1.5 {
-		t.Fatalf("lossy pair fraction %.2f, configured %.2f", frac, cfg.LossyPairFrac)
+	if frac < lossyPairFrac/2 || frac > lossyPairFrac*1.5 {
+		t.Fatalf("lossy pair fraction %.2f, configured %.2f", frac, lossyPairFrac)
 	}
 	if m.Loss(3, 3) != 0 {
 		t.Fatal("self loss not zero")

@@ -19,32 +19,18 @@ type Config struct {
 	// RefinePeriodS is the period of the mandatory refinement process
 	// (30 s in the paper's PlanetLab runs); zero selects 30 s.
 	RefinePeriodS float64
-	// SwitchMargin is the relative improvement a refinement candidate
-	// must offer before the node switches parents, damping oscillation;
-	// zero selects 2%.
-	SwitchMargin float64
-	// MaxAttempts bounds join restarts; zero selects 5.
-	MaxAttempts int
-	// RetryBackoffS is the pause after MaxAttempts failures; zero
-	// selects 5 s.
-	RetryBackoffS float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.RefinePeriodS <= 0 {
 		c.RefinePeriodS = 30
 	}
-	if c.SwitchMargin <= 0 {
-		c.SwitchMargin = 0.02
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.RetryBackoffS <= 0 {
-		c.RetryBackoffS = 5
-	}
 	return c
 }
+
+// switchMargin is the relative improvement a refinement candidate must
+// offer before the node switches parents, damping oscillation.
+const switchMargin = 0.02
 
 type purpose int
 
@@ -206,7 +192,7 @@ func (n *Node) onInfoResponse(from overlay.NodeID, m overlay.InfoResponse) {
 	}
 	js.stage = stageProbe
 	tok := js.token
-	n.Prober().Launch(ids, n.ProbeTimeoutS, func(res overlay.ProbeResult) {
+	n.Prober().Launch(ids, overlay.ProbeTimeoutS, func(res overlay.ProbeResult) {
 		if n.join == js && js.stage == stageProbe && js.token == tok {
 			for id, d := range res {
 				js.dists[id] = d
@@ -242,7 +228,7 @@ func (n *Node) connect(js *joinState, to overlay.NodeID) {
 		cur := n.ParentID()
 		d, ok := js.dists[to]
 		if to == cur || cur == overlay.None || !ok ||
-			d >= n.ParentDist()*(1-n.cfg.SwitchMargin) {
+			d >= n.ParentDist()*(1-switchMargin) {
 			n.join = nil
 			return
 		}
@@ -263,7 +249,7 @@ func (n *Node) connect(js *joinState, to overlay.NodeID) {
 	})
 
 	tok := js.token
-	n.Net().After(n.ConnTimeoutS, func() {
+	n.Net().After(overlay.ConnTimeoutS, func() {
 		if n.join == js && js.stage == stageConn && js.token == tok {
 			if js.purpose == purposeRefine {
 				n.EndSwitch()
@@ -317,7 +303,7 @@ func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
 	n.token++
 	js.token = n.token
 	tok := js.token
-	n.Prober().Launch(cands, n.ProbeTimeoutS, func(res overlay.ProbeResult) {
+	n.Prober().Launch(cands, overlay.ProbeTimeoutS, func(res overlay.ProbeResult) {
 		if n.join != js || js.stage != stageProbe || js.token != tok {
 			return
 		}
@@ -342,20 +328,13 @@ func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
 }
 
 func (n *Node) restart(js *joinState) {
-	attempts := js.attempts + 1
 	n.join = nil
 	if js.purpose == purposeRefine {
 		return
 	}
-	if attempts >= n.cfg.MaxAttempts {
-		n.Net().After(n.cfg.RetryBackoffS, func() {
-			if n.Alive() && !n.Connected() && n.join == nil {
-				n.beginWith(js.purpose, n.Source(), 0)
-			}
-		})
-		return
-	}
-	n.beginWith(js.purpose, n.Source(), attempts)
+	n.RestartJoin(js.attempts+1, func() bool { return n.join == nil }, func(a int) {
+		n.beginWith(js.purpose, n.Source(), a)
+	})
 }
 
 // armRefine starts HMTP's mandatory periodic refinement after the first

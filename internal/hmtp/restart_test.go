@@ -19,7 +19,7 @@ func TestJoinBacksOffAndRecovers(t *testing.T) {
 
 	r.Net.Unregister(0)
 	r.Sim.At(1, func() { n.StartJoin() })
-	// MaxAttempts(5) × info timeout (2 s) ≈ 10 s, plus 5 s backoff.
+	// Five attempts × info timeout (2 s) ≈ 10 s, plus the 5 s back-off.
 	r.Sim.At(12, func() { r.Net.Register(0, src) })
 	r.Run(40)
 

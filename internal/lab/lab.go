@@ -130,7 +130,7 @@ func Run(cfg Config) (*Result, error) {
 // and sample the experiment pool. It returns the session Run would execute
 // and the selection behind it.
 func Configure(cfg Config) (sim.Config, *Selection, error) {
-	model := geo.Generate(geo.DefaultConfig(), rng.Derive(cfg.Seed, "geo"))
+	model := geo.Generate(geo.DefaultSitesPerRegion, rng.Derive(cfg.Seed, "geo"))
 	sel := SelectNodes(model, cfg.USOnly)
 
 	// Build the churn scenario up front so the site sample matches its

@@ -10,7 +10,7 @@ import (
 )
 
 func TestSelectNodesPipeline(t *testing.T) {
-	m := geo.Generate(geo.DefaultConfig(), rng.New(1))
+	m := geo.Generate(geo.DefaultSitesPerRegion, rng.New(1))
 	sel := SelectNodes(m, true)
 	if sel.Total == 0 || sel.AfterPing > sel.Total || sel.AfterOutPing > sel.AfterPing ||
 		sel.AfterAgent > sel.AfterOutPing {
@@ -35,7 +35,7 @@ func TestSelectNodesPipeline(t *testing.T) {
 }
 
 func TestSelectNodesWorldwide(t *testing.T) {
-	m := geo.Generate(geo.DefaultConfig(), rng.New(2))
+	m := geo.Generate(geo.DefaultSitesPerRegion, rng.New(2))
 	us := SelectNodes(m, true)
 	all := SelectNodes(m, false)
 	if all.Total <= us.Total {
@@ -44,7 +44,7 @@ func TestSelectNodesWorldwide(t *testing.T) {
 }
 
 func TestSampleSourceInColorado(t *testing.T) {
-	m := geo.Generate(geo.DefaultConfig(), rng.New(3))
+	m := geo.Generate(geo.DefaultSitesPerRegion, rng.New(3))
 	sel := SelectNodes(m, true)
 	sites, err := sel.Sample(50, rng.New(4))
 	if err != nil {
@@ -66,7 +66,7 @@ func TestSampleSourceInColorado(t *testing.T) {
 }
 
 func TestSampleTooLarge(t *testing.T) {
-	m := geo.Generate(geo.DefaultConfig(), rng.New(5))
+	m := geo.Generate(geo.DefaultSitesPerRegion, rng.New(5))
 	sel := SelectNodes(m, true)
 	if _, err := sel.Sample(10000, rng.New(6)); err == nil {
 		t.Fatal("oversubscription accepted")

@@ -34,7 +34,6 @@ func TestClusterEdgeHealthLocatesLossyLink(t *testing.T) {
 		NackDelayS:     0.02,
 		AckEvery:       4,
 		FECGroup:       8,
-		PullWidth:      64,
 	}
 	// A short recency window so a transient NACK elsewhere (scheduling
 	// jitter, startup reordering) ages out instead of polluting the

@@ -30,7 +30,6 @@ var linkKillFlow = &flow.Config{
 	NackDelayS:     0.01,
 	AckEvery:       4,
 	FECGroup:       8,
-	PullWidth:      64,
 }
 
 // TestClusterLinkKillRepair is the reliability acceptance test: a

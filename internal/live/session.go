@@ -120,13 +120,6 @@ func (s *Session) Epoch() time.Time {
 	return s.epoch
 }
 
-// NumKnown reports the directory size (source) — joiners report 0.
-func (s *Session) NumKnown() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.dir)
-}
-
 // handleSource services Hello and AddrQuery at the rendezvous.
 func (s *Session) handleSource(from *net.UDPAddr, f wire.Frame) {
 	switch f.Kind {

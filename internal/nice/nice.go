@@ -29,22 +29,11 @@ type Config struct {
 	// K is NICE's cluster constant: clusters hold between K and 3K-1
 	// members; zero selects 3.
 	K int
-	// MaxAttempts bounds join restarts; zero selects 5.
-	MaxAttempts int
-	// RetryBackoffS is the pause after MaxAttempts failures; zero
-	// selects 5 s.
-	RetryBackoffS float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.K <= 0 {
 		c.K = 3
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.RetryBackoffS <= 0 {
-		c.RetryBackoffS = 5
 	}
 	return c
 }
@@ -189,7 +178,7 @@ func (n *Node) onInfoResponse(from overlay.NodeID, m overlay.InfoResponse) {
 	}
 	js.stage = stageProbe
 	tok := js.token
-	n.Prober().Launch(ids, n.ProbeTimeoutS, func(res overlay.ProbeResult) {
+	n.Prober().Launch(ids, overlay.ProbeTimeoutS, func(res overlay.ProbeResult) {
 		if n.join == js && js.stage == stageProbe && js.token == tok {
 			for id, d := range res {
 				js.dists[id] = d
@@ -243,7 +232,7 @@ func (n *Node) connect(js *joinState, to overlay.NodeID) {
 	dist := js.dists[to]
 	n.Net().Send(n.ID(), to, overlay.ConnRequest{Token: js.token, Kind: overlay.ConnChild, Dist: dist})
 	tok := js.token
-	n.Net().After(n.ConnTimeoutS, func() {
+	n.Net().After(overlay.ConnTimeoutS, func() {
 		if n.join == js && js.stage == stageConn && js.token == tok {
 			n.restart(js)
 		}
@@ -290,7 +279,7 @@ func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
 	n.token++
 	js.token = n.token
 	tok := js.token
-	n.Prober().Launch(cands, n.ProbeTimeoutS, func(res overlay.ProbeResult) {
+	n.Prober().Launch(cands, overlay.ProbeTimeoutS, func(res overlay.ProbeResult) {
 		if n.join != js || js.stage != stageProbe || js.token != tok {
 			return
 		}
@@ -311,17 +300,8 @@ func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
 }
 
 func (n *Node) restart(js *joinState) {
-	attempts := js.attempts + 1
 	n.join = nil
-	if attempts >= n.cfg.MaxAttempts {
-		n.Net().After(n.cfg.RetryBackoffS, func() {
-			if n.Alive() && !n.Connected() && n.join == nil {
-				n.begin(0)
-			}
-		})
-		return
-	}
-	n.begin(attempts)
+	n.RestartJoin(js.attempts+1, func() bool { return n.join == nil }, n.begin)
 }
 
 // armMaintenance starts the heartbeat-style periodic cluster-size check
@@ -434,7 +414,7 @@ func (n *Node) onReassign(from overlay.NodeID, m overlay.Reassign) {
 	js.token = n.token
 	js.stage = stageProbe
 	tok := js.token
-	n.Prober().Launch([]overlay.NodeID{m.To}, n.ProbeTimeoutS, func(res overlay.ProbeResult) {
+	n.Prober().Launch([]overlay.NodeID{m.To}, overlay.ProbeTimeoutS, func(res overlay.ProbeResult) {
 		if n.join != js || js.token != tok {
 			return
 		}
@@ -451,7 +431,7 @@ func (n *Node) onReassign(from overlay.NodeID, m overlay.Reassign) {
 		js.token = n.token
 		n.Net().Send(n.ID(), m.To, overlay.ConnRequest{Token: js.token, Kind: overlay.ConnChild, Dist: d})
 		tok2 := js.token
-		n.Net().After(n.ConnTimeoutS, func() {
+		n.Net().After(overlay.ConnTimeoutS, func() {
 			if n.join == js && js.stage == stageConn && js.token == tok2 {
 				n.EndSwitch()
 				n.join = nil

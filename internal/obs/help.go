@@ -71,18 +71,6 @@ var flowHelp = map[string]string{
 	"vdm_flow_window_stalls_total":      "Ack-clocked windows that stalled past StallS and failed open.",
 }
 
-// simprofHelp documents the discrete-event engine counters the simulation
-// flight recorder (internal/obs/simprof) exports.
-var simprofHelp = map[string]string{
-	"vdm_sim_epochs_total":          "Sharded-engine epochs (bounded-lookahead rounds) completed.",
-	"vdm_sim_barrier_wait_ms_total": "Wall-clock ms shard workers sat idle at epoch barriers, summed over shards.",
-	"vdm_sim_busy_ms_total":         "Wall-clock ms shard workers spent executing epoch commands, summed over shards.",
-	"vdm_sim_xshard_msgs_total":     "Messages exchanged across shard boundaries at epoch barriers.",
-	"vdm_sim_events_total":          "Discrete events fired by the engine, summed over shards.",
-	"vdm_sim_eventq_depth":          "Pending events across all event queues at the last profiler flush.",
-	"vdm_sim_eventq_free":           "Spare slots in the event queues' arrays at the last profiler flush.",
-}
-
 func registerHelp(r *Registry, m map[string]string) {
 	for name, text := range m {
 		r.SetHelp(name, text)
@@ -98,9 +86,6 @@ func RegisterDataplaneHelp(r *Registry) { registerHelp(r, dataplaneHelp) }
 
 // RegisterFlowHelp registers HELP for the vdm_flow_* family.
 func RegisterFlowHelp(r *Registry) { registerHelp(r, flowHelp) }
-
-// RegisterSimprofHelp registers HELP for the vdm_sim_* engine counters.
-func RegisterSimprofHelp(r *Registry) { registerHelp(r, simprofHelp) }
 
 // MissingHelp returns the metric families that would scrape out with the
 // fallback description: every registered series' family, plus every family

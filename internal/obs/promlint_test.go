@@ -185,7 +185,6 @@ func TestHelpLintStandardSurface(t *testing.T) {
 	RegisterStandardHelp(reg)
 	RegisterDataplaneHelp(reg)
 	RegisterFlowHelp(reg)
-	RegisterSimprofHelp(reg)
 
 	// Drive every event type through the metrics sink so each sink-side
 	// family registers at least one series.
@@ -209,15 +208,6 @@ func TestHelpLintStandardSurface(t *testing.T) {
 	for name := range flowHelp {
 		n := name
 		reg.RegisterCollector(func() []Sample { return []Sample{{Name: n, Value: 1}} })
-	}
-	// The engine-counter families the flight recorder registers (the real
-	// handles live in obs/simprof, which this package cannot import).
-	for name := range simprofHelp {
-		if strings.HasSuffix(name, "_total") {
-			reg.Counter(name)
-		} else {
-			reg.Gauge(name)
-		}
 	}
 	RegisterCounters(reg, "vdm_transport", &overlay.Counters{})
 	reg.RegisterCollector(func() []Sample {

@@ -209,14 +209,6 @@ func (t *edgeTable) drainInto(edges map[uint64]uint64) {
 	t.used = 0
 }
 
-// MsgKindNames lists every wire-message kind name a record's Msgs map can
-// carry, for consumers that want a stable column set.
-func MsgKindNames() []string {
-	out := make([]string, numKinds)
-	copy(out, kindNames[:])
-	return out
-}
-
 // edgeEndpoints unpacks a packed directed-edge key.
 func edgeEndpoints(e uint64) (from, to int) {
 	return int(int32(uint32(e >> 32))), int(int32(uint32(e)))

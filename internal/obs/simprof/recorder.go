@@ -4,8 +4,6 @@ import (
 	"io"
 	"runtime"
 	"time"
-
-	"vdm/internal/obs"
 )
 
 // Options configures a Recorder.
@@ -15,38 +13,10 @@ type Options struct {
 	W io.Writer
 	// EveryS is the flush interval in simulated seconds (default 10).
 	EveryS float64
-	// TopK bounds the hot-peer/hot-edge attribution lists (default 10;
-	// negative disables attribution entirely).
-	TopK int
-	// TreeEveryN takes the protocol tree sample every Nth record
-	// (default 1 = every record; negative disables). The sample walks
-	// every live peer, so very large runs with very short intervals can
-	// thin it out.
-	TreeEveryN int
-	// HeapEveryN samples runtime.MemStats every Nth record (default 1;
-	// negative disables).
-	HeapEveryN int
-	// Registry, when set, additionally exports the engine counters
-	// (epochs, barrier waits, cross-shard messages, queue/free depths)
-	// through the obs metrics registry, with standard HELP text.
-	Registry *obs.Registry
 }
 
-func (o Options) withDefaults() Options {
-	if o.EveryS <= 0 {
-		o.EveryS = 10
-	}
-	if o.TopK == 0 {
-		o.TopK = 10
-	}
-	if o.TreeEveryN == 0 {
-		o.TreeEveryN = 1
-	}
-	if o.HeapEveryN == 0 {
-		o.HeapEveryN = 1
-	}
-	return o
-}
+// topK bounds each record's hot-peer and hot-edge attribution lists.
+const topK = 10
 
 // RunInfo is the run shape the engine hands the recorder for the header
 // record.
@@ -68,34 +38,6 @@ type ShardState struct {
 	Deliveries uint64 // of those, message deliveries the bus fired (the rest are timers)
 	Queue      int    // pending events
 	Free       int    // spare slots in the queue's array (eventq.FreeLen)
-}
-
-// EngineMetrics are the registry-exported engine counters. All methods on
-// the handles are safe for concurrent scrapes; the recorder updates them
-// only at flush barriers.
-type EngineMetrics struct {
-	Epochs        *obs.Counter
-	BarrierWaitMS *obs.Counter
-	BusyMS        *obs.Counter
-	XShardMsgs    *obs.Counter
-	Events        *obs.Counter
-	QueueDepth    *obs.Gauge
-	FreeLen       *obs.Gauge
-}
-
-// RegisterEngineMetrics registers the engine-counter families (with their
-// standard HELP text) on reg and returns the handles.
-func RegisterEngineMetrics(reg *obs.Registry) *EngineMetrics {
-	obs.RegisterSimprofHelp(reg)
-	return &EngineMetrics{
-		Epochs:        reg.Counter("vdm_sim_epochs_total"),
-		BarrierWaitMS: reg.Counter("vdm_sim_barrier_wait_ms_total"),
-		BusyMS:        reg.Counter("vdm_sim_busy_ms_total"),
-		XShardMsgs:    reg.Counter("vdm_sim_xshard_msgs_total"),
-		Events:        reg.Counter("vdm_sim_events_total"),
-		QueueDepth:    reg.Gauge("vdm_sim_eventq_depth"),
-		FreeLen:       reg.Gauge("vdm_sim_eventq_free"),
-	}
 }
 
 // Recorder accumulates engine and protocol telemetry between flush
@@ -131,15 +73,14 @@ type Recorder struct {
 	lastT     float64
 	nextFlush float64
 	lastWall  time.Time
-	recIdx    int
-
-	metrics *EngineMetrics
 }
 
 // NewRecorder builds a recorder for the given run and writes the header
 // record. queues is the number of event queues (shards; 1 for serial).
 func NewRecorder(opts Options, info RunInfo, queues int) *Recorder {
-	opts = opts.withDefaults()
+	if opts.EveryS <= 0 {
+		opts.EveryS = 10
+	}
 	r := &Recorder{
 		opts:       opts,
 		info:       info,
@@ -155,9 +96,6 @@ func NewRecorder(opts Options, info RunInfo, queues int) *Recorder {
 	}
 	for i := 0; i < queues; i++ {
 		r.probes = append(r.probes, newProbe(info.Pool))
-	}
-	if opts.Registry != nil {
-		r.metrics = RegisterEngineMetrics(opts.Registry)
 	}
 	h := Header{
 		Engine:    info.Engine,
@@ -212,8 +150,8 @@ func (r *Recorder) NoteEpoch(advS float64, moved int, epochWallNS int64, busyDel
 func (r *Recorder) Due(t float64) bool { return t >= r.nextFlush }
 
 // Flush cuts the interval record ending at simulated time t. states are
-// the cumulative per-queue engine readings; protoFn, when non-nil, is
-// invoked per the TreeEveryN cadence to take the protocol sample.
+// the cumulative per-queue engine readings; protoFn, when non-nil, takes
+// the protocol sample.
 func (r *Recorder) Flush(t float64, states []ShardState, protoFn func() Proto) {
 	now := time.Now()
 	rec := Record{
@@ -261,12 +199,10 @@ func (r *Recorder) Flush(t float64, states []ShardState, protoFn func() Proto) {
 		}
 	}
 
-	if r.opts.HeapEveryN > 0 && r.recIdx%r.opts.HeapEveryN == 0 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		rec.HeapMB = float64(ms.HeapAlloc) / 1e6
-	}
-	if protoFn != nil && r.opts.TreeEveryN > 0 && r.recIdx%r.opts.TreeEveryN == 0 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	rec.HeapMB = float64(ms.HeapAlloc) / 1e6
+	if protoFn != nil {
 		p := protoFn()
 		rec.Proto = &p
 	}
@@ -284,35 +220,16 @@ func (r *Recorder) Flush(t float64, states []ShardState, protoFn func() Proto) {
 	if len(mix) > 0 {
 		rec.Msgs = mix
 	}
-	if r.opts.TopK > 0 {
-		rec.TopPeers = topPeers(r.peers, r.opts.TopK)
-		rec.TopEdges = topEdges(r.edges, r.opts.TopK)
-	}
+	rec.TopPeers = topPeers(r.peers, topK)
+	rec.TopEdges = topEdges(r.edges, topK)
 	for i := range r.peers {
 		r.peers[i] = 0
 	}
 	clear(r.edges)
 
-	if r.metrics != nil {
-		m := r.metrics
-		m.Events.Add(int64(rec.Events))
-		m.Epochs.Add(int64(r.epochs))
-		m.XShardMsgs.Add(int64(r.xshard))
-		var busy, wait float64
-		for _, row := range rows {
-			busy += row.BusyMS
-			wait += row.WaitMS
-		}
-		m.BusyMS.Add(int64(busy))
-		m.BarrierWaitMS.Add(int64(wait))
-		m.QueueDepth.Set(float64(rec.Queue))
-		m.FreeLen.Set(float64(rec.Free))
-	}
-
 	r.w.WriteRecord(rec)
 	r.epochs, r.timedEpochs, r.xshard, r.horizon = 0, 0, 0, Dist{}
 	r.lastT, r.lastWall = t, now
-	r.recIdx++
 	for r.nextFlush <= t {
 		r.nextFlush += r.opts.EveryS
 	}

@@ -172,8 +172,7 @@ type Record struct {
 	Shards       []ShardRow `json:"shards,omitempty"`
 	// Msgs is the interval's message mix by wire-message type name.
 	Msgs map[string]uint64 `json:"msgs,omitempty"`
-	// Proto is the protocol sample (omitted on records between tree
-	// sampling points when TreeEveryN > 1).
+	// Proto is the protocol sample (omitted when the engine takes none).
 	Proto *Proto `json:"proto,omitempty"`
 	// TopPeers and TopEdges attribute the interval's message volume:
 	// the K busiest peers (sends+receives) and directed edges.

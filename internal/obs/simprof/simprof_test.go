@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"vdm/internal/obs"
 	"vdm/internal/overlay"
 )
 
@@ -104,17 +103,11 @@ func TestReadRejectsNewerVersion(t *testing.T) {
 
 // TestRecorderFlushAndMetrics drives a recorder end to end: probes
 // observe traffic, epochs accumulate, and a flush must cut a correct
-// interval record while exporting the engine counters through the obs
-// registry with HELP text.
+// interval record of the engine and protocol metrics.
 func TestRecorderFlushAndMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
 	var buf bytes.Buffer
-	rec := NewRecorder(Options{W: &buf, EveryS: 10, Registry: reg},
+	rec := NewRecorder(Options{W: &buf, EveryS: 10},
 		RunInfo{Engine: "sharded", Shards: 2, Pool: 8, Protocol: "vdm", Nodes: 8, Seed: 1, DurationS: 100}, 2)
-
-	if missing := reg.MissingHelp(); len(missing) > 0 {
-		t.Fatalf("engine metric families without HELP text: %v", missing)
-	}
 
 	rec.Probe(0).ObserveSend(1, 2, overlay.DataChunk{})
 	rec.Probe(0).ObserveSend(1, 2, overlay.DataChunk{})
@@ -175,22 +168,6 @@ func TestRecorderFlushAndMetrics(t *testing.T) {
 	}
 	if r.Proto == nil || r.Proto.Alive != 8 {
 		t.Fatalf("proto sample %+v, want alive=8", r.Proto)
-	}
-
-	// Registry export: counters advanced, gauges hold the flush snapshot.
-	var sb strings.Builder
-	reg.WritePrometheus(&sb)
-	text := sb.String()
-	for _, want := range []string{
-		"vdm_sim_events_total 100",
-		"vdm_sim_epochs_total 2",
-		"vdm_sim_xshard_msgs_total 8",
-		"vdm_sim_eventq_depth 5",
-		"vdm_sim_eventq_free 5",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q", want)
-		}
 	}
 
 	// A second flush reports deltas, not cumulative readings.

@@ -38,9 +38,6 @@ type Config struct {
 	// the newest ingested report timestamp stands in — correct for the
 	// virtual-time simulator, where "now" only advances with events.
 	Now func() float64
-	// Underlay, when set, enables the exact offline metrics
-	// (metrics.Collect) over the reconstructed tree in every Snapshot.
-	Underlay underlay.Underlay
 }
 
 // peerState is the last report from one peer plus running totals of its
@@ -70,6 +67,9 @@ type peerState struct {
 // mailbox goroutine while HTTP handlers read.
 type Aggregator struct {
 	cfg Config
+	// u, when set (SetUnderlay), enables the exact offline metrics
+	// (metrics.Collect) over the reconstructed tree in every Snapshot.
+	u underlay.Underlay
 
 	mu     sync.Mutex
 	peers  map[overlay.NodeID]*peerState
@@ -87,12 +87,12 @@ func New(cfg Config) *Aggregator {
 }
 
 // SetUnderlay attaches (or replaces) the underlay used for the exact
-// offline metrics. Lets callers break the construction cycle where the
+// offline metrics. Callers set it after construction because the
 // aggregator's handler must exist before the thing that owns the underlay
 // (e.g. live.NewCluster) does.
 func (a *Aggregator) SetUnderlay(u underlay.Underlay) {
 	a.mu.Lock()
-	a.cfg.Underlay = u
+	a.u = u
 	a.mu.Unlock()
 }
 
@@ -277,7 +277,7 @@ func (a *Aggregator) Snapshot() Snapshot {
 		rows = append(rows, row{id, *ps})
 	}
 	views := a.viewsLocked()
-	u := a.cfg.Underlay
+	u := a.u
 	a.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
 

@@ -147,7 +147,8 @@ func TestExactMetricsMatchOfflineCollect(t *testing.T) {
 	}
 	u := underlay.NewStatic(rtt)
 
-	a := New(Config{Source: 0, Underlay: u})
+	a := New(Config{Source: 0})
+	a.SetUnderlay(u)
 	feed(a, 100)
 	snap := a.Snapshot()
 	if snap.Exact == nil {

@@ -14,12 +14,12 @@ import (
 //
 //   - sending: every child gets a token bucket and an ack-clocked window;
 //     chunks that can't go now wait in a bounded per-child queue drained
-//     on acks and flow ticks (drop-oldest beyond QueueCap — but unlike
+//     on acks and flow ticks (drop-oldest beyond flowQueueCap — but unlike
 //     the old coalescer eviction, a dropped chunk is NACK-recoverable).
 //   - receiving: a second window tracks the cumulative-ack point and the
 //     missing ranges above it; acks flow to the parent every AckEvery
 //     chunks, NACKs go to the parent after NackDelayS and to the repair
-//     neighbor after NackRetries attempts.
+//     neighbor after flowNackRetries attempts.
 //   - repair: the source emits one XOR parity per FECGroup chunks so a
 //     single loss per group heals locally; a retransmit cache serves
 //     NACKs; and when the uplink goes silent for StallS the peer pulls
@@ -27,12 +27,47 @@ import (
 //     non-parent) — the escape hatch that survives a killed link without
 //     waiting for tree repair.
 //   - congestion: when local forwarding queues (pacing + transport) pass
-//     PushbackHigh the peer tells its parent, which halves this child's
+//     flowPushbackHigh the peer tells its parent, which halves this child's
 //     pacing rate and recovers it additively (AIMD per child edge).
 //
 // All methods run on the peer's serialized execution context; only the
 // stat counters are read cross-goroutine (metrics collectors) and are
 // therefore atomic.
+// The reliable data plane's fixed sizes and thresholds; the tunables vdmd's
+// flags and the wall-clock tests set are in flow.Config.
+const (
+	// flowBurst is the token-bucket depth in chunks — how far a quiet
+	// child may exceed the pacing rate momentarily.
+	flowBurst = 64
+	// flowWindow is the ack-clocked sender window: at most this many
+	// chunks past the child's cumulative ack are in flight.
+	flowWindow = 512
+	// flowNackRetries is how many NACKs go to the parent before the
+	// repair neighbor is tried instead.
+	flowNackRetries = 2
+	// flowNackGiveUp is the total NACK attempts per sequence before it is
+	// abandoned (marked seen so the stream advances).
+	flowNackGiveUp = 8
+	// flowRetainChunks sizes the retransmit cache ring.
+	flowRetainChunks = 4096
+	// flowQueueCap bounds the per-child pacing queue; beyond it the oldest
+	// queued chunk is dropped (counted, and recoverable via NACK/FEC).
+	flowQueueCap = 1024
+	// flowPushbackHigh is the queued-frame depth (pacing queue plus
+	// transport coalescer queue) at which a peer sends Pushback to its
+	// parent, halving its inbound rate.
+	flowPushbackHigh = 256
+	// flowMinRateFrac floors pushback throttling at this fraction of the
+	// base rate.
+	flowMinRateFrac = 1.0 / 16
+	// flowRecoverS is how many seconds a fully throttled rate takes to
+	// climb back to the base rate (additive recovery).
+	flowRecoverS = 2.0
+	// flowPullWidth is how many sequence numbers past the cumulative ack a
+	// stall pull requests per round.
+	flowPullWidth = 64
+)
+
 type flowState struct {
 	p   *Peer
 	cfg flow.Config
@@ -162,9 +197,6 @@ func (p *Peer) FlowStats() FlowStats {
 	}
 }
 
-// FlowEnabled reports whether the reliable data plane is active.
-func (p *Peer) FlowEnabled() bool { return p.flow != nil }
-
 // OfferRepairCandidate feeds one probed non-parent peer (id at virtual
 // distance dist) into the repair-neighbor selection. Protocols call this
 // with their join-probe results; the closest candidate wins and is used
@@ -189,7 +221,7 @@ func newFlowState(p *Peer, cfg flow.Config) *flowState {
 		cfg:        cfg,
 		children:   make(map[NodeID]*childFlow),
 		tracker:    flow.NewWindow(2*flow.DefaultWindowBits, 0),
-		cache:      flow.NewCache(cfg.RetainChunks),
+		cache:      flow.NewCache(flowRetainChunks),
 		nacks:      make(map[int64]*nackState),
 		expect:     make(map[NodeID]float64),
 		repairCand: None,
@@ -248,7 +280,7 @@ func (f *flowState) child(c NodeID) *childFlow {
 	cf := f.children[c]
 	if cf == nil {
 		cf = &childFlow{
-			bucket: flow.NewBucket(f.cfg.RateChunksPerS, f.cfg.Burst),
+			bucket: flow.NewBucket(f.cfg.RateChunksPerS, flowBurst),
 			acked:  -1,
 		}
 		f.children[c] = cf
@@ -269,7 +301,7 @@ func seqOf(m Message) (int64, bool) {
 // (the child may be gone or not flow-aware — parking the subtree would
 // be worse than overrunning it).
 func (f *flowState) admit(cf *childFlow, seq int64, isChunk bool, now float64) bool {
-	if isChunk && cf.ackSeen && seq > cf.acked+int64(f.cfg.Window) {
+	if isChunk && cf.ackSeen && seq > cf.acked+flowWindow {
 		if cf.stalledSince == 0 {
 			cf.stalledSince = now
 		}
@@ -279,7 +311,7 @@ func (f *flowState) admit(cf *childFlow, seq int64, isChunk bool, now float64) b
 		cf.acked = cf.lastSent
 		cf.stalledSince = 0
 		f.st.windowStalls.Add(1)
-		if seq > cf.acked+int64(f.cfg.Window) {
+		if seq > cf.acked+flowWindow {
 			return false
 		}
 	} else {
@@ -367,7 +399,7 @@ func (f *flowState) routeOne(c NodeID, m Message, seq int64, isChunk bool, now f
 	if len(cf.q) == 0 && f.admit(cf, seq, isChunk, now) {
 		return append(ids, c)
 	}
-	if len(cf.q) >= f.cfg.QueueCap {
+	if len(cf.q) >= flowQueueCap {
 		cf.q = cf.q[1:]
 		f.st.paceDrops.Add(1)
 	}
@@ -398,7 +430,7 @@ func (f *flowState) recoverRates() {
 	if base <= 0 {
 		return
 	}
-	step := base * f.cfg.TickS / f.cfg.RecoverS
+	step := base * f.cfg.TickS / flowRecoverS
 	for _, cf := range f.children {
 		if r := cf.bucket.Rate(); r > 0 && r < base {
 			r += step
@@ -589,7 +621,7 @@ func (f *flowState) onPushback(from NodeID, m Pushback) {
 	if f.cfg.RateChunksPerS <= 0 {
 		return
 	}
-	floor := f.cfg.RateChunksPerS * f.cfg.MinRateFrac
+	floor := f.cfg.RateChunksPerS * flowMinRateFrac
 	r := cf.bucket.Rate() / 2
 	if r < floor {
 		r = floor
@@ -598,7 +630,7 @@ func (f *flowState) onPushback(from NodeID, m Pushback) {
 }
 
 // scanNacks turns tracked gaps into NACKs: to the parent first, to the
-// repair neighbor after NackRetries, written off after NackGiveUp (the
+// repair neighbor after flowNackRetries, written off after flowNackGiveUp (the
 // tracker marks the seq seen so the cumulative point moves on).
 func (f *flowState) scanNacks(now float64) {
 	p := f.p
@@ -632,13 +664,13 @@ func (f *flowState) scanNacks(now float64) {
 				backoff = 5
 			}
 			ns.nextAt = now + f.cfg.NackDelayS*float64(int64(1)<<uint(backoff))
-			if ns.attempts > f.cfg.NackGiveUp {
+			if ns.attempts > flowNackGiveUp {
 				f.tracker.Add(seq)
 				delete(f.nacks, seq)
 				f.st.skipped.Add(1)
 				continue
 			}
-			if ns.attempts <= f.cfg.NackRetries {
+			if ns.attempts <= flowNackRetries {
 				toParent = appendSeq(toParent, seq)
 			} else {
 				toRepair = appendSeq(toRepair, seq)
@@ -670,7 +702,7 @@ func appendSeq(rs []SeqRange, seq int64) []SeqRange {
 }
 
 // stallPull is the dead-uplink escape: when the parent has delivered
-// nothing for StallS, speculatively pull the next PullWidth sequences
+// nothing for StallS, speculatively pull the next flowPullWidth sequences
 // from the repair neighbor every tick until the parent resumes. Gap
 // NACKs can't detect a fully dead link (silence produces no gaps), so
 // this is what makes a killed uplink recover without tree re-join.
@@ -692,7 +724,7 @@ func (f *flowState) stallPull(now float64) {
 	}
 	f.lastPullAt = now
 	f.expect[tgt] = now + 4*f.cfg.StallS
-	if p.net.Send(p.id, tgt, DataNack{Ranges: []SeqRange{{Lo: cum + 1, Hi: cum + int64(f.cfg.PullWidth)}}}) {
+	if p.net.Send(p.id, tgt, DataNack{Ranges: []SeqRange{{Lo: cum + 1, Hi: cum + flowPullWidth}}}) {
 		f.st.stallPulls.Add(1)
 		f.st.nacksSent.Add(1)
 	}
@@ -736,7 +768,7 @@ func (f *flowState) pushback(now float64) {
 			depth = d
 		}
 	}
-	if depth < f.cfg.PushbackHigh {
+	if depth < flowPushbackHigh {
 		return
 	}
 	f.lastPushAt = now

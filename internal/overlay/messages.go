@@ -302,7 +302,7 @@ type DataAck struct {
 
 // DataNack reports missing chunk ranges and asks the receiver to
 // retransmit them from its cache. Sent to the parent first, then to the
-// repair neighbor after NackRetries attempts — and speculatively to the
+// repair neighbor after flowNackRetries attempts — and speculatively to the
 // repair neighbor when the uplink has gone silent (the stall pull that
 // recovers a killed link without waiting for tree repair).
 type DataNack struct {

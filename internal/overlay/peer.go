@@ -52,10 +52,9 @@ type PeerConfig struct {
 	// Metric computes probe distances; nil means "measured RTT", i.e.
 	// the delay virtual distance of VDM-D.
 	Metric vdist.Metric
-	// Timeouts in seconds; zero selects the defaults.
-	InfoTimeoutS  float64
-	ProbeTimeoutS float64
-	ConnTimeoutS  float64
+	// InfoTimeoutS is the InfoRequest timeout in seconds; zero selects
+	// DefaultInfoTimeoutS.
+	InfoTimeoutS float64
 	// Flow enables the reliable data plane (pacing, ack-clocked windows,
 	// FEC parity, NACK retransmit, repair neighbor, pushback) with the
 	// given tuning; see internal/flow. Nil keeps the historical
@@ -69,13 +68,21 @@ type PeerConfig struct {
 	WindowSlots int
 }
 
-// Default protocol timeouts (seconds of virtual time). Wide-area RTTs stay
-// well under a second, so two seconds cleanly separates "slow" from
-// "departed".
+// Protocol timeouts (seconds of virtual time). Wide-area RTTs stay well
+// under a second, so two seconds cleanly separates "slow" from "departed".
 const (
-	DefaultInfoTimeoutS  = 2.0
-	DefaultProbeTimeoutS = 2.0
-	DefaultConnTimeoutS  = 2.0
+	DefaultInfoTimeoutS = 2.0
+	ProbeTimeoutS       = 2.0
+	ConnTimeoutS        = 2.0
+)
+
+// The join-restart policy every protocol shares (see RestartJoin): a failed
+// join attempt restarts at once, and after restartAttempts consecutive
+// failures (e.g. a churn storm) the peer pauses restartBackoffS before
+// starting over.
+const (
+	restartAttempts = 5
+	restartBackoffS = 5.0
 )
 
 // Stats accumulates the per-peer observations behind the user-facing
@@ -128,9 +135,7 @@ type Peer struct {
 	switching bool
 	alive     bool
 
-	InfoTimeoutS  float64
-	ProbeTimeoutS float64
-	ConnTimeoutS  float64
+	InfoTimeoutS float64
 
 	prober *Prober
 	window *flow.Window
@@ -213,20 +218,18 @@ func NewPeer(net Bus, cfg PeerConfig) *Peer {
 		winSlots = flow.DefaultWindowBits
 	}
 	p := &Peer{
-		id:            cfg.ID,
-		source:        cfg.Source,
-		net:           net,
-		maxDegree:     cfg.MaxDegree,
-		isSource:      cfg.IsSource,
-		metric:        cfg.Metric,
-		parent:        None,
-		connected:     cfg.IsSource,
-		alive:         true,
-		InfoTimeoutS:  cfg.InfoTimeoutS,
-		ProbeTimeoutS: cfg.ProbeTimeoutS,
-		ConnTimeoutS:  cfg.ConnTimeoutS,
-		window:        flow.NewWindow(winSlots, flow.DefaultBackfill),
-		stats:         Stats{Startup: -1, orphanedAt: -1, LeftAt: -1},
+		id:           cfg.ID,
+		source:       cfg.Source,
+		net:          net,
+		maxDegree:    cfg.MaxDegree,
+		isSource:     cfg.IsSource,
+		metric:       cfg.Metric,
+		parent:       None,
+		connected:    cfg.IsSource,
+		alive:        true,
+		InfoTimeoutS: cfg.InfoTimeoutS,
+		window:       flow.NewWindow(winSlots, flow.DefaultBackfill),
+		stats:        Stats{Startup: -1, orphanedAt: -1, LeftAt: -1},
 	}
 	if ap, ok := net.(interface{ AdjPool() *AdjPool }); ok {
 		p.pool = ap.AdjPool()
@@ -237,12 +240,6 @@ func NewPeer(net Bus, cfg PeerConfig) *Peer {
 	}
 	if p.InfoTimeoutS <= 0 {
 		p.InfoTimeoutS = DefaultInfoTimeoutS
-	}
-	if p.ProbeTimeoutS <= 0 {
-		p.ProbeTimeoutS = DefaultProbeTimeoutS
-	}
-	if p.ConnTimeoutS <= 0 {
-		p.ConnTimeoutS = DefaultConnTimeoutS
 	}
 	p.prober = newProber(p)
 	if cfg.Flow != nil {
@@ -284,9 +281,6 @@ func (p *Peer) MaxDegree() int { return p.maxDegree }
 // FreeDegree returns the remaining child capacity.
 func (p *Peer) FreeDegree() int { return p.maxDegree - p.pool.Len(&p.children) }
 
-// NumChildren returns the current regular-child count.
-func (p *Peer) NumChildren() int { return p.pool.Len(&p.children) }
-
 // ChildIDs returns the regular children sorted by id (deterministic
 // order). Foster children are excluded: they neither consume degree nor
 // appear in information responses.
@@ -317,12 +311,6 @@ func (p *Peer) PutFoster(c NodeID, dist float64) { p.pool.Put(&p.fosters, c, dis
 
 // DelChild removes a regular child edge directly (test seam).
 func (p *Peer) DelChild(c NodeID) { p.pool.Delete(&p.children, c) }
-
-// HasChild reports whether c is a regular child.
-func (p *Peer) HasChild(c NodeID) bool { return p.pool.Has(&p.children, c) }
-
-// HasFoster reports whether c is a foster child.
-func (p *Peer) HasFoster(c NodeID) bool { return p.pool.Has(&p.fosters, c) }
 
 // RootPath returns the peer's current ancestry, source first, parent last.
 func (p *Peer) RootPath() []NodeID {
@@ -374,6 +362,23 @@ func (p *Peer) MarkJoinStart() {
 		p.stats.everJoined = true
 		p.stats.JoinStartAt = p.Now()
 	}
+}
+
+// RestartJoin applies the shared join-restart policy after a protocol's
+// join attempt number attempts (counting from 1) has failed: while under
+// the attempt budget, begin(attempts) restarts at once; past it, the peer
+// backs off and then calls begin(0), provided it is still alive,
+// unconnected and, per idle, running no other join procedure.
+func (p *Peer) RestartJoin(attempts int, idle func() bool, begin func(attempts int)) {
+	if attempts < restartAttempts {
+		begin(attempts)
+		return
+	}
+	p.net.After(restartBackoffS, func() {
+		if p.alive && !p.connected && idle() {
+			begin(0)
+		}
+	})
 }
 
 // inRootPath reports whether n is an ancestor according to the root path.

@@ -9,30 +9,9 @@ import (
 	"vdm/internal/rng"
 )
 
-// Config tunes a random-join node.
-type Config struct {
-	// DescendProb is the probability of walking into a child instead of
-	// attaching at a node with free capacity; zero selects 0.5.
-	DescendProb float64
-	// MaxAttempts bounds join restarts; zero selects 5.
-	MaxAttempts int
-	// RetryBackoffS is the pause after MaxAttempts failures; zero
-	// selects 5 s.
-	RetryBackoffS float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.DescendProb <= 0 {
-		c.DescendProb = 0.5
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.RetryBackoffS <= 0 {
-		c.RetryBackoffS = 5
-	}
-	return c
-}
+// descendProb is the probability of walking into a child instead of
+// attaching at a node with free capacity.
+const descendProb = 0.5
 
 type joinState struct {
 	token     int
@@ -46,7 +25,6 @@ type joinState struct {
 // Node is one random-join peer.
 type Node struct {
 	*overlay.Peer
-	cfg   Config
 	rnd   *rng.Stream
 	join  *joinState
 	token int
@@ -55,8 +33,8 @@ type Node struct {
 var _ overlay.Protocol = (*Node)(nil)
 
 // New builds a random-join node.
-func New(net overlay.Bus, pc overlay.PeerConfig, cfg Config, rnd *rng.Stream) *Node {
-	n := &Node{Peer: overlay.NewPeer(net, pc), cfg: cfg.withDefaults(), rnd: rnd}
+func New(net overlay.Bus, pc overlay.PeerConfig, rnd *rng.Stream) *Node {
+	n := &Node{Peer: overlay.NewPeer(net, pc), rnd: rnd}
 	n.Peer.SetHooks(n)
 	return n
 }
@@ -114,7 +92,7 @@ func (n *Node) HandleProtocol(from overlay.NodeID, m overlay.Message) {
 				kids = append(kids, ci.ID)
 			}
 		}
-		descend := len(kids) > 0 && (msg.Free == 0 || n.rnd.Bool(n.cfg.DescendProb)) && js.steps < 64
+		descend := len(kids) > 0 && (msg.Free == 0 || n.rnd.Bool(descendProb)) && js.steps < 64
 		if descend {
 			n.sendInfo(js, kids[n.rnd.Intn(len(kids))])
 			return
@@ -124,7 +102,7 @@ func (n *Node) HandleProtocol(from overlay.NodeID, m overlay.Message) {
 		js.token = n.token
 		n.Net().Send(n.ID(), from, overlay.ConnRequest{Token: js.token, Kind: overlay.ConnChild, Dist: 0})
 		tok := js.token
-		n.Net().After(n.ConnTimeoutS, func() {
+		n.Net().After(overlay.ConnTimeoutS, func() {
 			if n.join == js && js.awaitConn && js.token == tok {
 				n.restart(js)
 			}
@@ -147,15 +125,8 @@ func (n *Node) HandleProtocol(from overlay.NodeID, m overlay.Message) {
 }
 
 func (n *Node) restart(js *joinState) {
-	attempts := js.attempts + 1
 	n.join = nil
-	if attempts >= n.cfg.MaxAttempts {
-		n.Net().After(n.cfg.RetryBackoffS, func() {
-			if n.Alive() && !n.Connected() && n.join == nil {
-				n.begin(js.reconnect, 0)
-			}
-		})
-		return
-	}
-	n.begin(js.reconnect, attempts)
+	n.RestartJoin(js.attempts+1, func() bool { return n.join == nil }, func(a int) {
+		n.begin(js.reconnect, a)
+	})
 }

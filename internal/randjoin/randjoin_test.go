@@ -17,7 +17,7 @@ func newRig(t *testing.T, n int, degree int) (*protocoltest.Rig, map[overlay.Nod
 	r := protocoltest.New(points)
 	nodes := map[overlay.NodeID]*Node{}
 	for i := 0; i < n; i++ {
-		nd := New(r.Net, r.PeerConfig(overlay.NodeID(i), degree), Config{}, rng.New(int64(i)+11))
+		nd := New(r.Net, r.PeerConfig(overlay.NodeID(i), degree), rng.New(int64(i)+11))
 		r.Net.Register(overlay.NodeID(i), nd)
 		nodes[overlay.NodeID(i)] = nd
 	}

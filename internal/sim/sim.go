@@ -77,13 +77,9 @@ type Config struct {
 	// DegreeFromBandwidth implements the dissertation's future-work
 	// item "a system is required to measure and determine the degree of
 	// each node [which] depends on outgoing bandwidth of nodes": each
-	// node's degree becomes floor(uplink / StreamKbps), clamped to
-	// [1, DegreeCap], with uplinks drawn lognormally.
+	// node's degree becomes floor(uplink / streamKbps), clamped to
+	// [1, degreeCap], with uplinks drawn lognormally.
 	DegreeFromBandwidth bool
-	StreamKbps          float64 // stream bitrate; default 500 (the paper's example)
-	UplinkMeanKbps      float64 // median uplink; default 2000
-	UplinkSigma         float64 // lognormal sigma; default 0.6
-	DegreeCap           int     // default 8
 
 	// Protocol knobs.
 	Gamma             float64 // VDM collinearity threshold (0 = default)
@@ -91,7 +87,6 @@ type Config struct {
 	VDMReconnectAtSrc bool    // ablation: reconnect at source, not grandparent
 	VDMFosterJoin     bool    // quick-start: attach to the source immediately
 	HMTPRefinePeriodS float64 // 0 = HMTP default (30 s)
-	BTPSwitchPeriodS  float64
 
 	// Workload.
 	ChurnPct float64 // interval churn percentage (0 = none)
@@ -116,10 +111,12 @@ type Config struct {
 	// probe measurements on the router underlay (NS-2 probes see cross-
 	// traffic variation too). Negative disables; zero selects 0.1.
 	RouterJitterSigma float64
-	RouterMin         int         // minimum router count (default 784)
-	LinkLossMax       float64     // chapter-4 per-link error ceiling
-	GeoCfg            *geo.Config // nil = geo.DefaultConfig()
-	GeoUSOnly         bool        // restrict to US sites (chapter 5)
+	RouterMin         int     // minimum router count (default 784)
+	LinkLossMax       float64 // chapter-4 per-link error ceiling
+	// GeoUSOnly restricts a generated synthetic PlanetLab to its US sites
+	// (chapter 5). A worldwide one grows to fit a set Nodes (see
+	// geoSitesPerRegion).
+	GeoUSOnly bool
 	// GeoModel and GeoSites, when set together, bypass generation and
 	// site selection: the session runs on the given model with host i
 	// at GeoSites[i] (host 0 = source). The lab front end uses this
@@ -474,14 +471,25 @@ func buildScenario(cfg Config) (*scenario.Scenario, Config) {
 
 // Run executes one session and returns its aggregated result.
 func Run(cfg Config) (*Result, error) {
+	sitesPerRegion := geoSitesPerRegion(cfg)
 	cfg = cfg.withDefaults()
+	switch cfg.Protocol {
+	case VDM, HMTP, BTP, NICE, Random:
+	default:
+		return nil, fmt.Errorf("sim: unknown protocol %q", cfg.Protocol)
+	}
+	switch cfg.Metric {
+	case "delay", "loss", "loss-est", "bandwidth":
+	default:
+		return nil, fmt.Errorf("sim: unknown metric %q", cfg.Metric)
+	}
 	switch {
 	case cfg.Shards < 0:
 		return nil, fmt.Errorf("sim: Shards must be ≥ 0, got %d", cfg.Shards)
 	case cfg.Shards != 0 && cfg.Metric == "loss-est":
 		return nil, fmt.Errorf("sim: metric %q draws from a shared estimator stream in query order and only runs on the serial engine (Shards=0)", cfg.Metric)
 	}
-	s, err := newSession(cfg)
+	s, err := newSession(cfg, sitesPerRegion)
 	if err != nil {
 		return nil, err
 	}
@@ -501,9 +509,9 @@ func Run(cfg Config) (*Result, error) {
 // queue (Shards 0) or on cfg.Shards of them. The schedule order is the
 // same either way, so equal-time setup events on one queue keep their
 // relative order.
-func newSession(cfg Config) (*session, error) {
+func newSession(cfg Config, sitesPerRegion int) (*session, error) {
 	scn, cfg := buildScenario(cfg)
-	u, err := buildUnderlay(cfg, scn.PoolSize)
+	u, err := buildUnderlay(cfg, scn.PoolSize, sitesPerRegion)
 	if err != nil {
 		return nil, err
 	}
@@ -581,7 +589,21 @@ func (l *lockedSink) Emit(e obs.Event) {
 // keeps at most one per router.
 const routerPathLossBudget = 1 << 21
 
-func buildUnderlay(cfg Config, pool int) (underlay.Underlay, error) {
+// geoSitesPerRegion sizes the synthetic PlanetLab a Geo session generates.
+// It reads the caller's config, before withDefaults: a worldwide pool with
+// Nodes set grows from the default in steps of 16 sites per region until
+// it offers 2·Nodes + 16 sites; every other session gets the default.
+func geoSitesPerRegion(cfg Config) int {
+	n := geo.DefaultSitesPerRegion
+	if cfg.Underlay == Geo && !cfg.GeoUSOnly && cfg.Nodes > 0 {
+		for n*len(geo.DefaultRegions()) < cfg.Nodes*2+16 {
+			n += 16
+		}
+	}
+	return n
+}
+
+func buildUnderlay(cfg Config, pool, sitesPerRegion int) (underlay.Underlay, error) {
 	switch cfg.Underlay {
 	case Router:
 		ts, err := topology.GenerateTransitStub(
@@ -613,11 +635,7 @@ func buildUnderlay(cfg Config, pool int) (underlay.Underlay, error) {
 			}
 			return underlay.NewGeoKeyed(cfg.GeoModel, cfg.GeoSites[:pool], rng.DeriveSeed(cfg.Seed, "jitter")), nil
 		}
-		gcfg := geo.DefaultConfig()
-		if cfg.GeoCfg != nil {
-			gcfg = *cfg.GeoCfg
-		}
-		model := geo.Generate(gcfg, rng.Derive(cfg.Seed, "geo"))
+		model := geo.Generate(sitesPerRegion, rng.Derive(cfg.Seed, "geo"))
 		var candidates []int
 		if cfg.GeoUSOnly {
 			candidates = model.USSites()
@@ -627,7 +645,7 @@ func buildUnderlay(cfg Config, pool int) (underlay.Underlay, error) {
 			}
 		}
 		if len(candidates) < pool {
-			return nil, fmt.Errorf("sim: need %d sites, synthetic PlanetLab offers %d (grow geo.Config.SitesPerRegion)", pool, len(candidates))
+			return nil, fmt.Errorf("sim: need %d sites, synthetic PlanetLab offers %d", pool, len(candidates))
 		}
 		// The paper's source sits in Colorado: prefer a us-mountain site.
 		srcIdx := 0
@@ -648,10 +666,10 @@ func buildUnderlay(cfg Config, pool int) (underlay.Underlay, error) {
 	}
 }
 
+// buildMetric builds the virtual distance Run has already checked the name
+// of; nil is "delay", the measured probe RTT.
 func buildMetric(name string, u underlay.Underlay, rnd *rng.Stream) vdist.Metric {
 	switch name {
-	case "", "delay":
-		return nil // measured probe RTT
 	case "loss":
 		return vdist.Loss{U: u}
 	case "loss-est":
@@ -660,38 +678,31 @@ func buildMetric(name string, u underlay.Underlay, rnd *rng.Stream) vdist.Metric
 		return vdist.EstimatedLoss{Svc: vdist.NewLossEstimator(u, rnd)}
 	case "bandwidth":
 		return vdist.Bandwidth{U: u}
-	default:
-		return nil
 	}
+	return nil
 }
+
+// The bandwidth-derived degree model (Config.DegreeFromBandwidth): the
+// stream bitrate (the paper's example), the median and lognormal sigma of
+// the uplink draw, and the degree cap.
+const (
+	streamKbps     = 500.0
+	uplinkMeanKbps = 2000.0
+	uplinkSigma    = 0.6
+	degreeCap      = 8
+)
 
 func drawDegrees(cfg Config, pool int, rnd *rng.Stream) []int {
 	degrees := make([]int, pool)
 	for i := range degrees {
 		if cfg.DegreeFromBandwidth {
-			stream := cfg.StreamKbps
-			if stream <= 0 {
-				stream = 500
-			}
-			median := cfg.UplinkMeanKbps
-			if median <= 0 {
-				median = 2000
-			}
-			sigma := cfg.UplinkSigma
-			if sigma <= 0 {
-				sigma = 0.6
-			}
-			cap := cfg.DegreeCap
-			if cap <= 0 {
-				cap = 8
-			}
-			uplink := median * rnd.LogNormal(0, sigma)
-			d := int(uplink / stream)
+			uplink := uplinkMeanKbps * rnd.LogNormal(0, uplinkSigma)
+			d := int(uplink / streamKbps)
 			if d < 1 {
 				d = 1
 			}
-			if d > cap {
-				d = cap
+			if d > degreeCap {
+				d = degreeCap
 			}
 			degrees[i] = d
 			continue
@@ -735,7 +746,7 @@ func buildProtocol(cfg Config, bus overlay.Bus, metric vdist.Metric, degrees []i
 	case HMTP:
 		p = hmtp.New(bus, pc, hmtp.Config{RefinePeriodS: cfg.HMTPRefinePeriodS}, rng.Derive(protoSeed, fmt.Sprintf("hmtp-%d-%d", slot, memIdx)))
 	case BTP:
-		p = btp.New(bus, pc, btp.Config{SwitchPeriodS: cfg.BTPSwitchPeriodS}, rng.Derive(protoSeed, fmt.Sprintf("btp-%d-%d", slot, memIdx)))
+		p = btp.New(bus, pc, rng.Derive(protoSeed, fmt.Sprintf("btp-%d-%d", slot, memIdx)))
 	case NICE:
 		// NICE has no per-member degree bound; cluster size (3K−1) is
 		// the capacity notion, applied uniformly.
@@ -744,8 +755,8 @@ func buildProtocol(cfg Config, bus overlay.Bus, metric vdist.Metric, degrees []i
 		degrees[slot] = pc.MaxDegree
 		p = nice.New(bus, pc, ncfg, rng.Derive(protoSeed, fmt.Sprintf("nice-%d-%d", slot, memIdx)))
 	case Random:
-		p = randjoin.New(bus, pc, randjoin.Config{}, rng.Derive(protoSeed, fmt.Sprintf("rand-%d-%d", slot, memIdx)))
-	default:
+		p = randjoin.New(bus, pc, rng.Derive(protoSeed, fmt.Sprintf("rand-%d-%d", slot, memIdx)))
+	case VDM:
 		n := core.New(bus, pc, core.Config{
 			Gamma:             cfg.Gamma,
 			RefinePeriodS:     cfg.VDMRefinePeriodS,

@@ -72,6 +72,24 @@ func TestRunAllProtocolsSmoke(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownNames: a misspelt protocol or metric is an error,
+// not a silent run of VDM over delay distances.
+func TestRunRejectsUnknownNames(t *testing.T) {
+	for _, tc := range []struct {
+		protocol ProtocolKind
+		metric   string
+	}{
+		{"hmpt", "delay"},
+		{VDM, "los"},
+	} {
+		cfg := smokeConfig(tc.protocol)
+		cfg.Metric = tc.metric
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("protocol %q metric %q: no error", tc.protocol, tc.metric)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	a, err := Run(smokeConfig(VDM))
 	if err != nil {

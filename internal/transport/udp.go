@@ -44,13 +44,6 @@ const (
 	// beyond it the oldest queued frame is dropped (best-effort data
 	// backpressure).
 	DefaultDestQueueCap = 256
-	// DefaultSocketBuffer is the SO_RCVBUF/SO_SNDBUF request. The batched
-	// plane lands whole sendmmsg trains (MaxBatch frames back to back) on
-	// the receiver, so the kernel-default ~208 KB receive buffer — sized
-	// for one-packet-at-a-time senders — overflows under bursts the
-	// one-syscall-per-packet path never produces. The kernel clamps the
-	// request to net.core.{r,w}mem_max.
-	DefaultSocketBuffer = 4 << 20
 )
 
 // BatchConfig tunes the batched data plane; the zero value selects the
@@ -90,10 +83,6 @@ type UDPConfig struct {
 	RetryAttempts int
 	// Batch tunes the batched data plane (zero value = defaults).
 	Batch BatchConfig
-	// SocketBuffer is the SO_RCVBUF/SO_SNDBUF size requested from the
-	// kernel (best effort — clamped to net.core.{r,w}mem_max). Zero
-	// selects DefaultSocketBuffer; negative keeps the kernel default.
-	SocketBuffer int
 }
 
 func (c UDPConfig) withDefaults() UDPConfig {
@@ -353,6 +342,13 @@ func (d *dedupe) seen(seq uint32) bool {
 // can force the portable fallback Linux CI otherwise never runs.
 var newMmsg = newMmsgIO
 
+// socketBuffer is the SO_RCVBUF/SO_SNDBUF request. The batched plane lands
+// whole sendmmsg trains (MaxBatch frames back to back) on the receiver, so
+// the kernel-default ~208 KB receive buffer — sized for one-packet-at-a-time
+// senders — overflows under bursts the one-syscall-per-packet path never
+// produces. The kernel clamps the request to net.core.{r,w}mem_max.
+const socketBuffer = 4 << 20
+
 // NewUDP opens a UDP socket on listenAddr (e.g. "127.0.0.1:9000" or
 // ":9000") and starts the receive loop.
 func NewUDP(listenAddr string, cfg UDPConfig) (*UDP, error) {
@@ -364,15 +360,10 @@ func NewUDP(listenAddr string, cfg UDPConfig) (*UDP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %q: %w", listenAddr, err)
 	}
-	if sb := cfg.SocketBuffer; sb >= 0 {
-		if sb == 0 {
-			sb = DefaultSocketBuffer
-		}
-		// Best effort: an unprivileged process gets whatever the kernel
-		// caps allow, which still beats the default.
-		_ = conn.SetReadBuffer(sb)
-		_ = conn.SetWriteBuffer(sb)
-	}
+	// Best effort: an unprivileged process gets whatever the kernel caps
+	// allow, which still beats the default.
+	_ = conn.SetReadBuffer(socketBuffer)
+	_ = conn.SetWriteBuffer(socketBuffer)
 	t := &UDP{
 		cfg:      cfg.withDefaults(),
 		conn:     conn,
@@ -423,17 +414,6 @@ func (t *UDP) SetRoute(id overlay.NodeID, addr string) error {
 	}
 	t.learnRoute(id, ua)
 	return nil
-}
-
-// Route reports the known address for id, if any.
-func (t *UDP) Route(id overlay.NodeID) (string, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ua, ok := t.routes[id]
-	if !ok {
-		return "", false
-	}
-	return ua.String(), true
 }
 
 // learnRoute records addr as the route to id and re-delivers, outside the

@@ -167,7 +167,7 @@ func TestRouterLossZeroWithoutAssignment(t *testing.T) {
 
 func geoFixture(t *testing.T) *GeoUnderlay {
 	t.Helper()
-	m := geo.Generate(geo.DefaultConfig(), rng.New(4))
+	m := geo.Generate(geo.DefaultSitesPerRegion, rng.New(4))
 	sites := m.USSites()[:40]
 	return NewGeoKeyed(m, sites, 5)
 }

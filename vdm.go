@@ -23,7 +23,6 @@ package vdm
 
 import (
 	"vdm/internal/experiments"
-	"vdm/internal/geo"
 	"vdm/internal/sim"
 )
 
@@ -196,7 +195,7 @@ type SamplePoint struct {
 
 // Run executes one multicast session.
 func Run(cfg Config) (*Result, error) {
-	sc := sim.Config{
+	res, err := sim.Run(sim.Config{
 		Seed:                cfg.Seed,
 		Protocol:            sim.ProtocolKind(cfg.Protocol),
 		Metric:              string(cfg.Metric),
@@ -217,18 +216,7 @@ func Run(cfg Config) (*Result, error) {
 		LinkLossMax:         cfg.LinkLossMax,
 		GeoUSOnly:           cfg.USOnly,
 		ComputeMST:          cfg.ComputeMST,
-	}
-	// Sessions on the synthetic PlanetLab with large populations need a
-	// bigger site pool than the default US-only one.
-	if sc.Underlay == sim.Geo && !sc.GeoUSOnly && sc.Nodes > 0 {
-		g := geo.DefaultConfig()
-		need := sc.Nodes*2 + 16
-		for g.SitesPerRegion*len(geo.DefaultRegions()) < need {
-			g.SitesPerRegion += 16
-		}
-		sc.GeoCfg = &g
-	}
-	res, err := sim.Run(sc)
+	})
 	if err != nil {
 		return nil, err
 	}
