@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet fuzz knobs bench bench-compare profile-cell bench-experiments bench-scale bench-scale-profile profile-smoke
+.PHONY: check test build vet fuzz knobs bench bench-compare profile-cell bench-scale bench-scale-profile profile-smoke
 
 # check is the pre-merge gate: vet + build + race-enabled tests.
 check:
@@ -57,13 +57,6 @@ bench:
 # so the baseline's core count need not be this machine's).
 bench-compare:
 	$(GO) test -run='^$$' -bench=. -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -compare BENCH_wire.json
-
-# bench-experiments times a fixed experiment selection serial vs parallel
-# and archives the wall-clock numbers (BENCH_experiments.json).
-bench-experiments:
-	$(GO) run ./cmd/experiments -group ch5-refine -reps 2 -timescale 0.06 -ratescale 0.3 \
-		-benchout BENCH_experiments.json > /dev/null
-	@echo "wrote BENCH_experiments.json"
 
 # SCALE_CELL is the scale cell's session shape, the benchmark's
 # sim-scale-cell at any population: 300 s simulated, a 150 s join storm,

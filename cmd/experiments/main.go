@@ -9,38 +9,64 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"time"
 
 	"vdm/internal/experiments"
-	"vdm/internal/parallel"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		group     = flag.String("group", "", "experiment group to run (see -list)")
-		fig       = flag.String("fig", "", "figure id, e.g. 3.25 — runs its whole group")
-		all       = flag.Bool("all", false, "run every experiment group")
-		list      = flag.Bool("list", false, "list experiment groups and exit")
-		seed      = flag.Int64("seed", 1, "master seed")
-		reps      = flag.Int("reps", 5, "repetitions per matrix cell")
-		timeScale = flag.Float64("timescale", 1, "session duration multiplier (1 = paper)")
-		rateScale = flag.Float64("ratescale", 1, "data rate multiplier (1 = paper)")
-		verbose   = flag.Bool("v", false, "print per-session progress")
-		format    = flag.String("format", "text", "output format: text | json")
-		jobs      = flag.Int("j", 0, "parallel workers for matrix cells (0 = all cores, 1 = serial); results are identical at any value")
-		benchout  = flag.String("benchout", "", "time the selected groups serial vs parallel and write wall-clock JSON to this file")
+		group     = fs.String("group", "", "experiment group to run (see -list)")
+		fig       = fs.String("fig", "", "figure id, e.g. 3.25 — runs its whole group")
+		all       = fs.Bool("all", false, "run every experiment group")
+		list      = fs.Bool("list", false, "list experiment groups and exit")
+		seed      = fs.Int64("seed", 1, "master seed")
+		reps      = fs.Int("reps", 5, "repetitions per (x value, variant) cell")
+		timeScale = fs.Float64("timescale", 1, "session duration multiplier (1 = paper)")
+		rateScale = fs.Float64("ratescale", 1, "data rate multiplier (1 = paper)")
+		verbose   = fs.Bool("v", false, "print per-session progress to stderr")
+		format    = fs.String("format", "text", "output format: text | json")
+		jobs      = fs.Int("j", 0, "parallel workers for sessions (0 = all cores, 1 = serial); results are identical at any value")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, g := range experiments.Groups() {
-			fmt.Println(g)
+			fmt.Fprintln(stdout, g)
 		}
-		return
+		return nil
+	}
+	if *format != "text" && *format != "json" {
+		return fmt.Errorf("unknown -format %q (text | json)", *format)
+	}
+	var groups []string
+	switch {
+	case *all:
+		groups = experiments.Groups()
+	case *group != "":
+		groups = []string{*group}
+	case *fig != "":
+		g, ok := experiments.GroupFor(*fig)
+		if !ok {
+			return fmt.Errorf("unknown -fig %q", *fig)
+		}
+		groups = []string{g}
+	default:
+		return fmt.Errorf("nothing to run: give -all, -group, -fig or -list")
 	}
 
 	opts := experiments.Options{
@@ -55,133 +81,24 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-
-	var groups []string
-	switch {
-	case *all:
-		groups = experiments.Groups()
-	case *group != "":
-		groups = []string{*group}
-	case *fig != "":
-		g, ok := experiments.GroupFor(*fig)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
-			os.Exit(1)
-		}
-		groups = []string{g}
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	if *benchout != "" {
-		if err := writeBench(*benchout, groups, opts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
 	var collected []*experiments.Table
 	for _, g := range groups {
 		tables, err := experiments.Run(g, opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "group %s: %v\n", g, err)
-			os.Exit(1)
+			return fmt.Errorf("group %s: %w", g, err)
 		}
 		if *format == "json" {
 			collected = append(collected, tables...)
 			continue
 		}
 		for _, t := range tables {
-			fmt.Println(t.Format())
+			fmt.Fprintln(stdout, t.Format())
 		}
 	}
 	if *format == "json" {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(collected); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		return enc.Encode(collected)
 	}
-}
-
-// benchReport is the schema of the -benchout file: one serial and one
-// parallel wall-clock measurement of the same experiment selection, plus
-// a check that both produced identical tables.
-type benchReport struct {
-	GeneratedAt string   `json:"generated_at"`
-	GOOS        string   `json:"goos"`
-	GOARCH      string   `json:"goarch"`
-	Cores       int      `json:"cores"`
-	Workers     int      `json:"workers"`
-	Groups      []string `json:"groups"`
-	Reps        int      `json:"reps"`
-	TimeScale   float64  `json:"timescale"`
-	RateScale   float64  `json:"ratescale"`
-	SerialSec   float64  `json:"serial_sec"`
-	ParallelSec float64  `json:"parallel_sec"`
-	Speedup     float64  `json:"speedup"`
-	Identical   bool     `json:"identical_output"`
-}
-
-// runFormatted runs every group and returns the concatenated formatted
-// tables (the byte-identical artifact the determinism guarantee covers).
-func runFormatted(groups []string, o experiments.Options) (string, error) {
-	var out []byte
-	for _, g := range groups {
-		tables, err := experiments.Run(g, o)
-		if err != nil {
-			return "", fmt.Errorf("group %s: %w", g, err)
-		}
-		for _, t := range tables {
-			out = append(out, t.Format()...)
-			out = append(out, '\n')
-		}
-	}
-	return string(out), nil
-}
-
-func writeBench(path string, groups []string, opts experiments.Options) error {
-	serialOpts, parOpts := opts, opts
-	serialOpts.Jobs = 1
-	serialOpts.Progress, parOpts.Progress = nil, nil
-
-	t0 := time.Now()
-	serialOut, err := runFormatted(groups, serialOpts)
-	if err != nil {
-		return err
-	}
-	serialSec := time.Since(t0).Seconds()
-
-	t0 = time.Now()
-	parOut, err := runFormatted(groups, parOpts)
-	if err != nil {
-		return err
-	}
-	parSec := time.Since(t0).Seconds()
-
-	rep := benchReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Cores:       runtime.NumCPU(),
-		Workers:     parallel.Workers(opts.Jobs),
-		Groups:      groups,
-		Reps:        opts.Reps,
-		TimeScale:   opts.TimeScale,
-		RateScale:   opts.RateScale,
-		SerialSec:   serialSec,
-		ParallelSec: parSec,
-		Speedup:     serialSec / parSec,
-		Identical:   serialOut == parOut,
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return nil
 }

@@ -41,6 +41,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *topN < 1 {
+		return fmt.Errorf("-top %d: need at least 1 entry", *topN)
+	}
 
 	var in io.Reader = os.Stdin
 	if fs.NArg() > 0 {

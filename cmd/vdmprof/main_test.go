@@ -44,22 +44,30 @@ func TestGoldenOutput(t *testing.T) {
 	}
 }
 
-// TestRejectedRecordings pins the recordings that are errors: nothing to
-// render, or not a recording at all.
+// TestRejectedRecordings pins the inputs that are errors: nothing to
+// render, not a recording at all, or a -top that would rank nothing.
 func TestRejectedRecordings(t *testing.T) {
-	for name, body := range map[string]string{
-		"empty":       "",
-		"header-only": `{"v":1,"kind":"header","engine":"serial","pool":71,"interval_s":50}` + "\n",
-		"garbled":     "{\"v\":1,\"kind\":\"interval\",\"t\":\n",
-		"unknown":     `{"v":1,"kind":"epoch"}` + "\n",
+	for name, tc := range map[string]struct {
+		flags []string
+		body  string
+	}{
+		"empty":        {body: ""},
+		"header-only":  {body: `{"v":1,"kind":"header","engine":"serial","pool":71,"interval_s":50}` + "\n"},
+		"garbled":      {body: "{\"v\":1,\"kind\":\"interval\",\"t\":\n"},
+		"unknown":      {body: `{"v":1,"kind":"epoch"}` + "\n"},
+		"top-zero":     {flags: []string{"-top", "0"}},
+		"top-negative": {flags: []string{"-top", "-1"}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "rec.jsonl")
-			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-				t.Fatal(err)
+			path := filepath.Join("testdata", "serial.jsonl")
+			if tc.flags == nil {
+				path = filepath.Join(t.TempDir(), "rec.jsonl")
+				if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			var out bytes.Buffer
-			if err := run([]string{path}, &out); err == nil {
+			if err := run(append(tc.flags, path), &out); err == nil {
 				t.Error("no error")
 			}
 			if out.Len() != 0 {

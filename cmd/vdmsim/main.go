@@ -198,33 +198,23 @@ func run(args []string, stdout io.Writer) error {
 		eventSink = obs.NewJSONLSink(f)
 	}
 
-	// configure builds one session: on the synthetic PlanetLab through the
-	// lab's chapter-5 methodology, on the router graph directly.
-	configure := func(seed int64) (sim.Config, *lab.Selection, error) {
-		if *underlay == "geo" {
-			return lab.Configure(lab.Config{
-				Seed:      seed,
-				Protocol:  sim.ProtocolKind(*protocol),
-				Nodes:     *nodes,
-				Degree:    *degMin,
-				ChurnPct:  *churn,
-				Refine:    *refine,
-				Foster:    *foster,
-				USOnly:    *usOnly,
-				Duration:  *duration,
-				JoinPhase: *joinS,
-				DataRate:  *rate,
-				MST:       *mstRatio,
-			})
-		}
-		return sim.Config{
+	// Repetitions are independent cells: each derives its own seed, so
+	// the aggregate is identical at any worker count. lab.Configure places
+	// a geo session by the chapter-5 methodology; rep 0's selection is
+	// the one printed.
+	var sel *lab.Selection
+	results, err := parallel.Map(*reps, *jobs, func(rep int) (*sim.Result, error) {
+		cfg, repSel, err := lab.Configure(sim.Config{
 			Scenario:          scn,
-			Seed:              seed,
+			Seed:              *seed + int64(rep)*7_919,
 			Protocol:          sim.ProtocolKind(*protocol),
+			Metric:            *metric,
 			Nodes:             *nodes,
 			ChurnPct:          *churn,
 			DegreeMin:         *degMin,
 			DegreeMax:         *degMax,
+			AvgDegree:         *avgDeg,
+			Gamma:             *gamma,
 			VDMRefinePeriodS:  *refine,
 			VDMFosterJoin:     *foster,
 			DurationS:         *duration,
@@ -233,26 +223,23 @@ func run(args []string, stdout io.Writer) error {
 			LinkLossMax:       *linkLoss,
 			RouterMin:         *routers,
 			RouterJitterSigma: *jitter,
-			Underlay:          sim.Router,
+			Underlay:          sim.UnderlayKind(*underlay),
+			GeoUSOnly:         *usOnly,
 			ComputeMST:        *mstRatio,
-		}, nil, nil
-	}
-
-	// Repetitions are independent cells: each derives its own seed, so
-	// the aggregate is identical at any worker count.
-	results, err := parallel.Map(*reps, *jobs, func(rep int) (*lab.Result, error) {
-		cfg, sel, err := configure(*seed + int64(rep)*7_919)
+			Shards:            *shards,
+			Progress:          progressFn,
+			ProgressEveryS:    *progress,
+			Profile:           profile,
+			Trace:             traceFn,
+			EventSink:         eventSink,
+		})
 		if err != nil {
 			return nil, err
 		}
-		cfg.Metric, cfg.Gamma, cfg.AvgDegree = *metric, *gamma, *avgDeg
-		cfg.Shards, cfg.Progress, cfg.ProgressEveryS, cfg.Profile = *shards, progressFn, *progress, profile
-		cfg.Trace, cfg.EventSink = traceFn, eventSink
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, err
+		if rep == 0 {
+			sel = repSel
 		}
-		return &lab.Result{Result: res, Selection: sel}, nil
+		return sim.Run(cfg)
 	})
 	if err != nil {
 		return err
@@ -264,7 +251,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *underlay == "geo" {
-		fmt.Fprintf(stdout, "node selection: %s\n", res.Selection)
+		fmt.Fprintf(stdout, "node selection: %s\n", sel)
 		fmt.Fprintf(stdout, "protocol=%s nodes=%d degree=%d churn=%.1f%%\n", *protocol, *nodes, *degMin, *churn)
 		fmt.Fprintf(stdout, "  startup     avg %.3fs max %.3fs\n", res.StartupAvg, res.StartupMax)
 		fmt.Fprintf(stdout, "  reconnect   avg %.3fs max %.3fs (%d reconnections)\n", res.ReconnAvg, res.ReconnMax, res.ReconnCount)
@@ -277,7 +264,7 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "  MST ratio   %.3f\n", res.MSTRatio)
 		}
 		fmt.Fprintf(stdout, "  final       %d alive, %d reachable\n", res.FinalAlive, res.FinalReachable)
-		intra, inter, perRegion := lab.ClusterStats(res.Result)
+		intra, inter, perRegion := lab.ClusterStats(res)
 		fmt.Fprintf(stdout, "  clustering  %d intra-region edges, %d cross-region (%s)\n",
 			intra, inter, strings.Join(lab.Regions(perRegion), " "))
 	} else {
@@ -304,10 +291,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *tree {
 		fmt.Fprintln(stdout, "\nfinal overlay tree (indent = depth):")
-		fmt.Fprint(stdout, lab.RenderTree(res.Result))
+		fmt.Fprint(stdout, lab.RenderTree(res))
 	}
 	if *dot {
-		fmt.Fprint(stdout, lab.DOT(res.Result))
+		fmt.Fprint(stdout, lab.DOT(res))
 	}
 	return nil
 }
@@ -351,11 +338,9 @@ func dumpRouter(w io.Writer, what string, routers int, seed int64, churn scenari
 }
 
 // meanResult averages the session metrics over repetitions, keeping the
-// first repetition's selection, tree and clustering for display.
-func meanResult(results []*lab.Result) *lab.Result {
-	first := results[0]
-	agg := *first
-	s := *first.Result
+// first repetition's tree for display.
+func meanResult(results []*sim.Result) *sim.Result {
+	s := *results[0]
 	s.Stress, s.MaxStress = 0, 0
 	s.Stretch, s.MinStretch, s.MaxStretch, s.LeafStretch = 0, 0, 0, 0
 	s.Hopcount, s.LeafHopcount, s.MaxHopcount = 0, 0, 0
@@ -391,6 +376,5 @@ func meanResult(results []*lab.Result) *lab.Result {
 	s.ReconnCount = int(reconns + 0.5)
 	s.FinalAlive = int(alive + 0.5)
 	s.FinalReachable = int(reach + 0.5)
-	agg.Result = &s
-	return &agg
+	return &s
 }

@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -61,11 +62,14 @@ func main() {
 	}
 
 	if *traces != "" {
-		show := showJoins
+		files := strings.Split(*traces, ",")
+		var err error
 		if *chunks {
-			show = func(files []string, _ string) error { return showChunks(files, *chunkN) }
+			err = showChunks(os.Stdout, files, *chunkN)
+		} else {
+			err = showJoins(os.Stdout, files, *joinID)
 		}
-		if err := show(strings.Split(*traces, ","), *joinID); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "vdmtop:", err)
 			os.Exit(1)
 		}
@@ -135,7 +139,7 @@ var edgeColors = map[string]string{
 // line per health dimension. A non-nil edges snapshot annotates every
 // non-source node with its uplink edge's flow health (colored unless
 // disabled) and appends the edge summary.
-func RenderTree(w *os.File, snap *tree.Snapshot, es *tree.EdgesSnapshot, color bool) {
+func RenderTree(w io.Writer, snap *tree.Snapshot, es *tree.EdgesSnapshot, color bool) {
 	s := snap.Summary
 	fmt.Fprintf(w, "tree @ %.1fs  members=%d reachable=%d stale=%d partitioned=%d orphans=%d\n",
 		snap.AtS, s.Members, s.Reachable, s.Stale, s.Partitioned, s.Orphans)
@@ -248,7 +252,7 @@ func mergeTraceFiles(files []string) ([]obs.Event, error) {
 }
 
 // showJoins merges the trace files and prints every join's descent path.
-func showJoins(files []string, only string) error {
+func showJoins(w io.Writer, files []string, only string) error {
 	merged, err := mergeTraceFiles(files)
 	if err != nil {
 		return err
@@ -266,39 +270,39 @@ func showJoins(files []string, only string) error {
 	}
 	sort.Slice(ids, func(i, j int) bool { return joins[ids[i]].Start < joins[ids[j]].Start })
 	for _, id := range ids {
-		printJoin(joins[id])
+		printJoin(w, joins[id])
 	}
 	return nil
 }
 
-func printJoin(j *obs.JoinPath) {
+func printJoin(w io.Writer, j *obs.JoinPath) {
 	state := "in flight"
 	if j.Done {
 		state = fmt.Sprintf("done in %.3fs → parent %d", j.Duration, j.Parent)
 	}
-	fmt.Printf("join %s  node %d  %s  @%.3fs  %s\n", j.JoinID, j.Node, j.Purpose, j.Start, state)
+	fmt.Fprintf(w, "join %s  node %d  %s  @%.3fs  %s\n", j.JoinID, j.Node, j.Purpose, j.Start, state)
 	if j.Restarts > 0 {
-		fmt.Printf("  restarts: %d\n", j.Restarts)
+		fmt.Fprintf(w, "  restarts: %d\n", j.Restarts)
 	}
 	for i, st := range j.Path {
 		mark := " "
 		if st.Served {
 			mark = "*" // corroborated by the queried peer's own trace
 		}
-		fmt.Printf("  %2d. %s node %-4d @%.3fs\n", i+1, mark, st.Node, st.T)
+		fmt.Fprintf(w, "  %2d. %s node %-4d @%.3fs\n", i+1, mark, st.Node, st.T)
 	}
 	if len(j.Servers) > 0 {
-		fmt.Printf("  served by: %v", j.Servers)
+		fmt.Fprintf(w, "  served by: %v", j.Servers)
 		if j.Accepted >= 0 {
-			fmt.Printf("  (accepted by %d)", j.Accepted)
+			fmt.Fprintf(w, "  (accepted by %d)", j.Accepted)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
 // showChunks merges the trace files and prints every trace-tagged chunk's
 // dissemination path, hop by hop. only < 0 shows every traced chunk.
-func showChunks(files []string, only int64) error {
+func showChunks(w io.Writer, files []string, only int64) error {
 	merged, err := mergeTraceFiles(files)
 	if err != nil {
 		return err
@@ -317,10 +321,10 @@ func showChunks(files []string, only int64) error {
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	for _, seq := range seqs {
 		cp := paths[seq]
-		fmt.Printf("chunk %d  hops=%d  max depth=%d  max latency=%.2fms\n",
+		fmt.Fprintf(w, "chunk %d  hops=%d  max depth=%d  max latency=%.2fms\n",
 			cp.Seq, len(cp.Hops), cp.MaxDepth, cp.MaxLatencyMS)
 		for _, h := range cp.Hops {
-			fmt.Printf("  depth %-2d  %4d → %-4d  %.2fms  @%.3fs\n",
+			fmt.Fprintf(w, "  depth %-2d  %4d → %-4d  %.2fms  @%.3fs\n",
 				h.Depth, h.From, h.Node, h.LatencyMS, h.T)
 		}
 	}

@@ -1,11 +1,14 @@
-// Package experiments defines one reproducible experiment per figure of
-// the paper's evaluation chapters. Each experiment runs a matrix of
-// sessions (sweep value × protocol × repetition), aggregates repetitions
-// into means with 90% confidence intervals — the paper's reporting style —
-// and renders the series the figure plots.
+// Package experiments reproduces the figures of the paper's evaluation
+// chapters. Each experiment group is a spec (figures.go): the values one
+// variable sweeps, the variants compared at each value, and the session
+// config of every (value, variant, repetition) cell. One runner executes
+// every spec, aggregates repetitions into means with 90% confidence
+// intervals — the paper's reporting style — and renders the series each
+// figure plots.
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -21,16 +24,16 @@ import (
 // for wall-clock without changing the shapes.
 type Options struct {
 	Seed int64
-	// Reps is the repetitions per matrix cell; zero selects 5.
+	// Reps is the repetitions per (x value, variant); zero selects 5.
 	Reps int
 	// TimeScale multiplies session durations and join phases
 	// (1 = the paper's timings); zero selects 1.
 	TimeScale float64
 	// RateScale multiplies the data chunk rate; zero selects 1.
 	RateScale float64
-	// Jobs caps the session worker pool: every (sweep value, protocol,
+	// Jobs caps the session worker pool: every (x value, variant,
 	// repetition) cell is an independent seeded simulation, so cells run
-	// concurrently and are aggregated in queue order — the output is
+	// concurrently and are aggregated in sweep order — the output is
 	// byte-identical at any Jobs value. Zero selects GOMAXPROCS; 1 runs
 	// fully serial.
 	Jobs int
@@ -56,7 +59,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// repSeed derives a distinct seed per matrix cell and repetition.
+// repSeed derives a distinct seed per cell and repetition.
 func (o Options) repSeed(cell, rep int) int64 {
 	return o.Seed + int64(cell)*1_000_003 + int64(rep)*7_919
 }
@@ -133,102 +136,211 @@ func sum(xs []int) int {
 	return t
 }
 
-// Runner executes one experiment group and returns its figures' tables.
-type Runner func(Options) ([]*Table, error)
+// metric reads one plotted quantity off a session's result.
+type metric func(*sim.Result) float64
 
-// registry maps experiment group names to runners; figIndex maps a figure
-// id to its group.
-var (
-	registry = map[string]Runner{}
-	figIndex = map[string]string{}
-	order    []string
-)
-
-func register(group string, figs []string, r Runner) {
-	registry[group] = r
-	order = append(order, group)
-	for _, f := range figs {
-		figIndex[f] = group
-	}
+// col is one series of a figure whose columns are metrics.
+type col struct {
+	name string
+	of   metric
 }
 
-// Groups lists the experiment groups in registration order.
-func Groups() []string { return append([]string(nil), order...) }
+// figure is one table of a spec. It plots either y, one column per
+// variant, or cols, the metrics of a single variant.
+type figure struct {
+	id, title string
+	y         metric
+	cols      []col
+}
+
+// variant is one configuration a spec compares at every x value. Progress
+// lines name an unnamed one by its session's protocol.
+type variant struct {
+	name string
+	set  func(*sim.Config)
+}
+
+// spec is one experiment group. Its figures share the x axis: every x
+// value runs every variant for Options.Reps repetitions, one session per
+// (x, variant, repetition) cell.
+type spec struct {
+	group  string
+	xlabel string
+	figs   []figure
+	xs     []float64
+	// base is the group's setup; at sets the x value on it, and whatever
+	// else the group holds fixed.
+	base func(Options) sim.Config
+	at   func(cfg *sim.Config, x float64)
+	// variants are run in order at every x.
+	variants []variant
+	// cell numbers (x index, variant index) for repSeed; variants that
+	// share a cell replay the same scenarios.
+	cell func(xi, vi int) int
+	// growth marks chapter 4's time axis, which no config sets: see
+	// runGrowth.
+	growth bool
+}
+
+// Groups lists the experiment groups in the order -all runs them.
+func Groups() []string {
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.group
+	}
+	return names
+}
 
 // GroupFor resolves a figure id ("5.9") to its experiment group.
 func GroupFor(fig string) (string, bool) {
-	g, ok := figIndex[fig]
-	return g, ok
+	for _, s := range specs {
+		for _, f := range s.figs {
+			if f.id == fig {
+				return s.group, true
+			}
+		}
+	}
+	return "", false
 }
 
 // Run executes the named experiment group.
 func Run(group string, o Options) ([]*Table, error) {
-	r, ok := registry[group]
-	if !ok {
-		names := Groups()
-		sort.Strings(names)
-		return nil, fmt.Errorf("experiments: unknown group %q (have %s)", group, strings.Join(names, ", "))
+	for _, s := range specs {
+		if s.group != group {
+			continue
+		}
+		if s.growth {
+			return s.runGrowth(o.withDefaults())
+		}
+		return s.run(o.withDefaults())
 	}
-	return r(o.withDefaults())
+	names := Groups()
+	sort.Strings(names)
+	return nil, fmt.Errorf("experiments: unknown group %q (have %s)", group, strings.Join(names, ", "))
 }
 
-// matrix queues the independent session cells of one experiment, executes
-// them across Options.Jobs workers, and then replays each cell's
-// aggregation callback serially in queue order. Queue order equals the
-// order the old serial loops ran in, and float accumulation happens only
-// inside the ordered callbacks — so the tables (and Progress lines) an
-// experiment produces are byte-identical to a serial run regardless of
-// worker count. Every cell must be self-contained: each derives all of
-// its randomness from its own repSeed, and sim.Run/lab.Run build a
-// private underlay, event queue and RNG per call.
-type matrix struct {
-	o    Options
-	runs []func() (any, error)
-	acks []func(any)
-}
-
-func newMatrix(o Options) *matrix { return &matrix{o: o} }
-
-// sim queues one simulator session; then consumes its result during
-// flush, in queue order.
-func (m *matrix) sim(cfg sim.Config, then func(*sim.Result)) {
-	m.runs = append(m.runs, func() (any, error) { return sim.Run(cfg) })
-	m.acks = append(m.acks, func(v any) { then(v.(*sim.Result)) })
-}
-
-// lab queues one chapter-5 lab emulation.
-func (m *matrix) lab(cfg lab.Config, then func(*lab.Result)) {
-	m.runs = append(m.runs, func() (any, error) { return lab.Run(cfg) })
-	m.acks = append(m.acks, func(v any) { then(v.(*lab.Result)) })
-}
-
-// flush executes every queued cell (concurrently up to o.Jobs workers),
-// then applies the aggregation callbacks serially in queue order.
-func (m *matrix) flush() error {
-	results, err := parallel.Map(len(m.runs), m.o.Jobs, func(i int) (any, error) {
-		return m.runs[i]()
-	})
+// run sweeps the x values and aggregates every session at its own x.
+func (s *spec) run(o Options) ([]*Table, error) {
+	cells, results, err := s.sessions(o, len(s.xs))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for i, ack := range m.acks {
-		ack(results[i])
+	accs := newAccumulators(len(s.xs), len(s.figs))
+	for i, c := range cells {
+		v, res := s.variants[c.vi], results[i]
+		o.Progress("%s x=%g %s rep=%d stretch=%.2f", s.group, s.xs[c.xi], cmp.Or(v.name, string(res.Config.Protocol)), c.rep, res.Stretch)
+		s.add(accs[c.xi], v.name, res)
 	}
-	m.runs, m.acks = nil, nil
-	return nil
+	return s.tables(s.xs, accs), nil
 }
 
-// collect turns per-rep observations into a Point series map.
-type cell struct{ acc *stats.Accumulator }
-
-func newCell() *cell { return &cell{acc: stats.NewAccumulator()} }
-
-func (c *cell) add(series string, v float64) { c.acc.Add(series, v) }
-
-func (c *cell) point(x float64) Point {
-	p := Point{X: x, Series: map[string]stats.Summary{}}
-	for _, name := range c.acc.Names() {
-		p.Series[name] = c.acc.Summary(name)
+// runGrowth runs one growing session per (variant, repetition) and no x
+// sweep: point i of every figure is the session's i-th measurement, taken
+// after its i-th join batch.
+func (s *spec) runGrowth(o Options) ([]*Table, error) {
+	cells, results, err := s.sessions(o, 1)
+	if err != nil {
+		return nil, err
 	}
-	return p
+	cfg := s.base(o)
+	xs := make([]float64, cfg.Nodes/cfg.BatchSize)
+	for i := range xs {
+		xs[i] = float64(i+1) * cfg.IntervalS
+	}
+	accs := newAccumulators(len(xs), len(s.figs))
+	for i, c := range cells {
+		v, res := s.variants[c.vi], results[i]
+		o.Progress("%s %s rep=%d final loss=%.3f", s.group, v.name, c.rep, res.Loss)
+		for si, smp := range res.Samples[:min(len(res.Samples), len(xs))] {
+			s.add(accs[si], v.name, &sim.Result{Stress: smp.Tree.Stress, Stretch: smp.Tree.Stretch, Loss: smp.Loss, Overhead: smp.Overhead})
+		}
+	}
+	return s.tables(xs, accs), nil
+}
+
+// cell is one session of a spec: x index, variant index, repetition.
+type cell struct{ xi, vi, rep int }
+
+// sessions runs the cells of nx x values in order — x, then variant, then
+// repetition — concurrently on up to o.Jobs workers, and returns them with
+// their results in that order. Each cell derives all of its randomness
+// from its own repSeed, and lab.Configure and sim.Run build a private
+// underlay, event queue and RNG per call, so whatever the caller folds
+// serially in cell order (tables, Progress lines) is byte-identical at
+// any worker count.
+func (s *spec) sessions(o Options, nx int) ([]cell, []*sim.Result, error) {
+	var cells []cell
+	for xi := 0; xi < nx; xi++ {
+		for vi := range s.variants {
+			for rep := 0; rep < o.Reps; rep++ {
+				cells = append(cells, cell{xi, vi, rep})
+			}
+		}
+	}
+	results, err := parallel.Map(len(cells), o.Jobs, func(i int) (*sim.Result, error) {
+		c := cells[i]
+		cfg := s.base(o)
+		if s.at != nil {
+			s.at(&cfg, s.xs[c.xi])
+		}
+		if set := s.variants[c.vi].set; set != nil {
+			set(&cfg)
+		}
+		cfg.Seed = o.repSeed(s.cell(c.xi, c.vi), c.rep)
+		cfg, _, err := lab.Configure(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return sim.Run(cfg)
+	})
+	return cells, results, err
+}
+
+func newAccumulators(points, figs int) [][]*stats.Accumulator {
+	accs := make([][]*stats.Accumulator, points)
+	for i := range accs {
+		accs[i] = make([]*stats.Accumulator, figs)
+		for j := range accs[i] {
+			accs[i][j] = stats.NewAccumulator()
+		}
+	}
+	return accs
+}
+
+// add records one session's values on every figure at one point.
+func (s *spec) add(accs []*stats.Accumulator, variant string, res *sim.Result) {
+	for fi, f := range s.figs {
+		if f.y != nil {
+			accs[fi].Add(variant, f.y(res))
+		}
+		for _, c := range f.cols {
+			accs[fi].Add(c.name, c.of(res))
+		}
+	}
+}
+
+// tables summarizes the accumulated points into the spec's figures.
+func (s *spec) tables(xs []float64, accs [][]*stats.Accumulator) []*Table {
+	tables := make([]*Table, len(s.figs))
+	for fi, f := range s.figs {
+		t := &Table{ID: f.id, Title: f.title, XLabel: s.xlabel}
+		if f.y != nil {
+			for _, v := range s.variants {
+				t.Columns = append(t.Columns, v.name)
+			}
+		}
+		for _, c := range f.cols {
+			t.Columns = append(t.Columns, c.name)
+		}
+		for xi, x := range xs {
+			p := Point{X: x, Series: map[string]stats.Summary{}}
+			acc := accs[xi][fi]
+			for _, name := range acc.Names() {
+				p.Series[name] = acc.Summary(name)
+			}
+			t.Points = append(t.Points, p)
+		}
+		tables[fi] = t
+	}
+	return tables
 }

@@ -185,3 +185,24 @@ func (m *Model) USSites() []int {
 	}
 	return out
 }
+
+// PickSites hosts a session of pool slots on candidate sites the way the
+// paper placed its chapter-5 runs: slot 0, the source, is the first
+// us-mountain (Colorado) candidate; the other slots are a shuffle of the
+// remaining candidates by the seed's "sites" stream. candidates is not
+// modified.
+func (m *Model) PickSites(candidates []int, pool int, seed int64) ([]int, error) {
+	if len(candidates) < pool {
+		return nil, fmt.Errorf("geo: need %d sites, %d candidates", pool, len(candidates))
+	}
+	sites := append([]int(nil), candidates...)
+	for i, id := range sites {
+		if m.Sites[id].Region == "us-mountain" {
+			sites[0], sites[i] = sites[i], sites[0]
+			break
+		}
+	}
+	rest := sites[1:]
+	rng.Derive(seed, "sites").Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	return sites[:pool], nil
+}

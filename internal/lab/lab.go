@@ -62,76 +62,18 @@ func (s *Selection) String() string {
 		s.Total, s.AfterPing, s.AfterOutPing, s.AfterAgent)
 }
 
-// Sample draws n+1 host sites from the usable pool: slot 0 is the source,
-// preferring a us-mountain (Colorado) site as the paper does; the n peers
-// are a random subset of the rest. An error is returned when the pool is
-// too small.
-func (s *Selection) Sample(n int, rnd *rng.Stream) ([]int, error) {
-	if len(s.Usable) < n+1 {
-		return nil, fmt.Errorf("lab: need %d sites, usable pool has %d", n+1, len(s.Usable))
+// Configure places a chapter-5 session: it generates the synthetic
+// PlanetLab, filters the usable nodes (the US pool when cfg.GeoUSOnly),
+// builds the churn scenario, and hosts its slots on sites sampled from the
+// pool with the Colorado source. It returns the session to run and the
+// selection behind it. A session on any other underlay needs no placement
+// and passes through unchanged, with a nil selection.
+func Configure(cfg sim.Config) (sim.Config, *Selection, error) {
+	if cfg.Underlay != sim.Geo {
+		return cfg, nil, nil
 	}
-	pool := append([]int(nil), s.Usable...)
-	srcIdx := 0
-	for i, id := range pool {
-		if s.Model.Sites[id].Region == "us-mountain" {
-			srcIdx = i
-			break
-		}
-	}
-	pool[0], pool[srcIdx] = pool[srcIdx], pool[0]
-	rest := pool[1:]
-	rnd.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
-	return pool[:n+1], nil
-}
-
-// Config describes a chapter-5 emulation run. Sizes and times have no
-// defaults; the paper's setup is 100 nodes of degree 4, a 2000 s join
-// phase in a 5000 s session, and 10 chunks/s.
-type Config struct {
-	Seed      int64
-	Protocol  sim.ProtocolKind
-	Nodes     int     // peers sampled from the usable pool
-	Degree    int     // fixed node degree
-	ChurnPct  float64 // churn per 400 s interval during the churn phase
-	Refine    float64 // VDM refinement period, 0 = off
-	Foster    bool    // VDM quick-start
-	ReconnSrc bool    // ablation: reconnect at the source, not grandparent
-	USOnly    bool    // restrict to US sites (the paper's pool)
-	Duration  float64 // session length (s)
-	JoinPhase float64 // join phase length (s); churn runs after it
-	DataRate  float64 // chunks/s
-	MST       bool
-	Validate  bool
-}
-
-// Result couples the session result with the selection pipeline summary.
-// The sampled host sites are Config.GeoSites.
-type Result struct {
-	*sim.Result
-	Selection *Selection
-}
-
-// Run performs one full chapter-5 experiment: Configure, then run the
-// session.
-func Run(cfg Config) (*Result, error) {
-	sc, sel, err := Configure(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(sc)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Result: res, Selection: sel}, nil
-}
-
-// Configure prepares a chapter-5 experiment without running it: generate
-// the synthetic PlanetLab, filter usable nodes, build the churn scenario
-// and sample the experiment pool. It returns the session Run would execute
-// and the selection behind it.
-func Configure(cfg Config) (sim.Config, *Selection, error) {
 	model := geo.Generate(geo.DefaultSitesPerRegion, rng.Derive(cfg.Seed, "geo"))
-	sel := SelectNodes(model, cfg.USOnly)
+	sel := SelectNodes(model, cfg.GeoUSOnly)
 
 	// Build the churn scenario up front so the site sample matches its
 	// slot pool exactly (churn replacements reuse pool machines, as on
@@ -139,37 +81,18 @@ func Configure(cfg Config) (sim.Config, *Selection, error) {
 	scn := scenario.Churn(scenario.ChurnConfig{
 		Nodes:      cfg.Nodes,
 		ChurnPct:   cfg.ChurnPct,
-		JoinPhaseS: cfg.JoinPhase,
+		JoinPhaseS: cfg.JoinPhaseS,
 		IntervalS:  400,
 		SettleS:    100,
 		SpreadS:    50,
-		DurationS:  cfg.Duration,
+		DurationS:  cfg.DurationS,
 	}, rng.Derive(cfg.Seed, "scenario"))
-	sites, err := sel.Sample(scn.PoolSize-1, rng.Derive(cfg.Seed, "sites"))
+	sites, err := model.PickSites(sel.Usable, scn.PoolSize, cfg.Seed)
 	if err != nil {
 		return sim.Config{}, nil, err
 	}
-	return sim.Config{
-		Scenario:          scn,
-		Seed:              cfg.Seed,
-		Protocol:          cfg.Protocol,
-		Nodes:             cfg.Nodes,
-		DegreeMin:         cfg.Degree,
-		DegreeMax:         cfg.Degree,
-		ChurnPct:          cfg.ChurnPct,
-		VDMRefinePeriodS:  cfg.Refine,
-		VDMFosterJoin:     cfg.Foster,
-		VDMReconnectAtSrc: cfg.ReconnSrc,
-		HMTPRefinePeriodS: 30,
-		JoinPhaseS:        cfg.JoinPhase,
-		DurationS:         cfg.Duration,
-		DataRate:          cfg.DataRate,
-		Underlay:          sim.Geo,
-		GeoModel:          model,
-		GeoSites:          sites,
-		ComputeMST:        cfg.MST,
-		Validate:          cfg.Validate,
-	}, sel, nil
+	cfg.Scenario, cfg.GeoModel, cfg.GeoSites = scn, model, sites
+	return cfg, sel, nil
 }
 
 // RenderTree draws the final overlay tree the way figures 5.5/5.6 present

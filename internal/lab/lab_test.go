@@ -46,7 +46,7 @@ func TestSelectNodesWorldwide(t *testing.T) {
 func TestSampleSourceInColorado(t *testing.T) {
 	m := geo.Generate(geo.DefaultSitesPerRegion, rng.New(3))
 	sel := SelectNodes(m, true)
-	sites, err := sel.Sample(50, rng.New(4))
+	sites, err := m.PickSites(sel.Usable, 51, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,31 +68,44 @@ func TestSampleSourceInColorado(t *testing.T) {
 func TestSampleTooLarge(t *testing.T) {
 	m := geo.Generate(geo.DefaultSitesPerRegion, rng.New(5))
 	sel := SelectNodes(m, true)
-	if _, err := sel.Sample(10000, rng.New(6)); err == nil {
+	if _, err := m.PickSites(sel.Usable, 10001, 6); err == nil {
 		t.Fatal("oversubscription accepted")
 	}
 }
 
-func TestRunChapter5Session(t *testing.T) {
-	res, err := Run(Config{
-		Seed:      7,
-		Protocol:  sim.VDM,
-		Nodes:     40,
-		Degree:    4,
-		ChurnPct:  10,
-		USOnly:    true,
-		JoinPhase: 300,
-		Duration:  900,
-		DataRate:  2,
-		Validate:  true,
-	})
+// run places cfg with Configure and runs the session.
+func run(t *testing.T, cfg sim.Config) (*sim.Result, *Selection) {
+	t.Helper()
+	cfg, sel, err := Configure(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, sel
+}
+
+func TestRunChapter5Session(t *testing.T) {
+	res, sel := run(t, sim.Config{
+		Seed:       7,
+		Protocol:   sim.VDM,
+		Underlay:   sim.Geo,
+		Nodes:      40,
+		DegreeMin:  4,
+		DegreeMax:  4,
+		ChurnPct:   10,
+		GeoUSOnly:  true,
+		JoinPhaseS: 300,
+		DurationS:  900,
+		DataRate:   2,
+		Validate:   true,
+	})
 	if len(res.InvariantErrors) > 0 {
 		t.Fatalf("invariants: %v", res.InvariantErrors)
 	}
-	if res.Selection == nil || len(res.Config.GeoSites) == 0 {
+	if sel == nil || len(res.Config.GeoSites) == 0 {
 		t.Fatal("selection metadata missing")
 	}
 	if res.StartupAvg <= 0 || res.FinalReachable < 30 {
@@ -100,7 +113,7 @@ func TestRunChapter5Session(t *testing.T) {
 	}
 	// Every host site passed the usability filter.
 	usable := map[int]bool{}
-	for _, id := range res.Selection.Usable {
+	for _, id := range sel.Usable {
 		usable[id] = true
 	}
 	for _, s := range res.Config.GeoSites {
@@ -113,40 +126,38 @@ func TestRunChapter5Session(t *testing.T) {
 func TestRunDefaultPoolFitsPaperScale(t *testing.T) {
 	// The paper's full setup: 100 nodes at 10% churn must fit the
 	// default usable pool.
-	res, err := Run(Config{
-		Seed:      8,
-		Protocol:  sim.VDM,
-		Nodes:     100,
-		Degree:    4,
-		ChurnPct:  10,
-		USOnly:    true,
-		JoinPhase: 200,
-		Duration:  400,
-		DataRate:  1,
+	res, _ := run(t, sim.Config{
+		Seed:       8,
+		Protocol:   sim.VDM,
+		Underlay:   sim.Geo,
+		Nodes:      100,
+		DegreeMin:  4,
+		DegreeMax:  4,
+		ChurnPct:   10,
+		GeoUSOnly:  true,
+		JoinPhaseS: 200,
+		DurationS:  400,
+		DataRate:   1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.FinalAlive < 90 {
 		t.Fatalf("alive %d of 100", res.FinalAlive)
 	}
 }
 
 func TestDOTOutput(t *testing.T) {
-	res, err := Run(Config{
-		Seed:      11,
-		Protocol:  sim.VDM,
-		Nodes:     15,
-		Degree:    4,
-		USOnly:    true,
-		JoinPhase: 200,
-		Duration:  400,
-		DataRate:  1,
+	res, _ := run(t, sim.Config{
+		Seed:       11,
+		Protocol:   sim.VDM,
+		Underlay:   sim.Geo,
+		Nodes:      15,
+		DegreeMin:  4,
+		DegreeMax:  4,
+		GeoUSOnly:  true,
+		JoinPhaseS: 200,
+		DurationS:  400,
+		DataRate:   1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := DOT(res.Result)
+	out := DOT(res)
 	if !strings.HasPrefix(out, "digraph vdm {") || !strings.HasSuffix(out, "}\n") {
 		t.Fatalf("not a digraph:\n%s", out)
 	}
@@ -160,24 +171,23 @@ func TestDOTOutput(t *testing.T) {
 }
 
 func TestRenderTreeAndClusterStats(t *testing.T) {
-	res, err := Run(Config{
-		Seed:      9,
-		Protocol:  sim.VDM,
-		Nodes:     30,
-		Degree:    4,
-		USOnly:    true,
-		JoinPhase: 200,
-		Duration:  500,
-		DataRate:  1,
+	res, _ := run(t, sim.Config{
+		Seed:       9,
+		Protocol:   sim.VDM,
+		Underlay:   sim.Geo,
+		Nodes:      30,
+		DegreeMin:  4,
+		DegreeMax:  4,
+		GeoUSOnly:  true,
+		JoinPhaseS: 200,
+		DurationS:  500,
+		DataRate:   1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := RenderTree(res.Result)
+	text := RenderTree(res)
 	if !strings.Contains(text, "us-") || !strings.Contains(text, "ms)") {
 		t.Fatalf("render output broken:\n%s", text)
 	}
-	intra, inter, perRegion := ClusterStats(res.Result)
+	intra, inter, perRegion := ClusterStats(res)
 	if intra+inter != len(res.FinalTree) {
 		t.Fatalf("cluster counts %d+%d != %d edges", intra, inter, len(res.FinalTree))
 	}
@@ -190,5 +200,15 @@ func TestRenderTreeAndClusterStats(t *testing.T) {
 	// Same-direction placement should produce meaningful clustering.
 	if intra == 0 {
 		t.Fatal("no intra-region edges at all")
+	}
+}
+
+func TestConfigurePassesOtherUnderlaysThrough(t *testing.T) {
+	cfg, sel, err := Configure(sim.Config{Seed: 3, Nodes: 20, Underlay: sim.Router})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel != nil || cfg.Scenario != nil || cfg.GeoModel != nil || cfg.GeoSites != nil || cfg.Nodes != 20 {
+		t.Fatalf("router session was placed: selection %v, config %+v", sel, cfg)
 	}
 }

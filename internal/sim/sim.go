@@ -644,22 +644,10 @@ func buildUnderlay(cfg Config, pool, sitesPerRegion int) (underlay.Underlay, err
 				candidates = append(candidates, i)
 			}
 		}
-		if len(candidates) < pool {
-			return nil, fmt.Errorf("sim: need %d sites, synthetic PlanetLab offers %d", pool, len(candidates))
+		sites, err := model.PickSites(candidates, pool, cfg.Seed)
+		if err != nil {
+			return nil, err
 		}
-		// The paper's source sits in Colorado: prefer a us-mountain site.
-		srcIdx := 0
-		for i, c := range candidates {
-			if model.Sites[c].Region == "us-mountain" {
-				srcIdx = i
-				break
-			}
-		}
-		candidates[0], candidates[srcIdx] = candidates[srcIdx], candidates[0]
-		pickRnd := rng.Derive(cfg.Seed, "sites")
-		rest := candidates[1:]
-		pickRnd.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
-		sites := candidates[:pool]
 		return underlay.NewGeoKeyed(model, sites, rng.DeriveSeed(cfg.Seed, "jitter")), nil
 	default:
 		return nil, fmt.Errorf("sim: unknown underlay %q", cfg.Underlay)

@@ -257,7 +257,7 @@ type Figure struct {
 // the command-line front end.
 type ExperimentOptions struct {
 	Seed int64
-	// Reps per matrix cell (default 5; the paper used 32 for the
+	// Reps per (x value, variant) cell (default 5; the paper used 32 for the
 	// simulations and 5 for PlanetLab).
 	Reps int
 	// TimeScale shrinks session durations (1 = paper timing).
