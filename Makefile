@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet fuzz knobs bench bench-compare profile-cell bench-scale bench-scale-profile profile-smoke
+.PHONY: check test build vet fuzz knobs loc bench bench-compare profile-cell bench-scale bench-scale-profile profile-smoke
 
 # check is the pre-merge gate: vet + build + race-enabled tests.
 check:
@@ -36,6 +36,18 @@ knobs:
 		names = substr($$0, 1, RLENGTH); n += gsub(/,/, "", names) + 1 } \
 	END { if (cmd != "") flagline(); printf "%-44s %3d\n", "total", total }' \
 		$$(find internal -name '*.go' ! -name '*_test.go' | sort) vdm.go cmd/*/main.go
+
+# loc prints the net non-test Go line delta under internal/, cmd/ and
+# vdm.go: the working tree (untracked files included) against BASE, by
+# git diff --numstat, as +added −removed = net. `make loc BASE=rev`
+# measures a change against its parent.
+BASE ?= HEAD
+loc:
+	@{ git diff --numstat $(BASE) -- internal cmd vdm.go; \
+	  git ls-files --others --exclude-standard -- internal cmd vdm.go | xargs -r wc -l | \
+	    awk '$$2 != "total" { print $$1 "\t0\t" $$2 }'; } | \
+	awk '$$3 ~ /\.go$$/ && $$3 !~ /_test\.go$$/ { a += $$1; r += $$2 } \
+	END { n = a - r; printf "+%d −%d = %s%d\n", a, r, n < 0 ? "−" : "+", n < 0 ? -n : n }'
 
 # BENCH_PKGS are the packages whose Go benchmarks BENCH_wire.json archives.
 BENCH_PKGS = ./internal/wire/ ./internal/eventq/ ./internal/rng/ ./internal/core/

@@ -130,7 +130,7 @@ func TestRefinementSwitchesToCloserPeer(t *testing.T) {
 		x.MarkJoinStart()
 		r.nodes[1].HandleMessage(2, overlay.ConnRequest{Token: 99, Kind: overlay.ConnChild, Dist: 31.6})
 		x.ApplyConnect(1, 31.6, []overlay.NodeID{0, 1})
-		x.armRefine()
+		x.Tick(x.cfg.RefinePeriodS, 0.1, x.refine)
 
 		q := r.nodes[3]
 		q.MarkJoinStart()

@@ -3,7 +3,6 @@ package hmtp
 import (
 	"testing"
 
-	"vdm/internal/overlay"
 	"vdm/internal/protocoltest"
 )
 
@@ -50,7 +49,7 @@ func TestRefineAbortsWhenStartDies(t *testing.T) {
 	now := r.Sim.Now()
 	r.Sim.At(now+1, func() {
 		r.Net.Unregister(0) // kill the root path's head
-		n.begin(purposeRefine, 0)
+		n.Refine(0)
 	})
 	r.Run(now + 10)
 	if n.Joining() {
@@ -59,5 +58,4 @@ func TestRefineAbortsWhenStartDies(t *testing.T) {
 	if n.ParentID() != 1 {
 		t.Fatalf("tree modified by aborted refinement: parent %d", n.ParentID())
 	}
-	_ = overlay.None
 }

@@ -8,18 +8,22 @@ import (
 	"vdm/internal/rng"
 )
 
+// rigK is the cluster constant the rig's nodes run with: small clusters
+// split and merge with few members.
+const rigK = 2
+
 type niceRig struct {
 	*protocoltest.Rig
 	nodes map[overlay.NodeID]*Node
-	cfg   Config
 }
 
 func newRig(t *testing.T, points []protocoltest.Point) *niceRig {
 	t.Helper()
-	r := &niceRig{Rig: protocoltest.New(points), nodes: map[overlay.NodeID]*Node{}, cfg: Config{K: 2}}
+	r := &niceRig{Rig: protocoltest.New(points), nodes: map[overlay.NodeID]*Node{}}
 	for i := range points {
 		id := overlay.NodeID(i)
-		n := New(r.Net, r.PeerConfig(id, r.cfg.MaxCluster()), r.cfg, rng.New(int64(i)+5))
+		n := New(r.Net, r.PeerConfig(id, 3*rigK-1), rng.New(int64(i)+5))
+		n.k = rigK
 		r.Net.Register(id, n)
 		r.nodes[id] = n
 	}
@@ -56,10 +60,15 @@ func (r *niceRig) rootedAll(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	if (Config{}).MaxCluster() != 8 {
-		t.Fatalf("default max cluster %d, want 3*3-1", (Config{}).MaxCluster())
+	if MaxCluster != 8 {
+		t.Fatalf("max cluster %d, want 3*3-1", MaxCluster)
 	}
-	if (Config{K: 2}).MaxCluster() != 5 {
+	r := protocoltest.New([]protocoltest.Point{{}})
+	n := New(r.Net, r.PeerConfig(0, MaxCluster), nil)
+	if n.maxCluster() != MaxCluster {
+		t.Fatalf("node max cluster %d, want %d", n.maxCluster(), MaxCluster)
+	}
+	if n.k = 2; n.maxCluster() != 5 {
 		t.Fatal("K=2 max cluster should be 5")
 	}
 }
@@ -96,7 +105,7 @@ func TestOverflowSplitsCluster(t *testing.T) {
 	r.rootedAll(t)
 
 	kids := len(r.nodes[0].ChildIDs())
-	if kids > r.cfg.MaxCluster() {
+	if kids > r.nodes[0].maxCluster() {
 		t.Fatalf("source cluster still oversized: %d members", kids)
 	}
 	// A hierarchy formed: someone other than the source has children.
@@ -125,8 +134,8 @@ func TestClusterSizesBounded(t *testing.T) {
 	r.Run(r.Sim.Now() + 200)
 	r.rootedAll(t)
 	for id, n := range r.nodes {
-		if got := len(n.ChildIDs()); got > r.cfg.MaxCluster() {
-			t.Fatalf("cluster at %d oversized: %d > %d", id, got, r.cfg.MaxCluster())
+		if got := len(n.ChildIDs()); got > r.nodes[0].maxCluster() {
+			t.Fatalf("cluster at %d oversized: %d > %d", id, got, r.nodes[0].maxCluster())
 		}
 	}
 }
@@ -213,7 +222,7 @@ func TestUnderflowMergesCluster(t *testing.T) {
 	// With K=2, one remaining member is below the bound: the cluster
 	// dissolved into the parent — the former leader must be childless.
 	if got := len(r.nodes[leader].ChildIDs()); got != 0 {
-		t.Fatalf("undersized cluster survived with %d members (K=%d)", got, r.cfg.K)
+		t.Fatalf("undersized cluster survived with %d members (K=%d)", got, rigK)
 	}
 	r.rootedAll(t)
 }

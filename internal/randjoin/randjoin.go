@@ -13,120 +13,51 @@ import (
 // attaching at a node with free capacity.
 const descendProb = 0.5
 
-type joinState struct {
-	token     int
-	target    overlay.NodeID
-	awaitConn bool
-	steps     int
-	attempts  int
-	reconnect bool
-}
+// maxSteps bounds the InfoRequests of one walk.
+const maxSteps = 64
 
-// Node is one random-join peer.
+// Node is one random-join peer: the shared descent with random choices,
+// no probing and no distance.
 type Node struct {
-	*overlay.Peer
-	rnd   *rng.Stream
-	join  *joinState
-	token int
+	overlay.Descent
+	rnd *rng.Stream
 }
 
 var _ overlay.Protocol = (*Node)(nil)
 
 // New builds a random-join node.
 func New(net overlay.Bus, pc overlay.PeerConfig, rnd *rng.Stream) *Node {
-	n := &Node{Peer: overlay.NewPeer(net, pc), rnd: rnd}
-	n.Peer.SetHooks(n)
+	n := &Node{rnd: rnd}
+	n.Init(overlay.NewPeer(net, pc), n, rnd)
 	return n
 }
 
-// Base returns the shared peer state.
-func (n *Node) Base() *overlay.Peer { return n.Peer }
-
-// StartJoin begins the random walk at the source.
-func (n *Node) StartJoin() {
-	if n.IsSource() || !n.Alive() {
+// Reply walks into a random child, always when the target is full and
+// otherwise with probability descendProb, or attaches at the target.
+func (n *Node) Reply(from overlay.NodeID, m overlay.InfoResponse) {
+	var kids []overlay.NodeID
+	for _, ci := range m.Children {
+		if ci.ID != n.ID() {
+			kids = append(kids, ci.ID)
+		}
+	}
+	if len(kids) > 0 && (m.Free == 0 || n.rnd.Bool(descendProb)) && n.Steps() < maxSteps {
+		n.Info(kids[n.rnd.Intn(len(kids))])
 		return
 	}
-	n.MarkJoinStart()
-	n.begin(false, 0)
+	n.Conn(from)
 }
 
-// OnOrphaned rejoins with a fresh random walk from the source.
-func (n *Node) OnOrphaned(leaver, hint overlay.NodeID) { n.begin(true, 0) }
-
-func (n *Node) begin(reconnect bool, attempts int) {
-	js := &joinState{reconnect: reconnect, attempts: attempts}
-	n.join = js
-	n.sendInfo(js, n.Source())
-}
-
-func (n *Node) sendInfo(js *joinState, target overlay.NodeID) {
-	js.target = target
-	js.awaitConn = false
-	js.steps++
-	n.token++
-	js.token = n.token
-	n.Net().Send(n.ID(), target, overlay.InfoRequest{Token: js.token})
-	tok := js.token
-	n.Net().After(n.InfoTimeoutS, func() {
-		if n.join == js && !js.awaitConn && js.token == tok {
-			n.restart(js)
-		}
-	})
-}
-
-// HandleProtocol advances the walk.
-func (n *Node) HandleProtocol(from overlay.NodeID, m overlay.Message) {
-	js := n.join
-	if js == nil {
+// Refused walks on into a random child of the refusing node.
+func (n *Node) Refused(m overlay.ConnResponse) {
+	if len(m.Children) > 0 {
+		n.Info(m.Children[n.rnd.Intn(len(m.Children))].ID)
 		return
 	}
-	switch msg := m.(type) {
-	case overlay.InfoResponse:
-		if js.awaitConn || js.token != msg.Token || js.target != from {
-			return
-		}
-		var kids []overlay.NodeID
-		for _, ci := range msg.Children {
-			if ci.ID != n.ID() {
-				kids = append(kids, ci.ID)
-			}
-		}
-		descend := len(kids) > 0 && (msg.Free == 0 || n.rnd.Bool(descendProb)) && js.steps < 64
-		if descend {
-			n.sendInfo(js, kids[n.rnd.Intn(len(kids))])
-			return
-		}
-		js.awaitConn = true
-		n.token++
-		js.token = n.token
-		n.Net().Send(n.ID(), from, overlay.ConnRequest{Token: js.token, Kind: overlay.ConnChild, Dist: 0})
-		tok := js.token
-		n.Net().After(overlay.ConnTimeoutS, func() {
-			if n.join == js && js.awaitConn && js.token == tok {
-				n.restart(js)
-			}
-		})
-	case overlay.ConnResponse:
-		if !js.awaitConn || js.token != msg.Token || js.target != from {
-			return
-		}
-		if msg.Accepted {
-			n.ApplyConnect(from, 0, msg.RootPath)
-			n.join = nil
-			return
-		}
-		if len(msg.Children) > 0 {
-			n.sendInfo(js, msg.Children[n.rnd.Intn(len(msg.Children))].ID)
-			return
-		}
-		n.restart(js)
-	}
+	n.Fail()
 }
 
-func (n *Node) restart(js *joinState) {
-	n.join = nil
-	n.RestartJoin(js.attempts+1, func() bool { return n.join == nil }, func(a int) {
-		n.begin(js.reconnect, a)
-	})
+// Joined attaches; the walk measures no distance.
+func (n *Node) Joined(from overlay.NodeID, m overlay.ConnResponse) {
+	n.ApplyConnect(from, 0, m.RootPath)
 }

@@ -46,6 +46,11 @@ const recordedZeroConfig = "{Seed:0 Protocol: Metric: Nodes:0 DegreeMin:0 Degree
 //
 // If one fails because the event history changed ON PURPOSE, re-pin from
 // the printed value and say so in the commit message.
+//
+// The four *-churn cases pin each join baseline by value on one churned
+// router session, recorded before the baselines moved onto the shared
+// overlay.Descent machine; between them they run HMTP refinement, BTP
+// sibling switches, NICE cluster splits and orphan rejoins.
 func TestSerialGoldenFingerprints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full sessions")
@@ -84,6 +89,10 @@ func TestSerialGoldenFingerprints(t *testing.T) {
 			Seed: 7, Protocol: VDM, Nodes: 300, ChurnPct: 5, DurationS: 400,
 			JoinPhaseS: 200, DataRate: 0.5, RouterMin: 120, Shards: 2,
 		}, "d4dafe52aa3f3971", 80476},
+		{"hmtp-churn", baselineChurn(HMTP), "a857f31c9659c3f2", 107300},
+		{"btp-churn", baselineChurn(BTP), "6faa19c9534f62d9", 89163},
+		{"nice-churn", baselineChurn(NICE), "12c8983436c9b729", 93102},
+		{"random-churn", baselineChurn(Random), "a16634b09339cbb8", 83122},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,5 +112,13 @@ func TestSerialGoldenFingerprints(t *testing.T) {
 				t.Errorf("events processed = %d, golden %d", res.EventsProcessed, tc.events)
 			}
 		})
+	}
+}
+
+// baselineChurn is the churned router session the baseline cases share.
+func baselineChurn(p ProtocolKind) Config {
+	return Config{
+		Seed: 5, Protocol: p, Nodes: 60, RouterMin: 120, ChurnPct: 15,
+		JoinPhaseS: 200, IntervalS: 100, SettleS: 40, DurationS: 700, DataRate: 2,
 	}
 }

@@ -738,10 +738,9 @@ func buildProtocol(cfg Config, bus overlay.Bus, metric vdist.Metric, degrees []i
 	case NICE:
 		// NICE has no per-member degree bound; cluster size (3K−1) is
 		// the capacity notion, applied uniformly.
-		ncfg := nice.Config{}
-		pc.MaxDegree = ncfg.MaxCluster()
+		pc.MaxDegree = nice.MaxCluster
 		degrees[slot] = pc.MaxDegree
-		p = nice.New(bus, pc, ncfg, rng.Derive(protoSeed, fmt.Sprintf("nice-%d-%d", slot, memIdx)))
+		p = nice.New(bus, pc, rng.Derive(protoSeed, fmt.Sprintf("nice-%d-%d", slot, memIdx)))
 	case Random:
 		p = randjoin.New(bus, pc, rng.Derive(protoSeed, fmt.Sprintf("rand-%d-%d", slot, memIdx)))
 	case VDM:
