@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet fuzz knobs loc bench bench-compare profile-cell bench-scale bench-scale-profile profile-smoke
+.PHONY: check test build vet fuzz knobs loc bench bench-compare profile-cell profile-heap bench-scale bench-scale-profile profile-smoke
 
 # check is the pre-merge gate: vet + build + race-enabled tests.
 check:
@@ -141,6 +141,21 @@ profile-cell:
 		-cpuprofile scale_cell.pprof -o scale_cell.test .
 	$(GO) tool pprof -top -nodecount=40 scale_cell.test scale_cell.pprof
 	@rm -f scale_cell.pprof scale_cell.test
+
+# profile-heap writes BENCH_pprof_heap_scale_cell.txt, the scale cell's
+# memory budget: BenchmarkScaleCellPeakHeap's peak live heap (forced
+# collections every 10 simulated s) and the `pprof -top` of the in-use
+# heap profile taken at that peak. A change that claims a heap gain
+# records its parent's and its own.
+profile-heap:
+	@{ echo "# BENCH_pprof_heap_scale_cell.txt: make profile-heap at $$(git describe --always --dirty), $$($(GO) env GOVERSION)"; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkScaleCellPeakHeap$$' -benchtime 1x . \
+	    -args -peakheapprofile=scale_cell_heap.pprof | grep '^Benchmark' || exit 1; \
+	  $(GO) tool pprof -top -nodecount=25 -sample_index=inuse_space scale_cell_heap.pprof 2>/dev/null || exit 1; \
+	} > BENCH_pprof_heap_scale_cell.txt.tmp
+	@rm -f scale_cell_heap.pprof
+	@mv BENCH_pprof_heap_scale_cell.txt.tmp BENCH_pprof_heap_scale_cell.txt
+	@cat BENCH_pprof_heap_scale_cell.txt
 
 # profile-smoke exercises the whole flight-recorder path in seconds: a
 # short profiled sharded session, then vdmprof rendering the summary

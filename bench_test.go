@@ -7,7 +7,12 @@
 package vdm
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"testing"
 
 	"vdm/internal/sim"
@@ -462,25 +467,78 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
-// BenchmarkScaleCell runs the 20 000-peer serial cell of the benchmark's
+// scaleCell is the 20 000-peer serial cell of the benchmark's
 // sim-scale-cell workload (300 s simulated, 150 s join phase, 0.2
-// chunks/s, no churn round before the end) with seed 7: the session
-// `make profile-cell` profiles.
+// chunks/s, no churn round before the end) with seed 7.
+func scaleCell() sim.Config {
+	return sim.Config{
+		Seed:       7,
+		Protocol:   sim.VDM,
+		Nodes:      20_000,
+		ChurnPct:   5,
+		DurationS:  300,
+		JoinPhaseS: 150,
+		DataRate:   0.2,
+		RouterMin:  784,
+		Underlay:   sim.Router,
+	}
+}
+
+// BenchmarkScaleCell runs the scale cell: the session `make profile-cell`
+// profiles.
 func BenchmarkScaleCell(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		res := mustRun(b, sim.Config{
-			Seed:       7,
-			Protocol:   sim.VDM,
-			Nodes:      20_000,
-			ChurnPct:   5,
-			DurationS:  300,
-			JoinPhaseS: 150,
-			DataRate:   0.2,
-			RouterMin:  784,
-			Underlay:   sim.Router,
-		})
+		res := mustRun(b, scaleCell())
 		events += res.EventsProcessed
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
+var peakHeapProfile = flag.String("peakheapprofile", "",
+	"BenchmarkScaleCellPeakHeap writes the in-use heap profile at the scale cell's peak live heap to this file")
+
+// BenchmarkScaleCellPeakHeap runs the scale cell with a forced collection
+// every 10 simulated seconds and reports the largest live heap found, in
+// MB and in bytes per peer: the runtime only learns the live heap when a
+// cycle ends, so without the forced cycles the peak depends on where the
+// collector's own cycles happen to land. With -peakheapprofile it writes
+// the in-use heap profile taken at that peak, the one `make profile-heap`
+// prints.
+func BenchmarkScaleCellPeakHeap(b *testing.B) {
+	var peak uint64
+	var prof bytes.Buffer
+	if *peakHeapProfile != "" {
+		// One sample per 64 KiB allocated instead of 512: the profile's
+		// smaller items would otherwise read as 0 or 512 KiB.
+		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+		runtime.MemProfileRate = 64 << 10
+	}
+	for i := 0; i < b.N; i++ {
+		cfg := scaleCell()
+		cfg.ProgressEveryS = 10
+		cfg.Progress = func(sim.ProgressInfo) {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			if ms.HeapAlloc <= peak {
+				return
+			}
+			peak = ms.HeapAlloc
+			if *peakHeapProfile != "" {
+				prof.Reset()
+				if err := pprof.Lookup("heap").WriteTo(&prof, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		mustRun(b, cfg)
+	}
+	if *peakHeapProfile != "" {
+		if err := os.WriteFile(*peakHeapProfile, prof.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(peak)/1e6, "peak_MB")
+	b.ReportMetric(float64(peak)/float64(scaleCell().Nodes), "B/peer")
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"vdm/internal/obs"
 	"vdm/internal/overlay"
@@ -55,7 +56,7 @@ type joinState struct {
 	dTarget  float64
 	children []overlay.ChildInfo
 	dists    overlay.ProbeResult
-	visited  map[overlay.NodeID]bool
+	visited  []overlay.NodeID // nodes queried this attempt, each once
 	attempts int
 	adopt    []overlay.NodeID
 	// foster marks the quick-start attachment to the source; on
@@ -162,18 +163,13 @@ func (n *Node) releaseJoinScratch() {
 func (n *Node) newJoinState(p purpose, attempts int) *joinState {
 	js := n.joinFree
 	if js == nil {
-		js = &joinState{
-			visited: make(map[overlay.NodeID]bool),
-			dists:   make(overlay.ProbeResult),
-		}
+		js = &joinState{}
 	} else {
 		n.joinFree = nil
-		clear(js.visited)
-		clear(js.dists)
 		*js = joinState{
 			children: js.children[:0],
-			visited:  js.visited,
-			dists:    js.dists,
+			visited:  js.visited[:0],
+			dists:    js.dists[:0],
 			probeIDs: js.probeIDs[:0],
 			case3buf: js.case3buf[:0],
 			case2buf: js.case2buf[:0],
@@ -214,7 +210,9 @@ func (n *Node) beginWith(p purpose, target overlay.NodeID, attempts int) {
 func (n *Node) sendInfo(js *joinState, target overlay.NodeID) {
 	js.stage = stageInfo
 	js.target = target
-	js.visited[target] = true
+	if !slices.Contains(js.visited, target) {
+		js.visited = append(js.visited, target)
+	}
 	js.sentAt = n.Now()
 	n.token++
 	js.token = n.token
@@ -250,7 +248,7 @@ func (n *Node) onInfoResponse(from overlay.NodeID, m overlay.InfoResponse) {
 		return
 	}
 	js.dTarget = n.Measure(from, (n.Now()-js.sentAt)*1000)
-	js.dists[from] = js.dTarget
+	js.dists.Put(from, js.dTarget)
 
 	js.children = js.children[:0]
 	ids := js.probeIDs[:0]
@@ -270,9 +268,7 @@ func (n *Node) onInfoResponse(from overlay.NodeID, m overlay.InfoResponse) {
 	tok := js.token
 	n.Prober().Launch(ids, overlay.ProbeTimeoutS, func(res overlay.ProbeResult) {
 		if n.join == js && js.stage == stageProbe && js.token == tok {
-			for id, d := range res {
-				js.dists[id] = d
-			}
+			js.dists.Merge(res)
 			n.decide(js, res)
 		}
 	})
@@ -285,18 +281,18 @@ func (n *Node) decide(js *joinState, res overlay.ProbeResult) {
 	// Every probed candidate doubles as repair-neighbor material for the
 	// reliable data plane (no-op unless flow is enabled): the join walk
 	// is the one moment a peer holds measured distances to non-parents.
-	for id, d := range res {
-		n.OfferRepairCandidate(id, d)
+	for _, p := range res {
+		n.OfferRepairCandidate(p.ID, p.D)
 	}
 	case3, case2 := js.case3buf[:0], js.case2buf[:0]
 	for _, ci := range js.children {
-		d, ok := res[ci.ID]
+		d, ok := res.Get(ci.ID)
 		if !ok {
 			continue // child did not answer: treat as departed
 		}
 		switch Classify(js.dTarget, ci.Dist, d, n.cfg.Gamma) {
 		case CaseIII:
-			if !js.visited[ci.ID] {
+			if !slices.Contains(js.visited, ci.ID) {
 				case3 = append(case3, ci.ID)
 			}
 		case CaseII:
@@ -307,7 +303,7 @@ func (n *Node) decide(js *joinState, res overlay.ProbeResult) {
 
 	if len(case3) > 0 {
 		// "Select closest of CaseIII, continue from closest one."
-		next := closestOf(case3, res)
+		next, _ := res.Closest(case3)
 		n.emit(obs.EvJoinDecide, obs.Event{Target: int64(next), Case: "III", Step: len(case3), Value: js.dTarget})
 		n.sendInfo(js, next)
 		return
@@ -361,7 +357,7 @@ func (n *Node) connect(js *joinState, to overlay.NodeID, kind overlay.ConnKind, 
 }
 
 func (n *Node) distTo(js *joinState, to overlay.NodeID) float64 {
-	if d, ok := js.dists[to]; ok {
+	if d, ok := js.dists.Get(to); ok {
 		return d
 	}
 	return js.dTarget
@@ -371,7 +367,7 @@ func (n *Node) distTo(js *joinState, to overlay.NodeID) float64 {
 // when available, otherwise (foster quick-start) the round-trip of the
 // connection exchange itself.
 func (n *Node) connDist(js *joinState, from overlay.NodeID) float64 {
-	if d, ok := js.dists[from]; ok {
+	if d, ok := js.dists.Get(from); ok {
 		return d
 	}
 	if js.foster {
@@ -404,7 +400,7 @@ func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
 			Detail: js.purpose.String(),
 		})
 		for _, c := range m.Adopted {
-			d, ok := js.dists[c]
+			d, ok := js.dists.Get(c)
 			if !ok {
 				d = dist
 			}
@@ -445,7 +441,7 @@ func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
 	}
 	cands := js.probeIDs[:0]
 	for _, ci := range m.Children {
-		if ci.ID != n.ID() && !js.visited[ci.ID] {
+		if ci.ID != n.ID() && !slices.Contains(js.visited, ci.ID) {
 			cands = append(cands, ci.ID)
 		}
 	}
@@ -455,7 +451,8 @@ func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
 		return
 	}
 	if allMeasured(cands, js.dists) {
-		n.sendInfo(js, closestOf(cands, js.dists))
+		best, _ := js.dists.Closest(cands)
+		n.sendInfo(js, best)
 		return
 	}
 	js.stage = stageProbe
@@ -466,11 +463,9 @@ func (n *Node) onConnResponse(from overlay.NodeID, m overlay.ConnResponse) {
 		if n.join != js || js.stage != stageProbe || js.token != tok {
 			return
 		}
-		for id, d := range res {
-			js.dists[id] = d
-		}
-		best, ok := closestIn(cands, js.dists)
-		if !ok {
+		js.dists.Merge(res)
+		best, _ := js.dists.Closest(cands)
+		if best == overlay.None {
 			n.restart(js)
 			return
 		}
@@ -506,29 +501,9 @@ func connKindName(kind overlay.ConnKind, js *joinState) string {
 	}
 }
 
-func closestOf(ids []overlay.NodeID, dists overlay.ProbeResult) overlay.NodeID {
-	best, _ := closestIn(ids, dists)
-	return best
-}
-
-func closestIn(ids []overlay.NodeID, dists overlay.ProbeResult) (overlay.NodeID, bool) {
-	best := overlay.None
-	bd := 0.0
-	for _, id := range ids {
-		d, ok := dists[id]
-		if !ok {
-			continue
-		}
-		if best == overlay.None || d < bd || (d == bd && id < best) {
-			best, bd = id, d
-		}
-	}
-	return best, best != overlay.None
-}
-
 func allMeasured(ids []overlay.NodeID, dists overlay.ProbeResult) bool {
 	for _, id := range ids {
-		if _, ok := dists[id]; !ok {
+		if _, ok := dists.Get(id); !ok {
 			return false
 		}
 	}
@@ -541,7 +516,8 @@ func sortByDist(ids []overlay.NodeID, dists overlay.ProbeResult) []overlay.NodeI
 	out := append([]overlay.NodeID(nil), ids...)
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0; j-- {
-			dj, dp := dists[out[j]], dists[out[j-1]]
+			dj, _ := dists.Get(out[j])
+			dp, _ := dists.Get(out[j-1])
 			if dj < dp || (dj == dp && out[j] < out[j-1]) {
 				out[j], out[j-1] = out[j-1], out[j]
 			} else {

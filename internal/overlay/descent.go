@@ -70,12 +70,12 @@ type Descent struct {
 	target   NodeID
 	prev     NodeID // the target before the current one
 	sentAt   float64
-	steps    int // InfoRequests sent this attempt
-	visited  map[NodeID]bool
+	steps    int      // InfoRequests sent this attempt
+	visited  []NodeID // nodes asked this attempt, each once
 	tried    []NodeID // ConnRequest targets this attempt
 	dists    ProbeResult
 	kids     []ChildInfo // the target's children, self excluded
-	ids      []NodeID
+	ids      []NodeID    // scratch: probe targets and closest candidates
 	timers   *descentTimer
 
 	tick         func()
@@ -96,8 +96,6 @@ type descentTimer struct {
 // as p's hooks. rnd jitters the maintenance ticker; nil runs it unjittered.
 func (d *Descent) Init(p *Peer, rule DescentRule, rnd *rng.Stream) {
 	d.Peer, d.rule, d.rnd = p, rule, rnd
-	d.visited = make(map[NodeID]bool)
-	d.dists = make(ProbeResult)
 	d.target, d.prev = None, None
 	p.SetHooks(rule)
 }
@@ -121,10 +119,7 @@ func (d *Descent) Prev() NodeID { return d.prev }
 func (d *Descent) Steps() int { return d.steps }
 
 // Dist returns the distance this walk measured to id.
-func (d *Descent) Dist(id NodeID) (float64, bool) {
-	v, ok := d.dists[id]
-	return v, ok
-}
+func (d *Descent) Dist(id NodeID) (float64, bool) { return d.dists.Get(id) }
 
 // ElapsedMS returns the milliseconds since the walk's last request.
 func (d *Descent) ElapsedMS() float64 { return (d.Now() - d.sentAt) * 1000 }
@@ -135,24 +130,20 @@ func (d *Descent) Tried(id NodeID) bool { return slices.Contains(d.tried, id) }
 // Improves reports whether the measured distance to to beats base by the
 // switch margin.
 func (d *Descent) Improves(to NodeID, base float64) bool {
-	v, ok := d.dists[to]
+	v, ok := d.dists.Get(to)
 	return ok && v < base*(1-switchMargin)
 }
 
 // Closest returns the unvisited child in kids closest by res, ties broken
 // by the lower id, or None when no unvisited child answered.
 func (d *Descent) Closest(kids []ChildInfo, res ProbeResult) (NodeID, float64) {
-	best, bd := None, 0.0
+	d.ids = d.ids[:0]
 	for _, ci := range kids {
-		v, ok := res[ci.ID]
-		if !ok || d.visited[ci.ID] {
-			continue
-		}
-		if best == None || v < bd || (v == bd && ci.ID < best) {
-			best, bd = ci.ID, v
+		if !slices.Contains(d.visited, ci.ID) {
+			d.ids = append(d.ids, ci.ID)
 		}
 	}
-	return best, bd
+	return res.Closest(d.ids)
 }
 
 // StartJoin begins the join at the source.
@@ -194,9 +185,7 @@ func (d *Descent) begin(attempts int, refine bool) {
 	}
 	d.attempts, d.refining = attempts, refine
 	d.target, d.prev, d.steps = None, None, 0
-	d.tried = d.tried[:0]
-	clear(d.visited)
-	clear(d.dists)
+	d.tried, d.visited, d.dists = d.tried[:0], d.visited[:0], d.dists[:0]
 }
 
 // enter moves the walk to stage st under a fresh token.
@@ -230,7 +219,7 @@ func (d *Descent) restart(attempts int) {
 // Info asks to for its children.
 func (d *Descent) Info(to NodeID) {
 	d.prev, d.target = d.target, to
-	d.visited[to] = true
+	d.visit(to)
 	d.sentAt = d.Now()
 	d.steps++
 	d.enter(descentInfo)
@@ -245,12 +234,19 @@ func (d *Descent) Conn(to NodeID) {
 		d.BeginSwitch()
 	}
 	d.target = to
-	d.visited[to] = true
+	d.visit(to)
 	d.tried = append(d.tried, to)
 	d.sentAt = d.Now()
 	d.enter(descentConn)
-	d.Net().Send(d.ID(), to, ConnRequest{Token: d.token, Kind: ConnChild, Dist: d.dists[to]})
+	dist, _ := d.dists.Get(to)
+	d.Net().Send(d.ID(), to, ConnRequest{Token: d.token, Kind: ConnChild, Dist: dist})
 	d.arm(ConnTimeoutS)
+}
+
+func (d *Descent) visit(id NodeID) {
+	if !slices.Contains(d.visited, id) {
+		d.visited = append(d.visited, id)
+	}
 }
 
 func (d *Descent) arm(delay float64) {
@@ -304,7 +300,8 @@ func (d *Descent) HandleProtocol(from NodeID, m Message) {
 func (d *Descent) answered(from NodeID, m ConnResponse) {
 	switch {
 	case m.Accepted && d.refining:
-		d.ApplySwitch(from, d.dists[from], m.RootPath)
+		dist, _ := d.dists.Get(from)
+		d.ApplySwitch(from, dist, m.RootPath)
 		d.EndSwitch()
 		d.stop()
 	case m.Accepted:
@@ -333,7 +330,7 @@ func (d *Descent) Reply(from NodeID, m InfoResponse) {
 // Survey measures the target from the info exchange, then probes its
 // children (self excluded) and hands them to the rule's Decide.
 func (d *Descent) Survey(from NodeID, m InfoResponse) {
-	d.dists[from] = d.Measure(from, d.ElapsedMS())
+	d.dists.Put(from, d.Measure(from, d.ElapsedMS()))
 	d.kids, d.ids = d.kids[:0], d.ids[:0]
 	for _, ci := range m.Children {
 		if ci.ID != d.ID() {
@@ -351,9 +348,7 @@ func (d *Descent) Survey(from NodeID, m InfoResponse) {
 		if d.stage != descentProbe || d.token != tok {
 			return
 		}
-		for id, v := range res {
-			d.dists[id] = v
-		}
+		d.dists.Merge(res)
 		d.rule.Decide(d.kids, res)
 	})
 }
@@ -369,7 +364,7 @@ func (d *Descent) Unusable() { d.Fail() }
 func (d *Descent) Refused(m ConnResponse) {
 	d.ids = d.ids[:0]
 	for _, ci := range m.Children {
-		if ci.ID != d.ID() && !d.visited[ci.ID] {
+		if ci.ID != d.ID() && !slices.Contains(d.visited, ci.ID) {
 			d.ids = append(d.ids, ci.ID)
 		}
 	}
@@ -389,17 +384,8 @@ func (d *Descent) probeClosest(cands []NodeID, next func(NodeID)) {
 		if d.stage != descentProbe || d.token != tok {
 			return
 		}
-		best, bd := None, 0.0
-		for _, id := range cands {
-			v, ok := res[id]
-			if !ok {
-				continue
-			}
-			d.dists[id] = v
-			if best == None || v < bd || (v == bd && id < best) {
-				best, bd = id, v
-			}
-		}
+		d.dists.Merge(res)
+		best, _ := res.Closest(cands)
 		if best == None {
 			d.Fail()
 			return

@@ -197,17 +197,20 @@ func (p *Peer) FlowStats() FlowStats {
 	}
 }
 
-// OfferRepairCandidate feeds one probed non-parent peer (id at virtual
-// distance dist) into the repair-neighbor selection. Protocols call this
-// with their join-probe results; the closest candidate wins and is used
-// as the secondary repair path when the parent can't serve a NACK or the
-// uplink dies. A no-op while the flow subsystem is disabled.
+// OfferRepairCandidate feeds one probed peer (id at virtual distance dist)
+// into the repair-neighbor selection. Protocols call this with their
+// join-probe results; the closest candidate by (dist, id) other than the
+// parent wins, whatever the order of the offers, and is used as the
+// secondary repair path when the parent can't serve a NACK or the uplink
+// dies. A candidate that has since become the parent gives way to any
+// offer. A no-op while the flow subsystem is disabled.
 func (p *Peer) OfferRepairCandidate(id NodeID, dist float64) {
 	f := p.flow
-	if f == nil || id == p.id || id == None {
+	if f == nil || id == p.id || id == None || id == p.parent {
 		return
 	}
-	if f.repairCand == None || dist < f.repairDist || f.repairCand == p.parent {
+	c := f.repairCand
+	if c == None || c == p.parent || dist < f.repairDist || (dist == f.repairDist && id < c) {
 		f.repairCand = id
 		f.repairDist = dist
 		f.st.repairNbr.Store(int64(id))

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"slices"
 	"testing"
 
 	"vdm/internal/eventq"
@@ -176,8 +177,14 @@ func TestProberMeasuresRTT(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("probe results %v", got)
 	}
-	if got[1] != 40 || got[2] != 120 {
+	d1, _ := got.Get(1)
+	d2, _ := got.Get(2)
+	if d1 != 40 || d2 != 120 {
 		t.Fatalf("measured %v, want RTTs 40/120", got)
+	}
+	// Reply order: the nearer target answers first.
+	if got[0].ID != 1 || got[1].ID != 2 {
+		t.Fatalf("results %v, want reply order 1, 2", got)
 	}
 }
 
@@ -192,7 +199,7 @@ func TestProberPartialTimeout(t *testing.T) {
 	if got == nil {
 		t.Fatal("probe never completed")
 	}
-	if len(got) != 1 || got[1] != 50 {
+	if d, ok := got.Get(1); len(got) != 1 || !ok || d != 50 {
 		t.Fatalf("partial results %v", got)
 	}
 }
@@ -218,6 +225,146 @@ func TestProberSkipsSelfAndDuplicates(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("results %v: self/dup not deduplicated", got)
 	}
+}
+
+// TestProberPingsEachTargetOnce: a target list with repeats and the peer
+// itself sends one Ping per distinct other target, and the result holds
+// each answer once.
+func TestProberPingsEachTargetOnce(t *testing.T) {
+	r := newRig(t, uniformRTT(3, 30))
+	a := r.addPeer(0, 2, true)
+	r.addPeer(1, 2, false)
+	r.addPeer(2, 2, false)
+	var got ProbeResult
+	a.Prober().Launch([]NodeID{2, 0, 1, 2, 0, 1, 2}, 1.0, func(res ProbeResult) { got = slices.Clone(res) })
+	r.sim.Run(3)
+	if n := r.net.Counters().Ctrl.Load(); n != 4 {
+		t.Fatalf("%d control messages, want 2 pings and 2 pongs", n)
+	}
+	ids := []NodeID{got[0].ID, got[1].ID}
+	slices.Sort(ids)
+	if len(got) != 2 || !slices.Equal(ids, []NodeID{1, 2}) {
+		t.Fatalf("results %v, want 1 and 2 once each", got)
+	}
+}
+
+// TestProberTimeoutEndsRoundOnce: with one target silent the round ends at
+// its timeout with the answer it has, exactly once, and a Pong that
+// arrives after that belongs to no round: it goes to the protocol hooks.
+func TestProberTimeoutEndsRoundOnce(t *testing.T) {
+	r := newRig(t, uniformRTT(3, 50))
+	a := r.addPeer(0, 2, true)
+	r.addPeer(1, 2, false)
+	calls := 0
+	var got ProbeResult
+	a.Prober().Launch([]NodeID{1, 2}, 1.0, func(res ProbeResult) {
+		calls++
+		got = slices.Clone(res)
+	})
+	r.sim.Run(0.5)
+	if calls != 0 {
+		t.Fatal("the round ended before its timeout with a target silent")
+	}
+	r.sim.Run(1.5)
+	if calls != 1 || len(got) != 1 || got[0] != (Probe{ID: 1, D: 50}) {
+		t.Fatalf("%d callbacks with %v, want one with {1 50}", calls, got)
+	}
+	r.addPeer(2, 2, false)
+	r.net.Send(2, 0, Pong{Token: 1})
+	r.sim.Run(3)
+	if calls != 1 || len(a.protocolMsgs) != 1 {
+		t.Fatalf("%d callbacks, %d messages to the hooks after a late Pong; want 1 and 1", calls, len(a.protocolMsgs))
+	}
+}
+
+// TestProberLaunchInCallbackKeepsResult: a round launched from a finished
+// round's callback reuses the finished round's session, and must neither
+// write into the result the callback is reading nor inherit its entries.
+func TestProberLaunchInCallbackKeepsResult(t *testing.T) {
+	rtt := [][]float64{
+		{0, 40, 120},
+		{40, 0, 60},
+		{120, 60, 0},
+	}
+	r := newRig(t, rtt)
+	a := r.addPeer(0, 2, true)
+	r.addPeer(1, 2, false)
+	r.addPeer(2, 2, false)
+	var first, second ProbeResult
+	a.Prober().Launch([]NodeID{1, 2}, 2.0, func(res ProbeResult) {
+		before := slices.Clone(res)
+		a.Prober().Launch([]NodeID{2}, 2.0, func(res ProbeResult) { second = slices.Clone(res) })
+		a.Prober().Launch(nil, 2.0, func(ProbeResult) {})
+		if !slices.Equal(res, before) {
+			t.Errorf("result changed under its callback: %v, was %v", res, before)
+		}
+		first = before
+	})
+	r.sim.Run(5)
+	if len(first) != 2 {
+		t.Fatalf("first round %v, want two answers", first)
+	}
+	if len(second) != 1 || second[0] != (Probe{ID: 2, D: 120}) {
+		t.Fatalf("second round %v, want only {2 120}", second)
+	}
+}
+
+// TestProbeResultClosest: the closest of the given ids by distance, ties
+// to the lower id, unmeasured ids skipped, None when none was measured;
+// Put overwrites in place.
+func TestProbeResultClosest(t *testing.T) {
+	var r ProbeResult
+	r.Put(7, 30)
+	r.Put(4, 20)
+	r.Put(9, 20)
+	r.Put(7, 10)
+	if len(r) != 3 {
+		t.Fatalf("%v: Put appended an id it already held", r)
+	}
+	for _, c := range []struct {
+		ids  []NodeID
+		want NodeID
+	}{
+		{[]NodeID{7, 4, 9}, 7},
+		{[]NodeID{9, 4}, 4},
+		{[]NodeID{4, 9}, 4},
+		{[]NodeID{3, 9}, 9},
+		{[]NodeID{3}, None},
+		{nil, None},
+	} {
+		if got, _ := r.Closest(c.ids); got != c.want {
+			t.Fatalf("Closest(%v) = %d, want %d", c.ids, got, c.want)
+		}
+	}
+}
+
+// TestRepairCandidateSkipsParent: the repair neighbour is the closest
+// offered peer by (distance, id) other than the parent, whatever the order
+// of the offers.
+func TestRepairCandidateSkipsParent(t *testing.T) {
+	r := newRig(t, uniformRTT(2, 10))
+	p := NewPeer(r.net, PeerConfig{ID: 1, Source: 0, MaxDegree: 2, Flow: &flow.Config{}})
+	p.parent = 5
+	offers := []Probe{{ID: 5, D: 10}, {ID: 8, D: 30}, {ID: 6, D: 20}, {ID: 3, D: 30}, {ID: 4, D: 20}, {ID: 1, D: 1}}
+	var permute func(k int)
+	permute = func(k int) {
+		if k == len(offers) {
+			p.flow.repairCand = None
+			for _, o := range offers {
+				p.OfferRepairCandidate(o.ID, o.D)
+			}
+			if got := p.FlowStats().RepairNeighbor; got != 4 {
+				t.Fatalf("offers %v: repair neighbour %d, want 4", offers, got)
+			}
+			return
+		}
+		for i := k; i < len(offers); i++ {
+			offers[k], offers[i] = offers[i], offers[k]
+			permute(k + 1)
+			offers[k], offers[i] = offers[i], offers[k]
+		}
+	}
+	permute(0)
 }
 
 func TestConnRequestChildAcceptAndDegree(t *testing.T) {
