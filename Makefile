@@ -15,9 +15,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# Short fuzz pass over the wire codec.
+# Short fuzz pass over the wire codec: arbitrary bytes through the
+# decoder, then generated messages of every type through a round trip.
+# FUZZTIME is per target.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 
 # knobs counts the repo's settable values: the fields of every *Config and
 # Options struct under internal/ and in vdm.go (a line `A, B int` is two),

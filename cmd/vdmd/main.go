@@ -73,7 +73,11 @@ func main() {
 	)
 	flag.Parse()
 
-	log := newLogger(*logFmt)
+	log, err := newLogger(*logFmt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vdmd:", err)
+		os.Exit(2)
+	}
 
 	if !*source && *join == "" {
 		fmt.Fprintln(os.Stderr, "vdmd: need -source or -join <addr>")
@@ -314,14 +318,17 @@ func main() {
 	}
 }
 
-func newLogger(format string) *slog.Logger {
+func newLogger(format string) (*slog.Logger, error) {
 	var h slog.Handler
-	if format == "json" {
-		h = slog.NewJSONHandler(os.Stderr, nil)
-	} else {
+	switch format {
+	case "text":
 		h = slog.NewTextHandler(os.Stderr, nil)
+	case "json":
+		h = slog.NewJSONHandler(os.Stderr, nil)
+	default:
+		return nil, fmt.Errorf("unknown -log %q (want text or json)", format)
 	}
-	return slog.New(h).With("component", "vdmd")
+	return slog.New(h).With("component", "vdmd"), nil
 }
 
 // logStatus emits one structured status line: tree position, stream

@@ -1,94 +1,8 @@
 package simprof
 
-import (
-	"fmt"
+import "vdm/internal/overlay"
 
-	"vdm/internal/overlay"
-)
-
-// Message kinds, a dense index over the overlay wire vocabulary so the
-// hot probe path counts into a fixed array instead of a map.
-const (
-	kPing = iota
-	kPong
-	kInfoRequest
-	kInfoResponse
-	kConnRequest
-	kConnResponse
-	kParentChange
-	kParentChangeAck
-	kPathUpdate
-	kDetach
-	kParentCheck
-	kParentCheckAck
-	kReassign
-	kLeaveNotify
-	kDataChunk
-	kStatusReport
-	kDataAck
-	kDataNack
-	kParity
-	kPushback
-	kOther
-	numKinds
-)
-
-var kindNames = [numKinds]string{
-	"Ping", "Pong", "InfoRequest", "InfoResponse", "ConnRequest",
-	"ConnResponse", "ParentChange", "ParentChangeAck", "PathUpdate",
-	"Detach", "ParentCheck", "ParentCheckAck", "Reassign", "LeaveNotify",
-	"DataChunk", "StatusReport", "DataAck", "DataNack", "Parity",
-	"Pushback", "Other",
-}
-
-func kindOf(m overlay.Message) int {
-	switch m.(type) {
-	case overlay.DataChunk:
-		return kDataChunk
-	case overlay.Ping:
-		return kPing
-	case overlay.Pong:
-		return kPong
-	case overlay.InfoRequest:
-		return kInfoRequest
-	case overlay.InfoResponse:
-		return kInfoResponse
-	case overlay.ConnRequest:
-		return kConnRequest
-	case overlay.ConnResponse:
-		return kConnResponse
-	case overlay.ParentChange:
-		return kParentChange
-	case overlay.ParentChangeAck:
-		return kParentChangeAck
-	case overlay.PathUpdate:
-		return kPathUpdate
-	case overlay.Detach:
-		return kDetach
-	case overlay.ParentCheck:
-		return kParentCheck
-	case overlay.ParentCheckAck:
-		return kParentCheckAck
-	case overlay.Reassign:
-		return kReassign
-	case overlay.LeaveNotify:
-		return kLeaveNotify
-	case overlay.StatusReport:
-		return kStatusReport
-	case overlay.DataAck:
-		return kDataAck
-	case overlay.DataNack:
-		return kDataNack
-	case overlay.Parity:
-		return kParity
-	case overlay.Pushback:
-		return kPushback
-	default:
-		return kOther
-	}
-}
-
-// Probe is one bus's profiling tap: message counts by kind, per-peer
+// Probe is one bus's profiling tap: message counts by type, per-peer
 // involvement (sends plus receives) and per-directed-edge volume,
 // accumulated since the last barrier merge. Each shard owns a private
 // probe (no locks on the hot path); the recorder merges and resets them
@@ -97,7 +11,7 @@ func kindOf(m overlay.Message) int {
 // simulated message, and the map's hashing dominated the recorder's
 // wall-clock overhead at 10k+ peers.
 type Probe struct {
-	msgs  [numKinds]uint64
+	msgs  [overlay.NumTypes]uint64
 	peers []uint32
 	edges edgeTable
 }
@@ -112,7 +26,7 @@ func newProbe(pool int) *Probe {
 
 // ObserveSend implements overlay.SendProbe.
 func (p *Probe) ObserveSend(from, to overlay.NodeID, m overlay.Message) {
-	p.msgs[kindOf(m)]++
+	p.msgs[overlay.TypeOf(m)]++
 	if f := int(from); f >= 0 && f < len(p.peers) {
 		p.peers[f]++
 	}
@@ -125,7 +39,7 @@ func (p *Probe) ObserveSend(from, to overlay.NodeID, m overlay.Message) {
 // drainInto folds the probe's counts into the recorder's merge buffers
 // and resets it for the next interval. Barrier-only: the probe's shard
 // must be paused.
-func (p *Probe) drainInto(msgs *[numKinds]uint64, peers []uint64, edges map[uint64]uint64) {
+func (p *Probe) drainInto(msgs *[overlay.NumTypes]uint64, peers []uint64, edges map[uint64]uint64) {
 	for k, n := range p.msgs {
 		msgs[k] += n
 		p.msgs[k] = 0
@@ -212,12 +126,4 @@ func (t *edgeTable) drainInto(edges map[uint64]uint64) {
 // edgeEndpoints unpacks a packed directed-edge key.
 func edgeEndpoints(e uint64) (from, to int) {
 	return int(int32(uint32(e >> 32))), int(int32(uint32(e)))
-}
-
-func init() {
-	for i, n := range kindNames {
-		if n == "" {
-			panic(fmt.Sprintf("simprof: kind %d has no name", i))
-		}
-	}
 }

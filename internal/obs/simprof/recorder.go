@@ -4,6 +4,8 @@ import (
 	"io"
 	"runtime"
 	"time"
+
+	"vdm/internal/overlay"
 )
 
 // Options configures a Recorder.
@@ -66,7 +68,7 @@ type Recorder struct {
 	horizon     Dist
 
 	// Merge buffers for probe draining.
-	msgs  [numKinds]uint64
+	msgs  [overlay.NumTypes]uint64
 	peers []uint64
 	edges map[uint64]uint64
 
@@ -213,7 +215,7 @@ func (r *Recorder) Flush(t float64, states []ShardState, protoFn func() Proto) {
 	mix := make(map[string]uint64)
 	for k, n := range r.msgs {
 		if n != 0 {
-			mix[kindNames[k]] = n
+			mix[overlay.MsgType(k).String()] = n
 		}
 		r.msgs[k] = 0
 	}

@@ -47,7 +47,94 @@ func (j JoinID) String() string {
 }
 
 // Message is the sealed union of wire messages exchanged between peers.
-type Message interface{ msg() }
+type Message interface{ msgType() MsgType }
+
+// MsgType numbers the message vocabulary. The numbers are the message type
+// bytes of the live wire format, so they are never reused or renumbered:
+// a new message takes the next number.
+type MsgType uint8
+
+// The message types. Zero is no message.
+const (
+	TypePing MsgType = iota + 1
+	TypePong
+	TypeInfoRequest
+	TypeInfoResponse
+	TypeConnRequest
+	TypeConnResponse
+	TypeParentChange
+	TypeParentChangeAck
+	TypePathUpdate
+	TypeDetach
+	TypeLeaveNotify
+	TypeReassign
+	TypeDataChunk
+	TypeStatusReport
+	TypeDataAck
+	TypeDataNack
+	TypeParity
+	TypePushback
+	TypeParentCheck
+	TypeParentCheckAck
+	// NumTypes is one past the last message type.
+	NumTypes
+)
+
+// TypeOf returns m's message type.
+func TypeOf(m Message) MsgType { return m.msgType() }
+
+// vocabulary holds each message type's short name and zero value.
+var vocabulary = [NumTypes]struct {
+	name string
+	zero Message
+}{
+	TypePing:            {"Ping", Ping{}},
+	TypePong:            {"Pong", Pong{}},
+	TypeInfoRequest:     {"InfoRequest", InfoRequest{}},
+	TypeInfoResponse:    {"InfoResponse", InfoResponse{}},
+	TypeConnRequest:     {"ConnRequest", ConnRequest{}},
+	TypeConnResponse:    {"ConnResponse", ConnResponse{}},
+	TypeParentChange:    {"ParentChange", ParentChange{}},
+	TypeParentChangeAck: {"ParentChangeAck", ParentChangeAck{}},
+	TypePathUpdate:      {"PathUpdate", PathUpdate{}},
+	TypeDetach:          {"Detach", Detach{}},
+	TypeLeaveNotify:     {"LeaveNotify", LeaveNotify{}},
+	TypeReassign:        {"Reassign", Reassign{}},
+	TypeDataChunk:       {"DataChunk", DataChunk{}},
+	TypeStatusReport:    {"StatusReport", StatusReport{}},
+	TypeDataAck:         {"DataAck", DataAck{}},
+	TypeDataNack:        {"DataNack", DataNack{}},
+	TypeParity:          {"Parity", Parity{}},
+	TypePushback:        {"Pushback", Pushback{}},
+	TypeParentCheck:     {"ParentCheck", ParentCheck{}},
+	TypeParentCheckAck:  {"ParentCheckAck", ParentCheckAck{}},
+}
+
+// qualifiedNames holds "overlay." + each short name, what %T prints.
+var qualifiedNames [NumTypes]string
+
+func init() {
+	for t, v := range vocabulary[1:] {
+		qualifiedNames[t+1] = "overlay." + v.name
+	}
+}
+
+// String returns the type's short name ("Ping").
+func (t MsgType) String() string {
+	if t > 0 && t < NumTypes {
+		return vocabulary[t].name
+	}
+	return fmt.Sprintf("MsgType(%d)", uint8(t))
+}
+
+// Zero returns the zero value of the message type, nil outside the
+// vocabulary.
+func (t MsgType) Zero() Message {
+	if t < NumTypes {
+		return vocabulary[t].zero
+	}
+	return nil
+}
 
 // ChildInfo describes one child in an information response: its id and the
 // parent's stored virtual distance to it.
@@ -341,73 +428,28 @@ func IsStreamData(m Message) bool {
 	return false
 }
 
-// TypeName returns what fmt.Sprintf("%T", m) prints, from a static table:
-// a trace tap calls it once per message, where formatting the name costs
-// more than the send it observes. A type the table does not list falls
-// back to %T.
-func TypeName(m Message) string {
-	switch m.(type) {
-	case DataChunk:
-		return "overlay.DataChunk"
-	case Ping:
-		return "overlay.Ping"
-	case Pong:
-		return "overlay.Pong"
-	case InfoRequest:
-		return "overlay.InfoRequest"
-	case InfoResponse:
-		return "overlay.InfoResponse"
-	case ConnRequest:
-		return "overlay.ConnRequest"
-	case ConnResponse:
-		return "overlay.ConnResponse"
-	case ParentChange:
-		return "overlay.ParentChange"
-	case ParentChangeAck:
-		return "overlay.ParentChangeAck"
-	case PathUpdate:
-		return "overlay.PathUpdate"
-	case Detach:
-		return "overlay.Detach"
-	case ParentCheck:
-		return "overlay.ParentCheck"
-	case ParentCheckAck:
-		return "overlay.ParentCheckAck"
-	case Reassign:
-		return "overlay.Reassign"
-	case LeaveNotify:
-		return "overlay.LeaveNotify"
-	case StatusReport:
-		return "overlay.StatusReport"
-	case DataAck:
-		return "overlay.DataAck"
-	case DataNack:
-		return "overlay.DataNack"
-	case Parity:
-		return "overlay.Parity"
-	case Pushback:
-		return "overlay.Pushback"
-	}
-	return fmt.Sprintf("%T", m)
-}
+// TypeName returns what fmt.Sprintf("%T", m) prints ("overlay.Ping")
+// without formatting: a trace tap calls it once per message, where
+// formatting the name costs more than the send it observes.
+func TypeName(m Message) string { return qualifiedNames[m.msgType()] }
 
-func (Ping) msg()            {}
-func (Pong) msg()            {}
-func (InfoRequest) msg()     {}
-func (InfoResponse) msg()    {}
-func (ConnRequest) msg()     {}
-func (ConnResponse) msg()    {}
-func (ParentChange) msg()    {}
-func (ParentChangeAck) msg() {}
-func (PathUpdate) msg()      {}
-func (Detach) msg()          {}
-func (ParentCheck) msg()     {}
-func (ParentCheckAck) msg()  {}
-func (Reassign) msg()        {}
-func (LeaveNotify) msg()     {}
-func (DataChunk) msg()       {}
-func (StatusReport) msg()    {}
-func (DataAck) msg()         {}
-func (DataNack) msg()        {}
-func (Parity) msg()          {}
-func (Pushback) msg()        {}
+func (Ping) msgType() MsgType            { return TypePing }
+func (Pong) msgType() MsgType            { return TypePong }
+func (InfoRequest) msgType() MsgType     { return TypeInfoRequest }
+func (InfoResponse) msgType() MsgType    { return TypeInfoResponse }
+func (ConnRequest) msgType() MsgType     { return TypeConnRequest }
+func (ConnResponse) msgType() MsgType    { return TypeConnResponse }
+func (ParentChange) msgType() MsgType    { return TypeParentChange }
+func (ParentChangeAck) msgType() MsgType { return TypeParentChangeAck }
+func (PathUpdate) msgType() MsgType      { return TypePathUpdate }
+func (Detach) msgType() MsgType          { return TypeDetach }
+func (LeaveNotify) msgType() MsgType     { return TypeLeaveNotify }
+func (Reassign) msgType() MsgType        { return TypeReassign }
+func (DataChunk) msgType() MsgType       { return TypeDataChunk }
+func (StatusReport) msgType() MsgType    { return TypeStatusReport }
+func (DataAck) msgType() MsgType         { return TypeDataAck }
+func (DataNack) msgType() MsgType        { return TypeDataNack }
+func (Parity) msgType() MsgType          { return TypeParity }
+func (Pushback) msgType() MsgType        { return TypePushback }
+func (ParentCheck) msgType() MsgType     { return TypeParentCheck }
+func (ParentCheckAck) msgType() MsgType  { return TypeParentCheckAck }

@@ -9,25 +9,31 @@ import (
 	"testing"
 )
 
-// TestTypeNameMatchesPercentT walks every message type and compares the
-// static name table against what %T prints. The list of types is checked
-// against the msg() methods declared in messages.go, so a new message
-// cannot be added without this test seeing it.
+// TestTypeNameMatchesPercentT walks the vocabulary and compares each
+// type's names against what %T prints. The walked types are checked
+// against the msgType methods declared in messages.go, so a new message
+// cannot be added without a number, a name and a zero value.
 func TestTypeNameMatchesPercentT(t *testing.T) {
-	all := []Message{
-		Ping{}, Pong{}, InfoRequest{}, InfoResponse{}, ConnRequest{},
-		ConnResponse{}, ParentChange{}, ParentChangeAck{}, PathUpdate{},
-		Detach{}, ParentCheck{}, ParentCheckAck{}, Reassign{}, LeaveNotify{},
-		DataChunk{}, StatusReport{}, DataAck{}, DataNack{}, Parity{},
-		Pushback{},
-	}
 	var listed []string
-	for _, m := range all {
+	for mt := MsgType(1); mt < NumTypes; mt++ {
+		m := mt.Zero()
+		if m == nil {
+			t.Fatalf("%v has no zero value", mt)
+		}
 		want := fmt.Sprintf("%T", m)
 		if got := TypeName(m); got != want {
 			t.Errorf("TypeName(%s) = %q", want, got)
 		}
+		if got := "overlay." + mt.String(); got != want {
+			t.Errorf("MsgType(%d).String() = %q, want %q", mt, mt.String(), want)
+		}
+		if got := TypeOf(m); got != mt {
+			t.Errorf("TypeOf(%s) = %d, want %d", want, got, mt)
+		}
 		listed = append(listed, want)
+	}
+	if got := NumTypes.String(); got != fmt.Sprintf("MsgType(%d)", NumTypes) {
+		t.Errorf("NumTypes.String() = %q", got)
 	}
 
 	f, err := parser.ParseFile(token.NewFileSet(), "messages.go", nil, 0)
@@ -37,7 +43,7 @@ func TestTypeNameMatchesPercentT(t *testing.T) {
 	var declared []string
 	for _, d := range f.Decls {
 		fn, ok := d.(*ast.FuncDecl)
-		if !ok || fn.Name.Name != "msg" || fn.Recv == nil {
+		if !ok || fn.Name.Name != "msgType" || fn.Recv == nil {
 			continue
 		}
 		declared = append(declared, "overlay."+fn.Recv.List[0].Type.(*ast.Ident).Name)
@@ -45,15 +51,6 @@ func TestTypeNameMatchesPercentT(t *testing.T) {
 	slices.Sort(listed)
 	slices.Sort(declared)
 	if !slices.Equal(listed, declared) {
-		t.Fatalf("test walks %v\nmessages.go declares %v", listed, declared)
-	}
-}
-
-// unlisted is a message the name table does not know.
-type unlisted struct{ Ping }
-
-func TestTypeNameFallsBackToPercentT(t *testing.T) {
-	if got := TypeName(unlisted{}); got != "overlay.unlisted" {
-		t.Fatalf("TypeName(unlisted{}) = %q, want the %%T text", got)
+		t.Fatalf("vocabulary lists %v\nmessages.go declares %v", listed, declared)
 	}
 }

@@ -7,7 +7,11 @@
 //
 //	frame   := version(1) kind(1) plen(4) from(4) to(4) seq(4) payload(plen)
 //	payload := depends on kind; for KindMsg it is msg
-//	msg     := type(1) fields…
+//	msg     := type(1) fields…   type is the message's overlay.MsgType
+//
+// Each layout is written once, as a walk over the fields that a codec
+// runs in either direction (see codec), so the encoder and the decoder
+// cannot drift apart (FuzzRoundTrip keeps this honest).
 //
 // Decoding is strict: unknown versions, kinds or message types, truncated
 // frames, oversized lengths and trailing payload bytes are all errors —
@@ -101,30 +105,6 @@ func (k Kind) String() string {
 	}
 }
 
-// The message type bytes of KindMsg payloads.
-const (
-	typePing            = 1
-	typePong            = 2
-	typeInfoRequest     = 3
-	typeInfoResponse    = 4
-	typeConnRequest     = 5
-	typeConnResponse    = 6
-	typeParentChange    = 7
-	typeParentChangeAck = 8
-	typePathUpdate      = 9
-	typeDetach          = 10
-	typeLeaveNotify     = 11
-	typeReassign        = 12
-	typeDataChunk       = 13
-	typeStatusReport    = 14
-	typeDataAck         = 15
-	typeDataNack        = 16
-	typeParity          = 17
-	typePushback        = 18
-	typeParentCheck     = 19
-	typeParentCheckAck  = 20
-)
-
 // MaxNackRanges bounds the ranges of one DataNack — far above what the
 // flow layer emits per tick, far below anything that could amplify.
 const MaxNackRanges = 64
@@ -167,782 +147,495 @@ type Frame struct {
 	EpochS float64 // KindWelcome
 }
 
-// --- primitive appenders -------------------------------------------------
+// --- the codec -----------------------------------------------------------
 
-func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
-func appendI32(b []byte, v int32) []byte { return appendU32(b, uint32(v)) }
-func appendID(b []byte, id overlay.NodeID) []byte {
-	return appendI32(b, int32(id))
-}
-func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
+// A codec walks a frame's fields in wire order, in one of two modes. An
+// encoding codec appends each field to buf; a decoding codec reads each
+// field from buf at off and stores it through the field's pointer. Every
+// layout is therefore written once, and encode and decode cannot disagree
+// on it. The first error is kept and the walk runs on to its end, so it
+// has no error checks between fields; what it decodes after an error is
+// dropped. An encoding walk writes nothing through its pointers: the
+// messages it reads may be shared between goroutines.
+type codec struct {
+	buf    []byte
+	off    int
+	decode bool
+	err    error
 }
 
-func appendString(b []byte, s string) ([]byte, error) {
-	if len(s) > MaxString {
-		return nil, fmt.Errorf("%w: string %d > %d", ErrTooLarge, len(s), MaxString)
+// fail keeps err unless an earlier error is kept.
+func (c *codec) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	b = append(b, byte(len(s)))
-	return append(b, s...), nil
 }
 
-func appendIDList(b []byte, ids []overlay.NodeID) ([]byte, error) {
-	if len(ids) > MaxList {
-		return nil, fmt.Errorf("%w: id list %d > %d", ErrTooLarge, len(ids), MaxList)
+// errShort is the error of a walk that read past the end of its payload.
+var errShort = fmt.Errorf("%w: a field runs past the end of the payload", ErrTruncated)
+
+// take consumes the next n bytes of buf. Past its end it keeps errShort,
+// consumes the rest of buf so that every later read fails too, and
+// yields eight zeros, enough for any fixed-size field. It makes no call,
+// so the fixed-size fields below stay small enough to inline.
+func (c *codec) take(n int) []byte {
+	if len(c.buf)-c.off < n {
+		c.fail(errShort)
+		c.off = len(c.buf)
+		return zeros[:]
 	}
-	b = appendU16(b, uint16(len(ids)))
-	for _, id := range ids {
-		b = appendID(b, id)
-	}
-	return b, nil
+	c.off += n
+	return c.buf[c.off-n : c.off]
 }
 
-func appendChildren(b []byte, cs []overlay.ChildInfo) ([]byte, error) {
-	if len(cs) > MaxList {
-		return nil, fmt.Errorf("%w: child list %d > %d", ErrTooLarge, len(cs), MaxList)
+// zeros is what a fixed-size field past the end of buf reads as.
+var zeros [8]byte
+
+func (c *codec) u8(p *uint8) {
+	if c.decode {
+		*p = c.take(1)[0]
+		return
 	}
-	b = appendU16(b, uint16(len(cs)))
-	for _, c := range cs {
-		b = appendID(b, c.ID)
-		b = appendF64(b, c.Dist)
-	}
-	return b, nil
+	c.buf = append(c.buf, *p)
 }
 
-// --- primitive readers ---------------------------------------------------
-
-// reader walks a payload slice with bounds checking.
-type reader struct {
-	b   []byte
-	off int
+func (c *codec) u16(p *uint16) {
+	if c.decode {
+		*p = binary.BigEndian.Uint16(c.take(2))
+		return
+	}
+	c.buf = binary.BigEndian.AppendUint16(c.buf, *p)
 }
 
-func (r *reader) need(n int) error {
-	if len(r.b)-r.off < n {
-		return fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrTruncated, n, r.off, len(r.b))
+func (c *codec) u32(p *uint32) {
+	if c.decode {
+		*p = binary.BigEndian.Uint32(c.take(4))
+		return
 	}
-	return nil
+	c.buf = binary.BigEndian.AppendUint32(c.buf, *p)
 }
 
-func (r *reader) u8() (byte, error) {
-	if err := r.need(1); err != nil {
-		return 0, err
+func (c *codec) u64(p *uint64) {
+	if c.decode {
+		*p = binary.BigEndian.Uint64(c.take(8))
+		return
 	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
+	c.buf = binary.BigEndian.AppendUint64(c.buf, *p)
 }
 
-func (r *reader) u16() (uint16, error) {
-	if err := r.need(2); err != nil {
-		return 0, err
+// i32 walks an int as a signed 32-bit field.
+func (c *codec) i32(p *int) {
+	if c.decode {
+		*p = int(int32(binary.BigEndian.Uint32(c.take(4))))
+		return
 	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v, nil
+	c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(int32(*p)))
 }
 
-func (r *reader) u32() (uint32, error) {
-	if err := r.need(4); err != nil {
-		return 0, err
+func (c *codec) id(p *overlay.NodeID) { c.i32((*int)(p)) }
+
+func (c *codec) i64(p *int64) {
+	if c.decode {
+		*p = int64(binary.BigEndian.Uint64(c.take(8)))
+		return
 	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
+	c.buf = binary.BigEndian.AppendUint64(c.buf, uint64(*p))
 }
 
-func (r *reader) u64() (uint64, error) {
-	if err := r.need(8); err != nil {
-		return 0, err
+func (c *codec) f64(p *float64) {
+	if c.decode {
+		*p = math.Float64frombits(binary.BigEndian.Uint64(c.take(8)))
+		return
 	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
+	c.buf = binary.BigEndian.AppendUint64(c.buf, math.Float64bits(*p))
 }
 
-func (r *reader) i32() (int32, error) {
-	v, err := r.u32()
-	return int32(v), err
+// boolean walks a bool as one byte, 0 or 1; any other byte is an error.
+func (c *codec) boolean(p *bool) {
+	var u uint8
+	if *p {
+		u = 1
+	}
+	c.u8(&u)
+	if c.decode {
+		if u > 1 {
+			c.fail(fmt.Errorf("%w: bool byte %d", ErrTruncated, u))
+		}
+		*p = u == 1
+	}
 }
 
-func (r *reader) id() (overlay.NodeID, error) {
-	v, err := r.i32()
-	return overlay.NodeID(v), err
+// count walks a u16 element count, bounded by max: n when encoding, the
+// count read when decoding. It returns 0 once an error is kept.
+func (c *codec) count(n, max int, what string) int {
+	if n <= max {
+		u := uint16(n)
+		c.u16(&u)
+		n = int(u)
+	}
+	if n > max {
+		c.fail(fmt.Errorf("%w: %s %d > %d", ErrTooLarge, what, n, max))
+	}
+	if c.err != nil {
+		return 0
+	}
+	return n
 }
 
-func (r *reader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
+// list walks the count of the list *p and returns the elements the caller
+// walks next: *p when encoding; when decoding, a fresh slice of the count
+// read, stored in *p (nil for no elements, as encoded from nil).
+func list[T any](c *codec, p *[]T, max int, what string) []T {
+	n := c.count(len(*p), max, what)
+	// Every element takes at least one byte, so a count past the rest of
+	// the payload is short before anything is allocated for it.
+	if c.decode && n > len(c.buf)-c.off {
+		c.take(n)
+	}
+	if c.err != nil {
+		return nil
+	}
+	if c.decode && n > 0 {
+		*p = make([]T, n)
+	}
+	return *p
 }
 
-func (r *reader) boolean() (bool, error) {
-	v, err := r.u8()
-	if err != nil {
-		return false, err
+func (c *codec) ids(p *[]overlay.NodeID) {
+	ids := list(c, p, MaxList, "id list")
+	for i := range ids {
+		c.id(&ids[i])
 	}
-	if v > 1 {
-		return false, fmt.Errorf("%w: bool byte %d", ErrTruncated, v)
-	}
-	return v == 1, nil
 }
 
-func (r *reader) str() (string, error) {
-	n, err := r.u8()
-	if err != nil {
-		return "", err
+func (c *codec) children(p *[]overlay.ChildInfo) {
+	cs := list(c, p, MaxList, "child list")
+	for i := range cs {
+		c.id(&cs[i].ID)
+		c.f64(&cs[i].Dist)
 	}
-	if err := r.need(int(n)); err != nil {
-		return "", err
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
 }
 
-func (r *reader) idList() ([]overlay.NodeID, error) {
-	n, err := r.u16()
-	if err != nil {
-		return nil, err
+// str walks a string of at most MaxString bytes after its u8 length.
+func (c *codec) str(p *string) {
+	n := len(*p)
+	if n > MaxString {
+		c.fail(fmt.Errorf("%w: string %d > %d", ErrTooLarge, n, MaxString))
+		return
 	}
-	if int(n) > MaxList {
-		return nil, fmt.Errorf("%w: id list %d > %d", ErrTooLarge, n, MaxList)
+	u := uint8(n)
+	c.u8(&u)
+	if c.decode {
+		*p = string(c.take(int(u)))
+		return
 	}
-	if err := r.need(4 * int(n)); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]overlay.NodeID, n)
-	for i := range out {
-		out[i], _ = r.id()
-	}
-	return out, nil
+	c.buf = append(c.buf, *p...)
 }
 
-func (r *reader) children() ([]overlay.ChildInfo, error) {
-	n, err := r.u16()
-	if err != nil {
-		return nil, err
+// blob walks a byte string of at most MaxChunkPayload bytes after its u16
+// length. A decoded blob is a private copy: transports decode out of
+// reused receive buffers, and a handler may keep a payload past the read.
+func (c *codec) blob(p *[]byte, what string) {
+	n := c.count(len(*p), MaxChunkPayload, what)
+	switch {
+	case c.err != nil:
+	case !c.decode:
+		c.buf = append(c.buf, *p...)
+	case n > 0:
+		*p = append([]byte(nil), c.take(n)...)
 	}
-	if int(n) > MaxList {
-		return nil, fmt.Errorf("%w: child list %d > %d", ErrTooLarge, n, MaxList)
-	}
-	if err := r.need(12 * int(n)); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]overlay.ChildInfo, n)
-	for i := range out {
-		out[i].ID, _ = r.id()
-		out[i].Dist, _ = r.f64()
-	}
-	return out, nil
 }
 
-// --- message codec -------------------------------------------------------
+// trace walks a chunk's optional trace tag: a flag byte, then the origin
+// time and the hop count, clamped into one byte, when the flag is 1.
+func (c *codec) trace(p **overlay.ChunkTrace) {
+	var flag uint8
+	var t overlay.ChunkTrace
+	if *p != nil {
+		flag, t = 1, **p
+	}
+	c.u8(&flag)
+	if flag > 1 {
+		c.fail(fmt.Errorf("%w: chunk trace flags %d", ErrUnknownType, flag))
+	}
+	if flag != 1 {
+		return
+	}
+	hops := uint8(min(max(t.Hops, 0), 255))
+	c.f64(&t.OriginS)
+	c.u8(&hops)
+	if c.decode {
+		*p = &overlay.ChunkTrace{OriginS: t.OriginS, Hops: int(hops)}
+	}
+}
+
+// errEmbedded rejects a type that embeds a message: it reports the
+// embedded message's type but is not that message.
+var errEmbedded = fmt.Errorf("%w: a type that embeds an overlay message", ErrUnknownType)
+
+// keep ends the walk of a message v, read from *m by a comma-ok type
+// assertion (which yields the zero v when decoding). Decoding, it stores
+// v in *m; it is generic so an encoding walk, which stores nothing, does
+// not box v. Encoding, !ok means *m is not the message its type names.
+func keep[T overlay.Message](c *codec, m *overlay.Message, v *T, ok bool) {
+	if !c.decode {
+		if !ok {
+			c.fail(errEmbedded)
+		}
+	} else if c.err == nil {
+		*m = *v
+	}
+}
+
+// message walks one message: its overlay.MsgType byte, then its fields in
+// wire order. This is the one layout of every message.
+func (c *codec) message(m *overlay.Message) {
+	var t overlay.MsgType
+	if !c.decode && *m != nil {
+		t = overlay.TypeOf(*m)
+	}
+	c.u8((*uint8)(&t))
+	switch t {
+	case overlay.TypePing:
+		v, ok := (*m).(overlay.Ping)
+		c.i32(&v.Token)
+		keep(c, m, &v, ok)
+	case overlay.TypePong:
+		v, ok := (*m).(overlay.Pong)
+		c.i32(&v.Token)
+		keep(c, m, &v, ok)
+	case overlay.TypeInfoRequest:
+		v, ok := (*m).(overlay.InfoRequest)
+		c.i32(&v.Token)
+		c.u64((*uint64)(&v.JoinID))
+		keep(c, m, &v, ok)
+	case overlay.TypeInfoResponse:
+		v, ok := (*m).(overlay.InfoResponse)
+		c.i32(&v.Token)
+		c.children(&v.Children)
+		c.i32(&v.Free)
+		c.boolean(&v.Connected)
+		keep(c, m, &v, ok)
+	case overlay.TypeConnRequest:
+		v, ok := (*m).(overlay.ConnRequest)
+		c.i32(&v.Token)
+		kind := uint8(v.Kind)
+		c.u8(&kind)
+		if kind > uint8(overlay.ConnSplice) {
+			c.fail(fmt.Errorf("%w: conn kind %d", ErrUnknownType, kind))
+		}
+		v.Kind = overlay.ConnKind(kind)
+		c.f64(&v.Dist)
+		c.ids(&v.Adopt)
+		c.boolean(&v.Foster)
+		c.u64((*uint64)(&v.JoinID))
+		keep(c, m, &v, ok)
+	case overlay.TypeConnResponse:
+		v, ok := (*m).(overlay.ConnResponse)
+		c.i32(&v.Token)
+		c.boolean(&v.Accepted)
+		c.ids(&v.RootPath)
+		c.ids(&v.Adopted)
+		c.children(&v.Children)
+		keep(c, m, &v, ok)
+	case overlay.TypeParentChange:
+		v, ok := (*m).(overlay.ParentChange)
+		c.i32(&v.Token)
+		c.id(&v.OldParent)
+		c.f64(&v.Dist)
+		c.ids(&v.RootPath)
+		keep(c, m, &v, ok)
+	case overlay.TypeParentChangeAck:
+		v, ok := (*m).(overlay.ParentChangeAck)
+		c.i32(&v.Token)
+		c.boolean(&v.OK)
+		keep(c, m, &v, ok)
+	case overlay.TypePathUpdate:
+		v, ok := (*m).(overlay.PathUpdate)
+		c.ids(&v.Path)
+		keep(c, m, &v, ok)
+	case overlay.TypeDetach:
+		v, ok := (*m).(overlay.Detach)
+		keep(c, m, &v, ok)
+	case overlay.TypeLeaveNotify:
+		v, ok := (*m).(overlay.LeaveNotify)
+		c.id(&v.GrandparentHint)
+		keep(c, m, &v, ok)
+	case overlay.TypeReassign:
+		v, ok := (*m).(overlay.Reassign)
+		c.id(&v.To)
+		keep(c, m, &v, ok)
+	case overlay.TypeDataChunk:
+		v, ok := (*m).(overlay.DataChunk)
+		c.i64(&v.Seq)
+		c.trace(&v.Trace)
+		c.blob(&v.Payload, "chunk payload")
+		keep(c, m, &v, ok)
+	case overlay.TypeStatusReport:
+		v, ok := (*m).(overlay.StatusReport)
+		c.u32(&v.Seq)
+		c.id(&v.Parent)
+		c.f64(&v.ParentDist)
+		c.f64(&v.SrcDist)
+		c.i32(&v.Depth)
+		c.i32(&v.MaxDegree)
+		c.i32(&v.Free)
+		c.boolean(&v.Connected)
+		c.children(&v.Children)
+		c.i64(&v.RecvDelta)
+		c.i64(&v.FwdDelta)
+		c.i64(&v.DupDelta)
+		c.boolean(&v.FlowOn)
+		c.f64(&v.FlowBaseRate)
+		c.i64(&v.NacksSentDelta)
+		c.i64(&v.StallPullsDelta)
+		c.i64(&v.FECRepairsDelta)
+		c.i64(&v.SkippedDelta)
+		flows := list(c, &v.ChildFlows, MaxList, "child flows")
+		for i := range flows {
+			f := &flows[i]
+			c.id(&f.ID)
+			c.i32(&f.QueueDepth)
+			c.i32(&f.WindowUsed)
+			c.f64(&f.RateChunksPerS)
+			c.boolean(&f.Stalled)
+			c.i64(&f.NacksDelta)
+			c.i64(&f.PushbacksDelta)
+		}
+		keep(c, m, &v, ok)
+	case overlay.TypeDataAck:
+		v, ok := (*m).(overlay.DataAck)
+		c.i64(&v.Seq)
+		keep(c, m, &v, ok)
+	case overlay.TypeDataNack:
+		v, ok := (*m).(overlay.DataNack)
+		ranges := list(c, &v.Ranges, MaxNackRanges, "nack ranges")
+		for i := range ranges {
+			c.i64(&ranges[i].Lo)
+			c.i64(&ranges[i].Hi)
+		}
+		keep(c, m, &v, ok)
+	case overlay.TypeParity:
+		v, ok := (*m).(overlay.Parity)
+		c.i64(&v.Group)
+		if v.K < 0 || v.K > 255 {
+			c.fail(fmt.Errorf("%w: parity k %d", ErrTooLarge, v.K))
+		}
+		k := uint8(v.K)
+		c.u8(&k)
+		v.K = int(k)
+		c.u32(&v.XorLen)
+		c.blob(&v.Data, "parity payload")
+		keep(c, m, &v, ok)
+	case overlay.TypePushback:
+		v, ok := (*m).(overlay.Pushback)
+		c.i32(&v.Depth)
+		keep(c, m, &v, ok)
+	case overlay.TypeParentCheck:
+		v, ok := (*m).(overlay.ParentCheck)
+		keep(c, m, &v, ok)
+	case overlay.TypeParentCheckAck:
+		v, ok := (*m).(overlay.ParentCheckAck)
+		c.boolean(&v.IsChild)
+		keep(c, m, &v, ok)
+	default:
+		c.fail(fmt.Errorf("%w: %d", ErrUnknownType, t))
+	}
+}
+
+// frame walks f: the fixed header, then the payload its Kind selects.
+// Encoding writes plen as 0 for AppendFrame to backfill; decoding checks
+// version and plen and ends buf at the frame's last byte.
+func (c *codec) frame(f *Frame) {
+	version, plen := uint8(Version), uint32(0)
+	c.u8(&version)
+	c.u8((*uint8)(&f.Kind))
+	c.u32(&plen)
+	c.id(&f.From)
+	c.id(&f.To)
+	c.u32(&f.Seq)
+	if c.decode {
+		c.bound(version, plen)
+	}
+	switch f.Kind {
+	case KindMsg:
+		c.message(&f.Msg)
+	case KindAck:
+		// empty payload
+	case KindHello:
+		c.str(&f.Addr)
+	case KindWelcome:
+		c.id(&f.Node)
+		c.id(&f.Src)
+		c.f64(&f.EpochS)
+		peers := list(c, &f.Peers, MaxList, "peer list")
+		for i := range peers {
+			c.id(&peers[i].ID)
+			c.str(&peers[i].Addr)
+		}
+	case KindAddrQuery:
+		c.id(&f.Node)
+	case KindAddrReply:
+		c.id(&f.Node)
+		c.str(&f.Addr)
+	default:
+		c.fail(fmt.Errorf("%w: %d", ErrUnknownKind, f.Kind))
+	}
+}
+
+// bound checks a decoded frame header and ends buf at the frame's last
+// byte. A bad header consumes the rest of buf, so the payload walk reads
+// nothing.
+func (c *codec) bound(version uint8, plen uint32) {
+	end := c.off + int(plen)
+	switch {
+	case c.err != nil:
+	case version != Version:
+		c.fail(fmt.Errorf("%w: %d", ErrVersion, version))
+	case plen > MaxPayload:
+		c.fail(fmt.Errorf("%w: payload %d > %d", ErrTooLarge, plen, MaxPayload))
+	case end > len(c.buf):
+		c.fail(fmt.Errorf("%w: frame needs %d bytes, have %d", ErrTruncated, end, len(c.buf)))
+	default:
+		c.buf = c.buf[:end]
+		return
+	}
+	c.off = len(c.buf)
+}
 
 // AppendMessage appends the encoding of m to dst. It errors on message
 // types outside the overlay vocabulary and on slices over the codec
 // bounds.
 func AppendMessage(dst []byte, m overlay.Message) ([]byte, error) {
-	switch v := m.(type) {
-	case overlay.Ping:
-		dst = append(dst, typePing)
-		return appendI32(dst, int32(v.Token)), nil
-	case overlay.Pong:
-		dst = append(dst, typePong)
-		return appendI32(dst, int32(v.Token)), nil
-	case overlay.InfoRequest:
-		dst = append(dst, typeInfoRequest)
-		dst = appendI32(dst, int32(v.Token))
-		return appendU64(dst, uint64(v.JoinID)), nil
-	case overlay.InfoResponse:
-		dst = append(dst, typeInfoResponse)
-		dst = appendI32(dst, int32(v.Token))
-		dst, err := appendChildren(dst, v.Children)
-		if err != nil {
-			return nil, err
-		}
-		dst = appendI32(dst, int32(v.Free))
-		return appendBool(dst, v.Connected), nil
-	case overlay.ConnRequest:
-		dst = append(dst, typeConnRequest)
-		dst = appendI32(dst, int32(v.Token))
-		dst = append(dst, byte(v.Kind))
-		dst = appendF64(dst, v.Dist)
-		dst, err := appendIDList(dst, v.Adopt)
-		if err != nil {
-			return nil, err
-		}
-		dst = appendBool(dst, v.Foster)
-		return appendU64(dst, uint64(v.JoinID)), nil
-	case overlay.ConnResponse:
-		dst = append(dst, typeConnResponse)
-		dst = appendI32(dst, int32(v.Token))
-		dst = appendBool(dst, v.Accepted)
-		dst, err := appendIDList(dst, v.RootPath)
-		if err != nil {
-			return nil, err
-		}
-		dst, err = appendIDList(dst, v.Adopted)
-		if err != nil {
-			return nil, err
-		}
-		return appendChildren(dst, v.Children)
-	case overlay.ParentChange:
-		dst = append(dst, typeParentChange)
-		dst = appendI32(dst, int32(v.Token))
-		dst = appendID(dst, v.OldParent)
-		dst = appendF64(dst, v.Dist)
-		return appendIDList(dst, v.RootPath)
-	case overlay.ParentChangeAck:
-		dst = append(dst, typeParentChangeAck)
-		dst = appendI32(dst, int32(v.Token))
-		return appendBool(dst, v.OK), nil
-	case overlay.PathUpdate:
-		dst = append(dst, typePathUpdate)
-		return appendIDList(dst, v.Path)
-	case overlay.Detach:
-		return append(dst, typeDetach), nil
-	case overlay.ParentCheck:
-		return append(dst, typeParentCheck), nil
-	case overlay.ParentCheckAck:
-		dst = append(dst, typeParentCheckAck)
-		return appendBool(dst, v.IsChild), nil
-	case overlay.LeaveNotify:
-		dst = append(dst, typeLeaveNotify)
-		return appendID(dst, v.GrandparentHint), nil
-	case overlay.Reassign:
-		dst = append(dst, typeReassign)
-		return appendID(dst, v.To), nil
-	case overlay.DataChunk:
-		if len(v.Payload) > MaxChunkPayload {
-			return nil, fmt.Errorf("%w: chunk payload %d > %d", ErrTooLarge, len(v.Payload), MaxChunkPayload)
-		}
-		dst = append(dst, typeDataChunk)
-		dst = appendU64(dst, uint64(v.Seq))
-		if v.Trace != nil {
-			hops := v.Trace.Hops
-			if hops < 0 {
-				hops = 0
-			}
-			if hops > 255 {
-				hops = 255
-			}
-			dst = append(dst, 1)
-			dst = appendF64(dst, v.Trace.OriginS)
-			dst = append(dst, byte(hops))
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = appendU16(dst, uint16(len(v.Payload)))
-		return append(dst, v.Payload...), nil
-	case overlay.StatusReport:
-		dst = append(dst, typeStatusReport)
-		dst = appendU32(dst, v.Seq)
-		dst = appendID(dst, v.Parent)
-		dst = appendF64(dst, v.ParentDist)
-		dst = appendF64(dst, v.SrcDist)
-		dst = appendI32(dst, int32(v.Depth))
-		dst = appendI32(dst, int32(v.MaxDegree))
-		dst = appendI32(dst, int32(v.Free))
-		dst = appendBool(dst, v.Connected)
-		dst, err := appendChildren(dst, v.Children)
-		if err != nil {
-			return nil, err
-		}
-		dst = appendU64(dst, uint64(v.RecvDelta))
-		dst = appendU64(dst, uint64(v.FwdDelta))
-		dst = appendU64(dst, uint64(v.DupDelta))
-		dst = appendBool(dst, v.FlowOn)
-		dst = appendF64(dst, v.FlowBaseRate)
-		dst = appendU64(dst, uint64(v.NacksSentDelta))
-		dst = appendU64(dst, uint64(v.StallPullsDelta))
-		dst = appendU64(dst, uint64(v.FECRepairsDelta))
-		dst = appendU64(dst, uint64(v.SkippedDelta))
-		if len(v.ChildFlows) > MaxList {
-			return nil, fmt.Errorf("%w: child flows %d > %d", ErrTooLarge, len(v.ChildFlows), MaxList)
-		}
-		dst = appendU16(dst, uint16(len(v.ChildFlows)))
-		for _, cf := range v.ChildFlows {
-			dst = appendID(dst, cf.ID)
-			dst = appendI32(dst, int32(cf.QueueDepth))
-			dst = appendI32(dst, int32(cf.WindowUsed))
-			dst = appendF64(dst, cf.RateChunksPerS)
-			dst = appendBool(dst, cf.Stalled)
-			dst = appendU64(dst, uint64(cf.NacksDelta))
-			dst = appendU64(dst, uint64(cf.PushbacksDelta))
-		}
-		return dst, nil
-	case overlay.DataAck:
-		dst = append(dst, typeDataAck)
-		return appendU64(dst, uint64(v.Seq)), nil
-	case overlay.DataNack:
-		if len(v.Ranges) > MaxNackRanges {
-			return nil, fmt.Errorf("%w: nack ranges %d > %d", ErrTooLarge, len(v.Ranges), MaxNackRanges)
-		}
-		dst = append(dst, typeDataNack)
-		dst = appendU16(dst, uint16(len(v.Ranges)))
-		for _, r := range v.Ranges {
-			dst = appendU64(dst, uint64(r.Lo))
-			dst = appendU64(dst, uint64(r.Hi))
-		}
-		return dst, nil
-	case overlay.Parity:
-		if len(v.Data) > MaxChunkPayload {
-			return nil, fmt.Errorf("%w: parity payload %d > %d", ErrTooLarge, len(v.Data), MaxChunkPayload)
-		}
-		if v.K < 0 || v.K > 255 {
-			return nil, fmt.Errorf("%w: parity k %d", ErrTooLarge, v.K)
-		}
-		dst = append(dst, typeParity)
-		dst = appendU64(dst, uint64(v.Group))
-		dst = append(dst, byte(v.K))
-		dst = appendU32(dst, v.XorLen)
-		dst = appendU16(dst, uint16(len(v.Data)))
-		return append(dst, v.Data...), nil
-	case overlay.Pushback:
-		dst = append(dst, typePushback)
-		return appendI32(dst, int32(v.Depth)), nil
-	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnknownType, m)
+	c := codec{buf: dst}
+	c.message(&m)
+	if c.err != nil {
+		return nil, c.err
 	}
+	return c.buf, nil
 }
-
-// decodeMessage decodes one message from r.
-func decodeMessage(r *reader) (overlay.Message, error) {
-	t, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	switch t {
-	case typePing:
-		tok, err := r.i32()
-		return overlay.Ping{Token: int(tok)}, err
-	case typePong:
-		tok, err := r.i32()
-		return overlay.Pong{Token: int(tok)}, err
-	case typeInfoRequest:
-		var m overlay.InfoRequest
-		tok, err := r.i32()
-		if err != nil {
-			return nil, err
-		}
-		m.Token = int(tok)
-		jid, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		m.JoinID = overlay.JoinID(jid)
-		return m, nil
-	case typeInfoResponse:
-		var m overlay.InfoResponse
-		tok, err := r.i32()
-		if err != nil {
-			return nil, err
-		}
-		m.Token = int(tok)
-		if m.Children, err = r.children(); err != nil {
-			return nil, err
-		}
-		free, err := r.i32()
-		if err != nil {
-			return nil, err
-		}
-		m.Free = int(free)
-		if m.Connected, err = r.boolean(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case typeConnRequest:
-		var m overlay.ConnRequest
-		tok, err := r.i32()
-		if err != nil {
-			return nil, err
-		}
-		m.Token = int(tok)
-		kind, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if kind > byte(overlay.ConnSplice) {
-			return nil, fmt.Errorf("%w: conn kind %d", ErrUnknownType, kind)
-		}
-		m.Kind = overlay.ConnKind(kind)
-		if m.Dist, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if m.Adopt, err = r.idList(); err != nil {
-			return nil, err
-		}
-		if m.Foster, err = r.boolean(); err != nil {
-			return nil, err
-		}
-		jid, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		m.JoinID = overlay.JoinID(jid)
-		return m, nil
-	case typeConnResponse:
-		var m overlay.ConnResponse
-		tok, err := r.i32()
-		if err != nil {
-			return nil, err
-		}
-		m.Token = int(tok)
-		if m.Accepted, err = r.boolean(); err != nil {
-			return nil, err
-		}
-		if m.RootPath, err = r.idList(); err != nil {
-			return nil, err
-		}
-		if m.Adopted, err = r.idList(); err != nil {
-			return nil, err
-		}
-		if m.Children, err = r.children(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case typeParentChange:
-		var m overlay.ParentChange
-		tok, err := r.i32()
-		if err != nil {
-			return nil, err
-		}
-		m.Token = int(tok)
-		if m.OldParent, err = r.id(); err != nil {
-			return nil, err
-		}
-		if m.Dist, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if m.RootPath, err = r.idList(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case typeParentChangeAck:
-		var m overlay.ParentChangeAck
-		tok, err := r.i32()
-		if err != nil {
-			return nil, err
-		}
-		m.Token = int(tok)
-		if m.OK, err = r.boolean(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case typePathUpdate:
-		path, err := r.idList()
-		return overlay.PathUpdate{Path: path}, err
-	case typeDetach:
-		return overlay.Detach{}, nil
-	case typeParentCheck:
-		return overlay.ParentCheck{}, nil
-	case typeParentCheckAck:
-		var m overlay.ParentCheckAck
-		var err error
-		if m.IsChild, err = r.boolean(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case typeLeaveNotify:
-		hint, err := r.id()
-		return overlay.LeaveNotify{GrandparentHint: hint}, err
-	case typeReassign:
-		to, err := r.id()
-		return overlay.Reassign{To: to}, err
-	case typeDataChunk:
-		seq, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		flags, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if flags > 1 {
-			return nil, fmt.Errorf("%w: chunk trace flags %d", ErrUnknownType, flags)
-		}
-		var trace *overlay.ChunkTrace
-		if flags == 1 {
-			origin, err := r.f64()
-			if err != nil {
-				return nil, err
-			}
-			hops, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			trace = &overlay.ChunkTrace{OriginS: origin, Hops: int(hops)}
-		}
-		n, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		if int(n) > MaxChunkPayload {
-			return nil, fmt.Errorf("%w: chunk payload %d > %d", ErrTooLarge, n, MaxChunkPayload)
-		}
-		if err := r.need(int(n)); err != nil {
-			return nil, err
-		}
-		m := overlay.DataChunk{Seq: int64(seq), Trace: trace}
-		if n > 0 {
-			// Copy: transports decode out of reused receive buffers, and a
-			// handler may legitimately retain the payload past this read.
-			m.Payload = append([]byte(nil), r.b[r.off:r.off+int(n)]...)
-			r.off += int(n)
-		}
-		return m, nil
-	case typeStatusReport:
-		var m overlay.StatusReport
-		var err error
-		if m.Seq, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if m.Parent, err = r.id(); err != nil {
-			return nil, err
-		}
-		if m.ParentDist, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if m.SrcDist, err = r.f64(); err != nil {
-			return nil, err
-		}
-		depth, err := r.i32()
-		if err != nil {
-			return nil, err
-		}
-		m.Depth = int(depth)
-		deg, err := r.i32()
-		if err != nil {
-			return nil, err
-		}
-		m.MaxDegree = int(deg)
-		free, err := r.i32()
-		if err != nil {
-			return nil, err
-		}
-		m.Free = int(free)
-		if m.Connected, err = r.boolean(); err != nil {
-			return nil, err
-		}
-		if m.Children, err = r.children(); err != nil {
-			return nil, err
-		}
-		recv, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		m.RecvDelta = int64(recv)
-		fwd, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		m.FwdDelta = int64(fwd)
-		dup, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		m.DupDelta = int64(dup)
-		if m.FlowOn, err = r.boolean(); err != nil {
-			return nil, err
-		}
-		if m.FlowBaseRate, err = r.f64(); err != nil {
-			return nil, err
-		}
-		ns, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		m.NacksSentDelta = int64(ns)
-		sp, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		m.StallPullsDelta = int64(sp)
-		fr, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		m.FECRepairsDelta = int64(fr)
-		sk, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		m.SkippedDelta = int64(sk)
-		nf, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		if int(nf) > MaxList {
-			return nil, fmt.Errorf("%w: child flows %d > %d", ErrTooLarge, nf, MaxList)
-		}
-		if nf > 0 {
-			m.ChildFlows = make([]overlay.ChildFlowStatus, nf)
-			for i := range m.ChildFlows {
-				cf := &m.ChildFlows[i]
-				if cf.ID, err = r.id(); err != nil {
-					return nil, err
-				}
-				q, err := r.i32()
-				if err != nil {
-					return nil, err
-				}
-				cf.QueueDepth = int(q)
-				w, err := r.i32()
-				if err != nil {
-					return nil, err
-				}
-				cf.WindowUsed = int(w)
-				if cf.RateChunksPerS, err = r.f64(); err != nil {
-					return nil, err
-				}
-				if cf.Stalled, err = r.boolean(); err != nil {
-					return nil, err
-				}
-				nd, err := r.u64()
-				if err != nil {
-					return nil, err
-				}
-				cf.NacksDelta = int64(nd)
-				pd, err := r.u64()
-				if err != nil {
-					return nil, err
-				}
-				cf.PushbacksDelta = int64(pd)
-			}
-		}
-		return m, nil
-	case typeDataAck:
-		seq, err := r.u64()
-		return overlay.DataAck{Seq: int64(seq)}, err
-	case typeDataNack:
-		n, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		if int(n) > MaxNackRanges {
-			return nil, fmt.Errorf("%w: nack ranges %d > %d", ErrTooLarge, n, MaxNackRanges)
-		}
-		if err := r.need(16 * int(n)); err != nil {
-			return nil, err
-		}
-		var m overlay.DataNack
-		if n > 0 {
-			m.Ranges = make([]overlay.SeqRange, n)
-			for i := range m.Ranges {
-				lo, _ := r.u64()
-				hi, _ := r.u64()
-				m.Ranges[i] = overlay.SeqRange{Lo: int64(lo), Hi: int64(hi)}
-			}
-		}
-		return m, nil
-	case typeParity:
-		var m overlay.Parity
-		group, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		m.Group = int64(group)
-		k, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		m.K = int(k)
-		if m.XorLen, err = r.u32(); err != nil {
-			return nil, err
-		}
-		n, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		if int(n) > MaxChunkPayload {
-			return nil, fmt.Errorf("%w: parity payload %d > %d", ErrTooLarge, n, MaxChunkPayload)
-		}
-		if err := r.need(int(n)); err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			// Copy for the same reason as DataChunk: decoded payloads may
-			// outlive the transport's receive buffer.
-			m.Data = append([]byte(nil), r.b[r.off:r.off+int(n)]...)
-			r.off += int(n)
-		}
-		return m, nil
-	case typePushback:
-		depth, err := r.i32()
-		return overlay.Pushback{Depth: int(depth)}, err
-	default:
-		return nil, fmt.Errorf("%w: message type %d", ErrUnknownType, t)
-	}
-}
-
-// --- frame codec ---------------------------------------------------------
 
 // AppendFrame appends the encoding of f to dst. The payload is encoded
 // in place after the header (no intermediate buffer); the length field is
 // backfilled once the payload size is known, so an encode costs zero
 // allocations when dst has capacity.
-func AppendFrame(dst []byte, f Frame) ([]byte, error) {
-	base := len(dst)
-	dst = append(dst, Version, byte(f.Kind))
-	dst = appendU32(dst, 0) // plen, backfilled below
-	dst = appendID(dst, f.From)
-	dst = appendID(dst, f.To)
-	dst = appendU32(dst, f.Seq)
-	payloadStart := len(dst)
+func AppendFrame(dst []byte, f Frame) ([]byte, error) { return appendFrame(dst, &f) }
 
-	var err error
-	switch f.Kind {
-	case KindMsg:
-		dst, err = AppendMessage(dst, f.Msg)
-	case KindAck:
-		// empty payload
-	case KindHello:
-		dst, err = appendString(dst, f.Addr)
-	case KindWelcome:
-		dst = appendID(dst, f.Node)
-		dst = appendID(dst, f.Src)
-		dst = appendF64(dst, f.EpochS)
-		if len(f.Peers) > MaxList {
-			return nil, fmt.Errorf("%w: peer list %d > %d", ErrTooLarge, len(f.Peers), MaxList)
-		}
-		dst = appendU16(dst, uint16(len(f.Peers)))
-		for _, p := range f.Peers {
-			dst = appendID(dst, p.ID)
-			if dst, err = appendString(dst, p.Addr); err != nil {
-				return nil, err
-			}
-		}
-	case KindAddrQuery:
-		dst = appendID(dst, f.Node)
-	case KindAddrReply:
-		dst = appendID(dst, f.Node)
-		dst, err = appendString(dst, f.Addr)
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, f.Kind)
+// appendFrame is AppendFrame on a frame the caller already holds, so
+// EncodeBuffer.Encode does not copy it once more.
+func appendFrame(dst []byte, f *Frame) ([]byte, error) {
+	base := len(dst)
+	c := codec{buf: dst}
+	c.frame(f)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if err != nil {
-		return nil, err
+	n := len(c.buf) - base - headerLen
+	if n > MaxPayload {
+		return nil, fmt.Errorf("%w: payload %d > %d", ErrTooLarge, n, MaxPayload)
 	}
-	plen := len(dst) - payloadStart
-	if plen > MaxPayload {
-		return nil, fmt.Errorf("%w: payload %d > %d", ErrTooLarge, plen, MaxPayload)
-	}
-	binary.BigEndian.PutUint32(dst[base+2:], uint32(plen))
-	return dst, nil
+	binary.BigEndian.PutUint32(c.buf[base+2:], uint32(n))
+	return c.buf, nil
 }
 
 // EncodeFrame encodes f into a fresh buffer.
@@ -980,7 +673,7 @@ func (b *EncodeBuffer) Release() { encodeBufPool.Put(b) }
 // Encode encodes f into the buffer and returns the encoded bytes, which
 // stay valid only until the next Encode or Release.
 func (b *EncodeBuffer) Encode(f Frame) ([]byte, error) {
-	out, err := AppendFrame(b.buf[:0], f)
+	out, err := appendFrame(b.buf[:0], &f)
 	if err != nil {
 		return nil, err
 	}
@@ -991,80 +684,17 @@ func (b *EncodeBuffer) Encode(f Frame) ([]byte, error) {
 // DecodeFrame decodes the first frame in b and returns it together with
 // the number of bytes consumed (so a stream of concatenated frames can be
 // walked). Every malformed input yields an error, never a panic.
-func DecodeFrame(b []byte) (Frame, int, error) {
-	var f Frame
-	if len(b) < headerLen {
-		return f, 0, fmt.Errorf("%w: header needs %d bytes, have %d", ErrTruncated, headerLen, len(b))
+func DecodeFrame(b []byte) (f Frame, n int, err error) {
+	// f is a named result so the walk decodes into it without a copy.
+	c := codec{buf: b, decode: true}
+	c.frame(&f)
+	if c.err == nil && c.off != len(c.buf) {
+		c.fail(fmt.Errorf("%w: %d of %d payload bytes consumed", ErrTrailing, c.off-headerLen, len(c.buf)-headerLen))
 	}
-	if b[0] != Version {
-		return f, 0, fmt.Errorf("%w: %d", ErrVersion, b[0])
+	if c.err != nil {
+		return Frame{}, 0, c.err
 	}
-	f.Kind = Kind(b[1])
-	plen := binary.BigEndian.Uint32(b[2:6])
-	if plen > MaxPayload {
-		return Frame{}, 0, fmt.Errorf("%w: payload %d > %d", ErrTooLarge, plen, MaxPayload)
-	}
-	f.From = overlay.NodeID(int32(binary.BigEndian.Uint32(b[6:10])))
-	f.To = overlay.NodeID(int32(binary.BigEndian.Uint32(b[10:14])))
-	f.Seq = binary.BigEndian.Uint32(b[14:18])
-	total := headerLen + int(plen)
-	if len(b) < total {
-		return Frame{}, 0, fmt.Errorf("%w: frame needs %d bytes, have %d", ErrTruncated, total, len(b))
-	}
-	r := &reader{b: b[headerLen:total]}
-	var err error
-	switch f.Kind {
-	case KindMsg:
-		f.Msg, err = decodeMessage(r)
-	case KindAck:
-		// empty payload
-	case KindHello:
-		f.Addr, err = r.str()
-	case KindWelcome:
-		if f.Node, err = r.id(); err != nil {
-			break
-		}
-		if f.Src, err = r.id(); err != nil {
-			break
-		}
-		if f.EpochS, err = r.f64(); err != nil {
-			break
-		}
-		var n uint16
-		if n, err = r.u16(); err != nil {
-			break
-		}
-		if int(n) > MaxList {
-			err = fmt.Errorf("%w: peer list %d > %d", ErrTooLarge, n, MaxList)
-			break
-		}
-		for i := 0; i < int(n); i++ {
-			var p PeerAddr
-			if p.ID, err = r.id(); err != nil {
-				break
-			}
-			if p.Addr, err = r.str(); err != nil {
-				break
-			}
-			f.Peers = append(f.Peers, p)
-		}
-	case KindAddrQuery:
-		f.Node, err = r.id()
-	case KindAddrReply:
-		if f.Node, err = r.id(); err != nil {
-			break
-		}
-		f.Addr, err = r.str()
-	default:
-		err = fmt.Errorf("%w: %d", ErrUnknownKind, f.Kind)
-	}
-	if err != nil {
-		return Frame{}, 0, err
-	}
-	if r.off != len(r.b) {
-		return Frame{}, 0, fmt.Errorf("%w: %d of %d payload bytes consumed", ErrTrailing, r.off, len(r.b))
-	}
-	return f, total, nil
+	return f, c.off, nil
 }
 
 // IsControl reports whether m travels on the reliable control path —
