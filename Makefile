@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet fuzz knobs loc bench bench-compare profile-cell profile-heap bench-scale bench-scale-profile profile-smoke
+.PHONY: check test build vet fuzz knobs loc bench bench-compare profile-cell profile-heap profile-heap-live bench-scale bench-scale-profile profile-smoke
 
 # check is the pre-merge gate: vet + build + race-enabled tests.
 check:
@@ -15,13 +15,15 @@ vet:
 test:
 	$(GO) test ./...
 
-# Short fuzz pass over the wire codec: arbitrary bytes through the
-# decoder, then generated messages of every type through a round trip.
-# FUZZTIME is per target.
+# Short fuzz pass over the decoders: arbitrary bytes through the wire
+# decoder, generated messages of every type through a round trip, and a
+# lossy, reordering link between the FEC encoder and decoder. FUZZTIME is
+# per target.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzFECDecoder$$' -fuzztime=$(FUZZTIME) ./internal/flow/
 
 # knobs counts the repo's settable values: the fields of every *Config and
 # Options struct under internal/ and in vdm.go (a line `A, B int` is two),
@@ -160,6 +162,22 @@ profile-heap:
 	@rm -f scale_cell_heap.pprof
 	@mv BENCH_pprof_heap_scale_cell.txt.tmp BENCH_pprof_heap_scale_cell.txt
 	@cat BENCH_pprof_heap_scale_cell.txt
+
+# profile-heap-live writes BENCH_pprof_heap_live_stream.txt, the live
+# plane's memory budget: BenchmarkLiveClusterPeakHeap's peak live heap
+# over a 4 s stream through a 13-peer loopback cluster (the benchmark's
+# live-clean-stream shape) and the `pprof -top` of the in-use heap at the
+# end of the stream. A change that claims a live heap gain records its
+# parent's and its own.
+profile-heap-live:
+	@{ echo "# BENCH_pprof_heap_live_stream.txt: make profile-heap-live at $$(git describe --always --dirty), $$($(GO) env GOVERSION)"; \
+	  GOGC=50 $(GO) test -run '^$$' -bench '^BenchmarkLiveClusterPeakHeap$$' -benchtime 1x . \
+	    -args -peakheapprofile=live_stream_heap.pprof | grep '^Benchmark' || exit 1; \
+	  $(GO) tool pprof -top -nodecount=25 -sample_index=inuse_space live_stream_heap.pprof 2>/dev/null || exit 1; \
+	} > BENCH_pprof_heap_live_stream.txt.tmp
+	@rm -f live_stream_heap.pprof
+	@mv BENCH_pprof_heap_live_stream.txt.tmp BENCH_pprof_heap_live_stream.txt
+	@cat BENCH_pprof_heap_live_stream.txt
 
 # profile-smoke exercises the whole flight-recorder path in seconds: a
 # short profiled sharded session, then vdmprof rendering the summary

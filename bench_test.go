@@ -12,9 +12,14 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"runtime/pprof"
 	"testing"
+	"time"
 
+	"vdm/internal/flow"
+	"vdm/internal/live"
+	"vdm/internal/overlay"
 	"vdm/internal/sim"
 )
 
@@ -496,7 +501,8 @@ func BenchmarkScaleCell(b *testing.B) {
 }
 
 var peakHeapProfile = flag.String("peakheapprofile", "",
-	"BenchmarkScaleCellPeakHeap writes the in-use heap profile at the scale cell's peak live heap to this file")
+	"BenchmarkScaleCellPeakHeap writes the in-use heap profile at the scale cell's peak live heap to this file, "+
+		"BenchmarkLiveClusterPeakHeap the one at the end of its stream")
 
 // BenchmarkScaleCellPeakHeap runs the scale cell with a forced collection
 // every 10 simulated seconds and reports the largest live heap found, in
@@ -541,4 +547,93 @@ func BenchmarkScaleCellPeakHeap(b *testing.B) {
 	}
 	b.ReportMetric(float64(peak)/1e6, "peak_MB")
 	b.ReportMetric(float64(peak)/float64(scaleCell().Nodes), "B/peer")
+}
+
+// The live stream BenchmarkLiveClusterPeakHeap measures: the shape of the
+// benchmark's live-clean-stream workload (a source and 12 joiners on
+// loopback sockets, degree 3, flow control with unbounded pacing, 256-byte
+// chunks at 2 000 chunks/s), streamed for a few seconds.
+const (
+	liveHeapPeers   = 13
+	liveHeapDegree  = 3
+	liveHeapPayload = 256
+	liveHeapRate    = 2000
+	liveHeapSeconds = 4
+)
+
+// BenchmarkLiveClusterPeakHeap boots a live.Cluster, streams through it
+// and reports the stream's peak live heap in MB: the bytes the latest
+// collection found reachable, sampled every 50 ms as the benchmark's live
+// workloads sample it. With -peakheapprofile it writes the in-use heap
+// profile after a collection at the end of the stream, the one `make
+// profile-heap-live` prints.
+func BenchmarkLiveClusterPeakHeap(b *testing.B) {
+	var peak uint64
+	var prof bytes.Buffer
+	if *peakHeapProfile != "" {
+		// One sample per 4 KiB allocated: every 61 KB receive slot is
+		// sampled, so the receive rings read exactly, not within ±8 %.
+		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+		runtime.MemProfileRate = 4 << 10
+	}
+	heapLive := func() uint64 {
+		s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	for i := 0; i < b.N; i++ {
+		c, err := live.NewCluster(live.ClusterConfig{
+			N: liveHeapPeers, MaxDegree: liveHeapDegree, Flow: &flow.Config{RateChunksPerS: -1},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.WaitConnected(10 * time.Second); err != nil {
+			c.Close()
+			b.Fatal(err)
+		}
+		runtime.GC() // the floor is the stream's live set, not set-up's garbage
+		stop, done := make(chan struct{}), make(chan uint64)
+		go func() {
+			max := heapLive()
+			tick := time.NewTicker(50 * time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stop:
+					done <- max
+					return
+				case <-tick.C:
+					if h := heapLive(); h > max {
+						max = h
+					}
+				}
+			}
+		}()
+		// Open loop: chunk n is due at start + n/rate, however late the
+		// previous one went out.
+		start := time.Now()
+		for n := 0; n < liveHeapRate*liveHeapSeconds; n++ {
+			time.Sleep(time.Until(start.Add(time.Duration(n) * time.Second / liveHeapRate)))
+			c.Source().EmitData(overlay.DataChunk{Seq: int64(n), Payload: make([]byte, liveHeapPayload)})
+		}
+		close(stop)
+		if h := <-done; h > peak {
+			peak = h
+		}
+		if *peakHeapProfile != "" {
+			runtime.GC()
+			prof.Reset()
+			if err := pprof.Lookup("heap").WriteTo(&prof, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		c.Close()
+	}
+	if *peakHeapProfile != "" {
+		if err := os.WriteFile(*peakHeapProfile, prof.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(peak)/1e6, "peak_MB")
 }

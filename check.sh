@@ -30,6 +30,11 @@ echo "== benchmark module: go vet + go build"
 echo "== eventq and rng benchmarks, one iteration"
 go test -run='^$' -bench='EventQ|EdgeCounters' -benchtime=1x ./internal/eventq/ ./internal/rng/
 
+# Stream once through the live cluster the heap budget is recorded on
+# (`make profile-heap-live`), so that benchmark cannot rot either.
+echo "== live cluster peak-heap benchmark, one iteration"
+go test -run='^$' -bench='^BenchmarkLiveClusterPeakHeap$' -benchtime=1x .
+
 # Optional perf gate: compare benchmarks against the archived baseline.
 # Off by default (benchmark noise depends on the machine); enable with
 #   BENCH_COMPARE=1 ./check.sh

@@ -227,3 +227,94 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("override defaults: %+v", c)
 	}
 }
+
+// fecScript reads a fuzz input one byte at a time, zeros once it runs out.
+type fecScript []byte
+
+func (s *fecScript) next() byte {
+	if len(*s) == 0 {
+		return 0
+	}
+	b := (*s)[0]
+	*s = (*s)[1:]
+	return b
+}
+
+// fecPacket is one data or parity chunk on the simulated link.
+type fecPacket struct {
+	seq     int64
+	payload []byte
+	parity  *Parity
+}
+
+// FuzzFECDecoder drives an Encoder and a Decoder from fuzzer bytes. The
+// source adds chunks in sequence order (sometimes skipping a number, so a
+// group is abandoned); the link between encoder and decoder drops,
+// duplicates and reorders the data and parity chunks. The decoder must
+// not panic, and every payload it recovers must be the one the encoder
+// was given for that sequence number. The group size, the decoder's group
+// cap (small, so groups are evicted and opened again) and the first
+// sequence number (possibly negative) come from the first bytes.
+func FuzzFECDecoder(f *testing.F) {
+	// k = 2 from seq 0: chunks 0 and 1 and their parity go out, chunk 0
+	// is dropped, chunk 1 and the parity arrive, chunk 0 is recovered.
+	f.Add([]byte{0, 0, 0, 0, 1, 'a', 0, 1, 'b', 3, 0, 0, 3, 0, 1, 3, 0, 1})
+	f.Add([]byte{4, 0, 250, 0, 9, 0, 0, 1, 4, 0, 2, 2, 3, 3, 2, 0, 0, 2, 1, 1, 4, 2, 1, 3})
+	f.Add([]byte{1, 1, 7, 1, 33, 1, 0, 1, 2, 4, 1, 3, 2, 5, 3, 2, 7, 3, 2, 1, 2, 2, 2, 0, 2, 9, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s := fecScript(in)
+		k := 2 + int(s.next()%15)
+		enc, dec := NewEncoder(k), NewDecoder(k, 1+int(s.next()%4))
+		seq := int64(int8(s.next()))
+		sent := make(map[int64][]byte)
+		var link []fecPacket
+		deliver := func(p fecPacket) {
+			var rec Recovered
+			var ok bool
+			if p.parity != nil {
+				rec, ok, _ = dec.AddParity(*p.parity)
+			} else {
+				rec, ok = dec.AddData(p.seq, p.payload)
+			}
+			if !ok {
+				return
+			}
+			if want, known := sent[rec.Seq]; !known || !bytes.Equal(rec.Payload, want) {
+				t.Fatalf("recovered seq %d as %x, encoder saw %x (sent: %v)", rec.Seq, rec.Payload, want, known)
+			}
+		}
+		for step := 0; step < 512 && len(s) > 0; step++ {
+			switch op := s.next(); op % 5 {
+			case 0, 1: // the source emits the next chunk
+				payload := make([]byte, s.next()%48)
+				for i := range payload {
+					payload[i] = s.next()
+				}
+				sent[seq] = payload
+				link = append(link, fecPacket{seq: seq, payload: payload})
+				if p, ok := enc.Add(seq, payload); ok {
+					link = append(link, fecPacket{parity: &p})
+				}
+				seq++
+			case 2: // the source skips a sequence number
+				seq++
+			default: // the link acts on one chunk in flight
+				if len(link) == 0 {
+					continue
+				}
+				i := int(s.next()) % len(link)
+				p := link[i]
+				fate := s.next() % 4
+				if fate != 3 { // 3 delivers and keeps a copy for a duplicate
+					link = append(link[:i], link[i+1:]...)
+				}
+				if fate != 0 { // 0 drops
+					deliver(p)
+				}
+			}
+		}
+		for _, p := range link {
+			deliver(p)
+		}
+	})
+}

@@ -12,7 +12,9 @@ type mmsgIO struct{}
 
 func newMmsgIO(conn *net.UDPConn, maxBatch int) *mmsgIO { return nil }
 
-func (m *mmsgIO) readBatch(deliver func([]byte, *net.UDPAddr)) (int, error) {
+func (m *mmsgIO) close() {}
+
+func (m *mmsgIO) readBatch() ([]received, error) {
 	panic("transport: mmsg readBatch on unsupported platform")
 }
 

@@ -4,10 +4,10 @@ package transport
 
 import (
 	"net"
+	"runtime"
+	"sync"
 	"syscall"
 	"unsafe"
-
-	"vdm/internal/wire"
 )
 
 // This file is the platform half of the batched data plane: recvmmsg and
@@ -33,17 +33,17 @@ type addrKey struct {
 	port uint16
 }
 
-// mmsgIO owns the pooled receive ring and the send scratch arrays for
-// one socket. readBatch is called from the single receive goroutine and
-// writeBatch under the coalescer's flush lock, so neither needs locking.
+// mmsgIO is one socket's batched I/O: the send scratch arrays, the
+// receive address cache and the decoded batch. It owns no receive ring:
+// readBatch borrows one from the process-wide stock (rings) for one
+// recvmmsg and the decode of its datagrams. readBatch is called from the
+// single receive goroutine and writeBatch under the coalescer's flush
+// lock, so neither needs locking.
 type mmsgIO struct {
-	rc syscall.RawConn
-
-	rbufs  [][]byte
-	rhdrs  []mmsghdr
-	riovs  []syscall.Iovec
-	rnames []syscall.RawSockaddrAny
-	addrs  map[addrKey]*net.UDPAddr
+	rc    syscall.RawConn
+	batch int // receive ring length
+	addrs map[addrKey]*net.UDPAddr
+	got   []received // the last batch, decoded
 
 	whdrs  []mmsghdr
 	wiovs  []syscall.Iovec
@@ -55,49 +55,198 @@ type mmsgIO struct {
 // policy.
 const addrCacheMax = 4096
 
+// recvRing is one recvmmsg ring: a receive buffer per slot, with the
+// iovec, msghdr and sockaddr the kernel fills for it. The pointers
+// between them are set once, when the ring is made.
+type recvRing struct {
+	bufs  [][]byte
+	hdrs  []mmsghdr
+	iovs  []syscall.Iovec
+	names []syscall.RawSockaddrAny
+}
+
+func newRecvRing(n int) *recvRing {
+	r := &recvRing{
+		bufs:  make([][]byte, n),
+		hdrs:  make([]mmsghdr, n),
+		iovs:  make([]syscall.Iovec, n),
+		names: make([]syscall.RawSockaddrAny, n),
+	}
+	for i := range r.bufs {
+		r.bufs[i] = make([]byte, recvSlot)
+		r.iovs[i].Base = &r.bufs[i][0]
+		r.iovs[i].SetLen(recvSlot)
+		r.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
+		r.hdrs[i].hdr.Iov = &r.iovs[i]
+		r.hdrs[i].hdr.Iovlen = 1
+	}
+	return r
+}
+
+// ringStock holds the process's receive rings. A ring is a socket's only
+// while it drains a readable socket and decodes the batch, so a process
+// with many quiet sockets keeps as many rings as sockets were ever
+// draining at once, not one per socket, and never more than ringCap of
+// one length. It is not a sync.Pool: a pool is emptied by the collector
+// and would make multi-megabyte rings again every few cycles.
+type ringStock struct {
+	mu      sync.Mutex
+	back    sync.Cond          // broadcast when a ring comes back; L is &mu
+	shelves map[int]*ringShelf // by ring length (a socket's MaxBatch)
+}
+
+// ringShelf is the stock of one ring length. Closing a socket trims it so
+// it never holds more rings than mmsg sockets are open.
+type ringShelf struct {
+	free    []*recvRing // LIFO: the ring lent next is the one last touched
+	live    int         // rings in existence, free or lent
+	sockets int         // open mmsg sockets
+}
+
+var rings = func() *ringStock {
+	s := &ringStock{shelves: make(map[int]*ringShelf)}
+	s.back.L = &s.mu
+	return s
+}()
+
+// ringCap bounds the rings of one length. At most GOMAXPROCS receive loops
+// run at once, and one more covers a loop handing its ring back while the
+// next takes one. A ring beyond that would be lent only to a loop parked
+// mid-decode (the collector parks goroutines that allocate during a
+// cycle), and once made it would be kept.
+func ringCap() int { return runtime.GOMAXPROCS(0) + 1 }
+
+// shelf returns the shelf for ring length n; the caller holds s.mu.
+func (s *ringStock) shelf(n int) *ringShelf {
+	sh := s.shelves[n]
+	if sh == nil {
+		sh = &ringShelf{}
+		s.shelves[n] = sh
+	}
+	return sh
+}
+
+// pop lends the most recently returned free ring, or nil if none is free;
+// the caller holds the stock's lock.
+func (sh *ringShelf) pop() *recvRing {
+	k := len(sh.free)
+	if k == 0 {
+		return nil
+	}
+	r := sh.free[k-1]
+	sh.free[k-1] = nil
+	sh.free = sh.free[:k-1]
+	return r
+}
+
+// take lends a free ring of length n, or returns nil if none is free.
+func (s *ringStock) take(n int) *recvRing {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.shelf(n).pop()
+}
+
+// get lends a ring of length n: a free one, else a new one while fewer
+// than ringCap exist, else the next one handed back. A lent ring is held
+// only for a recvmmsg and a decode, so the wait is short.
+func (s *ringStock) get(n int) *recvRing {
+	s.mu.Lock()
+	sh := s.shelf(n)
+	for len(sh.free) == 0 && sh.live >= ringCap() {
+		s.back.Wait()
+	}
+	if r := sh.pop(); r != nil {
+		s.mu.Unlock()
+		return r
+	}
+	sh.live++
+	s.mu.Unlock()
+	return newRecvRing(n)
+}
+
+// put takes a lent ring back.
+func (s *ringStock) put(r *recvRing) {
+	s.mu.Lock()
+	sh := s.shelf(len(r.hdrs))
+	sh.free = append(sh.free, r)
+	s.mu.Unlock()
+	s.back.Broadcast()
+}
+
+// open counts a new mmsg socket with rings of length n.
+func (s *ringStock) open(n int) {
+	s.mu.Lock()
+	s.shelf(n).sockets++
+	s.mu.Unlock()
+}
+
+// close counts a closed socket and drops free rings of its length until
+// no more rings exist than sockets are open.
+func (s *ringStock) close(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sh := s.shelf(n)
+	sh.sockets--
+	for sh.live > sh.sockets && sh.pop() != nil {
+		sh.live--
+	}
+}
+
 func newMmsgIO(conn *net.UDPConn, maxBatch int) *mmsgIO {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil
 	}
-	m := &mmsgIO{
+	rings.open(maxBatch)
+	return &mmsgIO{
 		rc:     rc,
-		rbufs:  make([][]byte, maxBatch),
-		rhdrs:  make([]mmsghdr, maxBatch),
-		riovs:  make([]syscall.Iovec, maxBatch),
-		rnames: make([]syscall.RawSockaddrAny, maxBatch),
+		batch:  maxBatch,
 		addrs:  make(map[addrKey]*net.UDPAddr),
+		got:    make([]received, maxBatch),
 		whdrs:  make([]mmsghdr, maxBatch),
 		wiovs:  make([]syscall.Iovec, maxBatch),
 		wnames: make([]syscall.RawSockaddrInet6, maxBatch),
 	}
-	for i := range m.rbufs {
-		m.rbufs[i] = make([]byte, wire.MaxPayload+1024)
-	}
-	return m
 }
 
+// close returns the socket's share of the ring stock; the socket's
+// receive loop must have exited.
+func (m *mmsgIO) close() { rings.close(m.batch) }
+
 // readBatch blocks until the socket is readable, drains up to the ring
-// size of datagrams with one recvmmsg, and delivers each. It returns a
-// non-nil error only when the socket is closed (or irrecoverable); a
-// zero-count nil return means "retry".
-func (m *mmsgIO) readBatch(deliver func([]byte, *net.UDPAddr)) (int, error) {
-	for i := range m.rhdrs {
-		m.riovs[i].Base = &m.rbufs[i][0]
-		m.riovs[i].SetLen(len(m.rbufs[i]))
-		m.rhdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.rnames[i]))
-		m.rhdrs[i].hdr.Namelen = uint32(syscall.SizeofSockaddrAny)
-		m.rhdrs[i].hdr.Iov = &m.riovs[i]
-		m.rhdrs[i].hdr.Iovlen = 1
-		m.rhdrs[i].n = 0
-	}
+// length of datagrams with one recvmmsg, and returns them decoded; the
+// slice is m's, valid until the next call. The ring is borrowed only while
+// the socket is readable: a recvmmsg that finds the socket empty hands it
+// back before the goroutine parks, a batch hands it back once decoded, and
+// a socket with no free ring makes or waits for one only when a datagram
+// is waiting. It returns a non-nil error only when the socket is closed
+// (or irrecoverable); an empty batch with a nil error means "retry".
+func (m *mmsgIO) readBatch() ([]received, error) {
+	var r *recvRing
 	var n int
 	var rerr syscall.Errno
 	err := m.rc.Read(func(fd uintptr) bool {
+		if r = rings.take(m.batch); r == nil {
+			// No ring is free: make or wait for one only if a datagram
+			// is waiting, so a socket that is not readable never adds a
+			// ring or waits.
+			_, _, errno := syscall.Syscall6(syscall.SYS_RECVFROM, fd, 0, 0,
+				uintptr(syscall.MSG_PEEK|syscall.MSG_DONTWAIT), 0, 0)
+			if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK {
+				return false
+			}
+			r = rings.get(m.batch)
+		}
+		for i := range r.hdrs {
+			r.hdrs[i].hdr.Namelen = uint32(syscall.SizeofSockaddrAny)
+			r.hdrs[i].n = 0
+		}
 		r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
+			uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
 			uintptr(syscall.MSG_DONTWAIT), 0, 0)
 		if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK {
+			rings.put(r)
+			r = nil
 			return false // wait for readability
 		}
 		if errno != 0 {
@@ -107,19 +256,22 @@ func (m *mmsgIO) readBatch(deliver func([]byte, *net.UDPAddr)) (int, error) {
 		n = int(r1)
 		return true
 	})
+	if r != nil {
+		for i := 0; i < n; i++ {
+			m.got[i] = decode(r.bufs[i][:r.hdrs[i].n], m.udpAddr(&r.names[i]))
+		}
+		rings.put(r)
+	}
 	if err != nil {
-		return 0, err // socket closed
+		return nil, err // socket closed
 	}
 	if rerr != 0 {
 		if rerr == syscall.EINTR {
-			return 0, nil
+			return nil, nil
 		}
-		return 0, rerr
+		return nil, rerr
 	}
-	for i := 0; i < n; i++ {
-		deliver(m.rbufs[i][:m.rhdrs[i].n], m.udpAddr(&m.rnames[i]))
-	}
-	return n, nil
+	return m.got[:n], nil
 }
 
 // writeBatch transmits pkts (at most the ring size, enforced by the

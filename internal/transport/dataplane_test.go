@@ -3,10 +3,12 @@ package transport
 import (
 	"bytes"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"vdm/internal/overlay"
+	"vdm/internal/wire"
 )
 
 // TestUDPBatchedDataDelivery pushes a burst of data chunks through the
@@ -472,4 +474,143 @@ func TestUDPPortableFallback(t *testing.T) {
 	if got := d.Dataplane().QueueDrops; got != 6 {
 		t.Fatalf("QueueDrops = %d, want 6", got)
 	}
+}
+
+// TestUDPMaxSizeFrames sends the largest legal datagrams in one train with
+// small chunks on both sides — a DataChunk with a wire.MaxChunkPayload
+// payload and a control frame a few bytes under wire.MaxPayload — while
+// the receiver is held, so they queue in its socket and one read drains
+// them together. Every frame must arrive byte-intact: a receive slot
+// smaller than the largest legal datagram would truncate one. It runs on
+// the mmsg engine and on the portable fallback.
+func TestUDPMaxSizeFrames(t *testing.T) {
+	t.Run("mmsg", testMaxSizeFrames)
+	t.Run("portable", func(t *testing.T) {
+		newMmsg = func(*net.UDPConn, int) *mmsgIO { return nil }
+		t.Cleanup(func() { newMmsg = newMmsgIO })
+		testMaxSizeFrames(t)
+	})
+}
+
+func testMaxSizeFrames(t *testing.T) {
+	a, b := newUDPPair(t, UDPConfig{})
+	var c collector
+	collect := c.handler()
+	held, release := make(chan struct{}), make(chan struct{})
+	first := true // touched only by b's receive goroutine
+	b.Register(2, func(from overlay.NodeID, m overlay.Message) {
+		if first {
+			first = false
+			close(held)
+			<-release // hold the receive loop: the train queues in the socket
+		}
+		collect(from, m)
+	})
+	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	payload := func(seq, n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(i*7 + seq)
+		}
+		return p
+	}
+	const big = 5
+	chunk := func(seq int) overlay.DataChunk {
+		n := 40 + seq
+		if seq == big {
+			n = wire.MaxChunkPayload
+		}
+		return overlay.DataChunk{Seq: int64(seq), Payload: payload(seq, n)}
+	}
+	ctrl := maxControlFrame(t)
+
+	to := []overlay.NodeID{2}
+	a.SendBatch(1, to, chunk(0), nil)
+	select {
+	case <-held:
+	case <-time.After(2 * time.Second):
+		t.Fatal("first chunk not delivered")
+	}
+	const chunks = 14
+	for seq := 1; seq < chunks; seq++ {
+		if failed := a.SendBatch(1, to, chunk(seq), nil); len(failed) != 0 {
+			t.Fatalf("SendBatch %d failed", seq)
+		}
+		if seq == 9 {
+			a.SendBatch(1, to, ctrl, nil)
+		}
+	}
+	// The train is the chunks after the first and the control frame; its
+	// retransmissions (the ack waits behind the held loop) come on top.
+	train := int64(chunks - 1 + 1)
+	if !waitFor(t, 2*time.Second, func() bool { return a.Dataplane().SentFrames >= 1+train }) {
+		t.Fatalf("sent %d frames, want %d", a.Dataplane().SentFrames, 1+train)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	if !waitFor(t, 5*time.Second, func() bool { return c.count() == chunks+1 }) {
+		t.Fatalf("delivered %d of %d", c.count(), chunks+1)
+	}
+
+	seen := make(map[int64]bool)
+	gotCtrl := false
+	for _, m := range c.snapshot() {
+		switch m := m.(type) {
+		case overlay.DataChunk:
+			if want := chunk(int(m.Seq)); !bytes.Equal(m.Payload, want.Payload) {
+				t.Fatalf("chunk %d: %d payload bytes, want %d intact", m.Seq, len(m.Payload), len(want.Payload))
+			}
+			seen[m.Seq] = true
+		case overlay.ConnResponse:
+			if !reflect.DeepEqual(m, ctrl) {
+				t.Fatal("max-size control frame changed in transit")
+			}
+			gotCtrl = true
+		default:
+			t.Fatalf("unexpected %T", m)
+		}
+	}
+	if len(seen) != chunks || !gotCtrl {
+		t.Fatalf("got chunks %v and control frame %v", seen, gotCtrl)
+	}
+	if b.BatchIO() {
+		if got := b.Dataplane().MaxBatch; got < train {
+			t.Fatalf("largest receive batch %d, want the whole train of %d in one recvmmsg", got, train)
+		}
+	}
+}
+
+// maxControlFrame builds a ConnResponse whose encoded payload is within a
+// node id of wire.MaxPayload: a full child list plus the longest root
+// path that still encodes.
+func maxControlFrame(t *testing.T) overlay.ConnResponse {
+	t.Helper()
+	m := overlay.ConnResponse{Token: 7, Accepted: true, Children: make([]overlay.ChildInfo, wire.MaxList)}
+	for i := range m.Children {
+		m.Children[i] = overlay.ChildInfo{ID: overlay.NodeID(i + 3), Dist: float64(i) / 8}
+	}
+	size := func(m overlay.ConnResponse) (int, error) {
+		b, err := wire.AppendFrame(nil, wire.Frame{Kind: wire.KindMsg, From: 1, To: 2, Seq: 1, Msg: m})
+		return len(b), err
+	}
+	base, err := size(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := (wire.MaxPayload - base) / 4; n > 0; n-- {
+		m.RootPath = make([]overlay.NodeID, n+32)
+		for i := range m.RootPath {
+			m.RootPath[i] = overlay.NodeID(i + 1)
+		}
+		if got, err := size(m); err == nil {
+			if got < wire.MaxPayload {
+				t.Fatalf("control frame of %d bytes, want at least %d", got, wire.MaxPayload)
+			}
+			return m
+		}
+	}
+	t.Fatal("no root path length encodes")
+	return m
 }

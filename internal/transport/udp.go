@@ -338,6 +338,10 @@ func (d *dedupe) seen(seq uint32) bool {
 	return false
 }
 
+// recvSlot is the size of one receive buffer: every legal datagram (a
+// frame header plus at most wire.MaxPayload) lands whole in one slot.
+const recvSlot = wire.MaxPayload + 1024
+
 // newMmsg builds the platform mmsg engine; a package variable so a test
 // can force the portable fallback Linux CI otherwise never runs.
 var newMmsg = newMmsgIO
@@ -601,26 +605,33 @@ func (t *UDP) SendFrame(addr *net.UDPAddr, f wire.Frame) error {
 
 // readLoop receives, decodes and dispatches frames until the socket
 // closes. With the mmsg engine active it drains up to MaxBatch datagrams
-// per recvmmsg syscall out of a pooled ring of receive buffers; otherwise
-// it reads one datagram per syscall. Either way the buffers are reused
-// across reads — wire.DecodeFrame copies everything a handler may retain
-// (DataChunk payloads, strings), so reuse is invisible above the codec.
+// per recvmmsg syscall into a receive ring borrowed from the process-wide
+// stock (batch_linux.go) and decodes them all before it dispatches any, so
+// the ring goes back to the stock, for any readable socket to reuse, while
+// the handlers run; otherwise it reads one datagram per syscall into the
+// loop's own buffer. Either way the bytes are overwritten by a later read
+// — wire.DecodeFrame copies everything a handler may retain (DataChunk
+// payloads, strings), so reuse is invisible above the codec.
 func (t *UDP) readLoop() {
 	defer t.wg.Done()
 	if t.mmsg != nil {
 		for {
-			n, err := t.mmsg.readBatch(t.dispatchDatagram)
+			got, err := t.mmsg.readBatch()
 			if err != nil {
 				return // socket closed
 			}
-			if n > 0 {
+			if n := len(got); n > 0 {
 				t.dp.recvSyscalls.Add(1)
 				t.dp.recvFrames.Add(int64(n))
 				t.dp.noteBatch(int64(n))
 			}
+			for i := range got {
+				t.dispatch(got[i])
+				got[i] = received{} // keep no frame alive while the next read waits
+			}
 		}
 	}
-	buf := make([]byte, wire.MaxPayload+1024)
+	buf := make([]byte, recvSlot)
 	for {
 		n, raddr, err := t.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -628,16 +639,31 @@ func (t *UDP) readLoop() {
 		}
 		t.dp.recvSyscalls.Add(1)
 		t.dp.recvFrames.Add(1)
-		t.dispatchDatagram(buf[:n], raddr)
+		t.dispatch(decode(buf[:n], raddr))
 	}
 }
 
-// dispatchDatagram decodes and dispatches one received datagram.
-// Malformed datagrams are counted and dropped — wire.DecodeFrame
-// guarantees they cannot do anything worse.
-func (t *UDP) dispatchDatagram(b []byte, raddr *net.UDPAddr) {
+// received is one decoded datagram: its frame, or the error that kept it
+// from decoding, and the sender's address.
+type received struct {
+	f    wire.Frame
+	err  error
+	from *net.UDPAddr
+}
+
+// decode decodes the datagram b from the sender at from. The frame shares
+// no bytes with b, so b may be overwritten as soon as decode returns.
+func decode(b []byte, from *net.UDPAddr) received {
 	f, _, err := wire.DecodeFrame(b)
-	if err != nil {
+	return received{f: f, err: err, from: from}
+}
+
+// dispatch hands one received frame to the reliability machinery, the
+// registered handler or the session hook. Malformed datagrams are counted
+// and dropped — wire.DecodeFrame guarantees they cannot do anything worse.
+func (t *UDP) dispatch(r received) {
+	f, raddr := r.f, r.from
+	if r.err != nil {
 		t.ctrs.Undeliver.Add(1)
 		return
 	}
@@ -722,6 +748,9 @@ func (t *UDP) Close() error {
 	t.co.shutdown()
 	err := t.conn.Close()
 	t.wg.Wait()
+	if t.mmsg != nil {
+		t.mmsg.close()
+	}
 	return err
 }
 
