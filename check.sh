@@ -30,6 +30,11 @@ echo "== benchmark module: go vet + go build"
 echo "== eventq and rng benchmarks, one iteration"
 go test -run='^$' -bench='EventQ|EdgeCounters' -benchtime=1x ./internal/eventq/ ./internal/rng/
 
+# The join benchmarks `make bench` archives run on the shared descent
+# machine; one iteration keeps them building and finishing.
+echo "== core join benchmarks, one iteration"
+go test -run='^$' -bench='^BenchmarkJoin' -benchtime=1x ./internal/core/
+
 # Stream once through the live cluster the heap budget is recorded on
 # (`make profile-heap-live`), so that benchmark cannot rot either.
 echo "== live cluster peak-heap benchmark, one iteration"

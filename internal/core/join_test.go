@@ -307,7 +307,7 @@ func TestRefinementImprovesStaleParent(t *testing.T) {
 		x.MarkJoinStart()
 		r.nodes[1].HandleMessage(2, overlay.ConnRequest{Token: 999, Kind: overlay.ConnChild, Dist: 31.6})
 		x.ApplyConnect(1, 31.6, []overlay.NodeID{0, 1})
-		x.maybeScheduleRefine()
+		x.Tick(x.cfg.RefinePeriodS, 0.1, func() { x.Refine(x.Source()) })
 	})
 	r.Run(now + 60) // a couple of refinement periods
 

@@ -35,34 +35,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Node is one VDM peer: the shared overlay peer base plus VDM's join,
-// reconnection and refinement state machines.
+// Node is one VDM peer: the shared join walk (overlay.Descent) under VDM's
+// rule — the directionality test, Case II splices, the foster quick-start
+// and grandparent-first reconnection.
 type Node struct {
-	*overlay.Peer
+	overlay.Descent
 	cfg    Config
-	rnd    *rng.Stream
-	join   *joinState
-	token  int
 	tracer *obs.Tracer
-
-	// joinFree recycles the previous attempt's joinState (maps and
-	// scratch slices included); see newJoinState.
-	joinFree *joinState
-
-	// timerFree recycles join timeout records, so a join storm's timer
-	// traffic does not churn the heap.
-	timerFree *joinTimer
-
-	// joinSeq counts join procedures started by this node; curJoin is the
-	// correlation id of the current (or most recent) procedure, stamped
-	// on every outgoing join message and trace event. A new id is minted
-	// per trigger — StartJoin, an orphaning, a refinement timer — while
-	// restarts and back-offs keep it, so one logical join stays one
-	// correlatable trace.
-	joinSeq uint32
-	curJoin overlay.JoinID
-
-	refineArmed bool
 	// fostered marks a quick-start attachment that still occupies a
 	// beyond-degree foster slot; the node keeps searching until it has
 	// promoted itself or moved to a proper parent.
@@ -72,27 +51,26 @@ type Node struct {
 // Fostered reports whether the node currently sits in a foster slot.
 func (n *Node) Fostered() bool { return n.fostered }
 
-// JoinID returns the correlation id of the current (or most recent) join
-// procedure; zero before the first join.
-func (n *Node) JoinID() overlay.JoinID { return n.curJoin }
-
-// nextJoinID mints the correlation id for a new join procedure.
-func (n *Node) nextJoinID() overlay.JoinID {
-	n.joinSeq++
-	n.curJoin = overlay.MakeJoinID(n.ID(), n.joinSeq)
-	return n.curJoin
-}
-
 // emit stamps the current join id onto e and forwards it to the tracer.
-// All join-machinery events go through here so every record of one
-// procedure — across restarts — carries the same join_id. An untraced node
-// returns before formatting the id: nobody would read it.
+// Every record of one procedure — across restarts — carries the same
+// join_id. An untraced node returns before formatting the id: nobody
+// would read it.
 func (n *Node) emit(typ string, e obs.Event) {
 	if n.tracer == nil {
 		return
 	}
-	e.JoinID = n.curJoin.String()
+	e.JoinID = n.JoinID().String()
 	n.tracer.Emit(typ, e)
+}
+
+// walkEventTypes names each overlay.WalkEventKind in the trace stream.
+var walkEventTypes = [...]string{
+	overlay.WalkStart:   obs.EvJoinStart,
+	overlay.WalkInfo:    obs.EvJoinStep,
+	overlay.WalkConn:    obs.EvJoinConnect,
+	overlay.WalkTimeout: obs.EvJoinTimeout,
+	overlay.WalkRestart: obs.EvJoinRestart,
+	overlay.WalkDone:    obs.EvJoinDone,
 }
 
 // SetTracer installs the protocol event tracer (nil disables tracing).
@@ -107,10 +85,21 @@ func (n *Node) emit(typ string, e obs.Event) {
 func (n *Node) SetTracer(t *obs.Tracer) {
 	n.tracer = t
 	if t == nil {
+		n.SetWalkObserver(nil)
 		n.Peer.SetServeObserver(nil)
 		n.Peer.SetChunkTraceObserver(nil)
 		return
 	}
+	n.SetWalkObserver(func(ev overlay.WalkEvent) {
+		t.Emit(walkEventTypes[ev.Kind], obs.Event{
+			Target: int64(ev.Target),
+			Case:   ev.Case,
+			Step:   ev.Step,
+			Value:  ev.Value,
+			Detail: ev.Detail,
+			JoinID: ev.JoinID.String(),
+		})
+	})
 	n.Peer.SetServeObserver(func(ev overlay.ServeEvent) {
 		e := obs.Event{Target: int64(ev.From), JoinID: ev.JoinID.String()}
 		switch ev.Kind {
@@ -135,114 +124,38 @@ func (n *Node) SetTracer(t *obs.Tracer) {
 	})
 }
 
-// fosterRetry re-runs the directional search while the node still holds a
-// foster slot (e.g. every proper candidate was briefly saturated).
-func (n *Node) fosterRetry() {
-	if !n.fostered {
-		return
-	}
-	n.Net().After(5, func() {
-		if n.Alive() && n.fostered && n.Connected() && n.join == nil {
-			n.begin(purposeRefine, n.Source())
-		}
-	})
-}
-
 var _ overlay.Protocol = (*Node)(nil)
 
 // New builds a VDM node over the given network. rnd jitters refinement
 // timers (it may be nil when refinement is disabled).
 func New(net overlay.Bus, pc overlay.PeerConfig, cfg Config, rnd *rng.Stream) *Node {
-	n := &Node{
-		Peer: overlay.NewPeer(net, pc),
-		cfg:  cfg.withDefaults(),
-		rnd:  rnd,
-	}
-	n.Peer.SetHooks(n)
+	n := &Node{cfg: cfg.withDefaults()}
+	n.Init(overlay.NewPeer(net, pc), n, rnd)
 	return n
 }
 
-// Base returns the shared peer state.
-func (n *Node) Base() *overlay.Peer { return n.Peer }
-
 // StartJoin begins the join procedure at the source. With FosterJoin the
-// node first attaches directly to the source (or, if the source is full,
-// proceeds normally) so the stream starts flowing while the directional
-// search runs.
+// node first attaches directly to the source so the stream starts flowing
+// while the directional search runs.
 func (n *Node) StartJoin() {
-	if n.IsSource() || !n.Alive() {
-		return
-	}
-	n.MarkJoinStart()
-	n.nextJoinID()
 	if n.cfg.FosterJoin {
-		js := n.newJoinState(purposeJoin, 0)
-		js.foster = true
-		n.join = js
-		n.emit(obs.EvJoinStart, obs.Event{Target: int64(n.Source()), Detail: "foster"})
-		n.connect(js, n.Source(), overlay.ConnChild, nil)
+		n.StartFoster()
 		return
 	}
-	n.begin(purposeJoin, n.Source())
+	n.Descent.StartJoin()
 }
 
-// HandleProtocol consumes the join-procedure responses.
-func (n *Node) HandleProtocol(from overlay.NodeID, m overlay.Message) {
-	switch msg := m.(type) {
-	case overlay.InfoResponse:
-		n.onInfoResponse(from, msg)
-	case overlay.ConnResponse:
-		n.onConnResponse(from, msg)
-	}
-}
-
-// OnOrphaned starts reconnection at the grandparent, falling back to the
-// source when the grandparent is unknown (or turns out to have departed
-// too, which the info timeout detects).
+// OnOrphaned starts reconnection at the grandparent (or, under
+// ReconnectAtSource, at the source); a grandparent that has departed too
+// sends the walk back to the source. An in-flight refinement is
+// abandoned: reconnection has priority.
 func (n *Node) OnOrphaned(leaver, hint overlay.NodeID) {
-	if n.join != nil && n.join.purpose == purposeRefine {
-		// Abandon the in-flight refinement; reconnection has priority.
-		n.EndSwitch()
-		n.endJoin(n.join)
-	}
 	// The orphan event carries the reconnection's join id, so the whole
 	// recovery — trigger included — reads as one trace.
-	n.nextJoinID()
+	n.NextJoinID()
 	n.emit(obs.EvOrphaned, obs.Event{Target: int64(leaver), Detail: hintDetail(hint)})
-	start := hint
-	if n.cfg.ReconnectAtSource || start == overlay.None || start == leaver || start == n.ID() {
-		start = n.Source()
+	if n.cfg.ReconnectAtSource {
+		hint = overlay.None
 	}
-	n.begin(purposeReconnect, start)
-}
-
-// maybeScheduleRefine arms the periodic refinement timer once, after the
-// first successful connection.
-func (n *Node) maybeScheduleRefine() {
-	if n.cfg.RefinePeriodS <= 0 || n.refineArmed {
-		return
-	}
-	n.refineArmed = true
-	n.scheduleRefine()
-}
-
-func (n *Node) scheduleRefine() {
-	period := n.cfg.RefinePeriodS
-	if n.rnd != nil {
-		period *= n.rnd.Uniform(0.9, 1.1)
-	}
-	n.Net().AfterArg(period, refineTick, n)
-}
-
-// refineTick is the shared refinement-timer callback (arg: *Node).
-func refineTick(a any) {
-	n := a.(*Node)
-	if !n.Alive() {
-		return
-	}
-	if n.Connected() && n.join == nil && !n.Switching() {
-		n.nextJoinID()
-		n.begin(purposeRefine, n.Source())
-	}
-	n.scheduleRefine()
+	n.Reconnect(leaver, hint)
 }

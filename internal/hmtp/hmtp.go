@@ -33,10 +33,6 @@ type Node struct {
 	overlay.Descent
 	cfg Config
 	rnd *rng.Stream
-	// reconnect is set once the node has been orphaned: every later
-	// join is a reconnection, which retries at the source when a target
-	// turns out unusable.
-	reconnect bool
 }
 
 var _ overlay.Protocol = (*Node)(nil)
@@ -51,24 +47,7 @@ func New(net overlay.Bus, pc overlay.PeerConfig, cfg Config, rnd *rng.Stream) *N
 
 // OnOrphaned reconnects starting at the grandparent, as VDM does — the
 // dissertation measures both protocols with the same recovery rule.
-func (n *Node) OnOrphaned(leaver, hint overlay.NodeID) {
-	start := hint
-	if start == overlay.None || start == leaver || start == n.ID() {
-		start = n.Source()
-	}
-	n.reconnect = true
-	n.Begin(start)
-}
-
-// Unusable sends a reconnection whose target is dead or disconnected back
-// to the source; anything else restarts.
-func (n *Node) Unusable() {
-	if n.reconnect && n.Target() != n.Source() {
-		n.Info(n.Source())
-		return
-	}
-	n.Fail()
-}
+func (n *Node) OnOrphaned(leaver, hint overlay.NodeID) { n.Reconnect(leaver, hint) }
 
 // Decide implements HMTP's closeness rule: descend into the closest child
 // when it is strictly closer than the queried node, otherwise attach here.

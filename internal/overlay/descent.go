@@ -11,9 +11,9 @@ import (
 // under it, damping oscillation (see Improves).
 const switchMargin = 0.02
 
-// DescentRule is one baseline's part of the shared join walk: the choices
-// Descent leaves open. A rule is the baseline's node, which embeds
-// Descent; Descent's own Visit, Reply, Decide, Unusable, Refused,
+// DescentRule is one protocol's part of the shared join walk: the choices
+// Descent leaves open. A rule is the protocol's node, which embeds
+// Descent; Descent's own Visit, Reply, Decide, Refused, Switched,
 // OnOrphaned and HandleProtocol are the defaults a rule inherits, and a
 // node overrides one by declaring the method itself.
 type DescentRule interface {
@@ -27,14 +27,15 @@ type DescentRule interface {
 	// Decide picks the walk's next step once Survey probed the target's
 	// children kids (nil res when the target has none).
 	Decide(kids []ChildInfo, res ProbeResult)
-	// Unusable handles a join target that timed out or reported itself
-	// disconnected. (A switch walk just ends.)
-	Unusable()
-	// Refused handles a join's refused ConnResponse.
+	// Refused handles a refused ConnResponse. The default ends a switch
+	// walk and steps a join down a level.
 	Refused(m ConnResponse)
 	// Joined commits a join's accepted ConnResponse (ApplyConnect) and
 	// arms the rule's maintenance.
 	Joined(from NodeID, m ConnResponse)
+	// Switched runs when a switch walk ends; moved reports whether it
+	// moved the node under a new parent. The default does nothing.
+	Switched(moved bool)
 }
 
 type descentStage uint8
@@ -46,30 +47,92 @@ const (
 	descentConn
 )
 
-// Descent is the join machine HMTP, NICE, BTP and random join share: a
-// walk down the tree from a start node, one InfoRequest, probe round or
-// ConnRequest at a time, that ends attached or starts over under the
-// shared restart policy. Every stage entry takes a fresh node-monotonic
-// token, and every response, probe result and timeout is fenced by token
-// and stage, so whatever belongs to an abandoned step is ignored.
+// walkKind is why a walk runs; it names the walk in trace events.
+type walkKind uint8
+
+const (
+	walkJoin walkKind = iota
+	walkReconnect
+	walkRefine
+)
+
+func (k walkKind) String() string {
+	return [...]string{"join", "reconnect", "refine"}[k]
+}
+
+// WalkEventKind names the step of a walk a WalkEvent reports.
+type WalkEventKind uint8
+
+const (
+	WalkStart   WalkEventKind = iota // a fresh attempt begins at Target
+	WalkInfo                         // an InfoRequest to Target
+	WalkConn                         // a ConnRequest to Target
+	WalkTimeout                      // Target timed out or is not in the tree
+	WalkRestart                      // the attempt failed at Target
+	WalkDone                         // a join attached under Target
+)
+
+// WalkEvent is one step of a join walk, as the walk's observer sees it
+// (SetWalkObserver). Step is the number of nodes the attempt has visited
+// (WalkInfo, WalkTimeout, WalkDone), the adopt-list length (WalkConn) or
+// the attempt number (WalkRestart); Case names a WalkConn's request
+// ("child", "splice" or "foster"); Value is a WalkDone's seconds since the
+// attempt began; Detail is the walk's purpose ("join", "reconnect",
+// "refine"; "foster" on the start of a foster quick-start).
+type WalkEvent struct {
+	Kind   WalkEventKind
+	Target NodeID
+	Case   string
+	Step   int
+	Value  float64
+	Detail string
+	JoinID JoinID
+}
+
+// Descent is the join machine all five protocols share: a walk down the
+// tree from a start node, one InfoRequest, probe round or ConnRequest at a
+// time, that ends attached or starts over under the shared restart policy.
+// Every stage entry takes a fresh node-monotonic token, and every
+// response, probe result and timeout is fenced by token and stage, so
+// whatever belongs to an abandoned step is ignored.
 //
 // A walk runs in one of two modes. A join attaches an unconnected node and
 // restarts on failure. A switch walk (Refine, SwitchTo) moves a connected
 // node: BeginSwitch before its ConnRequest, ApplySwitch and EndSwitch on
 // acceptance; a refusal, a timeout or the node's orphaning ends it with
 // EndSwitch and leaves the tree as it was.
+//
+// Each procedure carries a join id (JoinID) on its requests and trace
+// events: StartJoin, StartFoster and every maintenance round mint one, a
+// rule mints one for a trigger of its own (NextJoinID), and restarts keep
+// it.
 type Descent struct {
 	*Peer
 	rule DescentRule
 	rnd  *rng.Stream
+	// w is the walk in flight or backing off; nil once the node settled.
+	w       *walk
+	token   int
+	curJoin JoinID
+	observe func(WalkEvent)
 
+	tick         func()
+	tickS, tickJ float64
+}
+
+// walk is the state of one walk. It is allocated when a walk begins,
+// reused by every attempt until the node settles (connected and idle),
+// and then dropped with its timer records, so a population that joined in
+// one storm does not pin a walk per peer for the rest of the run.
+type walk struct {
 	stage    descentStage
-	refining bool // a switch walk is in flight
-	token    int
+	kind     walkKind
+	foster   bool // the attempt began with a foster request
 	attempts int
 	target   NodeID
 	prev     NodeID // the target before the current one
 	sentAt   float64
+	started  float64  // when the attempt began
 	steps    int      // InfoRequests sent this attempt
 	visited  []NodeID // nodes asked this attempt, each once
 	tried    []NodeID // ConnRequest targets this attempt
@@ -77,13 +140,10 @@ type Descent struct {
 	kids     []ChildInfo // the target's children, self excluded
 	ids      []NodeID    // scratch: probe targets and closest candidates
 	timers   *descentTimer
-
-	tick         func()
-	tickS, tickJ float64
 }
 
 // descentTimer carries one info or conn timeout through Bus.AfterArg.
-// Records are free-listed on the Descent; the token and stage fence off a
+// Records are free-listed on the walk; the token and stage fence off a
 // record that fires after its step was left.
 type descentTimer struct {
 	d     *Descent
@@ -96,54 +156,79 @@ type descentTimer struct {
 // as p's hooks. rnd jitters the maintenance ticker; nil runs it unjittered.
 func (d *Descent) Init(p *Peer, rule DescentRule, rnd *rng.Stream) {
 	d.Peer, d.rule, d.rnd = p, rule, rnd
-	d.target, d.prev = None, None
 	p.SetHooks(rule)
 }
 
 // Base returns the shared peer state.
 func (d *Descent) Base() *Peer { return d.Peer }
 
+// SetWalkObserver installs fn to receive every WalkEvent (nil disables).
+func (d *Descent) SetWalkObserver(fn func(WalkEvent)) { d.observe = fn }
+
+// JoinID returns the correlation id of the current (or most recent) join
+// procedure; zero before the first.
+func (d *Descent) JoinID() JoinID { return d.curJoin }
+
+// NextJoinID mints the correlation id of a new join procedure.
+func (d *Descent) NextJoinID() JoinID {
+	d.curJoin = MakeJoinID(d.ID(), d.curJoin.Seq()+1)
+	return d.curJoin
+}
+
 // Joining reports whether a walk (join or switch) is in flight.
-func (d *Descent) Joining() bool { return d.stage != descentIdle }
+func (d *Descent) Joining() bool { return d.w != nil && d.w.stage != descentIdle }
 
 // Refining reports whether the walk in flight is a switch walk.
-func (d *Descent) Refining() bool { return d.refining }
+func (d *Descent) Refining() bool { return d.Joining() && d.w.kind == walkRefine }
 
-// Target returns the node the walk last sent a request to.
-func (d *Descent) Target() NodeID { return d.target }
+// Fostering reports whether the walk began with a foster request.
+func (d *Descent) Fostering() bool { return d.w.foster }
+
+// Target returns the node the walk last sent a request to (None when no
+// walk is held).
+func (d *Descent) Target() NodeID {
+	if d.w == nil {
+		return None
+	}
+	return d.w.target
+}
 
 // Prev returns the target before the current one (None at the start).
-func (d *Descent) Prev() NodeID { return d.prev }
+func (d *Descent) Prev() NodeID { return d.w.prev }
 
 // Steps returns the number of InfoRequests this attempt has sent.
-func (d *Descent) Steps() int { return d.steps }
+func (d *Descent) Steps() int { return d.w.steps }
 
 // Dist returns the distance this walk measured to id.
-func (d *Descent) Dist(id NodeID) (float64, bool) { return d.dists.Get(id) }
+func (d *Descent) Dist(id NodeID) (float64, bool) { return d.w.dists.Get(id) }
 
 // ElapsedMS returns the milliseconds since the walk's last request.
-func (d *Descent) ElapsedMS() float64 { return (d.Now() - d.sentAt) * 1000 }
+func (d *Descent) ElapsedMS() float64 { return (d.Now() - d.w.sentAt) * 1000 }
+
+// Visited reports whether this attempt already asked id anything.
+func (d *Descent) Visited(id NodeID) bool { return slices.Contains(d.w.visited, id) }
 
 // Tried reports whether this attempt already asked id to connect.
-func (d *Descent) Tried(id NodeID) bool { return slices.Contains(d.tried, id) }
+func (d *Descent) Tried(id NodeID) bool { return slices.Contains(d.w.tried, id) }
 
 // Improves reports whether the measured distance to to beats base by the
 // switch margin.
 func (d *Descent) Improves(to NodeID, base float64) bool {
-	v, ok := d.dists.Get(to)
+	v, ok := d.w.dists.Get(to)
 	return ok && v < base*(1-switchMargin)
 }
 
 // Closest returns the unvisited child in kids closest by res, ties broken
 // by the lower id, or None when no unvisited child answered.
 func (d *Descent) Closest(kids []ChildInfo, res ProbeResult) (NodeID, float64) {
-	d.ids = d.ids[:0]
+	w := d.w
+	w.ids = w.ids[:0]
 	for _, ci := range kids {
-		if !slices.Contains(d.visited, ci.ID) {
-			d.ids = append(d.ids, ci.ID)
+		if !slices.Contains(w.visited, ci.ID) {
+			w.ids = append(w.ids, ci.ID)
 		}
 	}
-	return res.Closest(d.ids)
+	return res.Closest(w.ids)
 }
 
 // StartJoin begins the join at the source.
@@ -152,120 +237,243 @@ func (d *Descent) StartJoin() {
 		return
 	}
 	d.MarkJoinStart()
+	d.NextJoinID()
 	d.Begin(d.Source())
+}
+
+// StartFoster begins the join with the quick-start the dissertation
+// describes: a foster request asks the source for a slot beyond its
+// degree, so the stream flows at once, and the rule's Joined runs the
+// directional search as a refinement.
+func (d *Descent) StartFoster() {
+	if d.IsSource() || !d.Alive() {
+		return
+	}
+	d.MarkJoinStart()
+	d.NextJoinID()
+	d.open(0, walkJoin)
+	d.w.foster = true
+	d.trace(WalkEvent{Kind: WalkStart, Target: d.Source(), Detail: "foster"})
+	d.Conn(d.Source())
 }
 
 // OnOrphaned rejoins from the source.
 func (d *Descent) OnOrphaned(leaver, hint NodeID) { d.Begin(d.Source()) }
 
+// Reconnect is the grandparent-first recovery HMTP and VDM share: a walk
+// from hint, the departed parent's own parent, unless it is None, the
+// leaver or the node itself, which start at the source. A target of this
+// walk that turns out unusable sends it back to the source.
+func (d *Descent) Reconnect(leaver, hint NodeID) {
+	start := hint
+	if start == None || start == leaver || start == d.ID() {
+		start = d.Source()
+	}
+	d.begin(walkReconnect, start)
+	d.rule.Visit(start)
+}
+
 // Begin starts a join attempt at start, abandoning any walk in flight.
 func (d *Descent) Begin(start NodeID) {
-	d.begin(0, false)
+	d.begin(walkJoin, start)
 	d.rule.Visit(start)
 }
 
 // Refine starts a switch walk at start with an InfoRequest.
 func (d *Descent) Refine(start NodeID) {
-	d.begin(0, true)
+	d.begin(walkRefine, start)
 	d.Info(start)
 }
 
 // SwitchTo starts a switch walk straight at to: probe it, then ask it to
 // connect.
 func (d *Descent) SwitchTo(to NodeID) {
-	d.begin(0, true)
-	d.probeClosest(append(d.ids[:0], to), d.Conn)
+	w := d.begin(walkRefine, to)
+	d.probeClosest(append(w.ids[:0], to), false, d.Conn)
 }
 
-// begin resets the per-attempt state. A switch walk in flight ends with
+// begin opens a fresh attempt of kind and traces its start at start.
+func (d *Descent) begin(kind walkKind, start NodeID) *walk {
+	w := d.open(0, kind)
+	d.trace(WalkEvent{Kind: WalkStart, Target: start, Detail: kind.String()})
+	return w
+}
+
+// open resets the walk state for attempt number attempts of kind,
+// allocating it if the node had settled. A switch walk in flight ends with
 // EndSwitch, so an orphaning never leaves the node refusing children.
-func (d *Descent) begin(attempts int, refine bool) {
-	if d.refining {
-		d.EndSwitch()
+func (d *Descent) open(attempts int, kind walkKind) *walk {
+	d.EndSwitch()
+	w := d.w
+	if w == nil {
+		w = &walk{}
+		d.w = w
 	}
-	d.attempts, d.refining = attempts, refine
-	d.target, d.prev, d.steps = None, None, 0
-	d.tried, d.visited, d.dists = d.tried[:0], d.visited[:0], d.dists[:0]
+	*w = walk{
+		kind:     kind,
+		attempts: attempts,
+		target:   None,
+		prev:     None,
+		started:  d.Now(),
+		visited:  w.visited[:0],
+		tried:    w.tried[:0],
+		dists:    w.dists[:0],
+		kids:     w.kids[:0],
+		ids:      w.ids[:0],
+		timers:   w.timers,
+	}
+	return w
 }
 
 // enter moves the walk to stage st under a fresh token.
 func (d *Descent) enter(st descentStage) {
-	d.stage = st
+	d.w.stage = st
 	d.token++
 }
 
-func (d *Descent) stop() {
-	d.stage = descentIdle
-	d.refining = false
+// at reports whether the walk is still at stage st under token tok.
+func (d *Descent) at(st descentStage, tok int) bool {
+	return d.w != nil && d.w.stage == st && d.token == tok
 }
 
-// Fail ends the attempt: a switch walk stops with EndSwitch; a join starts
+func (d *Descent) stop() { d.w.stage = descentIdle }
+
+// settle drops the walk state once the node is idle (a hook may have
+// begun the next walk) and stops the prober recycling its rounds.
+func (d *Descent) settle() {
+	if d.Joining() {
+		return
+	}
+	d.w = nil
+	d.Prober().Trim()
+}
+
+func (d *Descent) trace(e WalkEvent) {
+	if d.observe != nil {
+		e.JoinID = d.curJoin
+		d.observe(e)
+	}
+}
+
+// Fail ends the attempt: a switch walk stops where it is; a join starts
 // over from the source under the shared restart policy.
 func (d *Descent) Fail() {
-	if d.refining {
-		d.EndSwitch()
-		d.stop()
+	if d.w.kind == walkRefine {
+		d.end()
+		return
+	}
+	d.retry()
+}
+
+// retry records the attempt's failure and starts the join over from the
+// source, at once while under the attempt budget and after a back-off
+// past it; a switch walk ends instead.
+func (d *Descent) retry() {
+	w := d.w
+	d.trace(WalkEvent{Kind: WalkRestart, Target: w.target, Step: w.attempts + 1, Detail: w.kind.String()})
+	if w.kind == walkRefine {
+		d.end()
 		return
 	}
 	d.stop()
-	d.RestartJoin(d.attempts+1, func() bool { return !d.Joining() }, d.restart)
+	kind := w.kind
+	d.RestartJoin(w.attempts+1, func() bool { return !d.Joining() }, func(attempts int) {
+		d.open(attempts, kind)
+		if attempts == 0 {
+			d.trace(WalkEvent{Kind: WalkStart, Target: d.Source(), Detail: kind.String()})
+		}
+		d.rule.Visit(d.Source())
+	})
 }
 
-func (d *Descent) restart(attempts int) {
-	d.begin(attempts, false)
-	d.rule.Visit(d.Source())
+// end stops a switch walk that did not move the node.
+func (d *Descent) end() {
+	d.EndSwitch()
+	d.stop()
+	d.rule.Switched(false)
+	d.settle()
 }
 
 // Info asks to for its children.
 func (d *Descent) Info(to NodeID) {
-	d.prev, d.target = d.target, to
-	d.visit(to)
-	d.sentAt = d.Now()
-	d.steps++
+	w := d.w
+	w.prev, w.target = w.target, to
+	w.visit(to)
+	w.sentAt = d.Now()
+	w.steps++
 	d.enter(descentInfo)
-	d.Net().Send(d.ID(), to, InfoRequest{Token: d.token})
+	d.trace(WalkEvent{Kind: WalkInfo, Target: to, Step: len(w.visited), Detail: w.kind.String()})
+	d.Net().Send(d.ID(), to, InfoRequest{Token: d.token, JoinID: d.curJoin})
 	d.arm(d.InfoTimeoutS)
 }
 
-// Conn asks to to adopt the node, carrying the measured distance (zero
-// when unmeasured). A switch walk marks the switch in flight first.
-func (d *Descent) Conn(to NodeID) {
-	if d.refining {
+// Conn asks to to adopt the node as a child.
+func (d *Descent) Conn(to NodeID) { d.Splice(to, nil) }
+
+// Splice asks to to adopt the node and hand it the children in adopt
+// (Case II of VDM); with no adopt list it is a plain child request. The
+// request carries the measured distance (zero when unmeasured), and a
+// switch walk marks the switch in flight first. A foster request is not a
+// step of the walk: it leaves to unvisited.
+func (d *Descent) Splice(to NodeID, adopt []NodeID) {
+	w := d.w
+	if w.kind == walkRefine {
 		d.BeginSwitch()
 	}
-	d.target = to
-	d.visit(to)
-	d.tried = append(d.tried, to)
-	d.sentAt = d.Now()
+	w.target = to
+	if !w.foster {
+		w.visit(to)
+	}
+	w.tried = append(w.tried, to)
+	w.sentAt = d.Now()
 	d.enter(descentConn)
-	dist, _ := d.dists.Get(to)
-	d.Net().Send(d.ID(), to, ConnRequest{Token: d.token, Kind: ConnChild, Dist: dist})
+	kind, name := ConnChild, "child"
+	switch {
+	case w.foster:
+		name = "foster"
+	case len(adopt) > 0:
+		kind, name = ConnSplice, "splice"
+	}
+	d.trace(WalkEvent{Kind: WalkConn, Target: to, Case: name, Step: len(adopt)})
+	dist, _ := w.dists.Get(to)
+	d.Net().Send(d.ID(), to, ConnRequest{
+		Token:  d.token,
+		Kind:   kind,
+		Dist:   dist,
+		Adopt:  adopt,
+		Foster: w.foster,
+		JoinID: d.curJoin,
+	})
 	d.arm(ConnTimeoutS)
 }
 
-func (d *Descent) visit(id NodeID) {
-	if !slices.Contains(d.visited, id) {
-		d.visited = append(d.visited, id)
+func (w *walk) visit(id NodeID) {
+	if !slices.Contains(w.visited, id) {
+		w.visited = append(w.visited, id)
 	}
 }
 
 func (d *Descent) arm(delay float64) {
-	t := d.timers
+	w := d.w
+	t := w.timers
 	if t == nil {
 		t = &descentTimer{d: d}
 	} else {
-		d.timers = t.next
+		w.timers, t.next = t.next, nil
 	}
-	t.token, t.stage = d.token, d.stage
+	t.token, t.stage = d.token, w.stage
 	d.Net().AfterArg(delay, descentTimeout, t)
 }
 
-// descentTimeout is the shared timeout callback (arg: *descentTimer).
+// descentTimeout is the shared timeout callback (arg: *descentTimer). A
+// record that fires once the node settled goes to the collector.
 func descentTimeout(a any) {
 	t := a.(*descentTimer)
 	d, tok, st := t.d, t.token, t.stage
-	t.next, d.timers = d.timers, t
-	if tok != d.token || st != d.stage {
+	if w := d.w; w != nil {
+		t.next, w.timers = w.timers, t
+	}
+	if !d.at(st, tok) {
 		return // the walk has left the step this timer guarded
 	}
 	if st == descentInfo {
@@ -275,43 +483,55 @@ func descentTimeout(a any) {
 	d.Fail()
 }
 
+// unusable handles a target that timed out or is not in the tree: a
+// reconnection falls back to the source; anything else fails.
 func (d *Descent) unusable() {
-	if d.refining {
-		d.Fail()
+	w := d.w
+	d.trace(WalkEvent{Kind: WalkTimeout, Target: w.target, Step: len(w.visited), Detail: w.kind.String()})
+	if w.kind == walkReconnect && w.target != d.Source() {
+		d.Info(d.Source())
 		return
 	}
-	d.rule.Unusable()
+	d.Fail()
 }
 
 // HandleProtocol feeds the walk its InfoResponses and ConnResponses.
 func (d *Descent) HandleProtocol(from NodeID, m Message) {
 	switch msg := m.(type) {
 	case InfoResponse:
-		if d.stage == descentInfo && d.token == msg.Token && d.target == from {
+		if d.at(descentInfo, msg.Token) && d.w.target == from {
 			d.rule.Reply(from, msg)
 		}
 	case ConnResponse:
-		if d.stage == descentConn && d.token == msg.Token && d.target == from {
+		if d.at(descentConn, msg.Token) && d.w.target == from {
 			d.answered(from, msg)
 		}
 	}
 }
 
 func (d *Descent) answered(from NodeID, m ConnResponse) {
+	w := d.w
 	switch {
-	case m.Accepted && d.refining:
-		dist, _ := d.dists.Get(from)
+	case !m.Accepted:
+		if w.kind == walkRefine {
+			// Not switching while the rule decides: a walk that goes on
+			// below the refusing node switches again at its next request.
+			d.EndSwitch()
+		}
+		d.rule.Refused(m)
+		return
+	case w.kind == walkRefine:
+		dist, _ := w.dists.Get(from)
 		d.ApplySwitch(from, dist, m.RootPath)
 		d.EndSwitch()
 		d.stop()
-	case m.Accepted:
+		d.rule.Switched(true)
+	default:
+		d.trace(WalkEvent{Kind: WalkDone, Target: from, Step: len(w.visited), Value: d.Now() - w.started, Detail: w.kind.String()})
 		d.stop()
 		d.rule.Joined(from, m)
-	case d.refining:
-		d.Fail()
-	default:
-		d.rule.Refused(m)
 	}
+	d.settle()
 }
 
 // Visit asks id for its children.
@@ -330,64 +550,96 @@ func (d *Descent) Reply(from NodeID, m InfoResponse) {
 // Survey measures the target from the info exchange, then probes its
 // children (self excluded) and hands them to the rule's Decide.
 func (d *Descent) Survey(from NodeID, m InfoResponse) {
-	d.dists.Put(from, d.Measure(from, d.ElapsedMS()))
-	d.kids, d.ids = d.kids[:0], d.ids[:0]
+	w := d.w
+	w.dists.Put(from, d.Measure(from, d.ElapsedMS()))
+	w.kids, w.ids = w.kids[:0], w.ids[:0]
 	for _, ci := range m.Children {
 		if ci.ID != d.ID() {
-			d.kids = append(d.kids, ci)
-			d.ids = append(d.ids, ci.ID)
+			w.kids = append(w.kids, ci)
+			w.ids = append(w.ids, ci.ID)
 		}
 	}
-	if len(d.ids) == 0 {
-		d.rule.Decide(d.kids, nil)
+	if len(w.ids) == 0 {
+		d.rule.Decide(w.kids, nil)
 		return
 	}
 	d.enter(descentProbe)
 	tok := d.token
-	d.Prober().Launch(d.ids, ProbeTimeoutS, func(res ProbeResult) {
-		if d.stage != descentProbe || d.token != tok {
+	d.Prober().Launch(w.ids, ProbeTimeoutS, func(res ProbeResult) {
+		if !d.at(descentProbe, tok) {
 			return
 		}
-		d.dists.Merge(res)
-		d.rule.Decide(d.kids, res)
+		w.dists.Merge(res)
+		d.rule.Decide(w.kids, res)
 	})
 }
 
 // Decide attaches at the target.
-func (d *Descent) Decide(kids []ChildInfo, res ProbeResult) { d.Conn(d.target) }
+func (d *Descent) Decide(kids []ChildInfo, res ProbeResult) { d.Conn(d.w.target) }
 
-// Unusable fails the attempt.
-func (d *Descent) Unusable() { d.Fail() }
-
-// Refused steps down a level, figure 2.8 of the dissertation: probe the
-// refusing node's unvisited children and Visit the closest.
+// Refused ends a switch walk and steps a join down a level.
 func (d *Descent) Refused(m ConnResponse) {
-	d.ids = d.ids[:0]
-	for _, ci := range m.Children {
-		if ci.ID != d.ID() && !slices.Contains(d.visited, ci.ID) {
-			d.ids = append(d.ids, ci.ID)
-		}
-	}
-	if len(d.ids) == 0 {
+	if d.w.kind == walkRefine {
 		d.Fail()
 		return
 	}
-	d.probeClosest(d.ids, d.rule.Visit)
+	d.StepDown(m, false)
 }
 
-// probeClosest probes cands and hands the closest responder, ties broken
-// by the lower id, to next; with no responder the attempt fails.
-func (d *Descent) probeClosest(cands []NodeID, next func(NodeID)) {
+// Switched does nothing.
+func (d *Descent) Switched(moved bool) {}
+
+// StepDown moves the walk a level down after a refusal, figure 2.8 of the
+// dissertation: it Visits the refusing node's unvisited child closest by a
+// probe round, and starts over when there is none. With known, every
+// distance the walk measured counts, and the round is skipped when each
+// child already has one.
+func (d *Descent) StepDown(m ConnResponse, known bool) {
+	w := d.w
+	w.ids = w.ids[:0]
+	for _, ci := range m.Children {
+		if ci.ID != d.ID() && !slices.Contains(w.visited, ci.ID) {
+			w.ids = append(w.ids, ci.ID)
+		}
+	}
+	if len(w.ids) == 0 {
+		d.retry()
+		return
+	}
+	if known && measuredAll(w.ids, w.dists) {
+		best, _ := w.dists.Closest(w.ids)
+		d.rule.Visit(best)
+		return
+	}
+	d.probeClosest(w.ids, known, d.rule.Visit)
+}
+
+func measuredAll(ids []NodeID, dists ProbeResult) bool {
+	for _, id := range ids {
+		if _, ok := dists.Get(id); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// probeClosest probes cands and hands the closest responder (with known,
+// the closest by every distance the walk measured), ties broken by the
+// lower id, to next; with none the attempt starts over.
+func (d *Descent) probeClosest(cands []NodeID, known bool, next func(NodeID)) {
 	d.enter(descentProbe)
 	tok := d.token
 	d.Prober().Launch(cands, ProbeTimeoutS, func(res ProbeResult) {
-		if d.stage != descentProbe || d.token != tok {
+		if !d.at(descentProbe, tok) {
 			return
 		}
-		d.dists.Merge(res)
+		d.w.dists.Merge(res)
+		if known {
+			res = d.w.dists
+		}
 		best, _ := res.Closest(cands)
 		if best == None {
-			d.Fail()
+			d.retry()
 			return
 		}
 		next(best)
@@ -396,8 +648,8 @@ func (d *Descent) probeClosest(cands []NodeID, next func(NodeID)) {
 
 // Tick starts the rule's maintenance, once: body runs every
 // periodS·U(1−jitter, 1+jitter) seconds while the peer is connected, idle
-// and not switching, and the ticker stops when the peer leaves. Each
-// round runs body before it draws the next period.
+// and not switching, under a new join id, and the ticker stops when the
+// peer leaves. Each round runs body before it draws the next period.
 func (d *Descent) Tick(periodS, jitter float64, body func()) {
 	if d.tick != nil {
 		return
@@ -421,6 +673,7 @@ func descentTick(a any) {
 		return
 	}
 	if d.Connected() && !d.Joining() && !d.Switching() {
+		d.NextJoinID()
 		d.tick()
 	}
 	d.scheduleTick()
