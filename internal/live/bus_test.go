@@ -63,8 +63,7 @@ func networkRig(t *testing.T, log *[]string) busRig {
 // fabric, so every message crosses the exchange.
 func fabricRig(t *testing.T, log *[]string) busRig {
 	qs := []*eventq.Sim{eventq.New(), eventq.New()}
-	r := overlay.NewShardRouter(underlay.NewStatic(busRTT), 1, qs,
-		func(id overlay.NodeID) int { return int(id) % 2 },
+	r := overlay.NewShardRouter(underlay.NewStatic(busRTT), 1, qs, []int{0, 1}, 0.005,
 		func(overlay.NodeID, float64) bool { return true })
 	r.Net(0).Register(0, recHandler{new([]string)})
 	r.Net(1).Register(1, recHandler{log})
@@ -78,7 +77,9 @@ func fabricRig(t *testing.T, log *[]string) busRig {
 				h := qs[1].Now() + 0.005
 				qs[0].RunBefore(h)
 				qs[1].RunBefore(h)
-				r.Exchange()
+				if _, err := r.Exchange(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		},
 		stop: func() {},

@@ -228,7 +228,7 @@ func (n *Network) Send(from, to NodeID, m Message) bool {
 		}
 	}
 	if n.x != nil {
-		if dst := n.x.r.shardOf(to); dst != n.x.idx {
+		if dst := n.x.r.owner[to]; dst != n.x.idx {
 			return n.x.send(n, dst, from, to, m, draw)
 		}
 	}

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"sort"
 
 	"vdm/internal/eventq"
@@ -22,9 +23,10 @@ type AliveAtFunc func(id NodeID, at float64) bool
 // total order. The traffic counters are one set of atomics shared by all
 // S networks.
 type ShardRouter struct {
-	shardOf func(NodeID) int
-	aliveAt AliveAtFunc
-	nets    []*Network
+	owner     []int // node id -> shard
+	lookahead float64
+	aliveAt   AliveAtFunc
+	nets      []*Network
 
 	scratch []xdelivery
 }
@@ -48,12 +50,14 @@ type xdelivery struct {
 }
 
 // NewShardRouter builds the fabric over u for the given shard event
-// queues; shardOf maps node ids to shards and aliveAt is the membership
-// timeline. The caller steps the queues, and with more than one it needs
-// a positive lower bound on delivery delay as its lookahead (sim takes
-// underlay.KeyedJitter.MinOneWayDelayMS).
-func NewShardRouter(u underlay.Underlay, drawSeed int64, sims []*eventq.Sim, shardOf func(NodeID) int, aliveAt AliveAtFunc) *ShardRouter {
-	r := &ShardRouter{shardOf: shardOf, aliveAt: aliveAt}
+// queues; owner maps node ids to shards and aliveAt is the membership
+// timeline. The caller steps the queues in epochs no longer than
+// lookahead (seconds), a lower bound on the delay of every message
+// between two shards (sim takes both owner and lookahead from
+// underlay.KeyedJitter.Partition); Exchange reports a delivery that
+// breaks the bound.
+func NewShardRouter(u underlay.Underlay, drawSeed int64, sims []*eventq.Sim, owner []int, lookahead float64, aliveAt AliveAtFunc) *ShardRouter {
+	r := &ShardRouter{owner: owner, lookahead: lookahead, aliveAt: aliveAt}
 	ctrs := new(Counters)
 	for i, s := range sims {
 		n := NewNetwork(s, u, drawSeed)
@@ -86,8 +90,9 @@ func (x *xshard) send(n *Network, dst int, from, to NodeID, m Message, draw uint
 // in (deliverAt, from, sendIdx) order — a total order, since a sender's
 // send indices are unique. Call only at epoch barriers, with every shard
 // paused: it touches all shard queues. It returns how many deliveries
-// moved.
-func (r *ShardRouter) Exchange() int {
+// moved, or an error for a delivery timed before its destination's clock:
+// the epoch outran the lookahead, and the run is no longer the serial one.
+func (r *ShardRouter) Exchange() (int, error) {
 	moved := 0
 	for d, dst := range r.nets {
 		batch := r.scratch[:0]
@@ -109,13 +114,17 @@ func (r *ShardRouter) Exchange() int {
 			return batch[i].idx < batch[j].idx
 		})
 		for _, x := range batch {
+			if now := dst.Sim.Now(); x.at < now {
+				return moved, fmt.Errorf("overlay: delivery %d→%d from shard %d at t=%vs lands before shard %d's clock %vs: an epoch outran the %vs lookahead",
+					x.from, x.to, r.owner[x.from], x.at, d, now, r.lookahead)
+			}
 			dst.scheduleDelivery(x.at, x.from, x.to, x.m)
 		}
 		moved += len(batch)
 		clear(batch)
 		r.scratch = batch[:0]
 	}
-	return moved
+	return moved, nil
 }
 
 // DiscardOutboxes drops any deliveries still buffered (used at the final

@@ -1,6 +1,9 @@
 package rng
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // EdgeCounters holds the draw indices of the keyed RNG: for every pair of
 // endpoints that ever exchanged a message, how many draws each direction
@@ -14,7 +17,12 @@ import "fmt"
 // InfoResponse or an ack finds its counter in the slot the request touched
 // one one-way delay earlier, and a session has about half as many pairs as
 // directed edges. Nothing else lives in the slot: at the scale cell's
-// ~half a million pairs the table is 2²⁰ × 8 B = 8.4 MB.
+// ~half a million pairs the table is 717 445 × 8 B = 5.7 MB.
+//
+// A key's home slot is the high word of mix64(key) × len (multiply-shift),
+// and probing is linear with wrap-around, so the length need not be a
+// power of two: a full table grows by half, not by double, and its length
+// stays within 4/3 and 2 times the pairs it holds.
 //
 // Most pairs are first contacts of a join that never draw again, so 11
 // bits per direction hold nearly all of them. A pair the slot cannot hold
@@ -47,8 +55,21 @@ const (
 	moved = countMax<<countBits | countMax
 )
 
-// edgeCountersMinSize is the table size on first insert (a power of two).
+// edgeCountersMinSize is the table size on first insert.
 const edgeCountersMinSize = 64
+
+// full reports whether one more key would take a table of size slots
+// holding n keys past 3/4 load.
+func full(n, size int) bool { return 4*(n+1) > 3*size }
+
+// grownSize is the size a full table of size slots grows to.
+func grownSize(size int) int { return max(size+size/2, edgeCountersMinSize) }
+
+// home returns key's first probe slot in a table of size slots.
+func home(key uint64, size int) int {
+	hi, _ := bits.Mul64(mix64(key), uint64(size))
+	return int(hi)
+}
 
 // Next returns the number of draws already made on the directed edge
 // from→to and advances its counter — the first call returns 0, the second
@@ -62,7 +83,7 @@ func (t *EdgeCounters) Next(from, to uint32) uint64 {
 	if hi >= 1<<idBits {
 		return t.wide.next(from, to)
 	}
-	if t.n >= len(t.slots)-len(t.slots)/4 {
+	if full(t.n, len(t.slots)) {
 		t.grow()
 	}
 	key := uint64(lo)<<idBits | uint64(hi)
@@ -70,8 +91,10 @@ func (t *EdgeCounters) Next(from, to uint32) uint64 {
 	if from > to {
 		shift = 0 // rev
 	}
-	mask := uint64(len(t.slots) - 1)
-	for i := mix64(key) & mask; ; i = (i + 1) & mask {
+	for i := home(key, len(t.slots)); ; i++ {
+		if i == len(t.slots) {
+			i = 0
+		}
 		s := &t.slots[i]
 		if *s == 0 {
 			*s = key<<keyShift | 1<<shift
@@ -105,18 +128,19 @@ func (t *EdgeCounters) move(s *uint64) {
 	*s |= moved
 }
 
-// grow rehashes into a table of twice the size.
+// grow rehashes into a table half as large again.
 func (t *EdgeCounters) grow() {
 	old := t.slots
-	t.slots = make([]uint64, max(2*len(old), edgeCountersMinSize))
-	mask := uint64(len(t.slots) - 1)
+	t.slots = make([]uint64, grownSize(len(old)))
 	for _, s := range old {
 		if s == 0 {
 			continue
 		}
-		i := mix64(s>>keyShift) & mask
+		i := home(s>>keyShift, len(t.slots))
 		for t.slots[i] != 0 {
-			i = (i + 1) & mask
+			if i++; i == len(t.slots) {
+				i = 0
+			}
 		}
 		t.slots[i] = s
 	}
@@ -157,11 +181,13 @@ func (t *wideCounters) next(from, to uint32) uint64 {
 // slot returns key's slot, claiming an empty one for a new key; the
 // caller makes a count non-zero before the next call.
 func (t *wideCounters) slot(key uint64) *edgeSlot {
-	if t.n >= len(t.slots)-len(t.slots)/4 {
+	if full(t.n, len(t.slots)) {
 		t.grow()
 	}
-	mask := uint64(len(t.slots) - 1)
-	for i := mix64(key) & mask; ; i = (i + 1) & mask {
+	for i := home(key, len(t.slots)); ; i++ {
+		if i == len(t.slots) {
+			i = 0
+		}
 		s := &t.slots[i]
 		if s.fwd|s.rev == 0 {
 			s.key = key
@@ -174,18 +200,19 @@ func (t *wideCounters) slot(key uint64) *edgeSlot {
 	}
 }
 
-// grow rehashes into a table of twice the size.
+// grow rehashes into a table half as large again.
 func (t *wideCounters) grow() {
 	old := t.slots
-	t.slots = make([]edgeSlot, max(2*len(old), edgeCountersMinSize))
-	mask := uint64(len(t.slots) - 1)
+	t.slots = make([]edgeSlot, grownSize(len(old)))
 	for _, s := range old {
 		if s.fwd|s.rev == 0 {
 			continue
 		}
-		i := mix64(s.key) & mask
+		i := home(s.key, len(t.slots))
 		for t.slots[i].fwd|t.slots[i].rev != 0 {
-			i = (i + 1) & mask
+			if i++; i == len(t.slots) {
+				i = 0
+			}
 		}
 		t.slots[i] = s
 	}

@@ -97,6 +97,39 @@ func TestEdgeCountersMatchMap(t *testing.T) {
 	}
 }
 
+// TestEdgeCountersGrowByHalf: both tables grow by half when an insert
+// would pass 3/4 load, so past the first size each one's length stays
+// between 4/3 and 2 times the pairs it holds.
+func TestEdgeCountersGrowByHalf(t *testing.T) {
+	for _, base := range []uint32{0, 1 << idBits} { // packed, wide
+		var tab EdgeCounters
+		size := func() (int, int) {
+			if base == 0 {
+				return len(tab.slots), tab.n
+			}
+			return len(tab.wide.slots), tab.wide.n
+		}
+		prev, growths := 0, 0
+		for k := uint32(0); k < 100_000; k++ {
+			tab.Next(base+k, base+k+1)
+			l, n := size()
+			if l != prev {
+				if prev != 0 && l != prev+prev/2 {
+					t.Fatalf("base %d: grew %d → %d slots, want %d", base, prev, l, prev+prev/2)
+				}
+				prev = l
+				growths++
+			}
+			if 3*l < 4*n || (l > edgeCountersMinSize && l > 2*n) {
+				t.Fatalf("base %d: %d slots for %d pairs, want between 4/3 and 2 times", base, l, n)
+			}
+		}
+		if growths < 10 {
+			t.Fatalf("base %d: %d sizes; the test is not exercising growth", base, growths)
+		}
+	}
+}
+
 // TestEdgeCountersDirectionsAreIndependent pins the slot layout's one
 // subtlety: the two directions share a slot and nothing else, and a
 // self-edge counts once.
@@ -229,8 +262,8 @@ func cellPairs(tab *EdgeCounters) {
 	}
 }
 
-// TestEdgeCountersCellFootprint: the scale cell's pairs fit in 8.4 MB of
-// live heap, one 8-byte slot per pair at the table's 2²⁰ slots.
+// TestEdgeCountersCellFootprint: the scale cell's pairs fit in 6 MB of
+// live heap, one 8-byte slot per pair at the table's 717 445 slots.
 func TestEdgeCountersCellFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a half-million-pair table")
@@ -243,13 +276,13 @@ func TestEdgeCountersCellFootprint(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(tab)
-	if used := int64(after.HeapAlloc) - int64(before.HeapAlloc); used > 8_400_000 {
-		t.Fatalf("the cell's pairs hold %.2f MB of live heap, want ≤ 8.4 MB", float64(used)/1e6)
+	if used := int64(after.HeapAlloc) - int64(before.HeapAlloc); used > 6_000_000 {
+		t.Fatalf("the cell's pairs hold %.2f MB of live heap, want ≤ 6 MB", float64(used)/1e6)
 	}
 }
 
 // BenchmarkEdgeCounters is Network.Send's counter step at the scale cell's
-// size: half a million pairs in an 8.4 MB table, each send a random pair
+// size: half a million pairs in a 5.7 MB table, each send a random pair
 // in a random direction, so nearly every Next is one cache miss.
 func BenchmarkEdgeCounters(b *testing.B) {
 	benchEdgeCounters(b, false)

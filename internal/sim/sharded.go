@@ -4,19 +4,25 @@
 // The session state it advances is the same one (sim.go); only the
 // stepping of the queues and the place measurements fire differ.
 //
-// Peers are partitioned across S shards (slot mod S), each shard owning a
-// private event queue and running on its own goroutine. Execution
-// alternates between epochs and barriers:
+// Peers are partitioned across S shards by the underlay
+// (underlay.KeyedJitter.Partition: on a transit-stub graph, blocks of
+// whole transit domains), each shard owning a private event queue and
+// running on its own goroutine. Execution alternates between epochs and
+// barriers:
 //
 //   - An epoch runs every shard forward to a shared horizon
-//     min-next-event + lookahead, where lookahead is the underlay's
-//     minimum one-way delay. Any message an event at time τ sends lands
-//     at τ + delay ≥ τ + lookahead ≥ horizon, so nothing a shard does
-//     inside the epoch can affect another shard within the same epoch —
-//     the classic conservative-lookahead argument.
+//     min-next-event + lookahead, where lookahead is the least delay a
+//     message between two shards can take under that partition. Any
+//     cross-shard message an event at time τ sends lands at τ + delay ≥
+//     τ + lookahead ≥ horizon, so nothing a shard does inside the epoch
+//     can affect another shard within the same epoch — the classic
+//     conservative-lookahead argument. Same-shard messages may be faster;
+//     they never leave their queue.
 //   - At the barrier, cross-shard messages buffered in per-destination
 //     outboxes are exchanged into the destination queues in a
-//     deterministic total order (deliver-time, sender, send-index).
+//     deterministic total order (deliver-time, sender, send-index). A
+//     delivery timed before its destination's clock is an error, not a
+//     silent reordering.
 //
 // Determinism does not come from the barriers alone: every random draw
 // that used to consume a shared stream in global event order (chunk loss,
@@ -41,7 +47,6 @@ import (
 	"time"
 
 	"vdm/internal/eventq"
-	"vdm/internal/underlay"
 )
 
 // runtimeSeqBase separates setup-scheduled events (tick starter, scenario
@@ -107,18 +112,9 @@ func (s *session) driveEpochs() error {
 		ss.workers = append(ss.workers, &shardWorker{sim: q, cmds: make(chan epochCmd)})
 	}
 
-	lookahead := math.Inf(1)
-	if S > 1 {
-		kj, ok := s.u.(underlay.KeyedJitter)
-		if !ok {
-			return fmt.Errorf("sim: underlay %T lacks keyed jitter; the sharded engine requires it", s.u)
-		}
-		lookahead = kj.MinOneWayDelayMS() / 1000
-	}
-
 	// Flight recorder: per-shard send probes (lock-free; merged at
 	// barriers) and busy-time accounting on the workers.
-	prof := newShardProf(s.newRecorder("sharded", S, lookahead), S)
+	prof := newShardProf(s.newRecorder("sharded", S, s.lookahead), S)
 	if prof != nil {
 		for _, w := range ss.workers {
 			w.timed = true
@@ -127,7 +123,7 @@ func (s *session) driveEpochs() error {
 
 	ss.startWorkers()
 	defer ss.stopWorkers()
-	if err := ss.controllerLoop(lookahead, prof); err != nil {
+	if err := ss.controllerLoop(prof); err != nil {
 		return err
 	}
 	return prof.close()
@@ -201,7 +197,7 @@ func (ss *controller) phase(mode int, t float64) error {
 // measurement instants, follow-up re-checks and the session end. prof,
 // when non-nil, records engine telemetry at barriers (it never schedules
 // events, so profiled and unprofiled runs fire the identical sequence).
-func (ss *controller) controllerLoop(lookahead float64, prof *shardProf) error {
+func (ss *controller) controllerLoop(prof *shardProf) error {
 	cfg := ss.cfg
 	duration := cfg.DurationS
 
@@ -240,7 +236,7 @@ func (ss *controller) controllerLoop(lookahead float64, prof *shardProf) error {
 			}
 		}
 
-		if horizon := tmin + lookahead; horizon < nextStop {
+		if horizon := tmin + ss.lookahead; horizon < nextStop {
 			// Plain epoch: no measurement inside, just advance and
 			// exchange. Every cross-shard delivery sent by an event at
 			// τ ≥ tmin lands at τ + delay ≥ horizon, after the barrier.
@@ -252,7 +248,10 @@ func (ss *controller) controllerLoop(lookahead float64, prof *shardProf) error {
 			if err := ss.phase(cmdBefore, horizon); err != nil {
 				return err
 			}
-			moved := ss.router.Exchange()
+			moved, err := ss.router.Exchange()
+			if err != nil {
+				return err
+			}
 			epochs++
 			if prof != nil {
 				prof.noteEpoch(ss, horizon, moved, epochWall(timedEpoch, t0))
@@ -273,7 +272,10 @@ func (ss *controller) controllerLoop(lookahead float64, prof *shardProf) error {
 		if err := ss.phase(cmdBand, t); err != nil {
 			return err
 		}
-		moved := ss.router.Exchange()
+		moved, err := ss.router.Exchange()
+		if err != nil {
+			return err
+		}
 		epochs++
 		if prof != nil {
 			prof.noteEpoch(ss, t, moved, epochWall(timedEpoch, t0))

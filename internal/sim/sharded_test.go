@@ -34,10 +34,12 @@ func renderResult(r *Result) string {
 	return b.String()
 }
 
-// parityConfigs are the two workload styles the chapter experiments use:
-// a chapter-3 churn session (VDM, delay metric, control-loss injection)
-// and a chapter-4 batch-growth session (HMTP, loss metric over lossy
-// links). Small enough to sweep four shard counts in a test run.
+// parityConfigs are the workload styles the chapter experiments use: a
+// chapter-3 churn session (VDM, delay metric, control-loss injection), a
+// chapter-4 batch-growth session (HMTP, loss metric over lossy links) and
+// a chapter-5 session on the synthetic PlanetLab, whose partition splits
+// by region instead of transit domain. Small enough to sweep five shard
+// counts in a test run.
 func parityConfigs() map[string]Config {
 	return map[string]Config{
 		"ch3-churn": {
@@ -66,6 +68,19 @@ func parityConfigs() map[string]Config {
 			LinkLossMax: 0.05,
 			ComputeMST:  true,
 		},
+		"ch5-geo": {
+			Seed:       3,
+			Protocol:   VDM,
+			Nodes:      24,
+			ChurnPct:   10,
+			JoinPhaseS: 200,
+			IntervalS:  100,
+			SettleS:    40,
+			DurationS:  500,
+			DataRate:   2,
+			Underlay:   Geo,
+			Validate:   true,
+		},
 	}
 }
 
@@ -83,7 +98,9 @@ func TestShardedRunsAreByteIdentical(t *testing.T) {
 			if serial.EventsProcessed == 0 || len(serial.Samples) == 0 {
 				t.Fatalf("serial run is degenerate: %d events, %d samples", serial.EventsProcessed, len(serial.Samples))
 			}
-			for _, shards := range []int{1, 2, 4, 8} {
+			// 3 divides neither the four transit domains nor the eight
+			// geo regions.
+			for _, shards := range []int{1, 2, 3, 4, 8} {
 				scfg := cfg
 				scfg.Shards = shards
 				res, err := Run(scfg)

@@ -285,10 +285,14 @@ type session struct {
 
 	// sims are the event queues and nets the bus on each: one pair under
 	// the single-queue driver, one per shard under the epoch controller
-	// (where router connects them). Slot i lives on queue i mod len(sims).
-	sims   []*eventq.Sim
-	nets   []*overlay.Network
-	router *overlay.ShardRouter
+	// (where router connects them). Slot i lives on queue owner[i], which
+	// the underlay's Partition decides; lookahead (seconds) is the least
+	// delay between two queues, +Inf with one.
+	sims      []*eventq.Sim
+	nets      []*overlay.Network
+	router    *overlay.ShardRouter
+	owner     []int
+	lookahead float64
 	// sink is the (lock-wrapped) trace sink spawned nodes emit to.
 	sink obs.Sink
 
@@ -412,9 +416,11 @@ func (p aliveSpans) aliveAt(id overlay.NodeID, t float64) bool {
 }
 
 // dataTick is the source's chunk ticker: one record, mutated in place and
-// rescheduled, instead of a fresh closure pair per emitted chunk.
+// rescheduled on the source's queue q, instead of a fresh closure pair
+// per emitted chunk.
 type dataTick struct {
 	s   *session
+	q   *eventq.Sim
 	seq int64
 }
 
@@ -426,7 +432,7 @@ func dataTickRun(a any) {
 		src.Base().EmitChunk(dt.seq)
 	}
 	dt.seq++
-	s.sims[0].AfterArg(s.dataDT, dataTickRun, dt)
+	dt.q.AfterArg(s.dataDT, dataTickRun, dt)
 }
 
 // buildScenario resolves the session script: the override if given, else
@@ -529,6 +535,16 @@ func newSession(cfg Config, sitesPerRegion int) (*session, error) {
 	for i := 0; i < queues; i++ {
 		s.sims = append(s.sims, eventq.New())
 	}
+	s.owner, s.lookahead = make([]int, scn.PoolSize), math.Inf(1)
+	if cfg.Shards > 0 {
+		kj, ok := u.(underlay.KeyedJitter)
+		if !ok {
+			return nil, fmt.Errorf("sim: underlay %T lacks keyed jitter; the sharded engine requires it", u)
+		}
+		var ms float64
+		s.owner, ms = kj.Partition(queues)
+		s.lookahead = ms / 1000
+	}
 	memberships, spans := s.planMemberships(queues > 1)
 	s.all = make([]*overlay.Peer, memberships)
 
@@ -536,8 +552,7 @@ func newSession(cfg Config, sitesPerRegion int) (*session, error) {
 	if cfg.Shards == 0 {
 		s.nets = []*overlay.Network{overlay.NewNetwork(s.sims[0], u, netSeed)}
 	} else {
-		shardOf := func(id overlay.NodeID) int { return int(id) % queues }
-		s.router = overlay.NewShardRouter(u, netSeed, s.sims, shardOf, spans.aliveAt)
+		s.router = overlay.NewShardRouter(u, netSeed, s.sims, s.owner, s.lookahead, spans.aliveAt)
 		for i := range s.sims {
 			s.nets = append(s.nets, s.router.Net(i))
 		}
@@ -562,10 +577,10 @@ func newSession(cfg Config, sitesPerRegion int) (*session, error) {
 	}
 
 	s.spawn(0, 0) // the source is alive for the whole session
-	s.tick = dataTick{s: s}
-	s.sims[0].AtArg(0, dataTickRun, &s.tick)
+	s.tick = dataTick{s: s, q: s.sims[s.owner[0]]}
+	s.tick.q.AtArg(0, dataTickRun, &s.tick)
 	for i, ev := range scn.Events {
-		s.sims[ev.Slot%queues].AtArg(ev.T, scnFireRun, &s.scnFires[i])
+		s.sims[s.owner[ev.Slot]].AtArg(ev.T, scnFireRun, &s.scnFires[i])
 	}
 	return s, nil
 }
@@ -760,7 +775,7 @@ func buildProtocol(cfg Config, bus overlay.Bus, metric vdist.Metric, degrees []i
 
 // spawn starts membership memIdx of slot on the slot's queue.
 func (s *session) spawn(slot, memIdx int) {
-	net := s.nets[slot%len(s.nets)]
+	net := s.nets[s.owner[slot]]
 	p := buildProtocol(s.cfg, net, s.metric, s.degrees, slot, memIdx, s.protoSeed, s.sink)
 	if s.cfg.StatusPeriodS > 0 {
 		if slot == 0 && s.cfg.StatusHandler != nil {

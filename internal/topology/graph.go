@@ -160,6 +160,38 @@ func (g *Graph) ShortestPaths(root RouterID) *SPT {
 	return t
 }
 
+// NearestDistMS runs one Dijkstra from every router of sources at once
+// and returns, per router, the one-way distance to the nearest source (+Inf
+// when none reaches it). Each value is a sum along a path that starts at
+// a source and is never above ShortestPaths(s).DistMS of any source s, so
+// a minimum read off it bounds every source's own tree from below.
+func (g *Graph) NearestDistMS(sources []RouterID) []float64 {
+	dist := make([]float64, len(g.adj))
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	pq := &distHeap{}
+	for _, s := range sources {
+		dist[s] = 0
+		pq.push(distItem{r: s, d: 0})
+	}
+	done := make([]bool, len(g.adj))
+	for pq.len() > 0 {
+		it := pq.pop()
+		if done[it.r] {
+			continue
+		}
+		done[it.r] = true
+		for _, he := range g.adj[it.r] {
+			if nd := it.d + g.links[he.link].DelayMS; nd < dist[he.to] {
+				dist[he.to] = nd
+				pq.push(distItem{r: he.to, d: nd})
+			}
+		}
+	}
+	return dist
+}
+
 // hop returns the router one link closer to the root than r: the other
 // end of r's predecessor link.
 func (t *SPT) hop(r RouterID) RouterID {

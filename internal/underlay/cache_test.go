@@ -50,30 +50,3 @@ func TestCacheBudgetBoundsResidency(t *testing.T) {
 		t.Fatalf("%d shortest-path trees resident, want 1..%d", spts, bounded.g.NumRouters())
 	}
 }
-
-// TestKeyedJitterBounds checks the conservative-lookahead contract: every
-// keyed delivery delay respects the advertised minimum.
-func TestKeyedJitterBounds(t *testing.T) {
-	u := budgetTestUnderlay(t, 0).WithKeyedJitter(99, 0.1)
-	min := u.MinOneWayDelayMS()
-	if min <= 0 {
-		t.Fatalf("MinOneWayDelayMS = %v, want > 0", min)
-	}
-	n := u.NumHosts()
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			for draw := uint64(0); draw < 8; draw++ {
-				d := u.OneWayDelayMSKeyed(a, b, draw)
-				if d < min {
-					t.Fatalf("delay(%d,%d,%d) = %v below advertised minimum %v", a, b, draw, d, min)
-				}
-				if again := u.OneWayDelayMSKeyed(a, b, draw); again != d {
-					t.Fatalf("keyed delay not deterministic")
-				}
-			}
-		}
-	}
-}

@@ -2,6 +2,7 @@ package underlay
 
 import (
 	"math"
+	"sort"
 	"sync"
 
 	"vdm/internal/geo"
@@ -23,9 +24,6 @@ type GeoUnderlay struct {
 	keyedSeed int64
 	rttMu     sync.Mutex
 	rttDraws  rng.EdgeCounters
-
-	minOnce   sync.Once
-	minOneWay float64
 }
 
 var _ Underlay = (*GeoUnderlay)(nil)
@@ -70,7 +68,7 @@ func (u *GeoUnderlay) OneWayDelayMS(a, b int) float64 { return u.BaseRTT(a, b) /
 // OneWayDelayMSKeyed returns the delivery delay for draw number `draw` on
 // edge a→b, keyed under the underlay's seed. Lazy destination sites add
 // keyed-exponential think time (which only increases the delay, so the
-// MinOneWayDelayMS bound still holds).
+// Partition lookahead still holds).
 func (u *GeoUnderlay) OneWayDelayMSKeyed(a, b int, draw uint64) float64 {
 	d := u.BaseRTT(a, b) / 2
 	if u.m.JitterSigma > 0 {
@@ -85,32 +83,39 @@ func (u *GeoUnderlay) OneWayDelayMSKeyed(a, b int, draw uint64) float64 {
 	return d
 }
 
-// MinOneWayDelayMS returns the lower bound on keyed delivery delay over
-// all distinct host pairs: the smallest base one-way delay among the
-// chosen sites scaled by the clamped jitter minimum. Computed once, on
-// first use.
-func (u *GeoUnderlay) MinOneWayDelayMS() float64 {
-	u.minOnce.Do(func() {
-		min := math.Inf(1)
-		for i := range u.sites {
-			for j := range u.sites {
-				if i == j {
-					continue
-				}
-				if d := u.BaseRTT(i, j) / 2; d < min {
-					min = d
-				}
+// Partition keeps each region's hosts on one shard. Hosts in site order
+// (Generate numbers the sites region by region) fall into runs of one
+// region, and a run goes to the shard its middle host falls in under an
+// even split by host count. The lookahead is the exact minimum base
+// one-way delay over host pairs on different shards, scaled by the
+// clamped jitter minimum.
+func (u *GeoUnderlay) Partition(shards int) ([]int, float64) {
+	n := len(u.sites)
+	order := make([]int, n)
+	for h := range order {
+		order[h] = h
+	}
+	sort.Slice(order, func(i, j int) bool { return u.sites[order[i]] < u.sites[order[j]] })
+	owner := make([]int, n)
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && u.Site(order[hi]).Region == u.Site(order[lo]).Region {
+			hi++
+		}
+		for _, h := range order[lo:hi] {
+			owner[h] = (lo + hi) * shards / (2 * n)
+		}
+		lo = hi
+	}
+	d := math.Inf(1)
+	for a := range u.sites {
+		for b := range u.sites {
+			if owner[a] != owner[b] {
+				d = min(d, u.BaseRTT(a, b)/2)
 			}
 		}
-		if u.m.JitterSigma > 0 {
-			min *= math.Exp(-rng.NormalClamp * u.m.JitterSigma)
-		}
-		if !(min > MinDelayFloorMS) {
-			min = MinDelayFloorMS
-		}
-		u.minOneWay = min
-	})
-	return u.minOneWay
+	}
+	return owner, keyedLowerBound(d, u.m.JitterSigma)
 }
 
 // LossRate returns the per-chunk loss probability between hosts.

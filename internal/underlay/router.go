@@ -245,8 +245,8 @@ func (u *RouterUnderlay) RTT(a, b int) float64 {
 func (u *RouterUnderlay) OneWayDelayMS(a, b int) float64 { return u.oneWay(a, b) }
 
 // OneWayDelayMSKeyed returns the delivery delay for draw number `draw` on
-// edge a→b: jitter is a pure function of (seed, edge, draw), never below
-// MinOneWayDelayMS for distinct hosts.
+// edge a→b: jitter is a pure function of (seed, edge, draw), clamped so
+// a delay between shards never falls below Partition's lookahead.
 func (u *RouterUnderlay) OneWayDelayMSKeyed(a, b int, draw uint64) float64 {
 	d := u.oneWay(a, b)
 	if u.jitterSigma > 0 {
@@ -258,18 +258,44 @@ func (u *RouterUnderlay) OneWayDelayMSKeyed(a, b int, draw uint64) float64 {
 	return d
 }
 
-// MinOneWayDelayMS returns the conservative lower bound on keyed delivery
-// delay between distinct hosts: the smallest possible base (two hosts on
-// one router: both access links) scaled by the clamped jitter minimum.
-func (u *RouterUnderlay) MinOneWayDelayMS() float64 {
-	min := 2 * hostAccessMS
-	if u.jitterSigma > 0 {
-		min *= math.Exp(-rng.NormalClamp * u.jitterSigma)
+// Partition splits the router ids into shards contiguous blocks of equal
+// width and puts every host on its attachment router's block. The
+// transit-stub generator allocates each transit domain's routers
+// contiguously, so when shards divides the domain count every block is
+// whole transit domains and hosts on different shards are at least a
+// transit link apart. The lookahead is the smallest router distance
+// between attachment routers of different blocks — one multi-source
+// Dijkstra per block — plus both access links, scaled by the clamped
+// jitter minimum. It bounds every cross-shard delivery whatever the id
+// layout; the layout only decides how large it is.
+func (u *RouterUnderlay) Partition(shards int) ([]int, float64) {
+	n := u.g.NumRouters()
+	owner := make([]int, len(u.attach))
+	sources := make([][]topology.RouterID, shards)
+	seen := make([]bool, n)
+	for h, r := range u.attach {
+		owner[h] = int(r) * shards / n
+		if !seen[r] {
+			seen[r] = true
+			sources[owner[h]] = append(sources[owner[h]], r)
+		}
 	}
-	if min < MinDelayFloorMS {
-		min = MinDelayFloorMS
+	d := math.Inf(1)
+	for k, src := range sources {
+		if len(src) == 0 {
+			continue
+		}
+		dist := u.g.NearestDistMS(src)
+		for j, dst := range sources {
+			if j == k {
+				continue
+			}
+			for _, r := range dst {
+				d = min(d, dist[r])
+			}
+		}
 	}
-	return min
+	return owner, keyedLowerBound(d+2*hostAccessMS, u.jitterSigma)
 }
 
 // LossRate returns the end-to-end loss probability along the routed path:

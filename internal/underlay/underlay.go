@@ -6,7 +6,12 @@
 // built from the synthetic PlanetLab (chapter 5 emulations).
 package underlay
 
-import "vdm/internal/topology"
+import (
+	"math"
+
+	"vdm/internal/rng"
+	"vdm/internal/topology"
+)
 
 // Underlay models the network between overlay hosts. Hosts are identified
 // by dense integer ids assigned by the session that built the underlay.
@@ -48,17 +53,31 @@ const MinDelayFloorMS = 0.01
 
 // KeyedJitter is the capability the sharded simulation engine requires of
 // an underlay: delivery jitter drawn as a pure function of the edge and a
-// caller-supplied draw index, rather than from a shared sequential stream.
-// Keyed draws make delay values independent of global event interleaving
-// (each sender advances its own draw counters), and the guaranteed
-// minimum delay is the engine's conservative lookahead.
+// caller-supplied draw index, rather than from a shared sequential stream,
+// and a partition of the hosts across shards together with the smallest
+// delay any message between two shards can take. Keyed draws make delay
+// values independent of global event interleaving (each sender advances
+// its own draw counters), and that smallest delay is the engine's
+// conservative lookahead.
 type KeyedJitter interface {
 	// OneWayDelayMSKeyed is OneWayDelayMS with the jitter decided by the
 	// draw index instead of stream order.
 	OneWayDelayMSKeyed(a, b int, draw uint64) float64
-	// MinOneWayDelayMS returns a hard lower bound (> 0) on
-	// OneWayDelayMSKeyed over all host pairs a ≠ b and draws.
-	MinOneWayDelayMS() float64
+	// Partition assigns every host to one of shards shards (owner[h] in
+	// [0, shards)) and returns a hard lower bound (> 0) on
+	// OneWayDelayMSKeyed over all draws and all host pairs with
+	// owner[a] ≠ owner[b]; +Inf when no two hosts are apart.
+	Partition(shards int) (owner []int, lookaheadMS float64)
+}
+
+// keyedLowerBound is the least OneWayDelayMSKeyed returns on a pair whose
+// jitter-free delay is at least base: base times the smallest lognormal
+// factor a clamped keyed draw can take, and never under the floor.
+func keyedLowerBound(base, sigma float64) float64 {
+	if sigma > 0 {
+		base *= math.Exp(-rng.NormalClamp * sigma)
+	}
+	return max(base, MinDelayFloorMS)
 }
 
 // Stream ids for keyed draws, shared by the underlay implementations.
