@@ -124,14 +124,17 @@ func (n *Node) Switched(moved bool) {
 		n.emit(obs.EvRefineSwitch, obs.Event{Target: int64(n.ParentID()), Value: n.ParentDist()})
 		return
 	}
-	if !n.fostered {
-		return
+	if n.fostered {
+		n.Net().AfterArg(5, fosterRetry, n)
 	}
-	n.Net().After(5, func() {
-		if n.Alive() && n.fostered && n.Connected() && !n.Joining() {
-			n.Refine(n.Source())
-		}
-	})
+}
+
+// fosterRetry is the fostered node's search-again callback (arg: *Node).
+func fosterRetry(a any) {
+	n := a.(*Node)
+	if n.Alive() && n.fostered && n.Connected() && !n.Joining() {
+		n.Refine(n.Source())
+	}
 }
 
 // sortByDist returns ids ordered by ascending measured distance

@@ -259,13 +259,12 @@ func (p *Peer) FlowStats() overlay.FlowStats {
 type peerBus struct {
 	peer  *Peer
 	epoch time.Time
+	// adj is the peer's private adjacency pool: live peers run on their
+	// own goroutines, so they cannot share a slab.
+	adj overlay.AdjPool
 }
 
-var (
-	_ overlay.Bus       = (*peerBus)(nil)
-	_ overlay.FanoutBus = (*peerBus)(nil)
-	_ overlay.DepthBus  = (*peerBus)(nil)
-)
+var _ overlay.Bus = (*peerBus)(nil)
 
 // DataQueueDepth reports the transport's unsent data backlog toward to —
 // the congestion signal overlay flow control folds into its ECN-style
@@ -286,9 +285,11 @@ func (b *peerBus) SendFanout(from overlay.NodeID, tos []overlay.NodeID, m overla
 	return b.peer.tr.SendBatch(from, tos, m, failed)
 }
 
-// After schedules fn on the peer's mailbox loop d seconds from now. The
-// timer is cancelled when the peer stops.
-func (b *peerBus) After(d float64, fn func()) {
+func (b *peerBus) AdjPool() *overlay.AdjPool { return &b.adj }
+
+// AfterArg schedules fn(arg) on the peer's mailbox loop d seconds from
+// now. The timer is cancelled when the peer stops.
+func (b *peerBus) AfterArg(d float64, fn func(any), arg any) {
 	p := b.peer
 	p.mu.Lock()
 	if p.stopped {
@@ -300,16 +301,10 @@ func (b *peerBus) After(d float64, fn func()) {
 		p.mu.Lock()
 		delete(p.timers, t)
 		p.mu.Unlock()
-		p.post(fn)
+		p.post(func() { fn(arg) })
 	})
 	p.timers[t] = struct{}{}
 	p.mu.Unlock()
-}
-
-// AfterArg is After with the callback and its argument passed apart; on
-// the wall clock the closure is the cheap part of a timer.
-func (b *peerBus) AfterArg(d float64, fn func(any), arg any) {
-	b.After(d, func() { fn(arg) })
 }
 
 func (b *peerBus) Unregister(id overlay.NodeID) { b.peer.tr.Unregister(id) }

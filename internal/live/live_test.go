@@ -223,7 +223,7 @@ func TestClusterPayloadFanout(t *testing.T) {
 }
 
 // TestPeerStopCancelsTimers checks a stopped peer fires no late callbacks
-// (After timers are cancelled, posts are discarded).
+// (AfterArg timers are cancelled, posts are discarded).
 func TestPeerStopCancelsTimers(t *testing.T) {
 	var node overlay.Protocol
 	p := NewPeer(newUDP(t), time.Now(), func(bus overlay.Bus) overlay.Protocol {
@@ -233,7 +233,7 @@ func TestPeerStopCancelsTimers(t *testing.T) {
 
 	fired := make(chan struct{}, 1)
 	ok := p.Call(func() {
-		node.Base().Net().After(0.05, func() { fired <- struct{}{} })
+		node.Base().Net().AfterArg(0.05, func(any) { fired <- struct{}{} }, nil)
 	})
 	if !ok {
 		t.Fatal("Call on a running peer failed")

@@ -6,6 +6,15 @@ import (
 	"vdm/internal/rng"
 )
 
+// The join-restart policy every protocol shares (see Descent.retry): a
+// failed join attempt restarts at once, and after restartAttempts
+// consecutive failures (e.g. a churn storm) the peer pauses
+// restartBackoffS before starting over.
+const (
+	restartAttempts = 5
+	restartBackoffS = 5.0
+)
+
 // switchMargin is the relative improvement over the current parent
 // distance a candidate must offer before a switch walk moves the node
 // under it, damping oscillation (see Improves).
@@ -150,6 +159,13 @@ type descentTimer struct {
 	token int
 	stage descentStage
 	next  *descentTimer
+}
+
+// backoff carries a join restart past the attempt budget through
+// Bus.AfterArg: the walk kind the restarted attempt resumes.
+type backoff struct {
+	d    *Descent
+	kind walkKind
 }
 
 // Init sets the descent up for peer p, driven by rule, and installs rule
@@ -370,20 +386,30 @@ func (d *Descent) Fail() {
 // past it; a switch walk ends instead.
 func (d *Descent) retry() {
 	w := d.w
-	d.trace(WalkEvent{Kind: WalkRestart, Target: w.target, Step: w.attempts + 1, Detail: w.kind.String()})
+	attempts := w.attempts + 1
+	d.trace(WalkEvent{Kind: WalkRestart, Target: w.target, Step: attempts, Detail: w.kind.String()})
 	if w.kind == walkRefine {
 		d.end()
 		return
 	}
 	d.stop()
-	kind := w.kind
-	d.RestartJoin(w.attempts+1, func() bool { return !d.Joining() }, func(attempts int) {
-		d.open(attempts, kind)
-		if attempts == 0 {
-			d.trace(WalkEvent{Kind: WalkStart, Target: d.Source(), Detail: kind.String()})
-		}
+	if attempts < restartAttempts {
+		d.open(attempts, w.kind)
 		d.rule.Visit(d.Source())
-	})
+		return
+	}
+	d.Net().AfterArg(restartBackoffS, descentBackoff, &backoff{d: d, kind: w.kind})
+}
+
+// descentBackoff is the back-off callback (arg: *backoff): the join
+// starts over as a fresh attempt, only if the node is still alive,
+// unconnected and not walking.
+func descentBackoff(a any) {
+	b := a.(*backoff)
+	if d := b.d; d.Alive() && !d.Connected() && !d.Joining() {
+		d.begin(b.kind, d.Source())
+		d.rule.Visit(d.Source())
+	}
 }
 
 // end stops a switch walk that did not move the node.

@@ -229,6 +229,53 @@ func TestDescentBacksOffAfterFiveFailures(t *testing.T) {
 	}
 }
 
+// TestDescentBackoffRestartGuard: the restart armed after the fifth
+// failure fires only if the node is still alive, unconnected and not
+// walking. A node that leaves during the back-off, or starts another walk
+// in it, sees the backed-off restart do nothing: no WalkStart and no
+// InfoRequest when it fires.
+func TestDescentBackoffRestartGuard(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		act  func(p overlay.Protocol)
+	}{
+		{"leaves", func(p overlay.Protocol) { p.Leave() }},
+		{"walks", func(p overlay.Protocol) { p.StartJoin() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eachRule(t, func(t *testing.T, rule newRule) {
+				r, p, d, src, _ := descentRig(rule)
+				var starts []float64
+				d.SetWalkObserver(func(e overlay.WalkEvent) {
+					if e.Kind == overlay.WalkStart {
+						starts = append(starts, r.Sim.Now())
+					}
+				})
+				p.StartJoin()
+				// Five attempts time out at 2, 4, …, 10; the back-off
+				// restart is armed for t=15. The other walk starts at 12
+				// and is still in flight (its second attempt) at 15.
+				r.Run(12)
+				if len(src.info) != 5 {
+					t.Fatalf("%d requests to the source before the back-off, want 5", len(src.info))
+				}
+				c.act(p)
+				r.Run(16)
+				for _, at := range starts {
+					if at > 14.5 {
+						t.Fatalf("walk starts at %v: the backed-off restart ran", starts)
+					}
+				}
+				for _, at := range src.infoAt {
+					if at > 14.5 && at < 15.5 {
+						t.Fatalf("InfoRequests at %v: the backed-off restart ran", src.infoAt)
+					}
+				}
+			})
+		})
+	}
+}
+
 // TestDescentReleasesWalkWhenIdle: a switch walk that leaves the node
 // where it is — a VDM refinement that keeps its parent, an HMTP round that
 // finds nothing closer — drops the walk state, its timer records and the

@@ -3,6 +3,9 @@ package overlay
 import (
 	"slices"
 	"testing"
+
+	"vdm/internal/eventq"
+	"vdm/internal/underlay"
 )
 
 // TestForwardChunkBoxesOnce pins the allocation budget of the simulated
@@ -57,3 +60,90 @@ func TestForwardChunkOrder(t *testing.T) {
 		t.Fatalf("fan-out order %v, want %v", got, want)
 	}
 }
+
+// TestNetworkSendFanoutIsPerDestinationSends pins Network.SendFanout to
+// the Send loop it stands for: over a lossy underlay with control loss,
+// a fan-out through a duplicate and an unregistered id draws, counts,
+// fails and delivers exactly as the same sends made one by one.
+func TestNetworkSendFanoutIsPerDestinationSends(t *testing.T) {
+	type rec struct {
+		at       float64
+		from, to NodeID
+		typ      MsgType
+	}
+	type outcome struct {
+		sent, delivered []rec
+		failed          [][]NodeID
+		ctrs            CounterSnapshot
+	}
+	tos := []NodeID{4, 1, 6, 2, 4, 3} // 4 twice; 6 is never registered
+	run := func(fanout bool) outcome {
+		const n = 7
+		u := underlay.NewStatic(uniformRTT(n, 0))
+		u.LossP = make([][]float64, n)
+		for i := range u.LossP {
+			u.LossP[i] = make([]float64, n)
+			for j := range u.LossP[i] {
+				u.LossP[i][j] = 0.1 * float64((i+j)%4)
+				if i != j {
+					u.RTTms[i][j] = float64(4 + (i*j)%5)
+				}
+			}
+		}
+		sim := eventq.New()
+		net := NewNetwork(sim, u, 7)
+		net.CtrlLossProb = 0.3
+		var o outcome
+		net.TraceFn = func(at float64, from, to NodeID, m Message) {
+			o.sent = append(o.sent, rec{at, from, to, TypeOf(m)})
+		}
+		for id := NodeID(1); id <= 4; id++ {
+			net.Register(id, handlerFunc(func(from NodeID, m Message) {
+				o.delivered = append(o.delivered, rec{sim.Now(), from, id, TypeOf(m)})
+			}))
+		}
+		for i := 0; i < 40; i++ {
+			var m Message = DataChunk{Seq: int64(i)}
+			if i%2 == 1 {
+				m = PathUpdate{Path: []NodeID{0}}
+			}
+			from := NodeID(i % 2 * 5) // 0 or 5
+			var failed []NodeID
+			if fanout {
+				failed = net.SendFanout(from, tos, m, nil)
+			} else {
+				for _, to := range tos {
+					if !net.Send(from, to, m) {
+						failed = append(failed, to)
+					}
+				}
+			}
+			o.failed = append(o.failed, failed)
+			sim.Run(sim.Now() + 0.003)
+		}
+		sim.Run(sim.Now() + 1)
+		o.ctrs = net.Counters().Snapshot()
+		return o
+	}
+	want, got := run(false), run(true)
+	if c := want.ctrs; c.DataDrops == 0 || c.CtrlDrops == 0 || c.Undeliver == 0 {
+		t.Fatalf("counters %+v: the fixture exercised no data loss, control loss or failed send", c)
+	}
+	if !slices.Equal(got.sent, want.sent) {
+		t.Fatalf("traced sends differ:\nfan-out %v\nsends   %v", got.sent, want.sent)
+	}
+	if !slices.Equal(got.delivered, want.delivered) {
+		t.Fatalf("deliveries differ:\nfan-out %v\nsends   %v", got.delivered, want.delivered)
+	}
+	if !slices.EqualFunc(got.failed, want.failed, slices.Equal) {
+		t.Fatalf("failed lists differ:\nfan-out %v\nsends   %v", got.failed, want.failed)
+	}
+	if got.ctrs != want.ctrs {
+		t.Fatalf("counters differ: fan-out %+v, sends %+v", got.ctrs, want.ctrs)
+	}
+}
+
+// handlerFunc adapts a function to Handler.
+type handlerFunc func(from NodeID, m Message)
+
+func (f handlerFunc) HandleMessage(from NodeID, m Message) { f(from, m) }

@@ -72,11 +72,9 @@ type flowState struct {
 	p   *Peer
 	cfg flow.Config
 
-	depth DepthBus // non-nil when the bus exposes transport queue depth
-
 	// Sender side.
 	children map[NodeID]*childFlow
-	sendIDs  []NodeID // scratch for the fan-out fast path
+	sendIDs  []NodeID // scratch: the fan-out's ids, the tick's drain order
 
 	// Receiver side.
 	tracker      *flow.Window // cum-ack / gap tracking (dedupe stays in Peer.window)
@@ -231,7 +229,6 @@ func newFlowState(p *Peer, cfg flow.Config) *flowState {
 		lastPullAt: -1e18,
 	}
 	f.st.repairNbr.Store(int64(None))
-	f.depth, _ = p.net.(DepthBus)
 	if cfg.FECGroup > 1 {
 		if p.isSource {
 			f.enc = flow.NewEncoder(cfg.FECGroup)
@@ -243,27 +240,38 @@ func newFlowState(p *Peer, cfg flow.Config) *flowState {
 }
 
 func (f *flowState) tickLater() {
-	f.p.net.After(f.cfg.TickS, func() {
-		if !f.p.alive {
-			return
-		}
-		f.run(f.p.net.Now())
-		f.tickLater()
-	})
+	f.p.net.AfterArg(f.cfg.TickS, flowTick, f)
 }
 
-// run is the flow tick: prune dead child state, drain paced queues,
-// recover throttled rates, flush acks, scan gaps into NACKs, pull on a
-// stalled uplink, and push back on congestion.
+// flowTick is the flow timer callback (arg: *flowState).
+func flowTick(a any) {
+	f := a.(*flowState)
+	if !f.p.alive {
+		return
+	}
+	f.run(f.p.net.Now())
+	f.tickLater()
+}
+
+// run is the flow tick: prune dead child state, drain paced queues in
+// ascending child id (on a simulated bus the send order is the event
+// order), recover throttled rates, flush acks, scan gaps into NACKs, pull
+// on a stalled uplink, and push back on congestion.
 func (f *flowState) run(now float64) {
 	p := f.p
-	for id, cf := range f.children {
+	ids := f.sendIDs[:0]
+	for id := range f.children {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
 		if p.pool.Has(&p.children, id) || p.pool.Has(&p.fosters, id) {
-			f.drain(id, cf, now)
+			f.drain(id, f.children[id], now)
 			continue
 		}
 		delete(f.children, id)
 	}
+	f.sendIDs = ids[:0]
 	f.recoverRates()
 	if cum, ok := f.tracker.CumAck(); ok && cum > f.lastAckedCum {
 		f.sendAck(cum)
@@ -354,8 +362,8 @@ func (f *flowState) sendOne(c NodeID, cf *childFlow, m Message) bool {
 
 // forward paces one stream message (chunk or parity) to every child and
 // foster. Children whose bucket and window admit it immediately are
-// served through one fan-out call (single encode on the wire); the rest
-// queue for the next drain.
+// served through one SendFanout call (single encode on the wire); the
+// rest queue for the next drain.
 func (f *flowState) forward(m Message) {
 	p := f.p
 	now := p.net.Now()
@@ -374,24 +382,16 @@ func (f *flowState) forward(m Message) {
 	if len(ids) == 0 {
 		return
 	}
-	if fb, ok := p.net.(FanoutBus); ok && len(ids) > 1 {
-		p.fanoutFail = fb.SendFanout(p.id, ids, m, p.fanoutFail[:0])
-		failed := make(map[NodeID]bool, len(p.fanoutFail))
-		for _, c := range p.fanoutFail {
-			failed[c] = true
-			p.pool.Delete(&p.children, c)
-			p.pool.Delete(&p.fosters, c)
-			delete(f.children, c)
-		}
-		for _, c := range ids {
-			if !failed[c] {
-				f.noteSent(f.child(c), m)
-			}
-		}
-		return
+	p.fanoutFail = p.net.SendFanout(p.id, ids, m, p.fanoutFail[:0])
+	for _, c := range p.fanoutFail {
+		p.pool.Delete(&p.children, c)
+		p.pool.Delete(&p.fosters, c)
+		delete(f.children, c)
 	}
 	for _, c := range ids {
-		f.sendOne(c, f.child(c), m)
+		if !slices.Contains(p.fanoutFail, c) {
+			f.noteSent(f.child(c), m)
+		}
 	}
 }
 
@@ -763,10 +763,7 @@ func (f *flowState) pushback(now float64) {
 	}
 	depth := 0
 	for id, cf := range f.children {
-		d := len(cf.q)
-		if f.depth != nil {
-			d += f.depth.DataQueueDepth(id)
-		}
+		d := len(cf.q) + p.net.DataQueueDepth(id)
 		if d > depth {
 			depth = d
 		}

@@ -189,9 +189,6 @@ func (n *Network) Unregister(id NodeID) {
 // Now returns the current virtual time in seconds.
 func (n *Network) Now() float64 { return n.Sim.Now() }
 
-// After schedules fn to run d virtual seconds from now.
-func (n *Network) After(d float64, fn func()) { n.Sim.After(d, fn) }
-
 // AfterArg schedules fn(arg) d virtual seconds from now without a
 // closure.
 func (n *Network) AfterArg(d float64, fn func(any), arg any) { n.Sim.AfterArg(d, fn, arg) }
@@ -239,6 +236,20 @@ func (n *Network) Send(from, to NodeID, m Message) bool {
 	n.scheduleDelivery(n.Sim.Now()+n.delayS(from, to, draw), from, to, m)
 	return true
 }
+
+// SendFanout calls Send once per destination, in order, so a fan-out
+// draws, counts and schedules exactly as the sends it stands for.
+func (n *Network) SendFanout(from NodeID, tos []NodeID, m Message, failed []NodeID) []NodeID {
+	for _, to := range tos {
+		if !n.Send(from, to, m) {
+			failed = append(failed, to)
+		}
+	}
+	return failed
+}
+
+// DataQueueDepth returns 0: the simulator has no transport queue.
+func (n *Network) DataQueueDepth(NodeID) int { return 0 }
 
 // drop decides one keyed Bernoulli loss. Send calls it only for p > 0: a
 // keyed uniform is never below zero, so skipping the draw at probability

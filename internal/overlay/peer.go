@@ -76,15 +76,6 @@ const (
 	ConnTimeoutS        = 2.0
 )
 
-// The join-restart policy every protocol shares (see RestartJoin): a failed
-// join attempt restarts at once, and after restartAttempts consecutive
-// failures (e.g. a churn storm) the peer pauses restartBackoffS before
-// starting over.
-const (
-	restartAttempts = 5
-	restartBackoffS = 5.0
-)
-
 // Stats accumulates the per-peer observations behind the user-facing
 // metrics: startup time, reconnection times, and stream continuity.
 type Stats struct {
@@ -105,9 +96,6 @@ type Stats struct {
 	Dups      int64 // duplicate chunks suppressed
 	Forwarded int64 // chunk copies sent to children
 }
-
-// Orphaned reports whether the peer is currently waiting to reconnect.
-func (s *Stats) Orphaned() bool { return s.orphanedAt >= 0 }
 
 // Peer is the protocol-neutral node base: identity, degree-constrained
 // tree state, root-path maintenance, the data plane, and the generic
@@ -183,8 +171,8 @@ type Peer struct {
 	traceSampleN int
 	traceObs     func(ChunkTraceSample)
 
-	// fanoutIDs / fanoutFail are reused scratch slices for the FanoutBus
-	// fast path, so a forward allocates nothing in steady state.
+	// fanoutIDs / fanoutFail are reused scratch slices for SendFanout,
+	// so a forward allocates nothing in steady state.
 	fanoutIDs  []NodeID
 	fanoutFail []NodeID
 }
@@ -230,13 +218,7 @@ func NewPeer(net Bus, cfg PeerConfig) *Peer {
 		InfoTimeoutS: cfg.InfoTimeoutS,
 		window:       flow.NewWindow(winSlots, flow.DefaultBackfill),
 		stats:        Stats{Startup: -1, orphanedAt: -1, LeftAt: -1},
-	}
-	if ap, ok := net.(interface{ AdjPool() *AdjPool }); ok {
-		p.pool = ap.AdjPool()
-	} else {
-		// Live buses run one goroutine per peer, so they get private
-		// (tiny, initially empty) pools rather than a shared slab.
-		p.pool = new(AdjPool)
+		pool:         net.AdjPool(),
 	}
 	if p.InfoTimeoutS <= 0 {
 		p.InfoTimeoutS = DefaultInfoTimeoutS
@@ -362,23 +344,6 @@ func (p *Peer) MarkJoinStart() {
 		p.stats.everJoined = true
 		p.stats.JoinStartAt = p.Now()
 	}
-}
-
-// RestartJoin applies the shared join-restart policy after a protocol's
-// join attempt number attempts (counting from 1) has failed: while under
-// the attempt budget, begin(attempts) restarts at once; past it, the peer
-// backs off and then calls begin(0), provided it is still alive,
-// unconnected and, per idle, running no other join procedure.
-func (p *Peer) RestartJoin(attempts int, idle func() bool, begin func(attempts int)) {
-	if attempts < restartAttempts {
-		begin(attempts)
-		return
-	}
-	p.net.After(restartBackoffS, func() {
-		if p.alive && !p.connected && idle() {
-			begin(0)
-		}
-	})
 }
 
 // inRootPath reports whether n is an ancestor according to the root path.
@@ -720,34 +685,6 @@ func (p *Peer) handleChunk(from NodeID, m DataChunk) {
 	p.forwardChunk(m)
 }
 
-func (p *Peer) forwardChunk(m DataChunk) {
-	if fb, ok := p.net.(FanoutBus); ok {
-		p.forwardChunkFanout(fb, m)
-		return
-	}
-	ids := p.appendSortedChildren(p.fanoutIDs[:0])
-	nc := len(ids)
-	ids = p.appendSortedFosters(ids)
-	p.fanoutIDs = ids
-	if len(ids) == 0 {
-		return
-	}
-	// Box the chunk once: every child's Send shares the one interface
-	// value instead of allocating a copy per child.
-	var msg Message = m
-	for i, c := range ids {
-		if p.net.Send(p.id, c, msg) {
-			p.stats.Forwarded++
-		} else if i < nc {
-			// Transport failure: the child silently vanished. Drop it
-			// so the degree slot frees up.
-			p.pool.Delete(&p.children, c)
-		} else {
-			p.pool.Delete(&p.fosters, c)
-		}
-	}
-}
-
 // appendSortedChildren appends the regular children to dst in id order.
 func (p *Peer) appendSortedChildren(dst []NodeID) []NodeID {
 	n := len(dst)
@@ -766,19 +703,20 @@ func (p *Peer) appendSortedFosters(dst []NodeID) []NodeID {
 	return dst
 }
 
-// forwardChunkFanout is the batch forward: one SendFanout call covers
-// children and fosters, so a transport that encodes per send marshals the
-// chunk once for the whole fan-out. Accounting matches the per-child
-// loop: every successful destination counts one Forwarded, every failed
-// one loses its tree slot.
-func (p *Peer) forwardChunkFanout(fb FanoutBus, m DataChunk) {
+// forwardChunk sends m to the regular children in id order, then the
+// fosters in id order, through one SendFanout call: the live transport
+// marshals the chunk once for the whole fan-out, and the chunk is boxed
+// into a Message once for all destinations. Every successful destination
+// counts one Forwarded; a failed one (the child silently vanished) loses
+// its tree slot so the degree frees up.
+func (p *Peer) forwardChunk(m DataChunk) {
 	ids := p.appendSortedChildren(p.fanoutIDs[:0])
 	ids = p.appendSortedFosters(ids)
 	p.fanoutIDs = ids
 	if len(ids) == 0 {
 		return
 	}
-	p.fanoutFail = fb.SendFanout(p.id, ids, m, p.fanoutFail[:0])
+	p.fanoutFail = p.net.SendFanout(p.id, ids, m, p.fanoutFail[:0])
 	p.stats.Forwarded += int64(len(ids) - len(p.fanoutFail))
 	for _, c := range p.fanoutFail {
 		p.pool.Delete(&p.children, c)

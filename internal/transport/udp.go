@@ -790,8 +790,11 @@ func (t *UDP) SendBatch(from overlay.NodeID, tos []overlay.NodeID, m overlay.Mes
 		addr *net.UDPAddr
 	}
 	// Resolve all routes under one lock acquisition; park the unknowns
-	// exactly as a sequential Send would.
-	targets := make([]target, 0, len(tos))
+	// exactly as a sequential Send would. Up to len(buf) destinations
+	// resolve into stack memory, so a forward to a lone child costs no
+	// more here than Send.
+	var buf [16]target
+	targets := buf[:0]
 	for _, to := range tos {
 		addr, ok := t.routes[to]
 		if !ok {
