@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet fuzz knobs loc bench bench-compare profile-cell profile-heap profile-heap-live bench-scale bench-scale-profile profile-smoke
+.PHONY: check test build vet fuzz knobs loc bench bench-compare profile-cell profile-steady profile-heap profile-heap-live bench-scale bench-scale-profile profile-smoke
 
 # check is the pre-merge gate: vet + build + race-enabled tests.
 check:
@@ -135,18 +135,34 @@ bench-scale-profile:
 	$(GO) run ./cmd/vdmprof BENCH_simprof.jsonl
 	@echo "wrote BENCH_simprof.jsonl"
 
-# profile-cell prints where the benchmark's 20 000-peer serial cell spends
-# its CPU: the `pprof -top` ROADMAP asks for before an engine layer is
-# touched. BenchmarkScaleCell runs the cell under one profile several
-# times (-benchtime 3x, after the testing package's first single run),
-# because a single 4 s run is ~400 samples and its shares wander by a
-# point or two. BENCH_pprof_scale_cell.txt holds a recent such profile; a
+# CPU_PROFILE writes $(2), the `pprof -top` of root benchmark $(1) run
+# several times under one profile (-benchtime 3x, after the testing
+# package's first single run) at the benchmark's GOGC=50: a single run is
+# a few hundred samples, and its shares wander by a point or two.
+define CPU_PROFILE
+	@{ echo "# $(2): make $@ at $$(git describe --always --dirty), $$(nproc) cores, $$($(GO) env GOVERSION); regenerate with the target, never hand-edit"; \
+	  GOGC=50 $(GO) test -run '^$$' -bench '^$(1)$$' -benchtime 3x \
+	    -cpuprofile $(1).pprof -o $(1).test . | grep '^Benchmark' || exit 1; \
+	  $(GO) tool pprof -top -nodecount=40 $(1).test $(1).pprof 2>/dev/null || exit 1; \
+	} > $(2).tmp
+	@rm -f $(1).pprof $(1).test
+	@mv $(2).tmp $(2)
+	@cat $(2)
+endef
+
+# profile-cell writes BENCH_pprof_scale_cell.txt: where the benchmark's
+# 20 000-peer serial cell (BenchmarkScaleCell) spends its CPU, the
+# `pprof -top` ROADMAP asks for before an engine layer is touched. A
 # change to the engine records its parent's and its own.
 profile-cell:
-	GOGC=50 $(GO) test -run '^$$' -bench '^BenchmarkScaleCell$$' -benchtime 3x \
-		-cpuprofile scale_cell.pprof -o scale_cell.test .
-	$(GO) tool pprof -top -nodecount=40 scale_cell.test scale_cell.pprof
-	@rm -f scale_cell.pprof scale_cell.test
+	$(call CPU_PROFILE,BenchmarkScaleCell,BENCH_pprof_scale_cell.txt)
+
+# profile-steady writes BENCH_pprof_steady_stream.txt: where the
+# benchmark's sim-steady-stream session (BenchmarkSteadyStream, seed 1)
+# spends its CPU — the chunk delivery path's budget. A change to that
+# path records its parent's and its own.
+profile-steady:
+	$(call CPU_PROFILE,BenchmarkSteadyStream,BENCH_pprof_steady_stream.txt)
 
 # profile-heap writes BENCH_pprof_heap_scale_cell.txt, the scale cell's
 # memory budget: BenchmarkScaleCellPeakHeap's peak live heap (forced

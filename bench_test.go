@@ -20,6 +20,8 @@ import (
 	"vdm/internal/flow"
 	"vdm/internal/live"
 	"vdm/internal/overlay"
+	"vdm/internal/rng"
+	"vdm/internal/scenario"
 	"vdm/internal/sim"
 )
 
@@ -495,6 +497,45 @@ func BenchmarkScaleCell(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		res := mustRun(b, scaleCell())
+		events += res.EventsProcessed
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
+// steadyStream is the benchmark's sim-steady-stream session with seed 1:
+// 1 000 peers on the router underlay with per-send jitter, a 100 s join
+// phase, then 5 chunks/s for 900 s under 5 % churn every 400 s (100 s
+// settle) — millions of chunk deliveries, join about a tenth of wall.
+func steadyStream() sim.Config {
+	const seed = 1
+	return sim.Config{
+		Seed: seed,
+		Scenario: scenario.Churn(scenario.ChurnConfig{
+			Nodes:      1000,
+			ChurnPct:   5,
+			JoinPhaseS: 100,
+			IntervalS:  400,
+			SettleS:    100,
+			DurationS:  900,
+		}, rng.Derive(seed, "scenario")),
+		Protocol:          sim.VDM,
+		Nodes:             1000,
+		ChurnPct:          5,
+		DurationS:         900,
+		JoinPhaseS:        100,
+		DataRate:          5,
+		Underlay:          sim.Router,
+		RouterMin:         784,
+		RouterJitterSigma: 0.1,
+	}
+}
+
+// BenchmarkSteadyStream runs the steady-stream session: the one `make
+// profile-steady` profiles, the chunk path's CPU budget.
+func BenchmarkSteadyStream(b *testing.B) {
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		res := mustRun(b, steadyStream())
 		events += res.EventsProcessed
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")

@@ -40,6 +40,10 @@ go test -run='^$' -bench='^BenchmarkJoin' -benchtime=1x ./internal/core/
 echo "== live cluster peak-heap benchmark, one iteration"
 go test -run='^$' -bench='^BenchmarkLiveClusterPeakHeap$' -benchtime=1x .
 
+# The steady-stream session `make profile-steady` profiles, once.
+echo "== steady-stream benchmark, one iteration"
+go test -run='^$' -bench='^BenchmarkSteadyStream$' -benchtime=1x .
+
 # Optional perf gate: compare benchmarks against the archived baseline.
 # Off by default (benchmark noise depends on the machine); enable with
 #   BENCH_COMPARE=1 ./check.sh

@@ -1,7 +1,5 @@
 package flow
 
-import "sync"
-
 // DefaultWindowBits is the number of recent sequence numbers a Window
 // tracks. Reordering beyond this span (minutes of stream at the paper's
 // rates) is not observable in a tree overlay.
@@ -22,32 +20,44 @@ type Range struct {
 // the cumulative-ack point (highest seq with no gap below it) and can
 // enumerate the missing ranges above it for NACK generation.
 //
-// It is safe for concurrent use: receive paths Add while ack/NACK timers
-// read CumAck and Missing from another goroutine in the live runtime.
+// It takes no lock: a window belongs to one peer, and every call comes
+// from that peer's serialized execution context (the event loop in the
+// simulator, the peer's mailbox goroutine in the live runtime), where the
+// receive path and the ack/NACK timers never run at the same time.
 type Window struct {
-	mu       sync.Mutex
-	size     int64 // tracked span in bits, multiple of 64
 	backfill int64
-	base     int64 // lowest tracked seq
-	top      int64 // highest seq marked so far, exclusive
-	cum      int64 // cumulative point: every seq <= cum is seen
-	bits     []uint64
+	base     int64    // lowest tracked seq
+	top      int64    // highest seq marked so far, exclusive
+	cum      int64    // cumulative point: every seq <= cum is seen
+	bits     []uint64 // the tracked span: a power of two ≥ 64 bits
 	begun    bool
 }
 
 // NewWindow builds a window tracking size recent sequence numbers
-// (rounded up to a multiple of 64; <= 0 means DefaultWindowBits) that
-// accepts backfill sequence numbers below the first seq it observes.
+// (rounded up to a power of two, at least 64; <= 0 means
+// DefaultWindowBits) that accepts backfill sequence numbers below the
+// first seq it observes.
 func NewWindow(size, backfill int) *Window {
+	w := new(Window)
+	w.Init(size, backfill)
+	return w
+}
+
+// Init sets w up in place as NewWindow(size, backfill) would, so a window
+// can live inside its owner's struct.
+func (w *Window) Init(size, backfill int) {
 	if size <= 0 {
 		size = DefaultWindowBits
 	}
-	sz := (int64(size) + 63) &^ 63
+	sz := int64(64)
+	for sz < int64(size) {
+		sz <<= 1
+	}
 	bf := int64(backfill)
 	if bf < 0 || bf >= sz {
 		bf = 0
 	}
-	return &Window{size: sz, backfill: bf, bits: make([]uint64, sz/64)}
+	*w = Window{backfill: bf, bits: make([]uint64, sz/64)}
 }
 
 // Add marks seq as seen and reports whether it was new. Sequence numbers
@@ -55,8 +65,6 @@ func NewWindow(size, backfill int) *Window {
 // (NACK give-up) is also an Add: marking it seen is exactly what lets
 // the cumulative point move past it.
 func (w *Window) Add(seq int64) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if !w.begun {
 		w.begun = true
 		w.base = seq - w.backfill
@@ -66,10 +74,10 @@ func (w *Window) Add(seq int64) bool {
 	if seq < w.base {
 		return false
 	}
-	if seq >= w.base+w.size {
+	if size := w.size(); seq >= w.base+size {
 		// Slide forward so seq is the newest trackable entry.
-		newBase := seq - w.size + 1
-		if newBase >= w.base+w.size {
+		newBase := seq - size + 1
+		if newBase >= w.base+size {
 			// Jumped past the whole window: nothing tracked survives.
 			for i := range w.bits {
 				w.bits[i] = 0
@@ -101,7 +109,7 @@ func (w *Window) Add(seq int64) bool {
 }
 
 // advance chains the cumulative point forward over contiguous seen
-// bits. Caller holds w.mu.
+// bits.
 func (w *Window) advance() {
 	for w.cum+1 < w.top && w.get(w.cum+1) {
 		w.cum++
@@ -112,16 +120,12 @@ func (w *Window) advance() {
 // such that every sequence at or below it has been seen (or slid out of
 // the window) — and whether any sequence has been observed yet.
 func (w *Window) CumAck() (int64, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.cum, w.begun
 }
 
 // Seen reports whether seq has been marked (or is below the window, in
 // which case it is treated as seen).
 func (w *Window) Seen(seq int64) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if !w.begun {
 		return false
 	}
@@ -139,8 +143,6 @@ func (w *Window) Seen(seq int64) bool {
 // dst is reset and reused, so callers can keep a scratch slice.
 func (w *Window) Missing(dst []Range, max int) []Range {
 	dst = dst[:0]
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if !w.begun {
 		return dst
 	}
@@ -157,12 +159,14 @@ func (w *Window) Missing(dst []Range, max int) []Range {
 	return dst
 }
 
+// size returns the tracked span in sequence numbers.
+func (w *Window) size() int64 { return int64(len(w.bits)) << 6 }
+
+// idx maps seq to its bitmap word and bit. The span is a power of two, so
+// the mask is seq mod span, non-negative for negative seqs too.
 func (w *Window) idx(seq int64) (int, uint64) {
-	off := seq % w.size
-	if off < 0 {
-		off += w.size
-	}
-	return int(off / 64), 1 << uint(off%64)
+	off := seq & (w.size() - 1)
+	return int(off >> 6), 1 << uint(off&63)
 }
 
 func (w *Window) get(seq int64) bool {

@@ -15,11 +15,12 @@ package overlay
 // (children joining and leaving) allocates nothing — pinned by
 // TestAdjPoolSteadyStateAllocs.
 //
-// Determinism: iteration order is insertion order, which is itself a
-// deterministic function of the event sequence — unlike Go map ranges,
-// which are intentionally randomized. Callers that need a canonical
-// order (snapshots, fanout) sort ids exactly as they did over maps, so
-// swapping maps for the pool cannot change simulation output.
+// Determinism: a set keeps its entries in ascending id order — Put
+// inserts in place, Delete shifts the later entries down, and every chunk
+// but the tail stays full. Iteration order is therefore a function of the
+// set's contents alone (not of the event sequence that built it, and
+// unlike a Go map range, not randomized), and it is already the canonical
+// order snapshots and fan-outs need: callers sort nothing.
 //
 // Concurrency: a pool is confined to one Bus's execution context (the
 // serial event loop, one shard's loop, or one live peer's mailbox);
@@ -103,76 +104,101 @@ func (p *AdjPool) Has(s *AdjSet, id NodeID) bool {
 	return ok
 }
 
-// Put inserts or updates id's distance.
+// Put inserts or updates id's distance, keeping the set in id order.
 func (p *AdjPool) Put(s *AdjSet, id NodeID, dist float64) {
-	last := int32(0)
-	for i := s.head; i > 0; {
-		c := &p.chunks[i]
-		for j := int32(0); j < c.n; j++ {
+	// Find the first entry with an id ≥ id: chunk ci, position j. Past
+	// every entry, ci is the tail chunk and j its count.
+	ci, j := s.head, int32(0)
+	for ci > 0 {
+		c := &p.chunks[ci]
+		for j = 0; j < c.n && c.ids[j] < id; j++ {
+		}
+		if j < c.n {
 			if c.ids[j] == id {
 				c.dist[j] = dist
 				return
 			}
+			break
 		}
-		last = i
-		i = c.next
+		if c.next == 0 {
+			break
+		}
+		ci = c.next
 	}
-	// Append: into the tail chunk if it has room, else a fresh chunk.
-	if last != 0 && p.chunks[last].n < adjChunkCap {
-		c := &p.chunks[last]
-		c.ids[c.n] = id
-		c.dist[c.n] = dist
-		c.n++
-		s.count++
-		return
+	// Insert at (ci, j). A full chunk passes its last entry on to the
+	// front of the next one; past the tail, a fresh chunk takes it.
+	s.count++
+	last := int32(0)
+	for ci > 0 {
+		c := &p.chunks[ci]
+		if c.n < adjChunkCap {
+			copy(c.ids[j+1:c.n+1], c.ids[j:c.n])
+			copy(c.dist[j+1:c.n+1], c.dist[j:c.n])
+			c.ids[j], c.dist[j] = id, dist
+			c.n++
+			return
+		}
+		if j < adjChunkCap {
+			outID, outDist := c.ids[adjChunkCap-1], c.dist[adjChunkCap-1]
+			copy(c.ids[j+1:], c.ids[j:adjChunkCap-1])
+			copy(c.dist[j+1:], c.dist[j:adjChunkCap-1])
+			c.ids[j], c.dist[j] = id, dist
+			id, dist = outID, outDist
+		}
+		last, ci, j = ci, c.next, 0
 	}
 	ni := p.alloc()
 	c := &p.chunks[ni]
-	c.ids[0] = id
-	c.dist[0] = dist
-	c.n = 1
+	c.ids[0], c.dist[0], c.n = id, dist, 1
 	if last == 0 {
 		s.head = ni
 	} else {
 		p.chunks[last].next = ni
 	}
-	s.count++
 }
 
-// Delete removes id if present, reporting whether it was. The last entry
-// of the set's tail chunk backfills the hole, so chunks stay dense and
-// an emptied tail chunk returns to the free list.
+// Delete removes id if present, reporting whether it was. The entries
+// after it shift down one place, each chunk taking the front entry of
+// the next, so chunks stay full and an emptied tail chunk returns to the
+// free list.
 func (p *AdjPool) Delete(s *AdjSet, id NodeID) bool {
-	for i := s.head; i > 0; {
-		c := &p.chunks[i]
-		for j := int32(0); j < c.n; j++ {
-			if c.ids[j] != id {
-				continue
-			}
-			// Find the tail chunk and its owner link.
-			lastIdx, prev := s.head, int32(0)
-			for p.chunks[lastIdx].next > 0 {
-				prev = lastIdx
-				lastIdx = p.chunks[lastIdx].next
-			}
-			lc := &p.chunks[lastIdx]
-			c.ids[j] = lc.ids[lc.n-1]
-			c.dist[j] = lc.dist[lc.n-1]
-			lc.n--
-			if lc.n == 0 {
+	ci, prev, j := s.head, int32(0), int32(0)
+	for ; ci > 0; prev, ci = ci, p.chunks[ci].next {
+		c := &p.chunks[ci]
+		if c.ids[c.n-1] < id {
+			continue
+		}
+		for j = 0; c.ids[j] < id; j++ {
+		}
+		if c.ids[j] != id {
+			return false
+		}
+		break
+	}
+	if ci == 0 {
+		return false
+	}
+	s.count--
+	for {
+		c := &p.chunks[ci]
+		copy(c.ids[j:c.n-1], c.ids[j+1:c.n])
+		copy(c.dist[j:c.n-1], c.dist[j+1:c.n])
+		if c.next == 0 {
+			c.n--
+			if c.n == 0 {
 				if prev == 0 {
 					s.head = 0
 				} else {
 					p.chunks[prev].next = 0
 				}
-				p.release(lastIdx)
+				p.release(ci)
 			}
-			s.count--
 			return true
 		}
-		i = c.next
+		nc := &p.chunks[c.next]
+		c.ids[c.n-1], c.dist[c.n-1] = nc.ids[0], nc.dist[0]
+		prev, ci, j = ci, c.next, 0
 	}
-	return false
 }
 
 // Clear empties the set, returning all its chunks to the free list.
@@ -186,7 +212,7 @@ func (p *AdjPool) Clear(s *AdjSet) {
 	s.count = 0
 }
 
-// Each calls fn for every entry in insertion order.
+// Each calls fn for every entry in id order.
 func (p *AdjPool) Each(s *AdjSet, fn func(id NodeID, dist float64)) {
 	for i := s.head; i > 0; {
 		c := &p.chunks[i]
@@ -197,9 +223,8 @@ func (p *AdjPool) Each(s *AdjSet, fn func(id NodeID, dist float64)) {
 	}
 }
 
-// AppendIDs appends the set's ids to dst (insertion order) and returns
-// it — the zero-alloc snapshot primitive callers sort when they need a
-// canonical order.
+// AppendIDs appends the set's ids to dst in id order and returns it —
+// the zero-alloc snapshot primitive.
 func (p *AdjPool) AppendIDs(s *AdjSet, dst []NodeID) []NodeID {
 	for i := s.head; i > 0; {
 		c := &p.chunks[i]

@@ -10,32 +10,45 @@ import (
 
 // fanoutFixture wires a source with k direct children on a uniform-RTT
 // underlay for data-plane benches.
-func fanoutFixture(k int) (*eventq.Sim, *Network, *Peer, []*Peer) {
-	n := k + 1
-	rtt := make([][]float64, n)
-	for i := range rtt {
-		rtt[i] = make([]float64, n)
-		for j := range rtt[i] {
-			if i != j {
-				rtt[i][j] = 20
-			}
-		}
-	}
-	sim := eventq.New()
-	net := NewNetwork(sim, underlay.NewStatic(rtt), 1)
-	src := NewPeer(net, PeerConfig{ID: 0, Source: 0, MaxDegree: k, IsSource: true})
-	src.SetHooks(nopHooks{})
-	net.Register(0, src)
+func fanoutFixture(k int) (*eventq.Sim, *Peer, []*Peer) {
+	sim, net := uniformNetwork(k + 1)
+	src := fixturePeer(net, 0, nil, k)
 	var leaves []*Peer
 	for i := 1; i <= k; i++ {
-		p := NewPeer(net, PeerConfig{ID: NodeID(i), Source: 0, MaxDegree: 1})
-		p.SetHooks(nopHooks{})
-		net.Register(NodeID(i), p)
-		p.ApplyConnect(0, 20, []NodeID{})
-		src.PutChild(NodeID(i), 20)
-		leaves = append(leaves, p)
+		leaves = append(leaves, fixturePeer(net, NodeID(i), src, 1))
 	}
-	return sim, net, src, leaves
+	return sim, src, leaves
+}
+
+// relayFixture wires source 0 → relay 1 → k leaves on a uniform-RTT
+// underlay: the relay runs the forward every non-source peer runs.
+func relayFixture(k int) (sim *eventq.Sim, src, relay *Peer, leaves []*Peer) {
+	sim, net := uniformNetwork(k + 2)
+	src = fixturePeer(net, 0, nil, 1)
+	relay = fixturePeer(net, 1, src, k)
+	for i := 2; i < k+2; i++ {
+		leaves = append(leaves, fixturePeer(net, NodeID(i), relay, 1))
+	}
+	return sim, src, relay, leaves
+}
+
+// uniformNetwork is a network of n nodes 20 ms RTT apart.
+func uniformNetwork(n int) (*eventq.Sim, *Network) {
+	sim := eventq.New()
+	return sim, NewNetwork(sim, underlay.NewStatic(uniformRTT(n, 20)), 1)
+}
+
+// fixturePeer registers peer id with the given degree and connects it
+// under parent, or makes it the source when parent is nil.
+func fixturePeer(net *Network, id NodeID, parent *Peer, degree int) *Peer {
+	p := NewPeer(net, PeerConfig{ID: id, Source: 0, MaxDegree: degree, IsSource: parent == nil})
+	p.SetHooks(nopHooks{})
+	net.Register(id, p)
+	if parent != nil {
+		p.ApplyConnect(parent.ID(), 20, parent.pathForChildren())
+		parent.PutChild(id, 20)
+	}
+	return p
 }
 
 type nopHooks struct{}
@@ -50,15 +63,15 @@ func BenchmarkSeqWindowSequential(b *testing.B) {
 	}
 }
 
+// BenchmarkChunkFanout pushes chunks from the source through a relay to
+// eight leaves: one source forward and one relay forward per chunk.
 func BenchmarkChunkFanout(b *testing.B) {
-	sim, net, src, leaves := fanoutFixture(8)
-	_ = leaves
+	sim, src, _, _ := relayFixture(8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src.EmitChunk(int64(i))
-		// Not Drain: the leaves' starvation watchdogs reschedule forever.
+		// Not Drain: the starvation watchdogs reschedule forever.
 		sim.Run(sim.Now() + 0.05)
 	}
-	_ = net
 }

@@ -13,7 +13,7 @@ import (
 // — the chunk boxed into a Message, shared by all three sends. Delivery
 // records, queue slots and the id scratch slice are all reused.
 func TestForwardChunkBoxesOnce(t *testing.T) {
-	sim, _, src, leaves := fanoutFixture(3)
+	sim, src, leaves := fanoutFixture(3)
 	seq := int64(0)
 	emit := func() {
 		seq++
@@ -30,6 +30,53 @@ func TestForwardChunkBoxesOnce(t *testing.T) {
 		if got := l.Stats().Received; got != seq {
 			t.Fatalf("leaf %d received %d of %d chunks", i, got, seq)
 		}
+	}
+}
+
+// TestRelayForwardAllocs pins the relay's allocation budget: a peer
+// forwarding an untraced chunk to its three children sends on the box the
+// chunk arrived in, so the relay allocates nothing per chunk. A traced
+// chunk is re-tagged and re-boxed on the way and reaches the leaves at
+// depth 2.
+func TestRelayForwardAllocs(t *testing.T) {
+	sim, src, relay, leaves := relayFixture(3)
+	const warm, runs = 8, 200
+	// The chunks arrive boxed, as deliveries hand them over; AllocsPerRun
+	// makes one extra call.
+	boxes := make([]Message, warm+runs+1)
+	for i := range boxes {
+		boxes[i] = DataChunk{Seq: int64(i)}
+	}
+	next := 0
+	relayOne := func() {
+		relay.HandleMessage(src.ID(), boxes[next])
+		next++
+		sim.Run(sim.Now() + 0.05) // past the 10 ms delivery delay
+	}
+	for i := 0; i < warm; i++ {
+		relayOne() // warm the delivery records and the queue
+	}
+	if allocs := testing.AllocsPerRun(runs, relayOne); allocs != 0 {
+		t.Fatalf("relaying a chunk to 3 children allocated %v objects per chunk, want 0", allocs)
+	}
+	for i, l := range leaves {
+		if got := l.Stats().Received; got != int64(next) {
+			t.Fatalf("leaf %d received %d of %d chunks", i, got, next)
+		}
+	}
+
+	var hops []int
+	for _, l := range leaves {
+		l.SetChunkObserver(func(c DataChunk) {
+			if c.Trace != nil {
+				hops = append(hops, c.Trace.Hops)
+			}
+		})
+	}
+	src.EmitData(DataChunk{Seq: int64(next), Trace: &ChunkTrace{OriginS: sim.Now()}})
+	sim.Run(sim.Now() + 0.1)
+	if want := []int{2, 2, 2}; !slices.Equal(hops, want) {
+		t.Fatalf("traced chunk reached the leaves at hops %v, want %v", hops, want)
 	}
 }
 

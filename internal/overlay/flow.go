@@ -361,9 +361,9 @@ func (f *flowState) sendOne(c NodeID, cf *childFlow, m Message) bool {
 }
 
 // forward paces one stream message (chunk or parity) to every child and
-// foster. Children whose bucket and window admit it immediately are
-// served through one SendFanout call (single encode on the wire); the
-// rest queue for the next drain.
+// then every foster, each in id order. Children whose bucket and window
+// admit it immediately are served through one SendFanout call (single
+// encode on the wire); the rest queue for the next drain.
 func (f *flowState) forward(m Message) {
 	p := f.p
 	now := p.net.Now()
@@ -524,7 +524,7 @@ func (f *flowState) onChunk(m DataChunk) {
 	if f.dec != nil {
 		if rec, ok := f.dec.AddData(m.Seq, m.Payload); ok {
 			f.st.fecRepairs.Add(1)
-			f.p.handleChunk(None, DataChunk{Seq: rec.Seq, Payload: rec.Payload})
+			f.p.handleChunk(None, DataChunk{Seq: rec.Seq, Payload: rec.Payload}, nil)
 		}
 	}
 }
@@ -610,7 +610,7 @@ func (f *flowState) onParity(from NodeID, m Parity) {
 	}
 	if recovered {
 		f.st.fecRepairs.Add(1)
-		f.p.handleChunk(None, DataChunk{Seq: rec.Seq, Payload: rec.Payload})
+		f.p.handleChunk(None, DataChunk{Seq: rec.Seq, Payload: rec.Payload}, nil)
 	}
 }
 

@@ -607,7 +607,7 @@ func TestDataForwardingAndDedup(t *testing.T) {
 		s.EmitChunk(seq)
 	}
 	// A duplicate re-emission must not double-count downstream.
-	s.Peer.window = flow.NewWindow(flow.DefaultWindowBits, flow.DefaultBackfill)
+	s.Peer.window.Init(flow.DefaultWindowBits, flow.DefaultBackfill)
 	s.EmitChunk(3)
 	r.sim.Run(5)
 

@@ -1,9 +1,6 @@
 package overlay
 
 import (
-	"cmp"
-	"slices"
-
 	"vdm/internal/flow"
 	"vdm/internal/vdist"
 )
@@ -61,10 +58,11 @@ type PeerConfig struct {
 	// fire-and-forget forwarding — which the simulator's byte-identical
 	// event traces require, so the sim never sets it.
 	Flow *flow.Config
-	// WindowSlots sizes the dedupe window (sequence slots tracked);
-	// 0 selects flow.DefaultWindowBits. The simulator shrinks it: its
-	// reorder span is milliseconds of virtual time, so a short window
-	// dedupes identically while costing 8× less per peer.
+	// WindowSlots sizes the dedupe window (sequence slots tracked,
+	// rounded up to a power of two); 0 selects flow.DefaultWindowBits.
+	// The simulator shrinks it: its reorder span is milliseconds of
+	// virtual time, so a short window dedupes identically while costing
+	// 8× less per peer.
 	WindowSlots int
 }
 
@@ -105,7 +103,6 @@ type Peer struct {
 	source    NodeID
 	net       Bus
 	maxDegree int
-	isSource  bool
 	metric    vdist.Metric
 
 	parent     NodeID
@@ -117,8 +114,11 @@ type Peer struct {
 	// fosters are temporary quick-start children served beyond the
 	// degree limit; they receive data and path updates but are not
 	// advertised in InfoResponses and do not consume degree.
-	fosters   AdjSet
-	rootPath  []NodeID
+	fosters  AdjSet
+	rootPath []NodeID
+	// The flags share one word, which keeps a Peer inside the runtime's
+	// 512-byte size class.
+	isSource  bool
 	connected bool
 	switching bool
 	alive     bool
@@ -126,7 +126,9 @@ type Peer struct {
 	InfoTimeoutS float64
 
 	prober *Prober
-	window *flow.Window
+	// window dedupes chunks; it lives in the peer and, like the rest of
+	// the peer's state, is touched only from its execution context.
+	window flow.Window
 	stats  Stats
 	hooks  Hooks
 
@@ -216,10 +218,10 @@ func NewPeer(net Bus, cfg PeerConfig) *Peer {
 		connected:    cfg.IsSource,
 		alive:        true,
 		InfoTimeoutS: cfg.InfoTimeoutS,
-		window:       flow.NewWindow(winSlots, flow.DefaultBackfill),
 		stats:        Stats{Startup: -1, orphanedAt: -1, LeftAt: -1},
 		pool:         net.AdjPool(),
 	}
+	p.window.Init(winSlots, flow.DefaultBackfill)
 	if p.InfoTimeoutS <= 0 {
 		p.InfoTimeoutS = DefaultInfoTimeoutS
 	}
@@ -263,20 +265,16 @@ func (p *Peer) MaxDegree() int { return p.maxDegree }
 // FreeDegree returns the remaining child capacity.
 func (p *Peer) FreeDegree() int { return p.maxDegree - p.pool.Len(&p.children) }
 
-// ChildIDs returns the regular children sorted by id (deterministic
+// ChildIDs returns the regular children in id order (the pool's own
 // order). Foster children are excluded: they neither consume degree nor
 // appear in information responses.
 func (p *Peer) ChildIDs() []NodeID {
-	out := p.pool.AppendIDs(&p.children, make([]NodeID, 0, p.pool.Len(&p.children)))
-	slices.Sort(out)
-	return out
+	return p.pool.AppendIDs(&p.children, make([]NodeID, 0, p.pool.Len(&p.children)))
 }
 
-// FosterIDs returns the current foster children sorted by id.
+// FosterIDs returns the current foster children in id order.
 func (p *Peer) FosterIDs() []NodeID {
-	out := p.pool.AppendIDs(&p.fosters, make([]NodeID, 0, p.pool.Len(&p.fosters)))
-	slices.Sort(out)
-	return out
+	return p.pool.AppendIDs(&p.fosters, make([]NodeID, 0, p.pool.Len(&p.fosters)))
 }
 
 // ChildDist returns the stored distance to child c.
@@ -434,7 +432,7 @@ func (p *Peer) HandleMessage(from NodeID, m Message) {
 				p.lastParentFeedAt = p.Now()
 			}
 		}
-		p.handleChunk(from, msg)
+		p.handleChunk(from, msg, m)
 	case DataAck:
 		if p.flow != nil {
 			p.flow.onAck(from, msg)
@@ -461,7 +459,6 @@ func (p *Peer) childSnapshot() []ChildInfo {
 	p.pool.Each(&p.children, func(id NodeID, d float64) {
 		out = append(out, ChildInfo{ID: id, Dist: d})
 	})
-	slices.SortFunc(out, func(a, b ChildInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -651,67 +648,53 @@ func (p *Peer) handleLeaveNotify(from NodeID, m LeaveNotify) {
 // context. Nil disables.
 func (p *Peer) SetChunkObserver(fn func(DataChunk)) { p.chunkObs = fn }
 
-// handleChunk is the first-time-delivery path for a chunk arriving from
+// handleChunk is the first-time-delivery path for chunk c arriving from
 // sender `from` (None for locally recovered chunks, e.g. FEC repairs —
-// no edge to attribute the arrival to). A trace-tagged chunk records an
-// edge sample here and is re-tagged with this peer's own hop depth
-// before it forwards, so every receiver down the tree sees the true
-// depth at its sender.
-func (p *Peer) handleChunk(from NodeID, m DataChunk) {
-	if !p.window.Add(m.Seq) {
+// no edge to attribute the arrival to). m is c as the Message it arrived
+// boxed in, which an untraced chunk forwards as is, so relaying it
+// allocates nothing; the flow plane's recovered chunks have no box and
+// pass nil. A trace-tagged chunk records an edge sample here and is
+// re-tagged with this peer's own hop depth, and re-boxed, before it
+// forwards, so every receiver down the tree sees the true depth at its
+// sender.
+func (p *Peer) handleChunk(from NodeID, c DataChunk, m Message) {
+	if !p.window.Add(c.Seq) {
 		p.stats.Dups++
 		return
 	}
 	p.stats.Received++
-	if m.Trace != nil {
-		depth := m.Trace.Hops + 1
+	if c.Trace != nil {
+		depth := c.Trace.Hops + 1
 		if p.traceObs != nil && from != None {
 			p.traceObs(ChunkTraceSample{
 				From:     from,
-				Seq:      m.Seq,
+				Seq:      c.Seq,
 				Depth:    depth,
-				LatencyS: p.Now() - m.Trace.OriginS,
+				LatencyS: p.Now() - c.Trace.OriginS,
 			})
 		}
-		m.Trace = &ChunkTrace{OriginS: m.Trace.OriginS, Hops: depth}
+		c.Trace = &ChunkTrace{OriginS: c.Trace.OriginS, Hops: depth}
+		m = c
 	}
 	if p.chunkObs != nil {
-		p.chunkObs(m)
+		p.chunkObs(c)
 	}
 	if p.flow != nil {
-		p.flow.onChunk(m)
+		p.flow.onChunk(c)
 		return
 	}
 	p.forwardChunk(m)
 }
 
-// appendSortedChildren appends the regular children to dst in id order.
-func (p *Peer) appendSortedChildren(dst []NodeID) []NodeID {
-	n := len(dst)
-	dst = p.pool.AppendIDs(&p.children, dst)
-	tail := dst[n:]
-	slices.Sort(tail)
-	return dst
-}
-
-// appendSortedFosters appends the foster children to dst in id order.
-func (p *Peer) appendSortedFosters(dst []NodeID) []NodeID {
-	n := len(dst)
-	dst = p.pool.AppendIDs(&p.fosters, dst)
-	tail := dst[n:]
-	slices.Sort(tail)
-	return dst
-}
-
-// forwardChunk sends m to the regular children in id order, then the
-// fosters in id order, through one SendFanout call: the live transport
-// marshals the chunk once for the whole fan-out, and the chunk is boxed
-// into a Message once for all destinations. Every successful destination
-// counts one Forwarded; a failed one (the child silently vanished) loses
-// its tree slot so the degree frees up.
-func (p *Peer) forwardChunk(m DataChunk) {
-	ids := p.appendSortedChildren(p.fanoutIDs[:0])
-	ids = p.appendSortedFosters(ids)
+// forwardChunk sends the boxed chunk m to the regular children in id
+// order, then the fosters in id order (the pool's own order), through one
+// SendFanout call: the live transport marshals the chunk once for the
+// whole fan-out, and every destination shares the one box. Every
+// successful destination counts one Forwarded; a failed one (the child
+// silently vanished) loses its tree slot so the degree frees up.
+func (p *Peer) forwardChunk(m Message) {
+	ids := p.pool.AppendIDs(&p.children, p.fanoutIDs[:0])
+	ids = p.pool.AppendIDs(&p.fosters, ids)
 	p.fanoutIDs = ids
 	if len(ids) == 0 {
 		return

@@ -783,7 +783,7 @@ func (s *session) spawn(slot, memIdx int) {
 		}
 		p.Base().EnableStatusReports(s.cfg.StatusPeriodS)
 	}
-	net.Register(overlay.NodeID(slot), p)
+	net.Register(overlay.NodeID(slot), p.Base())
 	s.insts[slot] = p
 	s.all[memIdx] = p.Base()
 	if slot != 0 {
