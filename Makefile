@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet fuzz knobs loc bench bench-compare profile-cell profile-steady profile-heap profile-heap-live bench-scale bench-scale-profile profile-smoke
+.PHONY: check test build vet fuzz knobs loc bench bench-compare profile-cell profile-steady profile-live profile-heap profile-heap-live bench-scale bench-scale-profile profile-smoke
 
 # check is the pre-merge gate: vet + build + race-enabled tests.
 check:
@@ -16,12 +16,13 @@ test:
 	$(GO) test ./...
 
 # Short fuzz pass over the decoders: arbitrary bytes through the wire
-# decoder, generated messages of every type through a round trip, and a
-# lossy, reordering link between the FEC encoder and decoder. FUZZTIME is
-# per target.
+# frame decoder and through the datagram splitter, generated messages of
+# every type through a round trip, and a lossy, reordering link between
+# the FEC encoder and decoder. FUZZTIME is per target.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDatagram$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzFECDecoder$$' -fuzztime=$(FUZZTIME) ./internal/flow/
 
@@ -163,6 +164,15 @@ profile-cell:
 # path records its parent's and its own.
 profile-steady:
 	$(call CPU_PROFILE,BenchmarkSteadyStream,BENCH_pprof_steady_stream.txt)
+
+# profile-live writes BENCH_pprof_live_stream.txt: where the live plane
+# spends its CPU over BenchmarkLiveClusterStream, the 13-peer loopback
+# stream in the benchmark's live-clean-stream shape (2 000 chunks/s of
+# 256 bytes for 4 s) — the budget of wire encode, coalescer, syscalls,
+# mailbox and flow. A change to the live data path records its parent's
+# and its own.
+profile-live:
+	$(call CPU_PROFILE,BenchmarkLiveClusterStream,BENCH_pprof_live_stream.txt)
 
 # profile-heap writes BENCH_pprof_heap_scale_cell.txt, the scale cell's
 # memory budget: BenchmarkScaleCellPeakHeap's peak live heap (forced

@@ -602,6 +602,33 @@ const (
 	liveHeapSeconds = 4
 )
 
+// bootLiveStream boots the cluster the live stream runs through and waits
+// until every joiner is connected.
+func bootLiveStream(b *testing.B) *live.Cluster {
+	b.Helper()
+	c, err := live.NewCluster(live.ClusterConfig{
+		N: liveHeapPeers, MaxDegree: liveHeapDegree, Flow: &flow.Config{RateChunksPerS: -1},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.WaitConnected(10 * time.Second); err != nil {
+		c.Close()
+		b.Fatal(err)
+	}
+	return c
+}
+
+// streamLive emits the live stream from c's source, open loop: chunk n is
+// due at start + n/rate, however late the previous one went out.
+func streamLive(c *live.Cluster) {
+	start := time.Now()
+	for n := 0; n < liveHeapRate*liveHeapSeconds; n++ {
+		time.Sleep(time.Until(start.Add(time.Duration(n) * time.Second / liveHeapRate)))
+		c.Source().EmitData(overlay.DataChunk{Seq: int64(n), Payload: make([]byte, liveHeapPayload)})
+	}
+}
+
 // BenchmarkLiveClusterPeakHeap boots a live.Cluster, streams through it
 // and reports the stream's peak live heap in MB: the bytes the latest
 // collection found reachable, sampled every 50 ms as the benchmark's live
@@ -623,16 +650,7 @@ func BenchmarkLiveClusterPeakHeap(b *testing.B) {
 		return s[0].Value.Uint64()
 	}
 	for i := 0; i < b.N; i++ {
-		c, err := live.NewCluster(live.ClusterConfig{
-			N: liveHeapPeers, MaxDegree: liveHeapDegree, Flow: &flow.Config{RateChunksPerS: -1},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.WaitConnected(10 * time.Second); err != nil {
-			c.Close()
-			b.Fatal(err)
-		}
+		c := bootLiveStream(b)
 		runtime.GC() // the floor is the stream's live set, not set-up's garbage
 		stop, done := make(chan struct{}), make(chan uint64)
 		go func() {
@@ -651,13 +669,7 @@ func BenchmarkLiveClusterPeakHeap(b *testing.B) {
 				}
 			}
 		}()
-		// Open loop: chunk n is due at start + n/rate, however late the
-		// previous one went out.
-		start := time.Now()
-		for n := 0; n < liveHeapRate*liveHeapSeconds; n++ {
-			time.Sleep(time.Until(start.Add(time.Duration(n) * time.Second / liveHeapRate)))
-			c.Source().EmitData(overlay.DataChunk{Seq: int64(n), Payload: make([]byte, liveHeapPayload)})
-		}
+		streamLive(c)
 		close(stop)
 		if h := <-done; h > peak {
 			peak = h
@@ -677,4 +689,25 @@ func BenchmarkLiveClusterPeakHeap(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(peak)/1e6, "peak_MB")
+}
+
+// BenchmarkLiveClusterStream runs BenchmarkLiveClusterPeakHeap's stream
+// with nothing sampling it: the one `make profile-live` profiles, the live
+// plane's CPU budget. It reports the data plane's datagrams per frame and
+// syscalls per frame over every socket, sent and received.
+func BenchmarkLiveClusterStream(b *testing.B) {
+	var frames, datagrams, syscalls int64
+	for i := 0; i < b.N; i++ {
+		c := bootLiveStream(b)
+		streamLive(c)
+		c.Close()
+		for _, tr := range c.Trs {
+			d := tr.Dataplane()
+			frames += d.SentFrames + d.RecvFrames
+			datagrams += d.SentDatagrams + d.RecvDatagrams
+			syscalls += d.SendSyscalls + d.RecvSyscalls
+		}
+	}
+	b.ReportMetric(float64(datagrams)/float64(frames), "datagrams/frame")
+	b.ReportMetric(float64(syscalls)/float64(frames), "syscalls/frame")
 }

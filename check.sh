@@ -40,6 +40,10 @@ go test -run='^$' -bench='^BenchmarkJoin' -benchtime=1x ./internal/core/
 echo "== live cluster peak-heap benchmark, one iteration"
 go test -run='^$' -bench='^BenchmarkLiveClusterPeakHeap$' -benchtime=1x .
 
+# The live stream `make profile-live` profiles, once.
+echo "== live cluster stream benchmark, one iteration"
+go test -run='^$' -bench='^BenchmarkLiveClusterStream$' -benchtime=1x .
+
 # The steady-stream session `make profile-steady` profiles, once.
 echo "== steady-stream benchmark, one iteration"
 go test -run='^$' -bench='^BenchmarkSteadyStream$' -benchtime=1x .

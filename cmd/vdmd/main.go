@@ -199,6 +199,8 @@ func main() {
 			{Name: "vdm_dataplane_recv_syscalls_total", Labels: []obs.Label{nl}, Value: float64(dp.RecvSyscalls)},
 			{Name: "vdm_dataplane_sent_frames_total", Labels: []obs.Label{nl}, Value: float64(dp.SentFrames)},
 			{Name: "vdm_dataplane_recv_frames_total", Labels: []obs.Label{nl}, Value: float64(dp.RecvFrames)},
+			{Name: "vdm_dataplane_sent_datagrams_total", Labels: []obs.Label{nl}, Value: float64(dp.SentDatagrams)},
+			{Name: "vdm_dataplane_recv_datagrams_total", Labels: []obs.Label{nl}, Value: float64(dp.RecvDatagrams)},
 			{Name: "vdm_dataplane_flushes_total", Labels: []obs.Label{nl}, Value: float64(dp.Flushes)},
 			{Name: "vdm_dataplane_flushed_frames_total", Labels: []obs.Label{nl}, Value: float64(dp.FlushedFrames)},
 			{Name: "vdm_dataplane_flush_wait_seconds_total", Labels: []obs.Label{nl}, Value: float64(dp.FlushNanos) / 1e9},

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -172,6 +173,76 @@ func killLinkAndRepair(t *testing.T, c *Cluster, victim overlay.NodeID, warmed f
 	}
 	if served == 0 {
 		t.Error("no peer served a retransmit; recovery path unexercised")
+	}
+}
+
+// TestClusterBurstLossRepairedByNack loses, once, the five consecutive
+// chunk frames toward one child that one coalescer datagram carries when
+// the stream runs at 256-byte chunks: on a real link one lost datagram now
+// loses up to five chunks of one FEC group, which the group's single XOR
+// parity cannot repair. The child must still receive every chunk, through
+// NACK-driven retransmission. The benchmark's loss is per frame, so it
+// never produces this burst.
+func TestClusterBurstLossRepairedByNack(t *testing.T) {
+	fcfg := &flow.Config{
+		RateChunksPerS: 20000,
+		TickS:          0.01,
+		NackDelayS:     0.01,
+		AckEvery:       4,
+		FECGroup:       8,
+	}
+	const (
+		nChunks = 48
+		burstLo = 16 // the first seq of an FEC group of 8
+		burst   = 5
+	)
+	c := bootCluster(t, ClusterConfig{N: 7, MaxDegree: 2, Flow: fcfg})
+	victim := overlay.None
+	for _, p := range c.Peers[1:] {
+		if p.View().ParentID() == 0 {
+			victim = p.ID()
+			break
+		}
+	}
+	if victim == overlay.None {
+		t.Fatal("no child of the source")
+	}
+
+	var mu sync.Mutex
+	dropped := map[int64]bool{}
+	c.Trs[0].SetSendFilter(func(to overlay.NodeID, f wire.Frame, attempt int) bool {
+		ch, ok := f.Msg.(overlay.DataChunk)
+		if to != victim || !ok || ch.Seq < burstLo || ch.Seq >= burstLo+burst {
+			return false
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if dropped[ch.Seq] {
+			return false // the retransmission goes through
+		}
+		dropped[ch.Seq] = true
+		return true
+	})
+	for seq := 0; seq < nChunks; seq++ {
+		c.Source().EmitData(overlay.DataChunk{Seq: int64(seq), Payload: make([]byte, 256)})
+		time.Sleep(time.Millisecond)
+	}
+	for _, p := range c.Peers[1:] {
+		pp := p
+		if !pollUntil(5*time.Second, func() bool { return pp.Stats().Received == nChunks }) {
+			t.Errorf("peer %d received %d of %d (flow stats %+v)", pp.ID(), pp.Stats().Received, nChunks, pp.FlowStats())
+		}
+	}
+	mu.Lock()
+	if len(dropped) != burst {
+		t.Errorf("dropped %d chunk frames toward %d, want %d", len(dropped), victim, burst)
+	}
+	mu.Unlock()
+	if fs := c.Peers[victim].FlowStats(); fs.NacksSent == 0 {
+		t.Errorf("victim %d sent no NACK: %+v", victim, fs)
+	}
+	if served := c.Source().FlowStats().RetransmitsServed; served < burst {
+		t.Errorf("source served %d retransmits, want at least the %d lost chunks", served, burst)
 	}
 }
 

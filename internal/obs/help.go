@@ -42,15 +42,17 @@ var standardHelp = map[string]string{
 var dataplaneHelp = map[string]string{
 	"vdm_dataplane_send_syscalls_total":      "Socket write syscalls (one sendmmsg moving N datagrams counts once).",
 	"vdm_dataplane_recv_syscalls_total":      "Socket read syscalls (one recvmmsg moving N datagrams counts once).",
-	"vdm_dataplane_sent_frames_total":        "Datagrams written to the socket.",
-	"vdm_dataplane_recv_frames_total":        "Datagrams read from the socket.",
+	"vdm_dataplane_sent_frames_total":        "Frames written to the socket (a datagram carries one or more).",
+	"vdm_dataplane_recv_frames_total":        "Frames read from the socket (a datagram carries one or more).",
+	"vdm_dataplane_sent_datagrams_total":     "Datagrams written to the socket.",
+	"vdm_dataplane_recv_datagrams_total":     "Datagrams read from the socket.",
 	"vdm_dataplane_flushes_total":            "Send-coalescer flushes.",
 	"vdm_dataplane_flushed_frames_total":     "Data frames moved by coalescer flushes.",
 	"vdm_dataplane_flush_wait_seconds_total": "Summed first-enqueue-to-flush latency.",
 	"vdm_dataplane_queue_drops_total":        "Data frames evicted oldest-first by per-destination queue caps.",
 	"vdm_dataplane_fanout_encodes_total":     "Single-encode fan-outs (encode once, retarget per child).",
 	"vdm_dataplane_fanout_frames_total":      "Frames produced by single-encode fan-outs.",
-	"vdm_dataplane_max_batch":                "Largest datagram count one syscall has moved.",
+	"vdm_dataplane_max_batch":                "Largest frame count one syscall has moved.",
 }
 
 // flowHelp documents the reliable data plane's counters.

@@ -14,7 +14,7 @@ func newMmsgIO(conn *net.UDPConn, maxBatch int) *mmsgIO { return nil }
 
 func (m *mmsgIO) close() {}
 
-func (m *mmsgIO) readBatch() ([]received, error) {
+func (m *mmsgIO) readBatch() ([]received, int, error) {
 	panic("transport: mmsg readBatch on unsupported platform")
 }
 

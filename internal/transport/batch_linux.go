@@ -43,7 +43,7 @@ type mmsgIO struct {
 	rc    syscall.RawConn
 	batch int // receive ring length
 	addrs map[addrKey]*net.UDPAddr
-	got   []received // the last batch, decoded
+	got   []received // the last batch's frames, decoded
 
 	whdrs  []mmsghdr
 	wiovs  []syscall.Iovec
@@ -202,7 +202,7 @@ func newMmsgIO(conn *net.UDPConn, maxBatch int) *mmsgIO {
 		rc:     rc,
 		batch:  maxBatch,
 		addrs:  make(map[addrKey]*net.UDPAddr),
-		got:    make([]received, maxBatch),
+		got:    make([]received, 0, maxBatch),
 		whdrs:  make([]mmsghdr, maxBatch),
 		wiovs:  make([]syscall.Iovec, maxBatch),
 		wnames: make([]syscall.RawSockaddrInet6, maxBatch),
@@ -214,14 +214,15 @@ func newMmsgIO(conn *net.UDPConn, maxBatch int) *mmsgIO {
 func (m *mmsgIO) close() { rings.close(m.batch) }
 
 // readBatch blocks until the socket is readable, drains up to the ring
-// length of datagrams with one recvmmsg, and returns them decoded; the
-// slice is m's, valid until the next call. The ring is borrowed only while
-// the socket is readable: a recvmmsg that finds the socket empty hands it
-// back before the goroutine parks, a batch hands it back once decoded, and
-// a socket with no free ring makes or waits for one only when a datagram
-// is waiting. It returns a non-nil error only when the socket is closed
-// (or irrecoverable); an empty batch with a nil error means "retry".
-func (m *mmsgIO) readBatch() ([]received, error) {
+// length of datagrams with one recvmmsg, and returns their frames decoded
+// and the datagram count; the slice is m's, valid until the next call.
+// The ring is borrowed only while the socket is readable: a recvmmsg that
+// finds the socket empty hands it back before the goroutine parks, a
+// batch hands it back once decoded, and a socket with no free ring makes
+// or waits for one only when a datagram is waiting. It returns a non-nil
+// error only when the socket is closed (or irrecoverable); an empty batch
+// with a nil error means "retry".
+func (m *mmsgIO) readBatch() ([]received, int, error) {
 	var r *recvRing
 	var n int
 	var rerr syscall.Errno
@@ -256,22 +257,23 @@ func (m *mmsgIO) readBatch() ([]received, error) {
 		n = int(r1)
 		return true
 	})
+	m.got = m.got[:0]
 	if r != nil {
 		for i := 0; i < n; i++ {
-			m.got[i] = decode(r.bufs[i][:r.hdrs[i].n], m.udpAddr(&r.names[i]))
+			m.got = decode(m.got, r.bufs[i][:r.hdrs[i].n], m.udpAddr(&r.names[i]))
 		}
 		rings.put(r)
 	}
 	if err != nil {
-		return nil, err // socket closed
+		return nil, 0, err // socket closed
 	}
 	if rerr != 0 {
 		if rerr == syscall.EINTR {
-			return nil, nil
+			return nil, 0, nil
 		}
-		return nil, rerr
+		return nil, 0, rerr
 	}
-	return m.got[:n], nil
+	return m.got, n, nil
 }
 
 // writeBatch transmits pkts (at most the ring size, enforced by the

@@ -9,7 +9,8 @@ import (
 	"vdm/internal/wire"
 )
 
-// frameBuf is one queued, already-encoded datagram. Buffers cycle
+// frameBuf is one queued, already-encoded frame; at flush it becomes a
+// datagram, with the frames packed behind it appended. Buffers cycle
 // through a pool so the steady-state coalescer allocates nothing.
 type frameBuf struct {
 	b []byte
@@ -20,17 +21,27 @@ var frameBufPool = sync.Pool{
 }
 
 // outPkt pairs an encoded datagram with its destination for one batched
-// write.
+// write; frames counts the frames packed into it.
 type outPkt struct {
-	addr *net.UDPAddr
-	fb   *frameBuf
+	addr   *net.UDPAddr
+	fb     *frameBuf
+	frames int
 }
+
+// bundleCap bounds a datagram that packs several frames: 1 452 bytes fit
+// one Ethernet MTU under IPv6 (1 500 − 40 − 8) or IPv4 without
+// fragmentation, and hold five 256-byte-payload chunk frames.
+const bundleCap = 1452
 
 // coalescer is the send-side half of the batched data plane: best-effort
 // data frames destined for the wire are queued per destination and
 // flushed together — by frame-count threshold or by the flush-interval
 // timer, whichever fires first — through one sendmmsg call (or a tight
-// write loop on platforms without it). Acked control frames never enter
+// write loop on platforms without it). At flush each destination's frames
+// are packed, in order, into datagrams of at most bundleCap bytes (a
+// larger frame goes alone), so the kernel handles one packet per child
+// per flush where it would handle one per frame; frames for different
+// destinations never share a datagram. Acked control frames never enter
 // the coalescer: their retransmit timers assume the first transmission
 // happens before the ack clock starts, so they go straight to the socket.
 //
@@ -170,25 +181,42 @@ func (c *coalescer) flush() {
 	pkts := c.scratch[:0]
 	for _, to := range c.order {
 		q := c.queues[to]
-		for _, fb := range q.frames {
-			pkts = append(pkts, outPkt{addr: q.addr, fb: fb})
-		}
+		pkts = bundle(pkts, q.addr, q.frames)
 		q.frames = q.frames[:0]
 	}
 	c.order = c.order[:0]
+	frames := c.pending
 	c.pending = 0
 	wait := time.Since(c.firstAt)
 	c.mu.Unlock()
 
 	c.t.writePackets(pkts)
 	c.t.dp.flushes.Add(1)
-	c.t.dp.flushedFrames.Add(int64(len(pkts)))
+	c.t.dp.flushedFrames.Add(int64(frames))
 	c.t.dp.flushNanos.Add(int64(wait))
 	for i := range pkts {
 		frameBufPool.Put(pkts[i].fb)
 		pkts[i].fb = nil
 	}
 	c.scratch = pkts[:0]
+}
+
+// bundle appends to pkts the datagrams that carry frames, one
+// destination's queue, to addr: the frames in order, each appended to the
+// datagram before it while that stays within bundleCap, else starting a
+// new one. A frame appended to another goes back to the pool at once.
+func bundle(pkts []outPkt, addr *net.UDPAddr, frames []*frameBuf) []outPkt {
+	first := len(pkts)
+	for _, fb := range frames {
+		if k := len(pkts) - 1; k >= first && len(pkts[k].fb.b)+len(fb.b) <= bundleCap {
+			pkts[k].fb.b = append(pkts[k].fb.b, fb.b...)
+			pkts[k].frames++
+			frameBufPool.Put(fb)
+			continue
+		}
+		pkts = append(pkts, outPkt{addr: addr, fb: fb, frames: 1})
+	}
+	return pkts
 }
 
 // depth reports how many frames are queued for to right now.
@@ -219,25 +247,29 @@ func (t *UDP) writePackets(pkts []outPkt) {
 	if len(pkts) == 0 {
 		return
 	}
-	t.dp.sentFrames.Add(int64(len(pkts)))
 	if t.mmsg != nil {
 		for len(pkts) > 0 {
-			n := len(pkts)
-			if n > t.cfg.Batch.MaxBatch {
-				n = t.cfg.Batch.MaxBatch
+			n := min(len(pkts), t.cfg.Batch.MaxBatch)
+			frames := 0
+			for _, p := range pkts[:n] {
+				frames += p.frames
 			}
+			t.dp.sentDatagrams.Add(int64(n))
+			t.dp.sentFrames.Add(int64(frames))
 			calls, err := t.mmsg.writeBatch(pkts[:n])
 			t.dp.sendSyscalls.Add(int64(calls))
 			if err != nil {
 				return // socket closed mid-flush; frames are best-effort
 			}
-			t.dp.noteBatch(int64(n))
+			t.dp.noteBatch(int64(frames))
 			pkts = pkts[n:]
 		}
 		return
 	}
 	for _, p := range pkts {
 		t.dp.sendSyscalls.Add(1)
+		t.dp.sentDatagrams.Add(1)
+		t.dp.sentFrames.Add(int64(p.frames))
 		t.conn.WriteToUDP(p.fb.b, p.addr)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -422,7 +423,8 @@ func TestDedupeWindowEviction(t *testing.T) {
 // reach: with no mmsg engine the transport reads and writes one datagram
 // per syscall, and batch_generic.go promises the coalescer's queueing
 // semantics hold regardless. A burst, a 3-way SendBatch and a drop-oldest
-// overflow all go through the per-datagram loops.
+// overflow all go through the per-datagram loops. A datagram may carry
+// several frames, so the invariant is one syscall per datagram.
 func TestUDPPortableFallback(t *testing.T) {
 	newMmsg = func(*net.UDPConn, int) *mmsgIO { return nil }
 	t.Cleanup(func() { newMmsg = newMmsgIO })
@@ -452,11 +454,13 @@ func TestUDPPortableFallback(t *testing.T) {
 		t.Fatalf("delivered %d of %d", c.count(), n+3)
 	}
 	dp := a.Dataplane()
-	if dp.SentFrames != n+3 || dp.SendSyscalls != dp.SentFrames {
-		t.Fatalf("portable path: SendSyscalls = %d, SentFrames = %d, want %d each", dp.SendSyscalls, dp.SentFrames, n+3)
+	if dp.SentFrames != n+3 || dp.SendSyscalls != dp.SentDatagrams {
+		t.Fatalf("portable path: SendSyscalls = %d, SentDatagrams = %d, SentFrames = %d; want one syscall per datagram and %d frames",
+			dp.SendSyscalls, dp.SentDatagrams, dp.SentFrames, n+3)
 	}
-	if rdp := b.Dataplane(); rdp.RecvSyscalls != rdp.RecvFrames {
-		t.Fatalf("portable path: RecvSyscalls = %d, RecvFrames = %d", rdp.RecvSyscalls, rdp.RecvFrames)
+	if rdp := b.Dataplane(); rdp.RecvSyscalls != rdp.RecvDatagrams || rdp.RecvFrames != n+3 {
+		t.Fatalf("portable path: RecvSyscalls = %d, RecvDatagrams = %d, RecvFrames = %d; want one syscall per datagram and %d frames",
+			rdp.RecvSyscalls, rdp.RecvDatagrams, rdp.RecvFrames, n+3)
 	}
 
 	// Drop-oldest backpressure, as in TestUDPCoalescerDropOldest: overfill
@@ -497,6 +501,13 @@ func testMaxSizeFrames(t *testing.T) {
 	var c collector
 	collect := c.handler()
 	held, release := make(chan struct{}), make(chan struct{})
+	// Release the held receive loop however the test ends: a failure
+	// before the release below would otherwise leave the pair's Close
+	// waiting on it forever. Cleanups run last-registered first, so this
+	// one runs before the Close that newUDPPair registered.
+	var releaseOnce sync.Once
+	unhold := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unhold)
 	first := true // touched only by b's receive goroutine
 	b.Register(2, func(from overlay.NodeID, m overlay.Message) {
 		if first {
@@ -549,7 +560,7 @@ func testMaxSizeFrames(t *testing.T) {
 		t.Fatalf("sent %d frames, want %d", a.Dataplane().SentFrames, 1+train)
 	}
 	time.Sleep(20 * time.Millisecond)
-	close(release)
+	unhold()
 	if !waitFor(t, 5*time.Second, func() bool { return c.count() == chunks+1 }) {
 		t.Fatalf("delivered %d of %d", c.count(), chunks+1)
 	}
@@ -613,4 +624,158 @@ func maxControlFrame(t *testing.T) overlay.ConnResponse {
 	}
 	t.Fatal("no root path length encodes")
 	return m
+}
+
+// TestUDPBundlesPerDestination reads the coalescer's datagrams raw off a
+// plain socket. Small frames queued for one child in one flush leave in
+// order in one datagram; frames for two children never share one; a
+// child's frames fill datagrams up to bundleCap and spill into the next;
+// and a frame over the cap goes alone.
+func TestUDPBundlesPerDestination(t *testing.T) {
+	a, err := NewUDP("127.0.0.1:0", UDPConfig{Batch: BatchConfig{MaxBatch: 64, FlushInterval: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { raw.Close() })
+	for _, id := range []overlay.NodeID{2, 3} {
+		if err := a.SetRoute(id, raw.LocalAddr().String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunk := func(seq, n int) overlay.DataChunk {
+		return overlay.DataChunk{Seq: int64(seq), Payload: bytes.Repeat([]byte{byte(seq)}, n)}
+	}
+	// flush sends what is queued and returns the datagrams that arrive,
+	// each as its frames' (destination, seq) pairs, checking each frame's
+	// payload and each bundle's size on the way.
+	type frameID struct {
+		to  overlay.NodeID
+		seq int64
+	}
+	flush := func(datagrams int) [][]frameID {
+		t.Helper()
+		a.co.flush()
+		var got [][]frameID
+		buf := make([]byte, recvSlot)
+		raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+		for len(got) < datagrams {
+			n, _, err := raw.ReadFromUDP(buf)
+			if err != nil {
+				t.Fatalf("read datagram %d of %d: %v", len(got)+1, datagrams, err)
+			}
+			var ids []frameID
+			if _, err := wire.DecodeDatagram(buf[:n], func(f wire.Frame) {
+				c := f.Msg.(overlay.DataChunk)
+				if !bytes.Equal(c.Payload, chunk(int(c.Seq), len(c.Payload)).Payload) {
+					t.Errorf("chunk %d payload corrupted", c.Seq)
+				}
+				ids = append(ids, frameID{f.To, c.Seq})
+			}); err != nil {
+				t.Fatalf("datagram %d: %v", len(got)+1, err)
+			}
+			if len(ids) > 1 && n > bundleCap {
+				t.Fatalf("datagram of %d frames is %d bytes, over the %d-byte cap", len(ids), n, bundleCap)
+			}
+			got = append(got, ids)
+		}
+		return got
+	}
+	to := []overlay.NodeID{2}
+
+	// k small frames for one child: one datagram, in order.
+	const k = 5
+	for seq := 0; seq < k; seq++ {
+		a.SendBatch(1, to, chunk(seq, 40), nil)
+	}
+	got := flush(1)
+	want := [][]frameID{{{2, 0}, {2, 1}, {2, 2}, {2, 3}, {2, 4}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("one child's flush arrived as %v, want %v", got, want)
+	}
+	if dp := a.Dataplane(); dp.SentDatagrams != 1 || dp.SentFrames != k {
+		t.Fatalf("SentDatagrams = %d, SentFrames = %d; want 1 and %d", dp.SentDatagrams, dp.SentFrames, k)
+	}
+
+	// Two children interleaved, then a frame over the cap between two
+	// small ones: child 2's frames fill a datagram and spill into the
+	// next, the big frame goes alone, and child 3 gets its own datagram.
+	frame, err := wire.EncodeFrame(wire.Frame{Kind: wire.KindMsg, From: 1, To: 2, Msg: chunk(10, 256)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perDatagram := bundleCap / len(frame)
+	for seq := 10; seq < 10+perDatagram+1; seq++ {
+		a.SendBatch(1, to, chunk(seq, 256), nil)
+		a.SendBatch(1, []overlay.NodeID{3}, chunk(100+seq, 40), nil)
+	}
+	a.SendBatch(1, to, chunk(50, bundleCap), nil)
+	a.SendBatch(1, to, chunk(51, 40), nil)
+	got = flush(5)
+	var full, spill, three []frameID
+	for seq := 10; seq < 10+perDatagram; seq++ {
+		full = append(full, frameID{2, int64(seq)})
+	}
+	spill = []frameID{{2, int64(10 + perDatagram)}}
+	for seq := 10; seq < 10+perDatagram+1; seq++ {
+		three = append(three, frameID{3, int64(100 + seq)})
+	}
+	want = [][]frameID{full, spill, {{2, 50}}, {{2, 51}}, three}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("two children's flush arrived as\n %v\nwant\n %v", got, want)
+	}
+	frames := int64(k + 2*(perDatagram+1) + 2)
+	if dp := a.Dataplane(); dp.SentDatagrams != 1+5 || dp.SentFrames != frames {
+		t.Fatalf("SentDatagrams = %d, SentFrames = %d; want %d and %d", dp.SentDatagrams, dp.SentFrames, 1+5, frames)
+	}
+}
+
+// TestUDPMalformedFrameInDatagram sends one datagram holding a good
+// frame, a frame of unknown kind and another good frame: the first is
+// dispatched, and the rest of the datagram is dropped and counted once as
+// undeliverable. It runs on the mmsg engine and on the portable fallback.
+func TestUDPMalformedFrameInDatagram(t *testing.T) {
+	t.Run("mmsg", testMalformedFrameInDatagram)
+	t.Run("portable", func(t *testing.T) {
+		newMmsg = func(*net.UDPConn, int) *mmsgIO { return nil }
+		t.Cleanup(func() { newMmsg = newMmsgIO })
+		testMalformedFrameInDatagram(t)
+	})
+}
+
+func testMalformedFrameInDatagram(t *testing.T) {
+	a, b := newUDPPair(t, UDPConfig{})
+	var c collector
+	b.Register(2, c.handler())
+	good := func(seq int64) []byte {
+		f, err := wire.EncodeFrame(wire.Frame{Kind: wire.KindMsg, From: 1, To: 2, Msg: overlay.DataChunk{Seq: seq}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	bad := good(1)
+	bad[1] = 99 // unknown kind
+	dgram := append(append(good(0), bad...), good(2)...)
+	if _, err := a.conn.WriteTo(dgram, b.conn.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	if !waitFor(t, 2*time.Second, func() bool { return b.Counters().Undeliver.Load() == 1 }) {
+		t.Fatalf("Undeliver = %d, want 1", b.Counters().Undeliver.Load())
+	}
+	time.Sleep(20 * time.Millisecond) // nothing more may arrive
+	msgs := c.snapshot()
+	if len(msgs) != 1 || msgs[0].(overlay.DataChunk).Seq != 0 {
+		t.Fatalf("delivered %v, want the first frame only", msgs)
+	}
+	if got := b.Counters().Undeliver.Load(); got != 1 {
+		t.Fatalf("Undeliver = %d, want 1", got)
+	}
+	if dp := b.Dataplane(); dp.RecvDatagrams != 1 || dp.RecvFrames != 2 {
+		t.Fatalf("RecvDatagrams = %d, RecvFrames = %d; want 1 and 2 (a frame and the dropped remainder)", dp.RecvDatagrams, dp.RecvFrames)
+	}
 }

@@ -152,6 +152,8 @@ type dataplane struct {
 	recvSyscalls  atomic.Int64
 	sentFrames    atomic.Int64
 	recvFrames    atomic.Int64
+	sentDatagrams atomic.Int64
+	recvDatagrams atomic.Int64
 	flushes       atomic.Int64
 	flushedFrames atomic.Int64
 	queueDrops    atomic.Int64
@@ -167,9 +169,14 @@ type DataplaneStats struct {
 	// calls (a sendmmsg/recvmmsg moving N datagrams counts once).
 	SendSyscalls int64
 	RecvSyscalls int64
-	// SentFrames / RecvFrames count datagrams actually written/read.
+	// SentFrames / RecvFrames count the frames in the datagrams written
+	// and read (a datagram's undecodable remainder reads as one frame).
 	SentFrames int64
 	RecvFrames int64
+	// SentDatagrams / RecvDatagrams count the datagrams themselves; a
+	// coalescer flush packs a destination's frames into few of them.
+	SentDatagrams int64
+	RecvDatagrams int64
 	// Flushes counts coalescer flushes; FlushedFrames the data frames
 	// they moved; FlushNanos the summed first-enqueue→flush latency.
 	Flushes       int64
@@ -182,7 +189,7 @@ type DataplaneStats struct {
 	// frames those fan-outs produced (the saving is the difference).
 	FanoutEncodes int64
 	FanoutFrames  int64
-	// MaxBatch is the largest datagram count one syscall has moved.
+	// MaxBatch is the largest frame count one syscall has moved.
 	MaxBatch int64
 }
 
@@ -193,6 +200,8 @@ func (t *UDP) Dataplane() DataplaneStats {
 		RecvSyscalls:  t.dp.recvSyscalls.Load(),
 		SentFrames:    t.dp.sentFrames.Load(),
 		RecvFrames:    t.dp.recvFrames.Load(),
+		SentDatagrams: t.dp.sentDatagrams.Load(),
+		RecvDatagrams: t.dp.recvDatagrams.Load(),
 		Flushes:       t.dp.flushes.Load(),
 		FlushedFrames: t.dp.flushedFrames.Load(),
 		FlushNanos:    t.dp.flushNanos.Load(),
@@ -207,8 +216,8 @@ func (t *UDP) Dataplane() DataplaneStats {
 // (encoded but unsent) toward to.
 func (t *UDP) DataQueueDepth(to overlay.NodeID) int { return t.co.depth(to) }
 
-// noteBatch records a syscall that moved n datagrams in dir (send or
-// recv), keeping the high-water batch size.
+// noteBatch records a send or receive syscall that moved n frames,
+// keeping the high-water batch size.
 func (d *dataplane) noteBatch(n int64) {
 	for {
 		old := d.maxBatch.Load()
@@ -338,8 +347,9 @@ func (d *dedupe) seen(seq uint32) bool {
 	return false
 }
 
-// recvSlot is the size of one receive buffer: every legal datagram (a
-// frame header plus at most wire.MaxPayload) lands whole in one slot.
+// recvSlot is the size of one receive buffer: every legal datagram (one
+// frame of a header plus at most wire.MaxPayload, or a bundle of at most
+// bundleCap bytes) lands whole in one slot.
 const recvSlot = wire.MaxPayload + 1024
 
 // newMmsg builds the platform mmsg engine; a package variable so a test
@@ -584,6 +594,7 @@ func (t *UDP) write(to overlay.NodeID, addr *net.UDPAddr, f wire.Frame, attempt 
 		return
 	}
 	t.dp.sendSyscalls.Add(1)
+	t.dp.sentDatagrams.Add(1)
 	t.dp.sentFrames.Add(1)
 	t.conn.WriteToUDP(b, addr)
 }
@@ -598,6 +609,7 @@ func (t *UDP) SendFrame(addr *net.UDPAddr, f wire.Frame) error {
 		return err
 	}
 	t.dp.sendSyscalls.Add(1)
+	t.dp.sentDatagrams.Add(1)
 	t.dp.sentFrames.Add(1)
 	_, err = t.conn.WriteToUDP(b, addr)
 	return err
@@ -616,51 +628,67 @@ func (t *UDP) readLoop() {
 	defer t.wg.Done()
 	if t.mmsg != nil {
 		for {
-			got, err := t.mmsg.readBatch()
+			got, datagrams, err := t.mmsg.readBatch()
 			if err != nil {
 				return // socket closed
 			}
-			if n := len(got); n > 0 {
-				t.dp.recvSyscalls.Add(1)
-				t.dp.recvFrames.Add(int64(n))
-				t.dp.noteBatch(int64(n))
-			}
-			for i := range got {
-				t.dispatch(got[i])
-				got[i] = received{} // keep no frame alive while the next read waits
+			if datagrams > 0 {
+				t.dispatchRead(datagrams, got)
 			}
 		}
 	}
 	buf := make([]byte, recvSlot)
+	var got []received
 	for {
 		n, raddr, err := t.conn.ReadFromUDP(buf)
 		if err != nil {
 			return // socket closed
 		}
-		t.dp.recvSyscalls.Add(1)
-		t.dp.recvFrames.Add(1)
-		t.dispatch(decode(buf[:n], raddr))
+		got = decode(got[:0], buf[:n], raddr)
+		t.dispatchRead(1, got)
 	}
 }
 
-// received is one decoded datagram: its frame, or the error that kept it
-// from decoding, and the sender's address.
+// dispatchRead counts one read syscall and the datagrams it brought, decoded
+// into got, and dispatches got's frames in order.
+func (t *UDP) dispatchRead(datagrams int, got []received) {
+	t.dp.recvSyscalls.Add(1)
+	t.dp.recvDatagrams.Add(int64(datagrams))
+	t.dp.recvFrames.Add(int64(len(got)))
+	t.dp.noteBatch(int64(len(got)))
+	for i := range got {
+		t.dispatch(got[i])
+		got[i] = received{} // keep no frame alive while the next read waits
+	}
+}
+
+// received is one frame of a datagram, or the error that kept the rest of
+// the datagram from decoding, and the sender's address.
 type received struct {
 	f    wire.Frame
 	err  error
 	from *net.UDPAddr
 }
 
-// decode decodes the datagram b from the sender at from. The frame shares
-// no bytes with b, so b may be overwritten as soon as decode returns.
-func decode(b []byte, from *net.UDPAddr) received {
-	f, _, err := wire.DecodeFrame(b)
-	return received{f: f, err: err, from: from}
+// decode appends to got the frames of datagram b from the sender at from,
+// in order; if one does not decode, the frames before it are appended and
+// then its error, and the rest of the datagram is dropped. The frames
+// share no bytes with b, so b may be overwritten as soon as decode
+// returns.
+func decode(got []received, b []byte, from *net.UDPAddr) []received {
+	_, err := wire.DecodeDatagram(b, func(f wire.Frame) {
+		got = append(got, received{f: f, from: from})
+	})
+	if err != nil {
+		got = append(got, received{err: err, from: from})
+	}
+	return got
 }
 
 // dispatch hands one received frame to the reliability machinery, the
-// registered handler or the session hook. Malformed datagrams are counted
-// and dropped — wire.DecodeFrame guarantees they cannot do anything worse.
+// registered handler or the session hook. A malformed datagram's
+// undecodable remainder is counted once and dropped — wire.DecodeFrame
+// guarantees it cannot do anything worse.
 func (t *UDP) dispatch(r received) {
 	f, raddr := r.f, r.from
 	if r.err != nil {

@@ -17,6 +17,13 @@
 // frames, oversized lengths and trailing payload bytes are all errors —
 // a malformed datagram can never panic the daemon (FuzzDecodeFrame keeps
 // this honest) and never yields a half-decoded message.
+//
+// A UDP datagram carries one or more frames back to back; the length
+// prefix says where each ends. The live transport packs the stream frames
+// it queues for one destination into datagrams of at most 1 452 bytes
+// (one Ethernet MTU under IPv6 or IPv4), and sends a frame larger than
+// that alone. DecodeDatagram splits a datagram into its frames
+// (FuzzDecodeDatagram keeps this honest).
 package wire
 
 import (
@@ -695,6 +702,24 @@ func DecodeFrame(b []byte) (f Frame, n int, err error) {
 		return Frame{}, 0, c.err
 	}
 	return f, c.off, nil
+}
+
+// DecodeDatagram decodes the frames packed back to back in datagram b and
+// passes each, in order, to fn. It stops at the first frame that does not
+// decode and returns that frame's error; the bytes after it are not read.
+// n is the bytes of the frames passed to fn. An empty datagram is
+// ErrTruncated.
+func DecodeDatagram(b []byte, fn func(Frame)) (n int, err error) {
+	for {
+		f, k, err := DecodeFrame(b[n:])
+		if err != nil {
+			return n, err
+		}
+		fn(f)
+		if n += k; n == len(b) {
+			return n, nil
+		}
+	}
 }
 
 // IsControl reports whether m travels on the reliable control path —

@@ -2,10 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vdm/internal/overlay"
@@ -374,6 +377,72 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("non-canonical frame:\n in  %x\n out %x", data[:n], re)
 		}
 	})
+}
+
+// FuzzDecodeDatagram feeds arbitrary bytes through the datagram splitter:
+// it must never panic, the frames it passes on must re-encode back to back
+// to exactly the prefix it reports consumed, and a datagram it accepts
+// whole must be that prefix. It is seeded with every two consecutive
+// frames of testdata/frames.golden packed into one datagram.
+func FuzzDecodeDatagram(f *testing.F) {
+	golden, err := os.ReadFile("testdata/frames.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var frames [][]byte
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		_, hx, _ := strings.Cut(line, " ")
+		b, err := hex.DecodeString(hx)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frames = append(frames, b)
+	}
+	for i := 1; i < len(frames); i++ {
+		f.Add(append(append([]byte(nil), frames[i-1]...), frames[i]...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var re []byte
+		n, err := DecodeDatagram(data, func(fr Frame) {
+			var eerr error
+			if re, eerr = AppendFrame(re, fr); eerr != nil {
+				t.Fatalf("re-encode of accepted frame failed: %v", eerr)
+			}
+		})
+		if n < 0 || n > len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		if !bytes.Equal(re, data[:n]) {
+			t.Fatalf("frames do not re-encode to the consumed prefix:\n in  %x\n out %x", data[:n], re)
+		}
+		if err == nil && n != len(data) {
+			t.Fatalf("accepted datagram of %d bytes after consuming %d", len(data), n)
+		}
+	})
+}
+
+// TestDecodeDatagramStopsAtMalformedFrame packs a good frame, a frame
+// with an unknown kind and another good frame: the splitter hands on the
+// first, reports the second's error and never reads the third.
+func TestDecodeDatagramStopsAtMalformedFrame(t *testing.T) {
+	good, err := EncodeFrame(Frame{Kind: KindMsg, From: 1, To: 2, Msg: overlay.DataChunk{Seq: 3, Payload: []byte("abc")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), good...)
+	bad[1] = 99 // kind
+	dgram := append(append(append([]byte(nil), good...), bad...), good...)
+	var got []Frame
+	n, err := DecodeDatagram(dgram, func(f Frame) { got = append(got, f) })
+	if !errors.Is(err, ErrUnknownKind) {
+		t.Fatalf("err = %v, want ErrUnknownKind", err)
+	}
+	if n != len(good) || len(got) != 1 || got[0].Msg.(overlay.DataChunk).Seq != 3 {
+		t.Fatalf("consumed %d bytes, frames %+v; want the first frame only", n, got)
+	}
+	if _, err := DecodeDatagram(nil, func(Frame) { t.Fatal("frame from an empty datagram") }); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("empty datagram: err = %v, want ErrTruncated", err)
+	}
 }
 
 // BenchmarkWireRoundTrip tracks the codec cost of a representative control
