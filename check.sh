@@ -30,6 +30,11 @@ echo "== benchmark module: go vet + go build"
 echo "== eventq and rng benchmarks, one iteration"
 go test -run='^$' -bench='EventQ|EdgeCounters' -benchtime=1x ./internal/eventq/ ./internal/rng/
 
+# The coalescer's share of the live CPU budget: one flush's worth of
+# chunk frames for three children, once.
+echo "== coalescer flush benchmark, one iteration"
+go test -run='^$' -bench='^BenchmarkCoalescerFlush$' -benchtime=1x ./internal/transport/
+
 # The join benchmarks `make bench` archives run on the shared descent
 # machine; one iteration keeps them building and finishing.
 echo "== core join benchmarks, one iteration"

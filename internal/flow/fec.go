@@ -62,9 +62,6 @@ func NewEncoder(k int) *Encoder {
 	return &Encoder{k: k}
 }
 
-// K returns the group size.
-func (e *Encoder) K() int { return e.k }
-
 // Add folds one payload into the current group and, when the group
 // completes, returns its parity chunk (Data freshly allocated, safe to
 // retain) and true.

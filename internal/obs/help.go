@@ -49,7 +49,7 @@ var dataplaneHelp = map[string]string{
 	"vdm_dataplane_flushes_total":            "Send-coalescer flushes.",
 	"vdm_dataplane_flushed_frames_total":     "Data frames moved by coalescer flushes.",
 	"vdm_dataplane_flush_wait_seconds_total": "Summed first-enqueue-to-flush latency.",
-	"vdm_dataplane_queue_drops_total":        "Data frames evicted oldest-first by per-destination queue caps.",
+	"vdm_dataplane_queue_drops_total":        "Data frames queued for sending after the transport closed.",
 	"vdm_dataplane_fanout_encodes_total":     "Single-encode fan-outs (encode once, retarget per child).",
 	"vdm_dataplane_fanout_frames_total":      "Frames produced by single-encode fan-outs.",
 	"vdm_dataplane_max_batch":                "Largest frame count one syscall has moved.",

@@ -14,8 +14,8 @@ import (
 //
 //   - sending: every child gets a token bucket and an ack-clocked window;
 //     chunks that can't go now wait in a bounded per-child queue drained
-//     on acks and flow ticks (drop-oldest beyond flowQueueCap — but unlike
-//     the old coalescer eviction, a dropped chunk is NACK-recoverable).
+//     on acks and flow ticks (drop-oldest beyond flowQueueCap; a dropped
+//     chunk stays NACK-recoverable).
 //   - receiving: a second window tracks the cumulative-ack point and the
 //     missing ranges above it; acks flow to the parent every AckEvery
 //     chunks, NACKs go to the parent after NackDelayS and to the repair

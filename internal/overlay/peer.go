@@ -259,9 +259,6 @@ func (p *Peer) ParentID() NodeID { return p.parent }
 // ParentDist returns the stored virtual distance to the parent.
 func (p *Peer) ParentDist() float64 { return p.parentDist }
 
-// MaxDegree returns the child capacity.
-func (p *Peer) MaxDegree() int { return p.maxDegree }
-
 // FreeDegree returns the remaining child capacity.
 func (p *Peer) FreeDegree() int { return p.maxDegree - p.pool.Len(&p.children) }
 
@@ -317,9 +314,6 @@ func (p *Peer) Now() float64 { return p.net.Now() }
 
 // Prober returns the peer's probe manager.
 func (p *Peer) Prober() *Prober { return p.prober }
-
-// Metric returns the configured virtual-distance metric (nil for delay).
-func (p *Peer) Metric() vdist.Metric { return p.metric }
 
 // Measure converts a measured probe round-trip into a virtual distance:
 // the elapsed time itself for the delay metric, or the configured metric's

@@ -77,10 +77,6 @@ func (p *Peer) observeServe(ev ServeEvent) {
 	}
 }
 
-// SrcDist returns the peer's latest measured virtual distance to the
-// source (0 until a probe or join exchange measured it).
-func (p *Peer) SrcDist() float64 { return p.srcDist }
-
 // EnableStatusReports starts the periodic status ticker: every periodS
 // seconds the peer composes a StatusReport and sends it to the source (a
 // source peer hands it to its status handler directly, so the aggregator

@@ -51,9 +51,6 @@ func (g *Graph) Link(id LinkID) Link { return g.links[id] }
 // Links returns all links. The returned slice must not be modified.
 func (g *Graph) Links() []Link { return g.links }
 
-// Degree reports the number of links incident to r.
-func (g *Graph) Degree(r RouterID) int { return len(g.adj[r]) }
-
 // HasEdge reports whether an a–b link already exists.
 func (g *Graph) HasEdge(a, b RouterID) bool {
 	for _, he := range g.adj[a] {

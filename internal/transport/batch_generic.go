@@ -10,7 +10,7 @@ import "net"
 // syscall per datagram while keeping the coalescer's queueing semantics.
 type mmsgIO struct{}
 
-func newMmsgIO(conn *net.UDPConn, maxBatch int) *mmsgIO { return nil }
+func newMmsgIO(conn *net.UDPConn) *mmsgIO { return nil }
 
 func (m *mmsgIO) close() {}
 

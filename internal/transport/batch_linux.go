@@ -41,13 +41,18 @@ type addrKey struct {
 // lock, so neither needs locking.
 type mmsgIO struct {
 	rc    syscall.RawConn
-	batch int // receive ring length
 	addrs map[addrKey]*net.UDPAddr
 	got   []received // the last batch's frames, decoded
 
 	whdrs  []mmsghdr
 	wiovs  []syscall.Iovec
 	wnames []syscall.RawSockaddrInet6 // large enough for v4 too
+	// The batch writeBatch is sending: packets whdrs[woff:wlen] are
+	// unsent. The callback that sends them is bound once, in send, so a
+	// flush allocates no closure.
+	wlen, woff, wcalls int
+	werr               syscall.Errno
+	send               func(fd uintptr) bool
 }
 
 // addrCacheMax bounds the receive address cache; a cache this full is a
@@ -55,9 +60,9 @@ type mmsgIO struct {
 // policy.
 const addrCacheMax = 4096
 
-// recvRing is one recvmmsg ring: a receive buffer per slot, with the
-// iovec, msghdr and sockaddr the kernel fills for it. The pointers
-// between them are set once, when the ring is made.
+// recvRing is one recvmmsg ring of maxBatch slots: a receive buffer per
+// slot, with the iovec, msghdr and sockaddr the kernel fills for it. The
+// pointers between them are set once, when the ring is made.
 type recvRing struct {
 	bufs  [][]byte
 	hdrs  []mmsghdr
@@ -65,12 +70,12 @@ type recvRing struct {
 	names []syscall.RawSockaddrAny
 }
 
-func newRecvRing(n int) *recvRing {
+func newRecvRing() *recvRing {
 	r := &recvRing{
-		bufs:  make([][]byte, n),
-		hdrs:  make([]mmsghdr, n),
-		iovs:  make([]syscall.Iovec, n),
-		names: make([]syscall.RawSockaddrAny, n),
+		bufs:  make([][]byte, maxBatch),
+		hdrs:  make([]mmsghdr, maxBatch),
+		iovs:  make([]syscall.Iovec, maxBatch),
+		names: make([]syscall.RawSockaddrAny, maxBatch),
 	}
 	for i := range r.bufs {
 		r.bufs[i] = make([]byte, recvSlot)
@@ -86,135 +91,118 @@ func newRecvRing(n int) *recvRing {
 // ringStock holds the process's receive rings. A ring is a socket's only
 // while it drains a readable socket and decodes the batch, so a process
 // with many quiet sockets keeps as many rings as sockets were ever
-// draining at once, not one per socket, and never more than ringCap of
-// one length. It is not a sync.Pool: a pool is emptied by the collector
-// and would make multi-megabyte rings again every few cycles.
+// draining at once, not one per socket, and never more than ringCap.
+// Closing a socket trims the stock so it never holds more rings than mmsg
+// sockets are open. It is not a sync.Pool: a pool is emptied by the
+// collector and would make multi-megabyte rings again every few cycles.
 type ringStock struct {
 	mu      sync.Mutex
-	back    sync.Cond          // broadcast when a ring comes back; L is &mu
-	shelves map[int]*ringShelf // by ring length (a socket's MaxBatch)
-}
-
-// ringShelf is the stock of one ring length. Closing a socket trims it so
-// it never holds more rings than mmsg sockets are open.
-type ringShelf struct {
+	back    sync.Cond   // broadcast when a ring comes back; L is &mu
 	free    []*recvRing // LIFO: the ring lent next is the one last touched
 	live    int         // rings in existence, free or lent
 	sockets int         // open mmsg sockets
 }
 
 var rings = func() *ringStock {
-	s := &ringStock{shelves: make(map[int]*ringShelf)}
+	s := &ringStock{}
 	s.back.L = &s.mu
 	return s
 }()
 
-// ringCap bounds the rings of one length. At most GOMAXPROCS receive loops
-// run at once, and one more covers a loop handing its ring back while the
-// next takes one. A ring beyond that would be lent only to a loop parked
-// mid-decode (the collector parks goroutines that allocate during a
-// cycle), and once made it would be kept.
+// ringCap bounds the rings. At most GOMAXPROCS receive loops run at once,
+// and one more covers a loop handing its ring back while the next takes
+// one. A ring beyond that would be lent only to a loop parked mid-decode
+// (the collector parks goroutines that allocate during a cycle), and once
+// made it would be kept.
 func ringCap() int { return runtime.GOMAXPROCS(0) + 1 }
 
-// shelf returns the shelf for ring length n; the caller holds s.mu.
-func (s *ringStock) shelf(n int) *ringShelf {
-	sh := s.shelves[n]
-	if sh == nil {
-		sh = &ringShelf{}
-		s.shelves[n] = sh
-	}
-	return sh
-}
-
 // pop lends the most recently returned free ring, or nil if none is free;
-// the caller holds the stock's lock.
-func (sh *ringShelf) pop() *recvRing {
-	k := len(sh.free)
+// the caller holds s.mu.
+func (s *ringStock) pop() *recvRing {
+	k := len(s.free)
 	if k == 0 {
 		return nil
 	}
-	r := sh.free[k-1]
-	sh.free[k-1] = nil
-	sh.free = sh.free[:k-1]
+	r := s.free[k-1]
+	s.free[k-1] = nil
+	s.free = s.free[:k-1]
 	return r
 }
 
-// take lends a free ring of length n, or returns nil if none is free.
-func (s *ringStock) take(n int) *recvRing {
+// take lends a free ring, or returns nil if none is free.
+func (s *ringStock) take() *recvRing {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.shelf(n).pop()
+	return s.pop()
 }
 
-// get lends a ring of length n: a free one, else a new one while fewer
-// than ringCap exist, else the next one handed back. A lent ring is held
-// only for a recvmmsg and a decode, so the wait is short.
-func (s *ringStock) get(n int) *recvRing {
+// get lends a ring: a free one, else a new one while fewer than ringCap
+// exist, else the next one handed back. A lent ring is held only for a
+// recvmmsg and a decode, so the wait is short.
+func (s *ringStock) get() *recvRing {
 	s.mu.Lock()
-	sh := s.shelf(n)
-	for len(sh.free) == 0 && sh.live >= ringCap() {
+	for len(s.free) == 0 && s.live >= ringCap() {
 		s.back.Wait()
 	}
-	if r := sh.pop(); r != nil {
+	if r := s.pop(); r != nil {
 		s.mu.Unlock()
 		return r
 	}
-	sh.live++
+	s.live++
 	s.mu.Unlock()
-	return newRecvRing(n)
+	return newRecvRing()
 }
 
 // put takes a lent ring back.
 func (s *ringStock) put(r *recvRing) {
 	s.mu.Lock()
-	sh := s.shelf(len(r.hdrs))
-	sh.free = append(sh.free, r)
+	s.free = append(s.free, r)
 	s.mu.Unlock()
 	s.back.Broadcast()
 }
 
-// open counts a new mmsg socket with rings of length n.
-func (s *ringStock) open(n int) {
+// open counts a new mmsg socket.
+func (s *ringStock) open() {
 	s.mu.Lock()
-	s.shelf(n).sockets++
+	s.sockets++
 	s.mu.Unlock()
 }
 
-// close counts a closed socket and drops free rings of its length until
-// no more rings exist than sockets are open.
-func (s *ringStock) close(n int) {
+// close counts a closed socket and drops free rings until no more rings
+// exist than sockets are open.
+func (s *ringStock) close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sh := s.shelf(n)
-	sh.sockets--
-	for sh.live > sh.sockets && sh.pop() != nil {
-		sh.live--
+	s.sockets--
+	for s.live > s.sockets && s.pop() != nil {
+		s.live--
 	}
 }
 
-func newMmsgIO(conn *net.UDPConn, maxBatch int) *mmsgIO {
+func newMmsgIO(conn *net.UDPConn) *mmsgIO {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil
 	}
-	rings.open(maxBatch)
-	return &mmsgIO{
+	rings.open()
+	m := &mmsgIO{
 		rc:     rc,
-		batch:  maxBatch,
 		addrs:  make(map[addrKey]*net.UDPAddr),
 		got:    make([]received, 0, maxBatch),
 		whdrs:  make([]mmsghdr, maxBatch),
 		wiovs:  make([]syscall.Iovec, maxBatch),
 		wnames: make([]syscall.RawSockaddrInet6, maxBatch),
 	}
+	m.send = m.sendmmsg
+	return m
 }
 
 // close returns the socket's share of the ring stock; the socket's
 // receive loop must have exited.
-func (m *mmsgIO) close() { rings.close(m.batch) }
+func (m *mmsgIO) close() { rings.close() }
 
-// readBatch blocks until the socket is readable, drains up to the ring
-// length of datagrams with one recvmmsg, and returns their frames decoded
+// readBatch blocks until the socket is readable, drains up to maxBatch
+// datagrams with one recvmmsg, and returns their frames decoded
 // and the datagram count; the slice is m's, valid until the next call.
 // The ring is borrowed only while the socket is readable: a recvmmsg that
 // finds the socket empty hands it back before the goroutine parks, a
@@ -227,7 +215,7 @@ func (m *mmsgIO) readBatch() ([]received, int, error) {
 	var n int
 	var rerr syscall.Errno
 	err := m.rc.Read(func(fd uintptr) bool {
-		if r = rings.take(m.batch); r == nil {
+		if r = rings.take(); r == nil {
 			// No ring is free: make or wait for one only if a datagram
 			// is waiting, so a socket that is not readable never adds a
 			// ring or waits.
@@ -236,7 +224,7 @@ func (m *mmsgIO) readBatch() ([]received, int, error) {
 			if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK {
 				return false
 			}
-			r = rings.get(m.batch)
+			r = rings.get()
 		}
 		for i := range r.hdrs {
 			r.hdrs[i].hdr.Namelen = uint32(syscall.SizeofSockaddrAny)
@@ -276,13 +264,13 @@ func (m *mmsgIO) readBatch() ([]received, int, error) {
 	return m.got, n, nil
 }
 
-// writeBatch transmits pkts (at most the ring size, enforced by the
+// writeBatch transmits pkts (at most maxBatch, enforced by the
 // caller) and reports how many sendmmsg calls it took. Partial sends
 // continue from the first unsent packet once the socket is writable
 // again.
 func (m *mmsgIO) writeBatch(pkts []outPkt) (int, error) {
 	for i := range pkts {
-		b := pkts[i].fb.b
+		b := pkts[i].buf.b
 		m.wiovs[i].Base = &b[0]
 		m.wiovs[i].SetLen(len(b))
 		m.whdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.wnames[i]))
@@ -291,35 +279,38 @@ func (m *mmsgIO) writeBatch(pkts []outPkt) (int, error) {
 		m.whdrs[i].hdr.Iovlen = 1
 		m.whdrs[i].n = 0
 	}
-	calls, off := 0, 0
-	var werr syscall.Errno
-	err := m.rc.Write(func(fd uintptr) bool {
-		for off < len(pkts) {
-			r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&m.whdrs[off])), uintptr(len(pkts)-off),
-				uintptr(syscall.MSG_DONTWAIT), 0, 0)
-			if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK {
-				return false // wait for writability, then resume at off
-			}
-			if errno == syscall.EINTR {
-				continue
-			}
-			calls++
-			if errno != 0 {
-				werr = errno
-				return true
-			}
-			off += int(r1)
+	m.wlen, m.woff, m.wcalls, m.werr = len(pkts), 0, 0, 0
+	if err := m.rc.Write(m.send); err != nil {
+		return m.wcalls, err
+	}
+	if m.werr != 0 {
+		return m.wcalls, m.werr
+	}
+	return m.wcalls, nil
+}
+
+// sendmmsg is writeBatch's RawConn.Write callback: it sends the unsent
+// packets until none is left or a send fails, or reports false to wait
+// for writability when the socket is full.
+func (m *mmsgIO) sendmmsg(fd uintptr) bool {
+	for m.woff < m.wlen {
+		r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&m.whdrs[m.woff])), uintptr(m.wlen-m.woff),
+			uintptr(syscall.MSG_DONTWAIT), 0, 0)
+		if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK {
+			return false // wait for writability, then resume at woff
 		}
-		return true
-	})
-	if err != nil {
-		return calls, err
+		if errno == syscall.EINTR {
+			continue
+		}
+		m.wcalls++
+		if errno != 0 {
+			m.werr = errno
+			return true
+		}
+		m.woff += int(r1)
 	}
-	if werr != 0 {
-		return calls, werr
-	}
-	return calls, nil
+	return true
 }
 
 // putSockaddr renders addr into the i-th send sockaddr slot and returns

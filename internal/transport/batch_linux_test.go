@@ -9,24 +9,27 @@ import (
 	"vdm/internal/overlay"
 )
 
-// counts reports, for rings of length n, how many are free, how many
-// exist and how many mmsg sockets are open.
-func (s *ringStock) counts(n int) (free, live, sockets int) {
+// counts reports how many rings are free, how many exist and how many
+// mmsg sockets are open.
+func (s *ringStock) counts() (free, live, sockets int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sh := s.shelf(n)
-	return len(sh.free), sh.live, sh.sockets
+	return len(s.free), s.live, s.sockets
 }
 
 // TestUDPRecvRingsShared checks that receive rings belong to the process,
 // not to the socket: sixteen sockets that receive one after another share
 // a ring, sixteen that receive at once make no more than ringCap rings,
 // every ring is back on the free list once the sockets are idle, and
-// closing the sockets empties the stock.
+// closing the sockets trims the stock back to what it held before.
 func TestUDPRecvRingsShared(t *testing.T) {
-	// A ring length no other test uses, so the stock's counts for it are
-	// this test's alone. The sender keeps the default length.
-	const batch, socks, burst = 17, 16, 40
+	// Every socket draws on the one stock, so the counts are read
+	// relative to its state when the test starts.
+	const socks, burst = 16, 40
+	free0, live0, sockets0 := rings.counts()
+	if free0 != live0 {
+		t.Fatalf("stock not idle at start: free %d, live %d", free0, live0)
+	}
 	a, err := NewUDP("127.0.0.1:0", UDPConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +39,7 @@ func TestUDPRecvRingsShared(t *testing.T) {
 	rx := make([]*UDP, socks)
 	tos := make([]overlay.NodeID, socks)
 	for i := range rx {
-		u, err := NewUDP("127.0.0.1:0", UDPConfig{Batch: BatchConfig{MaxBatch: batch}})
+		u, err := NewUDP("127.0.0.1:0", UDPConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,11 +53,12 @@ func TestUDPRecvRingsShared(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if free, live, sockets := rings.counts(batch); free != 0 || live != 0 || sockets != socks {
-		t.Fatalf("idle after open: free %d, live %d, sockets %d; want 0, 0, %d", free, live, sockets, socks)
+	if free, live, sockets := rings.counts(); free != free0 || live != live0 || sockets != sockets0+socks+1 {
+		t.Fatalf("idle after open: free %d, live %d, sockets %d; want %d, %d, %d",
+			free, live, sockets, free0, live0, sockets0+socks+1)
 	}
 	idle := func() bool {
-		free, live, _ := rings.counts(batch)
+		free, live, _ := rings.counts()
 		return free == live
 	}
 
@@ -76,8 +80,8 @@ func TestUDPRecvRingsShared(t *testing.T) {
 			t.Fatalf("socket %d: rings still lent after delivery", i)
 		}
 	}
-	if free, live, _ := rings.counts(batch); live > 2 || free != live {
-		t.Fatalf("sequential receivers: free %d, live %d; want every ring free and at most 2", free, live)
+	if free, live, _ := rings.counts(); live > max(live0, 2) || free != live {
+		t.Fatalf("sequential receivers: free %d, live %d; want every ring free and at most %d", free, live, max(live0, 2))
 	}
 
 	// Every receiver at once.
@@ -93,7 +97,7 @@ func TestUDPRecvRingsShared(t *testing.T) {
 	if !waitFor(t, 2*time.Second, idle) {
 		t.Fatal("fan-out: rings still lent after delivery")
 	}
-	free, live, _ := rings.counts(batch)
+	free, live, _ := rings.counts()
 	if live > ringCap() || free != live {
 		t.Fatalf("concurrent receivers: free %d, live %d; want every ring free and at most %d", free, live, ringCap())
 	}
@@ -102,22 +106,24 @@ func TestUDPRecvRingsShared(t *testing.T) {
 	for _, u := range rx {
 		u.Close()
 	}
-	if free, live, sockets := rings.counts(batch); free != 0 || live != 0 || sockets != 0 {
-		t.Fatalf("after close: free %d, live %d, sockets %d; want 0, 0, 0", free, live, sockets)
+	a.Close()
+	if free, live, sockets := rings.counts(); free != live || live > sockets0 || sockets != sockets0 {
+		t.Fatalf("after close: free %d, live %d, sockets %d; want every ring free, at most %d, and %d sockets",
+			free, live, sockets, sockets0, sockets0)
 	}
 }
 
-// TestRingStockWaitsAtCap checks the stock's bound: with ringCap rings of
-// one length lent, the next get waits, and it is handed the ring put back
-// rather than a new one.
+// TestRingStockWaitsAtCap checks the stock's bound: with ringCap rings
+// lent, the next get waits, and it is handed the ring put back rather than
+// a new one.
 func TestRingStockWaitsAtCap(t *testing.T) {
-	const n = 3 // a ring length no socket in this package uses
+	_, _, sockets0 := rings.counts()
 	lent := make([]*recvRing, ringCap())
 	for i := range lent {
-		lent[i] = rings.get(n)
+		lent[i] = rings.get()
 	}
 	got := make(chan *recvRing)
-	go func() { got <- rings.get(n) }()
+	go func() { got <- rings.get() }()
 	select {
 	case <-got:
 		t.Fatalf("get past the cap of %d did not wait", ringCap())
@@ -132,15 +138,16 @@ func TestRingStockWaitsAtCap(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter not woken by put")
 	}
-	if _, live, _ := rings.counts(n); live != ringCap() {
+	if _, live, _ := rings.counts(); live != ringCap() {
 		t.Fatalf("live %d, want %d", live, ringCap())
 	}
 	for _, r := range lent {
 		rings.put(r)
 	}
-	rings.open(n)
-	rings.close(n) // no socket of this length is open: the stock drops them all
-	if free, live, sockets := rings.counts(n); free != 0 || live != 0 || sockets != 0 {
-		t.Fatalf("after close: free %d, live %d, sockets %d; want 0, 0, 0", free, live, sockets)
+	rings.open()
+	rings.close() // the stock drops the free rings no open socket needs
+	if free, live, sockets := rings.counts(); free != live || live > sockets0 || sockets != sockets0 {
+		t.Fatalf("after close: free %d, live %d, sockets %d; want every ring free, at most %d, and %d sockets",
+			free, live, sockets, sockets0, sockets0)
 	}
 }

@@ -18,10 +18,10 @@ import (
 // syscalls than frames when the mmsg engine is active.
 func TestUDPBatchedDataDelivery(t *testing.T) {
 	// A long flush interval keeps the test deterministic: only the
-	// MaxBatch threshold flushes mid-burst, plus one trailing timer
+	// maxBatch threshold flushes mid-burst, plus one trailing timer
 	// flush for the remainder.
-	cfg := UDPConfig{Batch: BatchConfig{MaxBatch: 32, FlushInterval: 50 * time.Millisecond}}
-	a, b := newUDPPair(t, cfg)
+	a, b := newUDPPair(t, UDPConfig{})
+	setFlushInterval(a, 50*time.Millisecond)
 	var c collector
 	b.Register(2, c.handler())
 	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
@@ -57,7 +57,7 @@ func TestUDPBatchedDataDelivery(t *testing.T) {
 		t.Fatal("no coalescer flushes recorded")
 	}
 	if a.BatchIO() {
-		// 200 frames at MaxBatch 32 is 7 batches; allow slack for an
+		// 200 frames at maxBatch 32 is 7 batches; allow slack for an
 		// early timer fire but demand a real reduction.
 		if dp.SendSyscalls >= n/2 {
 			t.Fatalf("SendSyscalls = %d for %d frames; batching ineffective", dp.SendSyscalls, n)
@@ -162,77 +162,28 @@ func TestUDPSendBatchFanout(t *testing.T) {
 	}
 }
 
-// TestUDPCoalescerDropOldest fills one destination's coalescer queue past
-// its cap before any flush can run and checks drop-oldest backpressure:
-// the newest frames survive, the stalest are evicted and counted.
-func TestUDPCoalescerDropOldest(t *testing.T) {
-	cfg := UDPConfig{Batch: BatchConfig{
-		MaxBatch:      64, // > burst size: no threshold flush mid-burst
-		FlushInterval: 80 * time.Millisecond,
-		DestQueueCap:  4,
-	}}
-	a, b := newUDPPair(t, cfg)
-	var c collector
-	b.Register(2, c.handler())
-	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 10
-	for i := 0; i < n; i++ {
-		if !a.Send(1, 2, overlay.DataChunk{Seq: int64(i)}) {
-			t.Fatalf("send %d failed", i)
-		}
-	}
-	if !waitFor(t, 2*time.Second, func() bool { return c.count() == 4 }) {
-		t.Fatalf("delivered %d, want 4", c.count())
-	}
-	// The survivors are the last cap seqs.
-	for i, m := range c.snapshot() {
-		if want := int64(n - 4 + i); m.(overlay.DataChunk).Seq != want {
-			t.Fatalf("survivor %d = %v, want seq %d", i, m, want)
-		}
-	}
-	dp := a.Dataplane()
-	if dp.QueueDrops != n-4 {
-		t.Fatalf("QueueDrops = %d, want %d", dp.QueueDrops, n-4)
-	}
-	if got := a.Counters().DataDrops.Load(); got != n-4 {
-		t.Fatalf("DataDrops = %d, want %d", got, n-4)
-	}
-}
-
-// TestTransportDropAndFanoutParity runs one overload scenario — overfill a
-// destination's data queue past cap, then fan one chunk out to two known
-// and one unknown destination — and pins the exact counters it must land
-// in: drop-oldest evictions, fan-out accounting and undeliverable
-// reporting, read through DataplaneStats and Counters. DataQueueDepth, the
-// flow controller's congestion signal, must read the cap mid-burst and
-// drain to zero.
+// TestTransportDropAndFanoutParity runs one scenario — queue a burst for
+// one destination, then fan one chunk out to two known and one unknown
+// destination — and pins the exact counters it must land in: fan-out
+// accounting and undeliverable reporting, read through DataplaneStats and
+// Counters, with nothing dropped. DataQueueDepth, the flow controller's
+// congestion signal, must read the burst while it is queued and drain to
+// zero.
 func TestTransportDropAndFanoutParity(t *testing.T) {
-	const (
-		queueCap = 4
-		burst    = 10
-	)
+	const burst = 10
 	type parityCounters struct {
 		QueueDrops, FanoutEncodes, FanoutFrames int64
 		DataDrops, Undeliver                    int64
 	}
 	want := parityCounters{
-		QueueDrops:    burst - queueCap,
 		FanoutEncodes: 1,
 		FanoutFrames:  2, // the unknown destination never enqueues
-		DataDrops:     burst - queueCap,
 		Undeliver:     1,
 	}
 
 	t.Run("udp", func(t *testing.T) {
-		cfg := UDPConfig{Batch: BatchConfig{
-			MaxBatch:      64, // > burst: no threshold flush mid-burst
-			FlushInterval: 80 * time.Millisecond,
-			DestQueueCap:  queueCap,
-		}}
-		a, b := newUDPPair(t, cfg)
+		a, b := newUDPPair(t, UDPConfig{})
+		setFlushInterval(a, 80*time.Millisecond) // the burst is under maxBatch: no threshold flush
 		var c2, c3 collector
 		b.Register(2, c2.handler())
 		b.Register(3, c3.handler())
@@ -247,20 +198,19 @@ func TestTransportDropAndFanoutParity(t *testing.T) {
 				t.Fatalf("send %d failed", i)
 			}
 		}
-		// The burst sits in the coalescer until the 80ms timer: queue
-		// depth must read exactly the surviving cap.
-		if d := a.DataQueueDepth(2); d != queueCap {
-			t.Fatalf("DataQueueDepth mid-burst = %d, want %d", d, queueCap)
+		// The burst sits in the coalescer until the 80ms timer.
+		if d := a.DataQueueDepth(2); d != burst {
+			t.Fatalf("DataQueueDepth mid-burst = %d, want %d", d, burst)
 		}
-		if !waitFor(t, 2*time.Second, func() bool { return c2.count() == queueCap }) {
-			t.Fatalf("delivered %d, want %d", c2.count(), queueCap)
+		if !waitFor(t, 2*time.Second, func() bool { return c2.count() == burst }) {
+			t.Fatalf("delivered %d, want %d", c2.count(), burst)
 		}
 
 		failed := a.SendBatch(1, []overlay.NodeID{2, 3, 99}, overlay.DataChunk{Seq: 100}, nil)
 		if len(failed) != 1 || failed[0] != 99 {
 			t.Fatalf("failed = %v, want [99]", failed)
 		}
-		if !waitFor(t, 2*time.Second, func() bool { return c2.count() == queueCap+1 && c3.count() == 1 }) {
+		if !waitFor(t, 2*time.Second, func() bool { return c2.count() == burst+1 && c3.count() == 1 }) {
 			t.Fatalf("fanout delivered %d/%d", c2.count(), c3.count())
 		}
 		if !waitFor(t, 2*time.Second, func() bool { return a.DataQueueDepth(2) == 0 }) {
@@ -280,27 +230,34 @@ func TestTransportDropAndFanoutParity(t *testing.T) {
 	})
 }
 
-// TestTransportAckNackNeverEvicted pins that queue-cap backpressure only
-// sheds stream data: a full coalescer queue must not evict DataAck/DataNack
-// frames, which carry the repair signal itself and skip the queue.
+// TestTransportAckNackNeverEvicted pins that DataAck and DataNack frames,
+// which carry the repair signal itself, skip the coalescer: sent after
+// chunks that are still queued, they arrive first.
 func TestTransportAckNackNeverEvicted(t *testing.T) {
-	cfg := UDPConfig{Batch: BatchConfig{MaxBatch: 64, FlushInterval: 80 * time.Millisecond, DestQueueCap: 2}}
-	a, b := newUDPPair(t, cfg)
+	a, b := newUDPPair(t, UDPConfig{})
+	setFlushInterval(a, time.Hour)
 	var c collector
 	b.Register(2, c.handler())
 	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
 
-	a.Send(1, 2, overlay.DataAck{Seq: 7})
-	a.Send(1, 2, overlay.DataNack{Ranges: []overlay.SeqRange{{Lo: 1, Hi: 3}}})
-	for i := 0; i < 6; i++ {
+	const chunks = 6
+	for i := 0; i < chunks; i++ {
 		a.Send(1, 2, overlay.DataChunk{Seq: int64(i)})
 	}
+	a.Send(1, 2, overlay.DataAck{Seq: 7})
+	a.Send(1, 2, overlay.DataNack{Ranges: []overlay.SeqRange{{Lo: 1, Hi: 3}}})
+	if !waitFor(t, 2*time.Second, func() bool { return c.count() == 2 }) {
+		t.Fatalf("delivered %d, want the ack and the nack", c.count())
+	}
+	if d := a.DataQueueDepth(2); d != chunks {
+		t.Fatalf("DataQueueDepth = %d, want the %d chunks still queued", d, chunks)
+	}
+	a.co.flush()
 
-	// 2 control-of-the-data-plane frames + 2 surviving chunks.
-	if !waitFor(t, 2*time.Second, func() bool { return c.count() == 4 }) {
-		t.Fatalf("delivered %d, want 4", c.count())
+	if !waitFor(t, 2*time.Second, func() bool { return c.count() == 2+chunks }) {
+		t.Fatalf("delivered %d, want %d", c.count(), 2+chunks)
 	}
 	msgs := c.snapshot()
 	if _, ok := msgs[0].(overlay.DataAck); !ok {
@@ -310,12 +267,9 @@ func TestTransportAckNackNeverEvicted(t *testing.T) {
 		t.Fatalf("second delivery = %T, want DataNack", msgs[1])
 	}
 	for i, m := range msgs[2:] {
-		if want := int64(4 + i); m.(overlay.DataChunk).Seq != want {
-			t.Fatalf("survivor %d = %v, want seq %d", i, m, want)
+		if m.(overlay.DataChunk).Seq != int64(i) {
+			t.Fatalf("chunk %d = %v, want seq %d", i, m, i)
 		}
-	}
-	if got := a.Dataplane().QueueDrops; got != 4 {
-		t.Fatalf("QueueDrops = %d, want 4", got)
 	}
 }
 
@@ -349,8 +303,8 @@ func TestUDPSendBatchOrdering(t *testing.T) {
 // control message still arrives immediately, while a data chunk sits in
 // the queue.
 func TestUDPControlBypassesCoalescer(t *testing.T) {
-	cfg := UDPConfig{Batch: BatchConfig{MaxBatch: 64, FlushInterval: time.Hour}}
-	a, b := newUDPPair(t, cfg)
+	a, b := newUDPPair(t, UDPConfig{})
+	setFlushInterval(a, time.Hour)
 	var c collector
 	b.Register(2, c.handler())
 	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
@@ -422,14 +376,14 @@ func TestDedupeWindowEviction(t *testing.T) {
 // TestUDPPortableFallback forces the path Linux CI cannot otherwise
 // reach: with no mmsg engine the transport reads and writes one datagram
 // per syscall, and batch_generic.go promises the coalescer's queueing
-// semantics hold regardless. A burst, a 3-way SendBatch and a drop-oldest
-// overflow all go through the per-datagram loops. A datagram may carry
-// several frames, so the invariant is one syscall per datagram.
+// semantics hold regardless. A burst and a 3-way SendBatch go through the
+// per-datagram loops. A datagram may carry several frames, so the
+// invariant is one syscall per datagram.
 func TestUDPPortableFallback(t *testing.T) {
-	newMmsg = func(*net.UDPConn, int) *mmsgIO { return nil }
+	newMmsg = func(*net.UDPConn) *mmsgIO { return nil }
 	t.Cleanup(func() { newMmsg = newMmsgIO })
 
-	a, b := newUDPPair(t, UDPConfig{Batch: BatchConfig{MaxBatch: 16}})
+	a, b := newUDPPair(t, UDPConfig{})
 	if a.BatchIO() || b.BatchIO() {
 		t.Fatal("BatchIO active with the mmsg engine stubbed out")
 	}
@@ -462,22 +416,6 @@ func TestUDPPortableFallback(t *testing.T) {
 		t.Fatalf("portable path: RecvSyscalls = %d, RecvDatagrams = %d, RecvFrames = %d; want one syscall per datagram and %d frames",
 			rdp.RecvSyscalls, rdp.RecvDatagrams, rdp.RecvFrames, n+3)
 	}
-
-	// Drop-oldest backpressure, as in TestUDPCoalescerDropOldest: overfill
-	// one destination's queue before any flush can run.
-	d, _ := newUDPPair(t, UDPConfig{Batch: BatchConfig{MaxBatch: 64, FlushInterval: 80 * time.Millisecond, DestQueueCap: 4}})
-	if err := d.SetRoute(2, b.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		d.Send(1, 2, overlay.DataChunk{Seq: int64(100 + i)})
-	}
-	if !waitFor(t, 2*time.Second, func() bool { return c.count() == n+3+4 }) {
-		t.Fatalf("delivered %d after the overflow burst, want %d", c.count(), n+3+4)
-	}
-	if got := d.Dataplane().QueueDrops; got != 6 {
-		t.Fatalf("QueueDrops = %d, want 6", got)
-	}
 }
 
 // TestUDPMaxSizeFrames sends the largest legal datagrams in one train with
@@ -490,7 +428,7 @@ func TestUDPPortableFallback(t *testing.T) {
 func TestUDPMaxSizeFrames(t *testing.T) {
 	t.Run("mmsg", testMaxSizeFrames)
 	t.Run("portable", func(t *testing.T) {
-		newMmsg = func(*net.UDPConn, int) *mmsgIO { return nil }
+		newMmsg = func(*net.UDPConn) *mmsgIO { return nil }
 		t.Cleanup(func() { newMmsg = newMmsgIO })
 		testMaxSizeFrames(t)
 	})
@@ -632,10 +570,11 @@ func maxControlFrame(t *testing.T) overlay.ConnResponse {
 // child's frames fill datagrams up to bundleCap and spill into the next;
 // and a frame over the cap goes alone.
 func TestUDPBundlesPerDestination(t *testing.T) {
-	a, err := NewUDP("127.0.0.1:0", UDPConfig{Batch: BatchConfig{MaxBatch: 64, FlushInterval: time.Hour}})
+	a, err := NewUDP("127.0.0.1:0", UDPConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	setFlushInterval(a, time.Hour)
 	t.Cleanup(func() { a.Close() })
 	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -741,7 +680,7 @@ func TestUDPBundlesPerDestination(t *testing.T) {
 func TestUDPMalformedFrameInDatagram(t *testing.T) {
 	t.Run("mmsg", testMalformedFrameInDatagram)
 	t.Run("portable", func(t *testing.T) {
-		newMmsg = func(*net.UDPConn, int) *mmsgIO { return nil }
+		newMmsg = func(*net.UDPConn) *mmsgIO { return nil }
 		t.Cleanup(func() { newMmsg = newMmsgIO })
 		testMalformedFrameInDatagram(t)
 	})

@@ -277,7 +277,9 @@ func TestUDPStatsRetransmitsAndAcks(t *testing.T) {
 	if s := a.Stats(); s.Retransmits < k {
 		t.Fatalf("retransmits = %d, want >= %d", s.Retransmits, k)
 	}
-	if c.count() != 1 {
+	// The receiver acks before it dispatches, so the ack can arrive
+	// before the handler has run.
+	if !waitFor(t, 2*time.Second, func() bool { return c.count() >= 1 }) || c.count() != 1 {
 		t.Fatalf("delivered %d times", c.count())
 	}
 

@@ -32,47 +32,6 @@ const (
 	resolveTTL = 3 * time.Second
 )
 
-// Data-plane batching defaults (see BatchConfig).
-const (
-	// DefaultMaxBatch is how many datagrams one recvmmsg/sendmmsg call
-	// moves at most.
-	DefaultMaxBatch = 32
-	// DefaultFlushInterval bounds how long a coalesced data frame may sit
-	// in the send queue before it is forced onto the wire.
-	DefaultFlushInterval = 500 * time.Microsecond
-	// DefaultDestQueueCap bounds the frames coalesced per destination;
-	// beyond it the oldest queued frame is dropped (best-effort data
-	// backpressure).
-	DefaultDestQueueCap = 256
-)
-
-// BatchConfig tunes the batched data plane; the zero value selects the
-// defaults above.
-type BatchConfig struct {
-	// MaxBatch is the per-syscall datagram budget; zero selects
-	// DefaultMaxBatch.
-	MaxBatch int
-	// FlushInterval is the coalescing window; zero selects
-	// DefaultFlushInterval.
-	FlushInterval time.Duration
-	// DestQueueCap is the per-destination coalescer queue bound; zero
-	// selects DefaultDestQueueCap.
-	DestQueueCap int
-}
-
-func (c BatchConfig) withDefaults() BatchConfig {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = DefaultFlushInterval
-	}
-	if c.DestQueueCap <= 0 {
-		c.DestQueueCap = DefaultDestQueueCap
-	}
-	return c
-}
-
 // UDPConfig tunes a UDP transport.
 type UDPConfig struct {
 	// RetryBase is the initial control-retransmit delay (doubles each
@@ -81,8 +40,6 @@ type UDPConfig struct {
 	// RetryAttempts is the total transmissions of one control message
 	// before giving up; zero selects DefaultRetryAttempts.
 	RetryAttempts int
-	// Batch tunes the batched data plane (zero value = defaults).
-	Batch BatchConfig
 }
 
 func (c UDPConfig) withDefaults() UDPConfig {
@@ -92,7 +49,6 @@ func (c UDPConfig) withDefaults() UDPConfig {
 	if c.RetryAttempts <= 0 {
 		c.RetryAttempts = DefaultRetryAttempts
 	}
-	c.Batch = c.Batch.withDefaults()
 	return c
 }
 
@@ -182,8 +138,8 @@ type DataplaneStats struct {
 	Flushes       int64
 	FlushedFrames int64
 	FlushNanos    int64
-	// QueueDrops counts data frames evicted oldest-first when a
-	// destination's coalescer queue overflowed.
+	// QueueDrops counts data frames enqueued after Close, which the
+	// coalescer no longer sends.
 	QueueDrops int64
 	// FanoutEncodes counts single-encode fan-outs; FanoutFrames the
 	// frames those fan-outs produced (the saving is the difference).
@@ -357,7 +313,7 @@ const recvSlot = wire.MaxPayload + 1024
 var newMmsg = newMmsgIO
 
 // socketBuffer is the SO_RCVBUF/SO_SNDBUF request. The batched plane lands
-// whole sendmmsg trains (MaxBatch frames back to back) on the receiver, so
+// whole sendmmsg trains (maxBatch datagrams back to back) on the receiver, so
 // the kernel-default ~208 KB receive buffer — sized for one-packet-at-a-time
 // senders — overflows under bursts the one-syscall-per-packet path never
 // produces. The kernel clamps the request to net.core.{r,w}mem_max.
@@ -387,8 +343,8 @@ func NewUDP(listenAddr string, cfg UDPConfig) (*UDP, error) {
 		parked:   make(map[overlay.NodeID]*parkedQueue),
 		recent:   make(map[overlay.NodeID]*dedupe),
 	}
-	t.mmsg = newMmsg(conn, t.cfg.Batch.MaxBatch) // nil on unsupported platforms
-	t.co = newCoalescer(t, t.cfg.Batch)
+	t.mmsg = newMmsg(conn) // nil on unsupported platforms
+	t.co = newCoalescer(t)
 	t.wg.Add(1)
 	go t.readLoop()
 	return t, nil
@@ -485,12 +441,13 @@ func (t *UDP) deliver(from, to overlay.NodeID, m overlay.Message) bool {
 	}
 	f := wire.Frame{Kind: wire.KindMsg, From: from, To: to, Msg: m}
 	if !ctrl {
+		filter := t.sendFilter
 		t.mu.Unlock()
 		// Acks and nacks are best-effort like chunks but clock the flow
-		// window, so they skip the coalescing delay (and its drop-oldest
-		// eviction) and go straight to the socket.
+		// window, so they skip the coalescing delay and go straight to
+		// the socket.
 		if overlay.IsStreamData(m) {
-			t.co.enqueueFrame(to, addr, f)
+			t.enqueue(f, []route{{to, addr}}, filter)
 		} else {
 			t.write(to, addr, f, 0)
 		}
@@ -568,55 +525,56 @@ func (t *UDP) retry(seq uint32, addr *net.UDPAddr) {
 	t.write(inf.to, addr, f, attempt)
 }
 
-// write encodes and transmits one frame, honoring the loss-injection
-// filter.
+// write transmits one frame as a datagram of its own, honoring the
+// loss-injection filter.
 func (t *UDP) write(to overlay.NodeID, addr *net.UDPAddr, f wire.Frame, attempt int) {
 	t.mu.Lock()
 	filter := t.sendFilter
 	t.mu.Unlock()
+	data := f.Kind == wire.KindMsg && !wire.IsControl(f.Msg)
 	if filter != nil && filter(to, f, attempt) {
-		if f.Kind == wire.KindMsg && !wire.IsControl(f.Msg) {
+		if data {
 			t.ctrs.DataDrops.Add(1)
 		}
 		return
 	}
-	eb := wire.GetEncodeBuffer()
-	defer eb.Release()
-	b, err := eb.Encode(f)
-	if err != nil {
+	if encoded, _ := t.writeFrame(addr, f); !encoded {
 		// Nothing in the overlay vocabulary fails to encode; treat as a
 		// drop rather than crash on a protocol bug.
-		if f.Kind == wire.KindMsg && !wire.IsControl(f.Msg) {
+		if data {
 			t.ctrs.DataDrops.Add(1)
 		} else {
 			t.ctrs.CtrlDrops.Add(1)
 		}
-		return
 	}
-	t.dp.sendSyscalls.Add(1)
-	t.dp.sentDatagrams.Add(1)
-	t.dp.sentFrames.Add(1)
-	t.conn.WriteToUDP(b, addr)
 }
 
 // SendFrame transmits a session frame (bootstrap traffic) to an explicit
 // socket address, outside the node-id routing and reliability machinery.
 func (t *UDP) SendFrame(addr *net.UDPAddr, f wire.Frame) error {
+	_, err := t.writeFrame(addr, f)
+	return err
+}
+
+// writeFrame encodes f and writes it to addr as a datagram of its own. It
+// reports whether f encoded (a frame that does not is not written) and
+// the encode or write error.
+func (t *UDP) writeFrame(addr *net.UDPAddr, f wire.Frame) (encoded bool, err error) {
 	eb := wire.GetEncodeBuffer()
 	defer eb.Release()
 	b, err := eb.Encode(f)
 	if err != nil {
-		return err
+		return false, err
 	}
 	t.dp.sendSyscalls.Add(1)
 	t.dp.sentDatagrams.Add(1)
 	t.dp.sentFrames.Add(1)
 	_, err = t.conn.WriteToUDP(b, addr)
-	return err
+	return true, err
 }
 
 // readLoop receives, decodes and dispatches frames until the socket
-// closes. With the mmsg engine active it drains up to MaxBatch datagrams
+// closes. With the mmsg engine active it drains up to maxBatch datagrams
 // per recvmmsg syscall into a receive ring borrowed from the process-wide
 // stock (batch_linux.go) and decodes them all before it dispatches any, so
 // the ring goes back to the stock, for any readable socket to reuse, while
@@ -798,31 +756,18 @@ func (t *UDP) SendBatch(from overlay.NodeID, tos []overlay.NodeID, m overlay.Mes
 		return failed
 	}
 	t.ctrs.Data.Add(int64(len(tos)))
-	eb := wire.GetEncodeBuffer()
-	defer eb.Release()
-	f := wire.Frame{Kind: wire.KindMsg, From: from, To: overlay.None, Msg: m}
-	b, err := eb.Encode(f)
-	if err != nil {
-		t.ctrs.DataDrops.Add(int64(len(tos)))
-		return failed
-	}
-	t.dp.fanoutEncodes.Add(1)
 	t.mu.Lock()
 	filter := t.sendFilter
 	if t.closed {
 		t.mu.Unlock()
 		return append(failed, tos...)
 	}
-	type target struct {
-		to   overlay.NodeID
-		addr *net.UDPAddr
-	}
 	// Resolve all routes under one lock acquisition; park the unknowns
 	// exactly as a sequential Send would. Up to len(buf) destinations
 	// resolve into stack memory, so a forward to a lone child costs no
 	// more here than Send.
-	var buf [16]target
-	targets := buf[:0]
+	var buf [16]route
+	routes := buf[:0]
 	for _, to := range tos {
 		addr, ok := t.routes[to]
 		if !ok {
@@ -834,19 +779,44 @@ func (t *UDP) SendBatch(from overlay.NodeID, tos []overlay.NodeID, m overlay.Mes
 			t.parkLocked(from, to, m)
 			continue
 		}
-		targets = append(targets, target{to: to, addr: addr})
+		routes = append(routes, route{to, addr})
 	}
 	t.mu.Unlock()
-	for _, tg := range targets {
+	t.dp.fanoutEncodes.Add(1)
+	t.dp.fanoutFrames.Add(int64(t.enqueue(wire.Frame{Kind: wire.KindMsg, From: from, To: overlay.None, Msg: m}, routes, filter)))
+	return failed
+}
+
+// route is one destination and the socket address it is reached at.
+type route struct {
+	to   overlay.NodeID
+	addr *net.UDPAddr
+}
+
+// enqueue encodes stream-data frame f once and queues a copy for each
+// destination in dsts, in order, into the coalescer, each retargeted to
+// its destination. The loss filter, if any, is asked once per copy, and a
+// copy it drops is counted and not queued. It returns how many copies it
+// queued.
+func (t *UDP) enqueue(f wire.Frame, dsts []route, filter func(overlay.NodeID, wire.Frame, int) bool) int {
+	eb := wire.GetEncodeBuffer()
+	defer eb.Release()
+	b, err := eb.Encode(f)
+	if err != nil {
+		t.ctrs.DataDrops.Add(int64(len(dsts)))
+		return 0
+	}
+	queued := 0
+	for _, d := range dsts {
 		if filter != nil {
-			f.To = tg.to
-			if filter(tg.to, f, 0) {
+			f.To = d.to
+			if filter(d.to, f, 0) {
 				t.ctrs.DataDrops.Add(1)
 				continue
 			}
 		}
-		t.dp.fanoutFrames.Add(1)
-		t.co.enqueueBytes(tg.to, tg.addr, b)
+		queued++
+		t.co.enqueue(d.to, d.addr, b)
 	}
-	return failed
+	return queued
 }

@@ -38,9 +38,6 @@ func NewGeoKeyed(m *geo.Model, sites []int, seed int64) *GeoUnderlay {
 // NumHosts reports the number of hosts.
 func (u *GeoUnderlay) NumHosts() int { return len(u.sites) }
 
-// NumLinks reports 0: the geo underlay has no router model.
-func (u *GeoUnderlay) NumLinks() int { return 0 }
-
 // Site returns the site backing host h.
 func (u *GeoUnderlay) Site(h int) geo.Site { return u.m.Sites[u.sites[h]] }
 

@@ -181,9 +181,6 @@ func NewRouter(g *topology.Graph, attach []topology.RouterID) *RouterUnderlay {
 // NumHosts reports the number of attached hosts.
 func (u *RouterUnderlay) NumHosts() int { return len(u.attach) }
 
-// NumLinks reports the number of physical links in the router graph.
-func (u *RouterUnderlay) NumLinks() int { return u.g.NumLinks() }
-
 // AttachmentRouter returns the router host h attaches to.
 func (u *RouterUnderlay) AttachmentRouter(h int) topology.RouterID { return u.attach[h] }
 

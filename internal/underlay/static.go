@@ -20,9 +20,6 @@ func NewStatic(rtt [][]float64) *Static { return &Static{RTTms: rtt} }
 // NumHosts reports the matrix dimension.
 func (s *Static) NumHosts() int { return len(s.RTTms) }
 
-// NumLinks reports 0: no router model.
-func (s *Static) NumLinks() int { return 0 }
-
 // BaseRTT returns the matrix entry.
 func (s *Static) BaseRTT(a, b int) float64 {
 	if a == b {

@@ -39,10 +39,6 @@ type Underlay interface {
 	// and b, or nil when the underlay has no router model (the stress
 	// metric is then undefined).
 	PathLinks(a, b int) []topology.LinkID
-
-	// NumLinks reports the number of physical links, 0 without a router
-	// model.
-	NumLinks() int
 }
 
 // MinDelayFloorMS is the smallest one-way delivery delay a keyed underlay
