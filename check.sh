@@ -30,6 +30,13 @@ echo "== benchmark module: go vet + go build"
 echo "== eventq and rng benchmarks, one iteration"
 go test -run='^$' -bench='EventQ|EdgeCounters' -benchtime=1x ./internal/eventq/ ./internal/rng/
 
+# The lanes must not make a random-delay schedule slower than the heap
+# alone. Tier-1 pins the count behind it (the heap takes all but a few of
+# the events); the wall-clock comparison runs here, alone, where no other
+# package's tests compete for the cores.
+echo "== eventq lanes-vs-heap timing"
+go test -count=1 -run='^TestRandomDelaysTiming$' ./internal/eventq/ -args -timing
+
 # The coalescer's share of the live CPU budget: one flush's worth of
 # chunk frames for three children, once.
 echo "== coalescer flush benchmark, one iteration"

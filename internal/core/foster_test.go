@@ -80,7 +80,7 @@ func TestFosterJoinPromotesWhenSourceOptimal(t *testing.T) {
 	if got := r.parentOf(t, 2); got != 0 {
 		t.Fatalf("parent = %d, want source", got)
 	}
-	if n.Fostered() {
+	if n.fostered {
 		t.Fatal("node still holds a foster slot")
 	}
 	src := r.nodes[0]
@@ -114,7 +114,7 @@ func TestFosterJoinVacatesFosterSlotOnMove(t *testing.T) {
 	if got := r.parentOf(t, 2); got != 1 {
 		t.Fatalf("parent = %d, want the directional parent", got)
 	}
-	if n.Fostered() {
+	if n.fostered {
 		t.Fatal("node still marked fostered after moving")
 	}
 	if got := r.nodes[0].FosterIDs(); len(got) != 0 {

@@ -48,9 +48,6 @@ type Node struct {
 	fostered bool
 }
 
-// Fostered reports whether the node currently sits in a foster slot.
-func (n *Node) Fostered() bool { return n.fostered }
-
 // emit stamps the current join id onto e and forwards it to the tracer.
 // Every record of one procedure — across restarts — carries the same
 // join_id. An untraced node returns before formatting the id: nobody

@@ -68,7 +68,6 @@ type Sim struct {
 	now       float64
 	seq       uint64
 	processed uint64
-	stopped   bool
 
 	// events is a 4-ary min-heap of entries by value, ordered by
 	// (at, seq): the children of slot i are 4i+1 … 4i+4. Four children
@@ -282,9 +281,6 @@ func (s *Sim) AfterArg(d float64, fn func(any), arg any) {
 	s.pushLane(empty, e)
 }
 
-// Stop aborts a Run in progress after the current event returns.
-func (s *Sim) Stop() { s.stopped = true }
-
 // SetSeqBase raises the sequence counter to at least base. The sharded
 // engine uses this to separate "setup" events (tick starter, scripted
 // scenario actions — scheduled before the run starts) from everything
@@ -323,8 +319,7 @@ func (s *Sim) NextAt() (float64, bool) {
 // (t, seqBelow): strictly earlier than t, or at exactly t with a sequence
 // number below seqBelow.
 func (s *Sim) run(t float64, seqBelow uint64) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		e, li := s.next()
 		if e == nil || e.at > t || (e.at == t && e.seq >= seqBelow) {
 			break
@@ -370,6 +365,3 @@ func (s *Sim) RunBand(t float64, seqBelow uint64) {
 		s.now = t
 	}
 }
-
-// Drain runs every remaining event regardless of timestamp.
-func (s *Sim) Drain() { s.run(math.Inf(1), math.MaxUint64) }

@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -104,23 +105,13 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	s.At(5, func() {})
 }
 
-func TestStopAbortsRun(t *testing.T) {
-	s := New()
-	fired := 0
-	s.At(1, func() { fired++; s.Stop() })
-	s.At(2, func() { fired++ })
-	s.Run(10)
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1 (stopped)", fired)
-	}
-}
-
+// TestDrainRunsEverything: Run to +Inf fires every event, however late.
 func TestDrainRunsEverything(t *testing.T) {
 	s := New()
 	fired := 0
 	s.At(1, func() { fired++ })
 	s.At(1e9, func() { fired++ })
-	s.Drain()
+	s.Run(math.Inf(1))
 	if fired != 2 {
 		t.Fatalf("drain fired %d, want 2", fired)
 	}
@@ -210,7 +201,7 @@ func TestFiredEntryIsUnreachable(t *testing.T) {
 			t.Fatalf("spare slot %d retains a fired callback or argument", i)
 		}
 	}
-	s.Drain()
+	s.Run(math.Inf(1))
 	for i, e := range s.events[:cap(s.events)] {
 		if e.fn != nil || e.arg != nil {
 			t.Fatalf("slot %d of the drained queue retains a callback or argument", i)
@@ -235,7 +226,7 @@ func TestArrayShrinksAfterBurst(t *testing.T) {
 	if p, f := s.Pending(), s.FreeLen(); p != 1000 || p+f > 4*p {
 		t.Fatalf("pending %d, spare %d: want 1000 pending in an array at most 4x that", p, f)
 	}
-	s.Drain()
+	s.Run(burst)
 	if got := s.FreeLen(); got > minCap {
 		t.Fatalf("%d spare slots after the burst drained, want ≤ %d", got, minCap)
 	}
@@ -251,7 +242,7 @@ func TestArrayShrinksAfterBurst(t *testing.T) {
 		}
 	}
 	s.After(1, tick)
-	s.Drain()
+	s.Run(math.Inf(1))
 	if got := s.FreeLen(); got > 2*minCap { // the heap array and the chain's lane
 		t.Fatalf("%d spare slots in steady state, want ≤ %d", got, 2*minCap)
 	}
@@ -360,7 +351,7 @@ func (r *refQueue) run(due func(refEvent) bool) {
 // events that schedule further events (also at the current instant) while
 // firing, a population of self-re-arming timers at more distinct fixed
 // delays than there are lanes mixed with one-shots at delays nothing else
-// shares, and interleaved Run/RunBefore/RunBand/Drain with SetSeqBase —
+// shares, and interleaved Run/RunBefore/RunBand/run-to-empty with SetSeqBase —
 // and requires the same firing order, clock, sequence counter and pending
 // count after every step. The lanes are an optimisation the reference
 // does not have, so this is their proof of order.
@@ -420,7 +411,7 @@ func TestDifferentialAgainstSortedReference(t *testing.T) {
 				}
 				advance = false
 			default:
-				s.Drain()
+				s.run(math.Inf(1), math.MaxUint64) // everything, clock at the last event
 				ref.run(func(refEvent) bool { return true })
 				advance = false
 			}

@@ -166,7 +166,7 @@ func TestWindowMissingGapAtHead(t *testing.T) {
 }
 
 // Sequence numbers around the uint32 boundary: wire seqs travel as
-// uint32 (see wire.AppendFrame) but chunk seqs are int64. A stream
+// uint32 (see wire.Frame.Seq) but chunk seqs are int64. A stream
 // crossing 2^32 must keep exact-once and cum-ack semantics — the window
 // must not alias 2^32 with 0.
 func TestWindowUint32Wraparound(t *testing.T) {

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"vdm/internal/core"
@@ -18,10 +19,15 @@ const (
 	clusterJoinStagger = time.Millisecond
 	// clusterSessionTimeout bounds each joiner's Hello/Welcome handshake.
 	clusterSessionTimeout = 5 * time.Second
-	// clusterRTTMS is the RTT Underlay assigns every peer pair. Loopback
+	// clusterRTTMS is the RTT Snapshot assigns every peer pair. Loopback
 	// sockets have no geometry, so it is nominal: depth and degree are
 	// what the metrics measure, and stretch is 1 by construction.
 	clusterRTTMS = 0.4
+	// clusterSettle is how long Stream waits for a joiner's receive
+	// count to move before it takes the stream as delivered.
+	clusterSettle = 250 * time.Millisecond
+	// clusterDrainTimeout bounds Stream's wait for the counts to settle.
+	clusterDrainTimeout = 10 * time.Second
 )
 
 // ClusterConfig sizes and tunes a loopback cluster.
@@ -162,13 +168,38 @@ func (c *Cluster) WaitConnected(timeout time.Duration) error {
 }
 
 // Stream emits n chunks from the source, one per interval, then waits
-// briefly for the last copies to drain.
-func (c *Cluster) Stream(n int, interval time.Duration) {
+// until every joiner has received n chunks or no joiner's count has moved
+// for clusterSettle. It returns an error naming every joiner's count when
+// the counts are still moving after clusterDrainTimeout.
+func (c *Cluster) Stream(n int, interval time.Duration) error {
 	for seq := 0; seq < n; seq++ {
 		c.Source().EmitChunk(int64(seq))
 		time.Sleep(interval)
 	}
-	time.Sleep(25 * time.Millisecond)
+	counts := make([]int64, len(c.Peers))
+	deadline := time.Now().Add(clusterDrainTimeout)
+	moved := time.Now()
+	for {
+		done := true
+		for id := 1; id < len(c.Peers); id++ {
+			got := c.Peers[id].Stats().Received
+			if got != counts[id] {
+				counts[id], moved = got, time.Now()
+			}
+			done = done && got >= int64(n)
+		}
+		if done || time.Since(moved) >= clusterSettle {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			var b strings.Builder
+			for id := 1; id < len(counts); id++ {
+				fmt.Fprintf(&b, " %d:%d", id, counts[id])
+			}
+			return fmt.Errorf("live: chunk counts of %d still moving after %v (peer:received):%s", n, clusterDrainTimeout, b.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // Views snapshots every peer's tree position.
@@ -180,10 +211,10 @@ func (c *Cluster) Views() []overlay.TreeView {
 	return views
 }
 
-// Underlay builds the uniform RTT-matrix underlay the offline metrics and
-// the tree aggregator's exact mode share: every pair sits clusterRTTMS
-// apart.
-func (c *Cluster) Underlay() underlay.Underlay {
+// Snapshot collects the paper's tree metrics over a uniform RTT matrix
+// (every pair clusterRTTMS apart): depth and degree structure are
+// meaningful; stretch is 1 by construction.
+func (c *Cluster) Snapshot() metrics.TreeSnapshot {
 	n := len(c.Peers)
 	rtt := make([][]float64, n)
 	for i := range rtt {
@@ -194,14 +225,7 @@ func (c *Cluster) Underlay() underlay.Underlay {
 			}
 		}
 	}
-	return underlay.NewStatic(rtt)
-}
-
-// Snapshot collects the paper's tree metrics over Underlay — depth and
-// degree structure are meaningful; stretch is 1 by construction on a
-// uniform matrix.
-func (c *Cluster) Snapshot() metrics.TreeSnapshot {
-	return metrics.Collect(c.Views(), 0, c.Underlay())
+	return metrics.Collect(c.Views(), 0, underlay.NewStatic(rtt))
 }
 
 // Validate runs the structural tree checks (degree bounds, parent/child

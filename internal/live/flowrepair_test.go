@@ -261,7 +261,9 @@ func TestClusterFlowDelivery(t *testing.T) {
 		nChunks = 40
 	)
 	c := bootCluster(t, ClusterConfig{N: nPeers, MaxDegree: 3, Flow: fcfg})
-	c.Stream(nChunks, time.Millisecond)
+	if err := c.Stream(nChunks, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range c.Peers[1:] {
 		pp := p
 		if !pollUntil(5*time.Second, func() bool { return pp.Stats().Received == nChunks }) {

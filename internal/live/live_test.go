@@ -28,7 +28,9 @@ func TestClusterLoopback(t *testing.T) {
 		t.Fatalf("invalid tree after join: %v", errs)
 	}
 
-	c.Stream(nChunks, time.Millisecond)
+	if err := c.Stream(nChunks, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 
 	minRecv := int64(nChunks * 95 / 100)
 	for _, p := range c.Peers[1:] {
@@ -81,7 +83,9 @@ func TestUDPSessionEndToEnd(t *testing.T) {
 	}
 
 	const nChunks = 30
-	c.Stream(nChunks, 2*time.Millisecond)
+	if err := c.Stream(nChunks, 2*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	minRecv := int64(nChunks * 95 / 100)
 	for _, p := range c.Peers[1:] {
 		pp := p

@@ -16,8 +16,8 @@ import (
 // TestClusterTreeTelemetry is the tree-health acceptance test: a 24-peer
 // live cluster reports status over the real runtime, the source-side
 // aggregator reconstructs the tree, and the /tree admin route must agree
-// with the peers' actual parent/child state — with the online stress and
-// cost figures matching the offline metrics computed on the same tree.
+// with the peers' actual parent/child state, and the online cost must be
+// the sum of the parent RTTs the peers reported.
 func TestClusterTreeTelemetry(t *testing.T) {
 	const (
 		nPeers    = 24
@@ -30,7 +30,6 @@ func TestClusterTreeTelemetry(t *testing.T) {
 		StatusPeriod:  50 * time.Millisecond,
 		StatusHandler: agg.Handler(),
 	})
-	agg.SetUnderlay(c.Underlay())
 
 	// Query the tree the way an operator would: over HTTP.
 	mux := http.NewServeMux()
@@ -68,21 +67,6 @@ func TestClusterTreeTelemetry(t *testing.T) {
 		t.Errorf("settled cluster flagged unhealthy: %+v", snap.Summary)
 	}
 
-	// Online vs offline agreement on the same tree. The aggregator's
-	// exact block runs metrics.Collect over the reconstructed views; the
-	// offline baseline runs it over the peers' real views on the same
-	// underlay. Topology equality makes them identical.
-	if snap.Exact == nil {
-		t.Fatal("/tree has no exact metrics despite underlay")
-	}
-	offline := c.Snapshot()
-	if snap.Exact.UsageMS != offline.UsageMS || snap.Exact.Stress != offline.Stress {
-		t.Errorf("online stress/cost (%v, %v) != offline (%v, %v)",
-			snap.Exact.Stress, snap.Exact.UsageMS, offline.Stress, offline.UsageMS)
-	}
-	if snap.Exact.Hopcount != offline.Hopcount || snap.Exact.Reachable != offline.Reachable {
-		t.Errorf("online depth/reachable diverge: %+v vs %+v", snap.Exact, offline)
-	}
 	// The online (report-derived) cost sums measured parent RTTs: every
 	// attached peer reports a positive one, and the summary is their sum.
 	var costSum float64

@@ -70,18 +70,3 @@ func DegreeConstrainedPrim(n int, maxDegree int, cost func(i, j int) float64) (p
 	}
 	return parent, total
 }
-
-// MaxDegreeOf reports the maximum child count in a parent-vector tree.
-func MaxDegreeOf(parent []int) int {
-	kids := map[int]int{}
-	m := 0
-	for _, p := range parent {
-		if p >= 0 {
-			kids[p]++
-			if kids[p] > m {
-				m = kids[p]
-			}
-		}
-	}
-	return m
-}

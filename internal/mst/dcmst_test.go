@@ -28,7 +28,7 @@ func TestDegreeConstrainedPrimRespectsBound(t *testing.T) {
 	cost := func(i, j int) float64 { return m[i][j] }
 	for _, deg := range []int{1, 2, 3, 5} {
 		parent, total := DegreeConstrainedPrim(30, deg, cost)
-		if got := MaxDegreeOf(parent); got > deg {
+		if got := maxDegreeOf(parent); got > deg {
 			t.Fatalf("degree %d exceeded: %d", deg, got)
 		}
 		if total <= 0 {
@@ -52,7 +52,7 @@ func TestDegreeConstrainedDegenerateChain(t *testing.T) {
 	// Degree 1 forces a Hamiltonian-path-like chain.
 	m := randomCosts(5, 12)
 	parent, _ := DegreeConstrainedPrim(12, 1, func(i, j int) float64 { return m[i][j] })
-	if got := MaxDegreeOf(parent); got != 1 {
+	if got := maxDegreeOf(parent); got != 1 {
 		t.Fatalf("chain has branching %d", got)
 	}
 }
@@ -98,7 +98,7 @@ func TestPropertyDCMSTSpansWithinBound(t *testing.T) {
 		deg := int(degRaw%4) + 2
 		m := randomCosts(seed, n)
 		parent, _ := DegreeConstrainedPrim(n, deg, func(i, j int) float64 { return m[i][j] })
-		if MaxDegreeOf(parent) > deg {
+		if maxDegreeOf(parent) > deg {
 			return false
 		}
 		rooted := 0
@@ -117,4 +117,19 @@ func TestPropertyDCMSTSpansWithinBound(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// maxDegreeOf reports the maximum child count in a parent-vector tree.
+func maxDegreeOf(parent []int) int {
+	kids := map[int]int{}
+	m := 0
+	for _, p := range parent {
+		if p >= 0 {
+			kids[p]++
+			if kids[p] > m {
+				m = kids[p]
+			}
+		}
+	}
+	return m
 }

@@ -48,18 +48,6 @@ func Prim(n int, cost func(i, j int) float64) (parent []int, total float64) {
 	return parent, total
 }
 
-// TreeCost sums cost(parent[i], i) over all vertices with a parent — the
-// cost of an arbitrary tree given in parent-array form.
-func TreeCost(parent []int, cost func(i, j int) float64) float64 {
-	total := 0.0
-	for i, p := range parent {
-		if p >= 0 {
-			total += cost(p, i)
-		}
-	}
-	return total
-}
-
 // Ratio returns treeCost/mstCost, the paper's convergence measure, or 0
 // when the MST cost is zero.
 func Ratio(treeCost, mstCost float64) float64 {

@@ -23,8 +23,14 @@ func TestPrimKnownSquare(t *testing.T) {
 	if parent[0] != -1 {
 		t.Fatal("root parent should be -1")
 	}
-	if got := TreeCost(parent, cost); math.Abs(got-total) > 1e-9 {
-		t.Fatalf("TreeCost %v != Prim total %v", got, total)
+	sum := 0.0
+	for i, p := range parent {
+		if p >= 0 {
+			sum += cost(p, i)
+		}
+	}
+	if math.Abs(sum-total) > 1e-9 {
+		t.Fatalf("tree edges sum to %v, Prim total %v", sum, total)
 	}
 }
 

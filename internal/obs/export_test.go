@@ -1,0 +1,54 @@
+package obs
+
+import (
+	"math"
+	"sort"
+)
+
+// Add adds n to the counter.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
+
+// Set stores v.
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+
+// Add increments the gauge by d (atomically, CAS loop).
+func (g *Gauge) Add(d float64) {
+	for {
+		old := g.bits.Load()
+		next := math.Float64bits(math.Float64frombits(old) + d)
+		if g.bits.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// MissingHelp returns the metric families that would scrape out with the
+// fallback description: every registered series' family, plus every family
+// the collectors produce at this instant, minus the families SetHelp has
+// covered. Sorted, empty when the surface is fully documented.
+func (r *Registry) MissingHelp() []string {
+	r.mu.Lock()
+	names := make(map[string]bool)
+	for _, m := range r.meta {
+		names[m.name] = true
+	}
+	collectors := append([]func() []Sample(nil), r.collectors...)
+	help := make(map[string]bool, len(r.help))
+	for n := range r.help {
+		help[n] = true
+	}
+	r.mu.Unlock()
+	for _, fn := range collectors {
+		for _, s := range fn() {
+			names[s.Name] = true
+		}
+	}
+	var missing []string
+	for n := range names {
+		if !help[n] {
+			missing = append(missing, n)
+		}
+	}
+	sort.Strings(missing)
+	return missing
+}

@@ -1,7 +1,5 @@
 package obs
 
-import "sort"
-
 // This file centralises the HELP text for the standard metric families so
 // every binary exposing them (vdmd, the benchmark, tests) registers identical
 // descriptions, and so the help-lint test can assert the whole standard
@@ -88,35 +86,3 @@ func RegisterDataplaneHelp(r *Registry) { registerHelp(r, dataplaneHelp) }
 
 // RegisterFlowHelp registers HELP for the vdm_flow_* family.
 func RegisterFlowHelp(r *Registry) { registerHelp(r, flowHelp) }
-
-// MissingHelp returns the metric families that would scrape out with the
-// fallback description: every registered series' family, plus every family
-// the collectors produce at this instant, minus the families SetHelp has
-// covered. Sorted, empty when the surface is fully documented — binaries
-// and the help-lint test treat non-empty as an error.
-func (r *Registry) MissingHelp() []string {
-	r.mu.Lock()
-	names := make(map[string]bool)
-	for _, m := range r.meta {
-		names[m.name] = true
-	}
-	collectors := append([]func() []Sample(nil), r.collectors...)
-	help := make(map[string]bool, len(r.help))
-	for n := range r.help {
-		help[n] = true
-	}
-	r.mu.Unlock()
-	for _, fn := range collectors {
-		for _, s := range fn() {
-			names[s.Name] = true
-		}
-	}
-	var missing []string
-	for n := range names {
-		if !help[n] {
-			missing = append(missing, n)
-		}
-	}
-	sort.Strings(missing)
-	return missing
-}

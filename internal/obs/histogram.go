@@ -82,45 +82,3 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	return s
 }
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// inside the containing bucket, the standard Prometheus approximation.
-// It returns 0 for an empty histogram; values in the +Inf bucket clamp to
-// the last finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	s := h.Snapshot()
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	cum := 0.0
-	for i, c := range s.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i == len(s.Bounds) { // +Inf bucket
-			if len(s.Bounds) == 0 {
-				return 0
-			}
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		hi := s.Bounds[i]
-		return lo + (hi-lo)*(rank-prev)/float64(c)
-	}
-	if len(s.Bounds) == 0 {
-		return 0
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}

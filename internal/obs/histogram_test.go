@@ -63,31 +63,6 @@ func TestHistogramUnsortedBoundsAndEmpty(t *testing.T) {
 	if es.Count != 1 || es.Counts[0] != 1 || es.Sum != 7 {
 		t.Fatalf("bound-less histogram broken: %+v", es)
 	}
-	if q := empty.Quantile(0.5); q != 0 {
-		t.Fatalf("quantile of bound-less histogram = %v", q)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{10, 20, 30})
-	if q := h.Quantile(0.5); q != 0 {
-		t.Fatalf("empty quantile = %v", q)
-	}
-	// 10 values uniform in (0,10], 10 in (10,20].
-	for i := 1; i <= 10; i++ {
-		h.Observe(float64(i))
-		h.Observe(float64(10 + i))
-	}
-	if q := h.Quantile(0.5); q != 10 {
-		t.Fatalf("p50 = %v, want 10 (end of first bucket)", q)
-	}
-	if q := h.Quantile(1); q != 20 {
-		t.Fatalf("p100 = %v, want 20", q)
-	}
-	h.Observe(1e6) // overflow clamps to last finite bound
-	if q := h.Quantile(1); q != 30 {
-		t.Fatalf("overflow quantile = %v, want clamp to 30", q)
-	}
 }
 
 // TestHistogramConcurrent verifies totals reconcile under parallel

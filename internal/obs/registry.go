@@ -33,9 +33,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be ≥ 0 for Prometheus semantics; not enforced).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -43,9 +40,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct {
 	bits atomic.Uint64
 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // SetMax raises the gauge to v if v exceeds the current value — the
 // high-water-mark update (mailbox depth, maximum fan-out).
@@ -56,17 +50,6 @@ func (g *Gauge) SetMax(v float64) {
 			return
 		}
 		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Add increments the gauge by d (atomically, CAS loop).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
 			return
 		}
 	}

@@ -3,9 +3,6 @@
 // topology, per-peer health (staleness, partition, parent RTT), and online
 // tree-quality metrics — cost, depth distribution, fan-out stress, and an
 // RTT-based stretch proxy computed purely from what the peers reported.
-// With an optional underlay attached it also runs the exact offline
-// metrics (metrics.Collect) over the reconstructed tree, so a live session
-// can be compared against the paper's evaluation numbers in real time.
 //
 // The aggregator is the source-side half of the telemetry loop: peers emit
 // overlay.StatusReport (internal/overlay/status.go), the source's
@@ -23,7 +20,6 @@ import (
 	"vdm/internal/metrics"
 	"vdm/internal/obs"
 	"vdm/internal/overlay"
-	"vdm/internal/underlay"
 )
 
 // Config tunes an Aggregator.
@@ -67,9 +63,6 @@ type peerState struct {
 // mailbox goroutine while HTTP handlers read.
 type Aggregator struct {
 	cfg Config
-	// u, when set (SetUnderlay), enables the exact offline metrics
-	// (metrics.Collect) over the reconstructed tree in every Snapshot.
-	u underlay.Underlay
 
 	mu     sync.Mutex
 	peers  map[overlay.NodeID]*peerState
@@ -84,16 +77,6 @@ func New(cfg Config) *Aggregator {
 		cfg.StaleAfterS = 15
 	}
 	return &Aggregator{cfg: cfg, peers: make(map[overlay.NodeID]*peerState)}
-}
-
-// SetUnderlay attaches (or replaces) the underlay used for the exact
-// offline metrics. Callers set it after construction because the
-// aggregator's handler must exist before the thing that owns the underlay
-// (e.g. live.NewCluster) does.
-func (a *Aggregator) SetUnderlay(u underlay.Underlay) {
-	a.mu.Lock()
-	a.u = u
-	a.mu.Unlock()
 }
 
 // Handler adapts Ingest to the overlay.StatusHandler signature the source
@@ -145,51 +128,6 @@ func (a *Aggregator) now() float64 {
 		return a.cfg.Now()
 	}
 	return a.lastAt
-}
-
-// reportView adapts one report to overlay.TreeView so the offline metric
-// collectors run unchanged over the reconstructed tree.
-type reportView struct {
-	id       overlay.NodeID
-	parent   overlay.NodeID
-	children []overlay.NodeID
-	conn     bool
-	source   bool
-}
-
-func (v reportView) ID() overlay.NodeID         { return v.id }
-func (v reportView) ParentID() overlay.NodeID   { return v.parent }
-func (v reportView) ChildIDs() []overlay.NodeID { return v.children }
-func (v reportView) Connected() bool            { return v.conn }
-func (v reportView) IsSource() bool             { return v.source }
-
-// Views returns the reconstructed tree as overlay.TreeView values, one per
-// reporting peer, ordered by id.
-func (a *Aggregator) Views() []overlay.TreeView {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.viewsLocked()
-}
-
-func (a *Aggregator) viewsLocked() []overlay.TreeView {
-	ids := make([]overlay.NodeID, 0, len(a.peers))
-	for id := range a.peers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	views := make([]overlay.TreeView, 0, len(ids))
-	for _, id := range ids {
-		r := a.peers[id].report
-		kids := make([]overlay.NodeID, len(r.Children))
-		for i, c := range r.Children {
-			kids[i] = c.ID
-		}
-		views = append(views, reportView{
-			id: id, parent: r.Parent, children: kids,
-			conn: r.Connected, source: id == a.cfg.Source,
-		})
-	}
-	return views
 }
 
 // PeerHealth is one peer's row in a Snapshot.
@@ -258,9 +196,9 @@ type Snapshot struct {
 	Source  int64        `json:"source"`
 	Summary Summary      `json:"summary"`
 	Peers   []PeerHealth `json:"peers"`
-	// Exact carries the offline evaluation metrics computed over the
-	// reconstructed tree; only present when the aggregator has an
-	// underlay.
+	// Exact carries the paper's offline evaluation metrics over the tree
+	// when a producer computed them; vdmtop renders it. The aggregator
+	// has no underlay and leaves it nil.
 	Exact *metrics.TreeSnapshot `json:"exact,omitempty"`
 }
 
@@ -276,8 +214,6 @@ func (a *Aggregator) Snapshot() Snapshot {
 	for id, ps := range a.peers {
 		rows = append(rows, row{id, *ps})
 	}
-	views := a.viewsLocked()
-	u := a.u
 	a.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
 
@@ -386,10 +322,6 @@ func (a *Aggregator) Snapshot() Snapshot {
 	}
 	if forwarders > 0 {
 		snap.Summary.AvgFanout = float64(fanoutSum) / float64(forwarders)
-	}
-	if u != nil && len(views) > 0 {
-		exact := metrics.Collect(views, a.cfg.Source, u)
-		snap.Exact = &exact
 	}
 	return snap
 }

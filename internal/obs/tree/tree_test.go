@@ -8,10 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"vdm/internal/metrics"
 	"vdm/internal/obs"
 	"vdm/internal/overlay"
-	"vdm/internal/underlay"
 )
 
 // feedLine ingests a fixed 5-peer chain-and-fan tree:
@@ -130,36 +128,6 @@ func TestDeltaCountersNotDoubleCountedOnRedelivery(t *testing.T) {
 		if p.ID == 1 && p.RecvTotal != 75 {
 			t.Fatalf("recv total = %d, want 75", p.RecvTotal)
 		}
-	}
-}
-
-func TestExactMetricsMatchOfflineCollect(t *testing.T) {
-	// Uniform 10 ms matrix over 5 hosts.
-	n := 5
-	rtt := make([][]float64, n)
-	for i := range rtt {
-		rtt[i] = make([]float64, n)
-		for j := range rtt[i] {
-			if i != j {
-				rtt[i][j] = 10
-			}
-		}
-	}
-	u := underlay.NewStatic(rtt)
-
-	a := New(Config{Source: 0})
-	a.SetUnderlay(u)
-	feed(a, 100)
-	snap := a.Snapshot()
-	if snap.Exact == nil {
-		t.Fatal("no exact metrics despite underlay")
-	}
-	want := metrics.Collect(a.Views(), 0, u)
-	if *snap.Exact != want {
-		t.Fatalf("exact metrics diverge from offline Collect:\n%+v\n%+v", *snap.Exact, want)
-	}
-	if want.Reachable != 4 || want.UsageMS != 40 {
-		t.Fatalf("offline baseline unexpected: %+v", want)
 	}
 }
 

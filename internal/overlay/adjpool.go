@@ -28,7 +28,6 @@ package overlay
 type AdjPool struct {
 	chunks []adjChunk
 	free   int32 // head of free-chunk list, 0 if empty
-	inUse  int32 // chunks currently owned by sets (for tests/stats)
 }
 
 // adjChunkCap is the entries-per-chunk capacity. Tree fanout under the
@@ -56,7 +55,6 @@ type AdjSet struct {
 
 // alloc returns a cleared chunk index.
 func (p *AdjPool) alloc() int32 {
-	p.inUse++
 	if p.free != 0 {
 		i := p.free
 		c := &p.chunks[i]
@@ -78,7 +76,6 @@ func (p *AdjPool) alloc() int32 {
 func (p *AdjPool) release(i int32) {
 	p.chunks[i] = adjChunk{next: p.free}
 	p.free = i
-	p.inUse--
 }
 
 // Len returns the number of entries in s.
@@ -233,6 +230,3 @@ func (p *AdjPool) AppendIDs(s *AdjSet, dst []NodeID) []NodeID {
 	}
 	return dst
 }
-
-// ChunksInUse returns the number of live chunks (test/stats hook).
-func (p *AdjPool) ChunksInUse() int { return int(p.inUse) }

@@ -5,3 +5,29 @@ package overlay
 func (d *Descent) HoldsWalk() bool {
 	return d.w != nil || d.prober.free != nil || d.prober.freeTO != nil
 }
+
+// Counters returns the network's (or its fabric's) traffic counters.
+func (n *Network) Counters() *Counters { return n.ctrs }
+
+// PutChild inserts or refreshes a regular child edge directly — the
+// test-seam equivalent of a completed adoption.
+func (p *Peer) PutChild(c NodeID, dist float64) { p.pool.Put(&p.children, c, dist) }
+
+// PutFoster inserts or refreshes a foster edge directly.
+func (p *Peer) PutFoster(c NodeID, dist float64) { p.pool.Put(&p.fosters, c, dist) }
+
+// DelChild removes a regular child edge directly.
+func (p *Peer) DelChild(c NodeID) { p.pool.Delete(&p.children, c) }
+
+// ChunksInUse returns the number of chunks owned by sets: every chunk
+// but the reserved index 0 and those on the free list.
+func (p *AdjPool) ChunksInUse() int {
+	if len(p.chunks) == 0 {
+		return 0
+	}
+	n := len(p.chunks) - 1
+	for i := p.free; i != 0; i = p.chunks[i].next {
+		n--
+	}
+	return n
+}

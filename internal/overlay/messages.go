@@ -83,57 +83,45 @@ const (
 // TypeOf returns m's message type.
 func TypeOf(m Message) MsgType { return m.msgType() }
 
-// vocabulary holds each message type's short name and zero value.
-var vocabulary = [NumTypes]struct {
-	name string
-	zero Message
-}{
-	TypePing:            {"Ping", Ping{}},
-	TypePong:            {"Pong", Pong{}},
-	TypeInfoRequest:     {"InfoRequest", InfoRequest{}},
-	TypeInfoResponse:    {"InfoResponse", InfoResponse{}},
-	TypeConnRequest:     {"ConnRequest", ConnRequest{}},
-	TypeConnResponse:    {"ConnResponse", ConnResponse{}},
-	TypeParentChange:    {"ParentChange", ParentChange{}},
-	TypeParentChangeAck: {"ParentChangeAck", ParentChangeAck{}},
-	TypePathUpdate:      {"PathUpdate", PathUpdate{}},
-	TypeDetach:          {"Detach", Detach{}},
-	TypeLeaveNotify:     {"LeaveNotify", LeaveNotify{}},
-	TypeReassign:        {"Reassign", Reassign{}},
-	TypeDataChunk:       {"DataChunk", DataChunk{}},
-	TypeStatusReport:    {"StatusReport", StatusReport{}},
-	TypeDataAck:         {"DataAck", DataAck{}},
-	TypeDataNack:        {"DataNack", DataNack{}},
-	TypeParity:          {"Parity", Parity{}},
-	TypePushback:        {"Pushback", Pushback{}},
-	TypeParentCheck:     {"ParentCheck", ParentCheck{}},
-	TypeParentCheckAck:  {"ParentCheckAck", ParentCheckAck{}},
+// vocabulary holds each message type's short name.
+var vocabulary = [NumTypes]string{
+	TypePing:            "Ping",
+	TypePong:            "Pong",
+	TypeInfoRequest:     "InfoRequest",
+	TypeInfoResponse:    "InfoResponse",
+	TypeConnRequest:     "ConnRequest",
+	TypeConnResponse:    "ConnResponse",
+	TypeParentChange:    "ParentChange",
+	TypeParentChangeAck: "ParentChangeAck",
+	TypePathUpdate:      "PathUpdate",
+	TypeDetach:          "Detach",
+	TypeLeaveNotify:     "LeaveNotify",
+	TypeReassign:        "Reassign",
+	TypeDataChunk:       "DataChunk",
+	TypeStatusReport:    "StatusReport",
+	TypeDataAck:         "DataAck",
+	TypeDataNack:        "DataNack",
+	TypeParity:          "Parity",
+	TypePushback:        "Pushback",
+	TypeParentCheck:     "ParentCheck",
+	TypeParentCheckAck:  "ParentCheckAck",
 }
 
 // qualifiedNames holds "overlay." + each short name, what %T prints.
 var qualifiedNames [NumTypes]string
 
 func init() {
-	for t, v := range vocabulary[1:] {
-		qualifiedNames[t+1] = "overlay." + v.name
+	for t, name := range vocabulary[1:] {
+		qualifiedNames[t+1] = "overlay." + name
 	}
 }
 
 // String returns the type's short name ("Ping").
 func (t MsgType) String() string {
 	if t > 0 && t < NumTypes {
-		return vocabulary[t].name
+		return vocabulary[t]
 	}
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
-}
-
-// Zero returns the zero value of the message type, nil outside the
-// vocabulary.
-func (t MsgType) Zero() Message {
-	if t < NumTypes {
-		return vocabulary[t].zero
-	}
-	return nil
 }
 
 // ChildInfo describes one child in an information response: its id and the

@@ -9,17 +9,24 @@ import (
 	"testing"
 )
 
-// TestTypeNameMatchesPercentT walks the vocabulary and compares each
-// type's names against what %T prints. The walked types are checked
-// against the msgType methods declared in messages.go, so a new message
-// cannot be added without a number, a name and a zero value.
+// everyType holds one value of each message type.
+var everyType = []Message{
+	Ping{}, Pong{}, InfoRequest{}, InfoResponse{}, ConnRequest{}, ConnResponse{},
+	ParentChange{}, ParentChangeAck{}, PathUpdate{}, Detach{}, LeaveNotify{},
+	Reassign{}, DataChunk{}, StatusReport{}, DataAck{}, DataNack{}, Parity{},
+	Pushback{}, ParentCheck{}, ParentCheckAck{},
+}
+
+// TestTypeNameMatchesPercentT walks one value of every message type and
+// compares each type's names against what %T prints. The walked types
+// are checked against the msgType methods declared in messages.go and
+// against the numbers 1 … NumTypes-1, so a new message cannot be added
+// without a number and a name.
 func TestTypeNameMatchesPercentT(t *testing.T) {
 	var listed []string
-	for mt := MsgType(1); mt < NumTypes; mt++ {
-		m := mt.Zero()
-		if m == nil {
-			t.Fatalf("%v has no zero value", mt)
-		}
+	numbered := map[MsgType]bool{}
+	for _, m := range everyType {
+		mt := TypeOf(m)
 		want := fmt.Sprintf("%T", m)
 		if got := TypeName(m); got != want {
 			t.Errorf("TypeName(%s) = %q", want, got)
@@ -27,10 +34,14 @@ func TestTypeNameMatchesPercentT(t *testing.T) {
 		if got := "overlay." + mt.String(); got != want {
 			t.Errorf("MsgType(%d).String() = %q, want %q", mt, mt.String(), want)
 		}
-		if got := TypeOf(m); got != mt {
-			t.Errorf("TypeOf(%s) = %d, want %d", want, got, mt)
+		if mt < 1 || mt >= NumTypes || numbered[mt] {
+			t.Errorf("%s has number %d, outside 1 … %d or taken twice", want, mt, NumTypes-1)
 		}
+		numbered[mt] = true
 		listed = append(listed, want)
+	}
+	if len(numbered) != int(NumTypes)-1 {
+		t.Errorf("%d message types numbered, want %d", len(numbered), NumTypes-1)
 	}
 	if got := NumTypes.String(); got != fmt.Sprintf("MsgType(%d)", NumTypes) {
 		t.Errorf("NumTypes.String() = %q", got)

@@ -193,9 +193,6 @@ func (n *Network) Now() float64 { return n.Sim.Now() }
 // closure.
 func (n *Network) AfterArg(d float64, fn func(any), arg any) { n.Sim.AfterArg(d, fn, arg) }
 
-// Counters returns the network's (or its fabric's) traffic counters.
-func (n *Network) Counters() *Counters { return n.ctrs }
-
 // Deliveries reports how many message deliveries this network's queue has
 // fired; the rest of the queue's processed events are timers.
 func (n *Network) Deliveries() uint64 { return n.delivered }

@@ -279,16 +279,6 @@ func (p *Peer) ChildDist(c NodeID) (float64, bool) {
 	return p.pool.Get(&p.children, c)
 }
 
-// PutChild inserts or refreshes a regular child edge directly — the
-// test-seam equivalent of a completed adoption.
-func (p *Peer) PutChild(c NodeID, dist float64) { p.pool.Put(&p.children, c, dist) }
-
-// PutFoster inserts or refreshes a foster edge directly (test seam).
-func (p *Peer) PutFoster(c NodeID, dist float64) { p.pool.Put(&p.fosters, c, dist) }
-
-// DelChild removes a regular child edge directly (test seam).
-func (p *Peer) DelChild(c NodeID) { p.pool.Delete(&p.children, c) }
-
 // RootPath returns the peer's current ancestry, source first, parent last.
 func (p *Peer) RootPath() []NodeID {
 	return append([]NodeID(nil), p.rootPath...)

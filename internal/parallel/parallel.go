@@ -89,11 +89,3 @@ func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	return out, nil
 }
-
-// Do is Map for work without a result value.
-func Do(n, workers int, fn func(i int) error) error {
-	_, err := Map(n, workers, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}

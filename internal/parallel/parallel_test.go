@@ -97,19 +97,3 @@ func TestMapFirstErrorWins(t *testing.T) {
 		t.Fatalf("err = %v, want fail-2", err)
 	}
 }
-
-func TestDo(t *testing.T) {
-	var sum atomic.Int64
-	if err := Do(50, 8, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 49*50/2 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-	if err := Do(5, 2, func(i int) error { return errors.New("x") }); err == nil {
-		t.Fatal("Do swallowed error")
-	}
-}

@@ -79,8 +79,8 @@ func TestKeyedBoolFrequency(t *testing.T) {
 
 func TestDeriveSeedMatchesDerive(t *testing.T) {
 	// Derive(seed, name) must behave as New(DeriveSeed(seed, name)).
-	a := Derive(123, "proto").Int63()
-	b := New(DeriveSeed(123, "proto")).Int63()
+	a := Derive(123, "proto").Float64()
+	b := New(DeriveSeed(123, "proto")).Float64()
 	if a != b {
 		t.Fatal("DeriveSeed diverges from Derive")
 	}

@@ -48,14 +48,6 @@ func Derive(seed int64, name string) *Stream {
 	return New(seed ^ int64(h.Sum64()))
 }
 
-// Derive returns an independent sub-stream of s identified by name.
-func (s *Stream) Derive(name string) *Stream {
-	return Derive(s.Int63(), name)
-}
-
-// Int63 returns a non-negative 63-bit integer.
-func (s *Stream) Int63() int64 { return s.src().Int63() }
-
 // Float64 returns a value uniformly distributed in [0, 1).
 func (s *Stream) Float64() float64 { return s.src().Float64() }
 

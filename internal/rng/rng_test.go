@@ -8,7 +8,7 @@ import (
 func TestSameSeedSameStream(t *testing.T) {
 	a, b := New(17), New(17)
 	for i := 0; i < 100; i++ {
-		if a.Int63() != b.Int63() {
+		if a.Float64() != b.Float64() {
 			t.Fatal("same seed diverged")
 		}
 	}
@@ -18,7 +18,7 @@ func TestDeriveDeterministic(t *testing.T) {
 	a := Derive(17, "churn")
 	b := Derive(17, "churn")
 	for i := 0; i < 50; i++ {
-		if a.Int63() != b.Int63() {
+		if a.Float64() != b.Float64() {
 			t.Fatal("derived stream not reproducible")
 		}
 	}
@@ -29,7 +29,7 @@ func TestDeriveNamesIndependent(t *testing.T) {
 	b := Derive(17, "topology")
 	same := 0
 	for i := 0; i < 64; i++ {
-		if a.Int63() == b.Int63() {
+		if a.Float64() == b.Float64() {
 			same++
 		}
 	}

@@ -245,23 +245,6 @@ func (s *Scenario) sort() {
 	sort.SliceStable(s.Events, func(i, j int) bool { return s.Events[i].T < s.Events[j].T })
 }
 
-// MaxAlive returns the peak number of simultaneously alive slots the
-// script produces — a sizing check for underlay pools.
-func (s *Scenario) MaxAlive() int {
-	alive, peak := 0, 0
-	for _, e := range s.Events {
-		if e.Join {
-			alive++
-			if alive > peak {
-				peak = alive
-			}
-		} else {
-			alive--
-		}
-	}
-	return peak
-}
-
 // Write encodes the scenario in the line format of the PlanetLab
 // implementation: "<time> join|leave <slot>" plus header lines.
 func (s *Scenario) Write(w io.Writer) error {

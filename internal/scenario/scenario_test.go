@@ -134,7 +134,7 @@ func TestChurnInitialJoinsInsideJoinPhase(t *testing.T) {
 
 func TestMaxAliveWithinPool(t *testing.T) {
 	s := churnFixture(6, 120, 20)
-	if peak := s.MaxAlive(); peak >= s.PoolSize {
+	if peak := maxAlive(s); peak >= s.PoolSize {
 		t.Fatalf("peak %d exceeds pool %d", peak, s.PoolSize)
 	}
 }
@@ -169,8 +169,8 @@ func TestLifetimeScenarioConsistentAndSteady(t *testing.T) {
 			t.Fatalf("population %d at t=%v far from target 80", alive, mt)
 		}
 	}
-	if s.MaxAlive() >= s.PoolSize {
-		t.Fatalf("pool %d overflowed (peak %d)", s.PoolSize, s.MaxAlive())
+	if maxAlive(s) >= s.PoolSize {
+		t.Fatalf("pool %d overflowed (peak %d)", s.PoolSize, maxAlive(s))
 	}
 }
 
@@ -344,4 +344,21 @@ func TestPropertyChurnConsistentAndCodecLossless(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// maxAlive returns the peak number of simultaneously alive slots s's
+// script produces.
+func maxAlive(s *Scenario) int {
+	alive, peak := 0, 0
+	for _, e := range s.Events {
+		if e.Join {
+			alive++
+			if alive > peak {
+				peak = alive
+			}
+		} else {
+			alive--
+		}
+	}
+	return peak
 }

@@ -1,12 +1,11 @@
 // Package stats provides the summary statistics used when reporting
 // experiment results: means, standard deviations, confidence intervals
-// (the paper reports 90% CIs over 32 repetitions), percentiles, and
+// (the paper reports 90% CIs over 32 repetitions), and
 // helpers for aggregating repeated runs of a metric series.
 package stats
 
 import (
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -67,30 +66,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // tCritical90 holds two-sided 90% critical values of Student's t
@@ -163,11 +138,6 @@ func (a *Accumulator) Add(name string, v float64) {
 // Names returns the metric names in first-insertion order.
 func (a *Accumulator) Names() []string {
 	return append([]string(nil), a.order...)
-}
-
-// Values returns the raw observations recorded for name.
-func (a *Accumulator) Values(name string) []float64 {
-	return a.data[name]
 }
 
 // Summary summarizes the observations recorded for name.

@@ -213,19 +213,6 @@ func (t *SPT) PathLinks(dst RouterID) []LinkID {
 	return out
 }
 
-// HopCount returns the number of links on the shortest path root→dst,
-// or -1 when unreachable.
-func (t *SPT) HopCount(dst RouterID) int {
-	if math.IsInf(t.DistMS[dst], 1) {
-		return -1
-	}
-	n := 0
-	for r := dst; r != t.Root; r = t.hop(r) {
-		n++
-	}
-	return n
-}
-
 // distHeap is a minimal binary heap specialized for Dijkstra, avoiding
 // container/heap interface overhead on the hot path.
 type distItem struct {

@@ -65,11 +65,8 @@ func TestDijkstraSmallKnownGraph(t *testing.T) {
 	if len(path) != 2 || path[0] != l12 || path[1] != l01 {
 		t.Fatalf("path 0→2 = %v, want [%d %d]", path, l12, l01)
 	}
-	if hc := spt.HopCount(2); hc != 2 {
-		t.Fatalf("hopcount = %d", hc)
-	}
-	if spt.HopCount(0) != 0 {
-		t.Fatal("hopcount to self should be 0")
+	if spt.PathLinks(0) != nil {
+		t.Fatal("path to self should be empty")
 	}
 }
 
@@ -82,9 +79,6 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 	if spt.PathLinks(2) != nil {
 		t.Fatal("unreachable node has a path")
-	}
-	if spt.HopCount(2) != -1 {
-		t.Fatal("unreachable hopcount should be -1")
 	}
 }
 
@@ -196,14 +190,13 @@ func TestGenerateTransitStubStructure(t *testing.T) {
 	if !ts.Graph.Connected() {
 		t.Fatal("generated topology disconnected")
 	}
-	for _, r := range ts.TransitIDs {
-		if ts.StubDomainOf(r) != -1 {
-			t.Fatalf("transit router %d classified in stub %d", r, ts.StubDomainOf(r))
-		}
-	}
+	stub := map[RouterID]bool{}
 	for _, r := range ts.StubIDs {
-		if ts.StubDomainOf(r) < 0 {
-			t.Fatalf("stub router %d not classified", r)
+		stub[r] = true
+	}
+	for _, r := range ts.TransitIDs {
+		if stub[r] {
+			t.Fatalf("transit router %d also listed as a stub router", r)
 		}
 	}
 }
@@ -247,7 +240,7 @@ func TestAttachHostsLandOnStubs(t *testing.T) {
 		t.Fatalf("attached %d hosts", len(hosts))
 	}
 	for _, r := range hosts {
-		if ts.StubDomainOf(r) < 0 {
+		if slices.Contains(ts.TransitIDs, r) {
 			t.Fatalf("host attached to transit router %d", r)
 		}
 	}
@@ -357,9 +350,6 @@ func TestSPTRowsMatchTwoArrayReference(t *testing.T) {
 						links = append(links, want.prevLink[r])
 						hops++
 					}
-				}
-				if h := got.HopCount(dst); h != hops {
-					t.Fatalf("seed %d root %d dst %d: HopCount %d, reference %d", seed, root, dst, h, hops)
 				}
 				if p := got.PathLinks(dst); !slices.Equal(p, links) {
 					t.Fatalf("seed %d root %d dst %d: PathLinks %v, reference %v", seed, root, dst, p, links)

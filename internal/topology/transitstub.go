@@ -67,15 +67,10 @@ func (c TransitStubConfig) routerCount() int {
 // TransitStub is a generated transit-stub topology: the router graph plus
 // the classification of routers needed to attach end hosts to stubs.
 type TransitStub struct {
-	Graph       *Graph
-	TransitIDs  []RouterID // all transit routers
-	StubIDs     []RouterID // all stub routers (host attachment candidates)
-	stubOfRoute []int      // stub domain index per router, -1 for transit
+	Graph      *Graph
+	TransitIDs []RouterID // all transit routers
+	StubIDs    []RouterID // all stub routers (host attachment candidates)
 }
-
-// StubDomainOf reports the stub-domain index of r, or -1 for a transit
-// router.
-func (ts *TransitStub) StubDomainOf(r RouterID) int { return ts.stubOfRoute[r] }
 
 // GenerateTransitStub builds a random transit-stub graph. The result is
 // always connected: each domain gets a random spanning backbone before
@@ -86,10 +81,7 @@ func GenerateTransitStub(cfg TransitStubConfig, rnd *rng.Stream) (*TransitStub, 
 	}
 	n := cfg.routerCount()
 	g := NewGraph(n)
-	ts := &TransitStub{Graph: g, stubOfRoute: make([]int, n)}
-	for i := range ts.stubOfRoute {
-		ts.stubOfRoute[i] = -1
-	}
+	ts := &TransitStub{Graph: g}
 
 	next := 0
 	alloc := func(k int) []RouterID {
@@ -122,7 +114,6 @@ func GenerateTransitStub(cfg TransitStubConfig, rnd *rng.Stream) (*TransitStub, 
 		}
 	}
 
-	stubDomain := 0
 	var domains [][]RouterID
 	for d := 0; d < cfg.TransitDomains; d++ {
 		transit := alloc(cfg.TransitPerDom)
@@ -133,10 +124,6 @@ func GenerateTransitStub(cfg TransitStubConfig, rnd *rng.Stream) (*TransitStub, 
 		for _, tr := range transit {
 			for s := 0; s < cfg.StubsPerTransit; s++ {
 				stub := alloc(cfg.StubSize)
-				for _, r := range stub {
-					ts.stubOfRoute[r] = stubDomain
-				}
-				stubDomain++
 				ts.StubIDs = append(ts.StubIDs, stub...)
 				connectDomain(stub, cfg.StubDelayMS, cfg.StubExtraEdgeProb)
 				// Uplink: one stub router connects to its transit router.

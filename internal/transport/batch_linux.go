@@ -53,6 +53,15 @@ type mmsgIO struct {
 	wlen, woff, wcalls int
 	werr               syscall.Errno
 	send               func(fd uintptr) bool
+
+	// The batch readBatch is receiving: the borrowed ring (nil when none
+	// is held), its datagram count and the recvmmsg error. The callback
+	// that fills them is bound once, in recv, so a receive allocates no
+	// closure.
+	rring *recvRing
+	rn    int
+	rerr  syscall.Errno
+	recv  func(fd uintptr) bool
 }
 
 // addrCacheMax bounds the receive address cache; a cache this full is a
@@ -194,6 +203,7 @@ func newMmsgIO(conn *net.UDPConn) *mmsgIO {
 		wnames: make([]syscall.RawSockaddrInet6, maxBatch),
 	}
 	m.send = m.sendmmsg
+	m.recv = m.recvmmsg
 	return m
 }
 
@@ -211,57 +221,62 @@ func (m *mmsgIO) close() { rings.close() }
 // error only when the socket is closed (or irrecoverable); an empty batch
 // with a nil error means "retry".
 func (m *mmsgIO) readBatch() ([]received, int, error) {
-	var r *recvRing
-	var n int
-	var rerr syscall.Errno
-	err := m.rc.Read(func(fd uintptr) bool {
-		if r = rings.take(); r == nil {
-			// No ring is free: make or wait for one only if a datagram
-			// is waiting, so a socket that is not readable never adds a
-			// ring or waits.
-			_, _, errno := syscall.Syscall6(syscall.SYS_RECVFROM, fd, 0, 0,
-				uintptr(syscall.MSG_PEEK|syscall.MSG_DONTWAIT), 0, 0)
-			if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK {
-				return false
-			}
-			r = rings.get()
-		}
-		for i := range r.hdrs {
-			r.hdrs[i].hdr.Namelen = uint32(syscall.SizeofSockaddrAny)
-			r.hdrs[i].n = 0
-		}
-		r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
-			uintptr(syscall.MSG_DONTWAIT), 0, 0)
-		if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK {
-			rings.put(r)
-			r = nil
-			return false // wait for readability
-		}
-		if errno != 0 {
-			rerr = errno
-			return true
-		}
-		n = int(r1)
-		return true
-	})
+	m.rring, m.rn, m.rerr = nil, 0, 0
+	err := m.rc.Read(m.recv)
 	m.got = m.got[:0]
-	if r != nil {
-		for i := 0; i < n; i++ {
+	if r := m.rring; r != nil {
+		for i := 0; i < m.rn; i++ {
 			m.got = decode(m.got, r.bufs[i][:r.hdrs[i].n], m.udpAddr(&r.names[i]))
 		}
 		rings.put(r)
+		m.rring = nil
 	}
 	if err != nil {
 		return nil, 0, err // socket closed
 	}
-	if rerr != 0 {
-		if rerr == syscall.EINTR {
+	if m.rerr != 0 {
+		if m.rerr == syscall.EINTR {
 			return nil, 0, nil
 		}
-		return nil, 0, rerr
+		return nil, 0, m.rerr
 	}
-	return m.got, n, nil
+	return m.got, m.rn, nil
+}
+
+// recvmmsg is readBatch's RawConn.Read callback: it borrows a ring and
+// drains the socket into it with one recvmmsg, or reports false to wait
+// for readability when the socket is empty.
+func (m *mmsgIO) recvmmsg(fd uintptr) bool {
+	r := rings.take()
+	if r == nil {
+		// No ring is free: make or wait for one only if a datagram is
+		// waiting, so a socket that is not readable never adds a ring
+		// or waits.
+		_, _, errno := syscall.Syscall6(syscall.SYS_RECVFROM, fd, 0, 0,
+			uintptr(syscall.MSG_PEEK|syscall.MSG_DONTWAIT), 0, 0)
+		if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK {
+			return false
+		}
+		r = rings.get()
+	}
+	for i := range r.hdrs {
+		r.hdrs[i].hdr.Namelen = uint32(syscall.SizeofSockaddrAny)
+		r.hdrs[i].n = 0
+	}
+	r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK {
+		rings.put(r)
+		return false // wait for readability
+	}
+	m.rring = r
+	if errno != 0 {
+		m.rerr = errno
+		return true
+	}
+	m.rn = int(r1)
+	return true
 }
 
 // writeBatch transmits pkts (at most maxBatch, enforced by the

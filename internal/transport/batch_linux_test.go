@@ -3,10 +3,12 @@
 package transport
 
 import (
+	"net"
 	"testing"
 	"time"
 
 	"vdm/internal/overlay"
+	"vdm/internal/wire"
 )
 
 // counts reports how many rings are free, how many exist and how many
@@ -44,7 +46,7 @@ func TestUDPRecvRingsShared(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { u.Close() })
-		if !u.BatchIO() {
+		if u.mmsg == nil {
 			t.Skip("mmsg engine unavailable")
 		}
 		rx[i], tos[i] = u, overlay.NodeID(i+2)
@@ -149,5 +151,52 @@ func TestRingStockWaitsAtCap(t *testing.T) {
 	if free, live, sockets := rings.counts(); free != live || live > sockets0 || sockets != sockets0 {
 		t.Fatalf("after close: free %d, live %d, sockets %d; want every ring free, at most %d, and %d sockets",
 			free, live, sockets, sockets0, sockets0)
+	}
+}
+
+// TestReadBatchAllocatesNothing pins the receive path's steady state:
+// with the ring stock and the sender's address cached, a readBatch that
+// drains one datagram of frames without payload slices (acks) allocates
+// nothing — its recvmmsg callback is bound once, not made per call.
+func TestReadBatchAllocatesNothing(t *testing.T) {
+	rx, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rx.Close() })
+	m := newMmsgIO(rx)
+	if m == nil {
+		t.Skip("mmsg engine unavailable")
+	}
+	t.Cleanup(m.close)
+	tx, err := net.DialUDP("udp4", nil, rx.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tx.Close() })
+	var dgram []byte
+	for seq := uint32(1); seq <= 3; seq++ {
+		f, err := encodeFrame(wire.Frame{Kind: wire.KindAck, From: 1, To: 2, Seq: seq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dgram = append(dgram, f...)
+	}
+	var bad int
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := tx.Write(dgram); err != nil {
+			bad++
+			return
+		}
+		got, n, err := m.readBatch()
+		if err != nil || n != 1 || len(got) != 3 || got[2].f.Seq != 3 {
+			bad++
+		}
+	})
+	if bad > 0 {
+		t.Fatalf("%d of the runs did not read the datagram's three frames", bad)
+	}
+	if allocs != 0 {
+		t.Fatalf("readBatch allocated %v objects per datagram, want 0", allocs)
 	}
 }

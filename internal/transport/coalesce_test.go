@@ -12,6 +12,15 @@ import (
 	"vdm/internal/wire"
 )
 
+// encodeFrame returns a copy of f's wire encoding, made the way the
+// transport makes it: through a pooled wire.EncodeBuffer.
+func encodeFrame(f wire.Frame) ([]byte, error) {
+	eb := wire.GetEncodeBuffer()
+	defer eb.Release()
+	b, err := eb.Encode(f)
+	return bytes.Clone(b), err
+}
+
 // setFlushInterval lengthens u's flush timer, so that until it fires only
 // the maxBatch threshold, an explicit flush or Close sends queued frames.
 func setFlushInterval(u *UDP, d time.Duration) {
@@ -148,7 +157,7 @@ func TestUDPCoalescerMatchesReferencePacking(t *testing.T) {
 	// A chunk frame is its payload plus a fixed overhead; the payloads in
 	// exact make frames of a third, a half and all of bundleCap, so that
 	// datagrams fill to the byte.
-	empty, err := wire.EncodeFrame(wire.Frame{Kind: wire.KindMsg, Msg: overlay.DataChunk{}})
+	empty, err := encodeFrame(wire.Frame{Kind: wire.KindMsg, Msg: overlay.DataChunk{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +195,7 @@ func TestUDPCoalescerMatchesReferencePacking(t *testing.T) {
 				t.Fatalf("send of seq %d failed", m.Seq)
 			}
 			for _, to := range tos {
-				frame, err := wire.EncodeFrame(wire.Frame{Kind: wire.KindMsg, From: 1, To: to, Msg: m})
+				frame, err := encodeFrame(wire.Frame{Kind: wire.KindMsg, From: 1, To: to, Msg: m})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,7 +244,7 @@ func BenchmarkCoalescerFlush(b *testing.B) {
 	}
 	defer sink.Close()
 	addr := sink.LocalAddr().(*net.UDPAddr)
-	frame, err := wire.EncodeFrame(wire.Frame{Kind: wire.KindMsg, From: 1, To: overlay.None,
+	frame, err := encodeFrame(wire.Frame{Kind: wire.KindMsg, From: 1, To: overlay.None,
 		Msg: overlay.DataChunk{Seq: 1, Payload: make([]byte, 256)}})
 	if err != nil {
 		b.Fatal(err)

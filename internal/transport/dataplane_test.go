@@ -56,7 +56,7 @@ func TestUDPBatchedDataDelivery(t *testing.T) {
 	if dp.Flushes == 0 {
 		t.Fatal("no coalescer flushes recorded")
 	}
-	if a.BatchIO() {
+	if a.mmsg != nil {
 		// 200 frames at maxBatch 32 is 7 batches; allow slack for an
 		// early timer fire but demand a real reduction.
 		if dp.SendSyscalls >= n/2 {
@@ -70,7 +70,7 @@ func TestUDPBatchedDataDelivery(t *testing.T) {
 	if rdp.RecvFrames != n {
 		t.Fatalf("RecvFrames = %d, want %d", rdp.RecvFrames, n)
 	}
-	if b.BatchIO() && rdp.RecvSyscalls > rdp.RecvFrames {
+	if b.mmsg != nil && rdp.RecvSyscalls > rdp.RecvFrames {
 		t.Fatalf("RecvSyscalls = %d > RecvFrames = %d", rdp.RecvSyscalls, rdp.RecvFrames)
 	}
 }
@@ -384,8 +384,8 @@ func TestUDPPortableFallback(t *testing.T) {
 	t.Cleanup(func() { newMmsg = newMmsgIO })
 
 	a, b := newUDPPair(t, UDPConfig{})
-	if a.BatchIO() || b.BatchIO() {
-		t.Fatal("BatchIO active with the mmsg engine stubbed out")
+	if a.mmsg != nil || b.mmsg != nil {
+		t.Fatal("mmsg engine active though stubbed out")
 	}
 	var c collector
 	for id := overlay.NodeID(2); id <= 5; id++ {
@@ -524,7 +524,7 @@ func testMaxSizeFrames(t *testing.T) {
 	if len(seen) != chunks || !gotCtrl {
 		t.Fatalf("got chunks %v and control frame %v", seen, gotCtrl)
 	}
-	if b.BatchIO() {
+	if b.mmsg != nil {
 		if got := b.Dataplane().MaxBatch; got < train {
 			t.Fatalf("largest receive batch %d, want the whole train of %d in one recvmmsg", got, train)
 		}
@@ -541,7 +541,7 @@ func maxControlFrame(t *testing.T) overlay.ConnResponse {
 		m.Children[i] = overlay.ChildInfo{ID: overlay.NodeID(i + 3), Dist: float64(i) / 8}
 	}
 	size := func(m overlay.ConnResponse) (int, error) {
-		b, err := wire.AppendFrame(nil, wire.Frame{Kind: wire.KindMsg, From: 1, To: 2, Seq: 1, Msg: m})
+		b, err := encodeFrame(wire.Frame{Kind: wire.KindMsg, From: 1, To: 2, Seq: 1, Msg: m})
 		return len(b), err
 	}
 	base, err := size(m)
@@ -643,7 +643,7 @@ func TestUDPBundlesPerDestination(t *testing.T) {
 	// Two children interleaved, then a frame over the cap between two
 	// small ones: child 2's frames fill a datagram and spill into the
 	// next, the big frame goes alone, and child 3 gets its own datagram.
-	frame, err := wire.EncodeFrame(wire.Frame{Kind: wire.KindMsg, From: 1, To: 2, Msg: chunk(10, 256)})
+	frame, err := encodeFrame(wire.Frame{Kind: wire.KindMsg, From: 1, To: 2, Msg: chunk(10, 256)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -691,7 +691,7 @@ func testMalformedFrameInDatagram(t *testing.T) {
 	var c collector
 	b.Register(2, c.handler())
 	good := func(seq int64) []byte {
-		f, err := wire.EncodeFrame(wire.Frame{Kind: wire.KindMsg, From: 1, To: 2, Msg: overlay.DataChunk{Seq: seq}})
+		f, err := encodeFrame(wire.Frame{Kind: wire.KindMsg, From: 1, To: 2, Msg: overlay.DataChunk{Seq: seq}})
 		if err != nil {
 			t.Fatal(err)
 		}

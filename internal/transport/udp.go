@@ -213,14 +213,6 @@ func (t *UDP) SetTracer(tr *obs.Tracer) {
 	t.tracer = tr
 }
 
-// trace reads the tracer under the lock; the returned (possibly nil)
-// tracer is safe to Emit on.
-func (t *UDP) trace() *obs.Tracer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tracer
-}
-
 // SetSessionHandler installs the hook that receives non-message frames
 // (Hello, Welcome, AddrQuery, AddrReply) together with the sender's socket
 // address — the join-bootstrap tap for internal/live.
@@ -349,11 +341,6 @@ func NewUDP(listenAddr string, cfg UDPConfig) (*UDP, error) {
 	go t.readLoop()
 	return t, nil
 }
-
-// BatchIO reports whether the platform mmsg engine is active (recvmmsg/
-// sendmmsg). False means the portable one-syscall-per-packet fallback is
-// in use; the coalescer's queueing semantics apply either way.
-func (t *UDP) BatchIO() bool { return t.mmsg != nil }
 
 // LocalAddr returns the bound socket address.
 func (t *UDP) LocalAddr() string { return t.conn.LocalAddr().String() }

@@ -27,7 +27,7 @@ func TestCacheBudgetBoundsResidency(t *testing.T) {
 	bounded := budgetTestUnderlay(t, plBudget)
 	unbounded := budgetTestUnderlay(t, 0)
 
-	n := bounded.NumHosts()
+	n := len(bounded.attach)
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			if a == b {
@@ -36,17 +36,30 @@ func TestCacheBudgetBoundsResidency(t *testing.T) {
 			if got, want := bounded.LossRate(a, b), unbounded.LossRate(a, b); got != want {
 				t.Fatalf("LossRate(%d,%d) = %v under budget, %v unbounded", a, b, got, want)
 			}
-			if _, pl := bounded.CacheStats(); pl > plBudget {
+			if _, pl := cacheStats(bounded); pl > plBudget {
 				t.Fatalf("path-loss cache grew to %d entries, budget %d", pl, plBudget)
 			}
 		}
 	}
 
 	// Unbudgeted: the cache holds every pair queried.
-	if _, pl := unbounded.CacheStats(); pl <= plBudget {
+	if _, pl := cacheStats(unbounded); pl <= plBudget {
 		t.Fatalf("unbounded path-loss cache has only %d entries; test is not exercising the budget", pl)
 	}
-	if spts, _ := bounded.CacheStats(); spts == 0 || spts > bounded.g.NumRouters() {
+	if spts, _ := cacheStats(bounded); spts == 0 || spts > bounded.g.NumRouters() {
 		t.Fatalf("%d shortest-path trees resident, want 1..%d", spts, bounded.g.NumRouters())
 	}
+}
+
+// cacheStats reports the resident entry counts of u's SPT and path-loss
+// caches.
+func cacheStats(u *RouterUnderlay) (spts, pathLoss int) {
+	for i := range u.spts {
+		if u.spts[i].Load() != nil {
+			spts++
+		}
+	}
+	u.mu.RLock()
+	defer u.mu.RUnlock()
+	return spts, u.pathLoss.n
 }

@@ -35,9 +35,6 @@ func NewGeoKeyed(m *geo.Model, sites []int, seed int64) *GeoUnderlay {
 	return &GeoUnderlay{m: m, sites: sites, keyedSeed: seed}
 }
 
-// NumHosts reports the number of hosts.
-func (u *GeoUnderlay) NumHosts() int { return len(u.sites) }
-
 // Site returns the site backing host h.
 func (u *GeoUnderlay) Site(h int) geo.Site { return u.m.Sites[u.sites[h]] }
 

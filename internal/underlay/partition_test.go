@@ -17,11 +17,11 @@ import (
 func checkPartition(t *testing.T, u interface {
 	Underlay
 	KeyedJitter
-}, shards int, globalMin float64) {
+}, hosts, shards int, globalMin float64) {
 	t.Helper()
 	owner, lookahead := u.Partition(shards)
-	if len(owner) != u.NumHosts() {
-		t.Fatalf("S=%d: %d owners for %d hosts", shards, len(owner), u.NumHosts())
+	if len(owner) != hosts {
+		t.Fatalf("S=%d: %d owners for %d hosts", shards, len(owner), hosts)
 	}
 	for h, o := range owner {
 		if o < 0 || o >= shards {
@@ -86,8 +86,8 @@ func TestKeyedJitterBounds(t *testing.T) {
 		for _, shards := range []int{2, 3, 4, 8} {
 			// Two hosts on one router: the least delay the router
 			// underlay can give any pair.
-			checkPartition(t, ru, shards, keyedLowerBound(2*hostAccessMS, 0.1))
-			checkPartition(t, gu, shards, keyedLowerBound(geoMin, m.JitterSigma))
+			checkPartition(t, ru, len(ru.attach), shards, keyedLowerBound(2*hostAccessMS, 0.1))
+			checkPartition(t, gu, len(gu.sites), shards, keyedLowerBound(geoMin, m.JitterSigma))
 		}
 	}
 }

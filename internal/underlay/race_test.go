@@ -90,28 +90,6 @@ func TestRouterUnderlayConcurrent(t *testing.T) {
 	read.Wait()
 }
 
-// TestRouterUnderlayPrecompute verifies the eager fill covers every
-// attachment router, so later delay queries never take the lock.
-func TestRouterUnderlayPrecompute(t *testing.T) {
-	ts, err := topology.GenerateTransitStub(topology.DefaultTransitStub(), rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	attach := ts.AttachHosts(16, rng.New(4))
-	u := NewRouter(ts.Graph, attach)
-	u.Precompute()
-	routers := make(map[topology.RouterID]bool)
-	for _, r := range attach {
-		routers[r] = true
-		if u.spts[r].Load() == nil {
-			t.Fatalf("router %d SPT not precomputed", r)
-		}
-	}
-	if spts, _ := u.CacheStats(); spts != len(routers) {
-		t.Fatalf("%d trees resident, want one per attachment router (%d)", spts, len(routers))
-	}
-}
-
 // TestWarmDelayLookupAllocatesNothing pins the hit path: with the source
 // router's row resident, a keyed delay lookup is an atomic load, an index
 // and the jitter arithmetic.
@@ -121,7 +99,9 @@ func TestWarmDelayLookupAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := NewRouter(ts.Graph, ts.AttachHosts(16, rng.New(4))).WithKeyedJitter(5, 0.1)
-	u.Precompute()
+	for _, r := range u.attach {
+		u.spt(r)
+	}
 	var draw uint64
 	var sink float64
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -144,19 +144,6 @@ func (u *RouterUnderlay) WithCacheBudget(pathLoss int) *RouterUnderlay {
 	return u
 }
 
-// CacheStats reports the resident entry counts of the SPT and path-loss
-// caches.
-func (u *RouterUnderlay) CacheStats() (spts, pathLoss int) {
-	for i := range u.spts {
-		if u.spts[i].Load() != nil {
-			spts++
-		}
-	}
-	u.mu.RLock()
-	defer u.mu.RUnlock()
-	return spts, u.pathLoss.n
-}
-
 var _ Underlay = (*RouterUnderlay)(nil)
 var _ KeyedJitter = (*RouterUnderlay)(nil)
 
@@ -178,9 +165,6 @@ func NewRouter(g *topology.Graph, attach []topology.RouterID) *RouterUnderlay {
 	}
 }
 
-// NumHosts reports the number of attached hosts.
-func (u *RouterUnderlay) NumHosts() int { return len(u.attach) }
-
 // AttachmentRouter returns the router host h attaches to.
 func (u *RouterUnderlay) AttachmentRouter(h int) topology.RouterID { return u.attach[h] }
 
@@ -196,18 +180,6 @@ func (u *RouterUnderlay) spt(r topology.RouterID) *topology.SPT {
 	t := u.g.ShortestPaths(r)
 	u.spts[r].Store(t)
 	return t
-}
-
-// Precompute eagerly fills the SPT cache for every attachment router, so
-// subsequent delay queries never take the lock.
-func (u *RouterUnderlay) Precompute() {
-	seen := make(map[topology.RouterID]bool, len(u.attach))
-	for _, r := range u.attach {
-		if !seen[r] {
-			seen[r] = true
-			u.spt(r)
-		}
-	}
 }
 
 // oneWay returns the one-way host-to-host delay in ms.

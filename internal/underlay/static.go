@@ -17,9 +17,6 @@ var _ Underlay = (*Static)(nil)
 // NewStatic builds a static underlay from a symmetric RTT matrix.
 func NewStatic(rtt [][]float64) *Static { return &Static{RTTms: rtt} }
 
-// NumHosts reports the matrix dimension.
-func (s *Static) NumHosts() int { return len(s.RTTms) }
-
 // BaseRTT returns the matrix entry.
 func (s *Static) BaseRTT(a, b int) float64 {
 	if a == b {

@@ -16,9 +16,6 @@ import (
 // Underlay models the network between overlay hosts. Hosts are identified
 // by dense integer ids assigned by the session that built the underlay.
 type Underlay interface {
-	// NumHosts reports how many hosts are attached.
-	NumHosts() int
-
 	// RTT returns one round-trip-time measurement between hosts a and b
 	// in milliseconds. Implementations may add per-call jitter; this is
 	// what an application-level ping observes.

@@ -200,8 +200,8 @@ func TestGeoSiteAccessor(t *testing.T) {
 	if !u.Site(0).US {
 		t.Fatal("US-only host pool returned non-US site")
 	}
-	if u.NumHosts() != 40 {
-		t.Fatalf("NumHosts = %d", u.NumHosts())
+	if len(u.sites) != 40 {
+		t.Fatalf("%d hosts", len(u.sites))
 	}
 }
 
@@ -212,7 +212,7 @@ func TestStaticUnderlay(t *testing.T) {
 		{20, 30, 0},
 	}
 	s := NewStatic(rtt)
-	if s.NumHosts() != 3 || s.BaseRTT(0, 2) != 20 || s.RTT(1, 2) != 30 {
+	if len(s.RTTms) != 3 || s.BaseRTT(0, 2) != 20 || s.RTT(1, 2) != 30 {
 		t.Fatal("static matrix not honoured")
 	}
 	if s.OneWayDelayMS(0, 1) != 5 {

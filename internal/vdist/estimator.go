@@ -77,9 +77,6 @@ type EstimatedLoss struct {
 	DelayTiebreak float64
 }
 
-// Name returns "loss-est".
-func (EstimatedLoss) Name() string { return "loss-est" }
-
 // Distance returns the loss-space virtual distance built from the
 // service's estimate.
 func (m EstimatedLoss) Distance(a, b int) float64 {

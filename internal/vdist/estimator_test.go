@@ -76,9 +76,6 @@ func TestEstimateLossFreeStaysZero(t *testing.T) {
 func TestEstimatedLossMetricOrdering(t *testing.T) {
 	e := estFixture()
 	m := EstimatedLoss{Svc: e}
-	if m.Name() != "loss-est" {
-		t.Fatal("name")
-	}
 	// The 10% pair must be farther than the 2% pair, which must be
 	// farther than the loss-free pair, noise notwithstanding (errors are
 	// relative, not rank-flipping at this separation for most draws —

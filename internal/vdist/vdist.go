@@ -6,8 +6,8 @@
 // loss rate (VDM-L): because directionality needs distances that compose
 // additively along a line, loss probabilities p are mapped to the additive
 // space −ln(1−p), in which the loss of a concatenated path is the sum of
-// the per-segment values. A bandwidth metric and a weighted composite are
-// provided as the extensions the paper sketches.
+// the per-segment values. A bandwidth metric is provided as the extension
+// the paper sketches.
 package vdist
 
 import (
@@ -20,23 +20,10 @@ import (
 // probe. A nil Metric means "use the measured probe RTT" — the engine then
 // derives distance from actual message timing, which is exactly VDM-D.
 type Metric interface {
-	// Name identifies the metric ("delay", "loss", ...).
-	Name() string
 	// Distance returns the virtual distance between hosts a and b.
 	// Implementations may include measurement noise.
 	Distance(a, b int) float64
 }
-
-// Delay measures virtual distance as RTT in milliseconds (VDM-D).
-type Delay struct {
-	U underlay.Underlay
-}
-
-// Name returns "delay".
-func (Delay) Name() string { return "delay" }
-
-// Distance returns one RTT measurement in ms.
-func (d Delay) Distance(a, b int) float64 { return d.U.RTT(a, b) }
 
 // lossScale converts the −ln(1−p) space into numbers of the same order of
 // magnitude as RTTs, purely for readability of traces.
@@ -54,9 +41,6 @@ type Loss struct {
 	// like 0.1% loss).
 	DelayTiebreak float64
 }
-
-// Name returns "loss".
-func (Loss) Name() string { return "loss" }
 
 // Distance returns the loss-space virtual distance between a and b.
 func (l Loss) Distance(a, b int) float64 {
@@ -79,9 +63,6 @@ type Bandwidth struct {
 	U underlay.Underlay
 }
 
-// Name returns "bandwidth".
-func (Bandwidth) Name() string { return "bandwidth" }
-
 // Distance returns the bandwidth-space virtual distance between a and b.
 func (bw Bandwidth) Distance(a, b int) float64 {
 	rtt := bw.U.RTT(a, b)
@@ -93,27 +74,4 @@ func (bw Bandwidth) Distance(a, b int) float64 {
 		p = 1e-4
 	}
 	return rtt * math.Sqrt(p) * 100
-}
-
-// Composite mixes several metrics with weights, enabling application-
-// specific trade-offs (e.g. 0.7·delay + 0.3·loss for conferencing).
-type Composite struct {
-	Parts   []Metric
-	Weights []float64
-}
-
-// Name returns "composite".
-func (Composite) Name() string { return "composite" }
-
-// Distance returns the weighted sum of the component distances.
-func (c Composite) Distance(a, b int) float64 {
-	sum := 0.0
-	for i, m := range c.Parts {
-		w := 1.0
-		if i < len(c.Weights) {
-			w = c.Weights[i]
-		}
-		sum += w * m.Distance(a, b)
-	}
-	return sum
 }

@@ -23,21 +23,8 @@ func staticU() *underlay.Static {
 	}
 }
 
-func TestDelayMetricReturnsRTT(t *testing.T) {
-	m := Delay{U: staticU()}
-	if m.Name() != "delay" {
-		t.Fatal("name")
-	}
-	if got := m.Distance(0, 2); got != 100 {
-		t.Fatalf("Distance = %v", got)
-	}
-}
-
 func TestLossMetricOrdersByLoss(t *testing.T) {
 	m := Loss{U: staticU()}
-	if m.Name() != "loss" {
-		t.Fatal("name")
-	}
 	// Pair (0,2) has 10% loss, pair (0,1) has 1%: the lossier pair must
 	// be much farther even though its RTT term is also larger.
 	d01 := m.Distance(0, 1)
@@ -95,9 +82,6 @@ func TestLossMetricClampsExtreme(t *testing.T) {
 
 func TestBandwidthMetricMonotoneInRTTAndLoss(t *testing.T) {
 	m := Bandwidth{U: staticU()}
-	if m.Name() != "bandwidth" {
-		t.Fatal("name")
-	}
 	// (0,2): RTT 100, loss 10% — the thinnest path, so the farthest.
 	d01 := m.Distance(0, 1)
 	d02 := m.Distance(0, 2)
@@ -107,25 +91,6 @@ func TestBandwidthMetricMonotoneInRTTAndLoss(t *testing.T) {
 	}
 	if d01 <= 0 || d12 <= 0 {
 		t.Fatal("distances must be positive")
-	}
-}
-
-func TestCompositeWeighting(t *testing.T) {
-	u := staticU()
-	c := Composite{
-		Parts:   []Metric{Delay{U: u}, Loss{U: u}},
-		Weights: []float64{2, 0},
-	}
-	if c.Name() != "composite" {
-		t.Fatal("name")
-	}
-	if got := c.Distance(0, 1); got != 20 {
-		t.Fatalf("weighted distance = %v, want 20", got)
-	}
-	// Missing weights default to 1.
-	c2 := Composite{Parts: []Metric{Delay{U: u}}}
-	if got := c2.Distance(0, 1); got != 10 {
-		t.Fatalf("default weight distance = %v", got)
 	}
 }
 
@@ -139,7 +104,7 @@ func TestPropertyMetricSymmetry(t *testing.T) {
 			RTTms: [][]float64{{0, a, b}, {a, 0, c}, {b, c, 0}},
 			LossP: [][]float64{{0, p1, p2}, {p1, 0, p3}, {p2, p3, 0}},
 		}
-		for _, m := range []Metric{Delay{U: u}, Loss{U: u}, Bandwidth{U: u}} {
+		for _, m := range []Metric{Loss{U: u}, Bandwidth{U: u}} {
 			for i := 0; i < 3; i++ {
 				for j := 0; j < 3; j++ {
 					d := m.Distance(i, j)

@@ -34,7 +34,7 @@ func TestFramesGolden(t *testing.T) {
 	}
 	var out bytes.Buffer
 	for _, f := range frames {
-		b, err := EncodeFrame(f)
+		b, err := appendFrame(nil, &f)
 		if err != nil {
 			t.Fatalf("encode %v: %v", f.Kind, err)
 		}

@@ -551,7 +551,7 @@ func (c *codec) message(m *overlay.Message) {
 }
 
 // frame walks f: the fixed header, then the payload its Kind selects.
-// Encoding writes plen as 0 for AppendFrame to backfill; decoding checks
+// Encoding writes plen as 0 for appendFrame to backfill; decoding checks
 // version and plen and ends buf at the frame's last byte.
 func (c *codec) frame(f *Frame) {
 	version, plen := uint8(Version), uint32(0)
@@ -610,26 +610,10 @@ func (c *codec) bound(version uint8, plen uint32) {
 	c.off = len(c.buf)
 }
 
-// AppendMessage appends the encoding of m to dst. It errors on message
-// types outside the overlay vocabulary and on slices over the codec
-// bounds.
-func AppendMessage(dst []byte, m overlay.Message) ([]byte, error) {
-	c := codec{buf: dst}
-	c.message(&m)
-	if c.err != nil {
-		return nil, c.err
-	}
-	return c.buf, nil
-}
-
-// AppendFrame appends the encoding of f to dst. The payload is encoded
+// appendFrame appends the encoding of f to dst. The payload is encoded
 // in place after the header (no intermediate buffer); the length field is
 // backfilled once the payload size is known, so an encode costs zero
 // allocations when dst has capacity.
-func AppendFrame(dst []byte, f Frame) ([]byte, error) { return appendFrame(dst, &f) }
-
-// appendFrame is AppendFrame on a frame the caller already holds, so
-// EncodeBuffer.Encode does not copy it once more.
 func appendFrame(dst []byte, f *Frame) ([]byte, error) {
 	base := len(dst)
 	c := codec{buf: dst}
@@ -645,13 +629,10 @@ func appendFrame(dst []byte, f *Frame) ([]byte, error) {
 	return c.buf, nil
 }
 
-// EncodeFrame encodes f into a fresh buffer.
-func EncodeFrame(f Frame) ([]byte, error) { return AppendFrame(nil, f) }
-
 // PatchTo overwrites the To field of an already-encoded frame in place.
 // The fan-out fast path encodes a data frame once, then retargets the
 // bytes queued for each child instead of re-encoding the whole frame.
-// frame must start at a frame boundary (as produced by AppendFrame).
+// frame must start at a frame boundary (as produced by EncodeBuffer.Encode).
 func PatchTo(frame []byte, to overlay.NodeID) {
 	binary.BigEndian.PutUint32(frame[10:14], uint32(int32(to)))
 }

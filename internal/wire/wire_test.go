@@ -106,7 +106,7 @@ func everyMessage() []overlay.Message {
 func TestMessageRoundTrip(t *testing.T) {
 	for _, m := range everyMessage() {
 		f := Frame{Kind: KindMsg, From: 3, To: 12, Seq: 77, Msg: m}
-		b, err := EncodeFrame(f)
+		b, err := appendFrame(nil, &f)
 		if err != nil {
 			t.Fatalf("encode %T: %v", m, err)
 		}
@@ -135,7 +135,7 @@ func TestBootstrapFrameRoundTrip(t *testing.T) {
 		{Kind: KindAddrReply, From: 0, To: 7, Node: 12, Addr: ""},
 	}
 	for _, f := range frames {
-		b, err := EncodeFrame(f)
+		b, err := appendFrame(nil, &f)
 		if err != nil {
 			t.Fatalf("encode %v: %v", f.Kind, err)
 		}
@@ -158,7 +158,7 @@ func TestStreamOfFrames(t *testing.T) {
 	for i, m := range everyMessage() {
 		f := Frame{Kind: KindMsg, From: overlay.NodeID(i), To: 0, Seq: uint32(i), Msg: m}
 		var err error
-		buf, err = AppendFrame(buf, f)
+		buf, err = appendFrame(buf, &f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestStreamOfFrames(t *testing.T) {
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	valid, err := EncodeFrame(Frame{Kind: KindMsg, From: 1, To: 2, Seq: 3,
+	valid, err := appendFrame(nil, &Frame{Kind: KindMsg, From: 1, To: 2, Seq: 3,
 		Msg: overlay.ConnRequest{Token: 1, Adopt: []overlay.NodeID{1, 2}}})
 	if err != nil {
 		t.Fatal(err)
@@ -212,21 +212,21 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 
 func TestEncodeRejectsOversizedLists(t *testing.T) {
 	big := make([]overlay.NodeID, MaxList+1)
-	if _, err := EncodeFrame(Frame{Kind: KindMsg, Msg: overlay.PathUpdate{Path: big}}); err == nil {
+	if _, err := appendFrame(nil, &Frame{Kind: KindMsg, Msg: overlay.PathUpdate{Path: big}}); err == nil {
 		t.Fatal("oversized id list encoded")
 	}
-	if _, err := EncodeFrame(Frame{Kind: KindHello, Addr: string(make([]byte, MaxString+1))}); err == nil {
+	if _, err := appendFrame(nil, &Frame{Kind: KindHello, Addr: string(make([]byte, MaxString+1))}); err == nil {
 		t.Fatal("oversized address encoded")
 	}
 	huge := make([]byte, MaxChunkPayload+1)
-	if _, err := EncodeFrame(Frame{Kind: KindMsg, Msg: overlay.DataChunk{Seq: 1, Payload: huge}}); err == nil {
+	if _, err := appendFrame(nil, &Frame{Kind: KindMsg, Msg: overlay.DataChunk{Seq: 1, Payload: huge}}); err == nil {
 		t.Fatal("oversized chunk payload encoded")
 	}
-	if _, err := EncodeFrame(Frame{Kind: KindMsg, Msg: overlay.Parity{Group: 0, K: 4, Data: huge}}); err == nil {
+	if _, err := appendFrame(nil, &Frame{Kind: KindMsg, Msg: overlay.Parity{Group: 0, K: 4, Data: huge}}); err == nil {
 		t.Fatal("oversized parity payload encoded")
 	}
 	manyRanges := make([]overlay.SeqRange, MaxNackRanges+1)
-	if _, err := EncodeFrame(Frame{Kind: KindMsg, Msg: overlay.DataNack{Ranges: manyRanges}}); err == nil {
+	if _, err := appendFrame(nil, &Frame{Kind: KindMsg, Msg: overlay.DataNack{Ranges: manyRanges}}); err == nil {
 		t.Fatal("oversized nack range list encoded")
 	}
 }
@@ -235,7 +235,7 @@ func TestEncodeRejectsOversizedLists(t *testing.T) {
 // the one flag byte after the chunk sequence must be 0 or 1, anything
 // else is a decode error rather than a silently-skipped extension.
 func TestChunkTraceDecodeStrict(t *testing.T) {
-	b, err := EncodeFrame(Frame{Kind: KindMsg, From: 1, To: 2, Seq: 3,
+	b, err := appendFrame(nil, &Frame{Kind: KindMsg, From: 1, To: 2, Seq: 3,
 		Msg: overlay.DataChunk{Seq: 9, Payload: []byte{1}}})
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestChunkTraceDecodeStrict(t *testing.T) {
 // TestChunkTraceHopClamp pins the encoder clamping hop counts into the
 // single wire byte instead of wrapping.
 func TestChunkTraceHopClamp(t *testing.T) {
-	b, err := EncodeFrame(Frame{Kind: KindMsg, From: 1, To: 2, Seq: 3,
+	b, err := appendFrame(nil, &Frame{Kind: KindMsg, From: 1, To: 2, Seq: 3,
 		Msg: overlay.DataChunk{Seq: 9, Trace: &overlay.ChunkTrace{OriginS: 1, Hops: 1000}}})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func TestIsControl(t *testing.T) {
 // input buffer, because transports reuse receive buffers for the next
 // datagram while handlers may retain the payload.
 func TestChunkPayloadDecodeCopies(t *testing.T) {
-	b, err := EncodeFrame(Frame{Kind: KindMsg, From: 1, To: 2, Seq: 3,
+	b, err := appendFrame(nil, &Frame{Kind: KindMsg, From: 1, To: 2, Seq: 3,
 		Msg: overlay.DataChunk{Seq: 9, Payload: []byte{1, 2, 3, 4}}})
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +319,7 @@ func TestChunkPayloadDecodeCopies(t *testing.T) {
 // TestPatchTo checks the in-place frame retargeting the fan-out fast path
 // uses instead of re-encoding per child.
 func TestPatchTo(t *testing.T) {
-	b, err := EncodeFrame(Frame{Kind: KindMsg, From: 4, To: overlay.None, Seq: 11,
+	b, err := appendFrame(nil, &Frame{Kind: KindMsg, From: 4, To: overlay.None, Seq: 11,
 		Msg: overlay.DataChunk{Seq: 5, Payload: []byte("x")}})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func TestPatchTo(t *testing.T) {
 // decoded from (the format is canonical).
 func FuzzDecodeFrame(f *testing.F) {
 	for _, m := range everyMessage() {
-		b, err := EncodeFrame(Frame{Kind: KindMsg, From: 1, To: 2, Seq: 9, Msg: m})
+		b, err := appendFrame(nil, &Frame{Kind: KindMsg, From: 1, To: 2, Seq: 9, Msg: m})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Kind: KindAddrQuery, Node: 3},
 		{Kind: KindAddrReply, Node: 3, Addr: "a:1"},
 	} {
-		b, err := EncodeFrame(fr)
+		b, err := appendFrame(nil, &fr)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		re, err := EncodeFrame(fr)
+		re, err := appendFrame(nil, &fr)
 		if err != nil {
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
 		}
@@ -405,7 +405,7 @@ func FuzzDecodeDatagram(f *testing.F) {
 		var re []byte
 		n, err := DecodeDatagram(data, func(fr Frame) {
 			var eerr error
-			if re, eerr = AppendFrame(re, fr); eerr != nil {
+			if re, eerr = appendFrame(re, &fr); eerr != nil {
 				t.Fatalf("re-encode of accepted frame failed: %v", eerr)
 			}
 		})
@@ -425,7 +425,7 @@ func FuzzDecodeDatagram(f *testing.F) {
 // with an unknown kind and another good frame: the splitter hands on the
 // first, reports the second's error and never reads the third.
 func TestDecodeDatagramStopsAtMalformedFrame(t *testing.T) {
-	good, err := EncodeFrame(Frame{Kind: KindMsg, From: 1, To: 2, Msg: overlay.DataChunk{Seq: 3, Payload: []byte("abc")}})
+	good, err := appendFrame(nil, &Frame{Kind: KindMsg, From: 1, To: 2, Msg: overlay.DataChunk{Seq: 3, Payload: []byte("abc")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = AppendFrame(buf[:0], f)
+		buf, err = appendFrame(buf[:0], &f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -479,7 +479,7 @@ func BenchmarkWireDataChunk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = AppendFrame(buf[:0], f)
+		buf, err = appendFrame(buf[:0], &f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -490,7 +490,7 @@ func BenchmarkWireDataChunk(b *testing.B) {
 }
 
 // TestEncodeBufferReuse checks that a pooled buffer produces correct
-// frames across reuse and that Encode results match EncodeFrame.
+// frames across reuse and that Encode results match appendFrame(nil, &f).
 func TestEncodeBufferReuse(t *testing.T) {
 	frames := []Frame{
 		{Kind: KindMsg, From: 1, To: 2, Seq: 7, Msg: overlay.DataChunk{Seq: 99}},
@@ -508,7 +508,7 @@ func TestEncodeBufferReuse(t *testing.T) {
 	defer eb.Release()
 	for round := 0; round < 3; round++ {
 		for _, f := range frames {
-			want, err := EncodeFrame(f)
+			want, err := appendFrame(nil, &f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -517,7 +517,7 @@ func TestEncodeBufferReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("round %d kind %d: pooled encode differs from EncodeFrame", round, f.Kind)
+				t.Fatalf("round %d kind %d: pooled encode differs from appendFrame", round, f.Kind)
 			}
 		}
 	}
@@ -555,19 +555,18 @@ func TestVocabularyCovered(t *testing.T) {
 		if !seen[mt] {
 			t.Errorf("everyMessage() has no %s", name)
 		}
-		zero := mt.Zero()
-		b, err := AppendMessage(nil, zero)
+		zero := zeroMessage(mt)
+		if zero == nil {
+			continue
+		}
+		f := Frame{Kind: KindMsg, Msg: zero}
+		enc, err := appendFrame(nil, &f)
 		if err != nil {
 			t.Errorf("encode zero %s: %v", name, err)
 			continue
 		}
-		if b[0] != byte(mt) {
-			t.Errorf("zero %s encodes type byte %d", name, b[0])
-		}
-		f := Frame{Kind: KindMsg, Msg: zero}
-		enc, err := EncodeFrame(f)
-		if err != nil {
-			t.Fatal(err)
+		if enc[headerLen] != byte(mt) {
+			t.Errorf("zero %s encodes type byte %d", name, enc[headerLen])
 		}
 		got, _, err := DecodeFrame(enc)
 		if err != nil || !reflect.DeepEqual(got, f) {
@@ -581,12 +580,23 @@ func TestVocabularyCovered(t *testing.T) {
 // number, but the codec has no layout for it.
 func TestEncodeRejectsEmbeddedMessage(t *testing.T) {
 	type wrapped struct{ overlay.Ping }
-	if _, err := AppendMessage(nil, wrapped{overlay.Ping{Token: 1}}); !errors.Is(err, ErrUnknownType) {
-		t.Fatalf("AppendMessage(wrapped Ping) err = %v, want ErrUnknownType", err)
+	if _, err := appendFrame(nil, &Frame{Kind: KindMsg, Msg: wrapped{overlay.Ping{Token: 1}}}); !errors.Is(err, ErrUnknownType) {
+		t.Fatalf("appendFrame(wrapped Ping) err = %v, want ErrUnknownType", err)
 	}
-	if _, err := AppendMessage(nil, nil); !errors.Is(err, ErrUnknownType) {
-		t.Fatalf("AppendMessage(nil) err = %v, want ErrUnknownType", err)
+	if _, err := appendFrame(nil, &Frame{Kind: KindMsg}); !errors.Is(err, ErrUnknownType) {
+		t.Fatalf("appendFrame(nil message) err = %v, want ErrUnknownType", err)
 	}
+}
+
+// zeroMessage returns the zero value of message type mt, read off the
+// instance everyMessage holds (nil when it holds none).
+func zeroMessage(mt overlay.MsgType) overlay.Message {
+	for _, m := range everyMessage() {
+		if overlay.TypeOf(m) == mt {
+			return reflect.Zero(reflect.TypeOf(m)).Interface().(overlay.Message)
+		}
+	}
+	return nil
 }
 
 // filler builds values from fuzzer bytes, reading zeros once they run out.
@@ -669,11 +679,11 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		mt := overlay.MsgType(1 + int(data[0])%(int(overlay.NumTypes)-1))
 		fl := &filler{b: data[1:]}
-		v := reflect.New(reflect.TypeOf(mt.Zero())).Elem()
+		v := reflect.New(reflect.TypeOf(zeroMessage(mt))).Elem()
 		fl.fill(v)
 		fr := Frame{Kind: KindMsg, From: overlay.NodeID(int32(fl.u64(4))), To: overlay.NodeID(int32(fl.u64(4))),
 			Seq: uint32(fl.u64(4)), Msg: v.Interface().(overlay.Message)}
-		enc, err := EncodeFrame(fr)
+		enc, err := appendFrame(nil, &fr)
 		if err != nil {
 			if !errors.Is(err, ErrTooLarge) {
 				t.Fatalf("encode %s: %v", mt, err)
@@ -684,7 +694,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil || n != len(enc) {
 			t.Fatalf("decode %s: consumed %d of %d, %v", mt, n, len(enc), err)
 		}
-		re, err := EncodeFrame(dec)
+		re, err := appendFrame(nil, &dec)
 		if err != nil {
 			t.Fatalf("re-encode %s: %v", mt, err)
 		}
