@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test build vet fuzz knobs loc bench bench-compare profile-cell profile-steady profile-live profile-heap profile-heap-live bench-scale bench-scale-profile profile-smoke
+.PHONY: check test build vet fuzz goldens knobs loc bench bench-compare profile-cell profile-steady profile-live profile-heap profile-heap-live bench-scale bench-scale-profile profile-smoke
 
 # check is the pre-merge gate: vet + build + race-enabled tests.
 check:
@@ -17,14 +17,27 @@ test:
 
 # Short fuzz pass over the decoders: arbitrary bytes through the wire
 # frame decoder and through the datagram splitter, generated messages of
-# every type through a round trip, and a lossy, reordering link between
-# the FEC encoder and decoder. FUZZTIME is per target.
+# every type through a round trip, a lossy, reordering link between the
+# FEC encoder and decoder, and arbitrary text through the scenario-script
+# reader. FUZZTIME is per target.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDatagram$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzFECDecoder$$' -fuzztime=$(FUZZTIME) ./internal/flow/
+	$(GO) test -run='^$$' -fuzz='^FuzzScenarioRead$$' -fuzztime=$(FUZZTIME) ./internal/scenario/
+
+# goldens re-records every pinned output. Each golden test compares its
+# output through internal/golden.Check, which rewrites the file instead
+# when VDM_UPDATE_GOLDENS=1; every golden test's name contains "Golden".
+# Then results_full.txt, the figures at the scale EXPERIMENTS.md reports,
+# is regenerated through a temp file (~2.5 min on 2 cores). On unchanged
+# code it leaves the tree clean; `git diff` shows what a change moved.
+goldens:
+	VDM_UPDATE_GOLDENS=1 $(GO) test -count=1 -run Golden ./...
+	$(GO) run ./cmd/experiments -all -reps 5 -timescale 0.5 -seed 1 > results_full.txt.tmp
+	@mv results_full.txt.tmp results_full.txt
 
 # knobs counts the repo's settable values: the fields of every *Config and
 # Options struct under internal/ and in vdm.go (a line `A, B int` is two),

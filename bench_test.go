@@ -1,9 +1,10 @@
-// Benchmarks: one per figure of the paper's evaluation chapters, plus the
-// ablations DESIGN.md calls out. Each bench runs a scaled-down version of
-// its figure's workload (fewer nodes, shorter sessions, single repetition)
-// and reports the figure's key series through b.ReportMetric, so
-// `go test -bench=. -benchmem` regenerates a quick-look version of every
-// figure. Full-scale series come from `cmd/experiments`.
+// Benchmarks: BenchmarkFigures runs every figure and ablation group of
+// internal/experiments at reduced scale and reports the series each figure
+// plots through b.ReportMetric, so `go test -run '^$' -bench Figures .`
+// prints a quick-look version of every figure; full-scale series come
+// from cmd/experiments. The others time the engine, the benchmark's
+// simulated sessions and the live plane's stream, the sessions the
+// `make profile-*` targets profile.
 package vdm
 
 import (
@@ -17,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"vdm/internal/experiments"
 	"vdm/internal/flow"
 	"vdm/internal/live"
 	"vdm/internal/overlay"
@@ -24,44 +26,6 @@ import (
 	"vdm/internal/scenario"
 	"vdm/internal/sim"
 )
-
-// benchCh3 is the scaled chapter-3 setup (router underlay).
-func benchCh3(seed int64) sim.Config {
-	return sim.Config{
-		Seed:              seed,
-		Nodes:             80,
-		DegreeMin:         2,
-		DegreeMax:         5,
-		JoinPhaseS:        400,
-		IntervalS:         400,
-		SettleS:           100,
-		SpreadS:           50,
-		DurationS:         1700,
-		DataRate:          1,
-		Underlay:          sim.Router,
-		RouterMin:         300,
-		HMTPRefinePeriodS: 300,
-	}
-}
-
-// benchCh5 is the scaled chapter-5 setup (synthetic PlanetLab).
-func benchCh5(seed int64) sim.Config {
-	return sim.Config{
-		Seed:              seed,
-		Nodes:             60,
-		DegreeMin:         4,
-		DegreeMax:         4,
-		JoinPhaseS:        400,
-		IntervalS:         400,
-		SettleS:           100,
-		SpreadS:           50,
-		DurationS:         1700,
-		DataRate:          5,
-		Underlay:          sim.Geo,
-		GeoUSOnly:         true,
-		HMTPRefinePeriodS: 30,
-	}
-}
 
 func mustRun(b *testing.B, cfg sim.Config) *sim.Result {
 	b.Helper()
@@ -72,403 +36,47 @@ func mustRun(b *testing.B, cfg sim.Config) *sim.Result {
 	return res
 }
 
-// benchVsHMTP runs VDM and HMTP on the same scenario and reports one
-// metric for each — the head-to-head figures.
-func benchVsHMTP(b *testing.B, base func(int64) sim.Config, churn float64, metric string, get func(*sim.Result) float64) {
-	for i := 0; i < b.N; i++ {
-		cfg := base(int64(i) + 1)
-		cfg.ChurnPct = churn
-		cfg.Protocol = sim.VDM
-		v := mustRun(b, cfg)
-		cfg.Protocol = sim.HMTP
-		h := mustRun(b, cfg)
-		b.ReportMetric(get(v), "vdm_"+metric)
-		b.ReportMetric(get(h), "hmtp_"+metric)
-	}
-}
-
-// benchSweep runs VDM at two sweep points and reports the metric at both —
-// the single-protocol sweep figures.
-func benchSweep(b *testing.B, base func(int64) sim.Config, metric string,
-	xs []float64, apply func(*sim.Config, float64), get func(*sim.Result) float64) {
-	for i := 0; i < b.N; i++ {
-		for _, x := range xs {
-			cfg := base(int64(i) + 1)
-			cfg.Protocol = sim.VDM
-			apply(&cfg, x)
-			res := mustRun(b, cfg)
-			b.ReportMetric(get(res), fmt.Sprintf("%s_at_%g", metric, x))
-		}
-	}
-}
-
-// --- Chapter 3: VDM vs HMTP vs churn (figures 3.25–3.28) ---
-
-func BenchmarkFig3_25_StressVsChurn(b *testing.B) {
-	benchVsHMTP(b, benchCh3, 5, "stress", func(r *sim.Result) float64 { return r.Stress })
-}
-
-func BenchmarkFig3_26_StretchVsChurn(b *testing.B) {
-	benchVsHMTP(b, benchCh3, 5, "stretch", func(r *sim.Result) float64 { return r.Stretch })
-}
-
-func BenchmarkFig3_27_LossVsChurn(b *testing.B) {
-	benchVsHMTP(b, benchCh3, 10, "loss_pct", func(r *sim.Result) float64 { return r.Loss * 100 })
-}
-
-func BenchmarkFig3_28_OverheadVsChurn(b *testing.B) {
-	benchVsHMTP(b, benchCh3, 10, "overhead_pct", func(r *sim.Result) float64 { return r.Overhead * 100 })
-}
-
-// --- Chapter 3: VDM vs number of nodes (figures 3.29–3.32) ---
-
-var ch3NodeXs = []float64{50, 150}
-
-func applyNodes(cfg *sim.Config, x float64) {
-	cfg.Nodes = int(x)
-	cfg.ChurnPct = 5
-}
-
-func BenchmarkFig3_29_StressVsNodes(b *testing.B) {
-	benchSweep(b, benchCh3, "stress", ch3NodeXs, applyNodes, func(r *sim.Result) float64 { return r.Stress })
-}
-
-func BenchmarkFig3_30_StretchVsNodes(b *testing.B) {
-	benchSweep(b, benchCh3, "stretch", ch3NodeXs, applyNodes, func(r *sim.Result) float64 { return r.Stretch })
-}
-
-func BenchmarkFig3_31_LossVsNodes(b *testing.B) {
-	benchSweep(b, benchCh3, "loss_pct", ch3NodeXs, applyNodes, func(r *sim.Result) float64 { return r.Loss * 100 })
-}
-
-func BenchmarkFig3_32_OverheadVsNodes(b *testing.B) {
-	benchSweep(b, benchCh3, "overhead_pct", ch3NodeXs, applyNodes, func(r *sim.Result) float64 { return r.Overhead * 100 })
-}
-
-// --- Chapter 3: VDM vs node degree (figures 3.33–3.36) ---
-
-var ch3DegreeXs = []float64{1.5, 5}
-
-func applyDegree(cfg *sim.Config, x float64) {
-	cfg.AvgDegree = x
-	cfg.ChurnPct = 5
-}
-
-func BenchmarkFig3_33_StressVsDegree(b *testing.B) {
-	benchSweep(b, benchCh3, "stress", ch3DegreeXs, applyDegree, func(r *sim.Result) float64 { return r.Stress })
-}
-
-func BenchmarkFig3_34_StretchVsDegree(b *testing.B) {
-	benchSweep(b, benchCh3, "stretch", ch3DegreeXs, applyDegree, func(r *sim.Result) float64 { return r.Stretch })
-}
-
-func BenchmarkFig3_35_LossVsDegree(b *testing.B) {
-	benchSweep(b, benchCh3, "loss_pct", ch3DegreeXs, applyDegree, func(r *sim.Result) float64 { return r.Loss * 100 })
-}
-
-func BenchmarkFig3_36_OverheadVsDegree(b *testing.B) {
-	benchSweep(b, benchCh3, "overhead_pct", ch3DegreeXs, applyDegree, func(r *sim.Result) float64 { return r.Overhead * 100 })
-}
-
-// --- Chapter 4: VDM-D vs VDM-L over time (figures 4.6–4.9) ---
-
-func benchCh4(b *testing.B, metric string, get func(*sim.Result) float64, unit string) {
-	for i := 0; i < b.N; i++ {
-		for _, vd := range []string{"delay", "loss"} {
-			cfg := sim.Config{
-				Seed:        int64(i) + 1,
-				Protocol:    sim.VDM,
-				Metric:      vd,
-				Nodes:       120,
-				BatchSize:   30,
-				IntervalS:   200,
-				SettleS:     40,
-				SpreadS:     60,
-				DegreeMin:   2,
-				DegreeMax:   5,
-				DataRate:    1,
-				Underlay:    sim.Router,
-				RouterMin:   300,
-				LinkLossMax: 0.02,
+// BenchmarkFigures runs each experiment group, one sub-benchmark per
+// group, at the options TestFiguresGolden pins (seed 1, 2 repetitions,
+// time scale 0.06, rate scale 0.3). For every table it reports each
+// column's mean at the first and the last x value, as
+// <figure>/<column>@<x>: the numbers
+// internal/experiments/testdata/figures_reduced.txt prints.
+func BenchmarkFigures(b *testing.B) {
+	o := experiments.Options{Seed: 1, Reps: 2, TimeScale: 0.06, RateScale: 0.3}
+	for _, g := range experiments.Groups() {
+		b.Run(g, func(b *testing.B) {
+			var tables []*experiments.Table
+			for i := 0; i < b.N; i++ {
+				var err error
+				if tables, err = experiments.Run(g, o); err != nil {
+					b.Fatal(err)
+				}
 			}
-			res := mustRun(b, cfg)
-			label := "vdmD_" + unit
-			if vd == "loss" {
-				label = "vdmL_" + unit
+			for _, t := range tables {
+				for _, p := range []experiments.Point{t.Points[0], t.Points[len(t.Points)-1]} {
+					for _, c := range t.Columns {
+						if s, ok := p.Series[c]; ok {
+							b.ReportMetric(s.Mean, fmt.Sprintf("%s/%s@%.4g", t.ID, c, p.X))
+						}
+					}
+				}
 			}
-			b.ReportMetric(get(res), label)
-		}
-	}
-	_ = metric
-}
-
-func BenchmarkFig4_6_StressVsTime(b *testing.B) {
-	benchCh4(b, "stress", func(r *sim.Result) float64 { return r.Stress }, "stress")
-}
-
-func BenchmarkFig4_7_StretchVsTime(b *testing.B) {
-	benchCh4(b, "stretch", func(r *sim.Result) float64 { return r.Stretch }, "stretch")
-}
-
-func BenchmarkFig4_8_LossVsTime(b *testing.B) {
-	benchCh4(b, "loss", func(r *sim.Result) float64 { return r.Loss * 100 }, "loss_pct")
-}
-
-func BenchmarkFig4_9_OverheadVsTime(b *testing.B) {
-	benchCh4(b, "overhead", func(r *sim.Result) float64 { return r.Overhead * 100 }, "overhead_pct")
-}
-
-// --- Chapter 5: VDM vs HMTP vs churn (figures 5.7–5.13) ---
-
-func BenchmarkFig5_7_StartupVsChurn(b *testing.B) {
-	benchVsHMTP(b, benchCh5, 6, "startup_s", func(r *sim.Result) float64 { return r.StartupAvg })
-}
-
-func BenchmarkFig5_8_ReconnectVsChurn(b *testing.B) {
-	benchVsHMTP(b, benchCh5, 6, "reconn_s", func(r *sim.Result) float64 { return r.ReconnAvg })
-}
-
-func BenchmarkFig5_9_StretchVsChurn(b *testing.B) {
-	benchVsHMTP(b, benchCh5, 6, "stretch", func(r *sim.Result) float64 { return r.Stretch })
-}
-
-func BenchmarkFig5_10_HopcountVsChurn(b *testing.B) {
-	benchVsHMTP(b, benchCh5, 6, "hopcount", func(r *sim.Result) float64 { return r.Hopcount })
-}
-
-func BenchmarkFig5_11_UsageVsChurn(b *testing.B) {
-	benchVsHMTP(b, benchCh5, 6, "usage", func(r *sim.Result) float64 { return r.UsageNorm })
-}
-
-func BenchmarkFig5_12_LossVsChurn(b *testing.B) {
-	benchVsHMTP(b, benchCh5, 6, "loss_pct", func(r *sim.Result) float64 { return r.Loss * 100 })
-}
-
-func BenchmarkFig5_13_OverheadVsChurn(b *testing.B) {
-	benchVsHMTP(b, benchCh5, 6, "overhead", func(r *sim.Result) float64 { return r.Overhead })
-}
-
-// --- Chapter 5: VDM vs number of nodes (figures 5.14–5.20) ---
-
-var ch5NodeXs = []float64{30, 60}
-
-func applyCh5Nodes(cfg *sim.Config, x float64) {
-	cfg.Nodes = int(x)
-	cfg.ChurnPct = 10
-}
-
-func BenchmarkFig5_14_StartupVsNodes(b *testing.B) {
-	benchSweep(b, benchCh5, "startup_s", ch5NodeXs, applyCh5Nodes, func(r *sim.Result) float64 { return r.StartupAvg })
-}
-
-func BenchmarkFig5_15_ReconnectVsNodes(b *testing.B) {
-	benchSweep(b, benchCh5, "reconn_s", ch5NodeXs, applyCh5Nodes, func(r *sim.Result) float64 { return r.ReconnAvg })
-}
-
-func BenchmarkFig5_16_StretchVsNodes(b *testing.B) {
-	benchSweep(b, benchCh5, "stretch", ch5NodeXs, applyCh5Nodes, func(r *sim.Result) float64 { return r.Stretch })
-}
-
-func BenchmarkFig5_17_HopcountVsNodes(b *testing.B) {
-	benchSweep(b, benchCh5, "hopcount", ch5NodeXs, applyCh5Nodes, func(r *sim.Result) float64 { return r.Hopcount })
-}
-
-func BenchmarkFig5_18_UsageVsNodes(b *testing.B) {
-	benchSweep(b, benchCh5, "usage", ch5NodeXs, applyCh5Nodes, func(r *sim.Result) float64 { return r.UsageNorm })
-}
-
-func BenchmarkFig5_19_LossVsNodes(b *testing.B) {
-	benchSweep(b, benchCh5, "loss_pct", ch5NodeXs, applyCh5Nodes, func(r *sim.Result) float64 { return r.Loss * 100 })
-}
-
-func BenchmarkFig5_20_OverheadVsNodes(b *testing.B) {
-	benchSweep(b, benchCh5, "overhead", ch5NodeXs, applyCh5Nodes, func(r *sim.Result) float64 { return r.Overhead })
-}
-
-// --- Chapter 5: VDM vs node degree (figures 5.21–5.27) ---
-
-var ch5DegreeXs = []float64{2, 5}
-
-func applyCh5Degree(cfg *sim.Config, x float64) {
-	cfg.DegreeMin = int(x)
-	cfg.DegreeMax = int(x)
-	cfg.ChurnPct = 10
-}
-
-func BenchmarkFig5_21_StartupVsDegree(b *testing.B) {
-	benchSweep(b, benchCh5, "startup_s", ch5DegreeXs, applyCh5Degree, func(r *sim.Result) float64 { return r.StartupAvg })
-}
-
-func BenchmarkFig5_22_ReconnectVsDegree(b *testing.B) {
-	benchSweep(b, benchCh5, "reconn_s", ch5DegreeXs, applyCh5Degree, func(r *sim.Result) float64 { return r.ReconnAvg })
-}
-
-func BenchmarkFig5_23_StretchVsDegree(b *testing.B) {
-	benchSweep(b, benchCh5, "stretch", ch5DegreeXs, applyCh5Degree, func(r *sim.Result) float64 { return r.Stretch })
-}
-
-func BenchmarkFig5_24_HopcountVsDegree(b *testing.B) {
-	benchSweep(b, benchCh5, "hopcount", ch5DegreeXs, applyCh5Degree, func(r *sim.Result) float64 { return r.Hopcount })
-}
-
-func BenchmarkFig5_25_UsageVsDegree(b *testing.B) {
-	benchSweep(b, benchCh5, "usage", ch5DegreeXs, applyCh5Degree, func(r *sim.Result) float64 { return r.UsageNorm })
-}
-
-func BenchmarkFig5_26_LossVsDegree(b *testing.B) {
-	benchSweep(b, benchCh5, "loss_pct", ch5DegreeXs, applyCh5Degree, func(r *sim.Result) float64 { return r.Loss * 100 })
-}
-
-func BenchmarkFig5_27_OverheadVsDegree(b *testing.B) {
-	benchSweep(b, benchCh5, "overhead", ch5DegreeXs, applyCh5Degree, func(r *sim.Result) float64 { return r.Overhead })
-}
-
-// --- Chapter 5: refinement component (figures 5.28–5.30) ---
-
-func benchRefine(b *testing.B, metric string, get func(*sim.Result) float64) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchCh5(int64(i) + 1)
-		cfg.Nodes = 40
-		cfg.ChurnPct = 10
-		cfg.Protocol = sim.VDM
-		plain := mustRun(b, cfg)
-		cfg.VDMRefinePeriodS = 300
-		refined := mustRun(b, cfg)
-		b.ReportMetric(get(plain), "vdm_"+metric)
-		b.ReportMetric(get(refined), "vdmR_"+metric)
-	}
-}
-
-func BenchmarkFig5_28_RefineStretch(b *testing.B) {
-	benchRefine(b, "stretch", func(r *sim.Result) float64 { return r.Stretch })
-}
-
-func BenchmarkFig5_29_RefineHopcount(b *testing.B) {
-	benchRefine(b, "hopcount", func(r *sim.Result) float64 { return r.Hopcount })
-}
-
-func BenchmarkFig5_30_RefineOverhead(b *testing.B) {
-	benchRefine(b, "overhead", func(r *sim.Result) float64 { return r.Overhead })
-}
-
-// --- Chapter 5: MST comparison (figure 5.31) ---
-
-func BenchmarkFig5_31_MSTRatio(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, n := range []int{20, 40} {
-			cfg := benchCh5(int64(i) + 1)
-			cfg.Nodes = n
-			cfg.ChurnPct = 0
-			cfg.DegreeMin = 64
-			cfg.DegreeMax = 64
-			cfg.Protocol = sim.VDM
-			cfg.ComputeMST = true
-			res := mustRun(b, cfg)
-			b.ReportMetric(res.MSTRatio, fmt.Sprintf("mst_ratio_at_%d", n))
-		}
-	}
-}
-
-// --- Ablations ---
-
-// BenchmarkAblationCollinearity sweeps the γ threshold of the
-// directionality test.
-func BenchmarkAblationCollinearity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, g := range []float64{0.7, 0.85, 0.95} {
-			cfg := benchCh3(int64(i) + 1)
-			cfg.Protocol = sim.VDM
-			cfg.ChurnPct = 5
-			cfg.Gamma = g
-			res := mustRun(b, cfg)
-			b.ReportMetric(res.Stretch, fmt.Sprintf("stretch_g%.2f", g))
-		}
-	}
-}
-
-// BenchmarkAblationRefinePeriod sweeps VDM's refinement period.
-func BenchmarkAblationRefinePeriod(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, p := range []float64{60, 300} {
-			cfg := benchCh5(int64(i) + 1)
-			cfg.Nodes = 40
-			cfg.ChurnPct = 10
-			cfg.Protocol = sim.VDM
-			cfg.VDMRefinePeriodS = p
-			res := mustRun(b, cfg)
-			b.ReportMetric(res.Overhead, fmt.Sprintf("overhead_p%g", p))
-			b.ReportMetric(res.Stretch, fmt.Sprintf("stretch_p%g", p))
-		}
-	}
-}
-
-// BenchmarkAblationReconnectStart compares grandparent-first recovery with
-// source-only recovery.
-func BenchmarkAblationReconnectStart(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchCh5(int64(i) + 1)
-		cfg.ChurnPct = 10
-		cfg.Protocol = sim.VDM
-		gp := mustRun(b, cfg)
-		cfg.VDMReconnectAtSrc = true
-		src := mustRun(b, cfg)
-		b.ReportMetric(gp.ReconnAvg, "reconn_s_grandparent")
-		b.ReportMetric(src.ReconnAvg, "reconn_s_source")
-	}
-}
-
-// BenchmarkAblationBaselines places VDM on the protocol spectrum.
-func BenchmarkAblationBaselines(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, p := range []sim.ProtocolKind{sim.VDM, sim.HMTP, sim.BTP, sim.NICE, sim.Random} {
-			cfg := benchCh3(int64(i) + 1)
-			cfg.ChurnPct = 5
-			cfg.Protocol = p
-			res := mustRun(b, cfg)
-			b.ReportMetric(res.Stretch, string(p)+"_stretch")
-		}
-	}
-}
-
-// BenchmarkAblationFosterJoin measures the quick-start: foster startup
-// should be a small fraction of the regular join's.
-func BenchmarkAblationFosterJoin(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchCh5(int64(i) + 1)
-		cfg.ChurnPct = 6
-		cfg.Protocol = sim.VDM
-		plain := mustRun(b, cfg)
-		cfg.VDMFosterJoin = true
-		foster := mustRun(b, cfg)
-		b.ReportMetric(plain.StartupAvg, "startup_s_regular")
-		b.ReportMetric(foster.StartupAvg, "startup_s_foster")
-		b.ReportMetric(foster.Stretch, "stretch_foster")
-	}
-}
-
-// BenchmarkAblationBandwidthDegrees compares uniform degree draws with
-// the future-work bandwidth-derived assignment.
-func BenchmarkAblationBandwidthDegrees(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchCh3(int64(i) + 1)
-		cfg.ChurnPct = 5
-		uniform := mustRun(b, cfg)
-		cfg.DegreeFromBandwidth = true
-		bw := mustRun(b, cfg)
-		b.ReportMetric(uniform.Stretch, "stretch_uniform")
-		b.ReportMetric(bw.Stretch, "stretch_bandwidth")
-		b.ReportMetric(bw.MaxHopcount, "maxhop_bandwidth")
+		})
 	}
 }
 
 // BenchmarkEngineThroughput measures raw engine speed: events per second
-// on a mid-size churning session.
+// on a mid-size churning session, 80 VDM peers on the router underlay
+// for 1 700 s with 10 % churn every 400 s.
 func BenchmarkEngineThroughput(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		cfg := benchCh3(int64(i) + 1)
-		cfg.ChurnPct = 10
-		res := mustRun(b, cfg)
+		res := mustRun(b, sim.Config{
+			Seed: int64(i) + 1, Nodes: 80, DegreeMin: 2, DegreeMax: 5, ChurnPct: 10,
+			JoinPhaseS: 400, IntervalS: 400, SettleS: 100, SpreadS: 50, DurationS: 1700,
+			DataRate: 1, Underlay: sim.Router, RouterMin: 300, HMTPRefinePeriodS: 300,
+		})
 		events += res.EventsProcessed
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")

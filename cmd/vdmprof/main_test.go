@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"vdm/internal/golden"
 )
 
 // TestGoldenOutput pins the summary and the -timeline text for two
@@ -16,18 +17,12 @@ import (
 //	    -rate 0.2 -profile 50 [-shards 2] -profileout cmd/vdmprof/testdata/<name>.jsonl
 //
 // and are inputs, not outputs: their wall-clock fields never regenerate
-// the same. If the rendering changes ON PURPOSE, regenerate a golden with
-//
-//	go run ./cmd/vdmprof [-timeline] cmd/vdmprof/testdata/<name>.jsonl \
-//	    > cmd/vdmprof/testdata/<name>.<summary|timeline>.golden
+// the same. If the rendering changes ON PURPOSE, `make goldens`
+// re-records the four goldens (the recordings stay as they are).
 func TestGoldenOutput(t *testing.T) {
 	for _, rec := range []string{"serial", "shards2"} {
 		for _, view := range []string{"summary", "timeline"} {
 			t.Run(rec+"/"+view, func(t *testing.T) {
-				want, err := os.ReadFile(filepath.Join("testdata", rec+"."+view+".golden"))
-				if err != nil {
-					t.Fatal(err)
-				}
 				args := []string{filepath.Join("testdata", rec+".jsonl")}
 				if view == "timeline" {
 					args = append([]string{"-timeline"}, args...)
@@ -36,9 +31,7 @@ func TestGoldenOutput(t *testing.T) {
 				if err := run(args, &out); err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(out.Bytes(), want) {
-					t.Errorf("vdmprof %s:\n got:\n%s\nwant:\n%s", strings.Join(args, " "), out.Bytes(), want)
-				}
+				golden.Check(t, filepath.Join("testdata", rec+"."+view+".golden"), out.Bytes())
 			})
 		}
 	}

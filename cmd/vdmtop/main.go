@@ -145,10 +145,6 @@ func RenderTree(w io.Writer, snap *tree.Snapshot, es *tree.EdgesSnapshot, color 
 		snap.AtS, s.Members, s.Reachable, s.Stale, s.Partitioned, s.Orphans)
 	fmt.Fprintf(w, "cost=%.1fms depth max=%d avg=%.2f stretch-proxy avg=%.2f max=%.2f fanout max=%d avg=%.2f\n",
 		s.CostMS, s.MaxDepth, s.AvgDepth, s.StretchProxyAvg, s.StretchProxyMax, s.MaxFanout, s.AvgFanout)
-	if snap.Exact != nil {
-		fmt.Fprintf(w, "exact: stress=%.2f stretch=%.2f hopcount=%.2f usage=%.1fms\n",
-			snap.Exact.Stress, snap.Exact.Stretch, snap.Exact.Hopcount, snap.Exact.UsageMS)
-	}
 	uplink := map[int64]tree.EdgeHealth{}
 	if es != nil {
 		e := es.Summary

@@ -29,6 +29,7 @@ import (
 // reports fails the test, so the list cannot outlive its reasons.
 var deadcodeAllowed = map[string]string{
 	"vdm":                          "the module's public API: the README quick start and example_test.go drive it; no command imports it",
+	"vdm/internal/golden":          "test support; only _test.go files import it",
 	"vdm/internal/live.Cluster":    "the loopback test cluster that live's tests and the root live benchmarks (bench_test.go) boot and stream through",
 	"vdm/internal/live.NewCluster": "boots a live.Cluster (see above)",
 	"vdm/internal/obs.MemSink":     "the in-memory trace sink that tests in live, transport and obs and the root benchmarks read events back from",

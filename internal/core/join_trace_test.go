@@ -2,17 +2,14 @@ package core
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
 	"testing"
 
+	"vdm/internal/golden"
 	"vdm/internal/obs"
 	"vdm/internal/overlay"
 	"vdm/internal/protocoltest"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/join_trace.golden")
 
 // traceScene is one scripted session of the join-trace golden: a rig of
 // traced VDM nodes and the script that drives it. kill, when the script
@@ -202,9 +199,8 @@ var traceScenes = []traceScene{
 // events of every scene, node by node as emitted, against
 // testdata/join_trace.golden. Between them the scenes walk every branch of
 // the join, reconnection and refinement state machines; a change that
-// moves one event, field or float fails here. Regenerate with
-//
-//	go test ./internal/core -run JoinTraceGolden -update
+// moves one event, field or float fails here; `make goldens` re-records
+// the file.
 func TestJoinTraceGolden(t *testing.T) {
 	var out bytes.Buffer
 	for _, sc := range traceScenes {
@@ -229,26 +225,5 @@ func TestJoinTraceGolden(t *testing.T) {
 		}
 		sc.script(r, &kill)
 	}
-	const path = "testdata/join_trace.golden"
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		got, wantLines := bytes.Split(out.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
-		for i := 0; i < len(got) && i < len(wantLines); i++ {
-			if !bytes.Equal(got[i], wantLines[i]) {
-				t.Fatalf("line %d differs:\n got %s\nwant %s", i+1, got[i], wantLines[i])
-			}
-		}
-		t.Fatalf("trace has %d lines, golden %d", len(got), len(wantLines))
-	}
+	golden.Check(t, "testdata/join_trace.golden", out.Bytes())
 }

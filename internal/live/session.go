@@ -29,7 +29,6 @@ type Session struct {
 
 	mu     sync.Mutex
 	id     overlay.NodeID
-	source bool
 	nextID overlay.NodeID
 	dir    map[overlay.NodeID]string // source only: id → observed address
 	epoch  time.Time                 // shared session clock zero
@@ -46,7 +45,6 @@ func NewSourceSession(tr *transport.UDP, epoch time.Time) *Session {
 	s := &Session{
 		tr:     tr,
 		id:     0,
-		source: true,
 		nextID: 1,
 		dir:    map[overlay.NodeID]string{0: tr.LocalAddr()},
 		epoch:  epoch,

@@ -1,26 +1,9 @@
 package obs
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Add adds n to the counter.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the gauge by d (atomically, CAS loop).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
 
 // MissingHelp returns the metric families that would scrape out with the
 // fallback description: every registered series' family, plus every family

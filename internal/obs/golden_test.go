@@ -1,22 +1,18 @@
 package obs
 
 import (
-	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files with current output")
+	"vdm/internal/golden"
+)
 
 // TestJSONLGoldenSchema pins the exact serialized form of the trace event
 // — field order, field names, zero-value rendering — against a committed
 // golden file. Downstream consumers (the vdmtop merger, external log
 // pipelines) parse this schema; any change to it must be deliberate and
-// show up in review as a golden diff. Regenerate with:
-//
-//	go test ./internal/obs -run GoldenSchema -update
+// show up in review as a golden diff. `make goldens` re-records it.
 func TestJSONLGoldenSchema(t *testing.T) {
 	var sb strings.Builder
 	sink := NewJSONLSink(&sb)
@@ -36,18 +32,5 @@ func TestJSONLGoldenSchema(t *testing.T) {
 	tr.Emit(EvMailboxDepth, Event{Target: -1, Value: 9})
 	tr.Emit(EvChunkPath, Event{Target: 4, Step: 3, Seq: 4200, Value: 18.75})
 
-	got := sb.String()
-	golden := filepath.Join("testdata", "event_schema.golden")
-	if *update {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("JSONL event schema drifted from golden.\ngot:\n%swant:\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "event_schema.golden"), []byte(sb.String()))
 }

@@ -14,10 +14,6 @@ var standardHelp = map[string]string{
 	"vdm_join_duration_seconds": "Join/reconnect/refine procedure durations by purpose.",
 	"vdm_join_steps":            "Nodes visited per completed join procedure.",
 	"vdm_udp_ack_latency_ms":    "Control-frame ack round-trip latency.",
-	"vdm_udp_retransmits_total": "Control-frame retransmissions (trace-event count).",
-	"vdm_udp_dedupe_drops_total": "Duplicate control frames suppressed by the receive window " +
-		"(trace-event count).",
-	"vdm_mailbox_depth_highwater": "Deepest mailbox backlog any peer reported via trace events.",
 	"vdm_chunk_path_latency_ms": "One-way source-to-peer latency of trace-tagged chunks, " +
 		"per receiving edge (node, upstream sender).",
 	"vdm_chunk_path_jitter_ms": "Absolute latency delta between consecutive trace-tagged " +

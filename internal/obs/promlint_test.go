@@ -8,17 +8,16 @@ import (
 )
 
 // TestPrometheusExpositionLint renders a registry exercising every metric
-// kind — counters, gauges, histograms, collector samples — and lints the
-// text exposition the way promtool would: every family announces HELP and
-// TYPE exactly once and before its samples, no series repeats, and every
-// histogram closes with a +Inf bucket whose count equals _count and comes
-// with a _sum.
+// kind — counters, histograms, collector samples (gauges and counters) —
+// and lints the text exposition the way promtool would: every family
+// announces HELP and TYPE exactly once and before its samples, no series
+// repeats, and every histogram closes with a +Inf bucket whose count
+// equals _count and comes with a _sum.
 func TestPrometheusExpositionLint(t *testing.T) {
 	reg := NewRegistry()
 	reg.SetHelp("vdm_events_total", "Protocol trace events by type.")
 	reg.Counter("vdm_events_total", L("proto", "vdm"), L("type", "join_start")).Inc()
 	reg.Counter("vdm_events_total", L("proto", "vdm"), L("type", "join_done")).Add(3)
-	reg.Gauge("vdm_mailbox_depth_highwater", L("proto", "vdm")).Set(7)
 	h := reg.Histogram("vdm_join_duration_seconds", DurationBuckets, L("proto", "vdm"), L("purpose", "join"))
 	h.Observe(0.01)
 	h.Observe(0.4)

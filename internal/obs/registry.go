@@ -1,10 +1,11 @@
 // Package obs is the observability layer shared by the simulator and the
-// live runtime: a lightweight metrics registry (atomic counters, gauges,
-// fixed-bucket histograms, Prometheus text exposition) and a structured
-// protocol event tracer whose JSONL schema is identical whether the
-// events come from a virtual-time session or a real UDP deployment. The
-// registry absorbs the transport-level overlay.Counters through a
-// collector, so /metrics shows one coherent view of a running peer.
+// live runtime: a lightweight metrics registry (atomic counters,
+// fixed-bucket histograms, collector-read gauges, Prometheus text
+// exposition) and a structured protocol event tracer whose JSONL schema
+// is identical whether the events come from a virtual-time session or a
+// real UDP deployment. The registry absorbs the transport-level
+// overlay.Counters through a collector, so /metrics shows one coherent
+// view of a running peer.
 package obs
 
 import (
@@ -35,28 +36,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an atomic float64 that can move in both directions.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// SetMax raises the gauge to v if v exceeds the current value — the
-// high-water-mark update (mailbox depth, maximum fan-out).
-func (g *Gauge) SetMax(v float64) {
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge reading.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Sample is one collector-produced reading folded into the exposition.
 type Sample struct {
@@ -102,11 +81,10 @@ type series struct {
 
 // Registry holds named metrics and renders them as Prometheus text or a
 // JSON-friendly snapshot. All methods are safe for concurrent use; the
-// returned Counter/Gauge/Histogram handles are lock-free on the hot path.
+// returned Counter/Histogram handles are lock-free on the hot path.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
 	meta       map[string]series // key → identity, for ordered exposition
 	help       map[string]string // family name → HELP text
@@ -117,7 +95,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		meta:     make(map[string]series),
 		help:     make(map[string]string),
@@ -158,20 +135,6 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 		r.meta[key] = series{name: name, labels: labels}
 	}
 	return c
-}
-
-// Gauge returns the gauge for (name, labels), registering it on first use.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	key := metricKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[key]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[key] = g
-		r.meta[key] = series{name: name, labels: labels}
-	}
-	return g
 }
 
 // Histogram returns the fixed-bucket histogram for (name, labels),
@@ -238,7 +201,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		r.mu.Lock()
 		m := r.meta[key]
 		c := r.counters[key]
-		g := r.gauges[key]
 		h := r.hists[key]
 		r.mu.Unlock()
 		lbl := renderLabels(m.labels, "")
@@ -250,9 +212,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		case c != nil:
 			emitType(m.name, "counter")
 			fmt.Fprintf(w, "%s%s %d\n", m.name, suffix, c.Value())
-		case g != nil:
-			emitType(m.name, "gauge")
-			fmt.Fprintf(w, "%s%s %s\n", m.name, suffix, formatFloat(g.Value()))
 		case h != nil:
 			emitType(m.name, "histogram")
 			snap := h.Snapshot()
@@ -314,14 +273,11 @@ func (r *Registry) Snapshot() map[string]any {
 	for _, key := range keys {
 		r.mu.Lock()
 		c := r.counters[key]
-		g := r.gauges[key]
 		h := r.hists[key]
 		r.mu.Unlock()
 		switch {
 		case c != nil:
 			out[key] = c.Value()
-		case g != nil:
-			out[key] = g.Value()
 		case h != nil:
 			snap := h.Snapshot()
 			out[key] = map[string]any{

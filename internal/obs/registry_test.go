@@ -18,30 +18,12 @@ func TestRegistryHandlesAreStable(t *testing.T) {
 	if c3 := r.Counter("x_total", L("a", "2")); c3 == c1 {
 		t.Fatal("different labels shared a handle")
 	}
-	g1 := r.Gauge("g")
-	g1.Set(2.5)
-	if got := r.Gauge("g").Value(); got != 2.5 {
-		t.Fatalf("gauge = %v", got)
-	}
-}
-
-func TestGaugeSetMax(t *testing.T) {
-	var g Gauge
-	g.SetMax(3)
-	g.SetMax(1)
-	if got := g.Value(); got != 3 {
-		t.Fatalf("SetMax lowered the gauge: %v", got)
-	}
-	g.SetMax(7)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("SetMax did not raise: %v", got)
-	}
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("joins_total", L("proto", "vdm")).Add(3)
-	r.Gauge("depth").Set(4.5)
+	r.RegisterCollector(func() []Sample { return []Sample{{Name: "depth", Value: 4.5}} })
 	h := r.Histogram("lat_ms", []float64{1, 10}, L("proto", "vdm"))
 	h.Observe(0.5)
 	h.Observe(5)
@@ -116,7 +98,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
 				r.Counter("c_total", L("w", "x")).Inc()
-				r.Gauge("g").Add(1)
 				r.Histogram("h", []float64{1, 2, 4}).Observe(float64(j % 5))
 			}
 		}()
@@ -124,9 +105,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter("c_total", L("w", "x")).Value(); got != 4000 {
 		t.Fatalf("counter = %d, want 4000", got)
-	}
-	if got := r.Gauge("g").Value(); got != 4000 {
-		t.Fatalf("gauge = %v, want 4000", got)
 	}
 	if got := r.Histogram("h", nil).Snapshot().Count; got != 4000 {
 		t.Fatalf("histogram count = %d, want 4000", got)

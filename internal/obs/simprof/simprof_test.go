@@ -2,21 +2,19 @@ package simprof
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"vdm/internal/golden"
 	"vdm/internal/overlay"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestRecordSchemaGolden pins the JSONL wire form of the recording: field
 // names, order, omitempty behaviour and the version stamp. The schema is
 // a contract with cmd/vdmprof and external pipelines — any change must
-// surface here as a golden diff (and, if incompatible, bump Version).
+// surface here as a golden diff (and, if incompatible, bump Version);
+// `make goldens` re-records it.
 func TestRecordSchemaGolden(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -62,22 +60,7 @@ func TestRecordSchemaGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	golden := filepath.Join("testdata", "record_schema.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("recording schema drifted from golden (run with -update if intended):\ngot:\n%swant:\n%s", buf.Bytes(), want)
-	}
+	golden.Check(t, filepath.Join("testdata", "record_schema.golden"), buf.Bytes())
 
 	// The stream must round-trip through the reader.
 	rec, err := Read(bytes.NewReader(buf.Bytes()))

@@ -225,12 +225,6 @@ func NewMetricsSink(reg *Registry) Sink {
 			reg.Histogram("vdm_join_steps", []float64{1, 2, 3, 5, 8, 13, 21}, pl).Observe(float64(e.Step))
 		case EvUDPAck:
 			reg.Histogram("vdm_udp_ack_latency_ms", LatencyBucketsMS, pl).Observe(e.Value)
-		case EvUDPRetransmit:
-			reg.Counter("vdm_udp_retransmits_total", pl).Inc()
-		case EvUDPDedupeDrop:
-			reg.Counter("vdm_udp_dedupe_drops_total", pl).Inc()
-		case EvMailboxDepth:
-			reg.Gauge("vdm_mailbox_depth_highwater", pl).SetMax(e.Value)
 		case EvChunkPath:
 			el := []Label{pl, L("node", fmt.Sprint(e.Node)), L("from", fmt.Sprint(e.Target))}
 			reg.Histogram("vdm_chunk_path_latency_ms", LatencyBucketsMS, el...).Observe(e.Value)

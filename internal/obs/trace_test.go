@@ -81,7 +81,7 @@ func TestMetricsSinkFeedsRegistry(t *testing.T) {
 	tr.Emit(EvJoinDone, Event{Value: 0.2, Step: 3, Detail: "join"})
 	tr.Emit(EvUDPRetransmit, Event{Target: 5, Step: 1})
 	tr.Emit(EvMailboxDepth, Event{Value: 9})
-	tr.Emit(EvMailboxDepth, Event{Value: 4}) // lower: high-water stays 9
+	tr.Emit(EvMailboxDepth, Event{Value: 4})
 
 	pl := L("proto", "vdm")
 	if got := reg.Counter("vdm_join_cases_total", pl, L("case", "III")).Value(); got != 2 {
@@ -94,10 +94,19 @@ func TestMetricsSinkFeedsRegistry(t *testing.T) {
 	if s := h.Snapshot(); s.Count != 1 || s.Sum != 0.2 {
 		t.Fatalf("join duration histogram = %+v", s)
 	}
-	if got := reg.Counter("vdm_udp_retransmits_total", pl).Value(); got != 1 {
-		t.Fatalf("retransmits = %d", got)
+	// Retransmits and mailbox depth are counted by type only: the UDP
+	// transport and the mailbox export their own counters.
+	if got := reg.Counter("vdm_events_total", pl, L("type", EvUDPRetransmit)).Value(); got != 1 {
+		t.Fatalf("events_total{udp_retransmit} = %d", got)
 	}
-	if got := reg.Gauge("vdm_mailbox_depth_highwater", pl).Value(); got != 9 {
-		t.Fatalf("mailbox high-water = %v", got)
+	if got := reg.Counter("vdm_events_total", pl, L("type", EvMailboxDepth)).Value(); got != 2 {
+		t.Fatalf("events_total{mailbox_depth} = %d", got)
+	}
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	for _, family := range []string{"vdm_udp_retransmits_total", "vdm_mailbox_depth_highwater"} {
+		if strings.Contains(sb.String(), family) {
+			t.Fatalf("exposition derives %s from trace events", family)
+		}
 	}
 }

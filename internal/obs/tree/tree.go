@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"sync"
 
-	"vdm/internal/metrics"
 	"vdm/internal/obs"
 	"vdm/internal/overlay"
 )
@@ -196,10 +195,6 @@ type Snapshot struct {
 	Source  int64        `json:"source"`
 	Summary Summary      `json:"summary"`
 	Peers   []PeerHealth `json:"peers"`
-	// Exact carries the paper's offline evaluation metrics over the tree
-	// when a producer computed them; vdmtop renders it. The aggregator
-	// has no underlay and leaves it nil.
-	Exact *metrics.TreeSnapshot `json:"exact,omitempty"`
 }
 
 // Snapshot reconstructs the tree and computes the online metrics.

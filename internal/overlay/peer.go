@@ -78,10 +78,9 @@ const (
 // metrics: startup time, reconnection times, and stream continuity.
 type Stats struct {
 	JoinStartAt float64 // when StartJoin was issued
-	ConnectedAt float64 // when the first connection completed
-	MemberSince float64 // alias of ConnectedAt (membership start)
+	MemberSince float64 // when the first connection completed
 	LeftAt      float64 // when the peer left (or session end)
-	Startup     float64 // ConnectedAt − JoinStartAt, −1 until connected
+	Startup     float64 // MemberSince − JoinStartAt, −1 until connected
 
 	Reconnects   []float64 // duration of each completed reconnection
 	OrphanCount  int       // times the parent departed
@@ -729,7 +728,6 @@ func (p *Peer) ApplyConnect(parent NodeID, dist float64, rootPath []NodeID) {
 	now := p.Now()
 	if !p.stats.everConnect {
 		p.stats.everConnect = true
-		p.stats.ConnectedAt = now
 		p.stats.MemberSince = now
 		p.stats.Startup = now - p.stats.JoinStartAt
 	}

@@ -268,11 +268,18 @@ func (s *Scenario) Write(w io.Writer) error {
 	return nil
 }
 
-// Read parses the format produced by Write.
+// Read parses the format produced by Write and rejects, naming its line,
+// a script no session can replay: the pool must hold at least slot 0,
+// the source's; every event's slot must lie in [1, pool); event and
+// measure times must be finite and ≥ 0; the duration, finite and > 0.
 func Read(r io.Reader) (*Scenario, error) {
 	s := &Scenario{}
+	var eventLines []int // each event's line, for the slot check once the pool is known
 	sc := bufio.NewScanner(r)
 	line := 0
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("scenario line %d: "+format, append([]any{line}, args...)...)
+	}
 	for sc.Scan() {
 		line++
 		text := sc.Text()
@@ -287,30 +294,58 @@ func Read(r io.Reader) (*Scenario, error) {
 		switch {
 		case len(text) > 5 && text[:5] == "pool ":
 			if _, err := fmt.Sscanf(text, "pool %d", &s.PoolSize); err != nil {
-				return nil, fmt.Errorf("scenario line %d: %w", line, err)
+				return nil, bad("%w", err)
+			}
+			if s.PoolSize < 1 {
+				return nil, bad("pool %d has no slot for the source", s.PoolSize)
 			}
 		case len(text) > 9 && text[:9] == "duration ":
 			if _, err := fmt.Sscanf(text, "duration %g", &s.DurationS); err != nil {
-				return nil, fmt.Errorf("scenario line %d: %w", line, err)
+				return nil, bad("%w", err)
+			}
+			if !(s.DurationS > 0) || math.IsInf(s.DurationS, 1) {
+				return nil, bad("duration %g is not a finite time > 0", s.DurationS)
 			}
 		case len(text) > 8 && text[:8] == "measure ":
 			if _, err := fmt.Sscanf(text, "measure %g", &t); err != nil {
-				return nil, fmt.Errorf("scenario line %d: %w", line, err)
+				return nil, bad("%w", err)
+			}
+			if !validTime(t) {
+				return nil, bad("measure time %g is not a finite time ≥ 0", t)
 			}
 			s.MeasureTimes = append(s.MeasureTimes, t)
 		default:
 			if _, err := fmt.Sscanf(text, "%g %s %d", &t, &action, &slot); err != nil {
-				return nil, fmt.Errorf("scenario line %d: %w", line, err)
+				return nil, bad("%w", err)
 			}
 			if action != "join" && action != "leave" {
-				return nil, fmt.Errorf("scenario line %d: unknown action %q", line, action)
+				return nil, bad("unknown action %q", action)
+			}
+			if !validTime(t) {
+				return nil, bad("event time %g is not a finite time ≥ 0", t)
 			}
 			s.Events = append(s.Events, Event{T: t, Join: action == "join", Slot: slot})
+			eventLines = append(eventLines, line)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	if s.PoolSize == 0 {
+		return nil, fmt.Errorf("scenario: no pool line")
+	}
+	if s.DurationS == 0 {
+		return nil, fmt.Errorf("scenario: no duration line")
+	}
+	for i, e := range s.Events {
+		if e.Slot < 1 || e.Slot >= s.PoolSize {
+			return nil, fmt.Errorf("scenario line %d: slot %d is outside the pool's peer slots [1, %d)",
+				eventLines[i], e.Slot, s.PoolSize)
+		}
+	}
 	s.sort() // a hand-written file need not list its events in time order
 	return s, nil
 }
+
+// validTime reports whether t is a finite time ≥ 0.
+func validTime(t float64) bool { return t >= 0 && !math.IsInf(t, 1) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -280,6 +281,82 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewBufferString("pool x\n")); err == nil {
 		t.Fatal("bad pool line accepted")
 	}
+}
+
+// TestReadRejectsUnreplayableScripts pins the checks Read makes before a
+// session replays a script. The first three once reached the simulator
+// through vdmsim -scenario and panicked there: a slot beyond the pool (an
+// index out of range), an event before time 0 (scheduled in the event
+// queue's past) and a negative pool (a negative slice size).
+func TestReadRejectsUnreplayableScripts(t *testing.T) {
+	for _, tc := range []struct{ script, want string }{
+		{"pool 5\nduration 100\n10 join 99\n", "line 3: slot 99"},
+		{"pool 5\nduration 100\n-3 join 1\n", "line 3: event time -3"},
+		{"pool -2\nduration 100\n", "line 1: pool -2"},
+		{"pool 5\nduration 100\n10 join 0\n", "line 3: slot 0"},
+		{"10 join 4\n\npool 4\nduration 100\n", "line 1: slot 4"},
+		{"pool 5\nduration 100\nNaN join 1\n", "line 3: event time NaN"},
+		{"pool 5\nduration 100\nmeasure -1\n", "line 3: measure time -1"},
+		{"pool 5\nduration 100\nmeasure +Inf\n", "line 3: measure time +Inf"},
+		{"pool 5\nduration 0\n", "line 2: duration 0"},
+		{"pool 5\nduration Inf\n", "line 2: duration +Inf"},
+		{"duration 100\n", "no pool line"},
+		{"pool 5\n", "no duration line"},
+	} {
+		_, err := Read(bytes.NewBufferString(tc.script))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Read(%q) = %v, want an error with %q", tc.script, err, tc.want)
+		}
+	}
+}
+
+// FuzzScenarioRead feeds Read arbitrary text: it must either fail, or
+// return a script that passes Read's checks (tested here independently)
+// and that re-encodes to the same bytes after a Write/Read round trip.
+func FuzzScenarioRead(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Batch(BatchConfig{Batches: 2, BatchSize: 3, IntervalS: 100}, rng.New(1)).Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("pool 5\nduration 100\n10 join 99\n"))
+	f.Add([]byte("pool 5\nduration 100\n-3 join 1\n"))
+	f.Add([]byte("pool -2\nduration 100\n"))
+	f.Add([]byte("20 leave 1\nmeasure 1e3\n\npool 3\nduration 2.5e3\n10 join 1\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s, err := Read(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		finite := func(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+		if s.PoolSize < 1 || !finite(s.DurationS) || s.DurationS == 0 {
+			t.Fatalf("accepted pool %d, duration %g", s.PoolSize, s.DurationS)
+		}
+		for _, m := range s.MeasureTimes {
+			if !finite(m) {
+				t.Fatalf("accepted measure time %g", m)
+			}
+		}
+		for _, e := range s.Events {
+			if !finite(e.T) || e.Slot < 1 || e.Slot >= s.PoolSize {
+				t.Fatalf("accepted event %+v in pool %d", e, s.PoolSize)
+			}
+		}
+		var first, second bytes.Buffer
+		if err := s.Write(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Read(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Read rejects Write's output: %v\n%s", err, first.Bytes())
+		}
+		if err := again.Write(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the script:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestChurnDeterministic(t *testing.T) {

@@ -2,22 +2,18 @@ package wire
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
 	"testing"
 
+	"vdm/internal/golden"
 	"vdm/internal/overlay"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/frames.golden")
 
 // TestFramesGolden pins the bytes on the wire: the encoding of one frame
 // per everyMessage() entry and per bootstrap kind, one hex line each, in
 // testdata/frames.golden. A codec change that moves any byte fails here;
-// a deliberate format change bumps Version and regenerates the file with
-//
-//	go test ./internal/wire -run FramesGolden -update
+// a deliberate format change bumps Version and re-records the file with
+// `make goldens`.
 func TestFramesGolden(t *testing.T) {
 	frames := []Frame{
 		{Kind: KindAck, From: 4, To: 0, Seq: 31337},
@@ -44,34 +40,5 @@ func TestFramesGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&out, "%s %x\n", label, b)
 	}
-	const path = "testdata/frames.golden"
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		got := bytes.Split(out.Bytes(), []byte("\n"))
-		exp := bytes.Split(want, []byte("\n"))
-		for i := range got {
-			if i >= len(exp) || !bytes.Equal(got[i], exp[i]) {
-				t.Fatalf("frame %d differs from %s:\n got  %.200s\n want %.200s", i, path, got[i], line(exp, i))
-			}
-		}
-		t.Fatalf("%s has %d lines, encoder wrote %d", path, len(exp), len(got))
-	}
-}
-
-func line(lines [][]byte, i int) []byte {
-	if i < len(lines) {
-		return lines[i]
-	}
-	return nil
+	golden.Check(t, "testdata/frames.golden", out.Bytes())
 }
