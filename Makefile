@@ -18,8 +18,11 @@ test:
 # Short fuzz pass over the decoders: arbitrary bytes through the wire
 # frame decoder and through the datagram splitter, generated messages of
 # every type through a round trip, a lossy, reordering link between the
-# FEC encoder and decoder, and arbitrary text through the scenario-script
-# reader. FUZZTIME is per target.
+# FEC encoder and decoder, arbitrary text through the scenario-script
+# reader, and arbitrary bytes through the flight-recorder reader. FUZZTIME
+# is per target. The recorder target's seeds are whole recordings, which
+# the fuzzer would spend its time minimizing (up to 60 s per new input by
+# default); 100 runs per minimization keep it fuzzing.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire/
@@ -27,6 +30,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzFECDecoder$$' -fuzztime=$(FUZZTIME) ./internal/flow/
 	$(GO) test -run='^$$' -fuzz='^FuzzScenarioRead$$' -fuzztime=$(FUZZTIME) ./internal/scenario/
+	$(GO) test -run='^$$' -fuzz='^FuzzSimprofRead$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/obs/simprof/
 
 # goldens re-records every pinned output. Each golden test compares its
 # output through internal/golden.Check, which rewrites the file instead

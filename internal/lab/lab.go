@@ -20,7 +20,6 @@ import (
 
 // Selection is the outcome of the figure-5.2 filtering pipeline.
 type Selection struct {
-	Model *geo.Model
 	// Usable is the working pool after all three filters.
 	Usable []int
 	// Stage counts, for reporting the pipeline the way the paper does.
@@ -33,7 +32,7 @@ type Selection struct {
 // SelectNodes runs the three-stage filter over the model's sites,
 // optionally restricted to US sites (the paper's chapter-5 pool).
 func SelectNodes(m *geo.Model, usOnly bool) *Selection {
-	sel := &Selection{Model: m}
+	sel := &Selection{}
 	for _, s := range m.Sites {
 		if usOnly && !s.US {
 			continue

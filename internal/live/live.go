@@ -29,7 +29,6 @@ type Peer struct {
 	box     []func()
 	wake    chan struct{}
 	stopped bool
-	timers  map[*time.Timer]struct{}
 	// highWater is the deepest the mailbox has ever been — the live
 	// runtime's backpressure signal (a mailbox that only grows means the
 	// peer cannot keep up with its inbound rate).
@@ -60,10 +59,9 @@ func (p *Peer) MailboxHighWater() int {
 // share one epoch across a session so Now() agrees between peers.
 func NewPeer(tr *transport.UDP, epoch time.Time, build func(bus overlay.Bus) overlay.Protocol) *Peer {
 	p := &Peer{
-		tr:     tr,
-		wake:   make(chan struct{}, 1),
-		timers: make(map[*time.Timer]struct{}),
-		done:   make(chan struct{}),
+		tr:   tr,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	p.bus = &peerBus{peer: p, epoch: epoch}
 	p.proto = build(p.bus)
@@ -138,9 +136,9 @@ func (p *Peer) Leave() {
 	p.Stop()
 }
 
-// Stop halts the mailbox loop, cancels outstanding timers, and detaches
-// from the transport. Protocol state is frozen as-is; use Leave for a
-// graceful departure.
+// Stop halts the mailbox loop and detaches from the transport; a timer
+// that fires later posts into the stopped mailbox, which discards it.
+// Protocol state is frozen as-is; use Leave for a graceful departure.
 func (p *Peer) Stop() {
 	p.mu.Lock()
 	if p.stopped {
@@ -149,10 +147,6 @@ func (p *Peer) Stop() {
 		return
 	}
 	p.stopped = true
-	for t := range p.timers {
-		t.Stop()
-	}
-	p.timers = nil
 	p.mu.Unlock()
 	p.tr.Unregister(p.proto.ID())
 	select {
@@ -288,23 +282,10 @@ func (b *peerBus) SendFanout(from overlay.NodeID, tos []overlay.NodeID, m overla
 func (b *peerBus) AdjPool() *overlay.AdjPool { return &b.adj }
 
 // AfterArg schedules fn(arg) on the peer's mailbox loop d seconds from
-// now. The timer is cancelled when the peer stops.
+// now. Once the peer has stopped, post discards the callback.
 func (b *peerBus) AfterArg(d float64, fn func(any), arg any) {
 	p := b.peer
-	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
-		return
-	}
-	var t *time.Timer
-	t = time.AfterFunc(time.Duration(d*float64(time.Second)), func() {
-		p.mu.Lock()
-		delete(p.timers, t)
-		p.mu.Unlock()
-		p.post(func() { fn(arg) })
-	})
-	p.timers[t] = struct{}{}
-	p.mu.Unlock()
+	time.AfterFunc(time.Duration(d*float64(time.Second)), func() { p.post(func() { fn(arg) }) })
 }
 
 func (b *peerBus) Unregister(id overlay.NodeID) { b.peer.tr.Unregister(id) }

@@ -226,8 +226,9 @@ func TestClusterPayloadFanout(t *testing.T) {
 	}
 }
 
-// TestPeerStopCancelsTimers checks a stopped peer fires no late callbacks
-// (AfterArg timers are cancelled, posts are discarded).
+// TestPeerStopCancelsTimers checks a stopped peer runs no late callbacks:
+// an AfterArg timer armed before Stop, or after it, fires into the
+// stopped mailbox, which discards the post.
 func TestPeerStopCancelsTimers(t *testing.T) {
 	var node overlay.Protocol
 	p := NewPeer(newUDP(t), time.Now(), func(bus overlay.Bus) overlay.Protocol {
@@ -243,9 +244,10 @@ func TestPeerStopCancelsTimers(t *testing.T) {
 		t.Fatal("Call on a running peer failed")
 	}
 	p.Stop()
+	node.Base().Net().AfterArg(0.01, func(any) { fired <- struct{}{} }, nil)
 	select {
 	case <-fired:
-		t.Fatal("timer fired after Stop")
+		t.Fatal("timer callback ran after Stop")
 	case <-time.After(150 * time.Millisecond):
 	}
 	if p.Call(func() {}) {

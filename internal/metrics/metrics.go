@@ -49,16 +49,13 @@ type TreeSnapshot struct {
 // Collect computes a TreeSnapshot for the given peers (the source must be
 // among views) over underlay u.
 func Collect(views []overlay.TreeView, source overlay.NodeID, u underlay.Underlay) TreeSnapshot {
-	byID := make(map[overlay.NodeID]overlay.TreeView, len(views))
-	for _, v := range views {
-		byID[v.ID()] = v
-	}
+	chains := ViewChains(views, source)
 	var snap TreeSnapshot
 	var stretches, leafStretches, hops, leafHops []float64
 	linkStress := make(map[int]int)
 	directSum := 0.0
 
-	for _, v := range views {
+	for i, v := range views {
 		if v.IsSource() {
 			continue
 		}
@@ -67,30 +64,21 @@ func Collect(views []overlay.TreeView, source overlay.NodeID, u underlay.Underla
 			snap.Orphans++
 			continue
 		}
-		// Walk to the source, accumulating overlay path delay and hops.
-		delay, hopN, reached := 0.0, 0, false
-		cur := v
-		for steps := 0; steps <= len(views); steps++ {
-			p := cur.ParentID()
-			if p == overlay.None {
-				break
-			}
-			delay += u.BaseRTT(int(cur.ID()), int(p))
-			hopN++
-			pv, ok := byID[p]
-			if !ok {
-				break
-			}
-			if p == source {
-				reached = true
-				break
-			}
-			cur = pv
-		}
-		if !reached {
+		hopN := chains.Depth(i)
+		if hopN < 0 {
 			continue
 		}
 		snap.Reachable++
+		// Walk to the source, accumulating overlay path delay.
+		delay := 0.0
+		for cur, p := v, v.ParentID(); ; p = cur.ParentID() {
+			delay += u.BaseRTT(int(cur.ID()), int(p))
+			if p == source {
+				break
+			}
+			pi, _ := chains.Pos(p)
+			cur = views[pi]
+		}
 
 		// The peer's own edge contributes to stress and usage.
 		pid := v.ParentID()
@@ -140,63 +128,22 @@ func Collect(views []overlay.TreeView, source overlay.NodeID, u underlay.Underla
 	return snap
 }
 
-// ReachableSet returns the ids of the source plus every peer whose parent
-// chain reaches the source — the vertex set MST comparisons run over.
-func ReachableSet(views []overlay.TreeView, source overlay.NodeID) []overlay.NodeID {
-	byID := make(map[overlay.NodeID]overlay.TreeView, len(views))
-	for _, v := range views {
-		byID[v.ID()] = v
-	}
-	out := []overlay.NodeID{source}
-	for _, v := range views {
-		if v.IsSource() || v.ParentID() == overlay.None {
-			continue
-		}
-		cur, reached := v, false
-		for steps := 0; steps <= len(views); steps++ {
-			p := cur.ParentID()
-			if p == overlay.None {
-				break
-			}
-			if p == source {
-				reached = true
-				break
-			}
-			pv, ok := byID[p]
-			if !ok {
-				break
-			}
-			cur = pv
-		}
-		if reached {
-			out = append(out, v.ID())
-		}
-	}
-	return out
-}
-
 // Validate checks the structural invariants of the overlay tree and
 // returns a description of every violation: parent/child symmetry, degree
 // limits, acyclicity, and reachability bookkeeping. Sessions run it at
 // every measurement point in tests.
 func Validate(views []overlay.TreeView, source overlay.NodeID, maxDegree func(overlay.NodeID) int) []string {
-	byID := make(map[overlay.NodeID]overlay.TreeView, len(views))
-	for _, v := range views {
-		byID[v.ID()] = v
-	}
+	chains := ViewChains(views, source)
 	var errs []string
-	for _, v := range views {
+	for i, v := range views {
 		id := v.ID()
 		if md := maxDegree(id); len(v.ChildIDs()) > md {
 			errs = append(errs, fmt.Sprintf("node %d has %d children, degree limit %d", id, len(v.ChildIDs()), md))
 		}
 		for _, c := range v.ChildIDs() {
-			cv, ok := byID[c]
-			if !ok {
-				continue // child departed; the data plane will reap it
-			}
-			if cv.ParentID() != id {
-				errs = append(errs, fmt.Sprintf("child %d of %d has parent %d", c, id, cv.ParentID()))
+			// A departed child is skipped: the data plane will reap it.
+			if ci, ok := chains.Pos(c); ok && views[ci].ParentID() != id {
+				errs = append(errs, fmt.Sprintf("child %d of %d has parent %d", c, id, views[ci].ParentID()))
 			}
 		}
 		if p := v.ParentID(); p != overlay.None {
@@ -207,18 +154,7 @@ func Validate(views []overlay.TreeView, source overlay.NodeID, maxDegree func(ov
 				errs = append(errs, fmt.Sprintf("node %d is its own parent", id))
 			}
 		}
-		// Cycle check: the parent chain must terminate within |views|
-		// steps.
-		cur, steps := v, 0
-		for cur.ParentID() != overlay.None && steps <= len(views) {
-			pv, ok := byID[cur.ParentID()]
-			if !ok {
-				break
-			}
-			cur = pv
-			steps++
-		}
-		if steps > len(views) {
+		if chains.Loops(i) {
 			errs = append(errs, fmt.Sprintf("cycle through node %d", id))
 		}
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -194,6 +195,8 @@ func TestValidateCleanTree(t *testing.T) {
 	}
 }
 
+// TestReachableSet checks the index on a small tree with an orphan: the
+// source and its chain are reachable at their depths, parents first.
 func TestReachableSet(t *testing.T) {
 	views := []overlay.TreeView{
 		&fakeView{id: 0, parent: overlay.None, children: []overlay.NodeID{1}, source: true},
@@ -201,14 +204,89 @@ func TestReachableSet(t *testing.T) {
 		&fakeView{id: 2, parent: 1},
 		&fakeView{id: 3, parent: overlay.None}, // orphan
 	}
-	got := ReachableSet(views, 0)
-	if len(got) != 3 {
-		t.Fatalf("reachable set %v", got)
+	c := ViewChains(views, 0)
+	for i, want := range []int{0, 1, 2, ended} {
+		if got := c.Depth(i); got != want {
+			t.Fatalf("depth of %d = %d, want %d", views[i].ID(), got, want)
+		}
+		if c.Loops(i) {
+			t.Fatalf("node %d loops", views[i].ID())
+		}
 	}
-	want := map[overlay.NodeID]bool{0: true, 1: true, 2: true}
-	for _, id := range got {
-		if !want[id] {
-			t.Fatalf("unexpected id %d in reachable set", id)
+	if got := c.Down(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Fatalf("down order %v, want [0 1 2]", got)
+	}
+}
+
+// TestChainsStates covers every state the index distinguishes: a
+// departed parent and no parent end a chain; a cycle and a node below it
+// loop; a source whose parent is in a cycle makes its reachable peers
+// loop too; a peer whose parent is an absent source is reachable.
+func TestChainsStates(t *testing.T) {
+	type node struct{ id, parent overlay.NodeID }
+	cases := []struct {
+		name   string
+		nodes  []node
+		source overlay.NodeID
+		depth  []int
+		loops  []bool
+	}{
+		{"departed and orphan",
+			[]node{{0, overlay.None}, {1, 0}, {2, 9}, {3, 2}, {4, overlay.None}, {5, 4}}, 0,
+			[]int{0, 1, ended, ended, ended, ended},
+			[]bool{false, false, false, false, false, false}},
+		{"cycle and below it",
+			[]node{{0, overlay.None}, {1, 0}, {2, 3}, {3, 2}, {4, 3}}, 0,
+			[]int{0, 1, looping, looping, looping},
+			[]bool{false, false, true, true, true}},
+		{"self parent",
+			[]node{{0, overlay.None}, {1, 1}, {2, 1}}, 0,
+			[]int{0, looping, looping},
+			[]bool{false, true, true}},
+		{"source below a cycle",
+			[]node{{0, 1}, {1, 2}, {2, 1}, {3, 0}, {4, overlay.None}}, 0,
+			[]int{0, looping, looping, 1, ended},
+			[]bool{true, true, true, true, false}},
+		{"source in a cycle",
+			[]node{{0, 2}, {1, 0}, {2, 1}, {3, 0}}, 0,
+			[]int{0, 1, 2, 1},
+			[]bool{true, true, true, true}},
+		{"source with a departed parent",
+			[]node{{5, 8}, {1, 5}, {2, 1}}, 5,
+			[]int{0, 1, 2},
+			[]bool{false, false, false}},
+		{"absent source",
+			[]node{{1, 0}, {2, 1}, {3, 7}}, 0,
+			[]int{1, 2, ended},
+			[]bool{false, false, false}},
+	}
+	for _, tc := range cases {
+		c := NewChains(len(tc.nodes), func(i int) (overlay.NodeID, overlay.NodeID) {
+			return tc.nodes[i].id, tc.nodes[i].parent
+		}, tc.source)
+		for i, n := range tc.nodes {
+			if got := c.Depth(i); got != tc.depth[i] {
+				t.Errorf("%s: depth of %d = %d, want %d", tc.name, n.id, got, tc.depth[i])
+			}
+			if got := c.Loops(i); got != tc.loops[i] {
+				t.Errorf("%s: loops(%d) = %v, want %v", tc.name, n.id, got, tc.loops[i])
+			}
+			if p, ok := c.Pos(n.id); !ok || p != i {
+				t.Errorf("%s: pos of %d = %d, %v", tc.name, n.id, p, ok)
+			}
+		}
+		seen := map[int]bool{}
+		for _, i := range c.Down() {
+			n := tc.nodes[i]
+			if p, ok := c.Pos(n.parent); ok && n.id != tc.source && !seen[p] {
+				t.Errorf("%s: %d listed before its parent %d", tc.name, n.id, n.parent)
+			}
+			seen[i] = true
+		}
+		for i := range tc.nodes {
+			if seen[i] != (tc.depth[i] >= 0) {
+				t.Errorf("%s: node %d listed %v, depth %d", tc.name, tc.nodes[i].id, seen[i], tc.depth[i])
+			}
 		}
 	}
 }

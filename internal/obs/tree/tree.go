@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"sync"
 
+	"vdm/internal/metrics"
 	"vdm/internal/obs"
 	"vdm/internal/overlay"
 )
@@ -212,35 +213,25 @@ func (a *Aggregator) Snapshot() Snapshot {
 	a.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
 
-	byID := make(map[overlay.NodeID]overlay.StatusReport, len(rows))
-	for _, r := range rows {
-		byID[r.id] = r.ps.report
-	}
-
-	// chainTo walks id's parent chain; returns (depth, summed parent
-	// RTT, reached-source).
-	chainTo := func(id overlay.NodeID) (int, float64, bool) {
-		depth, rtt := 0, 0.0
-		cur := id
-		for range rows {
-			r, ok := byID[cur]
-			if !ok || r.Parent == overlay.None {
-				return depth, rtt, false
+	chains := metrics.NewChains(len(rows), func(i int) (overlay.NodeID, overlay.NodeID) {
+		return rows[i].id, rows[i].ps.report.Parent
+	}, a.cfg.Source)
+	// pathRTT sums the reported parent RTTs down each reachable chain.
+	pathRTT := make([]float64, len(rows))
+	for _, i := range chains.Down() {
+		if rep := rows[i].ps.report; rows[i].id != a.cfg.Source {
+			p, ok := chains.Pos(rep.Parent) // not ok: the parent is a source that has not reported
+			pathRTT[i] = rep.ParentDist
+			if ok {
+				pathRTT[i] += pathRTT[p]
 			}
-			depth++
-			rtt += r.ParentDist
-			if r.Parent == a.cfg.Source {
-				return depth, rtt, true
-			}
-			cur = r.Parent
 		}
-		return depth, rtt, false // loop
 	}
 
 	snap := Snapshot{AtS: now, Source: int64(a.cfg.Source)}
 	var depthSum, stretchSum float64
 	var stretchN, fanoutSum, forwarders int
-	for _, r := range rows {
+	for i, r := range rows {
 		rep := r.ps.report
 		h := PeerHealth{
 			ID:            int64(r.id),
@@ -278,22 +269,19 @@ func (a *Aggregator) Snapshot() Snapshot {
 		if rep.Parent == overlay.None {
 			snap.Summary.Orphans++
 		}
-		depth, pathRTT, reached := chainTo(r.id)
-		if reached {
+		if depth := chains.Depth(i); depth > 0 {
 			h.Depth = depth
-			h.PathRTTMS = pathRTT
+			h.PathRTTMS = pathRTT[i]
 			snap.Summary.Reachable++
 			snap.Summary.CostMS += rep.ParentDist
 			depthSum += float64(depth)
-			if depth > snap.Summary.MaxDepth {
-				snap.Summary.MaxDepth = depth
-			}
+			snap.Summary.MaxDepth = max(snap.Summary.MaxDepth, depth)
 			for len(snap.Summary.DepthCounts) < depth {
 				snap.Summary.DepthCounts = append(snap.Summary.DepthCounts, 0)
 			}
 			snap.Summary.DepthCounts[depth-1]++
 			if rep.SrcDist > 0 {
-				h.StretchProxy = pathRTT / rep.SrcDist
+				h.StretchProxy = h.PathRTTMS / rep.SrcDist
 				stretchSum += h.StretchProxy
 				stretchN++
 				if h.StretchProxy > snap.Summary.StretchProxyMax {

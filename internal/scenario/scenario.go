@@ -156,7 +156,6 @@ func Lifetime(cfg LifetimeConfig, rnd *rng.Stream) *Scenario {
 		slot int
 	}
 	var pending []departure
-	alive := map[int]bool{}
 	var dead []int
 	for slot := 1; slot <= pool; slot++ {
 		dead = append(dead, slot)
@@ -166,7 +165,6 @@ func Lifetime(cfg LifetimeConfig, rnd *rng.Stream) *Scenario {
 		slot := dead[i]
 		dead[i] = dead[len(dead)-1]
 		dead = dead[:len(dead)-1]
-		alive[slot] = true
 		return slot
 	}
 	admit := func(at float64) {
@@ -189,12 +187,10 @@ func Lifetime(cfg LifetimeConfig, rnd *rng.Stream) *Scenario {
 	for t := cfg.JoinPhaseS + rnd.Exp(1/arrivalRate); t < cfg.DurationS; t += rnd.Exp(1 / arrivalRate) {
 		admit(t)
 	}
-	// Departures: flush them into the event list, releasing slots in
-	// time order so reuse stays consistent.
+	// Departures: flush them into the event list in time order.
 	sort.Slice(pending, func(i, j int) bool { return pending[i].t < pending[j].t })
 	for _, d := range pending {
 		s.Events = append(s.Events, Event{T: d.t, Slot: d.slot})
-		delete(alive, d.slot)
 	}
 	s.sort()
 
@@ -257,11 +253,7 @@ func (s *Scenario) Write(w io.Writer) error {
 		}
 	}
 	for _, e := range s.Events {
-		action := "leave"
-		if e.Join {
-			action = "join"
-		}
-		if _, err := fmt.Fprintf(w, "%g %s %d\n", e.T, action, e.Slot); err != nil {
+		if _, err := fmt.Fprintf(w, "%g %s %d\n", e.T, action(e), e.Slot); err != nil {
 			return err
 		}
 	}
@@ -271,10 +263,13 @@ func (s *Scenario) Write(w io.Writer) error {
 // Read parses the format produced by Write and rejects, naming its line,
 // a script no session can replay: the pool must hold at least slot 0,
 // the source's; every event's slot must lie in [1, pool); event and
-// measure times must be finite and ≥ 0; the duration, finite and > 0.
+// measure times finite, ≥ 0 and none past the duration, itself finite
+// and > 0. Replayed in time order (a stable sort: events at one instant
+// keep their file order), a slot joins only while dead, leaves only
+// while alive.
 func Read(r io.Reader) (*Scenario, error) {
 	s := &Scenario{}
-	var eventLines []int // each event's line, for the slot check once the pool is known
+	var eventLines, measureLines []int // for the checks that need the whole header
 	sc := bufio.NewScanner(r)
 	line := 0
 	bad := func(format string, args ...any) error {
@@ -314,6 +309,7 @@ func Read(r io.Reader) (*Scenario, error) {
 				return nil, bad("measure time %g is not a finite time ≥ 0", t)
 			}
 			s.MeasureTimes = append(s.MeasureTimes, t)
+			measureLines = append(measureLines, line)
 		default:
 			if _, err := fmt.Sscanf(text, "%g %s %d", &t, &action, &slot); err != nil {
 				return nil, bad("%w", err)
@@ -343,8 +339,38 @@ func Read(r io.Reader) (*Scenario, error) {
 				eventLines[i], e.Slot, s.PoolSize)
 		}
 	}
-	s.sort() // a hand-written file need not list its events in time order
+	for i, t := range s.MeasureTimes {
+		if t > s.DurationS {
+			return nil, fmt.Errorf("scenario line %d: measure time %g is past the duration %g",
+				measureLines[i], t, s.DurationS)
+		}
+	}
+	// A hand-written file need not list its events in time order.
+	order := make([]int, len(s.Events))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return s.Events[order[a]].T < s.Events[order[b]].T })
+	sorted, alive := make([]Event, 0, len(order)), make(map[int]bool)
+	for _, i := range order {
+		e := s.Events[i]
+		if e.Join == alive[e.Slot] {
+			return nil, fmt.Errorf("scenario line %d: slot %d %ss at %g while %s",
+				eventLines[i], e.Slot, action(e), e.T, map[bool]string{false: "not alive", true: "alive"}[e.Join])
+		}
+		alive[e.Slot] = e.Join
+		sorted = append(sorted, e)
+	}
+	s.Events = sorted
 	return s, nil
+}
+
+// action names an event's action as the script spells it.
+func action(e Event) string {
+	if e.Join {
+		return "join"
+	}
+	return "leave"
 }
 
 // validTime reports whether t is a finite time ≥ 0.

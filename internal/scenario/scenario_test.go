@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -287,7 +289,10 @@ func TestReadRejectsGarbage(t *testing.T) {
 // session replays a script. The first three once reached the simulator
 // through vdmsim -scenario and panicked there: a slot beyond the pool (an
 // index out of range), an event before time 0 (scheduled in the event
-// queue's past) and a negative pool (a negative slice size).
+// queue's past) and a negative pool (a negative slice size). The last
+// four ran to a normal summary: a leave of a slot that is not alive
+// (also when its join sorts after it), a second join of a live slot, and
+// a measure past the end of the session.
 func TestReadRejectsUnreplayableScripts(t *testing.T) {
 	for _, tc := range []struct{ script, want string }{
 		{"pool 5\nduration 100\n10 join 99\n", "line 3: slot 99"},
@@ -302,6 +307,10 @@ func TestReadRejectsUnreplayableScripts(t *testing.T) {
 		{"pool 5\nduration Inf\n", "line 2: duration +Inf"},
 		{"duration 100\n", "no pool line"},
 		{"pool 5\n", "no duration line"},
+		{"pool 5\nduration 100\n10 leave 1\n", "line 3: slot 1 leaves at 10 while not alive"},
+		{"pool 5\nduration 100\n30 join 1\n20 leave 1\n", "line 4: slot 1 leaves at 20 while not alive"},
+		{"pool 5\nduration 100\n10 join 1\n20 join 2\n20 join 1\n", "line 5: slot 1 joins at 20 while alive"},
+		{"measure 500\npool 5\nduration 100\n", "line 1: measure time 500 is past the duration 100"},
 	} {
 		_, err := Read(bytes.NewBufferString(tc.script))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -323,6 +332,8 @@ func FuzzScenarioRead(f *testing.F) {
 	f.Add([]byte("pool 5\nduration 100\n-3 join 1\n"))
 	f.Add([]byte("pool -2\nduration 100\n"))
 	f.Add([]byte("20 leave 1\nmeasure 1e3\n\npool 3\nduration 2.5e3\n10 join 1\n"))
+	f.Add([]byte("pool 5\nduration 100\n10 join 1\n10 leave 1\n10 join 1\nmeasure 100\n"))
+	f.Add([]byte("pool 5\nduration 100\n10 join 1\n20 join 1\nmeasure 500\n"))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		s, err := Read(bytes.NewReader(in))
 		if err != nil {
@@ -337,10 +348,23 @@ func FuzzScenarioRead(f *testing.F) {
 				t.Fatalf("accepted measure time %g", m)
 			}
 		}
-		for _, e := range s.Events {
+		for _, m := range s.MeasureTimes {
+			if m > s.DurationS {
+				t.Fatalf("accepted measure time %g past duration %g", m, s.DurationS)
+			}
+		}
+		alive := map[int]bool{}
+		for i, e := range s.Events {
 			if !finite(e.T) || e.Slot < 1 || e.Slot >= s.PoolSize {
 				t.Fatalf("accepted event %+v in pool %d", e, s.PoolSize)
 			}
+			if i > 0 && e.T < s.Events[i-1].T {
+				t.Fatalf("accepted events out of time order: %+v after %+v", e, s.Events[i-1])
+			}
+			if e.Join == alive[e.Slot] {
+				t.Fatalf("accepted event %+v with the slot alive=%v", e, alive[e.Slot])
+			}
+			alive[e.Slot] = e.Join
 		}
 		var first, second bytes.Buffer
 		if err := s.Write(&first); err != nil {
@@ -357,6 +381,54 @@ func FuzzScenarioRead(f *testing.F) {
 			t.Fatalf("round trip changed the script:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// TestGeneratedScriptsSurviveCodec writes the scripts of the paper's
+// configurations at seeds 1–20 and reads them back: Read accepts every
+// one and returns it unchanged. Churn runs chapter 3's churn rates and
+// chapter 5's PlanetLab session, Lifetime the churn-model ablation and
+// Batch chapter 4's growth workload.
+func TestGeneratedScriptsSurviveCodec(t *testing.T) {
+	type gen struct {
+		name string
+		make func(*rng.Stream) *Scenario
+	}
+	var gens []gen
+	for _, pct := range []float64{1, 3, 5, 7, 10} {
+		gens = append(gens, gen{fmt.Sprintf("chapter-3 churn %g%%", pct), func(r *rng.Stream) *Scenario {
+			return Churn(ChurnConfig{Nodes: 200, ChurnPct: pct, JoinPhaseS: 2000, IntervalS: 400,
+				SpreadS: 50, SettleS: 100, DurationS: 10000}, r)
+		}})
+	}
+	gens = append(gens,
+		gen{"chapter-5 churn 5%", func(r *rng.Stream) *Scenario {
+			return Churn(ChurnConfig{Nodes: 100, ChurnPct: 5, JoinPhaseS: 2000, IntervalS: 400,
+				SpreadS: 50, SettleS: 100, DurationS: 5000}, r)
+		}},
+		gen{"lifetime", func(r *rng.Stream) *Scenario {
+			return Lifetime(LifetimeConfig{Nodes: 200, MeanLifetimeS: 4000, JoinPhaseS: 2000,
+				IntervalS: 400, SettleS: 100, DurationS: 10000}, r)
+		}},
+		gen{"batch", func(r *rng.Stream) *Scenario {
+			return Batch(BatchConfig{Batches: 10, BatchSize: 50, IntervalS: 500, SpreadS: 100, SettleS: 50}, r)
+		}},
+	)
+	for _, g := range gens {
+		for seed := int64(1); seed <= 20; seed++ {
+			s := g.make(rng.New(seed))
+			var buf bytes.Buffer
+			if err := s.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Read(&buf)
+			if err != nil {
+				t.Fatalf("%s, seed %d: %v", g.name, seed, err)
+			}
+			if !reflect.DeepEqual(got, s) {
+				t.Fatalf("%s, seed %d: the script changed in the round trip", g.name, seed)
+			}
+		}
+	}
 }
 
 func TestChurnDeterministic(t *testing.T) {

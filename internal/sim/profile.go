@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"vdm/internal/metrics"
 	"vdm/internal/obs/simprof"
 	"vdm/internal/overlay"
 )
@@ -96,10 +97,10 @@ func (s *session) protoSample() simprof.Proto {
 	var p simprof.Proto
 	views := s.views()
 	p.Alive = len(views)
-	depthOf := treeDepths(views)
+	chains := metrics.ViewChains(views, 0)
 
 	var depthSum, reachNonSrc int
-	for _, v := range views {
+	for i, v := range views {
 		if v.IsSource() {
 			p.Reachable++
 			continue
@@ -108,16 +109,14 @@ func (s *session) protoSample() simprof.Proto {
 			p.Unattached++
 			continue
 		}
-		d := depthOf(v.ID())
+		d := chains.Depth(i)
 		if d < 0 {
 			continue
 		}
 		p.Reachable++
 		reachNonSrc++
 		depthSum += d
-		if d > p.DepthMax {
-			p.DepthMax = d
-		}
+		p.DepthMax = max(p.DepthMax, d)
 		p.TreeCostMS += s.u.BaseRTT(int(v.ID()), int(v.ParentID()))
 	}
 	if reachNonSrc > 0 {
@@ -136,12 +135,11 @@ func (s *session) protoSample() simprof.Proto {
 }
 
 // drive is the single-queue driver: it schedules the measurements on the
-// queue and runs it to the session end. Without profiling or progress
-// reporting that is one inclusive Run; with either, it steps the queue
-// through interval boundaries — an identical total event order (Run(t1);
-// Run(t2) fires exactly the events one Run(t2) would, in the same
-// sequence), cutting a flight-recorder record and/or a progress callback
-// at each boundary.
+// queue and steps it to the session end through interval boundaries — one
+// step without profiling or progress reporting. Stepping keeps the total
+// event order (Run(t1); Run(t2) fires exactly the events one Run(t2)
+// would, in the same sequence); at each boundary it cuts a
+// flight-recorder record and/or a progress callback.
 func (s *session) drive() error {
 	cfg, q := s.cfg, s.sims[0]
 	for _, mt := range s.scn.MeasureTimes {
@@ -155,11 +153,6 @@ func (s *session) drive() error {
 
 	rec := s.newRecorder("serial", 0, math.Inf(1))
 	prog := newProgressReporter(cfg)
-	if rec == nil && prog == nil {
-		q.Run(cfg.DurationS)
-		return nil
-	}
-
 	step := cfg.DurationS
 	if rec != nil {
 		step = rec.IntervalS()

@@ -969,13 +969,14 @@ func (s *session) finish() *Result {
 	res.ReconnCount = len(reconns)
 
 	views := s.views()
+	chains := metrics.ViewChains(views, 0)
 	finalSnap := metrics.Collect(views, 0, s.u)
 	res.FinalAlive = finalSnap.Alive
 	res.FinalReachable = finalSnap.Reachable
-	res.FinalTree = s.finalTree(views)
+	res.FinalTree = s.finalTree(views, chains)
 
 	if cfg.ComputeMST {
-		res.MSTRatio, res.DCMSTRatio = s.mstRatios(views)
+		res.MSTRatio, res.DCMSTRatio = s.mstRatios(mstVertices(views, chains), finalSnap.UsageMS)
 	}
 	return res
 }
@@ -992,46 +993,12 @@ func (s *session) label(id int) string {
 	return fmt.Sprintf("host%d", id)
 }
 
-// treeDepths returns the memoized hop depth below the source of each
-// view's id; -1 means the node has no path to the source (unattached, a
-// departed ancestor, or a cycle).
-func treeDepths(views []overlay.TreeView) func(id overlay.NodeID) int {
-	depth := map[overlay.NodeID]int{0: 0}
-	byID := make(map[overlay.NodeID]overlay.TreeView, len(views))
-	for _, v := range views {
-		byID[v.ID()] = v
-	}
-	var depthOf func(id overlay.NodeID) int
-	depthOf = func(id overlay.NodeID) int {
-		if d, ok := depth[id]; ok {
-			return d
-		}
-		v, ok := byID[id]
-		if !ok || v.ParentID() == overlay.None {
-			depth[id] = -1
-			return -1
-		}
-		depth[id] = len(views) + 1 // cycle guard while recursing
-		pd := depthOf(v.ParentID())
-		if pd < 0 {
-			depth[id] = -1
-		} else {
-			depth[id] = pd + 1
-		}
-		return depth[id]
-	}
-	return depthOf
-}
-
-func (s *session) finalTree(views []overlay.TreeView) []TreeEdge {
-	depthOf := treeDepths(views)
+// finalTree lists the edge above every reachable peer, shallowest first.
+func (s *session) finalTree(views []overlay.TreeView, chains *metrics.Chains) []TreeEdge {
 	var edges []TreeEdge
-	for _, v := range views {
-		if v.IsSource() || v.ParentID() == overlay.None {
-			continue
-		}
-		d := depthOf(v.ID())
-		if d < 0 {
+	for i, v := range views {
+		d := chains.Depth(i)
+		if d <= 0 {
 			continue
 		}
 		edges = append(edges, TreeEdge{
@@ -1052,11 +1019,11 @@ func (s *session) finalTree(views []overlay.TreeView) []TreeEdge {
 	return edges
 }
 
-// mstRatios computes Σ(tree edge RTT) over the MST cost and over the
-// degree-constrained-MST heuristic's cost (bounded by the session's
-// maximum degree), for the source plus every reachable peer.
-func (s *session) mstRatios(views []overlay.TreeView) (mstR, dcmstR float64) {
-	ids := metrics.ReachableSet(views, 0)
+// mstRatios computes the tree cost (Σ tree edge RTT over the reachable
+// peers) over the MST cost and over the degree-constrained-MST
+// heuristic's cost (bounded by the session's maximum degree), both over
+// the vertices ids: the source plus every reachable peer.
+func (s *session) mstRatios(ids []overlay.NodeID, treeCost float64) (mstR, dcmstR float64) {
 	if len(ids) < 2 {
 		return 0, 0
 	}
@@ -1070,18 +1037,16 @@ func (s *session) mstRatios(views []overlay.TreeView) (mstR, dcmstR float64) {
 		}
 	}
 	_, dcmstCost := mst.DegreeConstrainedPrim(len(ids), maxDeg, cost)
-
-	byID := make(map[overlay.NodeID]overlay.TreeView, len(views))
-	for _, v := range views {
-		byID[v.ID()] = v
-	}
-	treeCost := 0.0
-	for _, id := range ids {
-		v := byID[id]
-		if v.IsSource() || v.ParentID() == overlay.None {
-			continue
-		}
-		treeCost += s.u.BaseRTT(int(id), int(v.ParentID()))
-	}
 	return mst.Ratio(treeCost, mstCost), mst.Ratio(treeCost, dcmstCost)
+}
+
+// mstVertices lists the source, then every reachable peer in views order.
+func mstVertices(views []overlay.TreeView, chains *metrics.Chains) []overlay.NodeID {
+	ids := []overlay.NodeID{0}
+	for i, v := range views {
+		if chains.Depth(i) > 0 {
+			ids = append(ids, v.ID())
+		}
+	}
+	return ids
 }
