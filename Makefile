@@ -18,17 +18,20 @@ test:
 # Short fuzz pass over the decoders: arbitrary bytes through the wire
 # frame decoder and through the datagram splitter, generated messages of
 # every type through a round trip, a lossy, reordering link between the
-# FEC encoder and decoder, arbitrary text through the scenario-script
-# reader, and arbitrary bytes through the flight-recorder reader. FUZZTIME
-# is per target. The recorder target's seeds are whole recordings, which
-# the fuzzer would spend its time minimizing (up to 60 s per new input by
-# default); 100 runs per minimization keep it fuzzing.
+# FEC encoder and decoder, Add sequences through the data plane's sliding
+# window against a map-based reference, arbitrary text through the
+# scenario-script reader, and arbitrary bytes through the flight-recorder
+# reader. FUZZTIME is per target. The recorder and window targets would
+# spend their time minimizing (up to 60 s per new input by default;
+# whole recordings are the recorder's seeds, and new window paths turn up
+# often); 100 runs per minimization keep them fuzzing.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDatagram$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzFECDecoder$$' -fuzztime=$(FUZZTIME) ./internal/flow/
+	$(GO) test -run='^$$' -fuzz='^FuzzWindow$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/flow/
 	$(GO) test -run='^$$' -fuzz='^FuzzScenarioRead$$' -fuzztime=$(FUZZTIME) ./internal/scenario/
 	$(GO) test -run='^$$' -fuzz='^FuzzSimprofRead$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/obs/simprof/
 

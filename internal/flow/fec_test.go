@@ -228,10 +228,10 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// fecScript reads a fuzz input one byte at a time, zeros once it runs out.
-type fecScript []byte
+// fuzzScript reads a fuzz input one byte at a time, zeros once it runs out.
+type fuzzScript []byte
 
-func (s *fecScript) next() byte {
+func (s *fuzzScript) next() byte {
 	if len(*s) == 0 {
 		return 0
 	}
@@ -262,7 +262,7 @@ func FuzzFECDecoder(f *testing.F) {
 	f.Add([]byte{4, 0, 250, 0, 9, 0, 0, 1, 4, 0, 2, 2, 3, 3, 2, 0, 0, 2, 1, 1, 4, 2, 1, 3})
 	f.Add([]byte{1, 1, 7, 1, 33, 1, 0, 1, 2, 4, 1, 3, 2, 5, 3, 2, 7, 3, 2, 1, 2, 2, 2, 0, 2, 9, 1})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		s := fecScript(in)
+		s := fuzzScript(in)
 		k := 2 + int(s.next()%15)
 		enc, dec := NewEncoder(k), NewDecoder(k, 1+int(s.next()%4))
 		seq := int64(int8(s.next()))

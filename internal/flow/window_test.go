@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -246,4 +247,86 @@ func TestWindowConcurrentAckAdvance(t *testing.T) {
 	if cum, _ := w.CumAck(); cum != n-1 {
 		t.Fatalf("cum=%d after filling gaps, want %d", cum, n-1)
 	}
+}
+
+// FuzzWindow turns its input into a sequence of Adds — near the head,
+// far jumps ahead, backfill below the first sequence, repeats — on a
+// small window, and checks every step against a map of the added
+// sequences and the rules of window.go's doc comments: the window tracks
+// the size most recent sequences and backfill more below the first one;
+// Add reports a tracked sequence new exactly once; the cumulative point
+// is the highest sequence with every tracked one at or below it added,
+// and never falls; Missing lists exactly the sequences between it and
+// the highest added that were not added.
+func FuzzWindow(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 10, 0, 3, 0, 1, 0, 5, 3, 0, 2, 1})
+	f.Add([]byte{1, 7, 255, 250, 1, 40, 1, 64, 0, 9, 2, 3, 3, 1, 1, 255, 0, 0})
+	f.Add([]byte{2, 255, 128, 0, 2, 1, 2, 200, 0, 15, 1, 31, 3, 7, 0, 7, 1, 32, 2, 9})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s := fuzzScript(in)
+		size := int64(64) << (s.next() % 3)
+		backfill := int64(s.next()) % size
+		first := int64(int16(uint16(s.next())<<8 | uint16(s.next())))
+		w := NewWindow(int(size), int(backfill))
+		added := map[int64]bool{}
+		var history []int64
+		high, cum := first, int64(math.MinInt64)
+		for step := 0; step < 512 && len(s) > 0; step++ {
+			op, arg := s.next(), int64(s.next())
+			seq := first
+			switch {
+			case len(history) == 0:
+			case op%4 == 0: // near the head
+				seq = high + arg%16 - 8
+			case op%4 == 1: // a jump ahead, up to eight window spans
+				seq = high + arg*size/32 + arg%3 - 1
+			case op%4 == 2: // backfill below the first sequence
+				seq = first - arg%(backfill+4)
+			default: // a repeat
+				seq = history[int(arg)%len(history)]
+			}
+			history = append(history, seq)
+			high = max(high, seq)
+			base := max(first-backfill, high-size+1) // lowest tracked
+			want := seq >= base && !added[seq]
+			if got := w.Add(seq); got != want {
+				t.Fatalf("step %d: Add(%d) = %v, want %v (tracking [%d, %d])", step, seq, got, want, base, high)
+			}
+			if want {
+				added[seq] = true
+			}
+
+			c, ok := w.CumAck()
+			if !ok || c < cum {
+				t.Fatalf("step %d: CumAck = %d, %v after %d", step, c, ok, cum)
+			}
+			cum = c
+			for q := base; q <= cum; q++ {
+				if !added[q] {
+					t.Fatalf("step %d: CumAck %d passes %d, never added", step, cum, q)
+				}
+			}
+			if cum+1 <= high && added[cum+1] {
+				t.Fatalf("step %d: CumAck %d stops below added %d", step, cum, cum+1)
+			}
+
+			next := cum + 1 // the lowest sequence a range may still cover
+			for _, r := range w.Missing(nil, math.MaxInt) {
+				if r.Lo < next || r.Hi < r.Lo || r.Hi > high {
+					t.Fatalf("step %d: Missing range %+v outside (%d, %d] or out of order", step, r, cum, high)
+				}
+				for q := next; q <= r.Hi; q++ {
+					if added[q] != (q < r.Lo) {
+						t.Fatalf("step %d: Missing range %+v disagrees at %d (added %v)", step, r, q, added[q])
+					}
+				}
+				next = r.Hi + 1
+			}
+			for q := next; q <= high; q++ {
+				if !added[q] {
+					t.Fatalf("step %d: Missing leaves out %d", step, q)
+				}
+			}
+		}
+	})
 }

@@ -3,14 +3,20 @@ package live
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"vdm/internal/flow"
 	"vdm/internal/obs/tree"
 	"vdm/internal/overlay"
+	"vdm/internal/wire"
 )
 
 // TestClusterTreeTelemetry is the tree-health acceptance test: a 24-peer
@@ -122,4 +128,132 @@ func treeDiffs(snap tree.Snapshot, views []overlay.TreeView) []string {
 		}
 	}
 	return diffs
+}
+
+// TestClusterLostReportsLoseNoCounts drops every third status report on
+// its way into the aggregator while a stream with one lossy edge runs.
+// Reports carry totals, so once the stream has stopped and later reports
+// have landed, every peer's recv/fwd/dup totals on /tree equal its own
+// Stats, its uplink evidence on /edges equals its FlowStats, and each
+// sender row equals the peer's newest composed report.
+func TestClusterLostReportsLoseNoCounts(t *testing.T) {
+	const nPeers = 9
+	agg := tree.New(tree.Config{Source: 0, StaleAfterS: 10})
+	ingest := agg.Handler()
+	var (
+		mu      sync.Mutex
+		newest  = map[overlay.NodeID]overlay.StatusReport{} // composed, dropped or not
+		dropped int
+	)
+	c := bootCluster(t, ClusterConfig{
+		N:         nPeers,
+		MaxDegree: 2,
+		// StallS outlasts the test: a parent that falls silent when the
+		// stream ends would otherwise draw stall pulls every tick, and
+		// the counters would never settle.
+		Flow: &flow.Config{
+			RateChunksPerS: 20000,
+			TickS:          0.01,
+			StallS:         60,
+			NackDelayS:     0.02,
+			AckEvery:       4,
+			FECGroup:       8,
+		},
+		StatusPeriod: 50 * time.Millisecond,
+		StatusHandler: func(at float64, from overlay.NodeID, r overlay.StatusReport) {
+			mu.Lock()
+			if r.Seq > newest[from].Seq {
+				newest[from] = r
+			}
+			drop := r.Seq%3 == 1
+			if drop {
+				dropped++
+			}
+			mu.Unlock()
+			if !drop {
+				ingest(at, from, r)
+			}
+		},
+	})
+
+	// Lose every third stream-data frame on a depth-2 leaf's uplink, so
+	// NACK, FEC and retransmit counters move on one edge.
+	victim, parent := overlay.None, overlay.None
+	hasChild := map[overlay.NodeID]bool{}
+	for _, v := range c.Views() {
+		hasChild[v.ParentID()] = true
+	}
+	for _, v := range c.Views() {
+		if v.ID() != 0 && v.ParentID() != 0 && !hasChild[v.ID()] {
+			victim, parent = v.ID(), v.ParentID()
+			break
+		}
+	}
+	if victim == overlay.None {
+		t.Fatal("no depth-2 leaf in a degree-2 tree of 9 peers")
+	}
+	var frames atomic.Int64
+	c.Trs[parent].SetSendFilter(func(to overlay.NodeID, f wire.Frame, attempt int) bool {
+		return to == victim && f.Kind == wire.KindMsg && overlay.IsStreamData(f.Msg) &&
+			frames.Add(1)%3 == 0
+	})
+	if err := c.Stream(400, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+
+	mismatches := func() []string {
+		snap, edges := agg.Snapshot(), agg.Edges()
+		// Copy under the lock, and never hold it across Stats: that waits
+		// on the source's mailbox, whose goroutine runs the handler.
+		mu.Lock()
+		composed := maps.Clone(newest)
+		mu.Unlock()
+		var diffs []string
+		for id, p := range c.Peers {
+			st, fs := p.Stats(), p.FlowStats()
+			var row *tree.PeerHealth
+			for i := range snap.Peers {
+				if snap.Peers[i].ID == int64(id) {
+					row = &snap.Peers[i]
+				}
+			}
+			if row == nil {
+				diffs = append(diffs, fmt.Sprintf("peer %d: no /tree row", id))
+				continue
+			}
+			if row.RecvTotal != st.Received || row.FwdTotal != st.Forwarded || row.DupTotal != st.Dups {
+				diffs = append(diffs, fmt.Sprintf("peer %d: /tree recv/fwd/dup %d/%d/%d, Stats %d/%d/%d",
+					id, row.RecvTotal, row.FwdTotal, row.DupTotal, st.Received, st.Forwarded, st.Dups))
+			}
+			for _, e := range edges.Edges {
+				if e.Child == int64(id) && e.Parent == row.Parent &&
+					(e.NacksSent != fs.NacksSent || e.StallPulls != fs.StallPulls ||
+						e.FECRepairs != fs.FECRepairs || e.Skipped != fs.SkippedSeqs) {
+					diffs = append(diffs, fmt.Sprintf("edge %d→%d: nacks/pulls/fec/skipped %d/%d/%d/%d, FlowStats %d/%d/%d/%d",
+						e.Parent, e.Child, e.NacksSent, e.StallPulls, e.FECRepairs, e.Skipped,
+						fs.NacksSent, fs.StallPulls, fs.FECRepairs, fs.SkippedSeqs))
+				}
+			}
+			for _, cf := range composed[overlay.NodeID(id)].ChildFlows {
+				for _, e := range edges.Edges {
+					if e.Parent == int64(id) && e.Child == int64(cf.ID) &&
+						(e.NacksFromChild != cf.Nacks || e.Pushbacks != cf.Pushbacks) {
+						diffs = append(diffs, fmt.Sprintf("edge %d→%d: nacks_from_child/pushbacks %d/%d, newest report %d/%d",
+							id, cf.ID, e.NacksFromChild, e.Pushbacks, cf.Nacks, cf.Pushbacks))
+					}
+				}
+			}
+		}
+		return diffs
+	}
+	var diffs []string
+	if !pollUntil(5*time.Second, func() bool { diffs = mismatches(); return len(diffs) == 0 }) {
+		t.Fatalf("aggregator totals never matched the peers' counters:\n%s", strings.Join(diffs, "\n"))
+	}
+	mu.Lock()
+	n := dropped
+	mu.Unlock()
+	if fs := c.Peers[victim].FlowStats(); fs.NacksSent == 0 || n < nPeers {
+		t.Fatalf("nothing exercised: victim %d sent %d NACKs, %d reports dropped", victim, fs.NacksSent, n)
+	}
 }

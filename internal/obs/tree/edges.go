@@ -1,5 +1,5 @@
 // Edge-health attribution: fold the flow telemetry both endpoints of a
-// tree edge report — the child's uplink repair deltas and the parent's
+// tree edge report — the child's uplink repair totals and the parent's
 // per-child sender state — into one health judgement per edge. An edge is
 // observed from both sides: the parent says how hard it is pushing (pacing
 // rate vs base, window occupancy, queue depth, nacks/pushbacks received
@@ -9,6 +9,7 @@
 package tree
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 
@@ -16,50 +17,47 @@ import (
 	"vdm/internal/overlay"
 )
 
-// childActivity accumulates one sender's per-child flow rows across
-// reports, with last-activity stamps for the recency judgement.
+// childActivity stamps when one sender's per-child NACK and pushback
+// totals last moved, for the recency judgement.
 type childActivity struct {
-	nacks  int64   // summed NacksDelta (nacks this sender received from the child)
-	pushes int64   // summed PushbacksDelta
-	nackAt float64 // last ingest whose row carried NacksDelta > 0; 0 = never
+	nackAt float64 // 0 = never
 	pushAt float64
 }
 
-// ingestFlow folds one fresh report's flow section into the peer's
-// accumulated edge-attribution state. Caller holds the aggregator lock.
-func (ps *peerState) ingestFlow(at float64, r overlay.StatusReport) {
+// stampFlow stamps the flow activity a newer report shows against the
+// stored one, before it replaces it. Caller holds the aggregator lock.
+func (ps *peerState) stampFlow(at float64, r overlay.StatusReport) {
 	if !r.FlowOn {
 		return
 	}
-	ps.nacksSent += r.NacksSentDelta
-	ps.stallPulls += r.StallPullsDelta
-	ps.fecRepairs += r.FECRepairsDelta
-	ps.skipped += r.SkippedDelta
-	if r.NacksSentDelta > 0 {
+	prev := ps.report
+	if moved(prev.NacksSent, r.NacksSent) {
 		ps.nackAt = at
 	}
-	if r.StallPullsDelta > 0 {
+	if moved(prev.StallPulls, r.StallPulls) {
 		ps.pullAt = at
 	}
 	for _, cf := range r.ChildFlows {
-		if ps.childAct == nil {
-			ps.childAct = make(map[overlay.NodeID]*childActivity)
+		var old overlay.ChildFlowStatus
+		if i := slices.IndexFunc(prev.ChildFlows, func(o overlay.ChildFlowStatus) bool { return o.ID == cf.ID }); i >= 0 {
+			old = prev.ChildFlows[i]
 		}
-		ca, ok := ps.childAct[cf.ID]
-		if !ok {
-			ca = &childActivity{}
-			ps.childAct[cf.ID] = ca
-		}
-		ca.nacks += cf.NacksDelta
-		ca.pushes += cf.PushbacksDelta
-		if cf.NacksDelta > 0 {
+		ca := ps.childAct[cf.ID]
+		if moved(old.Nacks, cf.Nacks) {
 			ca.nackAt = at
 		}
-		if cf.PushbacksDelta > 0 {
+		if moved(old.Pushbacks, cf.Pushbacks) {
 			ca.pushAt = at
 		}
+		ps.childAct[cf.ID] = ca
 	}
 }
+
+// moved reports whether a counter total shows activity since its previous
+// value: it rose, or it fell (the edge re-formed and counts afresh) to a
+// non-zero total. Totals are never negative, so both read "changed and
+// not zero".
+func moved(prev, now int64) bool { return now != prev && now != 0 }
 
 // The edge status values, worst first. Dead dominates: the child fell
 // silent or the sender's window to it stalled out. Pulling means the child
@@ -88,7 +86,8 @@ type EdgeHealth struct {
 	// a sortable scalar for dashboards.
 	Score float64 `json:"score"`
 
-	// Sender-side evidence (the parent's ChildFlows row for this child).
+	// Sender-side evidence (the parent's ChildFlows row for this child;
+	// its NACK and pushback counts run from when the edge formed).
 	RateChunksPerS float64 `json:"rate_chunks_per_s"`
 	BaseRate       float64 `json:"base_rate"`
 	QueueDepth     int     `json:"queue_depth"`
@@ -97,7 +96,8 @@ type EdgeHealth struct {
 	NacksFromChild int64   `json:"nacks_from_child"`
 	Pushbacks      int64   `json:"pushbacks"`
 
-	// Receiver-side evidence (the child's uplink repair totals).
+	// Receiver-side evidence (the child's uplink repair totals since it
+	// started).
 	NacksSent  int64 `json:"nacks_sent"`
 	StallPulls int64 `json:"stall_pulls"`
 	FECRepairs int64 `json:"fec_repairs"`
@@ -138,7 +138,6 @@ func (a *Aggregator) Edges() EdgesSnapshot {
 		parent overlay.NodeID
 		child  overlay.NodeID
 	}
-	// Collect both halves under the lock, score after releasing it.
 	edges := make(map[half]*EdgeHealth)
 	recent := a.cfg.StaleAfterS
 	get := func(parent, child overlay.NodeID) *EdgeHealth {
@@ -152,18 +151,13 @@ func (a *Aggregator) Edges() EdgesSnapshot {
 	}
 	for id, ps := range a.peers {
 		r := ps.report
-		if id != a.cfg.Source && r.Parent != overlay.None && r.FlowOn {
-			e := get(r.Parent, id)
-			e.NacksSent = ps.nacksSent
-			e.StallPulls = ps.stallPulls
-			e.FECRepairs = ps.fecRepairs
-			e.Skipped = ps.skipped
-		}
-		// Child liveness matters even without flow telemetry.
 		if id != a.cfg.Source && r.Parent != overlay.None {
+			// Child liveness matters even without flow telemetry (whose
+			// totals are zero then).
 			e := get(r.Parent, id)
 			e.ChildAgeS = now - ps.at
 			e.ChildStale = e.ChildAgeS > a.cfg.StaleAfterS
+			e.NacksSent, e.StallPulls, e.FECRepairs, e.Skipped = r.NacksSent, r.StallPulls, r.FECRepairs, r.Skipped
 		}
 		if !r.FlowOn {
 			continue
@@ -175,32 +169,24 @@ func (a *Aggregator) Edges() EdgesSnapshot {
 			e.QueueDepth = cf.QueueDepth
 			e.WindowUsed = cf.WindowUsed
 			e.Stalled = cf.Stalled
-			if ca := ps.childAct[cf.ID]; ca != nil {
-				e.NacksFromChild = ca.nacks
-				e.Pushbacks = ca.pushes
-			}
+			e.NacksFromChild = cf.Nacks
+			e.Pushbacks = cf.Pushbacks
 		}
 	}
 	// Recency: loss/pull/pushback evidence only degrades an edge when the
 	// activity happened within the staleness window — an edge that was
 	// lossy an hour ago and has been quiet since is healthy now.
-	type childStamps struct{ nackAt, pullAt float64 }
-	type rowStamps struct{ nackAt, pushAt float64 }
-	childStamp := make(map[overlay.NodeID]childStamps)
-	rowStamp := make(map[half]rowStamps)
-	for id, ps := range a.peers {
-		childStamp[id] = childStamps{ps.nackAt, ps.pullAt}
-		for cid, ca := range ps.childAct {
-			rowStamp[half{id, cid}] = rowStamps{ca.nackAt, ca.pushAt}
-		}
-	}
-	a.mu.Unlock()
-
 	active := func(at float64) bool { return at > 0 && now-at <= recent }
 	snap := EdgesSnapshot{AtS: now, Source: int64(a.cfg.Source)}
 	for k, e := range edges {
-		cs := childStamp[k.child]
-		rs := rowStamp[k]
+		var upNack, upPull float64 // the child's uplink stamps
+		if ps := a.peers[k.child]; ps != nil {
+			upNack, upPull = ps.nackAt, ps.pullAt
+		}
+		var row childActivity // the sender row's stamps
+		if ps := a.peers[k.parent]; ps != nil {
+			row = ps.childAct[k.child]
+		}
 		e.Status = EdgeOK
 		e.Score = 1
 		worsen := func(status string, score float64) {
@@ -210,13 +196,13 @@ func (a *Aggregator) Edges() EdgesSnapshot {
 			e.Score -= score
 		}
 		if e.BaseRate > 0 && e.RateChunksPerS > 0 && e.RateChunksPerS < e.BaseRate ||
-			active(rs.pushAt) {
+			active(row.pushAt) {
 			worsen(EdgeThrottled, 0.25)
 		}
-		if active(cs.nackAt) || active(rs.nackAt) {
+		if active(upNack) || active(row.nackAt) {
 			worsen(EdgeLossy, 0.5)
 		}
-		if active(cs.pullAt) {
+		if active(upPull) {
 			worsen(EdgePulling, 0.25)
 		}
 		if e.ChildAgeS < 0 || e.ChildStale || e.Stalled {
@@ -241,6 +227,7 @@ func (a *Aggregator) Edges() EdgesSnapshot {
 		}
 		snap.Edges = append(snap.Edges, *e)
 	}
+	a.mu.Unlock()
 	sort.Slice(snap.Edges, func(i, j int) bool {
 		if snap.Edges[i].Parent != snap.Edges[j].Parent {
 			return snap.Edges[i].Parent < snap.Edges[j].Parent

@@ -81,12 +81,12 @@ func TestEdgesAttributeLossToOneEdge(t *testing.T) {
 		Children: []overlay.ChildInfo{{ID: 4, Dist: 40}},
 		FlowOn:   true, FlowBaseRate: 1000,
 		ChildFlows: []overlay.ChildFlowStatus{
-			{ID: 4, RateChunksPerS: 1000, NacksDelta: 7},
+			{ID: 4, RateChunksPerS: 1000, Nacks: 7},
 		},
 	})
 	a.Ingest(105, 4, overlay.StatusReport{
 		Seq: 2, Parent: 2, ParentDist: 40, Connected: true,
-		FlowOn: true, NacksSentDelta: 7, FECRepairsDelta: 2,
+		FlowOn: true, NacksSent: 7, FECRepairs: 2,
 	})
 
 	es := a.Edges()
@@ -119,13 +119,13 @@ func TestEdgesThrottledAndPulling(t *testing.T) {
 		Children: []overlay.ChildInfo{{ID: 1, Dist: 10}, {ID: 2, Dist: 20}},
 		FlowOn:   true, FlowBaseRate: 1000,
 		ChildFlows: []overlay.ChildFlowStatus{
-			{ID: 1, RateChunksPerS: 500, PushbacksDelta: 1},
+			{ID: 1, RateChunksPerS: 500, Pushbacks: 1},
 			{ID: 2, RateChunksPerS: 1000},
 		},
 	})
 	a.Ingest(105, 3, overlay.StatusReport{
 		Seq: 2, Parent: 1, ParentDist: 30, Connected: true,
-		FlowOn: true, NacksSentDelta: 3, StallPullsDelta: 3,
+		FlowOn: true, NacksSent: 3, StallPulls: 3,
 	})
 
 	es := a.Edges()
@@ -138,6 +138,41 @@ func TestEdgesThrottledAndPulling(t *testing.T) {
 	}
 	if e := edgeByChild(t, es, 2); e.Status != EdgeOK {
 		t.Fatalf("edge 0→2 = %s, want ok", e.Status)
+	}
+}
+
+// TestEdgesReformedEdgeStampsActivity walks one sender row's NACK total
+// through each change: a rise is loss on the edge; a fall means the edge
+// re-formed and counts afresh, which is activity only if the new total is
+// non-zero. nacks_from_child always shows the row's total.
+func TestEdgesReformedEdgeStampsActivity(t *testing.T) {
+	a := New(Config{Source: 0, StaleAfterS: 10})
+	for i, step := range []struct {
+		at    float64
+		nacks int64
+		want  string
+	}{
+		{100, 0, EdgeOK},
+		{101, 9, EdgeLossy}, // rose
+		{112, 9, EdgeOK},    // unchanged: the stamp at 101 aged out
+		{113, 2, EdgeLossy}, // fell to non-zero: re-formed, then NACKed
+		{124, 0, EdgeOK},    // fell to zero: re-formed and quiet
+	} {
+		seq := uint32(i + 1)
+		a.Ingest(step.at, 2, overlay.StatusReport{
+			Seq: seq, Parent: 0, ParentDist: 20, Connected: true,
+			Children: []overlay.ChildInfo{{ID: 4, Dist: 40}},
+			FlowOn:   true, FlowBaseRate: 1000,
+			ChildFlows: []overlay.ChildFlowStatus{{ID: 4, RateChunksPerS: 1000, Nacks: step.nacks}},
+		})
+		a.Ingest(step.at, 4, overlay.StatusReport{
+			Seq: seq, Parent: 2, ParentDist: 40, Connected: true, FlowOn: true,
+		})
+		e := edgeByChild(t, a.Edges(), 4)
+		if e.Status != step.want || e.NacksFromChild != step.nacks {
+			t.Fatalf("at %g (total %d): edge 2→4 = %s with nacks_from_child %d, want %s with %d",
+				step.at, step.nacks, e.Status, e.NacksFromChild, step.want, step.nacks)
+		}
 	}
 }
 
@@ -237,7 +272,7 @@ func TestEdgesRouteAndMetrics(t *testing.T) {
 	feedFlow(a, 100, 1)
 	a.Ingest(105, 4, overlay.StatusReport{
 		Seq: 2, Parent: 2, ParentDist: 40, Connected: true,
-		FlowOn: true, NacksSentDelta: 5,
+		FlowOn: true, NacksSent: 5,
 	})
 
 	mux := http.NewServeMux()

@@ -36,26 +36,20 @@ type Config struct {
 	Now func() float64
 }
 
-// peerState is the last report from one peer plus running totals of its
-// delta counters.
+// peerState is the newest report from one peer (by Seq) and when the
+// peer was last heard from. The report's counters are totals, so it is
+// the peer's whole account: nothing is summed across reports.
 type peerState struct {
 	report  overlay.StatusReport
-	at      float64 // bus clock of the last ingest
-	recv    int64   // accumulated RecvDelta
-	fwd     int64
-	dup     int64
+	at      float64 // bus clock of the last ingest, fresh or not
 	reports int64
 
-	// Flow telemetry accumulated for edge attribution (edges.go): the
-	// peer's uplink repair totals with last-activity stamps, and per-child
-	// activity folded from the ChildFlows rows it reports as a sender.
-	nacksSent  int64
-	stallPulls int64
-	fecRepairs int64
-	skipped    int64
-	nackAt     float64 // last ingest with NacksSentDelta > 0; 0 = never
-	pullAt     float64
-	childAct   map[overlay.NodeID]*childActivity
+	// Flow activity stamps for edge attribution (edges.go): when the
+	// peer's uplink NACK and stall-pull totals last moved, and the same
+	// per child for the ChildFlows rows it reports as a sender.
+	nackAt   float64 // 0 = never
+	pullAt   float64
+	childAct map[overlay.NodeID]childActivity
 }
 
 // Aggregator ingests StatusReports and serves tree snapshots. All methods
@@ -88,23 +82,19 @@ func (a *Aggregator) Handler() overlay.StatusHandler {
 }
 
 // Ingest absorbs one report. at is the bus clock at arrival; from is the
-// reporting peer. Re-delivered reports (same or older Seq) refresh the
-// peer's liveness but do not double-count its delta counters.
+// reporting peer. A report newer than the stored one (by Seq) replaces
+// it; a repeated or older one only refreshes the peer's liveness.
 func (a *Aggregator) Ingest(at float64, from overlay.NodeID, r overlay.StatusReport) {
 	a.mu.Lock()
 	ps, ok := a.peers[from]
 	if !ok {
-		ps = &peerState{}
+		ps = &peerState{childAct: make(map[overlay.NodeID]childActivity)}
 		a.peers[from] = ps
 	}
-	fresh := !ok || r.Seq > ps.report.Seq
-	if fresh {
-		ps.recv += r.RecvDelta
-		ps.fwd += r.FwdDelta
-		ps.dup += r.DupDelta
-		ps.ingestFlow(at, r)
+	if !ok || r.Seq > ps.report.Seq {
+		ps.stampFlow(at, r)
+		ps.report = r
 	}
-	ps.report = r
 	ps.at = at
 	ps.reports++
 	if at > a.lastAt {
@@ -245,9 +235,9 @@ func (a *Aggregator) Snapshot() Snapshot {
 			Connected:     rep.Connected,
 			AgeS:          now - r.ps.at,
 			Reports:       r.ps.reports,
-			RecvTotal:     r.ps.recv,
-			FwdTotal:      r.ps.fwd,
-			DupTotal:      r.ps.dup,
+			RecvTotal:     rep.Received,
+			FwdTotal:      rep.Forwarded,
+			DupTotal:      rep.Dups,
 		}
 		h.Stale = h.AgeS > a.cfg.StaleAfterS
 		for _, c := range rep.Children {

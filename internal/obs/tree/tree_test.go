@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func feed(a *Aggregator, at float64) {
 	a.Ingest(at, 1, overlay.StatusReport{
 		Seq: 1, Parent: 0, ParentDist: 10, SrcDist: 10, Depth: 1, MaxDegree: 4, Free: 3,
 		Connected: true, Children: []overlay.ChildInfo{{ID: 3, Dist: 30}},
-		RecvDelta: 100, FwdDelta: 100,
+		Received: 100, Forwarded: 100,
 	})
 	a.Ingest(at, 2, overlay.StatusReport{
 		Seq: 1, Parent: 0, ParentDist: 20, SrcDist: 20, Depth: 1, MaxDegree: 4, Free: 3,
@@ -116,19 +117,79 @@ func TestStaleAndPartitionedFlags(t *testing.T) {
 	}
 }
 
-func TestDeltaCountersNotDoubleCountedOnRedelivery(t *testing.T) {
+// TestRepeatedReportChangesOnlyLiveness re-delivers a report (a UDP
+// retransmit): the peer's age and report count move, nothing else does,
+// and the next report's totals replace the stored ones.
+func TestRepeatedReportChangesOnlyLiveness(t *testing.T) {
 	a := New(Config{Source: 0})
-	r := overlay.StatusReport{Seq: 1, Parent: 0, ParentDist: 10, Connected: true, RecvDelta: 50}
+	r := overlay.StatusReport{
+		Seq: 1, Parent: 0, ParentDist: 10, Connected: true, Received: 50,
+		FlowOn: true, NacksSent: 2,
+	}
 	a.Ingest(1, 1, r)
-	a.Ingest(1.1, 1, r) // UDP retransmit of the same report
+	before, edgesBefore := peerRow(t, a, 1), a.Edges()
+	a.Ingest(1.5, 1, r)
+	after := peerRow(t, a, 1)
+	if after.Reports != 2 || after.AgeS != 0 {
+		t.Fatalf("repeat did not refresh liveness: %+v", after)
+	}
+	after.Reports, after.AgeS = before.Reports, before.AgeS
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("repeat changed the row:\n%+v\nwant\n%+v", after, before)
+	}
+	edgesAfter := a.Edges()
+	edgesAfter.AtS = edgesBefore.AtS
+	edgesAfter.Edges[0].ChildAgeS = edgesBefore.Edges[0].ChildAgeS
+	if !reflect.DeepEqual(edgesAfter, edgesBefore) {
+		t.Fatalf("repeat changed the edges:\n%+v\nwant\n%+v", edgesAfter, edgesBefore)
+	}
 	r.Seq = 2
-	r.RecvDelta = 25
+	r.Received = 75
 	a.Ingest(2, 1, r)
+	if p := peerRow(t, a, 1); p.RecvTotal != 75 {
+		t.Fatalf("recv total = %d, want 75", p.RecvTotal)
+	}
+}
+
+// TestOlderReportKeepsNewerState delivers a peer's reports out of order:
+// the late, older report refreshes the peer's liveness but its tree
+// position and totals never replace the newer ones.
+func TestOlderReportKeepsNewerState(t *testing.T) {
+	a := New(Config{Source: 0, StaleAfterS: 5})
+	a.Ingest(10, 0, overlay.StatusReport{Seq: 1, Parent: overlay.None, Connected: true})
+	a.Ingest(10, 1, overlay.StatusReport{
+		Seq: 3, Parent: 0, ParentDist: 10, Depth: 1, Connected: true,
+		Received: 300, Forwarded: 120, Dups: 4, FlowOn: true, NacksSent: 6, FECRepairs: 2,
+	})
+	a.Ingest(16, 1, overlay.StatusReport{
+		Seq: 2, Parent: 7, ParentDist: 99, Depth: 3, Connected: true,
+		Received: 200, Forwarded: 80, Dups: 3, FlowOn: true, NacksSent: 5, FECRepairs: 1,
+	})
+	p := peerRow(t, a, 1)
+	if p.Parent != 0 || p.Depth != 1 || p.ParentRTTMS != 10 || p.Partitioned {
+		t.Fatalf("older report moved the peer: %+v", p)
+	}
+	if p.RecvTotal != 300 || p.FwdTotal != 120 || p.DupTotal != 4 {
+		t.Fatalf("older report changed the totals: %+v", p)
+	}
+	if p.Stale || p.AgeS != 0 || p.Reports != 2 {
+		t.Fatalf("older report did not refresh liveness: %+v", p)
+	}
+	if e := edgeByChild(t, a.Edges(), 1); e.Parent != 0 || e.NacksSent != 6 || e.FECRepairs != 2 {
+		t.Fatalf("older report changed the edge evidence: %+v", e)
+	}
+}
+
+// peerRow returns peer id's row of the aggregator's snapshot.
+func peerRow(t *testing.T, a *Aggregator, id int64) PeerHealth {
+	t.Helper()
 	for _, p := range a.Snapshot().Peers {
-		if p.ID == 1 && p.RecvTotal != 75 {
-			t.Fatalf("recv total = %d, want 75", p.RecvTotal)
+		if p.ID == id {
+			return p
 		}
 	}
+	t.Fatalf("no row for peer %d", id)
+	return PeerHealth{}
 }
 
 func TestRegisterMetricsExposesTreeFamily(t *testing.T) {

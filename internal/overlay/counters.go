@@ -9,11 +9,12 @@ import "sync/atomic"
 //
 // The fields are atomics because live transports send and receive from
 // concurrent goroutines; the single-threaded simulator pays a negligible
-// uncontended-atomic cost for the shared definition.
+// uncontended-atomic cost for the shared definition. Both carriers split
+// control from data with IsControl.
 type Counters struct {
 	Ctrl      atomic.Int64 // control messages sent
-	Data      atomic.Int64 // data chunks sent
-	DataDrops atomic.Int64 // data chunks lost in transit
+	Data      atomic.Int64 // data messages sent (chunks, parity, acks, NACKs)
+	DataDrops atomic.Int64 // data messages lost in transit
 	CtrlDrops atomic.Int64 // control messages lost (loss injection or retry exhaustion)
 	Undeliver atomic.Int64 // messages addressed to unknown/unregistered nodes
 }

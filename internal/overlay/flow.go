@@ -98,13 +98,6 @@ type flowState struct {
 	// from it are expected — exempting them from stale-edge pruning.
 	expect map[NodeID]float64
 
-	// Baselines of the receiver-side counters at the last StatusReport,
-	// so reports carry deltas (see fillStatus).
-	repNacksSent  int64
-	repStallPulls int64
-	repFECRepairs int64
-	repSkipped    int64
-
 	st flowCounters
 }
 
@@ -117,12 +110,9 @@ type childFlow struct {
 	lastSent     int64 // highest chunk seq sent
 	stalledSince float64
 
-	// Per-edge telemetry: NACKs and pushbacks received from this child,
-	// with the baselines of the last StatusReport (see fillStatus).
-	nacks     int64
-	pushes    int64
-	repNacks  int64
-	repPushes int64
+	// Per-edge telemetry: NACKs and pushbacks received from this child.
+	nacks  int64
+	pushes int64
 }
 
 type nackState struct {
@@ -447,10 +437,9 @@ func (f *flowState) recoverRates() {
 
 // fillStatus writes the flow-telemetry section of a StatusReport: the
 // per-child sender state (queue depth, current pacing rate, window use,
-// per-edge NACK/pushback deltas) and the receiver-side uplink repair
-// deltas. It advances the report baselines, so it must run exactly once
-// per emitted report — ComposeStatus calls it on the peer's execution
-// context, where the child maps are safe to walk.
+// per-edge NACK/pushback totals) and the receiver-side uplink repair
+// totals. ComposeStatus calls it on the peer's execution context, where
+// the child maps are safe to walk.
 func (f *flowState) fillStatus(r *StatusReport) {
 	r.FlowOn = true
 	r.FlowBaseRate = f.cfg.RateChunksPerS
@@ -473,21 +462,15 @@ func (f *flowState) fillStatus(r *StatusReport) {
 				RateChunksPerS: cf.bucket.Rate(),
 				WindowUsed:     used,
 				Stalled:        cf.stalledSince > 0,
-				NacksDelta:     cf.nacks - cf.repNacks,
-				PushbacksDelta: cf.pushes - cf.repPushes,
+				Nacks:          cf.nacks,
+				Pushbacks:      cf.pushes,
 			})
-			cf.repNacks, cf.repPushes = cf.nacks, cf.pushes
 		}
 	}
-	ns := f.st.nacksSent.Load()
-	sp := f.st.stallPulls.Load()
-	fr := f.st.fecRepairs.Load()
-	sk := f.st.skipped.Load()
-	r.NacksSentDelta = ns - f.repNacksSent
-	r.StallPullsDelta = sp - f.repStallPulls
-	r.FECRepairsDelta = fr - f.repFECRepairs
-	r.SkippedDelta = sk - f.repSkipped
-	f.repNacksSent, f.repStallPulls, f.repFECRepairs, f.repSkipped = ns, sp, fr, sk
+	r.NacksSent = f.st.nacksSent.Load()
+	r.StallPulls = f.st.stallPulls.Load()
+	r.FECRepairs = f.st.fecRepairs.Load()
+	r.Skipped = f.st.skipped.Load()
 }
 
 // --- receiver side ---

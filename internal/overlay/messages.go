@@ -287,13 +287,14 @@ type DataChunk struct {
 
 // StatusReport is the tree-health telemetry a peer periodically sends to
 // the session source: its current tree position (parent, children, depth,
-// distances), its degree budget, and the data-plane counter deltas since
-// the previous report. The source's aggregator reconstructs the live tree
-// and its quality metrics from these. The source composes the same report
+// distances), its degree budget, and its data-plane counter totals. The
+// source's aggregator reconstructs the live tree and its quality metrics
+// from these. Every report is a snapshot: the newest one that arrives
+// says everything, so a lost report loses nothing but its own time. The source composes the same report
 // for itself and hands it to the aggregator directly.
 type StatusReport struct {
-	// Seq is the per-peer report sequence number; the aggregator drops
-	// reordered stale reports by it.
+	// Seq is the per-peer report sequence number; the aggregator keeps
+	// the newest report by it.
 	Seq uint32
 	// Parent is the current parent (None for the source and orphans);
 	// ParentDist the stored virtual distance to it (milliseconds under
@@ -313,11 +314,11 @@ type StatusReport struct {
 	// Children lists the regular children with their stored distances,
 	// so the aggregator can cross-check parent/child symmetry.
 	Children []ChildInfo
-	// Counter deltas since the previous report (distinct chunks
-	// received, copies forwarded, duplicates suppressed).
-	RecvDelta int64
-	FwdDelta  int64
-	DupDelta  int64
+	// Counter totals since the peer started (distinct chunks received,
+	// copies forwarded, duplicates suppressed): its Stats.
+	Received  int64
+	Forwarded int64
+	Dups      int64
 
 	// FlowOn reports whether the reliable data plane is active on this
 	// peer. The remaining flow fields are zero when it is not.
@@ -329,14 +330,14 @@ type StatusReport struct {
 	// ChildFlows is the sender-side flow state toward each child edge,
 	// ordered by child id.
 	ChildFlows []ChildFlowStatus
-	// Receiver-side repair deltas since the previous report. They
-	// describe the peer's uplink (parent→this edge): NACKs it had to
-	// send, stall pulls to the repair neighbor, local FEC repairs, and
-	// sequences written off as lost.
-	NacksSentDelta  int64
-	StallPullsDelta int64
-	FECRepairsDelta int64
-	SkippedDelta    int64
+	// Receiver-side repair totals since the peer started (its
+	// FlowStats). They describe the peer's uplink (parent→this edge):
+	// NACKs it had to send, stall pulls to the repair neighbor, local FEC
+	// repairs, and sequences written off as lost.
+	NacksSent  int64
+	StallPulls int64
+	FECRepairs int64
+	Skipped    int64
 }
 
 // ChildFlowStatus is the sender-side flow state toward one child edge,
@@ -354,11 +355,11 @@ type ChildFlowStatus struct {
 	// Stalled reports an ack-clocked window currently stuck (no ack
 	// progress since the stall clock started).
 	Stalled bool
-	// NacksDelta and PushbacksDelta count the NACKs and congestion
-	// pushbacks received from this child since the previous report — the
-	// sender-side symptoms of a lossy or congested edge.
-	NacksDelta     int64
-	PushbacksDelta int64
+	// Nacks and Pushbacks count the NACKs and congestion pushbacks
+	// received from this child since the edge formed — the sender-side
+	// symptoms of a lossy or congested edge.
+	Nacks     int64
+	Pushbacks int64
 }
 
 // SeqRange is an inclusive interval of data sequence numbers [Lo, Hi],
@@ -404,10 +405,26 @@ type Pushback struct {
 	Depth int
 }
 
+// IsControl reports whether m travels on the acked control path: the
+// live transport retransmits it, the simulated network drops it at
+// CtrlLossProb. Chunks, parity and the flow layer's acks and NACKs are
+// best-effort data; Pushback is control (rare, small, costly to lose).
+// It runs on every send, so a DataChunk costs one type-word compare.
+func IsControl(m Message) bool {
+	if _, chunk := m.(DataChunk); chunk {
+		return false
+	}
+	switch m.(type) {
+	case Parity, DataAck, DataNack:
+		return false
+	}
+	return true
+}
+
 // IsStreamData reports whether m rides the one-way data plane as stream
-// content (chunks and parity) — the traffic subject to pacing queues and
-// queue-cap eviction. Acks, NACKs and pushback are small data-plane
-// signals but never evicted by backpressure.
+// content (chunks and parity) — the data the transport coalesces into
+// batched datagrams. Acks and NACKs are data too (not IsControl) but
+// clock the flow window, so they go out at once.
 func IsStreamData(m Message) bool {
 	switch m.(type) {
 	case DataChunk, Parity:

@@ -7,6 +7,9 @@ import (
 	"go/token"
 	"slices"
 	"testing"
+
+	"vdm/internal/eventq"
+	"vdm/internal/underlay"
 )
 
 // everyType holds one value of each message type.
@@ -63,5 +66,40 @@ func TestTypeNameMatchesPercentT(t *testing.T) {
 	slices.Sort(declared)
 	if !slices.Equal(listed, declared) {
 		t.Fatalf("vocabulary lists %v\nmessages.go declares %v", listed, declared)
+	}
+}
+
+// TestIsControlEveryType pins, for every message type, the one rule both
+// message carriers take their control/data split from: the data plane's
+// vocabulary is data, everything else (Pushback included) is control.
+func TestIsControlEveryType(t *testing.T) {
+	data := map[MsgType]bool{TypeDataChunk: true, TypeParity: true, TypeDataAck: true, TypeDataNack: true}
+	for _, m := range everyType {
+		if got, want := IsControl(m), !data[TypeOf(m)]; got != want {
+			t.Errorf("IsControl(%s) = %v, want %v", TypeName(m), got, want)
+		}
+	}
+}
+
+// TestNetworkCountsFlowFeedbackAsData sends the reliable data plane's
+// messages over a simulated network that drops every control message:
+// each one counts as data and arrives, as it does on the live transport.
+func TestNetworkCountsFlowFeedbackAsData(t *testing.T) {
+	sim := eventq.New()
+	net := NewNetwork(sim, underlay.NewStatic(uniformRTT(2, 10)), 1)
+	net.CtrlLossProb = 1
+	var got []MsgType
+	net.Register(1, handlerFunc(func(_ NodeID, m Message) { got = append(got, TypeOf(m)) }))
+	sent := []Message{DataChunk{Seq: 1}, Parity{K: 2}, DataAck{Seq: 1}, DataNack{}, Pushback{Depth: 1}}
+	for _, m := range sent {
+		net.Send(0, 1, m)
+	}
+	sim.Run(1)
+	want := []MsgType{TypeDataChunk, TypeParity, TypeDataAck, TypeDataNack}
+	if !slices.Equal(got, want) {
+		t.Fatalf("delivered %v, want %v (Pushback dropped as control)", got, want)
+	}
+	if c := net.Counters().Snapshot(); c.Data != 4 || c.Ctrl != 1 || c.CtrlDrops != 1 {
+		t.Fatalf("counters %+v, want 4 data and 1 dropped control", c)
 	}
 }

@@ -12,8 +12,9 @@ type Handler interface {
 }
 
 // Network delivers messages between registered nodes over the underlay:
-// each message arrives one one-way delay after it was sent. Data chunks
-// are subject to the underlay's end-to-end loss; control messages are
+// each message arrives one one-way delay after it was sent. Data (every
+// message IsControl says is not control: chunks, parity, acks, NACKs)
+// is subject to the underlay's end-to-end loss; control messages are
 // reliable (they stand for small retransmitted TCP exchanges, as in the
 // PlanetLab implementation). The network also keeps the control/data
 // counters behind the paper's overhead metric, in the Counters struct it
@@ -208,7 +209,7 @@ func (n *Network) Send(from, to NodeID, m Message) bool {
 		n.probe.ObserveSend(from, to, m)
 	}
 	draw := n.edgeDraws.Next(uint32(from), uint32(to))
-	if _, data := m.(DataChunk); data {
+	if !IsControl(m) {
 		n.ctrs.Data.Add(1)
 		if p := n.U.LossRate(int(from), int(to)); p > 0 && n.drop(from, to, drawStreamData, draw, p) {
 			n.ctrs.DataDrops.Add(1)

@@ -147,16 +147,12 @@ type Peer struct {
 	starveTicking    bool
 
 	// Status-report telemetry (see status.go): the periodic report
-	// ticker, the source-side report consumer, the latest measured
-	// distance to the source, and the counter baseline of the last
-	// emitted report.
+	// ticker, the source-side report consumer and the latest measured
+	// distance to the source.
 	statusPeriodS float64
 	statusSeq     uint32
 	statusHandler StatusHandler
 	srcDist       float64
-	lastRecv      int64
-	lastFwd       int64
-	lastDup       int64
 
 	// serveObs observes answered join-protocol requests (see status.go).
 	serveObs func(ServeEvent)

@@ -83,12 +83,15 @@ func (p *Peer) observeServe(ev ServeEvent) {
 // sees the root's children too). The ticker self-reschedules through the
 // bus, so it works identically under virtual and wall-clock time. It
 // stops when the peer leaves; enabling twice or with periodS <= 0 is a
-// no-op.
+// no-op. Report numbers start at the periods elapsed on the bus clock, so
+// a peer that rejoins under an earlier membership's id (the simulator
+// reuses slot ids) numbers its reports above that membership's.
 func (p *Peer) EnableStatusReports(periodS float64) {
 	if periodS <= 0 || p.statusPeriodS > 0 {
 		return
 	}
 	p.statusPeriodS = periodS
+	p.statusSeq = uint32(p.Now() / periodS)
 	p.scheduleStatus()
 }
 
@@ -106,11 +109,9 @@ func statusTick(a any) {
 	p.scheduleStatus()
 }
 
-// emitStatus composes and delivers one report, advancing the delta
-// baseline.
+// emitStatus composes and delivers one report.
 func (p *Peer) emitStatus() {
 	r := p.ComposeStatus()
-	p.lastRecv, p.lastFwd, p.lastDup = p.stats.Received, p.stats.Forwarded, p.stats.Dups
 	if p.isSource {
 		if p.statusHandler != nil {
 			p.statusHandler(p.Now(), p.id, r)
@@ -121,10 +122,10 @@ func (p *Peer) emitStatus() {
 }
 
 // ComposeStatus builds the peer's current status report: tree position,
-// degree budget, counter deltas since the last emitted report, and —
-// when the reliable data plane is active — the per-child flow state the
-// source's edge-health aggregator attributes to tree edges. Each call
-// advances the report sequence number and the flow delta baselines.
+// degree budget, counter totals, and — when the reliable data plane is
+// active — the per-child flow state the source's edge-health aggregator
+// attributes to tree edges. Each call advances the report sequence
+// number.
 func (p *Peer) ComposeStatus() StatusReport {
 	p.statusSeq++
 	r := StatusReport{
@@ -137,9 +138,9 @@ func (p *Peer) ComposeStatus() StatusReport {
 		Free:       p.FreeDegree(),
 		Connected:  p.connected,
 		Children:   p.childSnapshot(),
-		RecvDelta:  p.stats.Received - p.lastRecv,
-		FwdDelta:   p.stats.Forwarded - p.lastFwd,
-		DupDelta:   p.stats.Dups - p.lastDup,
+		Received:   p.stats.Received,
+		Forwarded:  p.stats.Forwarded,
+		Dups:       p.stats.Dups,
 	}
 	if p.flow != nil {
 		p.flow.fillStatus(&r)

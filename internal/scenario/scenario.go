@@ -261,15 +261,14 @@ func (s *Scenario) Write(w io.Writer) error {
 }
 
 // Read parses the format produced by Write and rejects, naming its line,
-// a script no session can replay: the pool must hold at least slot 0,
-// the source's; every event's slot must lie in [1, pool); event and
-// measure times finite, ≥ 0 and none past the duration, itself finite
-// and > 0. Replayed in time order (a stable sort: events at one instant
-// keep their file order), a slot joins only while dead, leaves only
-// while alive.
+// a script with a malformed line, an event or measure time that is not
+// finite and ≥ 0, a duration that is not finite and > 0, or one that
+// fails Check. A hand-written file need not list its events in time
+// order: Read sorts them (stably, so events at one instant keep their
+// file order) before it checks them.
 func Read(r io.Reader) (*Scenario, error) {
 	s := &Scenario{}
-	var eventLines, measureLines []int // for the checks that need the whole header
+	var where scriptLines // for the checks that need the whole script
 	sc := bufio.NewScanner(r)
 	line := 0
 	bad := func(format string, args ...any) error {
@@ -291,9 +290,7 @@ func Read(r io.Reader) (*Scenario, error) {
 			if _, err := fmt.Sscanf(text, "pool %d", &s.PoolSize); err != nil {
 				return nil, bad("%w", err)
 			}
-			if s.PoolSize < 1 {
-				return nil, bad("pool %d has no slot for the source", s.PoolSize)
-			}
+			where.pool = line
 		case len(text) > 9 && text[:9] == "duration ":
 			if _, err := fmt.Sscanf(text, "duration %g", &s.DurationS); err != nil {
 				return nil, bad("%w", err)
@@ -309,7 +306,7 @@ func Read(r io.Reader) (*Scenario, error) {
 				return nil, bad("measure time %g is not a finite time ≥ 0", t)
 			}
 			s.MeasureTimes = append(s.MeasureTimes, t)
-			measureLines = append(measureLines, line)
+			where.measures = append(where.measures, line)
 		default:
 			if _, err := fmt.Sscanf(text, "%g %s %d", &t, &action, &slot); err != nil {
 				return nil, bad("%w", err)
@@ -321,48 +318,90 @@ func Read(r io.Reader) (*Scenario, error) {
 				return nil, bad("event time %g is not a finite time ≥ 0", t)
 			}
 			s.Events = append(s.Events, Event{T: t, Join: action == "join", Slot: slot})
-			eventLines = append(eventLines, line)
+			where.events = append(where.events, line)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if s.PoolSize == 0 {
+	if where.pool == 0 {
 		return nil, fmt.Errorf("scenario: no pool line")
 	}
 	if s.DurationS == 0 {
 		return nil, fmt.Errorf("scenario: no duration line")
 	}
-	for i, e := range s.Events {
-		if e.Slot < 1 || e.Slot >= s.PoolSize {
-			return nil, fmt.Errorf("scenario line %d: slot %d is outside the pool's peer slots [1, %d)",
-				eventLines[i], e.Slot, s.PoolSize)
-		}
-	}
-	for i, t := range s.MeasureTimes {
-		if t > s.DurationS {
-			return nil, fmt.Errorf("scenario line %d: measure time %g is past the duration %g",
-				measureLines[i], t, s.DurationS)
-		}
-	}
-	// A hand-written file need not list its events in time order.
 	order := make([]int, len(s.Events))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return s.Events[order[a]].T < s.Events[order[b]].T })
-	sorted, alive := make([]Event, 0, len(order)), make(map[int]bool)
-	for _, i := range order {
-		e := s.Events[i]
-		if e.Join == alive[e.Slot] {
-			return nil, fmt.Errorf("scenario line %d: slot %d %ss at %g while %s",
-				eventLines[i], e.Slot, action(e), e.T, map[bool]string{false: "not alive", true: "alive"}[e.Join])
+	events, lines := make([]Event, len(order)), make([]int, len(order))
+	for k, i := range order {
+		events[k], lines[k] = s.Events[i], where.events[i]
+	}
+	s.Events, where.events = events, lines
+	if err := s.check(where); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Check reports whether a session can replay the script: the pool holds
+// at least slot 0, the source's; every event's slot lies in [1, pool); no
+// measure time is past the duration; the events are listed in time
+// order, and taken in that order a slot joins only while dead and leaves
+// only while alive. Read checks every script it returns, and sim.Run
+// every script a caller hands it.
+func (s *Scenario) Check() error { return s.check(scriptLines{}) }
+
+// scriptLines holds the file lines Read parsed a script's pool, events
+// and measure times from, so a fault names its line; for a script built
+// in memory it is empty and a fault names the element's index.
+type scriptLines struct {
+	pool             int
+	events, measures []int
+}
+
+// at names element i of a script part ("event", "measure") in an error.
+func (l scriptLines) at(lines []int, part string, i int) string {
+	if lines == nil {
+		return fmt.Sprintf("scenario %s %d", part, i)
+	}
+	return fmt.Sprintf("scenario line %d", lines[i])
+}
+
+func (s *Scenario) check(l scriptLines) error {
+	if s.PoolSize < 1 {
+		where := "scenario"
+		if l.pool > 0 {
+			where = fmt.Sprintf("scenario line %d", l.pool)
+		}
+		return fmt.Errorf("%s: pool %d has no slot for the source", where, s.PoolSize)
+	}
+	for i, t := range s.MeasureTimes {
+		if t > s.DurationS {
+			return fmt.Errorf("%s: measure time %g is past the duration %g",
+				l.at(l.measures, "measure", i), t, s.DurationS)
+		}
+	}
+	alive := make(map[int]bool)
+	for i, e := range s.Events {
+		var fault string
+		switch {
+		case e.Slot < 1 || e.Slot >= s.PoolSize:
+			fault = fmt.Sprintf("slot %d is outside the pool's peer slots [1, %d)", e.Slot, s.PoolSize)
+		case i > 0 && e.T < s.Events[i-1].T:
+			fault = fmt.Sprintf("event at %g is listed after one at %g", e.T, s.Events[i-1].T)
+		case e.Join == alive[e.Slot]:
+			fault = fmt.Sprintf("slot %d %ss at %g while %s", e.Slot, action(e), e.T,
+				map[bool]string{false: "not alive", true: "alive"}[e.Join])
+		}
+		if fault != "" {
+			return fmt.Errorf("%s: %s", l.at(l.events, "event", i), fault)
 		}
 		alive[e.Slot] = e.Join
-		sorted = append(sorted, e)
 	}
-	s.Events = sorted
-	return s, nil
+	return nil
 }
 
 // action names an event's action as the script spells it.

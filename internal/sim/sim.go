@@ -147,7 +147,8 @@ type Config struct {
 	// tree.Aggregator's Handler). Ignored when StatusPeriodS is zero.
 	StatusHandler overlay.StatusHandler
 
-	// Scenario overrides the generated workload when non-nil.
+	// Scenario overrides the generated workload when non-nil. Run, like
+	// scenario.Read, refuses a script that fails scenario.Check.
 	Scenario *scenario.Scenario
 
 	// Shards selects the driver of the session: 0 (the default) runs one
@@ -327,25 +328,19 @@ type session struct {
 type scnFire struct {
 	s      *session
 	slot   int
-	memIdx int // ≥ 0: spawn the slot as this membership ordinal; else leaveMember or noMember
+	memIdx int // ≥ 0: spawn the slot as this membership ordinal; leaveMember: leave
 }
 
-const (
-	// leaveMember: the slot's current membership leaves.
-	leaveMember = -1
-	// noMember: nothing to do — a join for a live slot, a leave for a
-	// dead one or for the source. The event still fires (and counts).
-	noMember = -2
-)
+// leaveMember marks a scnFire whose slot's current membership leaves.
+const leaveMember = -1
 
 // scnFireRun applies one scheduled membership event (arg: *scnFire).
 func scnFireRun(a any) {
 	f := a.(*scnFire)
-	switch {
-	case f.memIdx >= 0:
-		f.s.spawn(f.slot, f.memIdx)
-	case f.memIdx == leaveMember:
+	if f.memIdx == leaveMember {
 		f.s.leave(f.slot)
+	} else {
+		f.s.spawn(f.slot, f.memIdx)
 	}
 }
 
@@ -359,10 +354,12 @@ type aliveSpan struct{ join, leave float64 }
 type aliveSpans [][]aliveSpan
 
 // planMemberships resolves the script into s.scnFires and returns the
-// number of memberships (the source's included). Deciding up front which
-// joins and leaves take effect gives every membership its ordinal without
-// coordination between queues. With withSpans it also returns the
-// timeline of alive spans, which only a multi-queue fabric consults.
+// number of memberships (the source's included). A caller's script
+// passed scenario.Check and a generator's is built that way, so every
+// join starts a membership and every leave ends one; numbering them up
+// front gives every membership its ordinal without coordination between
+// queues. With withSpans it also returns the timeline of alive spans,
+// which only a multi-queue fabric consults.
 func (s *session) planMemberships(withSpans bool) (int, aliveSpans) {
 	scn := s.scn
 	s.scnFires = make([]scnFire, len(scn.Events))
@@ -371,27 +368,18 @@ func (s *session) planMemberships(withSpans bool) (int, aliveSpans) {
 		spans = make(aliveSpans, scn.PoolSize)
 		spans[0] = []aliveSpan{{0, math.Inf(1)}}
 	}
-	alive := make([]bool, scn.PoolSize)
-	alive[0] = true // the source is spawned at build time
-	next := 1
+	next := 1 // the source is membership 0, spawned at build time
 	for i, ev := range scn.Events {
-		f := scnFire{s: s, slot: ev.Slot, memIdx: noMember}
+		f := scnFire{s: s, slot: ev.Slot, memIdx: leaveMember}
 		if ev.Join {
-			if !alive[ev.Slot] {
-				alive[ev.Slot] = true
-				f.memIdx = next
-				next++
-				if withSpans {
-					spans[ev.Slot] = append(spans[ev.Slot], aliveSpan{ev.T, math.Inf(1)})
-				}
-			}
-		} else if ev.Slot != 0 && alive[ev.Slot] {
-			alive[ev.Slot] = false
-			f.memIdx = leaveMember
+			f.memIdx = next
+			next++
 			if withSpans {
-				sp := spans[ev.Slot]
-				sp[len(sp)-1].leave = ev.T
+				spans[ev.Slot] = append(spans[ev.Slot], aliveSpan{ev.T, math.Inf(1)})
 			}
+		} else if withSpans {
+			sp := spans[ev.Slot]
+			sp[len(sp)-1].leave = ev.T
 		}
 		s.scnFires[i] = f
 	}
@@ -516,6 +504,11 @@ func Run(cfg Config) (*Result, error) {
 // same either way, so equal-time setup events on one queue keep their
 // relative order.
 func newSession(cfg Config, sitesPerRegion int) (*session, error) {
+	if cfg.Scenario != nil {
+		if err := cfg.Scenario.Check(); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	}
 	scn, cfg := buildScenario(cfg)
 	u, err := buildUnderlay(cfg, scn.PoolSize, sitesPerRegion)
 	if err != nil {

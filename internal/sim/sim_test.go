@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+
+	"vdm/internal/scenario"
 )
 
 // smokeConfig is a small, fast session used by several tests.
@@ -112,4 +115,33 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestRunRejectsUnreplayableScripts hands Run scripts that scenario.Read
+// would refuse: each must stop with an error before the session starts,
+// on the serial and the sharded engine alike.
+func TestRunRejectsUnreplayableScripts(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		events []scenario.Event
+		want   string
+	}{
+		{"leave of a slot that never joined", []scenario.Event{{T: 10, Join: true, Slot: 1}, {T: 20, Slot: 2}},
+			"event 1: slot 2 leaves at 20 while not alive"},
+		{"double join", []scenario.Event{{T: 10, Join: true, Slot: 1}, {T: 20, Join: true, Slot: 1}},
+			"event 1: slot 1 joins at 20 while alive"},
+		{"slot outside the pool", []scenario.Event{{T: 10, Join: true, Slot: 7}},
+			"event 0: slot 7 is outside the pool's peer slots [1, 5)"},
+		{"events out of time order", []scenario.Event{{T: 20, Join: true, Slot: 1}, {T: 10, Join: true, Slot: 2}},
+			"event 1: event at 10 is listed after one at 20"},
+	} {
+		for _, shards := range []int{0, 2} {
+			cfg := smokeConfig(VDM)
+			cfg.Shards = shards
+			cfg.Scenario = &scenario.Scenario{PoolSize: 5, Events: tc.events, DurationS: 100}
+			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %d shards: Run = %v, want an error with %q", tc.name, shards, err, tc.want)
+			}
+		}
+	}
 }

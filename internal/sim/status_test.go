@@ -64,3 +64,27 @@ func TestStatusReportingOffByDefault(t *testing.T) {
 		t.Fatalf("handler called %d times with reporting disabled", called)
 	}
 }
+
+// TestStatusReportsFollowRejoinedSlots runs the aggregator under churn,
+// where a slot that leaves and joins again reports under the same id as
+// its earlier membership: the aggregator must take the new membership's
+// reports, so its parents match the session's final tree.
+func TestStatusReportsFollowRejoinedSlots(t *testing.T) {
+	agg := tree.New(tree.Config{Source: 0, StaleAfterS: 60})
+	cfg := smokeConfig(VDM)
+	cfg.StatusPeriodS = 30
+	cfg.StatusHandler = agg.Handler()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parents := make(map[int64]int64)
+	for _, p := range agg.Snapshot().Peers {
+		parents[p.ID] = p.Parent
+	}
+	for _, e := range res.FinalTree {
+		if got := parents[int64(e.Child)]; got != int64(e.Parent) {
+			t.Errorf("node %d: aggregator parent %d, session parent %d", e.Child, got, e.Parent)
+		}
+	}
+}

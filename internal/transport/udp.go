@@ -398,7 +398,7 @@ func (t *UDP) learnRoute(id overlay.NodeID, addr *net.UDPAddr) {
 // acknowledged; data chunks go out once. A destination with no route is
 // parked briefly when a resolver is installed, otherwise the send fails.
 func (t *UDP) Send(from, to overlay.NodeID, m overlay.Message) bool {
-	if wire.IsControl(m) {
+	if overlay.IsControl(m) {
 		t.ctrs.Ctrl.Add(1)
 	} else {
 		t.ctrs.Data.Add(1)
@@ -409,7 +409,7 @@ func (t *UDP) Send(from, to overlay.NodeID, m overlay.Message) bool {
 // deliver is the routed, reliability-aware transmit path, shared by Send
 // and the parked-message flush (which must not re-count the message).
 func (t *UDP) deliver(from, to overlay.NodeID, m overlay.Message) bool {
-	ctrl := wire.IsControl(m)
+	ctrl := overlay.IsControl(m)
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -518,7 +518,7 @@ func (t *UDP) write(to overlay.NodeID, addr *net.UDPAddr, f wire.Frame, attempt 
 	t.mu.Lock()
 	filter := t.sendFilter
 	t.mu.Unlock()
-	data := f.Kind == wire.KindMsg && !wire.IsControl(f.Msg)
+	data := f.Kind == wire.KindMsg && !overlay.IsControl(f.Msg)
 	if filter != nil && filter(to, f, attempt) {
 		if data {
 			t.ctrs.DataDrops.Add(1)
@@ -673,7 +673,7 @@ func (t *UDP) dispatch(r received) {
 // handleMsg acks, dedupes and dispatches one overlay message frame.
 func (t *UDP) handleMsg(f wire.Frame, raddr *net.UDPAddr) {
 	t.learnRoute(f.From, raddr)
-	ctrl := wire.IsControl(f.Msg)
+	ctrl := overlay.IsControl(f.Msg)
 	if ctrl {
 		// Ack first, even for duplicates: the original ack may be the
 		// thing that got lost.
@@ -734,7 +734,7 @@ func (t *UDP) Close() error {
 // retransmit token), so they fall back to sequential Sends. Destinations
 // that fail the way Send would return false are appended to failed.
 func (t *UDP) SendBatch(from overlay.NodeID, tos []overlay.NodeID, m overlay.Message, failed []overlay.NodeID) []overlay.NodeID {
-	if wire.IsControl(m) {
+	if overlay.IsControl(m) {
 		for _, to := range tos {
 			if !t.Send(from, to, m) {
 				failed = append(failed, to)

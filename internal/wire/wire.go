@@ -45,10 +45,12 @@ import (
 // trace tag (one flag byte on every DataChunk, origin timestamp + hop
 // count when tagged) and the StatusReport flow-telemetry section
 // (per-child sender flow state plus uplink repair deltas); version 6
-// added the starvation watchdog's ParentCheck/ParentCheckAck exchange.
+// added the starvation watchdog's ParentCheck/ParentCheckAck exchange;
+// version 7 made the StatusReport counters totals since the peer started
+// instead of deltas since its previous report (same layout, new meaning).
 // Decoding is strict, so older-version frames are rejected rather than
 // half-understood.
-const Version = 6
+const Version = 7
 
 // headerLen is the fixed frame header size.
 const headerLen = 1 + 1 + 4 + 4 + 4 + 4
@@ -489,15 +491,15 @@ func (c *codec) message(m *overlay.Message) {
 		c.i32(&v.Free)
 		c.boolean(&v.Connected)
 		c.children(&v.Children)
-		c.i64(&v.RecvDelta)
-		c.i64(&v.FwdDelta)
-		c.i64(&v.DupDelta)
+		c.i64(&v.Received)
+		c.i64(&v.Forwarded)
+		c.i64(&v.Dups)
 		c.boolean(&v.FlowOn)
 		c.f64(&v.FlowBaseRate)
-		c.i64(&v.NacksSentDelta)
-		c.i64(&v.StallPullsDelta)
-		c.i64(&v.FECRepairsDelta)
-		c.i64(&v.SkippedDelta)
+		c.i64(&v.NacksSent)
+		c.i64(&v.StallPulls)
+		c.i64(&v.FECRepairs)
+		c.i64(&v.Skipped)
 		flows := list(c, &v.ChildFlows, MaxList, "child flows")
 		for i := range flows {
 			f := &flows[i]
@@ -506,8 +508,8 @@ func (c *codec) message(m *overlay.Message) {
 			c.i32(&f.WindowUsed)
 			c.f64(&f.RateChunksPerS)
 			c.boolean(&f.Stalled)
-			c.i64(&f.NacksDelta)
-			c.i64(&f.PushbacksDelta)
+			c.i64(&f.Nacks)
+			c.i64(&f.Pushbacks)
 		}
 		keep(c, m, &v, ok)
 	case overlay.TypeDataAck:
@@ -701,19 +703,4 @@ func DecodeDatagram(b []byte, fn func(Frame)) (n int, err error) {
 			return n, nil
 		}
 	}
-}
-
-// IsControl reports whether m travels on the reliable control path —
-// shared by the simulated network's and the transports' accounting. The
-// reliable data plane's vocabulary (chunks, parity, acks, NACKs) is all
-// best-effort: retransmitting an ack or NACK at the transport layer
-// would fight the flow layer's own repair machinery. Pushback stays on
-// the control path — it is rare, small, and losing it costs real
-// congestion response.
-func IsControl(m overlay.Message) bool {
-	switch m.(type) {
-	case overlay.DataChunk, overlay.Parity, overlay.DataAck, overlay.DataNack:
-		return false
-	}
-	return true
 }

@@ -74,16 +74,16 @@ func everyMessage() []overlay.Message {
 		overlay.StatusReport{
 			Seq: 31, Parent: 2, ParentDist: 18.5, SrcDist: 42.25,
 			Depth: 3, MaxDegree: 4, Free: 1, Connected: true,
-			Children:  []overlay.ChildInfo{{ID: 5, Dist: 7.5}, {ID: 8, Dist: 0.125}},
-			RecvDelta: 120, FwdDelta: 240, DupDelta: 3,
+			Children: []overlay.ChildInfo{{ID: 5, Dist: 7.5}, {ID: 8, Dist: 0.125}},
+			Received: 120, Forwarded: 240, Dups: 3,
 		},
 		overlay.StatusReport{
 			Seq: 32, Parent: 2, Connected: true,
 			FlowOn: true, FlowBaseRate: 2000.5,
-			NacksSentDelta: 4, StallPullsDelta: 1, FECRepairsDelta: 2, SkippedDelta: 9,
+			NacksSent: 4, StallPulls: 1, FECRepairs: 2, Skipped: 9,
 			ChildFlows: []overlay.ChildFlowStatus{
 				{ID: 5, QueueDepth: 12, WindowUsed: 48, RateChunksPerS: 1000.25,
-					Stalled: true, NacksDelta: 3, PushbacksDelta: 1},
+					Stalled: true, Nacks: 3, Pushbacks: 1},
 				{ID: 8},
 			},
 		},
@@ -262,34 +262,6 @@ func TestChunkTraceHopClamp(t *testing.T) {
 	}
 	if got := f.Msg.(overlay.DataChunk).Trace.Hops; got != 255 {
 		t.Fatalf("hops = %d, want clamped 255", got)
-	}
-}
-
-// TestIsControl pins the control/data split the transports key their
-// reliability and batching decisions on: everything new in wire v4
-// except Pushback rides the best-effort data plane.
-func TestIsControl(t *testing.T) {
-	data := []overlay.Message{
-		overlay.DataChunk{Seq: 1},
-		overlay.Parity{Group: 0, K: 2},
-		overlay.DataAck{Seq: 1},
-		overlay.DataNack{},
-	}
-	for _, m := range data {
-		if IsControl(m) {
-			t.Errorf("%T classified as control", m)
-		}
-	}
-	ctrl := []overlay.Message{
-		overlay.Pushback{Depth: 1},
-		overlay.Ping{Token: 1},
-		overlay.Detach{},
-		overlay.StatusReport{},
-	}
-	for _, m := range ctrl {
-		if !IsControl(m) {
-			t.Errorf("%T classified as data", m)
-		}
 	}
 }
 
