@@ -2,7 +2,7 @@ package flow
 
 // Cache is the retransmit store: a ring over sequence numbers holding
 // the most recent payload per slot, so a parent (or repair neighbor) can
-// serve NACKs for anything within the last RetainChunks sequences. Slots
+// serve NACKs for anything within the ring's length of sequences. Slots
 // hold references to the decoded payloads — the wire codec guarantees
 // those are private copies, so no duplication happens here. Safe only
 // within one peer's serialized flow state.
@@ -11,11 +11,8 @@ type Cache struct {
 	data [][]byte
 }
 
-// NewCache builds a cache retaining n sequence numbers (<= 0 means 4096).
+// NewCache builds a cache retaining n sequence numbers.
 func NewCache(n int) *Cache {
-	if n <= 0 {
-		n = 4096
-	}
 	c := &Cache{seqs: make([]int64, n), data: make([][]byte, n)}
 	for i := range c.seqs {
 		c.seqs[i] = -1 << 62

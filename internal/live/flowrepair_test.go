@@ -282,3 +282,62 @@ func TestClusterFlowDelivery(t *testing.T) {
 		t.Error("no acks received anywhere; flow control inactive")
 	}
 }
+
+// TestClusterStallPullHorizon pins how far back a stall pull reaches. It
+// streams with the benchmark's flow config (default StallS and TickS), so
+// a victim whose uplink dies pulls from cum+1 only after more than StallS
+// (0.25 s) of silence, the first flow tick past it. Seven peers at degree
+// 2 stream 256 B chunks on an open loop; after 1 000 chunks the stream
+// data toward a depth-2 peer is dropped and 4 000 more follow. The victim
+// must receive all of them without writing one off: a retransmit ring
+// shorter than the pull's lag leaves every pull unanswered and the victim
+// stuck. The loop runs at 2 400 chunks/s, not the benchmark's 2 000, so
+// that the lag is over 600 chunks whatever the tick's phase: at 2 000 it
+// falls between 500 and 540, and a 512-chunk ring fails only some runs.
+func TestClusterStallPullHorizon(t *testing.T) {
+	const (
+		rate    = 2400 // chunks per second
+		warm    = 1000
+		total   = 5000
+		payload = 256
+	)
+	c := bootCluster(t, ClusterConfig{N: 7, MaxDegree: 2, Flow: &flow.Config{RateChunksPerS: -1}})
+	victim := overlay.None
+	for _, p := range c.Peers[1:] {
+		if pa := p.View().ParentID(); pa != 0 && pa != overlay.None {
+			victim = p.ID()
+			break
+		}
+	}
+	if victim == overlay.None {
+		t.Fatal("no depth-2 peer in a degree-2 tree of 6 joiners")
+	}
+	vp := c.Peers[victim]
+	vParent := vp.View().ParentID()
+
+	start := time.Now()
+	emit := func(from, to int) {
+		for seq := from; seq < to; seq++ {
+			if d := time.Until(start.Add(time.Duration(seq) * time.Second / rate)); d > 0 {
+				time.Sleep(d)
+			}
+			c.Source().EmitData(overlay.DataChunk{Seq: int64(seq), Payload: make([]byte, payload)})
+		}
+	}
+	emit(0, warm)
+	c.Trs[vParent].SetSendFilter(func(to overlay.NodeID, f wire.Frame, attempt int) bool {
+		return to == victim && f.Kind == wire.KindMsg && overlay.IsStreamData(f.Msg)
+	})
+	emit(warm, total)
+	if !pollUntil(10*time.Second, func() bool { return vp.Stats().Received == total }) {
+		t.Fatalf("victim %d under %d received %d of %d with its uplink dead (flow stats %+v)",
+			victim, vParent, vp.Stats().Received, total, vp.FlowStats())
+	}
+	fs := vp.FlowStats()
+	if fs.SkippedSeqs != 0 {
+		t.Errorf("victim %d wrote off %d chunks: %+v", victim, fs.SkippedSeqs, fs)
+	}
+	if fs.StallPulls == 0 {
+		t.Errorf("victim %d never pulled from its repair path: %+v", victim, fs)
+	}
+}

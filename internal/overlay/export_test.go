@@ -31,3 +31,6 @@ func (p *AdjPool) ChunksInUse() int {
 	}
 	return n
 }
+
+// FlowRetainChunks is the retransmit ring's length in chunks.
+const FlowRetainChunks = flowRetainChunks

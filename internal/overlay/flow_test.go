@@ -81,3 +81,36 @@ func TestFlowDrainsBacklogsInIDOrder(t *testing.T) {
 		t.Fatal("two identical runs sent different traces")
 	}
 }
+
+// TestFlowRingHoldsRepairHorizon pins the retransmit ring's length on the
+// virtual clock: a flow source that has cached chunks 0…n is NACKed by its
+// child for two old chunks. Chunk n−1 023 must be served — a literal floor
+// of two sender windows, which also covers a stall pull's ≈ 540-chunk lag
+// at 2 000 chunks/s — and chunk n−FlowRetainChunks must not be, so the
+// ring is no longer than its constant says.
+func TestFlowRingHoldsRepairHorizon(t *testing.T) {
+	const n = 3 * overlay.FlowRetainChunks
+	r := protocoltest.New([]protocoltest.Point{{X: 0, Y: 0}, {X: 1, Y: 0}})
+	pc := r.PeerConfig(0, 2)
+	pc.Flow = &flow.Config{RateChunksPerS: -1, FECGroup: -1}
+	src := overlay.NewPeer(r.Net, pc)
+	r.Net.Register(0, src)
+	r.Net.Register(1, sink{})
+	src.PutChild(1, 1)
+	for seq := int64(0); seq <= n; seq++ {
+		src.EmitChunk(seq)
+	}
+	served := func(seq int64) bool {
+		before := src.FlowStats().RetransmitsServed
+		r.Net.Send(1, 0, overlay.DataNack{Ranges: []overlay.SeqRange{{Lo: seq, Hi: seq}}})
+		r.Run(r.Sim.Now() + 0.1)
+		return src.FlowStats().RetransmitsServed > before
+	}
+	if !served(n - 1023) {
+		t.Errorf("chunk %d, 1 023 behind the frontier %d, was not served", n-1023, n)
+	}
+	if old := int64(n - overlay.FlowRetainChunks); served(old) {
+		t.Errorf("chunk %d, %d behind the frontier %d, was served: the ring holds more than flowRetainChunks",
+			old, overlay.FlowRetainChunks, n)
+	}
+}

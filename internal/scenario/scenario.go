@@ -92,7 +92,11 @@ func Churn(cfg ChurnConfig, rnd *rng.Stream) *Scenario {
 			Slot: takeDead(),
 		})
 	}
-	s.MeasureTimes = append(s.MeasureTimes, cfg.JoinPhaseS)
+	// A session that ends inside its join phase is never measured at
+	// its end, and Check refuses a measure past the duration.
+	if cfg.JoinPhaseS <= cfg.DurationS {
+		s.MeasureTimes = append(s.MeasureTimes, cfg.JoinPhaseS)
+	}
 
 	for k := 0; k < intervals; k++ {
 		t0 := cfg.JoinPhaseS + float64(k)*cfg.IntervalS

@@ -119,6 +119,20 @@ func TestChurnMeasureTimesOrdered(t *testing.T) {
 	}
 }
 
+// TestChurnShorterThanJoinPhasePassesCheck: a session that ends inside its
+// join phase gets no measure at the join phase's end, so its script passes
+// Check like every other generated script.
+func TestChurnShorterThanJoinPhasePassesCheck(t *testing.T) {
+	s := Churn(ChurnConfig{Nodes: 50, ChurnPct: 5, JoinPhaseS: 200, IntervalS: 60,
+		SettleS: 20, DurationS: 120}, rng.New(7))
+	if len(s.MeasureTimes) != 0 {
+		t.Fatalf("measure times %v in a session of %g s", s.MeasureTimes, s.DurationS)
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestChurnInitialJoinsInsideJoinPhase(t *testing.T) {
 	s := churnFixture(5, 150, 5)
 	count := 0

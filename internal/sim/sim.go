@@ -148,7 +148,8 @@ type Config struct {
 	StatusHandler overlay.StatusHandler
 
 	// Scenario overrides the generated workload when non-nil. Run, like
-	// scenario.Read, refuses a script that fails scenario.Check.
+	// scenario.Read, refuses a script that fails scenario.Check, and
+	// checks a generated script the same way.
 	Scenario *scenario.Scenario
 
 	// Shards selects the driver of the session: 0 (the default) runs one
@@ -354,12 +355,12 @@ type aliveSpan struct{ join, leave float64 }
 type aliveSpans [][]aliveSpan
 
 // planMemberships resolves the script into s.scnFires and returns the
-// number of memberships (the source's included). A caller's script
-// passed scenario.Check and a generator's is built that way, so every
-// join starts a membership and every leave ends one; numbering them up
-// front gives every membership its ordinal without coordination between
-// queues. With withSpans it also returns the timeline of alive spans,
-// which only a multi-queue fabric consults.
+// number of memberships (the source's included). newSession checked
+// the script with scenario.Check, so every join starts a membership and
+// every leave ends one; numbering them up front gives every membership
+// its ordinal without coordination between queues. With withSpans it
+// also returns the timeline of alive spans, which only a multi-queue
+// fabric consults.
 func (s *session) planMemberships(withSpans bool) (int, aliveSpans) {
 	scn := s.scn
 	s.scnFires = make([]scnFire, len(scn.Events))
@@ -504,12 +505,10 @@ func Run(cfg Config) (*Result, error) {
 // same either way, so equal-time setup events on one queue keep their
 // relative order.
 func newSession(cfg Config, sitesPerRegion int) (*session, error) {
-	if cfg.Scenario != nil {
-		if err := cfg.Scenario.Check(); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-	}
 	scn, cfg := buildScenario(cfg)
+	if err := scn.Check(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	u, err := buildUnderlay(cfg, scn.PoolSize, sitesPerRegion)
 	if err != nil {
 		return nil, err
