@@ -47,22 +47,13 @@ goldens:
 	@mv results_full.txt.tmp results_full.txt
 
 # knobs counts the repo's settable values: the fields of every *Config and
-# Options struct under internal/ and in vdm.go (a line `A, B int` is two),
-# and the flags every command under cmd/ declares. One line per struct or
-# command, then the total.
+# *Options struct under internal/ and in the root package, and the flags
+# every command under cmd/ declares. One line per struct or command, then
+# the total. The table comes from the go/types walk of TestNoTestOnlyKnobs
+# (knobs_test.go), which also fails on a field that no program sets.
 knobs:
-	@awk 'function flagline(   dir) { dir = cmd; sub(/\/main\.go$$/, "", dir); \
-		printf "%-44s %3d flags\n", dir, nflags; total += nflags; nflags = 0; cmd = "" } \
-	FNR == 1 && cmd != "" { flagline() } \
-	FILENAME ~ /^cmd\// { cmd = FILENAME; \
-		if ($$0 ~ /(fs|flag)\.(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var|BoolVar|DurationVar|Float64Var|IntVar|Int64Var|StringVar|UintVar|Uint64Var)\(/) nflags++; \
-		next } \
-	/^type [A-Za-z]*(Config|Options) struct \{/ { name = FILENAME ":" $$2; n = 0; inside = 1; next } \
-	inside && /^\}/ { printf "%-44s %3d fields\n", name, n; total += n; inside = 0; next } \
-	inside && match($$0, /^\t[A-Za-z_][A-Za-z0-9_]*(, [A-Za-z_][A-Za-z0-9_]*)*[ \t]/) { \
-		names = substr($$0, 1, RLENGTH); n += gsub(/,/, "", names) + 1 } \
-	END { if (cmd != "") flagline(); printf "%-44s %3d\n", "total", total }' \
-		$$(find internal -name '*.go' ! -name '*_test.go' | sort) vdm.go cmd/*/main.go
+	@out=$$($(GO) test -count=1 -run '^TestNoTestOnlyKnobs$$' -args -knobs 2>&1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -v -e '^PASS$$' -e '^ok '
 
 # loc prints the net non-test Go line delta under internal/, cmd/ and
 # vdm.go: the working tree (untracked files included) against BASE, by

@@ -215,15 +215,17 @@ func TestCacheRing(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults checks the defaults of Config's three fields; the
+// data plane's timers (flowTickS, flowAckEvery, flowNackDelayS) are
+// constants in internal/overlay/flow.go.
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.RateChunksPerS != 8000 || c.AckEvery != 16 || c.TickS != 0.02 ||
-		c.FECGroup != 16 || c.NackDelayS != 0.03 || c.StallS != 0.25 {
+	if c.RateChunksPerS != 8000 || c.FECGroup != 16 || c.StallS != 0.25 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	// Explicit values survive; FECGroup clamps at 64.
-	c = Config{FECGroup: 100, AckEvery: 7}.WithDefaults()
-	if c.FECGroup != 64 || c.AckEvery != 7 {
+	c = Config{FECGroup: 100, RateChunksPerS: -1}.WithDefaults()
+	if c.FECGroup != 64 || c.RateChunksPerS != -1 {
 		t.Fatalf("override defaults: %+v", c)
 	}
 }

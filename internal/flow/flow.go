@@ -15,27 +15,19 @@ package flow
 // Config tunes the reliable data plane. The zero value of every field
 // selects the default noted on it, so `&flow.Config{}` enables the
 // subsystem with stock behavior and a nil config disables it entirely.
-// The data plane's other sizes and thresholds are constants beside their
-// one user, internal/overlay/flow.go.
+// The data plane's timers (the flow tick, the ack cadence, the NACK
+// delay), sizes and thresholds are constants beside their one user,
+// internal/overlay/flow.go.
 type Config struct {
 	// RateChunksPerS is the per-child token-bucket pacing rate in chunks
 	// per second. 0 means 8000. Negative means unlimited (window and
 	// pushback still apply; only pacing is off).
 	RateChunksPerS float64
-	// AckEvery is how many fresh chunks a receiver accepts before acking
-	// its parent (the flow tick also flushes pending acks). 0 means 16.
-	AckEvery int
-	// TickS is the flow timer period in seconds — the cadence of queue
-	// draining, ack flushing, NACK scans and rate recovery. 0 means 0.02.
-	TickS float64
 	// FECGroup is k, the parity group size: one XOR parity chunk is
 	// emitted by the source after every k data chunks, letting receivers
 	// repair any single loss per group without a retransmit. 0 means 16;
 	// negative disables FEC. Clamped to 64.
 	FECGroup int
-	// NackDelayS is how long a gap must stay open before the first NACK,
-	// absorbing plain reordering. 0 means 0.03.
-	NackDelayS float64
 	// StallS is how long a connected, previously-flowing peer tolerates
 	// total silence from upstream before it starts pulling the stream
 	// from its repair neighbor — the dead-uplink escape hatch. 0 means
@@ -48,20 +40,11 @@ func (c Config) WithDefaults() Config {
 	if c.RateChunksPerS == 0 {
 		c.RateChunksPerS = 8000
 	}
-	if c.AckEvery == 0 {
-		c.AckEvery = 16
-	}
-	if c.TickS == 0 {
-		c.TickS = 0.02
-	}
 	if c.FECGroup == 0 {
 		c.FECGroup = 16
 	}
 	if c.FECGroup > 64 {
 		c.FECGroup = 64
-	}
-	if c.NackDelayS == 0 {
-		c.NackDelayS = 0.03
 	}
 	if c.StallS == 0 {
 		c.StallS = 0.25

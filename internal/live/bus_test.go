@@ -176,7 +176,6 @@ func TestBusAfterArgContract(t *testing.T) {
 // join_timeout for the source, a full timeout after the query. An
 // unfenced stale timer would report it sooner, and restart the attempt.
 func TestLiveStaleJoinTimerFenced(t *testing.T) {
-	const infoTimeoutS = 0.3
 	trSrc, trJoin, trHint := newUDP(t), newUDP(t), newUDP(t)
 	for id, tr := range map[overlay.NodeID]*transport.UDP{0: trSrc, 2: trHint} {
 		if err := trJoin.SetRoute(id, tr.LocalAddr()); err != nil {
@@ -200,7 +199,7 @@ func TestLiveStaleJoinTimerFenced(t *testing.T) {
 		}
 	})
 	joiner := NewPeer(trJoin, epoch, func(b overlay.Bus) overlay.Protocol {
-		n := core.New(b, overlay.PeerConfig{ID: 1, Source: 0, MaxDegree: 2, InfoTimeoutS: infoTimeoutS}, core.Config{}, nil)
+		n := core.New(b, overlay.PeerConfig{ID: 1, Source: 0, MaxDegree: 2}, core.Config{}, nil)
 		n.SetTracer(obs.NewTracer(sink, "vdm", 1, b.Now))
 		return n
 	})
@@ -233,7 +232,7 @@ func TestLiveStaleJoinTimerFenced(t *testing.T) {
 
 	// The reconnect's query to the source, and the timeouts reported for
 	// the source. Timers never fire early, so the query's own timeout
-	// comes a full InfoTimeoutS after it; the hint query's stale timer
+	// comes a full overlay.InfoTimeoutS after it; the hint query's stale timer
 	// fires 50 ms sooner than that.
 	var queried float64 = -1
 	var timeouts []float64
@@ -251,7 +250,7 @@ func TestLiveStaleJoinTimerFenced(t *testing.T) {
 	if queried < 0 || len(timeouts) != 1 {
 		t.Fatalf("reconnect queried the source at t=%v and reported timeouts for it at %v, want one of each", queried, timeouts)
 	}
-	if timeouts[0] < queried+infoTimeoutS {
+	if timeouts[0] < queried+overlay.InfoTimeoutS {
 		t.Fatalf("join_timeout for the source at t=%.6f, %.6f s after the query it is for: a stale timer got through",
 			timeouts[0], timeouts[0]-queried)
 	}

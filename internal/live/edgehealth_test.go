@@ -27,14 +27,7 @@ func TestClusterEdgeHealthLocatesLossyLink(t *testing.T) {
 		nPeers = 17
 		sample = 4
 	)
-	fcfg := &flow.Config{
-		RateChunksPerS: 20000,
-		TickS:          0.01,
-		StallS:         0.5,
-		NackDelayS:     0.02,
-		AckEvery:       4,
-		FECGroup:       8,
-	}
+	fcfg := &flow.Config{RateChunksPerS: 20000, FECGroup: 8}
 	// A short recency window so a transient NACK elsewhere (scheduling
 	// jitter, startup reordering) ages out instead of polluting the
 	// verdict for the whole run.

@@ -23,15 +23,9 @@ func pollUntil(timeout time.Duration, cond func() bool) bool {
 }
 
 // linkKillFlow is the reliable data plane both link-kill tests stream
-// with: a stall detector fast enough to trip within the test's stream.
-var linkKillFlow = &flow.Config{
-	RateChunksPerS: 20000,
-	TickS:          0.01,
-	StallS:         0.05,
-	NackDelayS:     0.01,
-	AckEvery:       4,
-	FECGroup:       8,
-}
+// with, at the shipped timers: the victim detects its dead uplink after
+// the default StallS.
+var linkKillFlow = &flow.Config{RateChunksPerS: 20000, FECGroup: 8}
 
 // TestClusterLinkKillRepair is the reliability acceptance test: a
 // degree-1 chain 0→a→b→c streams with flow control and FEC on, then the
@@ -184,13 +178,7 @@ func killLinkAndRepair(t *testing.T, c *Cluster, victim overlay.NodeID, warmed f
 // NACK-driven retransmission. The benchmark's loss is per frame, so it
 // never produces this burst.
 func TestClusterBurstLossRepairedByNack(t *testing.T) {
-	fcfg := &flow.Config{
-		RateChunksPerS: 20000,
-		TickS:          0.01,
-		NackDelayS:     0.01,
-		AckEvery:       4,
-		FECGroup:       8,
-	}
+	fcfg := &flow.Config{RateChunksPerS: 20000, FECGroup: 8}
 	const (
 		nChunks = 48
 		burstLo = 16 // the first seq of an FEC group of 8
@@ -250,12 +238,7 @@ func TestClusterBurstLossRepairedByNack(t *testing.T) {
 // reliable data plane enabled: a paced, FEC-protected stream must still
 // deliver everything exactly once on an intact tree.
 func TestClusterFlowDelivery(t *testing.T) {
-	fcfg := &flow.Config{
-		RateChunksPerS: 20000,
-		TickS:          0.01,
-		AckEvery:       4,
-		FECGroup:       8,
-	}
+	fcfg := &flow.Config{RateChunksPerS: 20000, FECGroup: 8}
 	const (
 		nPeers  = 12
 		nChunks = 40
@@ -284,8 +267,8 @@ func TestClusterFlowDelivery(t *testing.T) {
 }
 
 // TestClusterStallPullHorizon pins how far back a stall pull reaches. It
-// streams with the benchmark's flow config (default StallS and TickS), so
-// a victim whose uplink dies pulls from cum+1 only after more than StallS
+// streams with the benchmark's flow config (the default StallS), so a
+// victim whose uplink dies pulls from cum+1 only after more than StallS
 // (0.25 s) of silence, the first flow tick past it. Seven peers at degree
 // 2 stream 256 B chunks on an open loop; after 1 000 chunks the stream
 // data toward a depth-2 peer is dropped and 4 000 more follow. The victim

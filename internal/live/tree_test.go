@@ -151,14 +151,7 @@ func TestClusterLostReportsLoseNoCounts(t *testing.T) {
 		// StallS outlasts the test: a parent that falls silent when the
 		// stream ends would otherwise draw stall pulls every tick, and
 		// the counters would never settle.
-		Flow: &flow.Config{
-			RateChunksPerS: 20000,
-			TickS:          0.01,
-			StallS:         60,
-			NackDelayS:     0.02,
-			AckEvery:       4,
-			FECGroup:       8,
-		},
+		Flow:         &flow.Config{RateChunksPerS: 20000, FECGroup: 8, StallS: 60},
 		StatusPeriod: 50 * time.Millisecond,
 		StatusHandler: func(at float64, from overlay.NodeID, r overlay.StatusReport) {
 			mu.Lock()
@@ -176,8 +169,13 @@ func TestClusterLostReportsLoseNoCounts(t *testing.T) {
 		},
 	})
 
-	// Lose every third stream-data frame on a depth-2 leaf's uplink, so
-	// NACK, FEC and retransmit counters move on one edge.
+	// Lose every third stream-data frame sent to a depth-2 leaf, so NACK,
+	// FEC and retransmit counters move around one peer. Every peer's
+	// socket drops them, not only the parent's: a splice still in flight
+	// when the cluster reports connected can move the leaf under a new
+	// parent after it is picked (seen in 1 of 120 boots of this cluster
+	// under -race), and a filter on the old parent alone then drops
+	// nothing.
 	victim, parent := overlay.None, overlay.None
 	hasChild := map[overlay.NodeID]bool{}
 	for _, v := range c.Views() {
@@ -193,10 +191,12 @@ func TestClusterLostReportsLoseNoCounts(t *testing.T) {
 		t.Fatal("no depth-2 leaf in a degree-2 tree of 9 peers")
 	}
 	var frames atomic.Int64
-	c.Trs[parent].SetSendFilter(func(to overlay.NodeID, f wire.Frame, attempt int) bool {
-		return to == victim && f.Kind == wire.KindMsg && overlay.IsStreamData(f.Msg) &&
-			frames.Add(1)%3 == 0
-	})
+	for _, tr := range c.Trs {
+		tr.SetSendFilter(func(to overlay.NodeID, f wire.Frame, attempt int) bool {
+			return to == victim && f.Kind == wire.KindMsg && overlay.IsStreamData(f.Msg) &&
+				frames.Add(1)%3 == 0
+		})
+	}
 	if err := c.Stream(400, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -254,6 +254,7 @@ func TestClusterLostReportsLoseNoCounts(t *testing.T) {
 	n := dropped
 	mu.Unlock()
 	if fs := c.Peers[victim].FlowStats(); fs.NacksSent == 0 || n < nPeers {
-		t.Fatalf("nothing exercised: victim %d sent %d NACKs, %d reports dropped", victim, fs.NacksSent, n)
+		t.Fatalf("nothing exercised: victim %d (parent %d when picked, %d now) sent %d NACKs, %d reports dropped",
+			victim, parent, c.Peers[victim].View().ParentID(), fs.NacksSent, n)
 	}
 }

@@ -430,7 +430,7 @@ func (d *Descent) Info(to NodeID) {
 	d.enter(descentInfo)
 	d.trace(WalkEvent{Kind: WalkInfo, Target: to, Step: len(w.visited), Detail: w.kind.String()})
 	d.Net().Send(d.ID(), to, InfoRequest{Token: d.token, JoinID: d.curJoin})
-	d.arm(d.InfoTimeoutS)
+	d.arm(InfoTimeoutS)
 }
 
 // Conn asks to to adopt the node as a child.

@@ -17,8 +17,8 @@ import (
 //     on acks and flow ticks (drop-oldest beyond flowQueueCap; a dropped
 //     chunk stays NACK-recoverable).
 //   - receiving: a second window tracks the cumulative-ack point and the
-//     missing ranges above it; acks flow to the parent every AckEvery
-//     chunks, NACKs go to the parent after NackDelayS and to the repair
+//     missing ranges above it; acks flow to the parent every flowAckEvery
+//     chunks, NACKs go to the parent after flowNackDelayS and to the repair
 //     neighbor after flowNackRetries attempts.
 //   - repair: the source emits one XOR parity per FECGroup chunks so a
 //     single loss per group heals locally; a retransmit cache serves
@@ -33,9 +33,19 @@ import (
 // All methods run on the peer's serialized execution context; only the
 // stat counters are read cross-goroutine (metrics collectors) and are
 // therefore atomic.
-// The reliable data plane's fixed sizes and thresholds; the tunables vdmd's
-// flags and the wall-clock tests set are in flow.Config.
+// The reliable data plane's timers, sizes and thresholds. What vdmd's
+// flags set (the pacing rate and the FEC group) and the stall timeout are
+// in flow.Config.
 const (
+	// flowTickS is the flow timer period in seconds — the cadence of
+	// queue draining, ack flushing, NACK scans and rate recovery.
+	flowTickS = 0.02
+	// flowAckEvery is how many fresh chunks a receiver accepts before
+	// acking its parent (the flow tick also flushes pending acks).
+	flowAckEvery = 16
+	// flowNackDelayS is how long a gap must stay open before the first
+	// NACK, absorbing plain reordering.
+	flowNackDelayS = 0.03
 	// flowBurst is the token-bucket depth in chunks — how far a quiet
 	// child may exceed the pacing rate momentarily.
 	flowBurst = 64
@@ -54,7 +64,7 @@ const (
 	//   - a gap NACK asks only for sequences above the child's cumulative
 	//     ack, and the parent sends nothing past that ack plus flowWindow,
 	//     so the ring holds flowWindow plus the ack's lag;
-	//   - a stall pull asks from the puller's cum+1 after StallS + TickS
+	//   - a stall pull asks from the puller's cum+1 after StallS + flowTickS
 	//     of silence (0.27 s at the defaults), ≈ 540 chunks behind its
 	//     target's frontier at 2 000 chunks/s.
 	// Twice flowWindow holds a full window plus a window of ack lag, and
@@ -242,7 +252,7 @@ func newFlowState(p *Peer, cfg flow.Config) *flowState {
 }
 
 func (f *flowState) tickLater() {
-	f.p.net.AfterArg(f.cfg.TickS, flowTick, f)
+	f.p.net.AfterArg(flowTickS, flowTick, f)
 }
 
 // flowTick is the flow timer callback (arg: *flowState).
@@ -435,7 +445,7 @@ func (f *flowState) recoverRates() {
 	if base <= 0 {
 		return
 	}
-	step := base * f.cfg.TickS / flowRecoverS
+	step := base * flowTickS / flowRecoverS
 	for _, cf := range f.children {
 		if r := cf.bucket.Rate(); r > 0 && r < base {
 			r += step
@@ -510,7 +520,7 @@ func (f *flowState) onChunk(m DataChunk) {
 	delete(f.nacks, m.Seq)
 	f.cache.Put(m.Seq, m.Payload)
 	f.sinceAck++
-	if f.sinceAck >= f.cfg.AckEvery {
+	if f.sinceAck >= flowAckEvery {
 		if cum, ok := f.tracker.CumAck(); ok {
 			f.sendAck(cum)
 		}
@@ -649,7 +659,7 @@ func (f *flowState) scanNacks(now float64) {
 		for seq := r.Lo; seq <= r.Hi && budget > 0; seq++ {
 			ns := f.nacks[seq]
 			if ns == nil {
-				f.nacks[seq] = &nackState{nextAt: now + f.cfg.NackDelayS}
+				f.nacks[seq] = &nackState{nextAt: now + flowNackDelayS}
 				continue
 			}
 			if now < ns.nextAt {
@@ -661,7 +671,7 @@ func (f *flowState) scanNacks(now float64) {
 			if backoff > 5 {
 				backoff = 5
 			}
-			ns.nextAt = now + f.cfg.NackDelayS*float64(int64(1)<<uint(backoff))
+			ns.nextAt = now + flowNackDelayS*float64(int64(1)<<uint(backoff))
 			if ns.attempts > flowNackGiveUp {
 				f.tracker.Add(seq)
 				delete(f.nacks, seq)
@@ -709,7 +719,7 @@ func (f *flowState) stallPull(now float64) {
 	if p.isSource || !p.connected || p.parent == None || f.lastParentAt == 0 {
 		return
 	}
-	if now-f.lastParentAt <= f.cfg.StallS || now-f.lastPullAt < f.cfg.TickS {
+	if now-f.lastParentAt <= f.cfg.StallS || now-f.lastPullAt < flowTickS {
 		return
 	}
 	tgt := f.repairTarget()
@@ -753,7 +763,7 @@ func (f *flowState) pushback(now float64) {
 	if p.parent == None || !p.connected {
 		return
 	}
-	if now-f.lastPushAt < 2*f.cfg.TickS {
+	if now-f.lastPushAt < 2*flowTickS {
 		return
 	}
 	depth := 0

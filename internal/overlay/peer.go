@@ -49,9 +49,6 @@ type PeerConfig struct {
 	// Metric computes probe distances; nil means "measured RTT", i.e.
 	// the delay virtual distance of VDM-D.
 	Metric vdist.Metric
-	// InfoTimeoutS is the InfoRequest timeout in seconds; zero selects
-	// DefaultInfoTimeoutS.
-	InfoTimeoutS float64
 	// Flow enables the reliable data plane (pacing, ack-clocked windows,
 	// FEC parity, NACK retransmit, repair neighbor, pushback) with the
 	// given tuning; see internal/flow. Nil keeps the historical
@@ -69,9 +66,9 @@ type PeerConfig struct {
 // Protocol timeouts (seconds of virtual time). Wide-area RTTs stay well
 // under a second, so two seconds cleanly separates "slow" from "departed".
 const (
-	DefaultInfoTimeoutS = 2.0
-	ProbeTimeoutS       = 2.0
-	ConnTimeoutS        = 2.0
+	InfoTimeoutS  = 2.0
+	ProbeTimeoutS = 2.0
+	ConnTimeoutS  = 2.0
 )
 
 // Stats accumulates the per-peer observations behind the user-facing
@@ -121,8 +118,6 @@ type Peer struct {
 	connected bool
 	switching bool
 	alive     bool
-
-	InfoTimeoutS float64
 
 	prober *Prober
 	// window dedupes chunks; it lives in the peer and, like the rest of
@@ -203,23 +198,19 @@ func NewPeer(net Bus, cfg PeerConfig) *Peer {
 		winSlots = flow.DefaultWindowBits
 	}
 	p := &Peer{
-		id:           cfg.ID,
-		source:       cfg.Source,
-		net:          net,
-		maxDegree:    cfg.MaxDegree,
-		isSource:     cfg.IsSource,
-		metric:       cfg.Metric,
-		parent:       None,
-		connected:    cfg.IsSource,
-		alive:        true,
-		InfoTimeoutS: cfg.InfoTimeoutS,
-		stats:        Stats{Startup: -1, orphanedAt: -1, LeftAt: -1},
-		pool:         net.AdjPool(),
+		id:        cfg.ID,
+		source:    cfg.Source,
+		net:       net,
+		maxDegree: cfg.MaxDegree,
+		isSource:  cfg.IsSource,
+		metric:    cfg.Metric,
+		parent:    None,
+		connected: cfg.IsSource,
+		alive:     true,
+		stats:     Stats{Startup: -1, orphanedAt: -1, LeftAt: -1},
+		pool:      net.AdjPool(),
 	}
 	p.window.Init(winSlots, flow.DefaultBackfill)
-	if p.InfoTimeoutS <= 0 {
-		p.InfoTimeoutS = DefaultInfoTimeoutS
-	}
 	p.prober = newProber(p)
 	if cfg.Flow != nil {
 		p.flow = newFlowState(p, *cfg.Flow)

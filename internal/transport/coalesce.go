@@ -209,31 +209,33 @@ func (c *coalescer) shutdown() {
 
 // writePackets transmits one flush's datagrams, which carry frames
 // frames: up to maxBatch datagrams per sendmmsg when the mmsg engine is
-// active, else one write syscall per datagram.
+// active, else one write syscall per datagram. The portable path counts
+// its syscalls with the datagrams and frames, before the writes, so a
+// reader that sees a flush's frames arrive sees all three counts.
 func (t *UDP) writePackets(pkts []outPkt, frames int) {
 	t.dp.sentDatagrams.Add(int64(len(pkts)))
 	t.dp.sentFrames.Add(int64(frames))
-	calls := 0
 	if t.mmsg == nil {
+		t.dp.sendSyscalls.Add(int64(len(pkts)))
 		for _, p := range pkts {
 			t.conn.WriteToUDP(p.buf.b, p.addr)
 		}
-		calls = len(pkts)
-	} else {
-		for len(pkts) > 0 {
-			n := min(len(pkts), maxBatch)
-			k, err := t.mmsg.writeBatch(pkts[:n])
-			calls += k
-			if err != nil {
-				break // socket closed mid-flush; frames are best-effort
-			}
-			sent := 0
-			for _, p := range pkts[:n] {
-				sent += p.frames
-			}
-			t.dp.noteBatch(int64(sent))
-			pkts = pkts[n:]
+		return
+	}
+	calls := 0
+	for len(pkts) > 0 {
+		n := min(len(pkts), maxBatch)
+		k, err := t.mmsg.writeBatch(pkts[:n])
+		calls += k
+		if err != nil {
+			break // socket closed mid-flush; frames are best-effort
 		}
+		sent := 0
+		for _, p := range pkts[:n] {
+			sent += p.frames
+		}
+		t.dp.noteBatch(int64(sent))
+		pkts = pkts[n:]
 	}
 	t.dp.sendSyscalls.Add(int64(calls))
 }

@@ -35,7 +35,7 @@ func setFlushInterval(u *UDP, d time.Duration) {
 // at most maxBatch frames plus one per sender — and every frame arrives,
 // each sender's in order, with none dropped.
 func TestUDPQueueBoundedWithoutEviction(t *testing.T) {
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	setFlushInterval(a, time.Hour)
 	var c collector
 	b.Register(2, c.handler())

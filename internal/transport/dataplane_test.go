@@ -20,7 +20,7 @@ func TestUDPBatchedDataDelivery(t *testing.T) {
 	// A long flush interval keeps the test deterministic: only the
 	// maxBatch threshold flushes mid-burst, plus one trailing timer
 	// flush for the remainder.
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	setFlushInterval(a, 50*time.Millisecond)
 	var c collector
 	b.Register(2, c.handler())
@@ -81,7 +81,7 @@ func TestUDPBatchedDataDelivery(t *testing.T) {
 // for every subsequent datagram. The codec guarantees this by copying
 // payloads out of the read buffer at decode time.
 func TestUDPPayloadStableAcrossReads(t *testing.T) {
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	var c collector
 	b.Register(2, c.handler())
 	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
@@ -117,7 +117,7 @@ func TestUDPPayloadStableAcrossReads(t *testing.T) {
 // one SendBatch call reaches every routed destination and reports the
 // unroutable one, with exactly one encode on the books.
 func TestUDPSendBatchFanout(t *testing.T) {
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	c3, err := NewUDP("127.0.0.1:0", UDPConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestTransportDropAndFanoutParity(t *testing.T) {
 	}
 
 	t.Run("udp", func(t *testing.T) {
-		a, b := newUDPPair(t, UDPConfig{})
+		a, b := newUDPPair(t)
 		setFlushInterval(a, 80*time.Millisecond) // the burst is under maxBatch: no threshold flush
 		var c2, c3 collector
 		b.Register(2, c2.handler())
@@ -234,7 +234,7 @@ func TestTransportDropAndFanoutParity(t *testing.T) {
 // which carry the repair signal itself, skip the coalescer: sent after
 // chunks that are still queued, they arrive first.
 func TestTransportAckNackNeverEvicted(t *testing.T) {
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	setFlushInterval(a, time.Hour)
 	var c collector
 	b.Register(2, c.handler())
@@ -277,7 +277,7 @@ func TestTransportAckNackNeverEvicted(t *testing.T) {
 // destination and checks it receives exactly the order of the equivalent
 // sequential sends.
 func TestUDPSendBatchOrdering(t *testing.T) {
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	var c collector
 	b.Register(2, c.handler())
 	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
@@ -303,7 +303,7 @@ func TestUDPSendBatchOrdering(t *testing.T) {
 // control message still arrives immediately, while a data chunk sits in
 // the queue.
 func TestUDPControlBypassesCoalescer(t *testing.T) {
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	setFlushInterval(a, time.Hour)
 	var c collector
 	b.Register(2, c.handler())
@@ -383,7 +383,7 @@ func TestUDPPortableFallback(t *testing.T) {
 	newMmsg = func(*net.UDPConn) *mmsgIO { return nil }
 	t.Cleanup(func() { newMmsg = newMmsgIO })
 
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	if a.mmsg != nil || b.mmsg != nil {
 		t.Fatal("mmsg engine active though stubbed out")
 	}
@@ -435,7 +435,7 @@ func TestUDPMaxSizeFrames(t *testing.T) {
 }
 
 func testMaxSizeFrames(t *testing.T) {
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	var c collector
 	collect := c.handler()
 	held, release := make(chan struct{}), make(chan struct{})
@@ -687,7 +687,7 @@ func TestUDPMalformedFrameInDatagram(t *testing.T) {
 }
 
 func testMalformedFrameInDatagram(t *testing.T) {
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	var c collector
 	b.Register(2, c.handler())
 	good := func(seq int64) []byte {

@@ -52,14 +52,21 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 	return cond()
 }
 
-func newUDPPair(t *testing.T, cfg UDPConfig) (*UDP, *UDP) {
+// retryDelays is the sum of the first n retransmit delays: the time from
+// a control frame's first transmission to its nth retransmission, or,
+// for n = retryAttempts, to the sender giving it up.
+func retryDelays(n int) time.Duration {
+	return retryBase * (1<<n - 1)
+}
+
+func newUDPPair(t *testing.T) (*UDP, *UDP) {
 	t.Helper()
-	a, err := NewUDP("127.0.0.1:0", cfg)
+	a, err := NewUDP("127.0.0.1:0", UDPConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close() })
-	b, err := NewUDP("127.0.0.1:0", cfg)
+	b, err := NewUDP("127.0.0.1:0", UDPConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +75,7 @@ func newUDPPair(t *testing.T, cfg UDPConfig) (*UDP, *UDP) {
 }
 
 func TestUDPBasicDelivery(t *testing.T) {
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	var c collector
 	b.Register(2, c.handler())
 	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
@@ -101,8 +108,7 @@ func TestUDPBasicDelivery(t *testing.T) {
 // budget, exactly once (dedupe), while data chunks stay best-effort.
 func TestUDPControlRetry(t *testing.T) {
 	const k = 3
-	cfg := UDPConfig{RetryBase: 10 * time.Millisecond, RetryAttempts: 6}
-	a, b := newUDPPair(t, cfg)
+	a, b := newUDPPair(t)
 	var c collector
 	b.Register(2, c.handler())
 	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
@@ -125,13 +131,16 @@ func TestUDPControlRetry(t *testing.T) {
 	if !a.Send(1, 2, overlay.ConnRequest{Token: 55, Dist: 3.5}) {
 		t.Fatal("send failed")
 	}
-	// Backoff budget for k dropped attempts: 10+20+40 ms ≈ 70 ms; give a
-	// generous ceiling well under the protocol's 2 s conn timeout.
+	// The kth retransmission goes out after the backoff budget for k
+	// dropped attempts, 50+100+200 ms = 350 ms; 150 ms of margin keeps
+	// the ceiling well before the next retransmission (at 750 ms) and
+	// under the protocol's 2 s conn timeout.
+	budget := retryDelays(k)
 	if !waitFor(t, time.Second, func() bool { return c.count() == 1 }) {
 		t.Fatalf("control message not delivered after %v and %d sends", time.Since(start), sends)
 	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("delivery took %v, beyond the backoff budget", elapsed)
+	if elapsed := time.Since(start); elapsed > budget+150*time.Millisecond {
+		t.Fatalf("delivery took %v, beyond the backoff budget of %v", elapsed, budget)
 	}
 	got := c.snapshot()[0].(overlay.ConnRequest)
 	if got.Token != 55 || got.Dist != 3.5 {
@@ -153,8 +162,7 @@ func TestUDPControlRetry(t *testing.T) {
 // one DataDrop, and a send to an unroutable destination fails and counts
 // Undeliver. Lost sends still report true, as overlay.Network.Send does.
 func TestUDPControlRetryExhaustion(t *testing.T) {
-	cfg := UDPConfig{RetryBase: 5 * time.Millisecond, RetryAttempts: 4}
-	a, b := newUDPPair(t, cfg)
+	a, b := newUDPPair(t)
 	var c collector
 	b.Register(2, c.handler())
 	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
@@ -176,7 +184,9 @@ func TestUDPControlRetryExhaustion(t *testing.T) {
 	if !a.Send(1, 2, overlay.Ping{Token: 2}) {
 		t.Fatal("dropped ctrl send should still report true")
 	}
-	if !waitFor(t, 2*time.Second, func() bool { return a.Counters().CtrlDrops.Load() == 1 }) {
+	// The sender gives the ping up after the whole retransmit schedule
+	// (3.15 s); a second of margin absorbs late timers under -race.
+	if !waitFor(t, retryDelays(retryAttempts)+time.Second, func() bool { return a.Counters().CtrlDrops.Load() == 1 }) {
 		t.Fatalf("ctrl drops = %d, want 1", a.Counters().CtrlDrops.Load())
 	}
 	if got := a.Counters().DataDrops.Load(); got != 1 {
@@ -190,7 +200,7 @@ func TestUDPControlRetryExhaustion(t *testing.T) {
 // TestUDPAddressResolution parks a send to an unknown node, resolves it
 // through the ResolveFn hook, and checks the parked message flushes.
 func TestUDPAddressResolution(t *testing.T) {
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	var c collector
 	b.Register(5, c.handler())
 
@@ -222,7 +232,7 @@ func TestUDPAddressResolution(t *testing.T) {
 // TestUDPMalformedDatagram sends garbage at the socket and checks the
 // transport survives and keeps working.
 func TestUDPMalformedDatagram(t *testing.T) {
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	var c collector
 	b.Register(2, c.handler())
 	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
@@ -254,8 +264,7 @@ func TestUDPMalformedDatagram(t *testing.T) {
 // on the sender, one ack received, and matching trace events.
 func TestUDPStatsRetransmitsAndAcks(t *testing.T) {
 	const k = 2
-	cfg := UDPConfig{RetryBase: 10 * time.Millisecond, RetryAttempts: 6}
-	a, b := newUDPPair(t, cfg)
+	a, b := newUDPPair(t)
 	var c collector
 	b.Register(2, c.handler())
 	if err := a.SetRoute(2, b.LocalAddr()); err != nil {
@@ -304,7 +313,7 @@ func TestUDPStatsRetransmitsAndAcks(t *testing.T) {
 // receiver's socket and checks the duplicate is counted, traced, and not
 // delivered twice.
 func TestUDPStatsDedupeDrops(t *testing.T) {
-	a, b := newUDPPair(t, UDPConfig{})
+	a, b := newUDPPair(t)
 	var c collector
 	b.Register(2, c.handler())
 

@@ -12,14 +12,15 @@ import (
 	"vdm/internal/wire"
 )
 
-// UDP transport defaults.
+// UDP transport timing and sizes.
 const (
-	// DefaultRetryBase is the first control-retransmit delay; each retry
-	// doubles it.
-	DefaultRetryBase = 50 * time.Millisecond
-	// DefaultRetryAttempts is the total number of transmissions of one
-	// control message before it is declared lost.
-	DefaultRetryAttempts = 6
+	// retryBase is the first control-retransmit delay; each retry doubles
+	// it.
+	retryBase = 50 * time.Millisecond
+	// retryAttempts is the total number of transmissions of one control
+	// message; it is declared lost retryBase × (2^retryAttempts − 1) =
+	// 3.15 s after the first.
+	retryAttempts = 6
 	// dedupeWindow is how many recent control seqs are remembered per
 	// sender to suppress retransmitted duplicates.
 	dedupeWindow = 512
@@ -32,25 +33,9 @@ const (
 	resolveTTL = 3 * time.Second
 )
 
-// UDPConfig tunes a UDP transport.
-type UDPConfig struct {
-	// RetryBase is the initial control-retransmit delay (doubles each
-	// attempt); zero selects DefaultRetryBase.
-	RetryBase time.Duration
-	// RetryAttempts is the total transmissions of one control message
-	// before giving up; zero selects DefaultRetryAttempts.
-	RetryAttempts int
-}
-
-func (c UDPConfig) withDefaults() UDPConfig {
-	if c.RetryBase <= 0 {
-		c.RetryBase = DefaultRetryBase
-	}
-	if c.RetryAttempts <= 0 {
-		c.RetryAttempts = DefaultRetryAttempts
-	}
-	return c
-}
+// UDPConfig configures a UDP transport. It has no fields: the retransmit
+// schedule is the constants retryBase and retryAttempts.
+type UDPConfig struct{}
 
 // UDP is the real-socket transport. One UDP socket carries any number of
 // local peers; remote peers are reached through a node-id → address route
@@ -65,7 +50,6 @@ func (c UDPConfig) withDefaults() UDPConfig {
 // ack arrives or the attempt budget is spent; receivers acknowledge and
 // dedupe by token. Data chunks are sent once, best effort.
 type UDP struct {
-	cfg  UDPConfig
 	conn *net.UDPConn
 
 	mu       sync.Mutex
@@ -267,8 +251,8 @@ type parkedItem struct {
 // sender, as a set over values plus an eviction ring — membership is by
 // value, not by ordered horizon, so the tracker is indifferent to the
 // uint32 seq counter wrapping past ^uint32(0). The window only needs to
-// outlast one frame's retransmit schedule (RetryAttempts doublings of
-// RetryBase, ~1.6s at the defaults): 512 entries covers that with a wide
+// outlast one frame's retransmit schedule (the last retry goes out
+// ~1.6 s after the first transmission): 512 entries covers that with a wide
 // margin even at data-plane control rates, while staying small enough to
 // keep per-sender.
 type dedupe struct {
@@ -312,8 +296,9 @@ var newMmsg = newMmsgIO
 const socketBuffer = 4 << 20
 
 // NewUDP opens a UDP socket on listenAddr (e.g. "127.0.0.1:9000" or
-// ":9000") and starts the receive loop.
-func NewUDP(listenAddr string, cfg UDPConfig) (*UDP, error) {
+// ":9000") and starts the receive loop. The UDPConfig argument is empty;
+// it stays because the benchmark module's callers pass it.
+func NewUDP(listenAddr string, _ UDPConfig) (*UDP, error) {
 	laddr, err := net.ResolveUDPAddr("udp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolve %q: %w", listenAddr, err)
@@ -327,7 +312,6 @@ func NewUDP(listenAddr string, cfg UDPConfig) (*UDP, error) {
 	_ = conn.SetReadBuffer(socketBuffer)
 	_ = conn.SetWriteBuffer(socketBuffer)
 	t := &UDP{
-		cfg:      cfg.withDefaults(),
 		conn:     conn,
 		handlers: make(map[overlay.NodeID]Handler),
 		routes:   make(map[overlay.NodeID]*net.UDPAddr),
@@ -444,7 +428,7 @@ func (t *UDP) deliver(from, to overlay.NodeID, m overlay.Message) bool {
 	f.Seq = t.seq
 	inf := &inflight{frame: f, to: to, sentAt: time.Now()}
 	t.pending[f.Seq] = inf
-	inf.timer = time.AfterFunc(t.cfg.RetryBase, func() { t.retry(f.Seq, addr) })
+	inf.timer = time.AfterFunc(retryBase, func() { t.retry(f.Seq, addr) })
 	t.mu.Unlock()
 	t.write(to, addr, f, 0)
 	return true
@@ -490,7 +474,7 @@ func (t *UDP) retry(seq uint32, addr *net.UDPAddr) {
 		return
 	}
 	inf.attempts++
-	if inf.attempts >= t.cfg.RetryAttempts {
+	if inf.attempts >= retryAttempts {
 		delete(t.pending, seq)
 		t.mu.Unlock()
 		t.ctrs.CtrlDrops.Add(1)
@@ -501,7 +485,7 @@ func (t *UDP) retry(seq uint32, addr *net.UDPAddr) {
 	if cur, ok := t.routes[inf.to]; ok {
 		addr = cur
 	}
-	delay := t.cfg.RetryBase << uint(inf.attempts)
+	delay := retryBase << uint(inf.attempts)
 	inf.timer = time.AfterFunc(delay, func() { t.retry(seq, addr) })
 	f := inf.frame
 	attempt := inf.attempts
