@@ -215,12 +215,12 @@ func TestCacheRing(t *testing.T) {
 	}
 }
 
-// TestConfigDefaults checks the defaults of Config's three fields; the
-// data plane's timers (flowTickS, flowAckEvery, flowNackDelayS) are
-// constants in internal/overlay/flow.go.
+// TestConfigDefaults checks the defaults of Config's two fields; the
+// data plane's timers (flowTickS, flowAckEvery, flowNackDelayS,
+// flowStallS) are constants in internal/overlay/flow.go.
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.RateChunksPerS != 8000 || c.FECGroup != 16 || c.StallS != 0.25 {
+	if c.RateChunksPerS != 8000 || c.FECGroup != 16 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	// Explicit values survive; FECGroup clamps at 64.

@@ -12,11 +12,12 @@
 // tested exhaustively without a network.
 package flow
 
-// Config tunes the reliable data plane. The zero value of every field
-// selects the default noted on it, so `&flow.Config{}` enables the
-// subsystem with stock behavior and a nil config disables it entirely.
-// The data plane's timers (the flow tick, the ack cadence, the NACK
-// delay), sizes and thresholds are constants beside their one user,
+// Config tunes the reliable data plane: the two values vdmd's flags set.
+// The zero value of every field selects the default noted on it, so
+// `&flow.Config{}` enables the subsystem with stock behavior and a nil
+// config disables it entirely. The data plane's timers (the flow tick,
+// the ack cadence, the NACK delay, the stall timeout), sizes and
+// thresholds are constants beside their one user,
 // internal/overlay/flow.go.
 type Config struct {
 	// RateChunksPerS is the per-child token-bucket pacing rate in chunks
@@ -28,11 +29,6 @@ type Config struct {
 	// repair any single loss per group without a retransmit. 0 means 16;
 	// negative disables FEC. Clamped to 64.
 	FECGroup int
-	// StallS is how long a connected, previously-flowing peer tolerates
-	// total silence from upstream before it starts pulling the stream
-	// from its repair neighbor — the dead-uplink escape hatch. 0 means
-	// 0.25.
-	StallS float64
 }
 
 // WithDefaults returns c with every zero field replaced by its default.
@@ -45,9 +41,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.FECGroup > 64 {
 		c.FECGroup = 64
-	}
-	if c.StallS == 0 {
-		c.StallS = 0.25
 	}
 	return c
 }

@@ -146,8 +146,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // Source returns the source peer (node 0).
 func (c *Cluster) Source() *Peer { return c.Peers[0] }
 
-// WaitConnected blocks until every peer reports Connected, or the timeout
-// passes, in which case it returns an error naming the stragglers.
+// WaitConnected blocks until every peer reports Connected and the tree
+// passes Validate (a splice can still be landing when the last peer
+// connects), or the timeout passes, in which case it returns an error
+// naming the stragglers and the problems.
 func (c *Cluster) WaitConnected(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -157,11 +159,15 @@ func (c *Cluster) WaitConnected(timeout time.Duration) error {
 				waiting = append(waiting, p.ID())
 			}
 		}
+		var problems []string
 		if len(waiting) == 0 {
-			return nil
+			if problems = c.Validate(); len(problems) == 0 {
+				return nil
+			}
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("live: %d peers not connected after %v: %v", len(waiting), timeout, waiting)
+			return fmt.Errorf("live: tree not formed after %v: %d peers not connected %v, problems %v",
+				timeout, len(waiting), waiting, problems)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

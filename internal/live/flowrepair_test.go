@@ -24,7 +24,7 @@ func pollUntil(timeout time.Duration, cond func() bool) bool {
 
 // linkKillFlow is the reliable data plane both link-kill tests stream
 // with, at the shipped timers: the victim detects its dead uplink after
-// the default StallS.
+// the stall timeout (0.25 s).
 var linkKillFlow = &flow.Config{RateChunksPerS: 20000, FECGroup: 8}
 
 // TestClusterLinkKillRepair is the reliability acceptance test: a
@@ -267,9 +267,9 @@ func TestClusterFlowDelivery(t *testing.T) {
 }
 
 // TestClusterStallPullHorizon pins how far back a stall pull reaches. It
-// streams with the benchmark's flow config (the default StallS), so a
-// victim whose uplink dies pulls from cum+1 only after more than StallS
-// (0.25 s) of silence, the first flow tick past it. Seven peers at degree
+// streams with the benchmark's flow config, so a victim whose uplink dies
+// pulls from cum+1 only after more than the stall timeout (0.25 s) of
+// silence, the first flow tick past it. Seven peers at degree
 // 2 stream 256 B chunks on an open loop; after 1 000 chunks the stream
 // data toward a depth-2 peer is dropped and 4 000 more follow. The victim
 // must receive all of them without writing one off: a retransmit ring

@@ -256,7 +256,7 @@ func TestPeerStopCancelsTimers(t *testing.T) {
 }
 
 // bootCluster boots a cluster, closed when the test ends, and waits until
-// every peer is connected.
+// every peer is connected and the tree validates.
 func bootCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 	t.Helper()
 	c, err := NewCluster(cfg)

@@ -146,12 +146,9 @@ func TestClusterLostReportsLoseNoCounts(t *testing.T) {
 		dropped int
 	)
 	c := bootCluster(t, ClusterConfig{
-		N:         nPeers,
-		MaxDegree: 2,
-		// StallS outlasts the test: a parent that falls silent when the
-		// stream ends would otherwise draw stall pulls every tick, and
-		// the counters would never settle.
-		Flow:         &flow.Config{RateChunksPerS: 20000, FECGroup: 8, StallS: 60},
+		N:            nPeers,
+		MaxDegree:    2,
+		Flow:         &flow.Config{RateChunksPerS: 20000, FECGroup: 8},
 		StatusPeriod: 50 * time.Millisecond,
 		StatusHandler: func(at float64, from overlay.NodeID, r overlay.StatusReport) {
 			mu.Lock()

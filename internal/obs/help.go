@@ -64,7 +64,7 @@ var flowHelp = map[string]string{
 	"vdm_flow_pushbacks_sent_total":     "Congestion pushbacks sent to the parent.",
 	"vdm_flow_pushbacks_recv_total":     "Congestion pushbacks received (child rate halved).",
 	"vdm_flow_pace_drops_total":         "Chunks evicted oldest-first from per-child pacing queues.",
-	"vdm_flow_window_stalls_total":      "Ack-clocked windows that stalled past StallS and failed open.",
+	"vdm_flow_window_stalls_total":      "Ack-clocked windows that stalled past the stall timeout (0.25 s) and failed open.",
 }
 
 func registerHelp(r *Registry, m map[string]string) {

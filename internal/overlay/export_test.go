@@ -34,3 +34,10 @@ func (p *AdjPool) ChunksInUse() int {
 
 // FlowRetainChunks is the retransmit ring's length in chunks.
 const FlowRetainChunks = flowRetainChunks
+
+// FlowNackRetries is how many NACKs go to the parent before the repair
+// neighbor; a stall-pull round holds one pull more.
+const FlowNackRetries = flowNackRetries
+
+// StarveCheckPeriodS is the starvation watchdog's period.
+const StarveCheckPeriodS = starveCheckPeriodS

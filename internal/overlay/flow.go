@@ -7,35 +7,8 @@ import (
 	"vdm/internal/flow"
 )
 
-// flowState is the per-peer reliable data plane, active when
-// PeerConfig.Flow is set (nil keeps the historical fire-and-forget
-// forwarding, which the simulator's byte-identical traces rely on). It
-// composes the internal/flow mechanisms into the protocol:
-//
-//   - sending: every child gets a token bucket and an ack-clocked window;
-//     chunks that can't go now wait in a bounded per-child queue drained
-//     on acks and flow ticks (drop-oldest beyond flowQueueCap; a dropped
-//     chunk stays NACK-recoverable).
-//   - receiving: a second window tracks the cumulative-ack point and the
-//     missing ranges above it; acks flow to the parent every flowAckEvery
-//     chunks, NACKs go to the parent after flowNackDelayS and to the repair
-//     neighbor after flowNackRetries attempts.
-//   - repair: the source emits one XOR parity per FECGroup chunks so a
-//     single loss per group heals locally; a retransmit cache serves
-//     NACKs; and when the uplink goes silent for StallS the peer pulls
-//     the stream from its repair neighbor (grandparent or best probed
-//     non-parent) — the escape hatch that survives a killed link without
-//     waiting for tree repair.
-//   - congestion: when local forwarding queues (pacing + transport) pass
-//     flowPushbackHigh the peer tells its parent, which halves this child's
-//     pacing rate and recovers it additively (AIMD per child edge).
-//
-// All methods run on the peer's serialized execution context; only the
-// stat counters are read cross-goroutine (metrics collectors) and are
-// therefore atomic.
 // The reliable data plane's timers, sizes and thresholds. What vdmd's
-// flags set (the pacing rate and the FEC group) and the stall timeout are
-// in flow.Config.
+// flags set (the pacing rate and the FEC group) is in flow.Config.
 const (
 	// flowTickS is the flow timer period in seconds — the cadence of
 	// queue draining, ack flushing, NACK scans and rate recovery.
@@ -64,9 +37,10 @@ const (
 	//   - a gap NACK asks only for sequences above the child's cumulative
 	//     ack, and the parent sends nothing past that ack plus flowWindow,
 	//     so the ring holds flowWindow plus the ack's lag;
-	//   - a stall pull asks from the puller's cum+1 after StallS + flowTickS
-	//     of silence (0.27 s at the defaults), ≈ 540 chunks behind its
-	//     target's frontier at 2 000 chunks/s.
+	//   - a stall pull asks from the puller's cum+1 after flowStallS +
+	//     flowTickS of silence (0.27 s), ≈ 540 chunks behind its target's
+	//     frontier at 2 000 chunks/s; each answered pull moves cum on and
+	//     opens the next round, so later pulls lag no further.
 	// Twice flowWindow holds a full window plus a window of ack lag, and
 	// a stall-pull lag up to ≈ 3 800 chunks/s at the default timers. On a
 	// 1 %-loss loopback stream at 2 000 chunks/s, the oldest repair
@@ -85,11 +59,44 @@ const (
 	// flowRecoverS is how many seconds a fully throttled rate takes to
 	// climb back to the base rate (additive recovery).
 	flowRecoverS = 2.0
+	// flowStallS is how long a parent may stay silent before its child
+	// pulls the stream from its repair neighbor, and how long a full
+	// ack-clocked window waits before it fails open.
+	flowStallS = 0.25
 	// flowPullWidth is how many sequence numbers past the cumulative ack a
-	// stall pull requests per round.
+	// stall pull requests.
 	flowPullWidth = 64
 )
 
+// flowState is the per-peer reliable data plane, active when
+// PeerConfig.Flow is set (nil keeps the historical fire-and-forget
+// forwarding, which the simulator's byte-identical traces rely on). It
+// composes the internal/flow mechanisms into the protocol:
+//
+//   - sending: every child gets a token bucket and an ack-clocked window;
+//     chunks that can't go now wait in a bounded per-child queue drained
+//     on acks and flow ticks (drop-oldest beyond flowQueueCap; a dropped
+//     chunk stays NACK-recoverable).
+//   - receiving: a second window tracks the cumulative-ack point and the
+//     missing ranges above it; acks flow to the parent every flowAckEvery
+//     chunks, NACKs go to the parent after flowNackDelayS and to the repair
+//     neighbor after flowNackRetries attempts.
+//   - repair: the source emits one XOR parity per FECGroup chunks so a
+//     single loss per group heals locally; a retransmit cache serves
+//     NACKs; and when the uplink goes silent for flowStallS the peer pulls
+//     the stream from its repair neighbor (best probed non-tree peer,
+//     grandparent or source) — the escape hatch that survives a killed
+//     link without waiting for tree repair.
+//   - congestion: when local forwarding queues (pacing + transport) pass
+//     flowPushbackHigh the peer tells its parent, which halves this child's
+//     pacing rate and recovers it additively (AIMD per child edge).
+//
+// The flow tick runs only while the peer owes work (see run), so a peer
+// that owes nothing arms no timer.
+//
+// All methods run on the peer's serialized execution context; only the
+// stat counters are read cross-goroutine (metrics collectors) and are
+// therefore atomic.
 type flowState struct {
 	p   *Peer
 	cfg flow.Config
@@ -107,9 +114,11 @@ type flowState struct {
 	nackScratch  []flow.Range
 	sinceAck     int
 	lastAckedCum int64
-	lastParentAt float64 // last stream traffic seen from the parent
-	lastPullAt   float64
 	lastPushAt   float64
+
+	pullCum int64 // the cumulative point of the stall-pull round
+	pulls   int   // pulls sent in the round
+	ticking bool  // the flow tick is armed
 
 	// Repair neighbor: best non-parent candidate from join probes, with
 	// grandparent and source as fallbacks at use time.
@@ -238,7 +247,6 @@ func newFlowState(p *Peer, cfg flow.Config) *flowState {
 		nacks:      make(map[int64]*nackState),
 		expect:     make(map[NodeID]float64),
 		repairCand: None,
-		lastPullAt: -1e18,
 	}
 	f.st.repairNbr.Store(int64(None))
 	if cfg.FECGroup > 1 {
@@ -247,55 +255,63 @@ func newFlowState(p *Peer, cfg flow.Config) *flowState {
 		}
 		f.dec = flow.NewDecoder(cfg.FECGroup, 64)
 	}
-	f.tickLater()
 	return f
 }
 
-func (f *flowState) tickLater() {
-	f.p.net.AfterArg(flowTickS, flowTick, f)
+// arm starts the flow tick unless it is already running.
+func (f *flowState) arm() {
+	if !f.ticking {
+		f.ticking = true
+		f.p.net.AfterArg(flowTickS, flowTick, f)
+	}
 }
 
-// flowTick is the flow timer callback (arg: *flowState).
+// flowTick is the flow timer callback (arg: *flowState). It re-arms only
+// while run reports work left.
 func flowTick(a any) {
 	f := a.(*flowState)
-	if !f.p.alive {
-		return
+	f.ticking = false
+	if f.p.alive && f.run(f.p.net.Now()) {
+		f.arm()
 	}
-	f.run(f.p.net.Now())
-	f.tickLater()
 }
 
 // run is the flow tick: prune dead child state, drain paced queues in
 // ascending child id (on a simulated bus the send order is the event
 // order), recover throttled rates, flush acks, scan gaps into NACKs, pull
-// on a stalled uplink, and push back on congestion.
-func (f *flowState) run(now float64) {
+// on a stalled uplink, and push back on congestion. It reports whether
+// the peer still owes work: a paced backlog, a rate below base, an open
+// gap, or a stall pull still due.
+func (f *flowState) run(now float64) bool {
 	p := f.p
+	owed := false
 	ids := f.sendIDs[:0]
 	for id := range f.children {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		if p.pool.Has(&p.children, id) || p.pool.Has(&p.fosters, id) {
-			f.drain(id, f.children[id], now)
+		if cf := f.children[id]; p.pool.Has(&p.children, id) || p.pool.Has(&p.fosters, id) {
+			f.drain(id, cf, now)
+			owed = owed || len(cf.q) > 0
 			continue
 		}
 		delete(f.children, id)
 	}
 	f.sendIDs = ids[:0]
-	f.recoverRates()
+	owed = f.recoverRates() || owed
 	if cum, ok := f.tracker.CumAck(); ok && cum > f.lastAckedCum {
 		f.sendAck(cum)
 	}
 	f.scanNacks(now)
-	f.stallPull(now)
+	owed = f.stallPull(now) || len(f.nacks) > 0 || owed
 	f.pushback(now)
 	for id, deadline := range f.expect {
 		if now > deadline {
 			delete(f.expect, id)
 		}
 	}
+	return owed
 }
 
 // child returns (creating on demand) the sender state for child c.
@@ -320,7 +336,7 @@ func seqOf(m Message) (int64, bool) {
 
 // admit decides whether one stream message may go to this child now,
 // consuming a pacing token when it may. Chunks are additionally gated by
-// the ack-clocked window; a window stalled longer than StallS fails open
+// the ack-clocked window; a window stalled longer than flowStallS fails open
 // (the child may be gone or not flow-aware — parking the subtree would
 // be worse than overrunning it).
 func (f *flowState) admit(cf *childFlow, seq int64, isChunk bool, now float64) bool {
@@ -328,7 +344,7 @@ func (f *flowState) admit(cf *childFlow, seq int64, isChunk bool, now float64) b
 		if cf.stalledSince == 0 {
 			cf.stalledSince = now
 		}
-		if now-cf.stalledSince <= f.cfg.StallS {
+		if now-cf.stalledSince <= flowStallS {
 			return false
 		}
 		cf.acked = cf.lastSent
@@ -375,9 +391,11 @@ func (f *flowState) sendOne(c NodeID, cf *childFlow, m Message) bool {
 // forward paces one stream message (chunk or parity) to every child and
 // then every foster, each in id order. Children whose bucket and window
 // admit it immediately are served through one SendFanout call (single
-// encode on the wire); the rest queue for the next drain.
+// encode on the wire); the rest queue for the next drain. It arms the
+// flow tick, which flushes the ack and watches the uplink afterwards.
 func (f *flowState) forward(m Message) {
 	p := f.p
+	f.arm()
 	now := p.net.Now()
 	seq, isChunk := seqOf(m)
 	ids := f.sendIDs[:0]
@@ -439,22 +457,23 @@ func (f *flowState) drain(c NodeID, cf *childFlow, now float64) {
 }
 
 // recoverRates climbs throttled child rates back toward the base rate —
-// the additive half of the per-edge AIMD.
-func (f *flowState) recoverRates() {
+// the additive half of the per-edge AIMD — and reports whether one is
+// still below it.
+func (f *flowState) recoverRates() bool {
 	base := f.cfg.RateChunksPerS
 	if base <= 0 {
-		return
+		return false
 	}
 	step := base * flowTickS / flowRecoverS
+	below := false
 	for _, cf := range f.children {
 		if r := cf.bucket.Rate(); r > 0 && r < base {
-			r += step
-			if r > base {
-				r = base
-			}
+			r = min(r+step, base)
 			cf.bucket.SetRate(r)
+			below = below || r < base
 		}
 	}
+	return below
 }
 
 // fillStatus writes the flow-telemetry section of a StatusReport: the
@@ -496,14 +515,6 @@ func (f *flowState) fillStatus(r *StatusReport) {
 }
 
 // --- receiver side ---
-
-// noteChunkFrom records who the stream is arriving from; traffic from
-// the parent resets the uplink-stall clock.
-func (f *flowState) noteChunkFrom(from NodeID) {
-	if from == f.p.parent {
-		f.lastParentAt = f.p.net.Now()
-	}
-}
 
 // expectingRepair reports whether chunks from this non-parent are
 // solicited repair traffic (a NACK or stall pull was sent to it
@@ -602,7 +613,9 @@ func (f *flowState) onNack(from NodeID, m DataNack) {
 
 func (f *flowState) onParity(from NodeID, m Parity) {
 	f.st.parityRecv.Add(1)
-	f.noteChunkFrom(from)
+	if from == f.p.parent {
+		f.p.lastParentFeedAt = f.p.net.Now()
+	}
 	if f.dec == nil {
 		f.forward(m)
 		return
@@ -629,6 +642,7 @@ func (f *flowState) onPushback(from NodeID, m Pushback) {
 	if f.cfg.RateChunksPerS <= 0 {
 		return
 	}
+	f.arm()
 	floor := f.cfg.RateChunksPerS * flowMinRateFrac
 	r := cf.bucket.Rate() / 2
 	if r < floor {
@@ -692,7 +706,7 @@ func (f *flowState) scanNacks(now float64) {
 	}
 	if len(toRepair) > 0 {
 		if tgt := f.repairTarget(); tgt != None {
-			f.expect[tgt] = now + 4*f.cfg.StallS
+			f.expect[tgt] = now + 4*flowStallS
 			if p.net.Send(p.id, tgt, DataNack{Ranges: toRepair}) {
 				f.st.nacksSent.Add(1)
 			}
@@ -710,40 +724,60 @@ func appendSeq(rs []SeqRange, seq int64) []SeqRange {
 }
 
 // stallPull is the dead-uplink escape: when the parent has delivered
-// nothing for StallS, speculatively pull the next flowPullWidth sequences
-// from the repair neighbor every tick until the parent resumes. Gap
-// NACKs can't detect a fully dead link (silence produces no gaps), so
-// this is what makes a killed uplink recover without tree re-join.
-func (f *flowState) stallPull(now float64) {
+// nothing for flowStallS, speculatively pull the next flowPullWidth
+// sequences from the repair neighbor, one pull per tick. Gap NACKs can't
+// detect a fully dead link (silence produces no gaps), so this is what
+// makes a killed uplink recover without tree re-join. At one cumulative
+// point it sends at most 1 + flowNackRetries pulls, a round; a pull that
+// moves the point opens the next round, so a bridged dead uplink keeps
+// pulling every tick, and an ended stream stops. It reports whether a
+// pull is still due.
+func (f *flowState) stallPull(now float64) bool {
 	p := f.p
-	if p.isSource || !p.connected || p.parent == None || f.lastParentAt == 0 {
-		return
+	cum, ok := f.tracker.CumAck()
+	if p.isSource || !p.connected || p.parent == None || !ok {
+		return false
 	}
-	if now-f.lastParentAt <= f.cfg.StallS || now-f.lastPullAt < flowTickS {
-		return
+	if cum != f.pullCum {
+		f.pullCum, f.pulls = cum, 0
+	}
+	if f.pulls > flowNackRetries {
+		return false
+	}
+	if now-p.lastParentFeedAt <= flowStallS {
+		return true
 	}
 	tgt := f.repairTarget()
 	if tgt == None {
-		return
+		return false
 	}
-	cum, ok := f.tracker.CumAck()
-	if !ok {
-		return
-	}
-	f.lastPullAt = now
-	f.expect[tgt] = now + 4*f.cfg.StallS
+	f.pulls++
+	f.expect[tgt] = now + 4*flowStallS
 	if p.net.Send(p.id, tgt, DataNack{Ranges: []SeqRange{{Lo: cum + 1, Hi: cum + flowPullWidth}}}) {
 		f.st.stallPulls.Add(1)
 		f.st.nacksSent.Add(1)
 	}
+	return f.pulls <= flowNackRetries
+}
+
+// reopenPulls gives a silent uplink one more round of stall pulls, which
+// catches a stream that resumed after its rounds were spent; the
+// starvation watchdog calls it every starveCheckPeriodS.
+func (f *flowState) reopenPulls() {
+	if f.pulls > flowNackRetries {
+		f.pulls = 0
+		f.arm()
+	}
 }
 
 // repairTarget picks the secondary repair path: the best probed
-// non-parent candidate, else the grandparent from the root path, else
-// the source (which always caches the stream tail).
+// candidate that is neither the parent nor a child or foster (which get
+// the stream only through this peer), else the grandparent from the root
+// path, else the source (which always caches the stream tail).
 func (f *flowState) repairTarget() NodeID {
 	p := f.p
-	if c := f.repairCand; c != None && c != p.id && c != p.parent {
+	if c := f.repairCand; c != None && c != p.id && c != p.parent &&
+		!p.pool.Has(&p.children, c) && !p.pool.Has(&p.fosters, c) {
 		return c
 	}
 	if gp := p.Grandparent(); gp != None && gp != p.id && gp != p.parent {

@@ -136,8 +136,10 @@ type Peer struct {
 	staleFrom map[NodeID]int
 
 	// Starvation watchdog (see checkStarvation): the virtual time of the
-	// last chunk received from the current parent (reset on every parent
-	// change), and whether the periodic check is already running.
+	// last chunk (or, with flow on, parity) received from the current
+	// parent (reset on every parent change), and whether the periodic
+	// check is already running. The flow plane's stall pulls read the
+	// same clock.
 	lastParentFeedAt float64
 	starveTicking    bool
 
@@ -373,9 +375,6 @@ func (p *Peer) HandleMessage(from NodeID, m Message) {
 	case LeaveNotify:
 		p.handleLeaveNotify(from, msg)
 	case DataChunk:
-		if p.flow != nil {
-			p.flow.noteChunkFrom(from)
-		}
 		if from != p.parent && !p.isSource {
 			if p.flow != nil && p.flow.expectingRepair(from) {
 				// Solicited repair traffic from the repair neighbor —
@@ -549,7 +548,8 @@ func (p *Peer) scheduleStarveCheck() {
 
 // starveTick is the shared watchdog callback (arg: *Peer); boxing a
 // pointer into any allocates nothing, so the recurring per-peer check
-// costs no heap churn.
+// costs no heap churn. With flow on it also re-opens a spent round of
+// stall pulls, the only probe of an uplink that stays silent.
 func starveTick(a any) {
 	p := a.(*Peer)
 	if !p.alive {
@@ -557,6 +557,9 @@ func starveTick(a any) {
 		return
 	}
 	p.checkStarvation()
+	if p.flow != nil {
+		p.flow.reopenPulls()
+	}
 	p.scheduleStarveCheck()
 }
 

@@ -25,7 +25,6 @@ var knobTable = flag.Bool("knobs", false, "print the knob table")
 // reports fails the test, so the list cannot outlive its reasons.
 var knobsAllowed = map[string]string{
 	"vdm":                                   "the module's public API: the README quick start and example_test.go set its fields; no command imports it",
-	"vdm/internal/flow.Config.StallS":       "TestClusterLostReportsLoseNoCounts sets 60 so that stall pulls, which never stop once the stream ends, leave the counters it compares quiescent; stopping them on an idle stream deletes this entry (ROADMAP, idle item)",
 	"vdm/internal/live.ClusterConfig":       "the loopback test harness: live's tests and the root live benchmarks set its fields",
 	"vdm/internal/sim.Config.CtrlLossProb":  "lets a test lose control messages, a behaviour no program runs",
 	"vdm/internal/sim.Config.StatusHandler": "lets a test consume the simulated status reports, which no program reads",
